@@ -4,12 +4,13 @@ Subcommands cover instance validation, exhaustive feasibility verification,
 the edge-removal routes, CWL certification and search, group-characterized
 codes, and the bundled case studies.  Exit status 0 means a verified-true
 outcome, 1 a verified-false or not-found outcome, and 2 a usage or input
-problem.
+problem.  Error targets ``--eps`` lie in [0, 1); the builtin removal routes
+exit 1 when the code's own error is above eps.
 
 Reports are deterministic: the command echo keeps only semantic arguments
-(execution tuning such as ``--workers`` is excluded), structured results are
-JSON with sorted keys, and timing goes to stderr only, so the same inputs
-produce byte-identical reports at any worker count.
+(execution tuning such as ``--enum-cap`` and ``--out`` is excluded),
+structured results are JSON with sorted keys, and timing goes to stderr only,
+so the same inputs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from .removal import (
     restrict_code,
 )
 
-TUNING_FLAGS = {"--workers", "--enum-cap", "--out", "--format", "--emit"}
+TUNING_FLAGS = {"--enum-cap", "--out", "--format", "--emit"}
 
 
 @dataclass(frozen=True)
@@ -151,6 +152,8 @@ def _parse_eps(text: str) -> Fraction:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"expected a rational like 1/4, got {text!r}") from None
+    if value < 0 or value >= 1:
+        raise DomainError(f"eps must satisfy 0 <= eps < 1, got {text!r}")
     return value
 
 
@@ -228,7 +231,11 @@ def _witness_dict(w: CwlWitness) -> dict:
     }
 
 
-def _removal_dict(res: RemovalResult) -> dict:
+def _removal_dict(res: RemovalResult, prefix: str | None) -> dict:
+    """Report fields of a removal; writes the restricted files under prefix."""
+    if prefix is not None:
+        save_instance(res.instance, prefix + ".instance.json")
+        save_code(res.code, prefix + ".code.json")
     return {
         "certificate": res.certificate.to_dict(),
         "restricted_instance": instance_to_dict(res.instance),
@@ -236,11 +243,11 @@ def _removal_dict(res: RemovalResult) -> dict:
     }
 
 
-def _emit_removal(res: RemovalResult, prefix: str | None) -> None:
-    if prefix is None:
-        return
-    save_instance(res.instance, prefix + ".instance.json")
-    save_code(res.code, prefix + ".code.json")
+def _load_table(args):
+    """The instance, the code and their global table under ``--enum-cap``."""
+    inst = load_instance(args.instance)
+    code = load_code(args.code)
+    return inst, code, build_global_table(inst, code, enum_cap=args.enum_cap)
 
 
 def _cmd_validate(args) -> tuple[int, dict]:
@@ -250,46 +257,39 @@ def _cmd_validate(args) -> tuple[int, dict]:
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
-    inst = load_instance(args.instance)
-    code = load_code(args.code)
+    inst, code, table = _load_table(args)
     rates = _parse_rates(args.rates, code.blocklength)
-    report = check_feasibility(
-        inst, code, args.eps, rates, enum_cap=args.enum_cap, workers=args.workers
-    )
+    report = check_feasibility(inst, code, args.eps, rates, table=table)
     return (0 if report.verdict else 1), {"feasibility": report.to_dict()}
 
 
 def _cmd_remove_edge(args) -> tuple[int, dict]:
-    inst = load_instance(args.instance)
-    code = load_code(args.code)
-    table = build_global_table(inst, code, enum_cap=args.enum_cap, workers=args.workers)
+    inst, code, table = _load_table(args)
+    route = {"builtin:cwl": "cwl", "builtin:edge-value": "edge-value"}.get(args.partition)
+    if route == "edge-value" and args.eps != 0:
+        raise DomainError("the edge-value route only applies at eps 0")
+    if route is not None and table.error > args.eps:
+        return 1, {
+            "route": route,
+            "found": False,
+            "reason": "code error exceeds the requested eps",
+        }
 
-    if args.partition == "builtin:cwl":
-        if table.error > args.eps:
-            return 1, {
-                "route": "cwl",
-                "found": False,
-                "reason": "code error exceeds the requested eps",
-            }
+    if route == "cwl":
         witness = _resolve_witness(table, args.edge, args.groups)
-        if witness is None:
+        res = None
+        if witness is not None:
+            res = cwl_remove(inst, code, table, args.edge, witness, args.eps)
+        if res is None:
             return 1, {"route": "cwl", "found": False}
-        res = cwl_remove(inst, code, table, args.edge, witness)
-        _emit_removal(res, args.emit)
         result = {"route": "cwl", "found": True, "witness": _witness_dict(witness)}
-        result.update(_removal_dict(res))
-        return 0, result
+        return 0, {**result, **_removal_dict(res, args.emit)}
 
-    if args.partition == "builtin:edge-value":
-        if args.eps != 0:
-            raise DomainError("the edge-value route only applies at eps 0")
+    if route == "edge-value":
         res = remove_by_edge_value(inst, code, table, args.edge)
         if res is None:
             return 1, {"route": "edge-value", "found": False}
-        _emit_removal(res, args.emit)
-        result = {"route": "edge-value", "found": True}
-        result.update(_removal_dict(res))
-        return 0, result
+        return 0, {"route": "edge-value", "found": True, **_removal_dict(res, args.emit)}
 
     data = _load_json(args.partition)
     if "labels" not in data:
@@ -308,40 +308,20 @@ def _cmd_remove_edge(args) -> tuple[int, dict]:
     if label is None:
         return 1, {"route": "partition", "found": False, "conditions": conditions}
     res = restrict_code(inst, code, table, args.edge, part, label, args.eps)
-    _emit_removal(res, args.emit)
     result = {"route": "partition", "found": True, "conditions": conditions}
-    result.update(_removal_dict(res))
-    return 0, result
+    return 0, {**result, **_removal_dict(res, args.emit)}
 
 
 def _cmd_cwl_check(args) -> tuple[int, dict]:
-    inst = load_instance(args.instance)
-    code = load_code(args.code)
-    table = build_global_table(inst, code, enum_cap=args.enum_cap, workers=args.workers)
+    _, _, table = _load_table(args)
     witness = _resolve_witness(table, args.edge, args.groups)
     if witness is None:
         return 1, {"witness": None}
     return 0, {"witness": _witness_dict(witness)}
 
 
-def _cmd_cwl_remove(args) -> tuple[int, dict]:
-    inst = load_instance(args.instance)
-    code = load_code(args.code)
-    table = build_global_table(inst, code, enum_cap=args.enum_cap, workers=args.workers)
-    witness = _resolve_witness(table, args.edge, args.groups)
-    if witness is None:
-        return 1, {"found": False}
-    res = cwl_remove(inst, code, table, args.edge, witness)
-    _emit_removal(res, args.emit)
-    result = {"found": True, "witness": _witness_dict(witness)}
-    result.update(_removal_dict(res))
-    return 0, result
-
-
 def _cmd_pwl_remove(args) -> tuple[int, dict]:
-    inst = load_instance(args.instance)
-    code = load_code(args.code)
-    table = build_global_table(inst, code, enum_cap=args.enum_cap, workers=args.workers)
+    inst, code, table = _load_table(args)
     data = _load_json(args.pieces)
     if "pieces" not in data or "edge_support" not in data:
         raise DomainError(f"{args.pieces}: missing pieces or edge support")
@@ -356,10 +336,7 @@ def _cmd_pwl_remove(args) -> tuple[int, dict]:
     if pw is None:
         return 1, {"found": False}
     res = piecewise_remove(inst, code, table, args.edge, pw)
-    _emit_removal(res, args.emit)
-    result = {"found": True, "pieces": len(pw.pieces)}
-    result.update(_removal_dict(res))
-    return 0, result
+    return 0, {"found": True, "pieces": len(pw.pieces), **_removal_dict(res, args.emit)}
 
 
 def _cmd_cwl_search(args) -> tuple[int, dict]:
@@ -387,15 +364,13 @@ def _cmd_group_remove(args) -> tuple[int, dict]:
     gc = load_characterization(args.characterization)
     source_keys = [k.strip() for k in args.sources.split(",") if k.strip()]
     plan = abelian_removal_plan(gc, args.edge, source_keys)
-    _emit_removal(plan.removal, args.emit)
     result = {
         "checks": plan.checks,
         "auxiliary_order": plan.g_prime.order,
         "materialized_instance": instance_to_dict(plan.instance),
         "materialized_code": code_to_dict(plan.code),
     }
-    result.update(_removal_dict(plan.removal))
-    return 0, result
+    return 0, {**result, **_removal_dict(plan.removal, args.emit)}
 
 
 def _cmd_group_zero_error(args) -> tuple[int, dict]:
@@ -417,16 +392,17 @@ def _butterfly_run(name: str, inst: NetworkInstance, code: NetworkCode, emit) ->
     feas = check_feasibility(inst, code, Fraction(0), list(code.source_alphabets), table=table)
     witness = _resolve_witness(table, "bottleneck", None)
     entry: dict = {"name": name, "feasibility": feas.to_dict()}
-    if witness is None:
+    res = None
+    if witness is not None:
+        res = cwl_remove(inst, code, table, "bottleneck", witness, Fraction(0))
+    if res is None:
         entry["found"] = False
         return entry
-    res = cwl_remove(inst, code, table, "bottleneck", witness)
     if emit is not None:
         save_instance(inst, f"{emit}.{name}.instance.json")
         save_code(code, f"{emit}.{name}.code.json")
-        _emit_removal(res, f"{emit}.{name}.restricted")
     entry["found"] = True
-    entry.update(_removal_dict(res))
+    entry.update(_removal_dict(res, None if emit is None else f"{emit}.{name}.restricted"))
     return entry
 
 
@@ -481,7 +457,6 @@ def _cmd_case_study(args) -> tuple[int, dict]:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, default=1, help="parallel table workers")
     parser.add_argument("--enum-cap", type=int, default=None, help="tuple enumeration cap")
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("text", "csv"), default="text")
@@ -526,15 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", default=None)
     _add_common(p)
     p.set_defaults(handler=_cmd_cwl_check, input_attrs=("instance", "code"))
-
-    p = sub.add_parser("cwl-remove", help="remove a CWL edge via its class partition")
-    p.add_argument("instance")
-    p.add_argument("code")
-    p.add_argument("--edge", required=True)
-    p.add_argument("--groups", default=None)
-    p.add_argument("--emit", default=None)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_cwl_remove, input_attrs=("instance", "code"))
 
     p = sub.add_parser("pwl-remove", help="remove a piecewise-CWL edge (zero error)")
     p.add_argument("instance")

@@ -263,18 +263,9 @@ class GlobalCodeTable:
     def index_to_tuple(self, idx: int) -> tuple[int, ...]:
         return index_to_values(idx, self.source_sizes)
 
-    def tuple_to_index(self, x: Sequence[int]) -> int:
-        return mixed_radix_index(x, self.source_sizes)
-
-    def edge_value(self, idx: int, edge_id: str) -> int:
-        return self.rows[idx][self._edge_pos[edge_id]]
-
     def edge_column(self, edge_id: str) -> tuple[int, ...]:
         pos = self._edge_pos[edge_id]
         return tuple(row[pos] for row in self.rows)
-
-    def good_indices(self) -> list[int]:
-        return [i for i, g in enumerate(self.good) if g]
 
     def bad_indices(self) -> list[int]:
         return [i for i, g in enumerate(self.good) if not g]
@@ -289,14 +280,26 @@ class GlobalCodeTable:
         return Fraction(wrong, self.num_tuples)
 
 
-def _evaluate_range(
-    inst: NetworkInstance, code: NetworkCode, start: int, stop: int
-) -> tuple[list[tuple[int, ...]], list[tuple[str, ...]]]:
+def build_global_table(
+    inst: NetworkInstance,
+    code: NetworkCode,
+    enum_cap: int | None = None,
+) -> GlobalCodeTable:
+    """Enumerate all source tuples; raises ResourceError beyond the cap."""
+    problems = validate_code(inst, code)
+    if problems:
+        raise MalformedCodeError("; ".join(problems))
+    cap = enum_cap if enum_cap is not None else default_enum_cap()
+    total = math.prod(code.source_alphabets)
+    if total > cap:
+        raise ResourceError(
+            f"source tuple space has {total} elements, above the cap of {cap}"
+        )
     sizes = tuple(code.source_alphabets)
     demanded = {t: inst.demanded_sources(t) for t in inst.terminals}
     rows = []
     wrongs = []
-    for idx in range(start, stop):
+    for idx in range(total):
         x = index_to_values(idx, sizes)
         row = evaluate_global(inst, code, x)
         outputs = decode_outputs(inst, code, row)
@@ -307,44 +310,6 @@ def _evaluate_range(
         )
         rows.append(row)
         wrongs.append(wrong)
-    return rows, wrongs
-
-
-def build_global_table(
-    inst: NetworkInstance,
-    code: NetworkCode,
-    enum_cap: int | None = None,
-    workers: int = 1,
-) -> GlobalCodeTable:
-    """Enumerate all source tuples; raises ResourceError beyond the cap.
-
-    Results are independent of the worker count: the index range is split into
-    ordered chunks and reassembled in order.
-    """
-    problems = validate_code(inst, code)
-    if problems:
-        raise MalformedCodeError("; ".join(problems))
-    cap = enum_cap if enum_cap is not None else default_enum_cap()
-    total = math.prod(code.source_alphabets)
-    if total > cap:
-        raise ResourceError(
-            f"source tuple space has {total} elements, above the cap of {cap}"
-        )
-    if workers > 1 and total >= workers:
-        import multiprocessing
-
-        bounds = [total * i // workers for i in range(workers + 1)]
-        args = [
-            (inst, code, bounds[i], bounds[i + 1])
-            for i in range(workers)
-            if bounds[i] < bounds[i + 1]
-        ]
-        with multiprocessing.Pool(len(args)) as pool:
-            parts = pool.starmap(_evaluate_range, args)
-        rows = [r for part in parts for r in part[0]]
-        wrongs = [w for part in parts for w in part[1]]
-    else:
-        rows, wrongs = _evaluate_range(inst, code, 0, total)
     return GlobalCodeTable(inst, code, rows, wrongs)
 
 
@@ -395,7 +360,6 @@ def check_feasibility(
     target_cardinalities: Sequence[int],
     table: GlobalCodeTable | None = None,
     enum_cap: int | None = None,
-    workers: int = 1,
 ) -> FeasibilityReport:
     """Check the code against targets; all comparisons are exact.
 
@@ -409,7 +373,7 @@ def check_feasibility(
     if len(target_cardinalities) != len(inst.sources):
         raise DomainError("one rate target per source is required")
     if table is None:
-        table = build_global_table(inst, code, enum_cap=enum_cap, workers=workers)
+        table = build_global_table(inst, code, enum_cap=enum_cap)
     per_terminal = {t: table.terminal_error(t) for t in inst.terminals}
     if target_eps == 0:
         decoding_ok = {t: err == 0 for t, err in per_terminal.items()}

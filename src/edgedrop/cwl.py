@@ -33,19 +33,16 @@ from .codes import (
     relay_instance,
 )
 from .errors import DomainError, InternalCheckError, PreconditionError, ResourceError
-from .groupcodes import GroupCharacterization
+from .groupcodes import ENTROPY_TOLERANCE, GroupCharacterization
 from .groups import CyclicGroup, FiniteGroup, ProductGroup, TableGroup, direct_product, subgroup
 from .network import NetworkInstance
 from .removal import (
     RemovalResult,
     SourcePartition,
     _restrict_to_part,
+    _witness_ok,
     fiber_edge_values,
-    fibers_are_products,
-    restrict_code,
 )
-
-ENTROPY_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -264,13 +261,15 @@ def cwl_remove(
     table: GlobalCodeTable,
     edge_id: str,
     w: CwlWitness,
-) -> RemovalResult:
+    eps: Fraction,
+) -> RemovalResult | None:
     """Remove a CWL edge through its coordinate class partition.
 
     The witness part is the one with the best good fraction (ties to the
     lexicographically smallest label); averaging over the equal-sized parts
     guarantees it meets the code's own error fraction, and the class sizes
-    guarantee ``|kept| * |edge support| >= |alphabet|`` per source.
+    guarantee ``|kept| * |edge support| >= |alphabet|`` per source.  Returns
+    None when even that part fails the witness bounds for eps.
     """
     if not _witness_matches_column(w, table, edge_id):
         raise PreconditionError("witness does not match the edge's encoding function")
@@ -282,23 +281,22 @@ def cwl_remove(
         raise InternalCheckError("class partition parts are not equal-sized")
     labels = part.sorted_labels()
     best = max(labels, key=lambda y: sum(1 for i in part.parts[y] if table.good[i]))
-    eps = table.error
+    error = table.error
     good = sum(1 for i in part.parts[best] if table.good[i])
     part_size = len(part.parts[best])
-    # Averaging: good fraction of the best part is at least 1 - eps.
-    if good * eps.denominator < (eps.denominator - eps.numerator) * part_size:
+    # Averaging: good fraction of the best part is at least 1 - error.
+    if good * error.denominator < (error.denominator - error.numerator) * part_size:
         raise InternalCheckError("best part misses the averaging guarantee")
-    if eps != 0 and good * eps.denominator == (eps.denominator - eps.numerator) * part_size:
-        # Bad tuples spread perfectly evenly leave no class strictly better
-        # than the global error, so no restriction can beat the target.
-        raise PreconditionError(
-            "every class matches the global error exactly; removal cannot improve on it"
-        )
     support_size = len(w.edge_support)
     for proj, size in zip(part.projections(best), table.source_sizes):
         if len(proj) * support_size < size:
             raise InternalCheckError("kept symbols fall below the support bound")
-    return restrict_code(inst, code, table, edge_id, part, best, eps)
+    edge_size = inst.edge(edge_id).alphabet_size
+    if not _witness_ok(table, part.parts[best], edge_size, eps):
+        return None
+    return _restrict_to_part(
+        inst, code, table, edge_id, part.parts[best], edge_size, best, eps
+    )
 
 
 @dataclass(frozen=True)
@@ -437,29 +435,19 @@ def piecewise_remove(
     piece = pw.pieces[best_piece]
 
     kept = []
-    support_size = len(pw.edge_support)
-    for i, g in enumerate(pw.source_groups):
-        base = [h.identity for h in pw.source_groups]
-        classes: dict[int, list[int]] = {}
-        order: list[int] = []
-        for v in range(g.order):
-            base[i] = v
-            image = piece.witness.hom[mixed_radix_index(base, sizes)]
-            if image not in classes:
-                classes[image] = []
-                order.append(image)
-            classes[image].append(v)
-        good = set(piece.subsets[i])
+    divisor = len(pw.edge_support) * k_count
+    for size, classes, subset in zip(sizes, coordinate_classes(piece.witness), piece.subsets):
+        good = set(subset)
         best_class = max(
-            range(len(order)),
-            key=lambda c: (len(set(classes[order[c]]) & good), -c),
+            range(len(classes)),
+            key=lambda c: (len(set(classes[c]) & good), -c),
         )
-        members = sorted(set(classes[order[best_class]]) & good)
+        members = sorted(set(classes[best_class]) & good)
         # Averaging within the piece: the best class holds at least
         # |subset| / #classes piece symbols.
-        if len(members) * len(order) < len(piece.subsets[i]):
+        if len(members) * len(classes) < len(subset):
             raise InternalCheckError("best class misses the per-source averaging bound")
-        if len(members) * support_size * k_count < g.order:
+        if len(members) * divisor < size:
             raise InternalCheckError("kept symbols fall below the piecewise bound")
         kept.append(members)
 
@@ -468,12 +456,9 @@ def piecewise_remove(
     ]
     if len({column[i] for i in indices}) != 1:
         raise InternalCheckError("edge message is not constant on the kept product")
-    promised = [
-        -(-g.order // (support_size * k_count)) for g in pw.source_groups
-    ]
     label = (best_piece,) + tuple(min(m) for m in kept)
     return _restrict_to_part(
-        inst, code, table, edge_id, indices, Fraction(0), promised, label,
+        inst, code, table, edge_id, indices, divisor, label, Fraction(0),
     )
 
 

@@ -73,21 +73,9 @@ class GroupCharacterization:
 
     def realize_map(self, key: str) -> tuple[int, ...]:
         """Dense coset label for every group element, for one variable."""
-        cached = self._realize_maps.get(key)
-        if cached is not None:
-            return cached
-        h = self.handle(key)
-        labels = [-1] * self.group.order
-        next_label = 0
-        for g in self.group.elements():
-            if labels[g] != -1:
-                continue
-            for m in h.members:
-                labels[self.group.op(g, m)] = next_label
-            next_label += 1
-        out = tuple(labels)
-        self._realize_maps[key] = out
-        return out
+        if key not in self._realize_maps:
+            self._realize_maps[key] = gc_realize_subgroup(self.group, self.handle(key))
+        return self._realize_maps[key]
 
     def variable_size(self, key: str) -> int:
         return self.group.order // self.handle(key).order

@@ -135,28 +135,28 @@ def fibers_are_products(part: SourcePartition) -> bool:
     return True
 
 
-def _part_bad_count(table: GlobalCodeTable, part: SourcePartition, label: Label) -> int:
-    return sum(1 for i in part.parts[label] if not table.good[i])
-
-
-def _part_satisfies_witness(
-    table: GlobalCodeTable,
-    edge_size: int,
-    part: SourcePartition,
-    label: Label,
-    eps: Fraction,
+def _witness_ok(
+    table: GlobalCodeTable, indices: Sequence[int], divisor: int, eps: Fraction
 ) -> bool:
-    projections = part.projections(label)
-    for size, proj in zip(part.source_sizes, projections):
-        if len(proj) * edge_size < size:
-            return False
-    bad = _part_bad_count(table, part, label)
+    """The witness condition on one set of tuple indices.
+
+    Every source keeps at least a 1/divisor share of its alphabet
+    (``|projection| * divisor >= |alphabet|``), and the badly decoded
+    fraction vanishes at eps zero and stays strictly below eps otherwise.
+    """
+    seen = [set() for _ in table.source_sizes]
+    for idx in indices:
+        for i, v in enumerate(index_to_values(idx, table.source_sizes)):
+            seen[i].add(v)
+    if any(len(s) * divisor < size for s, size in zip(seen, table.source_sizes)):
+        return False
+    bad = sum(1 for i in indices if not table.good[i])
     if eps == 0:
         return bad == 0
     # Strictly below eps, cross-multiplied to stay in integers: the restricted
     # code must beat the target error, not merely meet it, or the feasibility
     # re-check on the certificate could not confirm it.
-    return bad * eps.denominator < eps.numerator * len(part.parts[label])
+    return bad * eps.denominator < eps.numerator * len(indices)
 
 
 def find_witness(
@@ -165,18 +165,15 @@ def find_witness(
     part: SourcePartition,
     eps: Fraction,
 ) -> Label | None:
-    """Smallest label whose part meets the per-source size and error bounds.
+    """Smallest label whose part passes the witness bounds, or None.
 
-    The size bound compares ``|projection| * |edge alphabet|`` against the
-    source alphabet; the error bound requires the part's badly decoded
-    fraction to stay strictly below a positive eps, and to vanish at eps
-    zero.  Both are integer comparisons.
+    The divisor is the edge alphabet size; eps must lie in [0, 1).
     """
-    if eps < 0 or eps > 1:
-        raise DomainError("eps must satisfy 0 <= eps <= 1")
+    if eps < 0 or eps >= 1:
+        raise DomainError("eps must satisfy 0 <= eps < 1")
     edge_size = table.inst.edge(edge_id).alphabet_size
     for y in part.sorted_labels():
-        if _part_satisfies_witness(table, edge_size, part, y, eps):
+        if _witness_ok(table, part.parts[y], edge_size, eps):
             return y
     return None
 
@@ -239,14 +236,16 @@ def _restrict_to_part(
     table: GlobalCodeTable,
     edge_id: str,
     part_indices: Sequence[int],
-    eps: Fraction,
-    promised: Sequence[int],
+    divisor: int,
     witness_label: Label,
+    eps: Fraction,
 ) -> RemovalResult:
     """Shared restriction engine for every removal route.
 
-    The part must be a product set on which the edge message is constant.
-    The restricted code keeps the original alphabets on surviving edges,
+    The part must be a product set on which the edge message is constant,
+    and it must pass the witness bounds for ``divisor`` and eps; the promise,
+    per source, is a cardinality of ``ceil(|alphabet| / divisor)``.  The
+    restricted code keeps the original alphabets on surviving edges,
     relabels each source's surviving symbols densely, and hardwires the
     removed edge's constant into every encoder and decoder that consumed it.
     """
@@ -259,6 +258,9 @@ def _restrict_to_part(
     if len(constants) != 1:
         raise PreconditionError("edge message is not constant on the part")
     constant = constants.pop()
+    if not _witness_ok(table, part_indices, divisor, eps):
+        raise PreconditionError("part fails the witness bounds")
+    promised = tuple(-(-size // divisor) for size in table.source_sizes)
 
     relabel = [{old: new for new, old in enumerate(ks)} for ks in keep]
     source_alphabets = tuple(len(ks) for ks in keep)
@@ -347,7 +349,7 @@ def _restrict_to_part(
         edge_constant=constant,
         eps=eps,
         restricted_alphabets=tuple(keep),
-        promised_cardinalities=tuple(promised),
+        promised_cardinalities=promised,
         achieved_cardinalities=source_alphabets,
         edge_support_sizes=support_sizes,
         feasibility=report,
@@ -367,25 +369,36 @@ def restrict_code(
     """Remove the edge by restricting to the chosen part of the partition.
 
     The partition must determine the edge message and have product parts, and
-    the chosen part must pass the witness bounds for eps.  The promise, per
-    source, is a cardinality of ``ceil(|alphabet| / |edge alphabet|)``.
+    the chosen part must pass the witness bounds for eps against the edge
+    alphabet.
     """
     if fiber_edge_values(table, edge_id, part) is None:
         raise PreconditionError("partition does not determine the edge message")
     if not fibers_are_products(part):
         raise PreconditionError("partition has a non-product part")
-    edge_size = inst.edge(edge_id).alphabet_size
     if witness_label not in part.parts:
         raise DomainError(f"unknown partition label {witness_label!r}")
-    if not _part_satisfies_witness(table, edge_size, part, witness_label, eps):
-        raise PreconditionError("chosen part fails the witness bounds")
-    promised = [
-        -(-size // edge_size) for size in table.source_sizes
-    ]
     return _restrict_to_part(
-        inst, code, table, edge_id, part.parts[witness_label], eps, promised,
-        witness_label,
+        inst, code, table, edge_id, part.parts[witness_label],
+        inst.edge(edge_id).alphabet_size, witness_label, eps,
     )
+
+
+def _product_indices(
+    table: GlobalCodeTable, subsets: Sequence[Sequence[int]]
+) -> list[int]:
+    """Dense indices of the product of per-source symbol subsets."""
+    if len(subsets) != len(table.source_sizes):
+        raise DomainError("one subset per source is required")
+    for size, sub in zip(table.source_sizes, subsets):
+        if not sub:
+            raise DomainError("subsets must be non-empty")
+        if any(not 0 <= v < size for v in sub):
+            raise DomainError("subset symbol outside its source alphabet")
+    return [
+        mixed_radix_index(x, table.source_sizes)
+        for x in itertools.product(*[sorted(set(s)) for s in subsets])
+    ]
 
 
 def product_set_witness(
@@ -396,32 +409,14 @@ def product_set_witness(
 ) -> bool:
     """Whether a declared product set certifies removal directly.
 
-    Checks that the edge message is constant on the product, that each subset
-    is large enough against the edge alphabet, and that the good fraction
-    within the product is at least ``1 - eps``.
+    Checks that the edge message is constant on the product and that the
+    product passes the witness bounds for eps against the edge alphabet.
     """
-    if len(subsets) != len(table.source_sizes):
-        raise DomainError("one subset per source is required")
-    for size, sub in zip(table.source_sizes, subsets):
-        if not sub:
-            raise DomainError("subsets must be non-empty")
-        if any(not 0 <= v < size for v in sub):
-            raise DomainError("subset symbol outside its source alphabet")
-    edge_size = table.inst.edge(edge_id).alphabet_size
-    for size, sub in zip(table.source_sizes, subsets):
-        if len(set(sub)) * edge_size < size:
-            return False
+    indices = _product_indices(table, subsets)
     column = table.edge_column(edge_id)
-    indices = [
-        mixed_radix_index(x, table.source_sizes)
-        for x in itertools.product(*[sorted(set(s)) for s in subsets])
-    ]
     if len({column[i] for i in indices}) != 1:
         return False
-    bad = sum(1 for i in indices if not table.good[i])
-    if eps == 0:
-        return bad == 0
-    return bad * eps.denominator < eps.numerator * len(indices)
+    return _witness_ok(table, indices, table.inst.edge(edge_id).alphabet_size, eps)
 
 
 def restrict_to_product(
@@ -432,17 +427,10 @@ def restrict_to_product(
     subsets: Sequence[Sequence[int]],
     eps: Fraction,
 ) -> RemovalResult:
-    """Apply the restriction engine to a verified product-set witness."""
-    if not product_set_witness(table, edge_id, subsets, eps):
-        raise PreconditionError("product set fails the witness checks")
-    indices = [
-        mixed_radix_index(x, table.source_sizes)
-        for x in itertools.product(*[sorted(set(s)) for s in subsets])
-    ]
-    edge_size = inst.edge(edge_id).alphabet_size
-    promised = [-(-size // edge_size) for size in table.source_sizes]
+    """Apply the restriction engine to a declared product-set witness."""
     return _restrict_to_part(
-        inst, code, table, edge_id, indices, eps, promised, "product",
+        inst, code, table, edge_id, _product_indices(table, subsets),
+        inst.edge(edge_id).alphabet_size, "product", eps,
     )
 
 
@@ -469,9 +457,8 @@ def remove_by_edge_value(
     edge_size = inst.edge(edge_id).alphabet_size
     if len(part.parts[best]) * edge_size < table.num_tuples:
         raise InternalCheckError("largest level set beats averaging; enumeration bug")
-    if not _part_satisfies_witness(table, edge_size, part, best, Fraction(0)):
+    if not _witness_ok(table, part.parts[best], edge_size, Fraction(0)):
         raise InternalCheckError("averaging failed to produce a valid witness part")
-    promised = [-(-size // edge_size) for size in table.source_sizes]
     return _restrict_to_part(
-        inst, code, table, edge_id, part.parts[best], Fraction(0), promised, best,
+        inst, code, table, edge_id, part.parts[best], edge_size, best, Fraction(0),
     )

@@ -190,7 +190,7 @@ def test_criterion_02_class_partition_pipeline(announce):
             failures.append(f"trial {trials}: partition does not fix the edge value")
         if not fibers_are_products(part):
             failures.append(f"trial {trials}: classes are not product sets")
-        result = cwl_remove(inst, code, table, "e", witness)
+        result = cwl_remove(inst, code, table, "e", witness, Fraction(0))
         cert = result.certificate
         support = len(witness.edge_support)
         for i, n in enumerate(sizes):
@@ -219,7 +219,7 @@ def test_criterion_03_butterfly_end_to_end(announce):
     if witness is None:
         failures.append("bottleneck XOR is not certified")
     else:
-        result = cwl_remove(inst, code, table, "bottleneck", witness)
+        result = cwl_remove(inst, code, table, "bottleneck", witness, Fraction(0))
         cert = result.certificate
         if cert.achieved_cardinalities != (1, 1):
             failures.append("binary removal should leave zero bits per source")
@@ -241,7 +241,7 @@ def test_criterion_03_butterfly_end_to_end(announce):
         witness4 = check_cwl(
             table4.edge_column("bottleneck"), [CyclicGroup(4), CyclicGroup(4)], *derived
         )
-        result4 = cwl_remove(inst4, code4, table4, "bottleneck", witness4)
+        result4 = cwl_remove(inst4, code4, table4, "bottleneck", witness4, Fraction(0))
         cert4 = result4.certificate
         if cert4.achieved_cardinalities != (2, 2):
             failures.append("wide removal should leave one bit per source")

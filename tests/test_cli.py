@@ -98,8 +98,8 @@ def test_report_roundtrip_digests_and_echo(tmp_path, capsys):
             "1,1",
             "--out",
             str(out_path),
-            "--workers",
-            "2",
+            "--enum-cap",
+            "100",
         ]
     )
     capsys.readouterr()
@@ -108,19 +108,19 @@ def test_report_roundtrip_digests_and_echo(tmp_path, capsys):
     report = parse_report(payload)
     # Tuning flags are stripped from the echo.
     assert "--out" not in report.command
-    assert "--workers" not in report.command
+    assert "--enum-cap" not in report.command
     assert report.command[:3] == ("verify", inst_path, code_path)
     for path in (inst_path, code_path):
         digest = "sha256:" + hashlib.sha256(open(path, "rb").read()).hexdigest()
         assert report.inputs[path] == digest
 
 
-def test_reports_byte_identical_across_workers(tmp_path, capsys):
+def test_reports_byte_identical_across_enum_caps(tmp_path, capsys):
     inst, code = butterfly()
     inst_path, code_path = _write_pair(tmp_path, inst, code)
     outs = []
-    for workers in ("1", "4"):
-        out_path = tmp_path / f"report-{workers}.json"
+    for cap in ("4", "1000"):
+        out_path = tmp_path / f"report-{cap}.json"
         argv = [
             "remove-edge",
             inst_path,
@@ -131,8 +131,8 @@ def test_reports_byte_identical_across_workers(tmp_path, capsys):
             "builtin:cwl",
             "--out",
             str(out_path),
-            "--workers",
-            workers,
+            "--enum-cap",
+            cap,
         ]
         assert main(argv) == 0
         outs.append(out_path.read_bytes())
@@ -188,6 +188,61 @@ def test_remove_edge_cwl_route_gates_on_error(tmp_path, capsys):
     report = _stdout_report(capsys)
     assert report["result"]["found"] is False
     assert "error exceeds" in report["result"]["reason"]
+
+
+def _parity_relay_one_bad_per_class(tmp_path):
+    """4x4 sum-mod-2 relay, one corrupted decoder row per parity class."""
+    inst, code = relay_instance([4, 4], 2, tabulate([4, 4], lambda a, b: (a + b) % 2))
+    rows = list(code.decoders["t"])
+    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        rows[(a * 4 + b) * 2 + (a + b) % 2] = ((a + 2) % 4, b)
+    corrupted = dataclasses.replace(code, decoders={"t": tuple(rows)})
+    paths = _write_pair(tmp_path, inst, corrupted)
+    return [*paths, "--edge", "e"]
+
+
+def test_remove_edge_cwl_route_takes_requested_eps(tmp_path, capsys):
+    # The code's error is 1/4, spread evenly over the four classes.
+    argv = ["remove-edge", *_parity_relay_one_bad_per_class(tmp_path),
+            "--partition", "builtin:cwl"]
+    assert main(argv + ["--eps", "1/2"]) == 0
+    report = _stdout_report(capsys)
+    assert report["result"]["found"] is True
+    assert report["result"]["certificate"]["eps"] == "1/2"
+    assert report["result"]["certificate"]["feasibility"]["verdict"] is True
+
+    # No class beats 1/4 strictly: verified not found, not a usage error.
+    assert main(argv + ["--eps", "1/4"]) == 1
+    assert _stdout_report(capsys)["result"]["found"] is False
+
+
+def test_remove_edge_edge_value_route_gates_on_error(tmp_path, capsys):
+    argv = ["remove-edge", *_parity_relay_one_bad_per_class(tmp_path),
+            "--partition", "builtin:edge-value"]
+    assert main(argv) == 1
+    report = _stdout_report(capsys)
+    assert report["result"] == {
+        "route": "edge-value",
+        "found": False,
+        "reason": "code error exceeds the requested eps",
+    }
+
+
+def test_eps_outside_unit_interval_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    base = ["remove-edge", *_parity_relay_one_bad_per_class(tmp_path)]
+    assert main(base + ["--partition", "builtin:cwl", "--eps", "-1"]) == 2
+    assert "eps" in capsys.readouterr().err
+
+    def no_restriction(*args, **kwargs):
+        raise AssertionError("restriction ran on an out-of-range eps")
+
+    monkeypatch.setattr("edgedrop.cli.restrict_code", no_restriction)
+    labels = tmp_path / "parity.json"
+    labels.write_text(
+        json.dumps({"labels": [2 * (a % 2) + b % 2 for a in range(4) for b in range(4)]})
+    )
+    assert main(base + ["--partition", str(labels), "--eps", "1"]) == 2
+    assert "eps" in capsys.readouterr().err
 
 
 def test_remove_edge_partition_file_routes(tmp_path, capsys):

@@ -152,17 +152,6 @@ def test_enum_cap_refuses_large_spaces():
         build_global_table(inst, code, enum_cap=3)
 
 
-def test_workers_do_not_change_the_table():
-    rng = random.Random(7)
-    for _ in range(5):
-        inst = random_instance(rng)
-        code = random_code(rng, inst)
-        one = build_global_table(inst, code, workers=1)
-        four = build_global_table(inst, code, workers=4)
-        assert one.rows == four.rows
-        assert one.wrong_terminals == four.wrong_terminals
-
-
 def test_code_json_roundtrip(tmp_path):
     inst, code = butterfly()
     path = tmp_path / "code.json"

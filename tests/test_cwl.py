@@ -117,7 +117,7 @@ def test_cwl_remove_butterfly_rates():
         groups = [make_cyclic(s) for s in table.source_sizes]
         g, support = derive_edge_group(phi, groups)
         w = check_cwl(phi, groups, g, support)
-        result = cwl_remove(inst, code, table, "bottleneck", w)
+        result = cwl_remove(inst, code, table, "bottleneck", w, Fraction(0))
         cert = result.certificate
         assert cert.promised_cardinalities == expected
         assert cert.achieved_cardinalities == expected
@@ -136,7 +136,7 @@ def test_cwl_remove_rejects_foreign_witness():
     derived = derive_edge_group((1, 0, 0, 1), [make_cyclic(2), make_cyclic(2)])
     w = check_cwl((1, 0, 0, 1), [make_cyclic(2), make_cyclic(2)], *derived)
     with pytest.raises(PreconditionError):
-        cwl_remove(inst, code, table, "bottleneck", w)
+        cwl_remove(inst, code, table, "bottleneck", w, Fraction(0))
 
 
 def _two_piece_copy():

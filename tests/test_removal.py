@@ -89,6 +89,8 @@ def test_find_witness_error_bounds():
     assert find_witness(table, "e", part, Fraction(3, 4)) == 0
     with pytest.raises(DomainError):
         find_witness(table, "e", part, Fraction(-1, 2))
+    with pytest.raises(DomainError):
+        find_witness(table, "e", part, Fraction(1))
 
 
 def test_find_witness_size_bound():
