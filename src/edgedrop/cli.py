@@ -5,7 +5,8 @@ the edge-removal routes, CWL certification and search, group-characterized
 codes, and the bundled case studies.  Exit status 0 means a verified-true
 outcome, 1 a verified-false or not-found outcome, and 2 a usage or input
 problem.  Error targets ``--eps`` lie in [0, 1); the builtin removal routes
-exit 1 when the code's own error is above eps.
+and ``pwl-remove`` (always at eps 0) exit 1 when the code's own error is
+above eps.
 
 Reports are deterministic: the command echo keeps only semantic arguments
 (execution tuning such as ``--enum-cap`` and ``--out`` is excluded),
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -72,6 +74,7 @@ from .removal import (
 )
 
 TUNING_FLAGS = {"--enum-cap", "--out", "--format", "--emit"}
+ERROR_ABOVE_EPS = "code error exceeds the requested eps"
 
 
 @dataclass(frozen=True)
@@ -272,7 +275,7 @@ def _cmd_remove_edge(args) -> tuple[int, dict]:
         return 1, {
             "route": route,
             "found": False,
-            "reason": "code error exceeds the requested eps",
+            "reason": ERROR_ABOVE_EPS,
         }
 
     if route == "cwl":
@@ -322,6 +325,8 @@ def _cmd_cwl_check(args) -> tuple[int, dict]:
 
 def _cmd_pwl_remove(args) -> tuple[int, dict]:
     inst, code, table = _load_table(args)
+    if table.error != 0:
+        return 1, {"found": False, "reason": ERROR_ABOVE_EPS}
     data = _load_json(args.pieces)
     if "pieces" not in data or "edge_support" not in data:
         raise DomainError(f"{args.pieces}: missing pieces or edge support")
@@ -347,7 +352,7 @@ def _cmd_cwl_search(args) -> tuple[int, dict]:
         max_table_rewrites=args.rewrites,
         max_relabels_per_order=args.relabels,
     )
-    found = cwl_search(inst, code, args.edge, budget)
+    found = cwl_search(inst, code, args.edge, budget, enum_cap=args.enum_cap)
     if found is None:
         return 1, {"found": False}
     result = {
@@ -560,6 +565,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
+    return build_parser()
+
+
 def _semantic_argv(argv: list[str]) -> tuple[str, ...]:
     """The command echo, with execution-tuning flags stripped."""
     out = []
@@ -578,8 +589,7 @@ def _semantic_argv(argv: list[str]) -> tuple[str, ...]:
 
 def dispatch(argv: list[str]) -> tuple[int, RunReport, str, str | None]:
     """Run one invocation; returns status, report, format, and output path."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     inputs = {}
     for attr in args.input_attrs:
         path = getattr(args, attr)

@@ -1,9 +1,13 @@
 """Network codes with explicit tables and their exhaustive evaluation.
 
-A code fixes per-edge local encoder tables and per-terminal decoder tables.
-The global table enumerates every source tuple, records all edge messages and
-classifies each tuple as good (decoded correctly by all terminals) or bad.
-Error fractions are exact rationals; floats appear only in entropy reports.
+A code fixes per-edge local encoder tables and per-terminal decoder tables,
+held as read-only integer arrays.  The global table enumerates every source
+tuple, records all edge messages and classifies each tuple as good (decoded
+correctly by all terminals) or bad; it is built column by column, one
+vectorized gather per edge and per decoder.  The scalar ``evaluate_global``
+and ``decode_outputs`` evaluate one tuple at a time and serve as the oracle
+for that build.  Error fractions are exact rationals; floats appear only in
+entropy reports.
 """
 
 from __future__ import annotations
@@ -12,13 +16,14 @@ import itertools
 import json
 import math
 import os
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DomainError, MalformedCodeError, PreconditionError, ResourceError
-from .network import Edge, NetworkInstance, Source, topological_order
+from .network import Edge, NetworkInstance, Source, require_int, topological_order
 
 DEFAULT_ENUM_CAP = 1 << 24
 ENUM_CAP_ENV = "EDGEDROP_ENUM_CAP"
@@ -50,12 +55,65 @@ def index_to_values(idx: int, sizes: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
+def index_digits(indices, sizes: Sequence[int]) -> list[np.ndarray]:
+    """Per-coordinate symbols of many dense indices: ``index_to_values``
+    applied column-wise."""
+    rem = np.asarray(indices, dtype=np.int64)
+    out = []
+    for s in reversed(sizes):
+        out.append(rem % s)
+        rem = rem // s
+    return out[::-1]
+
+
+def product_indices(subsets: Sequence[Sequence[int]], sizes: Sequence[int]) -> np.ndarray:
+    """Dense indices of a product of symbol sets, in ``itertools.product`` order."""
+    idx = np.zeros((), dtype=np.int64)
+    for sub, s in zip(subsets, sizes):
+        idx = idx[..., None] * s + np.asarray(sub, dtype=np.int64)
+    return idx.ravel()
+
+
+def select_input(table: np.ndarray, sizes: Sequence[int], pos: int, index) -> np.ndarray:
+    """A table over mixed-radix inputs, re-indexed along input ``pos``.
+
+    An integer ``index`` fixes that input to one symbol and drops it; an
+    array maps each new symbol w of that input to old symbol ``index[w]``.
+    Decoder rows ride along as a trailing axis.
+    """
+    grid = table.reshape(tuple(sizes) + table.shape[1:])
+    return np.take(grid, index, axis=pos).reshape((-1,) + table.shape[1:])
+
+
 def tabulate(sizes: Sequence[int], fn: Callable[..., int]) -> tuple[int, ...]:
     """Freeze a function of one symbol per size into a flat table."""
     return tuple(fn(*combo) for combo in itertools.product(*[range(s) for s in sizes]))
 
 
-@dataclass(frozen=True)
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _int_table(data, ndim: int, what: str) -> np.ndarray:
+    """A read-only int64 array owned by the code, from any nested sequence.
+
+    Arrays that are already read-only int64 are shared, not copied.
+    """
+    if isinstance(data, np.ndarray) and data.dtype == np.int64 and not data.flags.writeable:
+        return data
+    try:
+        arr = np.array(data)
+    except ValueError:
+        raise DomainError(f"{what} has rows of different lengths") from None
+    if arr.size == 0:
+        arr = arr.reshape(arr.shape + (0,) * (ndim - arr.ndim)).astype(np.int64)
+    elif arr.dtype.kind not in "iu":
+        raise DomainError(f"{what} entries must be 64-bit integers")
+    return _frozen(arr.astype(np.int64, copy=False))
+
+
+@dataclass(frozen=True, eq=False)
 class NetworkCode:
     """Explicit local encoder and decoder tables for one instance.
 
@@ -63,14 +121,37 @@ class NetworkCode:
     incoming edges sorted by edge id; for an edge leaving a source node the
     input is the source symbol itself.  Decoder tables map the terminal's
     incoming messages, same ordering, to the tuple of demanded source symbols
-    in source order.
+    in source order: one row per input, one column per demanded source.
+    Tables may be given as any nested integer sequences; they are stored as
+    read-only int64 arrays.
     """
 
     blocklength: int
     source_alphabets: tuple[int, ...]
     edge_alphabets: dict[str, int]
-    encoders: dict[str, tuple[int, ...]]
-    decoders: dict[str, tuple[tuple[int, ...], ...]]
+    encoders: dict[str, np.ndarray]
+    decoders: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        encoders = {k: _int_table(t, 1, f"edge {k!r} encoder") for k, t in self.encoders.items()}
+        decoders = {k: _int_table(t, 2, f"terminal {k!r} decoder") for k, t in self.decoders.items()}
+        object.__setattr__(self, "encoders", encoders)
+        object.__setattr__(self, "decoders", decoders)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NetworkCode):
+            return NotImplemented
+
+        def same_tables(a: dict, b: dict) -> bool:
+            return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+
+        return (
+            self.blocklength == other.blocklength
+            and tuple(self.source_alphabets) == tuple(other.source_alphabets)
+            and self.edge_alphabets == other.edge_alphabets
+            and same_tables(self.encoders, other.encoders)
+            and same_tables(self.decoders, other.decoders)
+        )
 
 
 def encoder_input_sizes(inst: NetworkInstance, code: NetworkCode, edge_id: str) -> list[int]:
@@ -100,11 +181,11 @@ def relay_instance(
     k = len(sizes)
     if not 1 <= k <= 9:
         raise DomainError("between one and nine sources are supported")
-    if len(edge_table) != math.prod(sizes):
-        raise DomainError(
-            f"edge table has {len(edge_table)} entries, expected {math.prod(sizes)}"
-        )
-    if any(not 0 <= v < edge_size for v in edge_table):
+    total = math.prod(sizes)
+    if len(edge_table) != total:
+        raise DomainError(f"edge table has {len(edge_table)} entries, expected {total}")
+    relay = np.asarray(edge_table)
+    if relay.size and (relay.min() < 0 or relay.max() >= edge_size):
         raise DomainError("edge table maps outside the edge alphabet")
     edges = []
     for i in range(k):
@@ -118,24 +199,26 @@ def relay_instance(
         terminals=("t",),
         demands=tuple((1,) for _ in range(k)),
     )
-    encoders: dict[str, tuple[int, ...]] = {}
+    encoders = {}
     for i in range(k):
-        identity_table = tuple(range(sizes[i]))
+        identity_table = _frozen(np.arange(sizes[i], dtype=np.int64))
         encoders[f"c{i + 1}"] = identity_table
         encoders[f"d{i + 1}"] = identity_table
-    encoders["e"] = tuple(edge_table)
+    encoders["e"] = relay
     # Decoder inputs sort as d1..dk then e; it repeats the direct messages.
-    rows = []
-    for combo in itertools.product(*([range(s) for s in sizes] + [range(edge_size)])):
-        rows.append(tuple(combo[:k]))
+    tuples = np.stack(index_digits(np.arange(total), sizes), axis=1)
     code = NetworkCode(
         blocklength=1,
         source_alphabets=tuple(sizes),
         edge_alphabets={e.id: e.alphabet_size for e in edges},
         encoders=encoders,
-        decoders={"t": tuple(rows)},
+        decoders={"t": _frozen(np.repeat(tuples, edge_size, axis=0))},
     )
     return inst, code
+
+
+def _outside(table: np.ndarray, size: int) -> bool:
+    return bool(table.size) and (table.min() < 0 or table.max() >= size)
 
 
 def validate_code(inst: NetworkInstance, code: NetworkCode) -> list[str]:
@@ -164,9 +247,9 @@ def validate_code(inst: NetworkInstance, code: NetworkCode) -> list[str]:
             problems.append(f"edge {e.id!r} has no encoder table")
             continue
         want = math.prod(encoder_input_sizes(inst, code, e.id))
-        if len(table) != want:
+        if table.ndim != 1 or len(table) != want:
             problems.append(f"edge {e.id!r} encoder has {len(table)} entries, expected {want}")
-        elif any(not 0 <= v < code.edge_alphabets[e.id] for v in table):
+        elif _outside(table, code.edge_alphabets[e.id]):
             problems.append(f"edge {e.id!r} encoder maps outside its alphabet")
     for t in inst.terminals:
         table = code.decoders.get(t)
@@ -178,15 +261,12 @@ def validate_code(inst: NetworkInstance, code: NetworkCode) -> list[str]:
         if len(table) != want:
             problems.append(f"terminal {t!r} decoder has {len(table)} entries, expected {want}")
             continue
-        for row in table:
-            if len(row) != len(demanded):
-                problems.append(f"terminal {t!r} decoder outputs wrong arity")
-                break
-            if any(
-                not 0 <= v < code.source_alphabets[i] for v, i in zip(row, demanded)
-            ):
-                problems.append(f"terminal {t!r} decoder maps outside source alphabets")
-                break
+        if table.ndim != 2 or table.shape[1] != len(demanded):
+            problems.append(f"terminal {t!r} decoder outputs wrong arity")
+        elif any(
+            _outside(table[:, col], code.source_alphabets[i]) for col, i in enumerate(demanded)
+        ):
+            problems.append(f"terminal {t!r} decoder maps outside source alphabets")
     return problems
 
 
@@ -239,22 +319,33 @@ def decode_outputs(
 
 
 class GlobalCodeTable:
-    """Exhaustive evaluation of a code over every source tuple."""
+    """Exhaustive evaluation of a code over every source tuple.
+
+    ``rows`` is an N x E matrix, source tuples in mixed-radix order and
+    edges in instance order, of the narrowest unsigned dtype that holds
+    every message; each edge's column is contiguous.  ``correct[t]`` marks
+    the tuples terminal t decodes correctly and ``good`` is their
+    conjunction.  All arrays are read-only.
+    """
 
     def __init__(
         self,
         inst: NetworkInstance,
         code: NetworkCode,
-        rows: Sequence[tuple[int, ...]],
-        wrong_terminals: Sequence[tuple[str, ...]],
+        rows: np.ndarray,
+        correct: Mapping[str, np.ndarray],
     ):
         self.inst = inst
         self.code = code
         self.source_sizes = tuple(code.source_alphabets)
-        self.rows = tuple(rows)
-        self.wrong_terminals = tuple(wrong_terminals)
-        self.good = tuple(not w for w in self.wrong_terminals)
+        self.rows = _frozen(rows)
+        self.correct = {t: _frozen(mask) for t, mask in correct.items()}
+        good = np.ones(len(rows), dtype=bool)
+        for mask in self.correct.values():
+            good &= mask
+        self.good = _frozen(good)
         self._edge_pos = {e.id: i for i, e in enumerate(inst.edges)}
+        self._columns: dict[str, tuple[int, ...]] = {}
 
     @property
     def num_tuples(self) -> int:
@@ -263,20 +354,29 @@ class GlobalCodeTable:
     def index_to_tuple(self, idx: int) -> tuple[int, ...]:
         return index_to_values(idx, self.source_sizes)
 
-    def edge_column(self, edge_id: str) -> tuple[int, ...]:
-        pos = self._edge_pos[edge_id]
-        return tuple(row[pos] for row in self.rows)
+    def edge_values(self, edge_id: str) -> np.ndarray:
+        """One edge's message for every source tuple, as an array."""
+        try:
+            return self.rows[:, self._edge_pos[edge_id]]
+        except KeyError:
+            raise DomainError(f"unknown edge ids {[edge_id]}") from None
 
-    def bad_indices(self) -> list[int]:
-        return [i for i, g in enumerate(self.good) if not g]
+    def edge_column(self, edge_id: str) -> tuple[int, ...]:
+        """One edge's message for every source tuple, as Python ints."""
+        if edge_id not in self._columns:
+            self._columns[edge_id] = tuple(self.edge_values(edge_id).tolist())
+        return self._columns[edge_id]
 
     @property
     def error(self) -> Fraction:
         """Exact bad fraction over all source tuples."""
-        return Fraction(len(self.bad_indices()), self.num_tuples)
+        bad = self.num_tuples - int(np.count_nonzero(self.good))
+        return Fraction(bad, self.num_tuples)
 
     def terminal_error(self, terminal: str) -> Fraction:
-        wrong = sum(1 for w in self.wrong_terminals if terminal in w)
+        if terminal not in self.correct:
+            raise DomainError(f"unknown terminal {terminal!r}")
+        wrong = self.num_tuples - int(np.count_nonzero(self.correct[terminal]))
         return Fraction(wrong, self.num_tuples)
 
 
@@ -285,7 +385,12 @@ def build_global_table(
     code: NetworkCode,
     enum_cap: int | None = None,
 ) -> GlobalCodeTable:
-    """Enumerate all source tuples; raises ResourceError beyond the cap."""
+    """Enumerate all source tuples; raises ResourceError beyond the cap.
+
+    Edges are evaluated in one topological order for all tuples at once:
+    each encoder is gathered at the mixed-radix index of its inputs, and
+    each decoder the same way.
+    """
     problems = validate_code(inst, code)
     if problems:
         raise MalformedCodeError("; ".join(problems))
@@ -295,22 +400,34 @@ def build_global_table(
         raise ResourceError(
             f"source tuple space has {total} elements, above the cap of {cap}"
         )
-    sizes = tuple(code.source_alphabets)
-    demanded = {t: inst.demanded_sources(t) for t in inst.terminals}
-    rows = []
-    wrongs = []
-    for idx in range(total):
-        x = index_to_values(idx, sizes)
-        row = evaluate_global(inst, code, x)
-        outputs = decode_outputs(inst, code, row)
-        wrong = tuple(
-            t
-            for t in inst.terminals
-            if outputs[t] != tuple(x[i] for i in demanded[t])
-        )
-        rows.append(row)
-        wrongs.append(wrong)
-    return GlobalCodeTable(inst, code, rows, wrongs)
+    sources = index_digits(np.arange(total), code.source_alphabets)
+    values: dict[str, np.ndarray] = {}
+
+    def gathered_index(node: str) -> np.ndarray:
+        """Mixed-radix index of the node's incoming messages, per tuple."""
+        idx = np.zeros(total, dtype=np.int64)
+        for f in inst.in_edges(node):
+            idx = idx * code.edge_alphabets[f.id] + values[f.id]
+        return idx
+
+    for e in topological_order(inst):
+        if inst.is_source_node(e.tail):
+            idx = sources[inst.source_index(e.tail)]
+        else:
+            idx = gathered_index(e.tail)
+        values[e.id] = code.encoders[e.id][idx]
+    widest = max((int(v.max()) for v in values.values() if v.size), default=0)
+    rows = np.empty((total, len(inst.edges)), dtype=np.min_scalar_type(widest), order="F")
+    for pos, e in enumerate(inst.edges):
+        rows[:, pos] = values[e.id]
+    correct = {}
+    for t in inst.terminals:
+        decoded = code.decoders[t][gathered_index(t)]
+        ok = np.ones(total, dtype=bool)
+        for col, i in enumerate(inst.demanded_sources(t)):
+            ok &= decoded[:, col] == sources[i]
+        correct[t] = ok
+    return GlobalCodeTable(inst, code, rows, correct)
 
 
 @dataclass(frozen=True)
@@ -415,17 +532,26 @@ def joint_entropy(
     for i in sources:
         if not 0 <= i < len(table.source_sizes):
             raise DomainError(f"unknown source index {i}")
-    positions = [table._edge_pos[e] if e in table._edge_pos else None for e in edges]
-    if any(p is None for p in positions):
-        missing = [e for e, p in zip(edges, positions) if p is None]
+    missing = [e for e in edges if e not in table._edge_pos]
+    if missing:
         raise DomainError(f"unknown edge ids {missing}")
-    counts = Counter()
-    for idx, row in enumerate(table.rows):
-        x = table.index_to_tuple(idx)
-        key = tuple(x[i] for i in sources) + tuple(row[p] for p in positions)
-        counts[key] += 1
     n = table.num_tuples
-    return sum(c / n * math.log2(n / c) for c in counts.values())
+    digits = index_digits(np.arange(n), table.source_sizes)
+    columns = [digits[i] for i in sources] + [table.edge_values(e) for e in edges]
+    # Pack the selected variables into one dense key per tuple, re-densifying
+    # the key before it could outgrow 63 bits.
+    key = np.zeros(n, dtype=np.int64)
+    bound = 1
+    for col in columns:
+        symbols, col = np.unique(col, return_inverse=True)
+        if bound * len(symbols) >= 1 << 62:
+            _, key = np.unique(key, return_inverse=True)
+            bound = int(key.max()) + 1
+        key = key * len(symbols) + col
+        bound *= len(symbols)
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    # Summed in order of first occurrence, as a running tally would see them.
+    return sum(c / n * math.log2(n / c) for c in counts[np.argsort(first)].tolist())
 
 
 def code_to_dict(code: NetworkCode) -> dict:
@@ -433,22 +559,56 @@ def code_to_dict(code: NetworkCode) -> dict:
         "blocklength": code.blocklength,
         "source_alphabets": list(code.source_alphabets),
         "edge_alphabets": dict(sorted(code.edge_alphabets.items())),
-        "encoders": {e: list(t) for e, t in sorted(code.encoders.items())},
-        "decoders": {
-            t: [list(row) for row in rows] for t, rows in sorted(code.decoders.items())
-        },
+        "encoders": {e: t.tolist() for e, t in sorted(code.encoders.items())},
+        "decoders": {t: rows.tolist() for t, rows in sorted(code.decoders.items())},
     }
+
+
+def _json_table(data, ndim: int, what: str) -> np.ndarray:
+    """A table read from JSON: lists of JSON integers, rejected, never coerced,
+    when an entry is a float, a boolean or a string, or when rows are ragged."""
+    if not isinstance(data, list):
+        raise DomainError(f"{what} must be a list")
+    width = 0
+    if ndim == 2:
+        if set(map(type, data)) - {list}:
+            raise DomainError(f"{what} rows must be lists")
+        widths = set(map(len, data))
+        if len(widths) > 1:
+            raise DomainError(f"{what} has rows of different lengths")
+        width = widths.pop() if widths else 0
+
+    def entries():
+        return itertools.chain.from_iterable(data) if ndim == 2 else iter(data)
+
+    if set(map(type, entries())) - {int}:
+        bad = next(v for v in entries() if type(v) is not int)
+        raise DomainError(f"{what} entries must be integers, got {bad!r}")
+    count = len(data) * width if ndim == 2 else len(data)
+    try:
+        arr = np.fromiter(entries(), dtype=np.int64, count=count)
+    except OverflowError:
+        raise DomainError(f"{what} entries must fit in 64 bits") from None
+    return _frozen(arr.reshape(len(data), width) if ndim == 2 else arr)
 
 
 def parse_code(data: Mapping) -> NetworkCode:
     try:
         return NetworkCode(
-            blocklength=int(data["blocklength"]),
-            source_alphabets=tuple(int(v) for v in data["source_alphabets"]),
-            edge_alphabets={str(k): int(v) for k, v in data["edge_alphabets"].items()},
-            encoders={str(k): tuple(int(v) for v in t) for k, t in data["encoders"].items()},
+            blocklength=require_int(data["blocklength"], "blocklength"),
+            source_alphabets=tuple(
+                require_int(v, "source alphabet") for v in data["source_alphabets"]
+            ),
+            edge_alphabets={
+                str(k): require_int(v, "edge alphabet")
+                for k, v in data["edge_alphabets"].items()
+            },
+            encoders={
+                str(k): _json_table(t, 1, f"edge {k!r} encoder")
+                for k, t in data["encoders"].items()
+            },
             decoders={
-                str(k): tuple(tuple(int(v) for v in row) for row in rows)
+                str(k): _json_table(rows, 2, f"terminal {k!r} decoder")
                 for k, rows in data["decoders"].items()
             },
         )

@@ -30,7 +30,9 @@ from .codes import (
     index_to_values,
     joint_entropy,
     mixed_radix_index,
+    product_indices,
     relay_instance,
+    select_input,
 )
 from .errors import DomainError, InternalCheckError, PreconditionError, ResourceError
 from .groupcodes import ENTROPY_TOLERANCE, GroupCharacterization
@@ -276,14 +278,14 @@ def cwl_remove(
     part = witness_partition(w)
     if fiber_edge_values(table, edge_id, part) is None:
         raise InternalCheckError("class partition fails to determine the edge message")
-    part_sizes = {len(ids) for ids in part.parts.values()}
-    if len(part_sizes) != 1:
+    if len(np.unique(part.part_sizes)) != 1:
         raise InternalCheckError("class partition parts are not equal-sized")
-    labels = part.sorted_labels()
-    best = max(labels, key=lambda y: sum(1 for i in part.parts[y] if table.good[i]))
+    good = np.bincount(part.ids[table.good], minlength=len(part.keys))
+    best_pos = int(np.argmax(good))  # ties to the smallest label
+    best = part.keys[best_pos]
     error = table.error
-    good = sum(1 for i in part.parts[best] if table.good[i])
-    part_size = len(part.parts[best])
+    good = int(good[best_pos])
+    part_size = int(part.part_sizes[best_pos])
     # Averaging: good fraction of the best part is at least 1 - error.
     if good * error.denominator < (error.denominator - error.numerator) * part_size:
         raise InternalCheckError("best part misses the averaging guarantee")
@@ -416,17 +418,13 @@ def piecewise_remove(
     sizes = table.source_sizes
     if tuple(g.order for g in pw.source_groups) != sizes:
         raise PreconditionError("piecewise structure does not match the source space")
-    column = table.edge_column(edge_id)
-    member_sets = [
-        {mixed_radix_index(x, sizes) for x in itertools.product(*p.subsets)}
-        for p in pw.pieces
-    ]
-    for members, piece in zip(member_sets, pw.pieces):
-        for idx in members:
-            if column[idx] != piece.phi[idx]:
-                raise PreconditionError(
-                    "piecewise structure does not match the edge's encoding function"
-                )
+    column = table.edge_values(edge_id)
+    for piece in pw.pieces:
+        members = product_indices(piece.subsets, sizes)
+        if not np.array_equal(column[members], np.asarray(piece.phi)[members]):
+            raise PreconditionError(
+                "piecewise structure does not match the edge's encoding function"
+            )
     k_count = len(pw.pieces)
     piece_sizes = [math.prod(len(s) for s in p.subsets) for p in pw.pieces]
     best_piece = max(range(k_count), key=lambda k: (piece_sizes[k], -k))
@@ -451,10 +449,8 @@ def piecewise_remove(
             raise InternalCheckError("kept symbols fall below the piecewise bound")
         kept.append(members)
 
-    indices = [
-        mixed_radix_index(x, sizes) for x in itertools.product(*kept)
-    ]
-    if len({column[i] for i in indices}) != 1:
+    indices = product_indices(kept, sizes)
+    if len(np.unique(column[indices])) != 1:
         raise InternalCheckError("edge message is not constant on the kept product")
     label = (best_piece,) + tuple(min(m) for m in kept)
     return _restrict_to_part(
@@ -687,36 +683,23 @@ def _rewrite_full_information(
     edge_size = code.edge_alphabets[edge_id]
     if total > edge_size:
         return None
-    old = code.encoders[edge_id]
     head = inst.edge(edge_id).head
-
-    def old_value(w: int) -> int:
-        return old[w] if w < total else old[0]
+    # old_value[w] is the original message behind rewritten message w.
+    old_value = np.full(edge_size, code.encoders[edge_id][0], dtype=np.int64)
+    old_value[:total] = code.encoders[edge_id]
+    ins = inst.in_edges(head)
+    sizes = [code.edge_alphabets[f.id] for f in ins]
+    pos = [f.id for f in ins].index(edge_id)
 
     encoders = dict(code.encoders)
-    encoders[edge_id] = tuple(range(total)) + tuple(
-        0 for _ in range(edge_size - total)
+    encoders[edge_id] = np.concatenate(
+        [np.arange(total, dtype=np.int64), np.zeros(edge_size - total, dtype=np.int64)]
     )
     for e in inst.out_edges(head):
-        ins = inst.in_edges(head)
-        sizes = [code.edge_alphabets[f.id] for f in ins]
-        pos = [f.id for f in ins].index(edge_id)
-        table = code.encoders[e.id]
-        entries = []
-        for combo in itertools.product(*[range(s) for s in sizes]):
-            full = combo[:pos] + (old_value(combo[pos]),) + combo[pos + 1 :]
-            entries.append(table[mixed_radix_index(full, sizes)])
-        encoders[e.id] = tuple(entries)
+        encoders[e.id] = select_input(code.encoders[e.id], sizes, pos, old_value)
     decoders = dict(code.decoders)
     if head in inst.terminals:
-        ins = inst.in_edges(head)
-        sizes = [code.edge_alphabets[f.id] for f in ins]
-        pos = [f.id for f in ins].index(edge_id)
-        rows = []
-        for combo in itertools.product(*[range(s) for s in sizes]):
-            full = combo[:pos] + (old_value(combo[pos]),) + combo[pos + 1 :]
-            rows.append(code.decoders[head][mixed_radix_index(full, sizes)])
-        decoders[head] = tuple(rows)
+        decoders[head] = select_input(code.decoders[head], sizes, pos, old_value)
     return NetworkCode(
         blocklength=code.blocklength,
         source_alphabets=code.source_alphabets,
@@ -731,6 +714,7 @@ def cwl_search(
     code: NetworkCode,
     edge_id: str,
     budget: SearchBudget = SearchBudget(),
+    enum_cap: int | None = None,
 ) -> CwlSearchResult | None:
     """Bounded search for a CWL certificate on one edge.
 
@@ -739,9 +723,10 @@ def cwl_search(
     edge group is always induced, never enumerated.  If that fails, rewrites
     the edge to carry strictly more information with exact downstream
     compensation and retries.  Both phases share the assignment budget;
-    results are deterministic for a fixed budget.
+    results are deterministic for a fixed budget.  Both tables honour
+    ``enum_cap``.
     """
-    table = build_global_table(inst, code)
+    table = build_global_table(inst, code, enum_cap=enum_cap)
     assignments_left = budget.max_group_assignments
 
     def try_code(cand_code: NetworkCode, cand_table: GlobalCodeTable, rewritten: bool):
@@ -772,8 +757,8 @@ def cwl_search(
     if rewrites_left > 0 and assignments_left > 0:
         rewritten_code = _rewrite_full_information(inst, code, edge_id)
         if rewritten_code is not None:
-            table2 = build_global_table(inst, rewritten_code)
-            if table2.good != table.good:
+            table2 = build_global_table(inst, rewritten_code, enum_cap=enum_cap)
+            if not np.array_equal(table2.good, table.good):
                 raise InternalCheckError("rewrite changed decoding outcomes")
             found = try_code(rewritten_code, table2, rewritten=True)
             if found is not None:

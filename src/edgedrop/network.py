@@ -217,20 +217,36 @@ def instance_to_dict(inst: NetworkInstance) -> dict:
     }
 
 
+def require_int(value, what: str) -> int:
+    """The value itself if it is an integer; JSON floats, booleans and
+    strings are rejected, never coerced."""
+    if type(value) is not int:
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def parse_instance(data: Mapping) -> NetworkInstance:
     """Build an instance from the dict format of ``instance_to_dict``."""
     try:
         inst = NetworkInstance(
             nodes=tuple(str(v) for v in data["nodes"]),
             edges=tuple(
-                Edge(str(e["id"]), str(e["tail"]), str(e["head"]), int(e["alphabet_size"]))
+                Edge(
+                    str(e["id"]),
+                    str(e["tail"]),
+                    str(e["head"]),
+                    require_int(e["alphabet_size"], "edge alphabet size"),
+                )
                 for e in data["edges"]
             ),
             sources=tuple(
-                Source(str(s["node"]), int(s["alphabet_size"])) for s in data["sources"]
+                Source(str(s["node"]), require_int(s["alphabet_size"], "source alphabet size"))
+                for s in data["sources"]
             ),
             terminals=tuple(str(t) for t in data["terminals"]),
-            demands=tuple(tuple(int(v) for v in row) for row in data["demands"]),
+            demands=tuple(
+                tuple(require_int(v, "demand entry") for v in row) for row in data["demands"]
+            ),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed instance data: {exc}") from None

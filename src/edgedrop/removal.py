@@ -15,11 +15,13 @@ certificate is re-verified by running the restricted code through
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Sequence
+from functools import cached_property
+from typing import Hashable, Sequence
+
+import numpy as np
 
 from .codes import (
     FeasibilityReport,
@@ -27,8 +29,10 @@ from .codes import (
     NetworkCode,
     build_global_table,
     check_feasibility,
+    index_digits,
     index_to_values,
-    mixed_radix_index,
+    product_indices,
+    select_input,
 )
 from .errors import DomainError, InternalCheckError, PreconditionError
 from .network import NetworkInstance, Source, remove_edge
@@ -36,13 +40,33 @@ from .network import NetworkInstance, Source, remove_edge
 Label = Hashable
 
 
+def _dense(values) -> tuple[list, np.ndarray]:
+    """Sorted distinct values and, per entry, the rank of its value.
+
+    Integer arrays and lists of plain ints go through ``np.unique``; other
+    hashable, mutually sortable values (strings, tuples) through a dict.
+    """
+    if isinstance(values, np.ndarray) or set(map(type, values)) <= {int}:
+        keys, ranks = np.unique(np.asarray(values, dtype=np.int64), return_inverse=True)
+        return keys.tolist(), ranks
+    first: dict = {}
+    ids = [first.setdefault(v, len(first)) for v in values]
+    keys = list(first)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[order] = np.arange(len(keys))
+    return [keys[j] for j in order], rank[np.asarray(ids, dtype=np.int64)]
+
+
 class SourcePartition:
     """A partition of the source tuple space, one label per tuple.
 
-    Labels must be mutually sortable (ints, or tuples of ints); parts are
-    exposed as sorted tuple indices.  Built-in constructors cover the common
-    shapes: per-tuple singletons, a single part, products of per-source
-    classes, and the level sets of one edge's message.
+    Labels must be mutually sortable (ints, or tuples of ints); ``keys``
+    lists them sorted and ``ids[idx]`` is the position in ``keys`` of tuple
+    idx's label.  Parts are exposed as sorted tuple index arrays.  Built-in
+    constructors cover the common shapes: per-tuple singletons, a single
+    part, products of per-source classes, and the level sets of one edge's
+    message.
     """
 
     def __init__(self, source_sizes: Sequence[int], labels: Sequence[Label]):
@@ -50,19 +74,15 @@ class SourcePartition:
         if len(labels) != total:
             raise DomainError(f"expected {total} labels, got {len(labels)}")
         self.source_sizes = tuple(source_sizes)
-        self.labels = tuple(labels)
-        parts: dict[Label, list[int]] = {}
-        for idx, y in enumerate(self.labels):
-            parts.setdefault(y, []).append(idx)
-        self.parts = {y: tuple(ids) for y, ids in parts.items()}
+        self.keys, self.ids = _dense(labels)
 
     @classmethod
     def singletons(cls, source_sizes: Sequence[int]) -> "SourcePartition":
-        return cls(source_sizes, range(math.prod(source_sizes)))
+        return cls(source_sizes, np.arange(math.prod(source_sizes)))
 
     @classmethod
     def whole(cls, source_sizes: Sequence[int]) -> "SourcePartition":
-        return cls(source_sizes, [0] * math.prod(source_sizes))
+        return cls(source_sizes, np.zeros(math.prod(source_sizes), dtype=np.int64))
 
     @classmethod
     def from_source_classes(
@@ -78,28 +98,68 @@ class SourcePartition:
         for size, cls_map in zip(source_sizes, classes):
             if len(cls_map) != size:
                 raise DomainError("class assignment does not cover a source alphabet")
-        labels = []
-        for combo in itertools.product(*[range(s) for s in source_sizes]):
-            labels.append(tuple(cls_map[v] for cls_map, v in zip(classes, combo)))
-        return cls(source_sizes, labels)
+        dense = [_dense(cls_map) for cls_map in classes]
+        radices = [len(keys) for keys, _ in dense]
+        total = math.prod(source_sizes)
+        # Tuples of class ids sort like their packed ranks, so partitioning by
+        # the packed key orders the parts exactly as their labels.
+        key = np.zeros(total, dtype=np.int64)
+        for (_, rank), d, radix in zip(dense, index_digits(np.arange(total), source_sizes), radices):
+            key = key * radix + rank[d]
+        part = cls(source_sizes, key)
+        ranks = [r.tolist() for r in index_digits(part.keys, radices)]
+        part.keys = [
+            tuple(keys[r] for (keys, _), r in zip(dense, combo)) for combo in zip(*ranks)
+        ]
+        return part
 
     @classmethod
     def from_edge_values(cls, table: GlobalCodeTable, edge_id: str) -> "SourcePartition":
-        return cls(table.source_sizes, table.edge_column(edge_id))
+        return cls(table.source_sizes, table.edge_values(edge_id))
 
     def sorted_labels(self) -> list[Label]:
-        return sorted(self.parts)
+        return list(self.keys)
+
+    @cached_property
+    def parts(self) -> dict[Label, np.ndarray]:
+        """Sorted tuple indices of every part, keyed by label in sorted order."""
+        order = np.argsort(self.ids, kind="stable")
+        bounds = np.cumsum(self.part_sizes)[:-1]
+        return dict(zip(self.keys, np.split(order, bounds)))
+
+    @cached_property
+    def part_sizes(self) -> np.ndarray:
+        return np.bincount(self.ids, minlength=len(self.keys))
+
+    @cached_property
+    def projection_sizes(self) -> np.ndarray:
+        """Parts x sources matrix of per-source projection cardinalities."""
+        return _projection_sizes(self.ids, len(self.keys), None, self.source_sizes)
 
     def part_tuples(self, label: Label) -> list[tuple[int, ...]]:
-        return [index_to_values(i, self.source_sizes) for i in self.parts[label]]
+        return [index_to_values(i, self.source_sizes) for i in self.parts[label].tolist()]
 
     def projections(self, label: Label) -> list[tuple[int, ...]]:
         """Per-source sorted symbol sets appearing in one part."""
-        seen = [set() for _ in self.source_sizes]
-        for x in self.part_tuples(label):
-            for i, v in enumerate(x):
-                seen[i].add(v)
-        return [tuple(sorted(s)) for s in seen]
+        digits = index_digits(self.parts[label], self.source_sizes)
+        return [tuple(np.unique(d).tolist()) for d in digits]
+
+
+def _projection_sizes(
+    ids: np.ndarray, n_parts: int, indices: np.ndarray | None, sizes: Sequence[int]
+) -> np.ndarray:
+    """Per part, the number of distinct symbols of each source.
+
+    ``ids[j]`` is the part of tuple ``indices[j]`` (of tuple j when indices
+    is None).
+    """
+    if indices is None:
+        indices = np.arange(len(ids))
+    out = np.zeros((n_parts, len(sizes)), dtype=np.int64)
+    for i, (d, s) in enumerate(zip(index_digits(indices, sizes), sizes)):
+        present = np.unique(ids * s + d)
+        out[:, i] = np.bincount(present // s, minlength=n_parts)
+    return out
 
 
 def fiber_edge_values(
@@ -112,14 +172,12 @@ def fiber_edge_values(
     """
     if part.source_sizes != table.source_sizes:
         raise DomainError("partition and table cover different source spaces")
-    column = table.edge_column(edge_id)
-    out: dict[Label, int] = {}
-    for y, ids in part.parts.items():
-        values = {column[i] for i in ids}
-        if len(values) != 1:
-            return None
-        out[y] = values.pop()
-    return out
+    column = table.edge_values(edge_id)
+    induced = np.zeros(len(part.keys), dtype=column.dtype)
+    induced[part.ids] = column
+    if not np.array_equal(induced[part.ids], column):
+        return None
+    return dict(zip(part.keys, induced.tolist()))
 
 
 def fibers_are_products(part: SourcePartition) -> bool:
@@ -128,35 +186,46 @@ def fibers_are_products(part: SourcePartition) -> bool:
     A part is always contained in that product, so comparing cardinalities is
     an exact check.
     """
-    for y, ids in part.parts.items():
-        sizes = [len(p) for p in part.projections(y)]
-        if len(ids) != math.prod(sizes):
-            return False
-    return True
+    return bool(np.array_equal(part.part_sizes, part.projection_sizes.prod(axis=1)))
 
 
-def _witness_ok(
-    table: GlobalCodeTable, indices: Sequence[int], divisor: int, eps: Fraction
+def _witness_holds(
+    projection_sizes: Sequence[int],
+    source_sizes: Sequence[int],
+    bad: int,
+    size: int,
+    divisor: int,
+    eps: Fraction,
 ) -> bool:
-    """The witness condition on one set of tuple indices.
+    """The witness condition on one part, from its counts.
 
     Every source keeps at least a 1/divisor share of its alphabet
     (``|projection| * divisor >= |alphabet|``), and the badly decoded
-    fraction vanishes at eps zero and stays strictly below eps otherwise.
+    fraction ``bad / size`` vanishes at eps zero and stays strictly below
+    eps otherwise.
     """
-    seen = [set() for _ in table.source_sizes]
-    for idx in indices:
-        for i, v in enumerate(index_to_values(idx, table.source_sizes)):
-            seen[i].add(v)
-    if any(len(s) * divisor < size for s, size in zip(seen, table.source_sizes)):
+    if any(p * divisor < a for p, a in zip(projection_sizes, source_sizes)):
         return False
-    bad = sum(1 for i in indices if not table.good[i])
     if eps == 0:
         return bad == 0
     # Strictly below eps, cross-multiplied to stay in integers: the restricted
     # code must beat the target error, not merely meet it, or the feasibility
     # re-check on the certificate could not confirm it.
-    return bad * eps.denominator < eps.numerator * len(indices)
+    return bad * eps.denominator < eps.numerator * size
+
+
+def _witness_ok(
+    table: GlobalCodeTable, indices: Sequence[int], divisor: int, eps: Fraction
+) -> bool:
+    """The witness condition on one set of tuple indices."""
+    indices = np.asarray(indices, dtype=np.int64)
+    projections = _projection_sizes(
+        np.zeros(len(indices), dtype=np.int64), 1, indices, table.source_sizes
+    )
+    bad = len(indices) - int(np.count_nonzero(table.good[indices]))
+    return _witness_holds(
+        projections[0].tolist(), table.source_sizes, bad, len(indices), divisor, eps
+    )
 
 
 def find_witness(
@@ -172,8 +241,11 @@ def find_witness(
     if eps < 0 or eps >= 1:
         raise DomainError("eps must satisfy 0 <= eps < 1")
     edge_size = table.inst.edge(edge_id).alphabet_size
-    for y in part.sorted_labels():
-        if _witness_ok(table, part.parts[y], edge_size, eps):
+    bad = np.bincount(part.ids[~table.good], minlength=len(part.keys)).tolist()
+    for y, proj, b, size in zip(
+        part.keys, part.projection_sizes.tolist(), bad, part.part_sizes.tolist()
+    ):
+        if _witness_holds(proj, table.source_sizes, b, size, edge_size, eps):
             return y
     return None
 
@@ -226,10 +298,6 @@ class RemovalResult:
     certificate: RemovalCertificate
 
 
-def _insert_at(values: tuple, pos: int, value) -> tuple:
-    return values[:pos] + (value,) + values[pos:]
-
-
 def _restrict_to_part(
     inst: NetworkInstance,
     code: NetworkCode,
@@ -249,20 +317,24 @@ def _restrict_to_part(
     relabels each source's surviving symbols densely, and hardwires the
     removed edge's constant into every encoder and decoder that consumed it.
     """
-    tuples = [index_to_values(i, table.source_sizes) for i in part_indices]
-    keep = [tuple(sorted({x[i] for x in tuples})) for i in range(len(table.source_sizes))]
-    if len(tuples) != math.prod(len(k) for k in keep):
+    indices = np.asarray(part_indices, dtype=np.int64)
+    keep = [np.unique(d) for d in index_digits(indices, table.source_sizes)]
+    if len(indices) != math.prod(len(k) for k in keep):
         raise PreconditionError("part is not a product of per-source symbol sets")
-    column = table.edge_column(edge_id)
-    constants = {column[i] for i in part_indices}
+    constants = np.unique(table.edge_values(edge_id)[indices])
     if len(constants) != 1:
         raise PreconditionError("edge message is not constant on the part")
-    constant = constants.pop()
-    if not _witness_ok(table, part_indices, divisor, eps):
+    constant = int(constants[0])
+    if not _witness_ok(table, indices, divisor, eps):
         raise PreconditionError("part fails the witness bounds")
     promised = tuple(-(-size // divisor) for size in table.source_sizes)
 
-    relabel = [{old: new for new, old in enumerate(ks)} for ks in keep]
+    # relabel[i][old] is the dense new label of a kept symbol of source i.
+    relabel = []
+    for size, ks in zip(table.source_sizes, keep):
+        lut = np.zeros(size, dtype=np.int64)
+        lut[ks] = np.arange(len(ks))
+        relabel.append(lut)
     source_alphabets = tuple(len(ks) for ks in keep)
     # The restricted instance also shrinks the source alphabet declarations.
     stripped = remove_edge(inst, edge_id)
@@ -275,54 +347,32 @@ def _restrict_to_part(
         terminals=stripped.terminals,
         demands=stripped.demands,
     )
+    consumer = inst.edge(edge_id).head
+    in_ids = [f.id for f in inst.in_edges(consumer)]
+    in_sizes = [code.edge_alphabets[f] for f in in_ids]
+    pos = in_ids.index(edge_id)
 
     encoders = {}
     for e in inst2.edges:
         old_table = code.encoders[e.id]
         if inst.is_source_node(e.tail):
-            i = inst.source_index(e.tail)
-            encoders[e.id] = tuple(old_table[old] for old in keep[i])
-            continue
-        old_ins = inst.in_edges(e.tail)
-        new_ins = inst2.in_edges(e.tail)
-        if len(old_ins) == len(new_ins):
-            encoders[e.id] = tuple(old_table)
-            continue
-        pos = [f.id for f in old_ins].index(edge_id)
-        old_sizes = [code.edge_alphabets[f.id] for f in old_ins]
-        new_sizes = [code.edge_alphabets[f.id] for f in new_ins]
-        entries = []
-        for combo in itertools.product(*[range(s) for s in new_sizes]):
-            full = _insert_at(combo, pos, constant)
-            entries.append(old_table[mixed_radix_index(full, old_sizes)])
-        encoders[e.id] = tuple(entries)
+            encoders[e.id] = old_table[keep[inst.source_index(e.tail)]]
+        elif e.tail == consumer:
+            encoders[e.id] = select_input(old_table, in_sizes, pos, constant)
+        else:
+            encoders[e.id] = old_table
 
     decoders = {}
     for t in inst.terminals:
-        old_rows = code.decoders[t]
-        old_ins = inst.in_edges(t)
-        new_ins = inst2.in_edges(t)
-        demanded = inst.demanded_sources(t)
-        if len(old_ins) == len(new_ins):
-            picked = old_rows
-        else:
-            pos = [f.id for f in old_ins].index(edge_id)
-            old_sizes = [code.edge_alphabets[f.id] for f in old_ins]
-            new_sizes = [code.edge_alphabets[f.id] for f in new_ins]
-            picked = []
-            for combo in itertools.product(*[range(s) for s in new_sizes]):
-                full = _insert_at(combo, pos, constant)
-                picked.append(old_rows[mixed_radix_index(full, old_sizes)])
-        rows = []
-        for row in picked:
-            # A decoded symbol that fell outside the kept set cannot be the
-            # true symbol of a kept tuple; any in-range stand-in is sound.
-            rows.append(
-                tuple(
-                    relabel[i].get(v, 0) for v, i in zip(row, demanded)
-                )
-            )
-        decoders[t] = tuple(rows)
+        picked = code.decoders[t]
+        if t == consumer:
+            picked = select_input(picked, in_sizes, pos, constant)
+        # A decoded symbol that fell outside the kept set cannot be the true
+        # symbol of a kept tuple; any in-range stand-in (here 0) is sound.
+        rows = np.empty_like(picked)
+        for col, i in enumerate(inst.demanded_sources(t)):
+            rows[:, col] = relabel[i][picked[:, col]]
+        decoders[t] = rows
 
     code2 = NetworkCode(
         blocklength=code.blocklength,
@@ -338,7 +388,7 @@ def _restrict_to_part(
             "restricted code failed its feasibility re-verification"
         )
     support_sizes = {
-        e.id: (len(set(table2.edge_column(e.id))), code.edge_alphabets[e.id])
+        e.id: (len(np.unique(table2.edge_values(e.id))), code.edge_alphabets[e.id])
         for e in inst2.edges
     }
     if any(r > o for r, o in support_sizes.values()):
@@ -348,7 +398,7 @@ def _restrict_to_part(
         witness_label=witness_label,
         edge_constant=constant,
         eps=eps,
-        restricted_alphabets=tuple(keep),
+        restricted_alphabets=tuple(tuple(ks.tolist()) for ks in keep),
         promised_cardinalities=promised,
         achieved_cardinalities=source_alphabets,
         edge_support_sizes=support_sizes,
@@ -386,7 +436,7 @@ def restrict_code(
 
 def _product_indices(
     table: GlobalCodeTable, subsets: Sequence[Sequence[int]]
-) -> list[int]:
+) -> np.ndarray:
     """Dense indices of the product of per-source symbol subsets."""
     if len(subsets) != len(table.source_sizes):
         raise DomainError("one subset per source is required")
@@ -395,10 +445,7 @@ def _product_indices(
             raise DomainError("subsets must be non-empty")
         if any(not 0 <= v < size for v in sub):
             raise DomainError("subset symbol outside its source alphabet")
-    return [
-        mixed_radix_index(x, table.source_sizes)
-        for x in itertools.product(*[sorted(set(s)) for s in subsets])
-    ]
+    return product_indices([sorted(set(s)) for s in subsets], table.source_sizes)
 
 
 def product_set_witness(
@@ -413,8 +460,7 @@ def product_set_witness(
     product passes the witness bounds for eps against the edge alphabet.
     """
     indices = _product_indices(table, subsets)
-    column = table.edge_column(edge_id)
-    if len({column[i] for i in indices}) != 1:
+    if len(np.unique(table.edge_values(edge_id)[indices])) != 1:
         return False
     return _witness_ok(table, indices, table.inst.edge(edge_id).alphabet_size, eps)
 
@@ -453,7 +499,8 @@ def remove_by_edge_value(
     part = SourcePartition.from_edge_values(table, edge_id)
     if not fibers_are_products(part):
         return None
-    best = max(part.sorted_labels(), key=lambda y: (len(part.parts[y]), -y))
+    # Labels are sorted, so the first largest part has the smallest message.
+    best = part.keys[int(np.argmax(part.part_sizes))]
     edge_size = inst.edge(edge_id).alphabet_size
     if len(part.parts[best]) * edge_size < table.num_tuples:
         raise InternalCheckError("largest level set beats averaging; enumeration bug")

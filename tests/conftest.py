@@ -1,8 +1,11 @@
-"""Shared generators for the randomized suites.
+"""Shared generators and scalar oracles for the randomized suites.
 
 Instances are small layered acyclic graphs; codes are random tables, usually
 paired with best-effort decoders so that low-error codes occur often enough to
 drive the removal routes.  Everything is seeded explicitly by the caller.
+The oracles evaluate a code one source tuple at a time, through the scalar
+``evaluate_global`` and ``decode_outputs``, and count joint distributions in
+a Counter; the columnar global table is checked against them.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 import random
 from collections import Counter
 
-from edgedrop.codes import NetworkCode, evaluate_global
+from edgedrop.codes import NetworkCode, decode_outputs, evaluate_global, index_to_values
 from edgedrop.network import Edge, NetworkInstance, Source, validate_instance
 from edgedrop.removal import SourcePartition
 
@@ -147,3 +150,29 @@ def random_partition(rng: random.Random, table) -> SourcePartition:
     return SourcePartition(
         sizes, [rng.randrange(n_labels) for _ in range(math.prod(sizes))]
     )
+
+
+def scalar_table(inst: NetworkInstance, code: NetworkCode):
+    """Every row and, per terminal, the sorted wrongly decoded tuple indices."""
+    rows = []
+    wrong = {t: [] for t in inst.terminals}
+    for idx in range(math.prod(code.source_alphabets)):
+        x = index_to_values(idx, code.source_alphabets)
+        row = evaluate_global(inst, code, x)
+        outputs = decode_outputs(inst, code, row)
+        rows.append([int(v) for v in row])
+        for t in inst.terminals:
+            if outputs[t] != tuple(x[i] for i in inst.demanded_sources(t)):
+                wrong[t].append(idx)
+    return rows, wrong
+
+
+def counter_entropy(inst: NetworkInstance, sizes, rows, sources=(), edges=()) -> float:
+    """Joint entropy in bits of scalar-oracle rows, tallied in a Counter."""
+    positions = [[e.id for e in inst.edges].index(e) for e in edges]
+    counts = Counter()
+    for idx, row in enumerate(rows):
+        x = index_to_values(idx, sizes)
+        counts[tuple(x[i] for i in sources) + tuple(row[p] for p in positions)] += 1
+    n = len(rows)
+    return sum(c / n * math.log2(n / c) for c in counts.values())

@@ -7,6 +7,7 @@ stdout or the --out file.
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -370,6 +371,57 @@ def test_cwl_search_rewrite_and_budget(tmp_path, capsys):
     argv = ["cwl-search", inst_path, code_path, "--edge", "e", "--rewrites", "0"]
     assert main(argv) == 1
     assert _stdout_report(capsys)["result"]["found"] is False
+
+
+def test_cwl_search_honours_enum_cap(tmp_path, capsys):
+    inst, code = relay_instance([64, 64], 4, tabulate([64, 64], lambda a, b: (a + b) % 4))
+    inst_path, code_path = _write_pair(tmp_path, inst, code)
+    argv = ["cwl-search", inst_path, code_path, "--edge", "e", "--enum-cap", "10"]
+    assert main(argv) == 2
+    assert "above the cap of 10" in capsys.readouterr().err
+
+
+def test_pwl_remove_on_nonzero_error_code_is_not_found(tmp_path, capsys):
+    golden = Path(__file__).parent / "golden" / "inputs"
+    code = load_code(str(golden / "shift44.code.json"))
+    rows = code.decoders["t"].tolist()
+    rows[0] = [(rows[0][0] + 1) % 4, rows[0][1]]
+    corrupted = dataclasses.replace(code, decoders={"t": rows})
+    code_path = str(tmp_path / "shift44bad.code.json")
+    save_code(corrupted, code_path)
+    argv = ["pwl-remove", str(golden / "shift44.instance.json"), code_path,
+            "--edge", "e", "--pieces", str(golden / "shift44.pieces.json")]
+    assert main(argv) == 1
+    result = _stdout_report(capsys)["result"]
+    assert result == {"found": False, "reason": "code error exceeds the requested eps"}
+
+
+def test_consecutive_main_calls_share_one_parser(tmp_path, capsys):
+    inst, code = butterfly()
+    inst_path, code_path = _write_pair(tmp_path, inst, code)
+    for _ in range(2):
+        assert main(["validate", inst_path]) == 0
+        report = _stdout_report(capsys)
+        assert report["command"] == ["validate", inst_path]
+        assert report["result"] == {"problems": []}
+        assert main(["verify", inst_path, code_path, "--rates", "1,1", "--eps", "1/8"]) == 0
+        report = _stdout_report(capsys)
+        assert report["command"] == ["verify", inst_path, code_path, "--rates", "1,1",
+                                     "--eps", "1/8"]
+        assert report["result"]["feasibility"]["target_eps"] == "1/8"
+        argv = ["cwl-check", inst_path, code_path, "--edge", "bottleneck"]
+        assert main(argv) == 0
+        assert _stdout_report(capsys)["result"]["witness"]["edge_support"] == [0, 1]
+
+
+def test_non_integer_code_entry_is_a_usage_error(tmp_path, capsys):
+    inst, code = butterfly()
+    inst_path, code_path = _write_pair(tmp_path, inst, code)
+    data = json.loads(Path(code_path).read_text())
+    data["encoders"]["bottleneck"][0] = 0.5
+    Path(code_path).write_text(json.dumps(data))
+    assert main(["verify", inst_path, code_path, "--rates", "1,1"]) == 2
+    assert "entries must be integers" in capsys.readouterr().err
 
 
 def test_group_remove_and_zero_error(tmp_path, capsys):

@@ -5,13 +5,15 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import random_code, random_instance
+from conftest import counter_entropy, random_code, random_instance, scalar_table
 from edgedrop.codes import (
     NetworkCode,
     build_global_table,
     check_feasibility,
+    code_to_dict,
     decode_outputs,
     evaluate_global,
     index_to_values,
@@ -186,19 +188,53 @@ def test_validate_code_reports_mismatches():
     assert any("no encoder" in p for p in validate_code(inst, missing))
 
 
-def test_random_codes_validate_and_tabulate():
+def _oracle_corpus():
+    """The conftest random codes plus sum-mod-q relays, clean and corrupted."""
     rng = random.Random(99)
     for _ in range(25):
         inst = random_instance(rng)
-        code = random_code(rng, inst)
+        yield inst, random_code(rng, inst)
+    for sizes, q in (([4, 4, 2], 4), ([3, 5], 3), ([2, 2, 2, 4], 2)):
+        inst, code = relay_instance(sizes, q, tabulate(sizes, lambda *x: sum(x) % q))
+        yield inst, code
+        rows = code.decoders["t"].tolist()
+        for r in rng.sample(range(len(rows)), 5):
+            rows[r] = [(v + 1) % s for v, s in zip(rows[r], sizes)]
+        yield inst, NetworkCode(1, code.source_alphabets, code.edge_alphabets,
+                                code.encoders, {"t": rows})
+
+
+def test_random_codes_validate_and_tabulate():
+    for inst, code in _oracle_corpus():
         assert validate_code(inst, code) == []
         table = build_global_table(inst, code)
         assert table.num_tuples == math.prod(code.source_alphabets)
-        # Rows agree with a direct re-evaluation at a few spots.
-        for idx in range(0, table.num_tuples, max(1, table.num_tuples // 7)):
-            x = index_to_values(idx, code.source_alphabets)
-            assert table.rows[idx] == evaluate_global(inst, code, x)
-        assert 0 <= table.error <= 1
+        # Every tuple agrees with the scalar oracle, rows and wrong sets alike.
+        rows, wrong = scalar_table(inst, code)
+        assert table.rows.tolist() == rows
+        for t in inst.terminals:
+            assert np.flatnonzero(~table.correct[t]).tolist() == wrong[t]
+            assert table.terminal_error(t) == Fraction(len(wrong[t]), len(rows))
+        bad = sorted(set().union(*wrong.values()))
+        assert np.flatnonzero(~table.good).tolist() == bad
+        assert table.error == Fraction(len(bad), len(rows))
+        for e in inst.edges:
+            assert table.edge_column(e.id) == tuple(r[table._edge_pos[e.id]] for r in rows)
+
+
+def test_joint_entropy_matches_counter_oracle():
+    rng = random.Random(7)
+    for inst, code in _oracle_corpus():
+        table = build_global_table(inst, code)
+        rows, _ = scalar_table(inst, code)
+        k = len(code.source_alphabets)
+        edge_ids = [e.id for e in inst.edges]
+        for _ in range(12):
+            sources = sorted(rng.sample(range(k), rng.randint(0, k)))
+            edges = rng.sample(edge_ids, rng.randint(0, min(4, len(edge_ids))))
+            want = counter_entropy(inst, code.source_alphabets, rows, sources, edges)
+            # Same counts summed in the same order: equal to the last bit.
+            assert joint_entropy(table, sources=sources, edges=edges) == want
 
 
 def test_entropy_additive_for_independent_sources():
@@ -212,3 +248,54 @@ def test_entropy_additive_for_independent_sources():
         parts = sum(joint_entropy(table, sources=(i,)) for i in range(k))
         assert total == pytest.approx(parts, abs=1e-9)
         assert total == pytest.approx(math.log2(table.num_tuples), abs=1e-9)
+
+
+@pytest.mark.parametrize("value", [1.7, True, "1"], ids=["float", "bool", "string"])
+def test_parse_code_rejects_non_integer_encoder_entries(value):
+    _, code = butterfly()
+    data = code_to_dict(code)
+    data["encoders"]["bottleneck"][1] = value
+    with pytest.raises(DomainError, match="entries must be integers"):
+        parse_code(data)
+
+
+@pytest.mark.parametrize("value", [0.0, False, "0"], ids=["float", "bool", "string"])
+def test_parse_code_rejects_non_integer_decoder_entries(value):
+    _, code = butterfly()
+    data = code_to_dict(code)
+    data["decoders"]["t1"][2][0] = value
+    with pytest.raises(DomainError, match="entries must be integers"):
+        parse_code(data)
+
+
+@pytest.mark.parametrize("value", [2.0, True, "2"], ids=["float", "bool", "string"])
+def test_parse_code_rejects_non_integer_alphabets(value):
+    _, code = butterfly()
+    data = code_to_dict(code)
+    data["edge_alphabets"]["bottleneck"] = value
+    with pytest.raises(DomainError, match="must be an integer"):
+        parse_code(data)
+
+
+def test_parse_code_rejects_ragged_decoder_rows():
+    _, code = butterfly()
+    data = code_to_dict(code)
+    data["decoders"]["t2"][3] = [1]
+    with pytest.raises(DomainError, match="rows of different lengths"):
+        parse_code(data)
+    data["decoders"]["t2"][3] = 1
+    with pytest.raises(DomainError, match="rows must be lists"):
+        parse_code(data)
+
+
+def test_code_tables_are_read_only_arrays():
+    inst, code = butterfly()
+    assert code.encoders["bottleneck"].tolist() == [0, 1, 1, 0]
+    assert code.decoders["t1"].shape == (4, 2)
+    with pytest.raises(ValueError):
+        code.encoders["bottleneck"][0] = 1
+    table = build_global_table(inst, code)
+    assert table.rows.shape == (4, len(inst.edges))
+    assert table.rows.dtype == np.uint8
+    with pytest.raises(ValueError):
+        table.rows[0, 0] = 1

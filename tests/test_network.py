@@ -10,6 +10,7 @@ from edgedrop.network import (
     Edge,
     NetworkInstance,
     Source,
+    instance_to_dict,
     load_instance,
     parse_instance,
     remove_edge,
@@ -149,3 +150,22 @@ def test_instance_json_roundtrip(tmp_path):
 def test_parse_instance_rejects_missing_fields():
     with pytest.raises(DomainError):
         parse_instance({"nodes": ["a"]})
+
+
+@pytest.mark.parametrize("field", ["edge", "source"])
+@pytest.mark.parametrize("value", [2.9, True, "3"], ids=["float", "bool", "string"])
+def test_parse_instance_rejects_non_integer_alphabets(field, value):
+    inst, _ = butterfly()
+    data = instance_to_dict(inst)
+    data["edges" if field == "edge" else "sources"][0]["alphabet_size"] = value
+    with pytest.raises(DomainError, match="must be an integer"):
+        parse_instance(data)
+
+
+@pytest.mark.parametrize("value", [1.0, True, "1"], ids=["float", "bool", "string"])
+def test_parse_instance_rejects_non_integer_demands(value):
+    inst, _ = butterfly()
+    data = instance_to_dict(inst)
+    data["demands"][0][0] = value
+    with pytest.raises(DomainError, match="demand entry"):
+        parse_instance(data)
