@@ -61,6 +61,7 @@ from .groups import (
     ProductGroup,
     SubgroupHandle,
     TableGroup,
+    coset_labels,
     cosets,
     direct_product,
     generated_subgroup,

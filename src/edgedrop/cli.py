@@ -3,10 +3,12 @@
 Subcommands cover instance validation, exhaustive feasibility verification,
 the edge-removal routes, CWL certification and search, group-characterized
 codes, and the bundled case studies.  Exit status 0 means a verified-true
-outcome, 1 a verified-false or not-found outcome, and 2 a usage or input
-problem.  Error targets ``--eps`` lie in [0, 1); the builtin removal routes
-and ``pwl-remove`` (always at eps 0) exit 1 when the code's own error is
-above eps.
+outcome, 1 a verified-false or not-found outcome, 2 a usage or input
+problem, and 3 a failed internal consistency check, which indicates a bug
+in the workbench.  Error targets ``--eps`` lie in [0, 1); the builtin
+removal routes and ``pwl-remove`` (always at eps 0) exit 1 when the code's
+own error is above eps.  Label files give one label per source tuple, all
+JSON integers or all strings.
 
 Reports are deterministic: the command echo keeps only semantic arguments
 (execution tuning such as ``--enum-cap`` and ``--out`` is excluded),
@@ -46,7 +48,7 @@ from .cwl import (
     derive_edge_group,
     piecewise_remove,
 )
-from .errors import DomainError, WorkbenchError
+from .errors import DomainError, InternalCheckError, WorkbenchError
 from .groupcodes import abelian_removal_plan, load_characterization, zero_error_upgrade
 from .groups import CyclicGroup, group_from_description
 from .library import (
@@ -60,6 +62,7 @@ from .network import (
     NetworkInstance,
     instance_to_dict,
     load_instance,
+    require_int,
     save_instance,
     validate_instance,
 )
@@ -201,7 +204,11 @@ def _load_groups_file(path: str):
     if (edge_desc is None) != (support is None):
         raise DomainError(f"{path}: edge group and edge support go together")
     edge = group_from_description(edge_desc) if edge_desc is not None else None
-    return sources, edge, tuple(support) if support is not None else None
+    return sources, edge, _edge_support(support) if support is not None else None
+
+
+def _edge_support(symbols) -> tuple[int, ...]:
+    return tuple(require_int(v, "edge support symbol") for v in symbols)
 
 
 def _resolve_witness(table, edge_id: str, groups_path: str | None) -> CwlWitness | None:
@@ -298,8 +305,9 @@ def _cmd_remove_edge(args) -> tuple[int, dict]:
     if "labels" not in data:
         raise DomainError(f"{args.partition}: missing partition labels")
     labels = data["labels"]
-    if not all(isinstance(v, int) for v in labels):
-        labels = [str(v) for v in labels]
+    kinds = set(map(type, labels)) if isinstance(labels, list) else {None}
+    if not (kinds <= {int} or kinds <= {str}):
+        raise DomainError(f"{args.partition}: labels must be all integers or all strings")
     part = SourcePartition(table.source_sizes, labels)
     conditions = {
         "determines_edge": fiber_edge_values(table, args.edge, part) is not None,
@@ -336,7 +344,7 @@ def _cmd_pwl_remove(args) -> tuple[int, dict]:
         sources = [CyclicGroup(n) for n in table.source_sizes]
     pieces = [(p["subsets"], p["phi"]) for p in data["pieces"]]
     pw = check_piecewise(
-        table.edge_column(args.edge), sources, tuple(data["edge_support"]), pieces
+        table.edge_column(args.edge), sources, _edge_support(data["edge_support"]), pieces
     )
     if pw is None:
         return 1, {"found": False}
@@ -368,7 +376,7 @@ def _cmd_cwl_search(args) -> tuple[int, dict]:
 def _cmd_group_remove(args) -> tuple[int, dict]:
     gc = load_characterization(args.characterization)
     source_keys = [k.strip() for k in args.sources.split(",") if k.strip()]
-    plan = abelian_removal_plan(gc, args.edge, source_keys)
+    plan = abelian_removal_plan(gc, args.edge, source_keys, enum_cap=args.enum_cap)
     result = {
         "checks": plan.checks,
         "auxiliary_order": plan.g_prime.order,
@@ -617,6 +625,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return code if code == 0 else 2
+    except InternalCheckError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,6 +27,7 @@ from .codes import (
     NetworkCode,
     build_global_table,
     encoder_input_sizes,
+    index_digits,
     index_to_values,
     joint_entropy,
     mixed_radix_index,
@@ -34,9 +35,16 @@ from .codes import (
     relay_instance,
     select_input,
 )
-from .errors import DomainError, InternalCheckError, PreconditionError, ResourceError
+from .errors import DomainError, InternalCheckError, PreconditionError
 from .groupcodes import ENTROPY_TOLERANCE, GroupCharacterization
-from .groups import CyclicGroup, FiniteGroup, ProductGroup, TableGroup, direct_product, subgroup
+from .groups import (
+    CyclicGroup,
+    FiniteGroup,
+    TableGroup,
+    direct_product,
+    is_homomorphism,
+    subgroup,
+)
 from .network import NetworkInstance
 from .removal import (
     RemovalResult,
@@ -84,44 +92,10 @@ def _normalize_phi(phi, sizes: Sequence[int]) -> list[int]:
     return out
 
 
-def _vector_op(group: FiniteGroup, a: int, bvec: np.ndarray) -> np.ndarray:
-    """Vectorized ``group.op(a, b)`` over an array of right operands."""
-    if isinstance(group, CyclicGroup):
-        return (a + bvec) % group.order
-    if isinstance(group, TableGroup):
-        return group._table[a, bvec]
-    if isinstance(group, ProductGroup):
-        out = np.zeros_like(bvec)
-        rem = bvec
-        digits = []
-        for g in reversed(group.factors):
-            digits.append(rem % g.order)
-            rem = rem // g.order
-        digits.reverse()
-        ta = group.decode(a)
-        for g, da, db in zip(group.factors, ta, digits):
-            out = out * g.order + _vector_op(g, da, db)
-        return out
-    return np.array([group.op(a, int(b)) for b in bvec], dtype=np.int64)
-
-
-def _digit_arrays(sizes: Sequence[int], total: int) -> list[np.ndarray]:
-    ids = np.arange(total, dtype=np.int64)
-    out = []
-    stride = total
-    for s in sizes:
-        stride //= s
-        out.append((ids // stride) % s)
-    return out
-
-
-def _op_table(group: FiniteGroup) -> np.ndarray:
-    if isinstance(group, TableGroup):
-        return group._table
-    return np.array(
-        [[group.op(a, b) for b in group.elements()] for a in group.elements()],
-        dtype=np.int64,
-    )
+def _element_ids(values: Sequence[int], support: Sequence[int]) -> np.ndarray:
+    """Position in the support of every value, as an int64 array."""
+    index = {s: k for k, s in enumerate(support)}
+    return np.array([index[v] for v in values], dtype=np.int64)
 
 
 def check_cwl(
@@ -130,12 +104,12 @@ def check_cwl(
     edge_group: FiniteGroup,
     edge_support: Sequence[int],
 ) -> CwlWitness | None:
-    """Verify the homomorphism law exhaustively over all pairs of tuples.
+    """Verify the homomorphism law from the product of the source groups.
 
     ``phi`` maps source tuples to edge symbols, as a dense sequence or a
     mapping keyed by tuples.  The support must list one edge symbol per edge
     group element; a witness exists only if the image of phi is exactly that
-    symbol set and the law holds everywhere.
+    symbol set and ``groups.is_homomorphism`` holds for the induced map.
     """
     if not source_groups:
         raise DomainError("at least one source group is required")
@@ -150,23 +124,14 @@ def check_cwl(
         raise DomainError("support symbols must be distinct")
     if set(values) != set(support):
         return None
-    sym_to_elem = {s: k for k, s in enumerate(support)}
-    phi_k = np.array([sym_to_elem[v] for v in values], dtype=np.int64)
-    edge_table = _op_table(edge_group)
-    total = len(values)
-    digits = _digit_arrays(sizes, total)
-    for a in range(total):
-        a_digits = index_to_values(a, sizes)
-        prod_ids = np.zeros(total, dtype=np.int64)
-        for g, da, dvec in zip(source_groups, a_digits, digits):
-            prod_ids = prod_ids * g.order + _vector_op(g, da, dvec)
-        if not np.array_equal(phi_k[prod_ids], edge_table[phi_k[a], phi_k]):
-            return None
+    phi_k = _element_ids(values, support)
+    if not is_homomorphism(phi_k, direct_product(source_groups), edge_group):
+        return None
     return CwlWitness(
         source_groups=tuple(source_groups),
         edge_group=edge_group,
         edge_support=support,
-        hom=tuple(int(k) for k in phi_k),
+        hom=tuple(phi_k.tolist()),
     )
 
 
@@ -177,35 +142,26 @@ def derive_edge_group(
 
     The image carries a group operation compatible with phi exactly when
     equal images stay equal under multiplication by any common element; the
-    induced operation is then the quotient structure and is unique.  Returns
-    the verified table group on the sorted image together with that image.
+    induced operation is then the quotient structure and is unique.  Row
+    phi(a) of its table is read off the products ``a * b`` for every b.
+    Returns the verified table group on the sorted image together with that
+    image.
     """
     sizes = [g.order for g in source_groups]
     values = _normalize_phi(phi, sizes)
     support = tuple(sorted(set(values)))
-    sym_to_elem = {s: k for k, s in enumerate(support)}
-    phi_k = np.array([sym_to_elem[v] for v in values], dtype=np.int64)
-    n_sup = len(support)
-    tbl = np.full((n_sup, n_sup), -1, dtype=np.int64)
-    total = len(values)
-    digits = _digit_arrays(sizes, total)
-    for a in range(total):
-        a_digits = index_to_values(a, sizes)
-        prod_ids = np.zeros(total, dtype=np.int64)
-        for g, da, dvec in zip(source_groups, a_digits, digits):
-            prod_ids = prod_ids * g.order + _vector_op(g, da, dvec)
-        want = phi_k[prod_ids]
-        ka = int(phi_k[a])
-        for s in range(n_sup):
-            vals = np.unique(want[phi_k == s])
-            if vals.size != 1:
-                return None
-            v = int(vals[0])
-            if tbl[ka, s] == -1:
-                tbl[ka, s] = v
-            elif tbl[ka, s] != v:
-                return None
-    return TableGroup(tbl.tolist()), support
+    phi_k = _element_ids(values, support)
+    product = direct_product(source_groups)
+    ids = np.arange(product.order)
+    tbl = np.full((len(support), len(support)), -1, dtype=np.int64)
+    for a in product.elements():
+        want = phi_k[product.op_array(a, ids)]
+        row = tbl[phi_k[a]]
+        if row[0] < 0:
+            row[phi_k] = want
+        if not np.array_equal(row[phi_k], want):
+            return None
+    return TableGroup(tbl), support
 
 
 def coordinate_classes(w: CwlWitness) -> list[list[tuple[int, ...]]]:
@@ -219,16 +175,11 @@ def coordinate_classes(w: CwlWitness) -> list[list[tuple[int, ...]]]:
     out = []
     for i, g in enumerate(w.source_groups):
         base = [h.identity for h in w.source_groups]
-        classes: dict[int, list[int]] = {}
-        order: list[int] = []
+        classes: dict[int, list[int]] = {}  # insertion order is first occurrence
         for v in range(g.order):
             base[i] = v
-            image = w.hom[mixed_radix_index(base, sizes)]
-            if image not in classes:
-                classes[image] = []
-                order.append(image)
-            classes[image].append(v)
-        out.append([sorted(classes[img]) for img in order])
+            classes.setdefault(w.hom[mixed_radix_index(base, sizes)], []).append(v)
+        out.append(list(classes.values()))
     return out
 
 
@@ -242,10 +193,9 @@ def witness_partition(w: CwlWitness) -> SourcePartition:
     classes = coordinate_classes(w)
     assignments = []
     for size, per_source in zip(w.source_sizes, classes):
-        a = [0] * size
+        a = np.empty(size, dtype=np.int64)
         for cid, members in enumerate(per_source):
-            for v in members:
-                a[v] = cid
+            a[members] = cid
         assignments.append(a)
     return SourcePartition.from_source_classes(w.source_sizes, assignments)
 
@@ -357,16 +307,10 @@ def check_piecewise(
             if any(not 0 <= v < size for v in ss):
                 raise DomainError("piece subset symbol outside its source alphabet")
             subs.append(ss)
-        members = {
-            mixed_radix_index(x, sizes) for x in itertools.product(*subs)
-        }
-        member_sets.append(members)
+        member_sets.append(product_indices(subs, sizes))
         cleaned.append((tuple(subs), _normalize_phi(piece_phi, sizes)))
-    counts = [0] * total
-    for members in member_sets:
-        for idx in members:
-            counts[idx] += 1
-    offending = [index_to_values(i, sizes) for i, c in enumerate(counts) if c != 1]
+    counts = np.bincount(np.concatenate(member_sets), minlength=total)
+    offending = [index_to_values(i, sizes) for i in np.flatnonzero(counts != 1).tolist()]
     if offending:
         raise DomainError(
             f"pieces must partition the tuple space; offending tuples: {offending[:5]}"
@@ -383,10 +327,9 @@ def check_piecewise(
         witness = check_cwl(piece_values, source_groups, piece_group, piece_support)
         if witness is None:
             raise InternalCheckError("derived piece structure failed re-verification")
-        for idx in range(total):
-            agrees = values[idx] == piece_values[idx]
-            if agrees != (idx in members):
-                return None
+        agrees = [v == p for v, p in zip(values, piece_values)]
+        if agrees != np.isin(np.arange(total), members).tolist():
+            return None
         out_pieces.append(CwlPiece(subs, tuple(piece_values), witness))
     return PiecewiseCwl(
         source_groups=tuple(source_groups),
@@ -504,10 +447,7 @@ def relabel_balanced(g: Mapping, codomain: Sequence | None = None) -> BalancedRe
         for i, a in enumerate(fibers[b]):
             domain_labels[a] = (i, j)
     codomain_labels = {b: j for j, b in enumerate(cod)}
-    phi = [0] * (k * q)
-    for i in range(k):
-        for j in range(q):
-            phi[i * q + j] = j
+    phi = [j for _ in range(k) for j in range(q)]
     witness = check_cwl(
         phi, [CyclicGroup(k), CyclicGroup(q)], CyclicGroup(q), tuple(range(q))
     )
@@ -539,15 +479,13 @@ def characterize_witness(w: CwlWitness) -> GroupCharacterization:
     product = direct_product(w.source_groups)
     sizes = w.source_sizes
     total = product.order
-    subgroups = {}
-    for i, g in enumerate(w.source_groups):
-        members = []
-        for idx in range(total):
-            if index_to_values(idx, sizes)[i] == g.identity:
-                members.append(idx)
-        subgroups[f"s{i + 1}"] = subgroup(product, members)
-    kernel_members = [idx for idx in range(total) if w.hom[idx] == w.edge_group.identity]
-    subgroups["e"] = subgroup(product, kernel_members)
+    digits = index_digits(np.arange(total), sizes)
+    subgroups = {
+        f"s{i + 1}": subgroup(product, np.flatnonzero(d == g.identity).tolist())
+        for i, (g, d) in enumerate(zip(w.source_groups, digits))
+    }
+    kernel_members = np.flatnonzero(np.asarray(w.hom) == w.edge_group.identity)
+    subgroups["e"] = subgroup(product, kernel_members.tolist())
     gc = GroupCharacterization(product, subgroups)
 
     edge_size = max(w.edge_support) + 1
@@ -642,14 +580,9 @@ def abelian_structures(n: int) -> list[FiniteGroup]:
 
 
 def _relabeled(group: FiniteGroup, perm: Sequence[int]) -> TableGroup:
-    inv = [0] * group.order
-    for a, pa in enumerate(perm):
-        inv[pa] = a
-    tbl = [
-        [perm[group.op(inv[a], inv[b])] for b in group.elements()]
-        for a in group.elements()
-    ]
-    return TableGroup(tbl)
+    perm = np.asarray(perm, dtype=np.int64)
+    inv = np.argsort(perm)
+    return TableGroup(perm[group.op_array(inv[:, None], inv)])
 
 
 def _source_candidates(n: int, relabels: int) -> list[FiniteGroup]:

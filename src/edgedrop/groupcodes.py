@@ -9,7 +9,6 @@ network code.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections import Counter
@@ -18,17 +17,20 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .codes import GlobalCodeTable, NetworkCode, build_global_table, relay_instance
 from .errors import DomainError, InternalCheckError, PreconditionError, ResourceError
 from .groups import (
     FiniteGroup,
     SubgroupHandle,
+    coset_labels,
     group_from_description,
     intersection,
     subgroup,
     subgroup_product,
 )
-from .network import NetworkInstance
+from .network import NetworkInstance, require_int
 from .removal import RemovalResult, SourcePartition, fiber_edge_values, find_witness, restrict_code
 
 GROUP_ORDER_CAP = 1 << 20
@@ -134,19 +136,21 @@ def materialize(
         raise PreconditionError("source subgroups must intersect in the identity alone")
     if not independent_sources(gc, source_keys):
         raise PreconditionError("source variables must be jointly uniform")
-    maps = [gc.realize_map(k) for k in source_keys]
-    sizes = [gc.variable_size(k) for k in source_keys]
-    combo_to_g: dict[tuple[int, ...], int] = {}
-    for g in gc.group.elements():
-        combo_to_g[tuple(m[g] for m in maps)] = g
-    if len(combo_to_g) != gc.group.order:
+    index = _source_tuple_index(gc, source_keys)
+    if np.unique(index).size != gc.group.order:
         raise InternalCheckError("source labels fail to separate group elements")
-    edge_map = gc.realize_map(edge_key)
-    edge_size = gc.variable_size(edge_key)
-    relay = []
-    for combo in itertools.product(*[range(s) for s in sizes]):
-        relay.append(edge_map[combo_to_g[combo]])
-    return relay_instance(sizes, edge_size, relay)
+    relay = np.empty(gc.group.order, dtype=np.int64)
+    relay[index] = gc.realize_map(edge_key)
+    sizes = [gc.variable_size(k) for k in source_keys]
+    return relay_instance(sizes, gc.variable_size(edge_key), relay)
+
+
+def _source_tuple_index(gc: GroupCharacterization, source_keys: Sequence[str]) -> np.ndarray:
+    """Dense index of every element's tuple of source coset labels."""
+    index = np.zeros(gc.group.order, dtype=np.int64)
+    for k in source_keys:
+        index = index * gc.variable_size(k) + gc.realize_map(k)
+    return index
 
 
 @dataclass(frozen=True)
@@ -172,14 +176,18 @@ class AbelianRemovalPlan:
 
 
 def abelian_removal_plan(
-    gc: GroupCharacterization, edge_key: str, source_keys: Sequence[str]
+    gc: GroupCharacterization,
+    edge_key: str,
+    source_keys: Sequence[str],
+    enum_cap: int | None = None,
 ) -> AbelianRemovalPlan:
     """Zero-error removal partition for an abelian group characterization.
 
     The auxiliary subgroup is the product over sources of the edge subgroup
     intersected with every other source's subgroups; its cosets partition the
     source tuple space, determine the edge message, split into products, and
-    pass the witness bounds with eps = 0.
+    pass the witness bounds with eps = 0.  The materialized code's table
+    honours ``enum_cap``.
     """
     if not gc.is_abelian:
         raise PreconditionError("this removal route requires an abelian group")
@@ -219,15 +227,9 @@ def abelian_removal_plan(
         raise InternalCheckError(f"auxiliary subgroup failed verification: {checks}")
 
     inst, code = materialize(gc, source_keys, edge_key)
-    table = build_global_table(inst, code)
-    maps = [gc.realize_map(key) for key in source_keys]
-    combo_to_g = {}
-    for g in group.elements():
-        combo_to_g[tuple(m[g] for m in maps)] = g
-    prime_label = gc_realize_subgroup(group, g_prime)
-    labels = []
-    for combo in itertools.product(*[range(s) for s in table.source_sizes]):
-        labels.append(prime_label[combo_to_g[combo]])
+    table = build_global_table(inst, code, enum_cap=enum_cap)
+    labels = np.empty(group.order, dtype=np.int64)
+    labels[_source_tuple_index(gc, source_keys)] = coset_labels(group, g_prime)
     part = SourcePartition(table.source_sizes, labels)
 
     if fiber_edge_values(table, "e", part) is None:
@@ -252,15 +254,7 @@ def abelian_removal_plan(
 
 def gc_realize_subgroup(group: FiniteGroup, sub: SubgroupHandle) -> tuple[int, ...]:
     """Dense left-coset label of every element for an ad hoc subgroup."""
-    labels = [-1] * group.order
-    next_label = 0
-    for g in group.elements():
-        if labels[g] != -1:
-            continue
-        for m in sub.members:
-            labels[group.op(g, m)] = next_label
-        next_label += 1
-    return tuple(labels)
+    return tuple(coset_labels(group, sub).tolist())
 
 
 @dataclass(frozen=True)
@@ -300,13 +294,18 @@ def best_decoder_error(
     The best decoder picks, per incoming coset, the demanded coset with the
     largest overlap.
     """
+    correct = sum(max(c.values()) for c in _coset_overlap(gc, in_key, source_key).values())
+    return 1 - Fraction(correct, gc.group.order)
+
+
+def _coset_overlap(gc: GroupCharacterization, in_key: str, source_key: str) -> dict[int, Counter]:
+    """Per incoming coset, how many elements fall in each demanded coset."""
     in_map = gc.realize_map(in_key)
     src_map = gc.realize_map(source_key)
     overlap: dict[int, Counter] = {}
     for g in gc.group.elements():
         overlap.setdefault(in_map[g], Counter())[src_map[g]] += 1
-    correct = sum(max(c.values()) for c in overlap.values())
-    return 1 - Fraction(correct, gc.group.order)
+    return overlap
 
 
 def zero_error_upgrade(
@@ -346,10 +345,7 @@ def zero_error_upgrade(
             continue
         meet = len(g_in.members & g_src.members)
         q = g_in.order // meet
-        overlap: dict[int, Counter] = {}
-        for g in gc.group.elements():
-            overlap.setdefault(in_map[g], Counter())[src_map[g]] += 1
-        for counts in overlap.values():
+        for counts in _coset_overlap(gc, in_key, source_key).values():
             if len(counts) != q or set(counts.values()) != {meet}:
                 raise InternalCheckError(
                     "incoming coset is not uniform over demanded cosets"
@@ -378,7 +374,7 @@ def parse_characterization(data: Mapping) -> GroupCharacterization:
     try:
         group = group_from_description(data["group"])
         subs = {
-            str(name): subgroup(group, members)
+            str(name): subgroup(group, [require_int(m, "subgroup member") for m in members])
             for name, members in data["subgroups"].items()
         }
     except (KeyError, TypeError, AttributeError) as exc:

@@ -1,23 +1,26 @@
 """Exact arithmetic for small finite groups.
 
-Elements are dense integer ids ``0..order-1``.  Cyclic groups compute with
-modular arithmetic, product groups with mixed-radix tuples (the last factor
-varies fastest, matching ``itertools.product``), and arbitrary groups are
-accepted as explicit Cayley tables that are verified eagerly on construction.
-Groups are not assumed commutative anywhere; ``is_abelian`` is a queryable
-property.
+Elements are dense integer ids ``0..order-1``.  Every group computes through
+one primitive, ``op_array``, over broadcast int64 id arrays: cyclic groups
+with modular arithmetic, product groups with mixed-radix digits (the last
+factor varies fastest, matching ``itertools.product``), and arbitrary groups
+through explicit Cayley tables that are verified eagerly on construction.
+The checks below apply it one left operand at a time, so none of them holds
+a ``|G| x |G|`` array.  Groups are not assumed commutative anywhere;
+``is_abelian`` is a queryable property.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .codes import _json_table
 from .errors import DomainError, PreconditionError
+from .network import require_int
 
 # Cayley tables are refused beyond this order so that every table held by the
 # workbench has had its group axioms verified.
@@ -25,27 +28,40 @@ TABLE_VERIFY_BOUND = 512
 
 
 class FiniteGroup:
-    """Base class: a finite group on element ids 0..order-1."""
+    """Base class: a finite group on element ids 0..order-1.
+
+    Subclasses implement ``op_array`` and ``inverse_array``; both take int64
+    id arrays or Python ints, broadcast like numpy arithmetic, and leave id
+    checks to their callers.
+    """
 
     order: int
     identity: int
+    is_abelian: bool
+
+    def op_array(self, a, b):
+        """The products ``a * b``, elementwise over broadcast ids."""
+        raise NotImplementedError
+
+    def inverse_array(self, a):
+        """The inverses of the given ids, elementwise."""
+        raise NotImplementedError
+
+    def _check_id(self, a: int) -> None:
+        if not 0 <= a < self.order:
+            raise DomainError(f"element id {a} outside group of order {self.order}")
 
     def op(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        self._check_id(a)
+        self._check_id(b)
+        return int(self.op_array(a, b))
 
     def inverse(self, a: int) -> int:
-        raise NotImplementedError
+        self._check_id(a)
+        return int(self.inverse_array(a))
 
     def elements(self) -> range:
         return range(self.order)
-
-    @cached_property
-    def is_abelian(self) -> bool:
-        return all(
-            self.op(a, b) == self.op(b, a)
-            for a in self.elements()
-            for b in self.elements()
-        )
 
     def describe(self) -> dict:
         """Serializable structural description of this group."""
@@ -64,10 +80,10 @@ class CyclicGroup(FiniteGroup):
         self.order = n
         self.identity = 0
 
-    def op(self, a: int, b: int) -> int:
+    def op_array(self, a, b):
         return (a + b) % self.order
 
-    def inverse(self, a: int) -> int:
+    def inverse_array(self, a):
         return (-a) % self.order
 
     @cached_property
@@ -86,7 +102,9 @@ class ProductGroup(FiniteGroup):
             raise DomainError("direct product needs at least one factor")
         self.factors = tuple(factors)
         self.order = 1
-        for g in self.factors:
+        self._strides = []
+        for g in reversed(self.factors):
+            self._strides.insert(0, self.order)
             self.order *= g.order
         self.identity = self.encode(tuple(g.identity for g in self.factors))
 
@@ -104,20 +122,20 @@ class ProductGroup(FiniteGroup):
         return idx
 
     def decode(self, a: int) -> tuple[int, ...]:
-        if not 0 <= a < self.order:
-            raise DomainError(f"element id {a} outside group of order {self.order}")
-        out = []
-        for g in reversed(self.factors):
-            out.append(a % g.order)
-            a //= g.order
-        return tuple(reversed(out))
+        self._check_id(a)
+        return tuple(a // s % g.order for g, s in zip(self.factors, self._strides))
 
-    def op(self, a: int, b: int) -> int:
-        ta, tb = self.decode(a), self.decode(b)
-        return self.encode(tuple(g.op(x, y) for g, x, y in zip(self.factors, ta, tb)))
+    def op_array(self, a, b):
+        out = 0
+        for g, s in zip(self.factors, self._strides):
+            out = out * g.order + g.op_array(a // s % g.order, b // s % g.order)
+        return out
 
-    def inverse(self, a: int) -> int:
-        return self.encode(tuple(g.inverse(x) for g, x in zip(self.factors, self.decode(a))))
+    def inverse_array(self, a):
+        out = 0
+        for g, s in zip(self.factors, self._strides):
+            out = out * g.order + g.inverse_array(a // s % g.order)
+        return out
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -178,15 +196,11 @@ class TableGroup(FiniteGroup):
             if not (lhs == rhs).all():
                 raise DomainError("Cayley table is not associative")
 
-    def op(self, a: int, b: int) -> int:
-        if not (0 <= a < self.order and 0 <= b < self.order):
-            raise DomainError("element id outside group")
-        return int(self._table[a, b])
+    def op_array(self, a, b):
+        return self._table[a, b]
 
-    def inverse(self, a: int) -> int:
-        if not 0 <= a < self.order:
-            raise DomainError("element id outside group")
-        return int(self._inverses[a])
+    def inverse_array(self, a):
+        return self._inverses[a]
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -211,37 +225,50 @@ def direct_product(factors: Sequence[FiniteGroup]) -> ProductGroup:
 
 
 def group_from_description(desc: Mapping) -> FiniteGroup:
-    """Rebuild a group from the dict format produced by ``describe``."""
+    """Rebuild a group from the dict format produced by ``describe``.
+
+    Orders and Cayley table entries must be JSON integers; floats, booleans
+    and strings are rejected, never coerced.
+    """
     if not isinstance(desc, Mapping) or "kind" not in desc:
         raise DomainError("group description must be a mapping with a 'kind' key")
     kind = desc["kind"]
     if kind == "cyclic":
-        return make_cyclic(int(desc["order"]))
+        return make_cyclic(require_int(desc["order"], "cyclic group order"))
     if kind == "product":
         return direct_product([group_from_description(d) for d in desc["factors"]])
     if kind == "table":
-        g = TableGroup(desc["table"])
-        if "order" in desc and int(desc["order"]) != g.order:
+        g = TableGroup(_json_table(desc["table"], 2, "Cayley table"))
+        if "order" in desc and require_int(desc["order"], "group order") != g.order:
             raise DomainError("declared order does not match table size")
         return g
     raise DomainError(f"unknown group kind {kind!r}")
 
 
+def _id_array(group: FiniteGroup, ids: Iterable[int]) -> np.ndarray:
+    """Element ids as an int64 array, each checked against the group."""
+    out = np.fromiter(ids, dtype=np.int64)
+    if out.size:
+        group._check_id(int(out.min()))
+        group._check_id(int(out.max()))
+    return out
+
+
+def _indicator(group: FiniteGroup, ids) -> np.ndarray:
+    inside = np.zeros(group.order, dtype=bool)
+    inside[ids] = True
+    return inside
+
+
 def is_subgroup(group: FiniteGroup, members: Iterable[int]) -> bool:
     """Whether the member set is closed, contains the identity and inverses."""
-    s = set(members)
-    for a in s:
-        if not 0 <= a < group.order:
-            raise DomainError(f"element id {a} outside group of order {group.order}")
-    if group.identity not in s:
-        return False
-    for a in s:
-        if group.inverse(a) not in s:
-            return False
-        for b in s:
-            if group.op(a, b) not in s:
-                return False
-    return True
+    s = _id_array(group, members)
+    inside = _indicator(group, s)
+    return bool(
+        inside[group.identity]
+        and inside[group.inverse_array(s)].all()
+        and all(inside[group.op_array(a, s)].all() for a in s)
+    )
 
 
 @dataclass(frozen=True)
@@ -272,21 +299,19 @@ def subgroup(group: FiniteGroup, members: Iterable[int]) -> SubgroupHandle:
 
 
 def generated_subgroup(group: FiniteGroup, generators: Iterable[int]) -> SubgroupHandle:
-    """Smallest subgroup containing the generators (closure by products)."""
-    members = {group.identity}
-    frontier = [group.identity]
-    gens = set(generators) | {group.inverse(g) for g in generators}
-    for g in gens:
-        if not 0 <= g < group.order:
-            raise DomainError(f"generator {g} outside group of order {group.order}")
-    while frontier:
-        a = frontier.pop()
-        for g in gens:
-            b = group.op(a, g)
-            if b not in members:
-                members.add(b)
-                frontier.append(b)
-    return SubgroupHandle(group, frozenset(members))
+    """Smallest subgroup containing the generators (closure by products).
+
+    In a finite group the products of the generators already contain their
+    inverses, so the closure multiplies by the generators alone.
+    """
+    gens = _id_array(group, generators)
+    inside = _indicator(group, group.identity)
+    frontier = np.array([group.identity])
+    while frontier.size:
+        reached = np.unique(group.op_array(frontier[:, None], gens))
+        frontier = reached[~inside[reached]]
+        inside[frontier] = True
+    return SubgroupHandle(group, frozenset(np.flatnonzero(inside).tolist()))
 
 
 def intersection(h1: SubgroupHandle, h2: SubgroupHandle) -> SubgroupHandle:
@@ -304,27 +329,36 @@ def subgroup_product(group: FiniteGroup, parts: Sequence[SubgroupHandle]) -> Sub
     """
     if not group.is_abelian:
         raise PreconditionError("subgroup products are only taken in abelian groups")
-    members = {group.identity}
+    members = np.array([group.identity])
     for h in parts:
         if h.parent is not group:
             raise PreconditionError("subgroup has a different parent group")
-        members = {group.op(a, m) for a in members for m in h.members}
-    return SubgroupHandle(group, frozenset(members))
+        inside = _indicator(group, [])
+        for m in h.sorted_members:
+            inside[group.op_array(members, m)] = True
+        members = np.flatnonzero(inside)
+    return SubgroupHandle(group, frozenset(members.tolist()))
+
+
+def coset_labels(group: FiniteGroup, sub: SubgroupHandle) -> np.ndarray:
+    """Dense left-coset label of every element, ordered by smallest representative."""
+    if sub.parent is not group and not is_subgroup(group, sub.members):
+        raise PreconditionError("handle is not a subgroup of this group")
+    members = np.array(sub.sorted_members, dtype=np.int64)
+    labels = np.full(group.order, -1, dtype=np.int64)
+    count = 0
+    for g in range(group.order):
+        if labels[g] < 0:
+            labels[group.op_array(g, members)] = count
+            count += 1
+    return labels
 
 
 def cosets(group: FiniteGroup, sub: SubgroupHandle) -> list[list[int]]:
     """Left cosets of the subgroup, ordered by smallest representative."""
-    if sub.parent is not group and not is_subgroup(group, sub.members):
-        raise PreconditionError("handle is not a subgroup of this group")
-    seen = set()
-    out = []
-    for g in group.elements():
-        if g in seen:
-            continue
-        c = sorted(group.op(g, h) for h in sub.members)
-        seen.update(c)
-        out.append(c)
-    return out
+    labels = coset_labels(group, sub)
+    by_label = np.argsort(labels, kind="stable")
+    return [c.tolist() for c in np.split(by_label, np.cumsum(np.bincount(labels))[:-1])]
 
 
 def _as_total_map(f, size: int) -> list[int]:
@@ -343,26 +377,21 @@ def _as_total_map(f, size: int) -> list[int]:
 
 
 def is_homomorphism(f, dom: FiniteGroup, cod: FiniteGroup) -> bool:
-    """Exhaustively check f(a op b) == f(a) op f(b) over the domain."""
-    vals = _as_total_map(f, dom.order)
-    for v in vals:
-        if not 0 <= v < cod.order:
-            raise DomainError(f"map value {v} outside codomain of order {cod.order}")
-    for a in dom.elements():
-        for b in dom.elements():
-            if vals[dom.op(a, b)] != cod.op(vals[a], vals[b]):
-                return False
-    return True
+    """Exhaustively check f(a op b) == f(a) op f(b), one left operand a at a time."""
+    vals = _id_array(cod, _as_total_map(f, dom.order))
+    ids = np.arange(dom.order)
+    return all(
+        np.array_equal(vals[dom.op_array(a, ids)], cod.op_array(vals[a], vals))
+        for a in dom.elements()
+    )
 
 
 def kernel(f, dom: FiniteGroup, cod: FiniteGroup) -> SubgroupHandle:
     """Kernel of a verified homomorphism."""
     if not is_homomorphism(f, dom, cod):
         raise PreconditionError("map is not a homomorphism")
-    vals = _as_total_map(f, dom.order)
-    return SubgroupHandle(
-        dom, frozenset(a for a in dom.elements() if vals[a] == cod.identity)
-    )
+    vals = np.asarray(_as_total_map(f, dom.order))
+    return SubgroupHandle(dom, frozenset(np.flatnonzero(vals == cod.identity).tolist()))
 
 
 def fibers(f, dom: FiniteGroup) -> dict[int, list[int]]:

@@ -5,7 +5,10 @@ paired with best-effort decoders so that low-error codes occur often enough to
 drive the removal routes.  Everything is seeded explicitly by the caller.
 The oracles evaluate a code one source tuple at a time, through the scalar
 ``evaluate_global`` and ``decode_outputs``, and count joint distributions in
-a Counter; the columnar global table is checked against them.
+a Counter; the columnar global table is checked against them.  The group
+oracles compute one product at a time with ``ReferenceGroup`` and check the
+group laws over all pairs, quadratically; ``groups.op_array`` and the checks
+built on it are compared against them.
 """
 
 from __future__ import annotations
@@ -16,6 +19,16 @@ import random
 from collections import Counter
 
 from edgedrop.codes import NetworkCode, decode_outputs, evaluate_global, index_to_values
+from edgedrop.cwl import check_cwl, derive_edge_group
+from edgedrop.groupcodes import GroupCharacterization
+from edgedrop.groups import (
+    CyclicGroup,
+    ProductGroup,
+    TableGroup,
+    generated_subgroup,
+    make_cyclic,
+    subgroup,
+)
 from edgedrop.network import Edge, NetworkInstance, Source, validate_instance
 from edgedrop.removal import SourcePartition
 
@@ -176,3 +189,156 @@ def counter_entropy(inst: NetworkInstance, sizes, rows, sources=(), edges=()) ->
         counts[tuple(x[i] for i in sources) + tuple(row[p] for p in positions)] += 1
     n = len(rows)
     return sum(c / n * math.log2(n / c) for c in counts.values())
+
+
+def random_hom_witness(rng, max_order, size_pool, max_sources, product_cap):
+    """Random cyclic-source homomorphism with a derived edge group."""
+    m = rng.randint(2, max_order)
+    sizes = []
+    for _ in range(rng.randint(1, max_sources)):
+        n = rng.choice(size_pool)
+        if math.prod(sizes, start=n) > product_cap:
+            n = 2
+        sizes.append(n)
+    coeffs = []
+    for n in sizes:
+        step = m // math.gcd(n, m)
+        coeffs.append(step * rng.randrange(max(1, m // step)))
+    table = []
+    for idx in range(math.prod(sizes)):
+        digits = []
+        rest = idx
+        for n in reversed(sizes):
+            digits.append(rest % n)
+            rest //= n
+        digits.reverse()
+        table.append(sum(c * d for c, d in zip(coeffs, digits)) % m)
+    groups = [make_cyclic(n) for n in sizes]
+    derived = derive_edge_group(tuple(table), groups)
+    if derived is None:
+        return None
+    witness = check_cwl(tuple(table), groups, *derived)
+    if witness is None:
+        return None
+    return sizes, tuple(table), witness
+
+
+def random_coordinate_characterization(rng) -> GroupCharacterization:
+    """A product of at most three cyclic groups (order <= 256) with one
+    coordinate subgroup per factor and a cyclic edge subgroup ``e``."""
+    while True:
+        factors = [rng.choice((2, 2, 3, 3, 4, 5, 8)) for _ in range(rng.randint(2, 3))]
+        if math.prod(factors) <= 256:
+            break
+    group = ProductGroup([CyclicGroup(n) for n in factors])
+    subgroups = {}
+    for i in range(len(factors)):
+        members = [g for g in group.elements() if group.decode(g)[i] == 0]
+        subgroups[f"s{i + 1}"] = subgroup(group, members)
+    seed = rng.randrange(group.order)
+    subgroups["e"] = subgroup(group, sorted(generated_subgroup(group, [seed]).members))
+    return GroupCharacterization(group, subgroups)
+
+
+def random_balanced_map(rng) -> dict[int, int]:
+    """A map hitting each of q codomain values exactly f times."""
+    q = rng.randint(1, 8)
+    f = rng.randint(1, 24 // q)
+    domain = rng.sample(range(200), q * f)
+    codomain = rng.sample(range(200), q)
+    values = [codomain[i // f] for i in range(q * f)]
+    rng.shuffle(values)
+    return dict(zip(domain, values))
+
+
+# The symmetric group S3 as a Cayley table: 0 is the identity, 1 and 2 the
+# rotations, 3..5 the reflections.  {0, 3} is a non-normal subgroup, so its
+# left and right cosets differ.
+S3_TABLE = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 2, 0, 4, 5, 3],
+    [2, 0, 1, 5, 3, 4],
+    [3, 5, 4, 0, 2, 1],
+    [4, 3, 5, 1, 0, 2],
+    [5, 4, 3, 2, 1, 0],
+]
+
+
+def s3() -> TableGroup:
+    return TableGroup(S3_TABLE)
+
+
+class ReferenceGroup:
+    """Scalar reference arithmetic: sums mod n for cyclic groups,
+    componentwise products for product groups and literal Cayley-table
+    lookups, one element at a time."""
+
+    def __init__(self, group):
+        self.order = group.order
+        desc = group.describe()
+        self.kind = desc["kind"]
+        if self.kind == "cyclic":
+            self.identity = 0
+        elif self.kind == "table":
+            self.table = desc["table"]
+            elements = list(range(self.order))
+            self.identity = next(
+                e for e in elements
+                if self.table[e] == elements and [row[e] for row in self.table] == elements
+            )
+        else:
+            self.factors = [ReferenceGroup(g) for g in group.factors]
+            self.identity = self._encode([f.identity for f in self.factors])
+
+    def _encode(self, values) -> int:
+        out = 0
+        for f, v in zip(self.factors, values):
+            out = out * f.order + v
+        return out
+
+    def _digits(self, a: int) -> tuple[int, ...]:
+        return index_to_values(a, [f.order for f in self.factors])
+
+    def op(self, a: int, b: int) -> int:
+        if self.kind == "cyclic":
+            return (a + b) % self.order
+        if self.kind == "table":
+            return self.table[a][b]
+        pairs = zip(self.factors, self._digits(a), self._digits(b))
+        return self._encode([f.op(x, y) for f, x, y in pairs])
+
+    def inverse(self, a: int) -> int:
+        if self.kind == "cyclic":
+            return (-a) % self.order
+        if self.kind == "table":
+            return self.table[a].index(self.identity)
+        return self._encode([f.inverse(x) for f, x in zip(self.factors, self._digits(a))])
+
+
+def oracle_is_subgroup(ref: ReferenceGroup, members) -> bool:
+    s = set(members)
+    return (
+        ref.identity in s
+        and all(ref.inverse(a) in s for a in s)
+        and all(ref.op(a, b) in s for a in s for b in s)
+    )
+
+
+def oracle_is_homomorphism(dom: ReferenceGroup, cod: ReferenceGroup, vals) -> bool:
+    return all(
+        vals[dom.op(a, b)] == cod.op(vals[a], vals[b])
+        for a in range(dom.order)
+        for b in range(dom.order)
+    )
+
+
+def oracle_cosets(ref: ReferenceGroup, members) -> list[list[int]]:
+    """Left cosets gH, ordered by smallest representative."""
+    seen = set()
+    out = []
+    for g in range(ref.order):
+        if g not in seen:
+            coset = sorted(ref.op(g, h) for h in members)
+            seen.update(coset)
+            out.append(coset)
+    return out

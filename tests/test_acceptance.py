@@ -17,7 +17,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_code, random_instance, random_partition
+from conftest import (
+    random_balanced_map,
+    random_code,
+    random_coordinate_characterization,
+    random_hom_witness,
+    random_instance,
+    random_partition,
+)
 from edgedrop.codes import (
     build_global_table,
     check_feasibility,
@@ -45,7 +52,6 @@ from edgedrop.groupcodes import (
 from edgedrop.groups import (
     CyclicGroup,
     ProductGroup,
-    generated_subgroup,
     make_cyclic,
     subgroup,
 )
@@ -134,45 +140,13 @@ def test_criterion_01_restriction_soundness(announce):
     announce(1, elapsed, 60.0, failures, f"{len(samples)} instances, {emitted} certificates")
 
 
-def _random_hom_witness(rng, max_order, size_pool, max_sources, product_cap):
-    """Random cyclic-source homomorphism with a derived edge group."""
-    m = rng.randint(2, max_order)
-    sizes = []
-    for _ in range(rng.randint(1, max_sources)):
-        n = rng.choice(size_pool)
-        if math.prod(sizes, start=n) > product_cap:
-            n = 2
-        sizes.append(n)
-    coeffs = []
-    for n in sizes:
-        step = m // math.gcd(n, m)
-        coeffs.append(step * rng.randrange(max(1, m // step)))
-    table = []
-    for idx in range(math.prod(sizes)):
-        digits = []
-        rest = idx
-        for n in reversed(sizes):
-            digits.append(rest % n)
-            rest //= n
-        digits.reverse()
-        table.append(sum(c * d for c, d in zip(coeffs, digits)) % m)
-    groups = [make_cyclic(n) for n in sizes]
-    derived = derive_edge_group(tuple(table), groups)
-    if derived is None:
-        return None
-    witness = check_cwl(tuple(table), groups, *derived)
-    if witness is None:
-        return None
-    return sizes, tuple(table), witness
-
-
 def test_criterion_02_class_partition_pipeline(announce):
     started = time.perf_counter()
     rng = random.Random(926)
     failures = []
     trials = 0
     while trials < 200:
-        made = _random_hom_witness(
+        made = random_hom_witness(
             rng, max_order=64, size_pool=(2, 2, 3, 4, 4, 5, 6, 8), max_sources=3,
             product_cap=512,
         )
@@ -305,19 +279,9 @@ def test_criterion_05_abelian_plans(announce):
     failures = []
     trials = 0
     while trials < 50:
-        factors = [rng.choice((2, 2, 3, 3, 4, 5, 8)) for _ in range(rng.randint(2, 3))]
-        if math.prod(factors) > 256:
-            continue
         trials += 1
-        group = ProductGroup([CyclicGroup(n) for n in factors])
-        subgroups = {}
-        for i in range(len(factors)):
-            members = [g for g in group.elements() if group.decode(g)[i] == 0]
-            subgroups[f"s{i + 1}"] = subgroup(group, members)
-        seed = rng.randrange(group.order)
-        subgroups["e"] = subgroup(group, sorted(generated_subgroup(group, [seed]).members))
-        gc = GroupCharacterization(group, subgroups)
-        plan = abelian_removal_plan(gc, "e", [f"s{i + 1}" for i in range(len(factors))])
+        gc = random_coordinate_characterization(rng)
+        plan = abelian_removal_plan(gc, "e", [k for k in sorted(gc.subgroups) if k != "e"])
         bad = [name for name, ok in plan.checks.items() if not ok]
         if bad:
             failures.append(f"trial {trials}: checks failed: {bad}")
@@ -448,13 +412,7 @@ def test_criterion_08_balanced_relabeling(announce):
     rng = random.Random(4057)
     failures = []
     for trial in range(100):
-        q = rng.randint(1, 8)
-        f = rng.randint(1, 24 // q)
-        domain = rng.sample(range(200), q * f)
-        codomain = rng.sample(range(200), q)
-        values = [codomain[i // f] for i in range(q * f)]
-        rng.shuffle(values)
-        mapping = dict(zip(domain, values))
+        mapping = random_balanced_map(rng)
         out = relabel_balanced(mapping)
         w = out.witness
         back = {label: y for y, label in out.codomain_labels.items()}
@@ -477,7 +435,7 @@ def test_criterion_09_entropy_identities(announce):
     failures = []
     witnesses = []
     while len(witnesses) < 40:
-        made = _random_hom_witness(
+        made = random_hom_witness(
             rng, max_order=16, size_pool=(2, 3, 4, 5, 8, 16), max_sources=3,
             product_cap=4096,
         )

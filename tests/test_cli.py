@@ -13,6 +13,7 @@ import pytest
 
 from edgedrop.cli import main, parse_report
 from edgedrop.codes import load_code, relay_instance, save_code, tabulate
+from edgedrop.errors import InternalCheckError
 from edgedrop.library import butterfly, butterfly4
 from edgedrop.network import load_instance, save_instance
 
@@ -280,6 +281,21 @@ def test_remove_edge_partition_file_routes(tmp_path, capsys):
     assert report["result"]["conditions"]["determines_edge"] is False
 
 
+def test_label_files_take_all_integers_or_all_strings(tmp_path, capsys):
+    # The relay carries x1, so the two parts {x1 = 0} and {x1 = 1} determine it.
+    inst, code = relay_instance([2, 2], 2, tabulate([2, 2], lambda a, b: a))
+    argv = ["remove-edge", *_write_pair(tmp_path, inst, code), "--edge", "e", "--partition"]
+    labels = tmp_path / "labels.json"
+    for good in (["a", "a", "b", "b"], [7, 7, 1, 1]):
+        labels.write_text(json.dumps({"labels": good}))
+        assert main(argv + [str(labels)]) == 0
+        assert _stdout_report(capsys)["result"]["found"] is True
+    for bad in ([True, True, 1, 1], [0, 0, "1", "1"], [0.0, 0.0, 1.0, 1.0], "aabb"):
+        labels.write_text(json.dumps({"labels": bad}))
+        assert main(argv + [str(labels)]) == 2
+        assert "all integers or all strings" in capsys.readouterr().err
+
+
 def test_remove_edge_edge_value_route(tmp_path, capsys):
     inst, code = relay_instance([4, 3], 2, tabulate([4, 3], lambda a, b: a % 2))
     inst_path, code_path = _write_pair(tmp_path, inst, code)
@@ -356,6 +372,29 @@ def test_cwl_check_with_and_without_groups_file(tmp_path, capsys):
     argv[-1] = str(mismatched)
     assert main(argv) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("support", [[0, True], [0, 1.0], [0, "1"]])
+def test_edge_support_lists_take_integers_only(tmp_path, capsys, support):
+    golden = Path(__file__).parent / "golden" / "inputs"
+    groups = json.loads((golden / "butterfly.groups.json").read_text())
+    groups["edge_support"] = support
+    groups_path = tmp_path / "groups.json"
+    groups_path.write_text(json.dumps(groups))
+    argv = ["cwl-check", str(golden / "butterfly.instance.json"),
+            str(golden / "butterfly.code.json"), "--edge", "bottleneck",
+            "--groups", str(groups_path)]
+    assert main(argv) == 2
+    assert "edge support symbol must be an integer" in capsys.readouterr().err
+
+    pieces = json.loads((golden / "shift44.pieces.json").read_text())
+    pieces["edge_support"] = [*support, 2, 3]
+    pieces_path = tmp_path / "pieces.json"
+    pieces_path.write_text(json.dumps(pieces))
+    argv = ["pwl-remove", str(golden / "shift44.instance.json"),
+            str(golden / "shift44.code.json"), "--edge", "e", "--pieces", str(pieces_path)]
+    assert main(argv) == 2
+    assert "edge support symbol must be an integer" in capsys.readouterr().err
 
 
 def test_cwl_search_rewrite_and_budget(tmp_path, capsys):
@@ -462,6 +501,28 @@ def test_group_remove_and_zero_error(tmp_path, capsys):
     argv = ["group-zero-error", str(spec_path), "--demand", "no-colon"]
     assert main(argv) == 2
     capsys.readouterr()
+
+
+def test_group_remove_honours_enum_cap(capsys, monkeypatch):
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    argv = ["group-remove", "inputs/klein.json", "--edge", "e", "--sources", "s1,s2"]
+    assert main(argv + ["--enum-cap", "1"]) == 2
+    assert "above the cap of 1" in capsys.readouterr().err
+    assert main(argv + ["--enum-cap", "4"]) == 0
+    capsys.readouterr()
+
+
+def test_internal_check_failure_exits_3(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InternalCheckError("coset partition fails to determine the edge message")
+
+    monkeypatch.setattr("edgedrop.cli.abelian_removal_plan", broken)
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    argv = ["group-remove", "inputs/klein.json", "--edge", "e", "--sources", "s1,s2"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: coset partition fails" in captured.err
 
 
 def test_case_study_butterfly_with_emit(tmp_path, capsys):

@@ -1,10 +1,21 @@
 """Homomorphism witnesses, class partitions and the search plumbing."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import (
+    ReferenceGroup,
+    oracle_cosets,
+    oracle_is_homomorphism,
+    oracle_is_subgroup,
+    random_balanced_map,
+    random_coordinate_characterization,
+    random_hom_witness,
+    s3,
+)
 from edgedrop.codes import (
     NetworkCode,
     build_global_table,
@@ -27,8 +38,22 @@ from edgedrop.cwl import (
     witness_partition,
 )
 from edgedrop.errors import DomainError, PreconditionError
-from edgedrop.groupcodes import independent_sources, induced_entropy, normalized_sources
-from edgedrop.groups import CyclicGroup, make_cyclic
+from edgedrop.groupcodes import (
+    abelian_removal_plan,
+    independent_sources,
+    induced_entropy,
+    normalized_sources,
+)
+from edgedrop.groups import (
+    CyclicGroup,
+    coset_labels,
+    cosets,
+    direct_product,
+    generated_subgroup,
+    is_subgroup,
+    kernel,
+    make_cyclic,
+)
 from edgedrop.library import butterfly, butterfly4
 from edgedrop.removal import fiber_edge_values, fibers_are_products
 
@@ -320,3 +345,114 @@ def test_random_homomorphisms_have_witnesses():
         part = witness_partition(w)
         assert fibers_are_products(part)
         assert classes_equal_sized(coordinate_classes(w))
+
+
+def _quotient_oracle(values, groups):
+    """The induced table, or None: phi(a * b) must depend on phi(a) and
+    phi(b) alone, checked over every pair of tuples."""
+    ref = ReferenceGroup(direct_product(groups))
+    support = sorted(set(values))
+    pos = {v: k for k, v in enumerate(support)}
+    table = {}
+    for a in range(ref.order):
+        for b in range(ref.order):
+            product = pos[values[ref.op(a, b)]]
+            if table.setdefault((pos[values[a]], pos[values[b]]), product) != product:
+                return None
+    n = len(support)
+    return [[table[i, j] for j in range(n)] for i in range(n)], tuple(support)
+
+
+def _cwl_oracle(values, groups, edge_group, support) -> bool:
+    if set(values) != set(support):
+        return False
+    pos = {v: k for k, v in enumerate(support)}
+    dom = ReferenceGroup(direct_product(groups))
+    return oracle_is_homomorphism(dom, ReferenceGroup(edge_group), [pos[v] for v in values])
+
+
+def _random_phi(rng):
+    """Relabeled left-coset maps of a random subgroup, sometimes with one
+    entry changed, or a random table; the sources mix cyclic groups, Z2 x Z2
+    and S3, so some coset maps are not homomorphisms."""
+    pool = [make_cyclic(2), make_cyclic(3), make_cyclic(4), direct_product([make_cyclic(2)] * 2), s3()]
+    groups = [rng.choice(pool) for _ in range(rng.randint(1, 2))]
+    product = direct_product(groups)
+    kind = rng.randrange(3)
+    if kind == 2:
+        return [rng.randrange(1, 4) for _ in product.elements()], groups
+    h = generated_subgroup(product, [rng.randrange(product.order)])
+    blocks = oracle_cosets(ReferenceGroup(product), h.members)
+    symbols = rng.sample(range(40), len(blocks))
+    values = [0] * product.order
+    for sym, block in zip(symbols, blocks):
+        for x in block:
+            values[x] = sym
+    if kind == 1:
+        values[rng.randrange(product.order)] = rng.choice(symbols)
+    return values, groups
+
+
+def test_derive_and_check_cwl_match_scalar_oracles():
+    rng = random.Random(61)
+    derived_seen = {True: 0, False: 0}
+    cwl_seen = {True: 0, False: 0}
+    for _ in range(150):
+        values, groups = _random_phi(rng)
+        expected = _quotient_oracle(values, groups)
+        derived = derive_edge_group(values, groups)
+        derived_seen[expected is not None] += 1
+        if expected is None:
+            assert derived is None
+        else:
+            g, support = derived
+            assert (g.describe()["table"], support) == expected
+            assert check_cwl(values, groups, g, support) is not None
+        support = tuple(sorted(set(values)))
+        edge_groups = [make_cyclic(len(support))] + ([s3()] if len(support) == 6 else [])
+        for edge_group in edge_groups:
+            verdict = check_cwl(values, groups, edge_group, support) is not None
+            assert verdict == _cwl_oracle(values, groups, edge_group, support)
+            cwl_seen[verdict] += 1
+    assert all(derived_seen.values()) and all(cwl_seen.values())
+
+
+def test_group_checks_match_oracles_on_acceptance_witnesses():
+    """The homomorphisms of criteria 2 and 8 and the subgroups of criterion 5
+    (same seeds), on every group of order at most 64."""
+    checked = 0
+    rng = random.Random(926)
+    for _ in range(200):
+        sizes, _, w = random_hom_witness(
+            rng, max_order=64, size_pool=(2, 2, 3, 4, 4, 5, 6, 8), max_sources=3,
+            product_cap=512,
+        )
+        if math.prod(sizes) <= 64:
+            product = direct_product(w.source_groups)
+            dom, cod = ReferenceGroup(product), ReferenceGroup(w.edge_group)
+            assert oracle_is_homomorphism(dom, cod, w.hom)
+            ker = kernel(w.hom, product, w.edge_group).members
+            assert ker == {a for a, k in enumerate(w.hom) if k == cod.identity}
+            checked += 1
+    rng = random.Random(4057)
+    for _ in range(100):
+        w = relabel_balanced(random_balanced_map(rng)).witness
+        dom = ReferenceGroup(direct_product(w.source_groups))
+        assert oracle_is_homomorphism(dom, ReferenceGroup(w.edge_group), w.hom)
+        checked += 1
+    rng = random.Random(5151)
+    for _ in range(50):
+        gc = random_coordinate_characterization(rng)
+        if gc.group.order > 64:
+            continue
+        plan = abelian_removal_plan(gc, "e", [k for k in sorted(gc.subgroups) if k != "e"])
+        ref = ReferenceGroup(gc.group)
+        for h in [*gc.subgroups.values(), plan.g_prime]:
+            assert oracle_is_subgroup(ref, h.members)
+            assert is_subgroup(gc.group, h.members)
+            expected = oracle_cosets(ref, h.members)
+            assert cosets(gc.group, h) == expected
+            labels = coset_labels(gc.group, h)
+            assert all((labels[c] == k).all() for k, c in enumerate(expected))
+        checked += 1
+    assert checked >= 250

@@ -2,13 +2,23 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from conftest import (
+    ReferenceGroup,
+    oracle_cosets,
+    oracle_is_homomorphism,
+    oracle_is_subgroup,
+    s3,
+)
 from edgedrop.errors import DomainError, PreconditionError
+from edgedrop.groupcodes import parse_characterization
 from edgedrop.groups import (
     CyclicGroup,
     ProductGroup,
     TableGroup,
+    coset_labels,
     cosets,
     direct_product,
     fibers,
@@ -200,3 +210,121 @@ def test_kernel_fibers_equal_sized():
         sizes = {len(v) for v in fib.values()}
         assert len(sizes) == 1
         assert len(fib) * sizes.pop() == n
+
+
+def _oracle_groups():
+    """The seeded random groups above, plus S3, S3 x Z2 and a relabeled Z5."""
+    rng = random.Random(47)
+    out = [_random_small_group(rng) for _ in range(12)]
+    z5 = [[(a + b + 3) % 5 for b in range(5)] for a in range(5)]  # identity at 2
+    return out + [s3(), direct_product([s3(), make_cyclic(2)]), TableGroup(z5)]
+
+
+def test_op_array_matches_reference_arithmetic():
+    for g in _oracle_groups():
+        ref = ReferenceGroup(g)
+        ids = np.arange(g.order)
+        grid = g.op_array(ids[:, None], ids)
+        assert grid.tolist() == [[ref.op(a, b) for b in ids] for a in ids], g
+        assert g.inverse_array(ids).tolist() == [ref.inverse(a) for a in ids]
+        assert g.identity == ref.identity
+        assert [g.op(a, b) for a in ids for b in ids] == grid.ravel().tolist()
+        assert [g.inverse(a) for a in ids] == g.inverse_array(ids).tolist()
+        assert g.is_abelian == (grid == grid.T).all()
+
+
+@pytest.mark.parametrize("group", [make_cyclic(4), direct_product([make_cyclic(2)] * 2), s3()])
+def test_scalar_ops_check_element_ids(group):
+    for bad in (-1, group.order):
+        with pytest.raises(DomainError, match="outside group"):
+            group.op(bad, 0)
+        with pytest.raises(DomainError, match="outside group"):
+            group.op(0, bad)
+        with pytest.raises(DomainError, match="outside group"):
+            group.inverse(bad)
+
+
+def test_subgroups_and_cosets_match_oracles():
+    rng = random.Random(53)
+    seen = {True: 0, False: 0}
+    for g in _oracle_groups():
+        ref = ReferenceGroup(g)
+        candidates = [generated_subgroup(g, [rng.randrange(g.order)]).members]
+        candidates += [
+            {g.identity, *rng.sample(range(g.order), rng.randint(0, g.order - 1))}
+            for _ in range(4)
+        ]
+        for members in candidates:
+            verdict = is_subgroup(g, members)
+            assert verdict == oracle_is_subgroup(ref, members), (g, sorted(members))
+            seen[verdict] += 1
+            if verdict:
+                h = subgroup(g, members)
+                expected = oracle_cosets(ref, h.members)
+                assert cosets(g, h) == expected
+                labels = coset_labels(g, h)
+                assert [labels[c].tolist() for c in expected] == [
+                    [k] * len(c) for k, c in enumerate(expected)
+                ]
+    assert seen[True] and seen[False]
+
+
+def test_s3_left_cosets_of_a_non_normal_subgroup():
+    g = s3()
+    ref = ReferenceGroup(g)
+    h = subgroup(g, [0, 3])
+    left = oracle_cosets(ref, h.members)
+    right = {tuple(sorted(ref.op(m, x) for m in h.members)) for x in g.elements()}
+    assert set(map(tuple, left)) != right
+    assert cosets(g, h) == left == [[0, 3], [1, 4], [2, 5]]
+    assert coset_labels(g, h).tolist() == [0, 1, 2, 0, 1, 2]
+    assert not is_subgroup(g, [0, 3, 4])
+
+
+def test_homomorphisms_match_oracle():
+    rng = random.Random(59)
+    seen = {True: 0, False: 0}
+    sign = [0, 0, 0, 1, 1, 1]
+    inverse_map = [s3().inverse(a) for a in range(6)]  # an anti-homomorphism
+    cases = [
+        (s3(), make_cyclic(2), sign),
+        (s3(), s3(), inverse_map),
+        (direct_product([s3(), make_cyclic(2)]), make_cyclic(2), [sign[a // 2] for a in range(12)]),
+    ]
+    for dom in _oracle_groups():
+        for _ in range(3):
+            cod = make_cyclic(rng.randint(1, 6))
+            cases.append((dom, cod, [rng.randrange(cod.order) for _ in dom.elements()]))
+        if isinstance(dom, ProductGroup):
+            factor = dom.factors[-1]
+            cases.append((dom, factor, [dom.decode(a)[-1] for a in dom.elements()]))
+    for dom, cod, vals in cases:
+        verdict = is_homomorphism(vals, dom, cod)
+        assert verdict == oracle_is_homomorphism(ReferenceGroup(dom), ReferenceGroup(cod), vals)
+        seen[verdict] += 1
+    assert is_homomorphism(sign, s3(), make_cyclic(2))
+    assert not is_homomorphism(inverse_map, s3(), s3())
+    assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"kind": "cyclic", "order": 2.9},
+        {"kind": "cyclic", "order": True},
+        {"kind": "cyclic", "order": "3"},
+        {"kind": "table", "table": [[0, 1], [1, 1.7]]},
+        {"kind": "table", "table": [[0, 1], [True, 0]]},
+        {"kind": "table", "order": 2.0, "table": [[0, 1], [1, 0]]},
+    ],
+)
+def test_group_descriptions_take_integers_only(desc):
+    with pytest.raises(DomainError, match="must be an integer|must be integers"):
+        group_from_description(desc)
+
+
+@pytest.mark.parametrize("member", [2.0, True])
+def test_characterization_members_take_integers_only(member):
+    data = {"group": {"kind": "cyclic", "order": 4}, "subgroups": {"e": [0, member]}}
+    with pytest.raises(DomainError, match="subgroup member must be an integer"):
+        parse_characterization(data)
