@@ -23,6 +23,7 @@ from .cwl import (
     PiecewiseCwl,
     SearchBudget,
     abelian_structures,
+    certify_cwl,
     characterize_witness,
     check_cwl,
     check_piecewise,

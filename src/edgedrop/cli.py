@@ -41,11 +41,10 @@ from .codes import (
 from .cwl import (
     CwlWitness,
     SearchBudget,
-    check_cwl,
+    certify_cwl,
     check_piecewise,
     cwl_remove,
     cwl_search,
-    derive_edge_group,
     piecewise_remove,
 )
 from .errors import DomainError, InternalCheckError, WorkbenchError
@@ -213,23 +212,16 @@ def _edge_support(symbols) -> tuple[int, ...]:
 
 def _resolve_witness(table, edge_id: str, groups_path: str | None) -> CwlWitness | None:
     """Witness for the edge's encoding function, deriving structure if needed."""
-    phi = table.edge_column(edge_id)
+    edge = None
     if groups_path is not None:
         sources, edge_group, support = _load_groups_file(groups_path)
         if tuple(g.order for g in sources) != table.source_sizes:
             raise DomainError("group file does not match the source alphabets")
         if edge_group is not None:
-            return check_cwl(phi, sources, edge_group, support)
+            edge = (edge_group, support)
     else:
         sources = [CyclicGroup(n) for n in table.source_sizes]
-    derived = derive_edge_group(phi, sources)
-    if derived is None:
-        return None
-    edge_group, support = derived
-    witness = check_cwl(phi, sources, edge_group, support)
-    if witness is None:
-        raise DomainError("derived edge structure failed verification")
-    return witness
+    return certify_cwl(table.edge_values(edge_id), sources, edge)
 
 
 def _witness_dict(w: CwlWitness) -> dict:
@@ -342,7 +334,13 @@ def _cmd_pwl_remove(args) -> tuple[int, dict]:
         sources = [group_from_description(d) for d in data["sources"]]
     else:
         sources = [CyclicGroup(n) for n in table.source_sizes]
-    pieces = [(p["subsets"], p["phi"]) for p in data["pieces"]]
+    pieces = [
+        (
+            [[require_int(v, "piece subset symbol") for v in sub] for sub in p["subsets"]],
+            [require_int(v, "piece phi entry") for v in p["phi"]],
+        )
+        for p in data["pieces"]
+    ]
     pw = check_piecewise(
         table.edge_column(args.edge), sources, _edge_support(data["edge_support"]), pieces
     )

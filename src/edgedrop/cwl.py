@@ -38,11 +38,13 @@ from .codes import (
 from .errors import DomainError, InternalCheckError, PreconditionError
 from .groupcodes import ENTROPY_TOLERANCE, GroupCharacterization
 from .groups import (
+    TABLE_VERIFY_BOUND,
     CyclicGroup,
     FiniteGroup,
     TableGroup,
     direct_product,
     is_homomorphism,
+    respects_generators,
     subgroup,
 )
 from .network import NetworkInstance
@@ -77,7 +79,8 @@ class CwlWitness:
         return tuple(self.edge_support[k] for k in self.hom)
 
 
-def _normalize_phi(phi, sizes: Sequence[int]) -> list[int]:
+def _normalize_phi(phi, sizes: Sequence[int]):
+    """The values of phi over dense tuple indices, as a list or an array."""
     total = math.prod(sizes)
     if isinstance(phi, Mapping):
         out = []
@@ -86,16 +89,37 @@ def _normalize_phi(phi, sizes: Sequence[int]) -> list[int]:
                 raise DomainError(f"encoding function is missing tuple {combo}")
             out.append(phi[combo])
         return out
-    out = list(phi)
+    out = phi if isinstance(phi, np.ndarray) else list(phi)
     if len(out) != total:
         raise DomainError(f"encoding function covers {len(out)} tuples, expected {total}")
     return out
 
 
-def _element_ids(values: Sequence[int], support: Sequence[int]) -> np.ndarray:
-    """Position in the support of every value, as an int64 array."""
-    index = {s: k for k, s in enumerate(support)}
-    return np.array([index[v] for v in values], dtype=np.int64)
+@dataclass(frozen=True)
+class EdgeFunction:
+    """An encoding function over dense tuple indices, keyed by its image.
+
+    ``support`` is the sorted image, ``ids[t]`` the position in it of tuple
+    t's symbol, and ``reps[k]`` the first tuple carrying symbol k.  Built
+    once per edge column, it serves every group assignment tried on it.
+    """
+
+    sizes: tuple[int, ...]
+    support: tuple[int, ...]
+    ids: np.ndarray
+    reps: np.ndarray
+
+    @classmethod
+    def of(cls, phi, sizes: Sequence[int]) -> EdgeFunction:
+        """``phi`` as a dense sequence, a tuple-keyed mapping or an EdgeFunction."""
+        sizes = tuple(sizes)
+        if isinstance(phi, EdgeFunction):
+            if phi.sizes != sizes:
+                raise DomainError(f"encoding function is over {phi.sizes}, expected {sizes}")
+            return phi
+        values = np.asarray(_normalize_phi(phi, sizes))
+        support, reps, ids = np.unique(values, return_index=True, return_inverse=True)
+        return cls(sizes, tuple(support.tolist()), ids, reps)
 
 
 def check_cwl(
@@ -106,15 +130,15 @@ def check_cwl(
 ) -> CwlWitness | None:
     """Verify the homomorphism law from the product of the source groups.
 
-    ``phi`` maps source tuples to edge symbols, as a dense sequence or a
-    mapping keyed by tuples.  The support must list one edge symbol per edge
-    group element; a witness exists only if the image of phi is exactly that
-    symbol set and ``groups.is_homomorphism`` holds for the induced map.
+    ``phi`` maps source tuples to edge symbols, as a dense sequence, a
+    mapping keyed by tuples or an ``EdgeFunction``.  The support must list
+    one edge symbol per edge group element; a witness exists only if the
+    image of phi is exactly that symbol set and ``groups.is_homomorphism``
+    (the law on the product's generators) holds for the induced map.
     """
     if not source_groups:
         raise DomainError("at least one source group is required")
-    sizes = [g.order for g in source_groups]
-    values = _normalize_phi(phi, sizes)
+    f = EdgeFunction.of(phi, [g.order for g in source_groups])
     support = tuple(edge_support)
     if len(support) != edge_group.order:
         raise DomainError(
@@ -122,9 +146,10 @@ def check_cwl(
         )
     if len(set(support)) != len(support):
         raise DomainError("support symbols must be distinct")
-    if set(values) != set(support):
+    if tuple(sorted(support)) != f.support:
         return None
-    phi_k = _element_ids(values, support)
+    # Sorted position k of a symbol is its position order[k] in the support.
+    phi_k = np.argsort(np.asarray(support), kind="stable")[f.ids]
     if not is_homomorphism(phi_k, direct_product(source_groups), edge_group):
         return None
     return CwlWitness(
@@ -141,27 +166,61 @@ def derive_edge_group(
     """Induce the image group structure from the source groups, if one exists.
 
     The image carries a group operation compatible with phi exactly when
-    equal images stay equal under multiplication by any common element; the
-    induced operation is then the quotient structure and is unique.  Row
-    phi(a) of its table is read off the products ``a * b`` for every b.
-    Returns the verified table group on the sorted image together with that
-    image.
+    phi(a * b) depends on phi(a) and phi(b) alone; the induced operation is
+    then the quotient structure and is unique.  Row phi(a) of its table is
+    read off the products ``a * b`` of one representative a per symbol, and
+    must be well defined in the right operand.  The generator law
+    phi(x * g) == table[phi(x), phi(g)] for every x and generator g then
+    shows, by induction on word length, that phi(x * y) depends on phi(x)
+    alone, so every element of a class gives the same row and the pairwise
+    condition holds.  Returns the verified table group on the sorted image
+    together with that image, or None exactly when the pairwise condition
+    fails.  Images above ``TABLE_VERIFY_BOUND`` symbols raise DomainError
+    before any table is allocated.
     """
-    sizes = [g.order for g in source_groups]
-    values = _normalize_phi(phi, sizes)
-    support = tuple(sorted(set(values)))
-    phi_k = _element_ids(values, support)
     product = direct_product(source_groups)
+    f = EdgeFunction.of(phi, [g.order for g in source_groups])
+    if len(f.support) > TABLE_VERIFY_BOUND:
+        raise DomainError(
+            f"edge images above {TABLE_VERIFY_BOUND} symbols are not accepted"
+        )
+    fiber_sizes = np.bincount(f.ids)
+    if fiber_sizes.min() != fiber_sizes.max():
+        return None  # a homomorphism's fibers are cosets of its kernel
     ids = np.arange(product.order)
-    tbl = np.full((len(support), len(support)), -1, dtype=np.int64)
-    for a in product.elements():
-        want = phi_k[product.op_array(a, ids)]
-        row = tbl[phi_k[a]]
-        if row[0] < 0:
-            row[phi_k] = want
-        if not np.array_equal(row[phi_k], want):
+    tbl = np.empty((len(f.support), len(f.support)), dtype=np.int64)
+    for row, a in zip(tbl, f.reps.tolist()):
+        want = f.ids[product.op_array(a, ids)]
+        row[f.ids] = want
+        if not np.array_equal(row[f.ids], want):
             return None
-    return TableGroup(tbl), support
+    if not respects_generators(f.ids, product, lambda a, b: tbl[a, b]):
+        return None
+    return TableGroup(tbl), f.support
+
+
+def certify_cwl(
+    phi,
+    source_groups: Sequence[FiniteGroup],
+    edge: tuple[FiniteGroup, Sequence[int]] | None = None,
+) -> CwlWitness | None:
+    """Certify phi as CWL over the source groups; None when it is not.
+
+    With ``edge = (edge_group, edge_support)`` the given structure is
+    checked.  Without it the structure is derived and then re-verified by
+    ``check_cwl``; a derived structure that fails that check is a bug and
+    raises ``InternalCheckError``.
+    """
+    f = EdgeFunction.of(phi, [g.order for g in source_groups])
+    if edge is not None:
+        return check_cwl(f, source_groups, *edge)
+    derived = derive_edge_group(f, source_groups)
+    if derived is None:
+        return None
+    witness = check_cwl(f, source_groups, *derived)
+    if witness is None:
+        raise InternalCheckError("derived edge structure failed re-verification")
+    return witness
 
 
 def coordinate_classes(w: CwlWitness) -> list[list[tuple[int, ...]]]:
@@ -318,15 +377,9 @@ def check_piecewise(
     support_set = set(edge_support)
     out_pieces = []
     for (subs, piece_values), members in zip(cleaned, member_sets):
-        derived = derive_edge_group(piece_values, source_groups)
-        if derived is None:
+        witness = certify_cwl(piece_values, source_groups)
+        if witness is None or not set(witness.edge_support) <= support_set:
             return None
-        piece_group, piece_support = derived
-        if not set(piece_support) <= support_set:
-            return None
-        witness = check_cwl(piece_values, source_groups, piece_group, piece_support)
-        if witness is None:
-            raise InternalCheckError("derived piece structure failed re-verification")
         agrees = [v == p for v, p in zip(values, piece_values)]
         if agrees != np.isin(np.arange(total), members).tolist():
             return None
@@ -664,7 +717,7 @@ def cwl_search(
 
     def try_code(cand_code: NetworkCode, cand_table: GlobalCodeTable, rewritten: bool):
         nonlocal assignments_left
-        phi = cand_table.edge_column(edge_id)
+        phi = EdgeFunction.of(cand_table.edge_values(edge_id), cand_table.source_sizes)
         candidates = [
             _source_candidates(n, budget.max_relabels_per_order)
             for n in cand_table.source_sizes
@@ -673,14 +726,9 @@ def cwl_search(
             if assignments_left <= 0:
                 return None
             assignments_left -= 1
-            derived = derive_edge_group(phi, assignment)
-            if derived is None:
-                continue
-            edge_group, support = derived
-            witness = check_cwl(phi, assignment, edge_group, support)
-            if witness is None:
-                raise InternalCheckError("derived structure failed re-verification")
-            return CwlSearchResult(cand_code, witness, rewritten)
+            witness = certify_cwl(phi, assignment)
+            if witness is not None:
+                return CwlSearchResult(cand_code, witness, rewritten)
         return None
 
     found = try_code(code, table, rewritten=False)

@@ -7,8 +7,9 @@ The oracles evaluate a code one source tuple at a time, through the scalar
 ``evaluate_global`` and ``decode_outputs``, and count joint distributions in
 a Counter; the columnar global table is checked against them.  The group
 oracles compute one product at a time with ``ReferenceGroup`` and check the
-group laws over all pairs, quadratically; ``groups.op_array`` and the checks
-built on it are compared against them.
+group laws over all pairs, quadratically (associativity over all triples,
+cubically); ``groups.op_array`` and the generator proofs built on it are
+compared against them.
 """
 
 from __future__ import annotations
@@ -268,6 +269,15 @@ def s3() -> TableGroup:
     return TableGroup(S3_TABLE)
 
 
+def relabel_table(table, perm):
+    """The Cayley table with element a renamed perm[a]."""
+    out = [[0] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, ab in enumerate(row):
+            out[perm[a]][perm[b]] = perm[ab]
+    return out
+
+
 class ReferenceGroup:
     """Scalar reference arithmetic: sums mod n for cyclic groups,
     componentwise products for product groups and literal Cayley-table
@@ -342,3 +352,36 @@ def oracle_cosets(ref: ReferenceGroup, members) -> list[list[int]]:
             seen.update(coset)
             out.append(coset)
     return out
+
+
+def oracle_closure(ref: ReferenceGroup, gens) -> set[int]:
+    """Elements reached from the identity by right multiplication with gens."""
+    reached = {ref.identity}
+    frontier = [ref.identity]
+    while frontier:
+        fresh = {ref.op(x, g) for x in frontier for g in gens} - reached
+        reached |= fresh
+        frontier = sorted(fresh)
+    return reached
+
+
+def oracle_is_group(table) -> bool:
+    """Whether a Cayley table has a two-sided identity, a two-sided inverse
+    per element and is associative, checked over every triple."""
+    n = len(table)
+    elements = range(n)
+    identities = [
+        e for e in elements
+        if all(table[e][a] == a and table[a][e] == a for a in elements)
+    ]
+    if not identities:
+        return False
+    e = identities[0]
+    for a in elements:
+        right = [b for b in elements if table[a][b] == e]
+        if len(right) != 1 or table[right[0]][a] != e:
+            return False
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in elements for b in elements for c in elements
+    )

@@ -435,6 +435,39 @@ def test_pwl_remove_on_nonzero_error_code_is_not_found(tmp_path, capsys):
     assert result == {"found": False, "reason": "code error exceeds the requested eps"}
 
 
+@pytest.mark.parametrize(
+    "mutation",
+    ["boolean subsets", "float phi", "both"],
+)
+def test_pwl_remove_piece_files_take_integers_only(tmp_path, capsys, mutation):
+    golden = Path(__file__).parent / "golden" / "inputs"
+    pieces = json.loads((golden / "shift44.pieces.json").read_text())
+    first, second = pieces["pieces"][:2]
+    if mutation in ("boolean subsets", "both"):
+        first["subsets"][0], second["subsets"][0] = [False], [True]
+    if mutation in ("float phi", "both"):
+        first["phi"] = [float(v) for v in first["phi"]]
+    pieces_path = tmp_path / "pieces.json"
+    pieces_path.write_text(json.dumps(pieces))
+    argv = ["pwl-remove", str(golden / "shift44.instance.json"),
+            str(golden / "shift44.code.json"), "--edge", "e", "--pieces", str(pieces_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be an integer" in captured.err
+
+
+@pytest.mark.parametrize("command", ["cwl-check", "cwl-search"])
+def test_failed_self_check_of_a_derived_structure_exits_3(tmp_path, capsys, monkeypatch, command):
+    inst, code = relay_instance([4, 4], 4, tabulate([4, 4], lambda a, b: (a + b) % 4))
+    inst_path, code_path = _write_pair(tmp_path, inst, code)
+    monkeypatch.setattr("edgedrop.cwl.check_cwl", lambda *args: None)
+    assert main([command, inst_path, code_path, "--edge", "e"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: derived edge structure failed re-verification" in captured.err
+
+
 def test_consecutive_main_calls_share_one_parser(tmp_path, capsys):
     inst, code = butterfly()
     inst_path, code_path = _write_pair(tmp_path, inst, code)

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -14,6 +15,7 @@ from conftest import (
     random_balanced_map,
     random_coordinate_characterization,
     random_hom_witness,
+    relabel_table,
     s3,
 )
 from edgedrop.codes import (
@@ -23,8 +25,10 @@ from edgedrop.codes import (
     tabulate,
 )
 from edgedrop.cwl import (
+    EdgeFunction,
     SearchBudget,
     abelian_structures,
+    certify_cwl,
     characterize_witness,
     check_cwl,
     check_piecewise,
@@ -46,10 +50,13 @@ from edgedrop.groupcodes import (
 )
 from edgedrop.groups import (
     CyclicGroup,
+    ProductGroup,
+    TableGroup,
     coset_labels,
     cosets,
     direct_product,
     generated_subgroup,
+    is_homomorphism,
     is_subgroup,
     kernel,
     make_cyclic,
@@ -456,3 +463,101 @@ def test_group_checks_match_oracles_on_acceptance_witnesses():
             assert all((labels[c] == k).all() for k, c in enumerate(expected))
         checked += 1
     assert checked >= 250
+
+
+def test_generator_proof_rejects_consistent_representative_rows():
+    """(0, 0, 1, 1) on Z4: the rows of representatives 0 and 2 are well
+    defined and form Z2, yet phi(1 + 1) = 1 while phi(1) + phi(1) = 0.
+    Only the generator law rejects it."""
+    phi, groups = (0, 0, 1, 1), [make_cyclic(4)]
+    rows = [[phi[(a + b) % 4] for b in (0, 2)] for a in (0, 2)]
+    assert all(phi[(a + b) % 4] == rows[phi[a]][phi[b]] for a in (0, 2) for b in range(4))
+    assert TableGroup(rows).order == 2
+    assert _quotient_oracle(phi, groups) is None
+    assert derive_edge_group(phi, groups) is None
+    assert certify_cwl(phi, groups) is None
+    assert check_cwl(phi, groups, TableGroup(rows), (0, 1)) is None
+
+
+def test_row_check_rejects_a_right_coset_map():
+    """Right cosets Hy of a non-normal H in a relabeled S3 x Z2: phi(x * y)
+    depends on phi(x) and y, so the generator law alone is satisfiable, but
+    not on phi(y), so no induced operation exists.  Only the check that each
+    representative's row is well defined in the right operand rejects it."""
+    product = direct_product([s3(), make_cyclic(2)])
+    ids = np.arange(product.order)
+    table = product.op_array(ids[:, None], ids).tolist()
+    g = TableGroup(relabel_table(table, [10, 3, 7, 4, 5, 2, 8, 0, 1, 11, 6, 9]))
+    h = [3, 6, 9, 10]
+    assert is_subgroup(g, h) and not all(
+        sorted(g.op(g.op(x, a), g.inverse(x)) for a in h) == h for x in g.elements()
+    )
+    phi = (0, 1, 0, 2, 1, 0, 2, 1, 0, 2, 2, 1)
+    assert all(len({phi[g.op(a, y)] for a in h}) == 1 for y in g.elements())
+    law = {}
+    for x in g.elements():
+        for gen in g.generators():
+            law.setdefault((phi[x], phi[gen]), set()).add(phi[g.op(x, gen)])
+    assert all(len(v) == 1 for v in law.values())
+    assert _quotient_oracle(phi, [g]) is None
+    assert derive_edge_group(phi, [g]) is None
+    assert certify_cwl(phi, [g]) is None
+
+
+def test_derive_edge_group_refuses_images_above_the_table_bound():
+    # An injective map on Z32 x Z32 would need a 1024 x 1024 Cayley table.
+    with pytest.raises(DomainError, match="edge images above 512 symbols"):
+        derive_edge_group(list(range(1024)), [make_cyclic(32), make_cyclic(32)])
+
+
+def test_certify_cwl_routes():
+    phi = tabulate([4, 4], lambda a, b: (a + 3 * b) % 4)
+    groups = [make_cyclic(4), make_cyclic(4)]
+    f = EdgeFunction.of(phi, [4, 4])
+    def key(w):
+        return w.edge_group.describe(), w.edge_support, w.hom
+
+    derived = key(certify_cwl(phi, groups))
+    assert derived == key(certify_cwl(f, groups))
+    assert derived == key(check_cwl(phi, groups, *derive_edge_group(f, groups)))
+    assert certify_cwl(phi, groups, (make_cyclic(4), (0, 1, 2, 3))).hom == phi
+    # The support order fixes the element ids.
+    assert certify_cwl(phi, groups, (make_cyclic(4), (0, 3, 2, 1))).hom == tuple(
+        (-v) % 4 for v in phi
+    )
+    assert certify_cwl(phi, groups, (make_cyclic(4), (0, 2, 1, 3))) is None
+    with pytest.raises(DomainError, match="encoding function is over"):
+        certify_cwl(f, [make_cyclic(16)])
+
+
+def test_group_proofs_make_linear_op_calls(monkeypatch):
+    """Work guard: on Z64 x Z64 (4096 elements) the proofs call op_array on
+    the product domain, each call costing O(|G|), at most |gens| + 1 times
+    for is_homomorphism and |image| + |gens| + 1 times for
+    derive_edge_group, so a loop over every element of G fails here."""
+    calls = []
+    op_array = ProductGroup.op_array
+
+    def counted(self, a, b):
+        calls.append(self.order)
+        return op_array(self, a, b)
+
+    monkeypatch.setattr(ProductGroup, "op_array", counted)
+    sources = [make_cyclic(64), make_cyclic(64)]
+    dom = direct_product(sources)
+    gens = dom.generators()
+    assert len(gens) == 2
+    cases = [
+        ([(a + 3 * b) % 64 for a in range(64) for b in range(64)], True),
+        ([(a + b * b) % 16 for a in range(64) for b in range(64)], False),
+        ([(a * b) % 16 for a in range(64) for b in range(64)], False),
+    ]
+    for phi, linear in cases:
+        image = len(set(phi))
+        calls.clear()
+        assert is_homomorphism([v % image for v in phi], dom, make_cyclic(image)) == linear
+        assert 0 < len(calls) <= len(gens) + 1
+        calls.clear()
+        assert (derive_edge_group(phi, sources) is not None) == linear
+        assert len(calls) <= image + len(gens) + 1
+        assert set(calls) <= {4096}

@@ -1,15 +1,20 @@
 """Hand-checked algebra oracles plus seeded structural property sweeps."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from conftest import (
+    S3_TABLE,
     ReferenceGroup,
+    oracle_closure,
     oracle_cosets,
+    oracle_is_group,
     oracle_is_homomorphism,
     oracle_is_subgroup,
+    relabel_table,
     s3,
 )
 from edgedrop.errors import DomainError, PreconditionError
@@ -32,6 +37,17 @@ from edgedrop.groups import (
     subgroup,
     subgroup_product,
 )
+
+
+# A loop of order 5: a Latin square with identity 0 and inverses (every
+# element is its own), but (1 * 1) * 2 = 2 while 1 * (1 * 2) = 4.
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
 
 
 def test_cyclic_arithmetic():
@@ -82,16 +98,8 @@ def test_table_group_rejects_defects():
         TableGroup([[0, 1], [1, 1]])  # element 1 has no inverse
     with pytest.raises(DomainError):
         TableGroup([[0, 0], [0, 0]])  # no two-sided identity
-    # A loop of order 5: identity and inverses exist but associativity fails.
-    loop5 = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
-    with pytest.raises(DomainError):
-        TableGroup(loop5)
+    with pytest.raises(DomainError, match="not associative"):
+        TableGroup(LOOP5)
 
 
 def test_table_group_order_cap():
@@ -328,3 +336,114 @@ def test_characterization_members_take_integers_only(member):
     data = {"group": {"kind": "cyclic", "order": 4}, "subgroups": {"e": [0, member]}}
     with pytest.raises(DomainError, match="subgroup member must be an integer"):
         parse_characterization(data)
+
+
+def _order_one_groups():
+    return [
+        make_cyclic(1),
+        TableGroup([[0]]),
+        direct_product([make_cyclic(1), make_cyclic(1)]),
+        direct_product([TableGroup([[0]]), make_cyclic(1)]),
+    ]
+
+
+def test_generators_close_to_the_whole_group():
+    rng = random.Random(61)
+    relabeled = []
+    for table in (S3_TABLE, [[(a + b) % 8 for b in range(8)] for a in range(8)]):
+        for _ in range(3):
+            perm = rng.sample(range(len(table)), len(table))
+            relabeled.append(TableGroup(relabel_table(table, perm)))
+    for g in _oracle_groups() + relabeled + _order_one_groups():
+        ref = ReferenceGroup(g)
+        gens = g.generators()
+        assert oracle_closure(ref, gens) == set(g.elements()), g
+        if isinstance(g, TableGroup):
+            # Greedy: each pick lies outside the closure of the earlier ones,
+            # so every pick at least doubles the closure.
+            for k, x in enumerate(gens):
+                assert x not in oracle_closure(ref, gens[:k])
+            assert 2 ** len(gens) <= g.order
+    assert TableGroup([[0]]).generators() == []
+    assert s3().generators() == [1, 3]
+
+
+def _intercalate_swaps(table, identity):
+    """Latin squares one intercalate swap away from a group table.
+
+    Rows a, b and columns c, d (none of them the identity) with
+    t[a][c] == t[b][d] and t[a][d] == t[b][c] trade those entries, so the
+    result keeps the identity and stays a Latin square but is usually no
+    longer associative.
+    """
+    others = [x for x in range(len(table)) if x != identity]
+    for a, b in itertools.combinations(others, 2):
+        for c, d in itertools.combinations(others, 2):
+            if table[a][c] == table[b][d] and table[a][d] == table[b][c]:
+                t = [row[:] for row in table]
+                t[a][c], t[a][d] = t[a][d], t[a][c]
+                t[b][c], t[b][d] = t[b][d], t[b][c]
+                yield t
+
+
+def test_light_associativity_matches_brute_force_oracle():
+    """Light's test on generators accepts exactly the tables that the cubic
+    oracle calls groups: every table used elsewhere in the tests, relabeled
+    group tables, and Latin squares with identity near group tables."""
+    rng = random.Random(67)
+    z5 = [[(a + b + 3) % 5 for b in range(5)] for a in range(5)]
+    tables = [S3_TABLE, LOOP5, z5, [[1, 0], [0, 1]], [[0, 1], [1, 1]], [[0, 0], [0, 0]]]
+    tables += [[[(a + b) % n for b in range(n)] for a in range(n)] for n in (3, 5)]
+    for g in (s3(), make_cyclic(6), direct_product([make_cyclic(2)] * 3),
+              direct_product([make_cyclic(2), make_cyclic(4)]),
+              direct_product([s3(), make_cyclic(2)])):
+        ids = np.arange(g.order)
+        table = g.op_array(ids[:, None], ids).tolist()
+        near = list(_intercalate_swaps(table, g.identity))
+        for t in [table] + rng.sample(near, min(len(near), 12)):
+            tables.append(relabel_table(t, rng.sample(range(g.order), g.order)))
+    outcomes = {"group": 0, "not associative": 0, "other": 0}
+    for table in tables:
+        try:
+            TableGroup(table)
+        except DomainError as exc:
+            accepted = False
+            outcomes["not associative" if "associative" in str(exc) else "other"] += 1
+        else:
+            accepted = True
+            outcomes["group"] += 1
+        assert accepted == oracle_is_group(table), table
+    assert min(outcomes.values()) >= 3, outcomes
+
+
+def test_homomorphism_from_order_one_domain_must_fix_the_identity():
+    for dom in _order_one_groups():
+        for cod in (make_cyclic(2), s3()):
+            for target in cod.elements():
+                verdict = is_homomorphism([target], dom, cod)
+                oracle = oracle_is_homomorphism(ReferenceGroup(dom), ReferenceGroup(cod), [target])
+                assert verdict == oracle == (target == cod.identity)
+
+
+def test_is_subgroup_on_inverse_closed_sets():
+    """Sets that hold the identity and are closed under inverses are
+    subgroups exactly when they are closed under products."""
+    rng = random.Random(71)
+    seen = {True: 0, False: 0}
+    for g in _oracle_groups():
+        ref = ReferenceGroup(g)
+        candidates = []
+        for _ in range(6):
+            picks = rng.sample(range(g.order), rng.randint(0, g.order - 1))
+            candidates.append({g.identity, *picks, *(g.inverse(a) for a in picks)})
+        h = generated_subgroup(g, [rng.randrange(g.order)]).members
+        outside = sorted(set(g.elements()) - h)
+        if outside:
+            a = rng.choice(outside)
+            candidates.append(h | {a, g.inverse(a)})
+        for members in candidates:
+            assert all(g.inverse(a) in members for a in members)
+            verdict = is_subgroup(g, members)
+            assert verdict == oracle_is_subgroup(ref, members), (g, sorted(members))
+            seen[verdict] += 1
+    assert seen[True] >= 5 and seen[False] >= 20, seen
