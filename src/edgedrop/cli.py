@@ -4,16 +4,18 @@ Subcommands cover instance validation, exhaustive feasibility verification,
 the edge-removal routes, CWL certification and search, group-characterized
 codes, and the bundled case studies.  Exit status 0 means a verified-true
 outcome, 1 a verified-false or not-found outcome, 2 a usage or input
-problem, and 3 a failed internal consistency check, which indicates a bug
-in the workbench.  Error targets ``--eps`` lie in [0, 1); the builtin
-removal routes and ``pwl-remove`` (always at eps 0) exit 1 when the code's
-own error is above eps.  Label files give one label per source tuple, all
-JSON integers or all strings.
+problem (an ``--out`` file that cannot be written among them), and 3 a
+failed internal consistency check or any other uncaught exception, which
+indicates a bug in the workbench.  Error targets ``--eps`` lie in [0, 1);
+the builtin removal routes and ``pwl-remove`` (always at eps 0) exit 1 when
+the code's own error is above eps.  Label files give one label per source
+tuple, all JSON integers or all strings.
 
 Reports are deterministic: the command echo keeps only semantic arguments
 (execution tuning such as ``--enum-cap`` and ``--out`` is excluded),
-structured results are JSON with sorted keys, and timing goes to stderr only,
-so the same inputs produce byte-identical reports.
+structured results are written by ``network.indented_json`` as the bytes of
+``json.dumps(result, indent=2, sort_keys=True)``, and timing goes to stderr
+only, so the same inputs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,6 +62,7 @@ from .library import (
 )
 from .network import (
     NetworkInstance,
+    indented_json,
     instance_to_dict,
     load_instance,
     require_int,
@@ -112,7 +116,7 @@ def _collect_certificates(node) -> list[dict]:
 def emit_report(report: RunReport, fmt: str = "text") -> bytes:
     """Serialize a report; text is JSON, csv tabulates the certificates."""
     if fmt == "text":
-        return (json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n").encode()
+        return (indented_json(report.to_dict()) + "\n").encode()
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -620,6 +624,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         status, report, fmt, out_path = dispatch(argv)
+        payload = emit_report(report, fmt)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return code if code == 0 else 2
@@ -632,12 +637,19 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc!r}", file=sys.stderr)
         return 2
-    payload = emit_report(report, fmt)
-    if out_path is not None:
-        with open(out_path, "wb") as fh:
-            fh.write(payload)
-    else:
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
+    if out_path is None:
         sys.stdout.write(payload.decode())
+    else:
+        try:
+            with open(out_path, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     print(f"elapsed {time.monotonic() - started:.3f}s", file=sys.stderr)
     return status
 

@@ -4,10 +4,8 @@ A code fixes per-edge local encoder tables and per-terminal decoder tables,
 held as read-only integer arrays.  The global table enumerates every source
 tuple, records all edge messages and classifies each tuple as good (decoded
 correctly by all terminals) or bad; it is built column by column, one
-vectorized gather per edge and per decoder.  The scalar ``evaluate_global``
-and ``decode_outputs`` evaluate one tuple at a time and serve as the oracle
-for that build.  Error fractions are exact rationals; floats appear only in
-entropy reports.
+vectorized gather per edge and per decoder.  Error fractions are exact
+rationals; floats appear only in entropy reports.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, MalformedCodeError, PreconditionError, ResourceError
-from .network import Edge, NetworkInstance, Source, require_int, topological_order
+from .network import Edge, NetworkInstance, Source, indented_json, require_int, topological_order
 
 DEFAULT_ENUM_CAP = 1 << 24
 ENUM_CAP_ENV = "EDGEDROP_ENUM_CAP"
@@ -270,54 +268,6 @@ def validate_code(inst: NetworkInstance, code: NetworkCode) -> list[str]:
     return problems
 
 
-def evaluate_global(
-    inst: NetworkInstance, code: NetworkCode, x: Sequence[int]
-) -> tuple[int, ...]:
-    """Messages on every edge for one source tuple, in instance edge order."""
-    if len(x) != len(inst.sources):
-        raise DomainError(f"expected {len(inst.sources)} source symbols")
-    for v, size in zip(x, code.source_alphabets):
-        if not 0 <= v < size:
-            raise DomainError(f"source symbol {v} outside alphabet of size {size}")
-    values: dict[str, int] = {}
-    for e in topological_order(inst):
-        table = code.encoders.get(e.id)
-        if table is None:
-            raise MalformedCodeError(f"edge {e.id!r} has no encoder table")
-        if inst.is_source_node(e.tail):
-            idx = x[inst.source_index(e.tail)]
-        else:
-            ins = inst.in_edges(e.tail)
-            sizes = [code.edge_alphabets[f.id] for f in ins]
-            idx = mixed_radix_index([values[f.id] for f in ins], sizes)
-        if idx >= len(table):
-            raise MalformedCodeError(f"edge {e.id!r} encoder is missing entry {idx}")
-        v = table[idx]
-        if not 0 <= v < code.edge_alphabets[e.id]:
-            raise MalformedCodeError(f"edge {e.id!r} encoder maps outside its alphabet")
-        values[e.id] = v
-    return tuple(values[e.id] for e in inst.edges)
-
-
-def decode_outputs(
-    inst: NetworkInstance, code: NetworkCode, edge_values: Sequence[int]
-) -> dict[str, tuple[int, ...]]:
-    """Each terminal's decoder output for one vector of edge messages."""
-    by_id = {e.id: v for e, v in zip(inst.edges, edge_values)}
-    out = {}
-    for t in inst.terminals:
-        table = code.decoders.get(t)
-        if table is None:
-            raise MalformedCodeError(f"terminal {t!r} has no decoder table")
-        ins = inst.in_edges(t)
-        sizes = [code.edge_alphabets[f.id] for f in ins]
-        idx = mixed_radix_index([by_id[f.id] for f in ins], sizes)
-        if idx >= len(table):
-            raise MalformedCodeError(f"terminal {t!r} decoder is missing entry {idx}")
-        out[t] = tuple(table[idx])
-    return out
-
-
 class GlobalCodeTable:
     """Exhaustive evaluation of a code over every source tuple.
 
@@ -350,9 +300,6 @@ class GlobalCodeTable:
     @property
     def num_tuples(self) -> int:
         return len(self.rows)
-
-    def index_to_tuple(self, idx: int) -> tuple[int, ...]:
-        return index_to_values(idx, self.source_sizes)
 
     def edge_values(self, edge_id: str) -> np.ndarray:
         """One edge's message for every source tuple, as an array."""
@@ -623,5 +570,4 @@ def load_code(path: str) -> NetworkCode:
 
 def save_code(code: NetworkCode, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(code_to_dict(code), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(indented_json(code_to_dict(code)) + "\n")

@@ -7,9 +7,11 @@ ever derived for display.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Mapping
 
 from .errors import DomainError, PreconditionError
@@ -225,6 +227,46 @@ def require_int(value, what: str) -> int:
     return value
 
 
+def indented_json(obj, newline: str = "\n") -> str:
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, without the
+    pure-Python encoder that ``json`` falls back to when it indents.
+
+    ``newline`` is the line break plus the indent of the enclosing level.
+    A list of plain ints is one join, and a rectangular list of non-empty
+    int rows (a decoder table) one ``%`` over a repeated row template.
+    Other containers recurse; other scalars go through ``json.dumps``, and
+    non-str keys are converted or rejected as ``json`` does them.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if not isinstance(obj, (list, tuple, dict)):
+        return json.dumps(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    # f-strings copy a large body once, where a chain of + copies it per term.
+    inner = newline + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        items = [f"{_json_key(k)}: {indented_json(v, inner)}" for k, v in sorted(obj.items())]
+        return f"{{{inner}{sep.join(items)}{newline}}}"
+    kinds = set(map(type, obj))
+    if kinds == {int}:
+        return f"[{inner}{sep.join(map(int.__repr__, obj))}{newline}]"
+    if kinds == {list} and len(widths := set(map(len, obj))) == 1:
+        entries = tuple(itertools.chain.from_iterable(obj))
+        if set(map(type, entries)) == {int}:  # false for rows of width zero
+            row_inner = inner + "  "
+            row = "[" + row_inner + ("," + row_inner).join(["%d"] * widths.pop()) + inner + "]"
+            return f"[{inner}{sep.join([row] * len(obj))}{newline}]" % entries
+    return f"[{inner}{sep.join([indented_json(v, inner) for v in obj])}{newline}]"
+
+
+def _json_key(key) -> str:
+    if key is not None and not isinstance(key, (str, int, float)):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key))
+
+
 def parse_instance(data: Mapping) -> NetworkInstance:
     """Build an instance from the dict format of ``instance_to_dict``."""
     try:
@@ -260,5 +302,4 @@ def load_instance(path: str) -> NetworkInstance:
 
 def save_instance(inst: NetworkInstance, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(indented_json(instance_to_dict(inst)) + "\n")

@@ -4,12 +4,12 @@ Instances are small layered acyclic graphs; codes are random tables, usually
 paired with best-effort decoders so that low-error codes occur often enough to
 drive the removal routes.  Everything is seeded explicitly by the caller.
 The oracles evaluate a code one source tuple at a time, through the scalar
-``evaluate_global`` and ``decode_outputs``, and count joint distributions in
-a Counter; the columnar global table is checked against them.  The group
-oracles compute one product at a time with ``ReferenceGroup`` and check the
-group laws over all pairs, quadratically (associativity over all triples,
-cubically); ``groups.op_array`` and the generator proofs built on it are
-compared against them.
+``evaluate_global`` and ``decode_outputs`` defined here, and count joint
+distributions in a Counter; the columnar global table is checked against
+them.  The group oracles compute one product at a time with
+``ReferenceGroup`` and check the group laws over all pairs, quadratically
+(associativity over all triples, cubically); ``groups.op_array`` and the
+generator proofs built on it are compared against them.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ import itertools
 import math
 import random
 from collections import Counter
+from typing import Sequence
 
-from edgedrop.codes import NetworkCode, decode_outputs, evaluate_global, index_to_values
+from edgedrop.codes import NetworkCode, index_to_values, mixed_radix_index
 from edgedrop.cwl import check_cwl, derive_edge_group
 from edgedrop.groupcodes import GroupCharacterization
 from edgedrop.groups import (
@@ -30,7 +31,8 @@ from edgedrop.groups import (
     make_cyclic,
     subgroup,
 )
-from edgedrop.network import Edge, NetworkInstance, Source, validate_instance
+from edgedrop.errors import DomainError, MalformedCodeError
+from edgedrop.network import Edge, NetworkInstance, Source, topological_order, validate_instance
 from edgedrop.removal import SourcePartition
 
 MAX_TUPLES = 512
@@ -164,6 +166,54 @@ def random_partition(rng: random.Random, table) -> SourcePartition:
     return SourcePartition(
         sizes, [rng.randrange(n_labels) for _ in range(math.prod(sizes))]
     )
+
+
+def evaluate_global(
+    inst: NetworkInstance, code: NetworkCode, x: Sequence[int]
+) -> tuple[int, ...]:
+    """Messages on every edge for one source tuple, in instance edge order."""
+    if len(x) != len(inst.sources):
+        raise DomainError(f"expected {len(inst.sources)} source symbols")
+    for v, size in zip(x, code.source_alphabets):
+        if not 0 <= v < size:
+            raise DomainError(f"source symbol {v} outside alphabet of size {size}")
+    values: dict[str, int] = {}
+    for e in topological_order(inst):
+        table = code.encoders.get(e.id)
+        if table is None:
+            raise MalformedCodeError(f"edge {e.id!r} has no encoder table")
+        if inst.is_source_node(e.tail):
+            idx = x[inst.source_index(e.tail)]
+        else:
+            ins = inst.in_edges(e.tail)
+            sizes = [code.edge_alphabets[f.id] for f in ins]
+            idx = mixed_radix_index([values[f.id] for f in ins], sizes)
+        if idx >= len(table):
+            raise MalformedCodeError(f"edge {e.id!r} encoder is missing entry {idx}")
+        v = table[idx]
+        if not 0 <= v < code.edge_alphabets[e.id]:
+            raise MalformedCodeError(f"edge {e.id!r} encoder maps outside its alphabet")
+        values[e.id] = v
+    return tuple(values[e.id] for e in inst.edges)
+
+
+def decode_outputs(
+    inst: NetworkInstance, code: NetworkCode, edge_values: Sequence[int]
+) -> dict[str, tuple[int, ...]]:
+    """Each terminal's decoder output for one vector of edge messages."""
+    by_id = {e.id: v for e, v in zip(inst.edges, edge_values)}
+    out = {}
+    for t in inst.terminals:
+        table = code.decoders.get(t)
+        if table is None:
+            raise MalformedCodeError(f"terminal {t!r} has no decoder table")
+        ins = inst.in_edges(t)
+        sizes = [code.edge_alphabets[f.id] for f in ins]
+        idx = mixed_radix_index([by_id[f.id] for f in ins], sizes)
+        if idx >= len(table):
+            raise MalformedCodeError(f"terminal {t!r} decoder is missing entry {idx}")
+        out[t] = tuple(table[idx])
+    return out
 
 
 def scalar_table(inst: NetworkInstance, code: NetworkCode):

@@ -6,7 +6,9 @@ stdout or the --out file.
 
 import dataclasses
 import hashlib
+import itertools
 import json
+import json.encoder
 from pathlib import Path
 
 import pytest
@@ -556,6 +558,54 @@ def test_internal_check_failure_exits_3(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal error: coset partition fails" in captured.err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    out = str(tmp_path / "missing" / "report.json")
+    argv = ["verify", "inputs/sum44.instance.json", "inputs/sum44.code.json", "--rates", "2,2"]
+    assert main(argv + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write the report")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("target", ["edgedrop.cli.check_feasibility", "edgedrop.cli.emit_report"])
+def test_uncaught_exception_exits_3(target, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise IndexError("index 7 is out of bounds")
+
+    monkeypatch.setattr(target, broken)
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    argv = ["verify", "inputs/sum44.instance.json", "inputs/sum44.code.json", "--rates", "2,2"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: IndexError('index 7 is out of bounds')")
+
+
+def test_reports_and_emitted_files_skip_the_pure_python_encoder(tmp_path, capsys, monkeypatch):
+    """A 2^16-tuple ``remove-edge builtin:cwl`` job writes its report and its
+    restricted files without ``json``'s indenting encoder."""
+    sizes = (256, 256)
+    table = [sum(x) % 2 for x in itertools.product(*map(range, sizes))]
+    inst_path, code_path = _write_pair(tmp_path, *relay_instance(sizes, 2, table))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder was used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError):
+        json.dumps([1], indent=2)
+    out, emit = str(tmp_path / "report.json"), str(tmp_path / "restricted")
+    argv = ["remove-edge", inst_path, code_path, "--edge", "e", "--partition", "builtin:cwl"]
+    assert main(argv + ["--out", out, "--emit", emit]) == 0
+    capsys.readouterr()
+    result = json.loads(Path(out).read_text())["result"]
+    assert result["found"] is True
+    assert json.loads(Path(emit + ".code.json").read_text()) == result["restricted_code"]
+    assert json.loads(Path(emit + ".instance.json").read_text()) == result["restricted_instance"]
 
 
 def test_case_study_butterfly_with_emit(tmp_path, capsys):

@@ -8,14 +8,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import counter_entropy, random_code, random_instance, scalar_table
+from conftest import (
+    counter_entropy,
+    decode_outputs,
+    evaluate_global,
+    random_code,
+    random_instance,
+    scalar_table,
+)
 from edgedrop.codes import (
     NetworkCode,
     build_global_table,
     check_feasibility,
     code_to_dict,
-    decode_outputs,
-    evaluate_global,
     index_to_values,
     joint_entropy,
     load_code,

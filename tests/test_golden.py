@@ -5,10 +5,13 @@ Every command runs from ``tests/golden`` with relative input paths, so the
 ``tests/golden/inputs`` are small explicit codes (the butterfly, relays over
 sum, parity, AND and shifted functions, one relay with a corrupted decoder
 row per parity class) plus label, group, piece and characterization files.
+The instance and code files written under ``--emit`` are kept in
+``tests/golden/emit``, named after the prefix the command was given.
 To record new golden reports after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
 """
 
+import json
 import os
 import pathlib
 import sys
@@ -17,8 +20,10 @@ import tempfile
 import pytest
 
 from edgedrop.cli import main
+from edgedrop.network import indented_json
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+EMIT_DIR = GOLDEN_DIR / "emit"
 
 # name, argv, exit status
 CORPUS = [
@@ -173,6 +178,9 @@ CORPUS = [
     ),
 ]
 
+# Corpus entries whose command also writes files under an --emit prefix.
+EMIT_CORPUS = [c for c in CORPUS if c[0] in ("remove-cwl", "case-study-butterfly")]
+
 
 def _run(argv: list[str], out_dir: str) -> tuple[int, bytes]:
     """Run one command from the golden directory; returns status and report."""
@@ -195,6 +203,33 @@ def test_golden_report(name, argv, status, tmp_path, capsys):
     assert payload == (GOLDEN_DIR / f"{name}.out").read_bytes()
 
 
+@pytest.mark.parametrize("name, argv, status", EMIT_CORPUS, ids=[c[0] for c in EMIT_CORPUS])
+def test_golden_emit_files(name, argv, status, tmp_path, capsys):
+    emit_dir = tmp_path / "emit"
+    emit_dir.mkdir()
+    got_status, payload = _run(argv + ["--emit", str(emit_dir / name)], str(tmp_path))
+    capsys.readouterr()
+    assert got_status == status
+    assert payload == (GOLDEN_DIR / f"{name}.out").read_bytes()
+    written = sorted(p.name for p in emit_dir.iterdir())
+    assert written == sorted(p.name for p in EMIT_DIR.glob(f"{name}.*"))
+    for file_name in written:
+        assert (emit_dir / file_name).read_bytes() == (EMIT_DIR / file_name).read_bytes()
+
+
+JSON_GOLDENS = [p for p in sorted(GOLDEN_DIR.glob("*.out")) if not p.name.endswith("-csv.out")]
+
+
+@pytest.mark.parametrize(
+    "path", JSON_GOLDENS + sorted(EMIT_DIR.glob("*.json")), ids=lambda p: p.name
+)
+def test_writer_reproduces_golden_files(path):
+    """The writer and its oracle, ``json.dumps``, both give back every file."""
+    text = path.read_text()
+    assert indented_json(json.loads(text)) + "\n" == text
+    assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         for name, argv, status in CORPUS:
@@ -202,3 +237,7 @@ if __name__ == "__main__":
             if got_status != status:
                 sys.exit(f"{name}: exit {got_status}, expected {status}")
             (GOLDEN_DIR / f"{name}.out").write_bytes(payload)
+        for old in EMIT_DIR.glob("*.json"):
+            old.unlink()
+        for name, argv, _ in EMIT_CORPUS:
+            _run(argv + ["--emit", str(EMIT_DIR / name)], scratch)

@@ -1,8 +1,12 @@
 """Instance well-formedness, ordering and serialization checks."""
 
+import enum
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgedrop.errors import DomainError, PreconditionError
 from edgedrop.library import butterfly
@@ -10,6 +14,7 @@ from edgedrop.network import (
     Edge,
     NetworkInstance,
     Source,
+    indented_json,
     instance_to_dict,
     load_instance,
     parse_instance,
@@ -169,3 +174,69 @@ def test_parse_instance_rejects_non_integer_demands(value):
     data["demands"][0][0] = value
     with pytest.raises(DomainError, match="demand entry"):
         parse_instance(data)
+
+
+def _oracle_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+_WIDE = st.integers(min_value=2**63, max_value=2**100) | st.integers(
+    min_value=-(2**100), max_value=-(2**63)
+)
+_INTS = st.integers() | _WIDE
+_TEXT = st.text() | st.text(st.characters(min_codepoint=0x80), min_size=1)
+_SCALARS = st.none() | st.booleans() | _INTS | st.floats() | _TEXT
+_INT_LISTS = st.lists(_INTS) | st.lists(_INTS | st.booleans(), min_size=1)
+_RECT_ROWS = st.integers(0, 3).flatmap(
+    lambda w: st.lists(st.lists(_INTS, min_size=w, max_size=w), min_size=1, max_size=6)
+)
+_RAGGED_ROWS = st.lists(st.lists(_INTS | st.booleans() | st.floats(), max_size=3), max_size=6)
+_JSON_TREES = st.recursive(
+    _SCALARS | _INT_LISTS | _RECT_ROWS | _RAGGED_ROWS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_TEXT, kids, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_JSON_TREES)
+def test_indented_json_matches_json_dumps(tree):
+    assert indented_json(tree) == _oracle_json(tree)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [[], {}, [[]], {"a": {}}, [[], []]],
+        [[1, 2], (3, 4)],
+        ((1, 2), (3, 4)),
+        [[True, 1], [0, False]],
+        [[1, 2], [3]],
+        [_Level.LOW, 2],
+        {_Level.LOW: 1, 2: [np.float64(0.5)]},
+        {1: "a", -2: [True], 10**30: None},
+        {True: 0, False: 1},
+        {None: 2},
+        {None: 2, True: 0},
+        {1.5: [], float("nan"): {}, float("-inf"): 0},
+        {"a": 1, 2: 3},
+        {(1, 2): 0},
+        {"k": {1, 2}},
+        [object()],
+        {"x": b"bytes"},
+        [np.int64(3)],
+        [[np.int64(3), 1]],
+    ],
+)
+def test_indented_json_converts_or_rejects_like_json_dumps(obj):
+    def outcome(fn):
+        try:
+            return fn(obj)
+        except TypeError as exc:
+            return str(exc)
+
+    assert outcome(indented_json) == outcome(_oracle_json)
