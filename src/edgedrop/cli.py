@@ -9,7 +9,7 @@ failed internal consistency check or any other uncaught exception, which
 indicates a bug in the workbench.  Error targets ``--eps`` lie in [0, 1);
 the builtin removal routes and ``pwl-remove`` (always at eps 0) exit 1 when
 the code's own error is above eps.  Label files give one label per source
-tuple, all JSON integers or all strings.
+tuple, all JSON integers (each fitting in 64 bits) or all strings.
 
 Reports are deterministic: the command echo keeps only semantic arguments
 (execution tuning such as ``--enum-cap`` and ``--out`` is excluded),
@@ -33,8 +33,11 @@ import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .codes import (
     NetworkCode,
+    _json_table,
     build_global_table,
     check_feasibility,
     code_to_dict,
@@ -65,6 +68,7 @@ from .network import (
     indented_json,
     instance_to_dict,
     load_instance,
+    load_json,
     require_int,
     save_instance,
     validate_instance,
@@ -189,9 +193,8 @@ def _digest(path: str) -> str:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
 
 
-def _load_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+def _load_json(path: str, tables=None) -> dict:
+    data = load_json(path, tables)
     if not isinstance(data, dict):
         raise DomainError(f"{path}: expected a JSON object")
     return data
@@ -269,6 +272,11 @@ def _cmd_verify(args) -> tuple[int, dict]:
     return (0 if report.verdict else 1), {"feasibility": report.to_dict()}
 
 
+def _label_table(data):
+    """Where a label file keeps its one table: integer labels."""
+    return [(data.get("labels"), 1)] if isinstance(data, dict) else []
+
+
 def _cmd_remove_edge(args) -> tuple[int, dict]:
     inst, code, table = _load_table(args)
     route = {"builtin:cwl": "cwl", "builtin:edge-value": "edge-value"}.get(args.partition)
@@ -297,12 +305,15 @@ def _cmd_remove_edge(args) -> tuple[int, dict]:
             return 1, {"route": "edge-value", "found": False}
         return 0, {"route": "edge-value", "found": True, **_removal_dict(res, args.emit)}
 
-    data = _load_json(args.partition)
+    data = _load_json(args.partition, _label_table)
     if "labels" not in data:
         raise DomainError(f"{args.partition}: missing partition labels")
     labels = data["labels"]
     kinds = set(map(type, labels)) if isinstance(labels, list) else {None}
-    if not (kinds <= {int} or kinds <= {str}):
+    # Integer labels become an int64 array, unless load_json read them as one.
+    if kinds <= {int}:
+        labels = _json_table(labels, 1, f"{args.partition}: labels")
+    if not (isinstance(labels, np.ndarray) or kinds <= {str}):
         raise DomainError(f"{args.partition}: labels must be all integers or all strings")
     part = SourcePartition(table.source_sizes, labels)
     conditions = {

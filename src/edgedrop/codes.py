@@ -11,7 +11,6 @@ rationals; floats appear only in entropy reports.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -21,7 +20,15 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, MalformedCodeError, PreconditionError, ResourceError
-from .network import Edge, NetworkInstance, Source, indented_json, require_int, topological_order
+from .network import (
+    Edge,
+    NetworkInstance,
+    Source,
+    indented_json,
+    load_json,
+    require_int,
+    topological_order,
+)
 
 DEFAULT_ENUM_CAP = 1 << 24
 ENUM_CAP_ENV = "EDGEDROP_ENUM_CAP"
@@ -539,6 +546,12 @@ def _json_table(data, ndim: int, what: str) -> np.ndarray:
     return _frozen(arr.reshape(len(data), width) if ndim == 2 else arr)
 
 
+def _code_table(data, ndim: int, what: str) -> np.ndarray:
+    """An array that ``load_json`` already read, or a JSON list checked by
+    ``_json_table``."""
+    return data if isinstance(data, np.ndarray) else _json_table(data, ndim, what)
+
+
 def parse_code(data: Mapping) -> NetworkCode:
     try:
         return NetworkCode(
@@ -551,11 +564,11 @@ def parse_code(data: Mapping) -> NetworkCode:
                 for k, v in data["edge_alphabets"].items()
             },
             encoders={
-                str(k): _json_table(t, 1, f"edge {k!r} encoder")
+                str(k): _code_table(t, 1, f"edge {k!r} encoder")
                 for k, t in data["encoders"].items()
             },
             decoders={
-                str(k): _json_table(rows, 2, f"terminal {k!r} decoder")
+                str(k): _code_table(rows, 2, f"terminal {k!r} decoder")
                 for k, rows in data["decoders"].items()
             },
         )
@@ -563,9 +576,22 @@ def parse_code(data: Mapping) -> NetworkCode:
         raise DomainError(f"malformed code data: {exc}") from None
 
 
+def _code_tables(data):
+    """Where a code file keeps its tables: encoder lists and decoder rows."""
+    for key, ndim in (("encoders", 1), ("decoders", 2)):
+        group = data.get(key) if isinstance(data, dict) else None
+        if isinstance(group, dict):
+            yield from ((table, ndim) for table in group.values())
+
+
 def load_code(path: str) -> NetworkCode:
-    with open(path, encoding="utf-8") as fh:
-        return parse_code(json.load(fh))
+    """Read a code file: ``parse_code`` of its JSON, with the tables of a
+    large file read straight into arrays by ``load_json``.
+
+    Either way the same files are accepted, with the same values, and the
+    same ones refused with the same errors.
+    """
+    return parse_code(load_json(path, _code_tables))
 
 
 def save_code(code: NetworkCode, path: str) -> None:

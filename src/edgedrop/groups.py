@@ -332,8 +332,9 @@ def _greedy_generators(group: FiniteGroup) -> list[int]:
     return gens
 
 
-def is_subgroup(group: FiniteGroup, members: Iterable[int]) -> bool:
-    """Whether the member set is a subgroup, grown one generator at a time.
+def _subgroup_generators(group: FiniteGroup, members: Iterable[int]) -> list[int] | None:
+    """Generators of the member set grown one at a time, or None when it is
+    not a subgroup.
 
     Starting from H = {e}, the smallest member s outside H gives the next
     H = <H, s>; the set is a subgroup exactly when every such H stays inside
@@ -342,13 +343,18 @@ def is_subgroup(group: FiniteGroup, members: Iterable[int]) -> bool:
     s = _id_array(group, members)
     wanted = _indicator(group, s)
     if not wanted[group.identity]:
-        return False
+        return None
     inside = _indicator(group, group.identity)
     gens: list[int] = []
     while not np.array_equal(inside, wanted):
         if not _extend_closure(group, inside, gens, int(np.argmax(wanted & ~inside)), wanted):
-            return False
-    return True
+            return None
+    return gens
+
+
+def is_subgroup(group: FiniteGroup, members: Iterable[int]) -> bool:
+    """Whether the member set is a subgroup (see ``_subgroup_generators``)."""
+    return _subgroup_generators(group, members) is not None
 
 
 @dataclass(frozen=True)
@@ -419,17 +425,28 @@ def subgroup_product(group: FiniteGroup, parts: Sequence[SubgroupHandle]) -> Sub
 
 
 def coset_labels(group: FiniteGroup, sub: SubgroupHandle) -> np.ndarray:
-    """Dense left-coset label of every element, ordered by smallest representative."""
-    if sub.parent is not group and not is_subgroup(group, sub.members):
+    """Dense left-coset label of every element, ordered by smallest representative.
+
+    xH is the orbit of x under right multiplication by the generators of H.
+    Each generator s gives one permutation x -> x * s (one ``op_array``
+    call); pointer doubling along it spreads the smallest id over every
+    cycle, and rounds over all generators repeat until no label moves.
+    """
+    gens = _subgroup_generators(group, sub.members)
+    if gens is None:
         raise PreconditionError("handle is not a subgroup of this group")
-    members = np.array(sub.sorted_members, dtype=np.int64)
-    labels = np.full(group.order, -1, dtype=np.int64)
-    count = 0
-    for g in range(group.order):
-        if labels[g] < 0:
-            labels[group.op_array(g, members)] = count
-            count += 1
-    return labels
+    ids = np.arange(group.order)
+    steps = [group.op_array(ids, s) for s in gens]
+    doublings = (sub.order - 1).bit_length()  # 2**doublings >= the order of s
+    smallest = ids
+    while True:
+        before = smallest
+        for step in steps:
+            for _ in range(doublings):
+                smallest = np.minimum(smallest, smallest[step])
+                step = step[step]
+        if np.array_equal(smallest, before):
+            return np.unique(smallest, return_inverse=True)[1]
 
 
 def cosets(group: FiniteGroup, sub: SubgroupHandle) -> list[list[int]]:

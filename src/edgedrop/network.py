@@ -2,17 +2,23 @@
 
 An instance fixes the topology and the per-edge alphabet cardinalities.  Rates
 are carried as cardinalities throughout; ``log2(size) / blocklength`` is only
-ever derived for display.
+ever derived for display.  The module also holds the JSON writer behind every
+report and file the workbench writes, ``indented_json``, and the reader of
+code and label files, ``load_json``.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from typing import Mapping
+from typing import Callable, Iterable, Mapping
+
+import numpy as np
 
 from .errors import DomainError, PreconditionError
 
@@ -265,6 +271,191 @@ def _json_key(key) -> str:
     if key is not None and not isinstance(key, (str, int, float)):
         raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
     return encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key))
+
+
+# Files at least this large have their integer tables read from the bytes.
+# The checks cost some 20 us a table whatever its size, which ``json`` beats
+# below about 2.5 KiB of code file; from 4 KiB up they are faster (the
+# measurement is in CHANGES.md).
+FAST_READ_BYTES = 1 << 12
+
+# One class byte per input byte: a nonzero digit, zero, minus, comma and the
+# two brackets, and 0 for anything else.  JSON whitespace is deleted.
+_DIGIT, _ZERO, _MINUS, _COMMA, _OPEN, _CLOSE = range(1, 7)
+_CLASSES = bytearray(256)
+for _ch, _cls in zip(b"1234567890-,[]", [_DIGIT] * 9 + [_ZERO, _MINUS, _COMMA, _OPEN, _CLOSE]):
+    _CLASSES[_ch] = _cls
+_CLASSES = bytes(_CLASSES)
+_WHITESPACE = b" \t\n\r"
+
+# Pair codes, indexed by 8 * class + next class: 0 refused, 1 allowed
+# between tokens, 3 allowed inside a number, 4 a zero that starts a number.
+# A 4 followed by a 3 is a leading zero, and 18 3s in a row make a number
+# of more than 18 characters, which may not fit in 64 bits and is left to
+# ``json``.
+_FOLLOW = bytearray(256)
+for _a, _next in {
+    _DIGIT: ((_DIGIT, 3), (_ZERO, 3), (_COMMA, 1), (_CLOSE, 1)),
+    _ZERO: ((_DIGIT, 3), (_ZERO, 3), (_COMMA, 1), (_CLOSE, 1)),
+    _MINUS: ((_DIGIT, 3), (_ZERO, 4)),
+    _COMMA: ((_DIGIT, 1), (_ZERO, 4), (_MINUS, 1), (_OPEN, 1)),
+    _OPEN: ((_DIGIT, 1), (_ZERO, 4), (_MINUS, 1), (_OPEN, 1), (_CLOSE, 1)),
+    _CLOSE: ((_COMMA, 1), (_CLOSE, 1)),
+}.items():
+    for _b, _code in _next:
+        _FOLLOW[_a * 8 + _b] = _code
+_FOLLOW = bytes(_FOLLOW)
+_REFUSED = (b"\0", b"\4\3", b"\3" * 18)
+_NUMBER = bytes(int(ch in b"0123456789-") for ch in range(256))
+_SPACED = bytes.maketrans(b"[]", b"  ")
+# Table text is translated this many bytes at a time, so that no buffer
+# but the file itself is as large as a table with its whitespace.
+_CHUNK = 1 << 22
+
+
+def _translated(raw: bytes, first: int, last: int, table: bytes) -> bytes:
+    """``raw[first:last].translate(table, whitespace)``, chunk by chunk."""
+    return b"".join(
+        raw[i : min(i + _CHUNK, last)].translate(table, _WHITESPACE)
+        for i in range(first, last, _CHUNK)
+    )
+
+
+def _number_starts(raw: bytes, first: int, last: int) -> int:
+    """How many numbers start in ``raw[first:last]``, chunk by chunk (each
+    chunk reaches one byte into the next, which counts its own starts)."""
+    starts = 0
+    for i in range(first, last, _CHUNK):
+        num = np.frombuffer(raw[i : min(i + _CHUNK + 1, last)].translate(_NUMBER), dtype=bool)
+        starts += int(np.count_nonzero(num[1:] > num[:-1]))
+    return starts
+
+
+def _int_table_text(raw: bytes, first: int, last: int) -> np.ndarray | None:
+    """The read-only int64 array that the JSON table ``raw[first:last]``
+    spells, if it is a table of integers.
+
+    A 1-D list, or a 2-D list of equally long rows, of JSON integers of at
+    most 18 characters is checked by whole-buffer byte operations and
+    converted by one ``np.fromstring``; any other text gives None and is
+    left to ``json``.
+    """
+    classes = _translated(raw, first, last, _CLASSES)
+    c = np.frombuffer(classes, dtype=np.uint8)
+    if len(c) < 2 or c[0] != _OPEN or c[-1] != _CLOSE:
+        return None
+    follow = (c[:-1] * 8 + c[1:]).tobytes().translate(_FOLLOW)
+    if any(pattern in follow for pattern in _REFUSED):
+        return None
+    # Brackets and commas alone must spell "[" "," * (n - 1) "]", or
+    # "[" rows "]" with rows "[" "," * (w - 1) "]" joined by ",".
+    delims = classes.translate(None, bytes([_DIGIT, _ZERO, _MINUS]))
+    if delims[1] != _OPEN:
+        shape: tuple[int, ...] = (len(delims) - 1 if len(c) > 2 else 0,)
+        if delims.count(_OPEN) != 1 or delims.count(_CLOSE) != 1:
+            return None
+    else:
+        row = delims[1 : delims.index(_CLOSE) + 1]
+        rows = delims.count(_OPEN) - 1
+        if delims != bytes([_OPEN]) + (row + bytes([_COMMA])) * (rows - 1) + row + bytes([_CLOSE]):
+            return None
+        width = len(row) - 1
+        if width == 1:  # rows "[]" and "[5]" spell the same delimiters
+            empty = classes.count(bytes([_OPEN, _CLOSE]))
+            if empty not in (0, rows):
+                return None
+            width -= empty // rows
+        shape = (rows, width)
+    count = math.prod(shape)
+    # Whitespace inside a number would split it: more numbers would start
+    # in the text than the table holds.
+    if len(classes) < last - first and _number_starts(raw, first, last) != count:
+        return None
+    values = np.empty(0, dtype=np.int64)
+    if count:
+        values = np.fromstring(_translated(raw, first, last, _SPACED), dtype=np.int64, sep=",")
+    if values.size != count:
+        return None
+    values = values.reshape(shape)
+    values.flags.writeable = False
+    return values
+
+
+TableSlots = Callable[[object], Iterable[tuple[object, int]]]
+
+
+def _read_tables(raw: bytes, tables: TableSlots):
+    """``json.loads`` of UTF-8 bytes with their integer tables read as arrays,
+    or None when no table was read that way or ``json`` refuses the text.
+
+    A table is looked for after each colon, up to the next quote or brace.
+    Each one ``_int_table_text`` reads is replaced by the token ``NaN`` in a
+    skeleton text; ``json`` decodes it and ``parse_constant`` hands back the
+    arrays in order.  The text may contain neither ``NaN`` nor
+    ``Infinity``, so a ``NaN`` that ``json`` does not see as a constant lay
+    inside a string and the text is refused.  Arrays that ``tables(data)``
+    does not name, with their dimension, become the lists ``json`` gives.
+    """
+    if b"NaN" in raw or b"Infinity" in raw:
+        return None
+    pieces: list[bytes] = []
+    arrays: list[np.ndarray] = []
+    done = 0
+    colon = raw.find(b":")
+    while colon >= 0:
+        end = raw.find(b'"', colon)
+        end = len(raw) if end < 0 else end
+        brace = raw.find(b"}", colon, end)
+        end = end if brace < 0 else brace
+        first = raw.find(b"[", colon, end)
+        last = raw.rfind(b"]", colon, end) + 1
+        if first >= 0 and last > first and not raw[colon + 1 : first].strip(_WHITESPACE):
+            arr = _int_table_text(raw, first, last)
+            if arr is not None:
+                pieces += (raw[done:first], b"NaN")
+                arrays.append(arr)
+                done = last
+        colon = raw.find(b":", end)
+    if not arrays:
+        return None
+    pieces.append(raw[done:])
+    queue = iter(arrays)
+    try:
+        out = json.loads(b"".join(pieces).decode("utf-8"), parse_constant=lambda _: next(queue))
+    except (ValueError, RecursionError):
+        return None
+    if next(queue, None) is not None:
+        return None
+    placed = {id(t) for t, ndim in tables(out) if isinstance(t, np.ndarray) and t.ndim == ndim}
+    stack = [out]
+    while stack:
+        node = stack.pop()
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            if isinstance(value, np.ndarray):
+                if id(value) not in placed:
+                    node[key] = value.tolist()
+            elif isinstance(value, (dict, list)):
+                stack.append(value)
+    return out
+
+
+def load_json(path: str, tables: TableSlots | None = None):
+    """``json.load`` of a UTF-8 file, reading integer tables as arrays.
+
+    ``tables(data)`` names the values that are tables, each with its
+    dimension (1, or 2 for rows).  In a file of at least ``FAST_READ_BYTES``
+    each of them that is a JSON list of integers, or of equally long rows
+    of them, comes back as a read-only int64 array; everything else is what
+    ``json`` gives, and a file that the byte checks cannot prove well formed
+    is decoded by ``json`` alone, with its errors.
+    """
+    if tables is not None and os.path.getsize(path) >= FAST_READ_BYTES:
+        with open(path, "rb") as fh:
+            data = _read_tables(fh.read(), tables)
+        if data is not None:
+            return data
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def parse_instance(data: Mapping) -> NetworkInstance:

@@ -9,12 +9,15 @@ import hashlib
 import itertools
 import json
 import json.encoder
+import random
+import sys
 from pathlib import Path
 
 import pytest
 
+from edgedrop import network
 from edgedrop.cli import main, parse_report
-from edgedrop.codes import load_code, relay_instance, save_code, tabulate
+from edgedrop.codes import code_to_dict, load_code, relay_instance, save_code, tabulate
 from edgedrop.errors import InternalCheckError
 from edgedrop.library import butterfly, butterfly4
 from edgedrop.network import load_instance, save_instance
@@ -296,6 +299,80 @@ def test_label_files_take_all_integers_or_all_strings(tmp_path, capsys):
         labels.write_text(json.dumps({"labels": bad}))
         assert main(argv + [str(labels)]) == 2
         assert "all integers or all strings" in capsys.readouterr().err
+
+
+def _outcomes(argv, capsys, monkeypatch):
+    """Exit status, report and error text of one command, first with the
+    byte-level table reader, then with json alone."""
+    out = []
+    for fast_bytes in (network.FAST_READ_BYTES, sys.maxsize):
+        monkeypatch.setattr(network, "FAST_READ_BYTES", fast_bytes)
+        status = main(argv)
+        captured = capsys.readouterr()
+        err = [line for line in captured.err.splitlines() if not line.startswith("elapsed")]
+        out.append((status, captured.out, err))
+    return out
+
+
+def test_large_label_files_go_through_the_reader(tmp_path, capsys, monkeypatch):
+    # The relay carries x1 mod 2; labels 1000 + x1 mod 2 give its level sets.
+    sizes = [16, 16, 8]
+    inst, code = relay_instance(sizes, 2, tabulate(sizes, lambda a, b, c: a % 2))
+    argv = ["remove-edge", *_write_pair(tmp_path, inst, code), "--edge", "e", "--partition"]
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"labels": tabulate(sizes, lambda a, b, c: 1000 + a % 2)}))
+    threshold = network.FAST_READ_BYTES
+    assert labels.stat().st_size >= threshold
+    fast, stock = _outcomes(argv + [str(labels)], capsys, monkeypatch)
+    assert fast == stock and fast[0] == 0
+    monkeypatch.setattr(network, "FAST_READ_BYTES", threshold)
+
+    def refuse(*args):
+        raise AssertionError("per-entry table check")
+
+    monkeypatch.setattr("edgedrop.cli._json_table", refuse)
+    assert main(argv + [str(labels)]) == 0
+    assert _stdout_report(capsys)["result"]["found"] is True
+
+
+def test_labels_beyond_64_bits_are_a_usage_error(tmp_path, capsys):
+    inst, code = relay_instance([2, 2], 2, tabulate([2, 2], lambda a, b: a))
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"labels": [0, 0, 1, 2**64]}))
+    argv = ["remove-edge", *_write_pair(tmp_path, inst, code), "--edge", "e"]
+    assert main(argv + ["--partition", str(labels)]) == 2
+    assert "labels entries must fit in 64 bits" in capsys.readouterr().err
+
+
+MUTATIONS = ["-0", "01", "1.5", "1e3", "true", "null", '"7"', "[", "]", ",", " ", "1 2",
+             "[[1]]", "99999999999999999999", "-9223372036854775809", "NaN", '"a\\"b"', "ü"]
+
+
+def test_mutated_code_files_exit_as_json_alone_would(tmp_path, capsys, monkeypatch):
+    """Mutated large code files exit 0, 1 or 2 with no traceback, and the
+    byte-level reader changes neither the status, the report nor the error."""
+    sizes = [8, 8, 8]
+    inst, code = relay_instance(sizes, 2, tabulate(sizes, lambda a, b, c: (a + b + c) % 2))
+    inst_path, code_path = _write_pair(tmp_path, inst, code)
+    text = json.dumps(code_to_dict(code), separators=(",", ":"))
+    assert len(text) >= network.FAST_READ_BYTES
+    commands = [
+        ["verify", inst_path, code_path, "--rates", "1,1,1"],
+        ["remove-edge", inst_path, code_path, "--edge", "e", "--partition", "builtin:edge-value"],
+    ]
+    rng = random.Random(8)
+    statuses = set()
+    for _ in range(60):
+        pos = rng.randrange(len(text))
+        mutated = text[:pos] + rng.choice(MUTATIONS) + text[pos + rng.randint(0, 2) :]
+        Path(code_path).write_text(mutated, encoding="utf-8")
+        for argv in commands:
+            fast, stock = _outcomes(argv, capsys, monkeypatch)
+            assert fast == stock, mutated[max(0, pos - 20) : pos + 20]
+            assert fast[0] in (0, 1, 2)
+            assert not any("Traceback" in line or "internal error" in line for line in fast[2])
+            statuses.add(fast[0])
+    assert statuses == {0, 1, 2}
 
 
 def test_remove_edge_edge_value_route(tmp_path, capsys):

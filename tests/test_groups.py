@@ -277,6 +277,36 @@ def test_subgroups_and_cosets_match_oracles():
     assert seen[True] and seen[False]
 
 
+def test_coset_labels_make_one_op_call_per_subgroup_generator(monkeypatch):
+    """Work guard: on Z16^3 (4096 elements) a subgroup of order 16 has 256
+    cosets, but labelling them calls op_array on the product group once per
+    generator of the subgroup, each call over all of G, so a loop over
+    cosets fails here."""
+    g = direct_product([make_cyclic(16)] * 3)
+    ref = ReferenceGroup(g)
+    h = generated_subgroup(g, [g.encode((4, 0, 0)), g.encode((0, 8, 8)), g.encode((8, 0, 8))])
+    assert h.order == 16
+    calls = []
+    op_array = ProductGroup.op_array
+
+    def counted(self, a, b):
+        calls.append(np.broadcast_shapes(np.shape(a), np.shape(b)))
+        return op_array(self, a, b)
+
+    monkeypatch.setattr(ProductGroup, "op_array", counted)
+    labels = coset_labels(g, h)
+    assert calls.count((g.order,)) == 3  # one per generator of H
+    assert all(np.prod(shape) <= h.order for shape in calls if shape != (g.order,))
+    expected = oracle_cosets(ref, h.members)
+    assert len(expected) == 256
+    assert [labels[c].tolist() for c in expected] == [[k] * len(c) for k, c in enumerate(expected)]
+    # A non-abelian subgroup of S3 x S3 on two generators.
+    g = direct_product([s3(), s3()])
+    h = generated_subgroup(g, [g.encode((1, 0)), g.encode((3, 3))])
+    assert not h.parent.is_abelian
+    assert cosets(g, h) == oracle_cosets(ReferenceGroup(g), h.members)
+
+
 def test_s3_left_cosets_of_a_non_normal_subgroup():
     g = s3()
     ref = ReferenceGroup(g)

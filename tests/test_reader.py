@@ -1,0 +1,206 @@
+"""The byte-level table reader against the stock oracle, ``json.loads``
+followed by ``codes._json_table``: it must give the same arrays or hand the
+text back to ``json``."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from edgedrop import codes
+from edgedrop.codes import code_to_dict, load_code, parse_code, relay_instance, tabulate
+from edgedrop.errors import DomainError
+from edgedrop.network import (
+    FAST_READ_BYTES,
+    _int_table_text,
+    _read_tables,
+    indented_json,
+)
+
+# Text that a table may be mutated with: everything the reader must refuse
+# or read exactly as json does.
+TOKENS = [
+    "-0", "0", "00", "01", "-01", "-", "--1", "+1", "1 2", "1\n2",
+    "999999999999999999", "-999999999999999999", "1000000000000000000",
+    "1234567890123456789", "-1234567890123456789", "12345678901234567890",
+    "9223372036854775807", "9223372036854775808",
+    "-9223372036854775808", "-9223372036854775809",
+    "1.5", "1.0", "1e3", "1E+2", "-0.0", "true", "false", "null",
+    '"7"', '"a\\"b"', '"ü"', "NaN", "Infinity", "-Infinity",
+    "[]", "[[]]", "[[[1]]]", "[[1],[2]]", "[1,]", ",", ",,", "[", "]",
+    " ", "\n", "\t", "\r", "\f", "{}", ":", " ",
+]
+
+INTS = st.one_of(
+    st.integers(-300, 300),
+    st.sampled_from([10**17, -(10**17), 10**18 - 1, 2**62, -(2**63), 2**63 - 1]),
+    st.integers(-(2**63), 2**63 - 1),
+)
+
+
+def _dump(value, indent) -> str:
+    if indent:
+        return json.dumps(value, indent=2)
+    return json.dumps(value, separators=(",", ":"))
+
+
+@st.composite
+def mutated(draw, text):
+    """The text with up to three edits: a token inserted or written over a
+    character, or a few characters deleted."""
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if kind == "delete":
+            text = text[:pos] + text[pos + draw(st.integers(1, 3)) :]
+        else:
+            token = draw(st.sampled_from(TOKENS))
+            text = text[:pos] + token + text[pos + (kind == "replace") :]
+    return text
+
+
+@st.composite
+def table_texts(draw):
+    if draw(st.booleans()):
+        table = draw(st.lists(INTS, max_size=10))
+    else:
+        width = draw(st.integers(0, 3))
+        table = draw(st.lists(st.lists(INTS, min_size=width, max_size=width), max_size=5))
+    return draw(mutated(_dump(table, draw(st.booleans()))))
+
+
+def _read(text: str):
+    raw = text.encode()
+    return _int_table_text(raw, 0, len(raw))
+
+
+def _agrees_with_json(text: str) -> bool:
+    """False when the reader handed the text off; raises when it disagrees."""
+    got = _read(text)
+    if got is None:
+        return False
+    expected = codes._json_table(json.loads(text), got.ndim, "table")
+    assert got.dtype == np.int64 and not got.flags.writeable
+    assert got.shape == expected.shape and np.array_equal(got, expected), text
+    return True
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(table_texts())
+def test_table_reader_agrees_with_json_or_hands_off(text):
+    _agrees_with_json(text)
+
+
+@pytest.mark.parametrize("token", TOKENS)
+def test_table_reader_on_each_token(token):
+    for template in ("[1,{},3]", "[[1,2],[{},4]]", "[\n  {}\n]", "[\n  [\n    {},\n    5\n  ]\n]"):
+        _agrees_with_json(template.format(token))
+
+
+@pytest.mark.parametrize(
+    "text, shape",
+    [
+        ("[]", (0,)),
+        ("[-0]", (1,)),
+        ("[[],[]]", (2, 0)),
+        ("[[5],[6]]", (2, 1)),
+        ("[ [1 ,2] ,\r\n\t[3, -4] ]", (2, 2)),
+        ("[999999999999999999,-99999999999999999]", (2,)),
+    ],
+)
+def test_table_reader_reads_well_formed_tables(text, shape):
+    assert _agrees_with_json(text)
+    assert _read(text).shape == shape
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[01]", "[-01]", "[1,]", "[,1]", "[1 2]", "[[1],[2,3]]", "[[1],2]", "[[[1]]]",
+        "[1.0]", "[true]", "[1e3]", "[-]", "[1234567890123456789]", "[+1]", "[1]]",
+    ],
+)
+def test_table_reader_hands_off_what_it_cannot_prove(text):
+    assert _read(text) is None
+
+
+KEYS = st.one_of(
+    st.sampled_from(["e", 'a"b', "ü", "x: [1, 2]", '":[3],"', "\\", "k\n", "NaN"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def code_texts(draw):
+    """Code-shaped documents with odd keys, in either layout, mutated."""
+    rows = draw(st.lists(st.lists(INTS, min_size=2, max_size=2), max_size=4))
+    doc = {
+        "blocklength": 1,
+        draw(KEYS): draw(st.lists(INTS, max_size=3)),
+        "source_alphabets": [2, 2],
+        "encoders": {draw(KEYS): draw(st.lists(INTS, max_size=4)) for _ in range(2)},
+        "decoders": {draw(KEYS): rows},
+        "edge_alphabets": {"e": 2},
+    }
+    indent = draw(st.sampled_from([None, 2]))
+    text = json.dumps(doc, ensure_ascii=draw(st.booleans()), indent=indent)
+    return draw(mutated(text))
+
+
+def _as_json(node):
+    if isinstance(node, np.ndarray):
+        return node.tolist()
+    if isinstance(node, dict):
+        return {k: _as_json(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_as_json(v) for v in node]
+    return node
+
+
+def _parsed(data):
+    try:
+        return parse_code(data)
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(code_texts())
+def test_file_reader_agrees_with_json_or_hands_off(text):
+    got = _read_tables(text.encode(), codes._code_tables)
+    if got is None:
+        return
+    expected = json.loads(text)
+    assert _as_json(got) == expected
+    assert _parsed(got) == _parsed(expected)
+
+
+def test_tables_elsewhere_come_back_as_lists():
+    text = '{"encoders": {"e": [1, 2], "f": [[1]]}, "other": [3, 4], "decoders": {"t": [5]}}'
+    got = _read_tables(text.encode(), codes._code_tables)
+    assert isinstance(got["encoders"]["e"], np.ndarray)
+    assert got["encoders"]["f"] == [[1]] and got["other"] == [3, 4] and got["decoders"]["t"] == [5]
+    # A table inside a string is not one; json decides.
+    assert _read_tables(b'{"a": "x: [1, 2]"}', codes._code_tables) is None
+
+
+@pytest.mark.parametrize("layout", ["compact", "indent=2"])
+def test_large_codes_load_without_the_per_entry_check(tmp_path, monkeypatch, layout):
+    """Guard: a 2^16-tuple relay loads with ``_json_table`` unusable, in the
+    layout the benchmark writes and in the one ``save_code`` writes."""
+    sizes = [256, 256]
+    _, code = relay_instance(sizes, 2, tabulate(sizes, lambda a, b: (a + b) % 2))
+    data = code_to_dict(code)
+    text = indented_json(data) if layout == "indent=2" else _dump(data, None)
+    assert len(text) >= FAST_READ_BYTES
+    path = tmp_path / "relay.code.json"
+    path.write_text(text)
+    expected = parse_code(json.loads(text))
+
+    def refuse(*args):
+        raise AssertionError("per-entry table check")
+
+    monkeypatch.setattr(codes, "_json_table", refuse)
+    assert load_code(str(path)) == expected
