@@ -11,6 +11,7 @@ from .codes import (
     NetworkCode,
     build_global_table,
     check_feasibility,
+    joint_counts,
     joint_entropy,
     load_code,
     relay_instance,
@@ -48,7 +49,6 @@ from .groupcodes import (
     GroupCharacterization,
     abelian_removal_plan,
     best_decoder_error,
-    coset_joint_entropy,
     independent_sources,
     induced_entropy,
     load_characterization,
@@ -67,7 +67,6 @@ from .groups import (
     direct_product,
     generated_subgroup,
     group_from_description,
-    intersection,
     is_homomorphism,
     kernel,
     make_cyclic,

@@ -79,6 +79,24 @@ def product_indices(subsets: Sequence[Sequence[int]], sizes: Sequence[int]) -> n
     return idx.ravel()
 
 
+def checked_subsets(
+    subsets: Sequence[Sequence[int]], sizes: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """One non-empty symbol subset per source, each sorted and deduplicated
+    and inside its source alphabet."""
+    if len(subsets) != len(sizes):
+        raise DomainError("one subset per source is required")
+    out = []
+    for size, sub in zip(sizes, subsets):
+        ss = tuple(sorted(set(sub)))
+        if not ss:
+            raise DomainError("subsets must be non-empty")
+        if any(not 0 <= v < size for v in ss):
+            raise DomainError("subset symbol outside its source alphabet")
+        out.append(ss)
+    return tuple(out)
+
+
 def select_input(table: np.ndarray, sizes: Sequence[int], pos: int, index) -> np.ndarray:
     """A table over mixed-radix inputs, re-indexed along input ``pos``.
 
@@ -472,28 +490,14 @@ def check_feasibility(
     )
 
 
-def joint_entropy(
-    table: GlobalCodeTable,
-    sources: Sequence[int] = (),
-    edges: Sequence[str] = (),
-) -> float:
-    """Entropy in bits of selected source and edge variables, in bits.
+def joint_counts(columns: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """How many of the n tuples take each joint value of the columns.
 
-    The distribution is induced by a uniform source tuple; probabilities are
-    integer counts over the table, so the result is exact up to float
-    rounding.  Callers compare entropies with a tolerance of 1e-9 bits.
+    Each column holds one symbol per tuple; the counts come in order of
+    first occurrence.  No columns give the single count n.
     """
-    for i in sources:
-        if not 0 <= i < len(table.source_sizes):
-            raise DomainError(f"unknown source index {i}")
-    missing = [e for e in edges if e not in table._edge_pos]
-    if missing:
-        raise DomainError(f"unknown edge ids {missing}")
-    n = table.num_tuples
-    digits = index_digits(np.arange(n), table.source_sizes)
-    columns = [digits[i] for i in sources] + [table.edge_values(e) for e in edges]
-    # Pack the selected variables into one dense key per tuple, re-densifying
-    # the key before it could outgrow 63 bits.
+    # Pack the columns into one dense key per tuple, re-densifying the key
+    # before it could outgrow 63 bits.
     key = np.zeros(n, dtype=np.int64)
     bound = 1
     for col in columns:
@@ -504,8 +508,31 @@ def joint_entropy(
         key = key * len(symbols) + col
         bound *= len(symbols)
     _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    return counts[np.argsort(first)]
+
+
+def joint_entropy(
+    table: GlobalCodeTable,
+    sources: Sequence[int] = (),
+    edges: Sequence[str] = (),
+) -> float:
+    """Entropy in bits of selected source and edge variables, as a float.
+
+    The distribution is induced by a uniform source tuple.  No verdict in
+    the package reads this float; entropy verdicts are decided on the
+    integer counts of ``joint_counts``.
+    """
+    for i in sources:
+        if not 0 <= i < len(table.source_sizes):
+            raise DomainError(f"unknown source index {i}")
+    missing = [e for e in edges if e not in table._edge_pos]
+    if missing:
+        raise DomainError(f"unknown edge ids {missing}")
+    n = table.num_tuples
+    digits = index_digits(np.arange(n), table.source_sizes)
+    columns = [digits[i] for i in sources] + [table.edge_values(e) for e in edges]
     # Summed in order of first occurrence, as a running tally would see them.
-    return sum(c / n * math.log2(n / c) for c in counts[np.argsort(first)].tolist())
+    return sum(c / n * math.log2(n / c) for c in joint_counts(columns, n).tolist())
 
 
 def code_to_dict(code: NetworkCode) -> dict:

@@ -26,17 +26,18 @@ from .codes import (
     GlobalCodeTable,
     NetworkCode,
     build_global_table,
+    checked_subsets,
     encoder_input_sizes,
     index_digits,
     index_to_values,
-    joint_entropy,
+    joint_counts,
     mixed_radix_index,
     product_indices,
     relay_instance,
     select_input,
 )
 from .errors import DomainError, InternalCheckError, PreconditionError
-from .groupcodes import ENTROPY_TOLERANCE, GroupCharacterization
+from .groupcodes import GroupCharacterization
 from .groups import (
     TABLE_VERIFY_BOUND,
     CyclicGroup,
@@ -356,18 +357,9 @@ def check_piecewise(
     member_sets = []
     cleaned = []
     for subsets, piece_phi in pieces:
-        if len(subsets) != len(sizes):
-            raise DomainError("each piece needs one subset per source")
-        subs = []
-        for size, sub in zip(sizes, subsets):
-            ss = tuple(sorted(set(sub)))
-            if not ss:
-                raise DomainError("piece subsets must be non-empty")
-            if any(not 0 <= v < size for v in ss):
-                raise DomainError("piece subset symbol outside its source alphabet")
-            subs.append(ss)
+        subs = checked_subsets(subsets, sizes)
         member_sets.append(product_indices(subs, sizes))
-        cleaned.append((tuple(subs), _normalize_phi(piece_phi, sizes)))
+        cleaned.append((subs, _normalize_phi(piece_phi, sizes)))
     counts = np.bincount(np.concatenate(member_sets), minlength=total)
     offending = [index_to_values(i, sizes) for i in np.flatnonzero(counts != 1).tolist()]
     if offending:
@@ -520,14 +512,15 @@ def relabel_balanced(g: Mapping, codomain: Sequence | None = None) -> BalancedRe
 
 
 def characterize_witness(w: CwlWitness) -> GroupCharacterization:
-    """Group characterization induced by a CWL witness, verified numerically.
+    """Group characterization induced by a CWL witness, verified exactly.
 
     The carrier is the product of the source groups; source i's subgroup
     pins coordinate i to its identity, and the edge subgroup is the kernel
-    of the witness homomorphism.  Every subset entropy of the realized
-    variables is checked against ``log2(|G| / |intersection|)`` within
-    1e-9 bits, with the variables materialized through an explicit relay
-    network.
+    of the witness homomorphism.  The realized variables are materialized
+    through an explicit relay network, and every subset of them must obey
+    the uniform coset law: exactly ``|G| / |intersection|`` joint values,
+    each on exactly ``|intersection|`` tuples.  That is the entropy
+    ``log2(|G| / |intersection|)``, decided on integer counts.
     """
     product = direct_product(w.source_groups)
     sizes = w.source_sizes
@@ -544,17 +537,16 @@ def characterize_witness(w: CwlWitness) -> GroupCharacterization:
     edge_size = max(w.edge_support) + 1
     inst, code = relay_instance(sizes, edge_size, w.phi_table())
     table = build_global_table(inst, code)
-    keys = [f"s{i + 1}" for i in range(len(sizes))] + ["e"]
-    for r in range(len(keys) + 1):
-        for alpha in itertools.combinations(keys, r):
-            inter = gc.intersection_members(alpha)
-            formula = math.log2(total / len(inter))
-            sources = [int(k[1:]) - 1 for k in alpha if k != "e"]
-            edges = ["e"] if "e" in alpha else []
-            measured = joint_entropy(table, sources=sources, edges=edges)
-            if abs(measured - formula) > ENTROPY_TOLERANCE:
+    columns = dict(zip(subgroups, digits + [table.edge_values("e")]))
+    for r in range(len(columns) + 1):
+        for alpha in itertools.combinations(columns, r):
+            meet = gc.meet_order(alpha)
+            counts = joint_counts([columns[k] for k in alpha], total)
+            if (counts != meet).any():
                 raise InternalCheckError(
-                    f"entropy of {alpha} is {measured}, formula gives {formula}"
+                    f"variables {alpha} take {counts.size} joint values with counts "
+                    f"{counts.min()}..{counts.max()}, the coset law needs "
+                    f"{total // meet} values on {meet} tuples each"
                 )
     return gc
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -26,7 +25,6 @@ from .groups import (
     SubgroupHandle,
     coset_labels,
     group_from_description,
-    intersection,
     subgroup,
     subgroup_product,
 )
@@ -34,7 +32,11 @@ from .network import NetworkInstance, require_int
 from .removal import RemovalResult, SourcePartition, fiber_edge_values, find_witness, restrict_code
 
 GROUP_ORDER_CAP = 1 << 20
-ENTROPY_TOLERANCE = 1e-9
+
+
+def _check_order_cap(group: FiniteGroup) -> None:
+    if group.order > GROUP_ORDER_CAP:
+        raise ResourceError(f"group order {group.order} is above the cap of {GROUP_ORDER_CAP}")
 
 
 @dataclass(frozen=True)
@@ -45,10 +47,7 @@ class GroupCharacterization:
     subgroups: dict[str, SubgroupHandle]
 
     def __post_init__(self):
-        if self.group.order > GROUP_ORDER_CAP:
-            raise ResourceError(
-                f"group order {self.group.order} is above the cap of {GROUP_ORDER_CAP}"
-            )
+        _check_order_cap(self.group)
         for name, h in self.subgroups.items():
             if h.parent is not self.group:
                 raise PreconditionError(f"subgroup {name!r} has a different parent group")
@@ -63,17 +62,22 @@ class GroupCharacterization:
         except KeyError:
             raise DomainError(f"unknown variable {key!r}") from None
 
-    def intersection_members(self, keys: Sequence[str]) -> frozenset[int]:
-        members = frozenset(self.group.elements())
+    def meet(self, keys: Sequence[str]) -> np.ndarray:
+        """Membership flag of every element in the intersection of the named
+        subgroups (all of G for no keys)."""
+        inside = np.ones(self.group.order, dtype=bool)
         for k in keys:
-            members &= self.handle(k).members
-        return members
+            inside &= self.handle(k).mask
+        return inside
+
+    def meet_order(self, keys: Sequence[str]) -> int:
+        return int(np.count_nonzero(self.meet(keys)))
 
     @cached_property
-    def _realize_maps(self) -> dict[str, tuple[int, ...]]:
+    def _realize_maps(self) -> dict[str, np.ndarray]:
         return {}
 
-    def realize_map(self, key: str) -> tuple[int, ...]:
+    def realize_map(self, key: str) -> np.ndarray:
         """Dense coset label for every group element, for one variable."""
         if key not in self._realize_maps:
             self._realize_maps[key] = gc_realize_subgroup(self.group, self.handle(key))
@@ -84,25 +88,16 @@ class GroupCharacterization:
 
 
 def induced_entropy(gc: GroupCharacterization, keys: Sequence[str]) -> float:
-    """Joint entropy in bits of the variables named by keys."""
+    """Joint entropy in bits of the variables named by keys, as a float;
+    verdicts use the integer ``meet_order`` instead."""
     if not keys:
         return 0.0
-    return math.log2(gc.group.order / len(gc.intersection_members(keys)))
-
-
-def coset_joint_entropy(gc: GroupCharacterization, keys: Sequence[str]) -> float:
-    """The same entropy from explicit enumeration over group elements."""
-    counts = Counter()
-    maps = [gc.realize_map(k) for k in keys]
-    for g in gc.group.elements():
-        counts[tuple(m[g] for m in maps)] += 1
-    n = gc.group.order
-    return sum(c / n * math.log2(n / c) for c in counts.values())
+    return math.log2(gc.group.order / gc.meet_order(keys))
 
 
 def normalized_sources(gc: GroupCharacterization, source_keys: Sequence[str]) -> bool:
     """Whether the source subgroups intersect in the identity alone."""
-    return gc.intersection_members(source_keys) == frozenset({gc.group.identity})
+    return gc.meet_order(source_keys) == 1
 
 
 def independent_sources(gc: GroupCharacterization, source_keys: Sequence[str]) -> bool:
@@ -115,7 +110,7 @@ def independent_sources(gc: GroupCharacterization, source_keys: Sequence[str]) -
     total = 1
     for k in source_keys:
         total *= gc.variable_size(k)
-    joint = gc.group.order // len(gc.intersection_members(source_keys))
+    joint = gc.group.order // gc.meet_order(source_keys)
     return total == joint
 
 
@@ -158,9 +153,10 @@ class AbelianRemovalPlan:
     """Partition and certificate produced for an abelian characterization.
 
     ``checks`` records the verified facts: the auxiliary subgroup sits inside
-    the edge subgroup, the per-part entropy split matches numerically and as
-    an exact integer identity, and the per-source size bound holds in
-    cross-multiplied integer form.
+    the edge subgroup, the per-part entropy split log2|G'| = sum of
+    log2(|G'| / m_i) holds (it does exactly when the integer identity
+    |G'|**(k-1) = prod m_i does, so both split keys report that identity),
+    and the per-source size bound holds in cross-multiplied integer form.
     """
 
     edge_key: str
@@ -199,25 +195,19 @@ def abelian_removal_plan(
     g_e = gc.handle(edge_key)
     complements = []
     for i in range(len(source_keys)):
-        others = [gc.handle(k) for j, k in enumerate(source_keys) if j != i]
-        members = frozenset(group.elements())
-        for h in others:
-            members &= h.members
-        complements.append(intersection(g_e, subgroup(group, members)))
+        others = gc.meet([k for j, k in enumerate(source_keys) if j != i])
+        complements.append(subgroup(group, np.flatnonzero(g_e.mask & others).tolist()))
     g_prime = subgroup_product(group, complements)
 
     k = len(source_keys)
     inter_with_sources = [
-        len(g_prime.members & gc.handle(key).members) for key in source_keys
+        int(np.count_nonzero(g_prime.mask & gc.handle(key).mask)) for key in source_keys
     ]
+    split = g_prime.order ** (k - 1) == math.prod(inter_with_sources)
     checks = {
-        "edge_determined": g_prime.members <= g_e.members,
-        "product_split_exact": g_prime.order ** (k - 1) == math.prod(inter_with_sources),
-        "product_split_numeric": abs(
-            math.log2(g_prime.order)
-            - sum(math.log2(g_prime.order / m) for m in inter_with_sources)
-        )
-        <= ENTROPY_TOLERANCE,
+        "edge_determined": not (g_prime.mask & ~g_e.mask).any(),
+        "product_split_exact": split,
+        "product_split_numeric": split,
         "size_bound": all(
             g_prime.order * gc.handle(key).order >= g_e.order * m
             for key, m in zip(source_keys, inter_with_sources)
@@ -252,9 +242,11 @@ def abelian_removal_plan(
     )
 
 
-def gc_realize_subgroup(group: FiniteGroup, sub: SubgroupHandle) -> tuple[int, ...]:
-    """Dense left-coset label of every element for an ad hoc subgroup."""
-    return tuple(coset_labels(group, sub).tolist())
+def gc_realize_subgroup(group: FiniteGroup, sub: SubgroupHandle) -> np.ndarray:
+    """Dense left-coset label of every element for an ad hoc subgroup, read-only."""
+    labels = coset_labels(group, sub)
+    labels.flags.writeable = False
+    return labels
 
 
 @dataclass(frozen=True)
@@ -294,18 +286,25 @@ def best_decoder_error(
     The best decoder picks, per incoming coset, the demanded coset with the
     largest overlap.
     """
-    correct = sum(max(c.values()) for c in _coset_overlap(gc, in_key, source_key).values())
-    return 1 - Fraction(correct, gc.group.order)
+    return _best_error(*_coset_overlap(gc, in_key, source_key))
 
 
-def _coset_overlap(gc: GroupCharacterization, in_key: str, source_key: str) -> dict[int, Counter]:
-    """Per incoming coset, how many elements fall in each demanded coset."""
-    in_map = gc.realize_map(in_key)
-    src_map = gc.realize_map(source_key)
-    overlap: dict[int, Counter] = {}
-    for g in gc.group.elements():
-        overlap.setdefault(in_map[g], Counter())[src_map[g]] += 1
-    return overlap
+def _coset_overlap(
+    gc: GroupCharacterization, in_key: str, source_key: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every (incoming coset, demanded coset) pair that shares elements, as
+    the incoming label and the number of shared elements, sorted by
+    incoming label.  Only the pairs that occur are counted, so the work is
+    O(|G| log |G|) however many cosets there are."""
+    cols = gc.variable_size(source_key)
+    pairs = gc.realize_map(in_key) * cols + gc.realize_map(source_key)
+    met, counts = np.unique(pairs, return_counts=True)
+    return met // cols, counts
+
+
+def _best_error(rows: np.ndarray, counts: np.ndarray) -> Fraction:
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return 1 - Fraction(int(np.maximum.reduceat(counts, starts).sum()), int(counts.sum()))
 
 
 def zero_error_upgrade(
@@ -318,42 +317,33 @@ def zero_error_upgrade(
     subgroup, the emitted decoder is verified to never err.  Otherwise the
     observed coset meets exactly q demanded cosets, each equally often, so no
     decoder can beat a correct fraction of 1/q; this conditional uniformity
-    is verified by enumeration.
+    is verified on the coset overlap counts.
     """
     out = []
     for in_key, source_key in demands:
-        g_in = gc.handle(in_key)
-        g_src = gc.handle(source_key)
-        in_map = gc.realize_map(in_key)
-        src_map = gc.realize_map(source_key)
-        if g_in.members <= g_src.members:
-            decoder: dict[int, int] = {}
-            for g in gc.group.elements():
-                prior = decoder.get(in_map[g])
-                if prior is None:
-                    decoder[in_map[g]] = src_map[g]
-                elif prior != src_map[g]:
-                    raise InternalCheckError(
-                        "contained coset maps to two demanded cosets"
-                    )
-            for g in gc.group.elements():
-                if decoder[in_map[g]] != src_map[g]:
-                    raise InternalCheckError("zero-error decoder failed verification")
+        order = gc.handle(in_key).order
+        meet = gc.meet_order([in_key, source_key])
+        if meet == order:  # the observed subgroup lies inside the demanded one
+            in_map, src_map = gc.realize_map(in_key), gc.realize_map(source_key)
+            decoder = np.empty(gc.variable_size(in_key), dtype=np.int64)
+            decoder[in_map] = src_map
+            if not np.array_equal(decoder[in_map], src_map):
+                raise InternalCheckError("zero-error decoder failed verification")
             out.append(
-                TerminalDecision(in_key, source_key, "zero_error", decoder, None, None)
+                TerminalDecision(
+                    in_key, source_key, "zero_error", dict(enumerate(decoder.tolist())), None, None
+                )
             )
             continue
-        meet = len(g_in.members & g_src.members)
-        q = g_in.order // meet
-        for counts in _coset_overlap(gc, in_key, source_key).values():
-            if len(counts) != q or set(counts.values()) != {meet}:
-                raise InternalCheckError(
-                    "incoming coset is not uniform over demanded cosets"
-                )
+        q = order // meet
+        rows, counts = _coset_overlap(gc, in_key, source_key)
+        per_row = np.bincount(rows, minlength=gc.variable_size(in_key))
+        if (per_row != q).any() or (counts != meet).any():
+            raise InternalCheckError("incoming coset is not uniform over demanded cosets")
         min_error = 1 - Fraction(1, q)
         if q < 2 or min_error < Fraction(1, 2):
             raise InternalCheckError("non-contained subgroup produced q < 2")
-        if best_decoder_error(gc, in_key, source_key) != min_error:
+        if _best_error(rows, counts) != min_error:
             raise InternalCheckError("best decoder error disagrees with 1 - 1/q")
         out.append(
             TerminalDecision(in_key, source_key, "high_error", None, q, min_error)
@@ -373,6 +363,7 @@ def characterization_to_dict(gc: GroupCharacterization) -> dict:
 def parse_characterization(data: Mapping) -> GroupCharacterization:
     try:
         group = group_from_description(data["group"])
+        _check_order_cap(group)
         subs = {
             str(name): subgroup(group, [require_int(m, "subgroup member") for m in members])
             for name, members in data["subgroups"].items()

@@ -378,6 +378,13 @@ class SubgroupHandle:
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
 
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """Read-only membership flag of every element of the parent."""
+        inside = _indicator(self.parent, np.fromiter(self.members, np.int64, len(self.members)))
+        inside.flags.writeable = False
+        return inside
+
 
 def subgroup(group: FiniteGroup, members: Iterable[int]) -> SubgroupHandle:
     """Wrap a member set as a verified subgroup handle."""
@@ -398,30 +405,17 @@ def generated_subgroup(group: FiniteGroup, generators: Iterable[int]) -> Subgrou
     return SubgroupHandle(group, frozenset(np.flatnonzero(inside).tolist()))
 
 
-def intersection(h1: SubgroupHandle, h2: SubgroupHandle) -> SubgroupHandle:
-    """Intersection of two subgroups of the same parent."""
-    if h1.parent is not h2.parent:
-        raise PreconditionError("subgroups have different parent groups")
-    return SubgroupHandle(h1.parent, h1.members & h2.members)
-
-
 def subgroup_product(group: FiniteGroup, parts: Sequence[SubgroupHandle]) -> SubgroupHandle:
     """Internal product of subgroups of an abelian parent.
 
-    For abelian groups the set of products is itself a subgroup; the result is
-    still verified by the handle constructor.
+    For abelian groups the set of products is the subgroup generated by the
+    parts' members; the result is still verified by the handle constructor.
     """
     if not group.is_abelian:
         raise PreconditionError("subgroup products are only taken in abelian groups")
-    members = np.array([group.identity])
-    for h in parts:
-        if h.parent is not group:
-            raise PreconditionError("subgroup has a different parent group")
-        inside = _indicator(group, [])
-        for m in h.sorted_members:
-            inside[group.op_array(members, m)] = True
-        members = np.flatnonzero(inside)
-    return SubgroupHandle(group, frozenset(members.tolist()))
+    if any(h.parent is not group for h in parts):
+        raise PreconditionError("subgroup has a different parent group")
+    return generated_subgroup(group, [m for h in parts for m in h.members])
 
 
 def coset_labels(group: FiniteGroup, sub: SubgroupHandle) -> np.ndarray:

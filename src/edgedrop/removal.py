@@ -29,6 +29,7 @@ from .codes import (
     NetworkCode,
     build_global_table,
     check_feasibility,
+    checked_subsets,
     index_digits,
     index_to_values,
     product_indices,
@@ -438,14 +439,7 @@ def _product_indices(
     table: GlobalCodeTable, subsets: Sequence[Sequence[int]]
 ) -> np.ndarray:
     """Dense indices of the product of per-source symbol subsets."""
-    if len(subsets) != len(table.source_sizes):
-        raise DomainError("one subset per source is required")
-    for size, sub in zip(table.source_sizes, subsets):
-        if not sub:
-            raise DomainError("subsets must be non-empty")
-        if any(not 0 <= v < size for v in sub):
-            raise DomainError("subset symbol outside its source alphabet")
-    return product_indices([sorted(set(s)) for s in subsets], table.source_sizes)
+    return product_indices(checked_subsets(subsets, table.source_sizes), table.source_sizes)
 
 
 def product_set_witness(

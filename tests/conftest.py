@@ -242,6 +242,18 @@ def counter_entropy(inst: NetworkInstance, sizes, rows, sources=(), edges=()) ->
     return sum(c / n * math.log2(n / c) for c in counts.values())
 
 
+def marginals_sum_to_log(n: int, marginal_counts: Sequence[Sequence[int]]) -> bool:
+    """Whether the marginal entropies of k variables over n equally likely
+    tuples sum to exactly log2 n, decided in integers.
+
+    ``marginal_counts[i]`` holds the counts of variable i's values.  Since
+    n * H(X_i) = n * log2 n - sum_c c * log2 c, the sum is log2 n exactly
+    when n ** (n * (k - 1)) == prod_i prod_c c ** c.
+    """
+    k = len(marginal_counts)
+    return n ** (n * (k - 1)) == math.prod(c**c for counts in marginal_counts for c in counts)
+
+
 def random_hom_witness(rng, max_order, size_pool, max_sources, product_cap):
     """Random cyclic-source homomorphism with a derived edge group."""
     m = rng.randint(2, max_order)

@@ -4,8 +4,8 @@ Each test prints a single PASS/FAIL line (past the capture, so the lines
 are visible in a normal pytest run) and enforces its own runtime budget.
 Every certificate is re-verified with an independent feasibility call, and
 the cross-oracle checks re-derive verdicts from first principles inside
-this file.  Comparisons are exact rationals or integers except where a
-tolerance of 1e-9 bits is stated.
+this file.  Comparisons are exact rationals or integers; entropy identities
+are decided on integer counts.
 """
 
 import itertools
@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    marginals_sum_to_log,
     random_balanced_map,
     random_code,
     random_coordinate_characterization,
@@ -43,12 +44,7 @@ from edgedrop.cwl import (
     relabel_balanced,
     witness_partition,
 )
-from edgedrop.groupcodes import (
-    GroupCharacterization,
-    coset_joint_entropy,
-    induced_entropy,
-    zero_error_upgrade,
-)
+from edgedrop.groupcodes import GroupCharacterization, zero_error_upgrade
 from edgedrop.groups import (
     CyclicGroup,
     ProductGroup,
@@ -63,8 +59,6 @@ from edgedrop.removal import (
     find_witness,
     restrict_code,
 )
-
-ENTROPY_TOL = 1e-9
 
 
 @pytest.fixture
@@ -450,18 +444,21 @@ def test_criterion_09_entropy_identities(announce):
         gc = characterize_witness(witness)
         keys = sorted(gc.subgroups)
         source_keys = [k for k in keys if k != "e"]
+        labels = {k: gc.realize_map(k).tolist() for k in keys}
+        # H = log2(|G| / |meet|) exactly when every joint coset value is taken
+        # by exactly |meet| elements.
         for r in range(1, len(keys) + 1):
             for combo in itertools.combinations(keys, r):
-                closed = induced_entropy(gc, list(combo))
-                enumerated = coset_joint_entropy(gc, list(combo))
-                if abs(closed - enumerated) > ENTROPY_TOL:
-                    failures.append(f"witness {count}: entropy mismatch on {combo}")
-        joint = induced_entropy(gc, source_keys)
-        split = sum(induced_entropy(gc, [k]) for k in source_keys)
-        if abs(joint - split) > ENTROPY_TOL:
-            failures.append(f"witness {count}: sources are not independent")
-        if abs(joint - math.log2(gc.group.order)) > ENTROPY_TOL:
+                meet = len(frozenset.intersection(*(gc.subgroups[k].members for k in combo)))
+                enumerated = Counter(zip(*(labels[k] for k in combo)))
+                if set(enumerated.values()) != {meet}:
+                    failures.append(f"witness {count}: coset counts on {combo} are not {meet}")
+        joint = Counter(zip(*(labels[k] for k in source_keys)))
+        if len(joint) != gc.group.order:
             failures.append(f"witness {count}: sources do not determine the element")
+        marginals = [Counter(labels[k]).values() for k in source_keys]
+        if not marginals_sum_to_log(gc.group.order, marginals):
+            failures.append(f"witness {count}: sources are not independent")
     elapsed = time.perf_counter() - started
     announce(9, elapsed, 30.0, failures, f"{len(witnesses)} witnesses")
 
@@ -476,14 +473,8 @@ def test_criterion_10_product_entropy_cross_oracle(announce):
         additive = True
         for label in part.sorted_labels():
             tuples = part.part_tuples(label)
-            n = len(tuples)
-            marginal_sum = 0.0
-            for i in range(len(tuples[0])):
-                counts = Counter(t[i] for t in tuples)
-                marginal_sum += sum(
-                    c / n * math.log2(n / c) for c in counts.values()
-                )
-            if abs(math.log2(n) - marginal_sum) > ENTROPY_TOL:
+            marginals = [Counter(column).values() for column in zip(*tuples)]
+            if not marginals_sum_to_log(len(tuples), marginals):
                 additive = False
                 break
         if claimed != additive:

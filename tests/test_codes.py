@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from edgedrop.codes import (
     check_feasibility,
     code_to_dict,
     index_to_values,
+    joint_counts,
     joint_entropy,
     load_code,
     mixed_radix_index,
@@ -240,6 +242,20 @@ def test_joint_entropy_matches_counter_oracle():
             want = counter_entropy(inst, code.source_alphabets, rows, sources, edges)
             # Same counts summed in the same order: equal to the last bit.
             assert joint_entropy(table, sources=sources, edges=edges) == want
+
+
+def test_joint_counts_in_first_occurrence_order():
+    a = np.array([5, 5, 7, 5, 7, 9])
+    b = np.array([1, 2, 1, 1, 1, 1])
+    assert joint_counts([a], 6).tolist() == [3, 2, 1]
+    assert joint_counts([a, b], 6).tolist() == [2, 1, 2, 1]
+    assert joint_counts([], 6).tolist() == [6]
+    # Six columns of about 4000 distinct symbols outgrow 62 bits of key, so
+    # the key is re-densified once on the way.
+    rng = np.random.default_rng(3)
+    wide = [rng.integers(0, 1 << 20, size=4000) for _ in range(6)]
+    want = Counter(zip(*(c.tolist() for c in wide)))
+    assert joint_counts(wide, 4000).tolist() == list(want.values())
 
 
 def test_entropy_additive_for_independent_sources():

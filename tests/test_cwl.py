@@ -25,6 +25,7 @@ from edgedrop.codes import (
     tabulate,
 )
 from edgedrop.cwl import (
+    CwlWitness,
     EdgeFunction,
     SearchBudget,
     abelian_structures,
@@ -41,7 +42,7 @@ from edgedrop.cwl import (
     relabel_balanced,
     witness_partition,
 )
-from edgedrop.errors import DomainError, PreconditionError
+from edgedrop.errors import DomainError, InternalCheckError, PreconditionError
 from edgedrop.groupcodes import (
     abelian_removal_plan,
     independent_sources,
@@ -254,6 +255,24 @@ def test_relabel_balanced_roundtrip():
         assert fiber == r.codomain_labels[value]
     assert r.witness is not None
     assert r.witness.edge_support == (0, 1, 2)
+
+
+def test_characterize_witness_rejects_one_tuple_off_the_coset_law():
+    """One source Z2^18 and edge group Z2^2 with hom = x mod 4, except that
+    tuple 1 carries 2.  The kernel is still the subgroup x = 0 mod 4, but the
+    edge values now occur 2^16 - 1 and 2^16 + 1 times; H(e) is off log2 4 by
+    only 8.4e-11 bits, inside any 1e-9 float tolerance.  The witness is
+    built directly because certifying it would reject it for another reason.
+    """
+    source = direct_product([make_cyclic(2)] * 18)
+    hom = np.arange(source.order) % 4
+    edge = direct_product([make_cyclic(2)] * 2)
+    good = CwlWitness((source,), edge, (0, 1, 2, 3), tuple(hom.tolist()))
+    assert characterize_witness(good).variable_size("e") == 4
+    hom[1] = 2
+    bad = CwlWitness((source,), edge, (0, 1, 2, 3), tuple(hom.tolist()))
+    with pytest.raises(InternalCheckError, match="coset law"):
+        characterize_witness(bad)
 
 
 def test_relabel_balanced_rejects_skew():

@@ -2,12 +2,15 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from edgedrop import groups
 from edgedrop.codes import build_global_table
-from edgedrop.errors import PreconditionError
+from edgedrop.errors import PreconditionError, ResourceError
 from edgedrop.groupcodes import (
     GroupCharacterization,
     abelian_removal_plan,
@@ -22,7 +25,7 @@ from edgedrop.groupcodes import (
     parse_characterization,
     zero_error_upgrade,
 )
-from edgedrop.groups import direct_product, make_cyclic, subgroup
+from edgedrop.groups import FiniteGroup, direct_product, make_cyclic, subgroup
 
 
 def _klein_characterization():
@@ -48,12 +51,8 @@ def test_variable_sizes_and_realize():
     gc = _klein_characterization()
     assert gc.variable_size("s1") == 2
     assert gc.variable_size("e") == 2
-    assert gc_realize_subgroup(make_cyclic(4), subgroup(make_cyclic(4), [0, 2])) == (
-        0,
-        1,
-        0,
-        1,
-    )
+    labels = gc_realize_subgroup(make_cyclic(4), subgroup(make_cyclic(4), [0, 2]))
+    assert labels.tolist() == [0, 1, 0, 1]
 
 
 def test_entropies_on_klein():
@@ -229,3 +228,71 @@ def test_random_normalized_plans_verify():
         assert plan.removal.certificate.eps == 0
         built += 1
     assert built == 30
+
+
+def test_group_order_cap_comes_before_any_subgroup(monkeypatch):
+    """A characterization over Z_(2^21) is refused before any subgroup is
+    verified, so no array of 2^21 membership flags is allocated."""
+
+    def refuse(*_):
+        raise AssertionError("a subgroup was built before the order cap was checked")
+
+    monkeypatch.setattr(groups, "_indicator", refuse)
+    data = {
+        "group": {"kind": "cyclic", "order": 1 << 21},
+        "subgroups": {"s1": [0], "e": [0, 1 << 20]},
+    }
+    with pytest.raises(ResourceError, match="above the cap"):
+        parse_characterization(data)
+
+
+def test_dichotomy_and_plan_never_walk_the_elements(monkeypatch):
+    """Work guard on Z16^3 (4096 elements): the decoder dichotomy, the best
+    decoder error and the removal plan read subgroup masks and coset
+    overlap counts, never a loop over ``elements()``."""
+    g = direct_product([make_cyclic(16)] * 3)
+    x = np.stack(np.unravel_index(np.arange(g.order), (16, 16, 16)))
+    subs = {f"s{i + 1}": subgroup(g, np.flatnonzero(x[i] == 0).tolist()) for i in range(3)}
+    # e is the kernel of x1 + x2 + x3 mod 4; m, all coordinates 0 mod 4, lies in e.
+    subs["e"] = subgroup(g, np.flatnonzero(x.sum(axis=0) % 4 == 0).tolist())
+    subs["m"] = subgroup(g, np.flatnonzero((x % 4 == 0).all(axis=0)).tolist())
+    gc = GroupCharacterization(group=g, subgroups=subs)
+
+    def refuse(self):
+        raise AssertionError("walked every group element")
+
+    monkeypatch.setattr(FiniteGroup, "elements", refuse)
+    high, exact = zero_error_upgrade(gc, [("e", "s1"), ("m", "e")])
+    assert (high.kind, high.q, high.min_error) == ("high_error", 16, Fraction(15, 16))
+    assert best_decoder_error(gc, "e", "s1") == Fraction(15, 16)
+    assert exact.kind == "zero_error"
+    m_map, e_map = gc.realize_map("m"), gc.realize_map("e")
+    assert all(exact.decoder[a] == b for a, b in zip(m_map.tolist(), e_map.tolist()))
+    plan = abelian_removal_plan(gc, "e", ["s1", "s2", "s3"])
+    assert all(plan.checks.values())
+    assert plan.g_prime.members == subs["m"].members
+    assert plan.removal.certificate.feasibility.verdict
+
+
+def test_dichotomy_on_small_subgroups_stays_linear_in_the_group():
+    """Z2^16 with a trivial source subgroup and an edge kernel of order 4:
+    a dense (incoming coset x demanded coset) table would hold 2^30 counts
+    (8 GiB), so the dichotomy must count only the pairs that occur."""
+    g = direct_product([make_cyclic(2)] * 16)
+    gc = GroupCharacterization(
+        group=g, subgroups={"s1": subgroup(g, [0]), "e": subgroup(g, [0, 1, 2, 3])}
+    )
+    for key in gc.subgroups:
+        gc.realize_map(key)
+    tracemalloc.start()
+    try:
+        high, exact = zero_error_upgrade(gc, [("e", "s1"), ("s1", "e")])
+        worst = best_decoder_error(gc, "e", "s1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (high.kind, high.q, high.min_error) == ("high_error", 4, Fraction(3, 4))
+    assert worst == Fraction(3, 4)
+    assert exact.kind == "zero_error"
+    assert list(exact.decoder.values()) == (np.arange(g.order) // 4).tolist()
+    assert peak < 64 * g.order * 8  # a few dozen int64 arrays over G at most
