@@ -413,8 +413,8 @@ def _cmd_group_zero_error(args) -> tuple[int, dict]:
     return status, result
 
 
-def _butterfly_run(name: str, inst: NetworkInstance, code: NetworkCode, emit) -> dict:
-    table = build_global_table(inst, code)
+def _butterfly_run(name: str, inst: NetworkInstance, code: NetworkCode, emit, enum_cap) -> dict:
+    table = build_global_table(inst, code, enum_cap=enum_cap)
     feas = check_feasibility(inst, code, Fraction(0), list(code.source_alphabets), table=table)
     witness = _resolve_witness(table, "bottleneck", None)
     entry: dict = {"name": name, "feasibility": feas.to_dict()}
@@ -435,8 +435,8 @@ def _butterfly_run(name: str, inst: NetworkInstance, code: NetworkCode, emit) ->
 def _cmd_case_study(args) -> tuple[int, dict]:
     if args.name == "butterfly":
         runs = [
-            _butterfly_run("binary", *butterfly(), args.emit),
-            _butterfly_run("wide", *butterfly4(), args.emit),
+            _butterfly_run("binary", *butterfly(), args.emit, args.enum_cap),
+            _butterfly_run("wide", *butterfly4(), args.emit, args.enum_cap),
         ]
         ok = all(
             r["feasibility"]["verdict"]
@@ -450,7 +450,7 @@ def _cmd_case_study(args) -> tuple[int, dict]:
         assignment = None
         if args.assignment:
             assignment = tuple(int(v) for v in args.assignment.split(","))
-        report = n2_code_check(args.m, args.w, assignment=assignment)
+        report = n2_code_check(args.m, args.w, assignment=assignment, cap=args.enum_cap)
         return (0 if report.ok else 1), {"n2": report.to_dict()}
 
     if args.name == "n3-injectivity":
@@ -471,7 +471,9 @@ def _cmd_case_study(args) -> tuple[int, dict]:
         t = None
         if args.t:
             t = tuple(int(v) for v in args.t.split(","))
-        report = dougherty_identity_check(args.alphabet, t=t, with_t_search=args.search)
+        report = dougherty_identity_check(
+            args.alphabet, t=t, with_t_search=args.search, enum_cap=args.enum_cap
+        )
         ok = True
         if t is not None:
             ok = ok and report.ok

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -31,17 +30,6 @@ from .network import (
 )
 
 DEFAULT_ENUM_CAP = 1 << 24
-ENUM_CAP_ENV = "EDGEDROP_ENUM_CAP"
-
-
-def default_enum_cap() -> int:
-    value = os.environ.get(ENUM_CAP_ENV)
-    if value is None:
-        return DEFAULT_ENUM_CAP
-    try:
-        return int(value)
-    except ValueError:
-        raise DomainError(f"{ENUM_CAP_ENV} must be an integer, got {value!r}") from None
 
 
 def mixed_radix_index(values: Sequence[int], sizes: Sequence[int]) -> int:
@@ -366,7 +354,7 @@ def build_global_table(
     problems = validate_code(inst, code)
     if problems:
         raise MalformedCodeError("; ".join(problems))
-    cap = enum_cap if enum_cap is not None else default_enum_cap()
+    cap = DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
     total = math.prod(code.source_alphabets)
     if total > cap:
         raise ResourceError(

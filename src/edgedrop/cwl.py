@@ -527,11 +527,10 @@ def characterize_witness(w: CwlWitness) -> GroupCharacterization:
     total = product.order
     digits = index_digits(np.arange(total), sizes)
     subgroups = {
-        f"s{i + 1}": subgroup(product, np.flatnonzero(d == g.identity).tolist())
+        f"s{i + 1}": subgroup(product, d == g.identity)
         for i, (g, d) in enumerate(zip(w.source_groups, digits))
     }
-    kernel_members = np.flatnonzero(np.asarray(w.hom) == w.edge_group.identity)
-    subgroups["e"] = subgroup(product, kernel_members.tolist())
+    subgroups["e"] = subgroup(product, np.asarray(w.hom) == w.edge_group.identity)
     gc = GroupCharacterization(product, subgroups)
 
     edge_size = max(w.edge_support) + 1

@@ -196,7 +196,7 @@ def abelian_removal_plan(
     complements = []
     for i in range(len(source_keys)):
         others = gc.meet([k for j, k in enumerate(source_keys) if j != i])
-        complements.append(subgroup(group, np.flatnonzero(g_e.mask & others).tolist()))
+        complements.append(subgroup(group, g_e.mask & others))
     g_prime = subgroup_product(group, complements)
 
     k = len(source_keys)

@@ -216,8 +216,8 @@ class TableGroup(FiniteGroup):
         """Light's test: (x * a) * y == x * (a * y) for every generator a.
 
         The elements a that pass for all x, y are closed under products, and
-        the generators reach every element by left-normed products alone, so
-        this proves associativity without assuming it.
+        the closure that picked the generators reaches every element as a
+        product of them, so this proves associativity without assuming it.
         """
         t = self._table
         for a in self._generators:
@@ -304,23 +304,32 @@ def _extend_closure(
     """Grow ``inside`` in place to its closure under ``gens + [g]``.
 
     ``inside`` must hold the identity and be closed under right
-    multiplication by ``gens``; ``g`` is appended to ``gens``.  Only
-    left-normed products ``(..((x * g1) * g2) ..)`` are formed, so the
-    closure needs no associativity.  Returns False, leaving the closure
-    partial, as soon as an element outside ``within`` is reached.
+    multiplication by ``gens``; ``g`` is appended to ``gens``.  Each round
+    multiplies the elements reached last by every generator and by the
+    powers g, g^2, g^4, ... squared so far, so <g> of order m takes about
+    log2(m) rounds.  Those powers lie in the group being generated, and each
+    product is a reached element times a product of generators, so every
+    element reached is a product of generators and no commutativity is
+    assumed.  Returns False, leaving the closure partial, as soon as an
+    element outside ``within`` is reached.
     """
     gens.append(g)
     all_gens = np.asarray(gens, dtype=np.int64)
     frontier = np.flatnonzero(inside)
-    step = np.array([g], dtype=np.int64)  # old members need only the new generator
-    while frontier.size:
+    powers = np.array([g], dtype=np.int64)
+    step = powers  # old members need only the new generator
+    while True:
         reached = np.unique(group.op_array(frontier[:, None], step))
         frontier = reached[~inside[reached]]
         if within is not None and not within[frontier].all():
             return False
+        if not frontier.size:
+            return True
         inside[frontier] = True
-        step = all_gens
-    return True
+        square = group.op_array(powers[-1], powers[-1])
+        if not (powers == square).any():
+            powers = np.append(powers, square)
+        step = np.concatenate([all_gens, powers[1:]])
 
 
 def _greedy_generators(group: FiniteGroup) -> list[int]:
@@ -332,16 +341,47 @@ def _greedy_generators(group: FiniteGroup) -> list[int]:
     return gens
 
 
-def _subgroup_generators(group: FiniteGroup, members: Iterable[int]) -> list[int] | None:
-    """Generators of the member set grown one at a time, or None when it is
-    not a subgroup.
+@dataclass(frozen=True, eq=False)
+class SubgroupHandle:
+    """A subgroup of a parent group, proved once by ``is_subgroup`` or by the
+    closure in ``generated_subgroup``: the read-only membership flag of every
+    element of the parent, and members whose products reach all of it."""
 
-    Starting from H = {e}, the smallest member s outside H gives the next
-    H = <H, s>; the set is a subgroup exactly when every such H stays inside
-    it and the last one equals it.  Each step at least doubles |H|.
+    parent: FiniteGroup
+    mask: np.ndarray
+    generators: tuple[int, ...]
+
+    def __post_init__(self):
+        self.mask.flags.writeable = False
+        # Lagrange, as a cheap sanity assertion on the verified subgroup.
+        assert self.parent.order % self.order == 0
+
+    @cached_property
+    def order(self) -> int:
+        return int(np.count_nonzero(self.mask))
+
+    @property
+    def sorted_members(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self.mask).tolist())
+
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(self.sorted_members)
+
+
+def is_subgroup(group: FiniteGroup, members) -> SubgroupHandle | None:
+    """The member set as a verified handle, or None when it is not a subgroup.
+
+    ``members`` is a boolean mask over the group or element ids (checked
+    against the group; repeats collapse).  Starting from H = {e}, the
+    smallest member s outside H gives the next H = <H, s>; the set is a
+    subgroup exactly when every such H stays inside it and the last one
+    equals it.  Each step at least doubles |H|; the s taken generate it.
     """
-    s = _id_array(group, members)
-    wanted = _indicator(group, s)
+    if isinstance(members, np.ndarray) and members.dtype == bool:
+        wanted = members
+    else:
+        wanted = _indicator(group, _id_array(group, members))
     if not wanted[group.identity]:
         return None
     inside = _indicator(group, group.identity)
@@ -349,88 +389,60 @@ def _subgroup_generators(group: FiniteGroup, members: Iterable[int]) -> list[int
     while not np.array_equal(inside, wanted):
         if not _extend_closure(group, inside, gens, int(np.argmax(wanted & ~inside)), wanted):
             return None
-    return gens
+    return SubgroupHandle(group, inside, tuple(gens))
 
 
-def is_subgroup(group: FiniteGroup, members: Iterable[int]) -> bool:
-    """Whether the member set is a subgroup (see ``_subgroup_generators``)."""
-    return _subgroup_generators(group, members) is not None
-
-
-@dataclass(frozen=True)
-class SubgroupHandle:
-    """A verified subgroup of a parent group."""
-
-    parent: FiniteGroup
-    members: frozenset[int]
-
-    def __post_init__(self):
-        if not is_subgroup(self.parent, self.members):
-            raise PreconditionError("member set is not a subgroup")
-        # Lagrange, as a cheap sanity assertion on the verified subgroup.
-        assert self.parent.order % len(self.members) == 0
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
-
-    @property
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-    @cached_property
-    def mask(self) -> np.ndarray:
-        """Read-only membership flag of every element of the parent."""
-        inside = _indicator(self.parent, np.fromiter(self.members, np.int64, len(self.members)))
-        inside.flags.writeable = False
-        return inside
-
-
-def subgroup(group: FiniteGroup, members: Iterable[int]) -> SubgroupHandle:
-    """Wrap a member set as a verified subgroup handle."""
-    return SubgroupHandle(group, frozenset(members))
+def subgroup(group: FiniteGroup, members) -> SubgroupHandle:
+    """Wrap a member set (ids or a mask, see ``is_subgroup``) as a verified
+    subgroup handle."""
+    handle = is_subgroup(group, members)
+    if handle is None:
+        raise PreconditionError("member set is not a subgroup")
+    return handle
 
 
 def generated_subgroup(group: FiniteGroup, generators: Iterable[int]) -> SubgroupHandle:
     """Smallest subgroup containing the generators (closure by products).
 
     In a finite group the products of the generators already contain their
-    inverses, so the closure multiplies by the generators alone.
+    inverses, so the closure multiplies by the generators alone; a set
+    holding the identity and closed under them is a subgroup, so the
+    closure is the handle's proof.
     """
     inside = _indicator(group, group.identity)
     gens: list[int] = []
     for g in _id_array(group, generators).tolist():
         if not inside[g]:
             _extend_closure(group, inside, gens, g)
-    return SubgroupHandle(group, frozenset(np.flatnonzero(inside).tolist()))
+    return SubgroupHandle(group, inside, tuple(gens))
 
 
 def subgroup_product(group: FiniteGroup, parts: Sequence[SubgroupHandle]) -> SubgroupHandle:
     """Internal product of subgroups of an abelian parent.
 
     For abelian groups the set of products is the subgroup generated by the
-    parts' members; the result is still verified by the handle constructor.
+    parts' generators.
     """
     if not group.is_abelian:
         raise PreconditionError("subgroup products are only taken in abelian groups")
     if any(h.parent is not group for h in parts):
         raise PreconditionError("subgroup has a different parent group")
-    return generated_subgroup(group, [m for h in parts for m in h.members])
+    return generated_subgroup(group, [s for h in parts for s in h.generators])
 
 
 def coset_labels(group: FiniteGroup, sub: SubgroupHandle) -> np.ndarray:
     """Dense left-coset label of every element, ordered by smallest representative.
 
-    xH is the orbit of x under right multiplication by the generators of H.
-    Each generator s gives one permutation x -> x * s (one ``op_array``
-    call); pointer doubling along it spreads the smallest id over every
-    cycle, and rounds over all generators repeat until no label moves.
+    xH is the orbit of x under right multiplication by the generators of H,
+    which the handle carries.  Each generator s gives one permutation
+    x -> x * s (one ``op_array`` call); pointer doubling along it spreads
+    the smallest id over every cycle, and rounds over all generators repeat
+    until no label moves.
     """
-    gens = _subgroup_generators(group, sub.members)
-    if gens is None:
+    if sub.parent is not group and sub.parent.describe() != group.describe():
         raise PreconditionError("handle is not a subgroup of this group")
     ids = np.arange(group.order)
-    steps = [group.op_array(ids, s) for s in gens]
+    steps = [group.op_array(ids, s) for s in sub.generators]
     doublings = (sub.order - 1).bit_length()  # 2**doublings >= the order of s
     smallest = ids
     while True:
@@ -491,14 +503,4 @@ def kernel(f, dom: FiniteGroup, cod: FiniteGroup) -> SubgroupHandle:
     """Kernel of a verified homomorphism."""
     if not is_homomorphism(f, dom, cod):
         raise PreconditionError("map is not a homomorphism")
-    vals = np.asarray(_as_total_map(f, dom.order))
-    return SubgroupHandle(dom, frozenset(np.flatnonzero(vals == cod.identity).tolist()))
-
-
-def fibers(f, dom: FiniteGroup) -> dict[int, list[int]]:
-    """Preimage classes of a total map on the group, keyed by value."""
-    vals = _as_total_map(f, dom.order)
-    out: dict[int, list[int]] = {}
-    for a in dom.elements():
-        out.setdefault(vals[a], []).append(a)
-    return out
+    return subgroup(dom, np.asarray(_as_total_map(f, dom.order)) == cod.identity)

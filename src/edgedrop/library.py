@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .codes import NetworkCode, default_enum_cap, tabulate
+from .codes import DEFAULT_ENUM_CAP, NetworkCode, tabulate
 from .cwl import check_cwl
 from .errors import DomainError, InternalCheckError, PreconditionError, ResourceError
 from .groups import CyclicGroup
@@ -244,7 +244,7 @@ def n2_code_check(
         assignment = tuple(assignment)
         if len(assignment) != w or any(not 1 <= l <= w for l in assignment):
             raise DomainError("assignment must pick one permutation per slot")
-    cap = default_enum_cap() if cap is None else cap
+    cap = DEFAULT_ENUM_CAP if cap is None else cap
     checked = w * modulus ** 3
     if checked > cap:
         raise ResourceError(f"identity check needs {checked} cases, cap is {cap}")
@@ -445,7 +445,7 @@ def dougherty_identity_check(
         raise DomainError(f"alphabet size must be >= 2, got {q}")
     if t is None and not with_t_search:
         raise DomainError("a map t is required unless a search is requested")
-    cap = default_enum_cap() if enum_cap is None else enum_cap
+    cap = DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
     if q ** 5 > cap:
         raise ResourceError(f"identity check needs {q ** 5} cases, cap is {cap}")
 

@@ -715,6 +715,19 @@ def test_case_study_identity_checks(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["butterfly"], "source tuple space has 4 elements, above the cap of 1"),
+        (["n2", "--m", "2", "--w", "2"], "identity check needs 128 cases, cap is 1"),
+        (["dougherty", "--alphabet", "4", "--t", "0,3,2,1"], "identity check needs 1024 cases, cap is 1"),
+    ],
+)
+def test_case_studies_honour_the_enum_cap(argv, message, capsys):
+    assert main(["case-study", *argv, "--enum-cap", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_csv_format(tmp_path, capsys):
     inst, code = butterfly()
     inst_path, code_path = _write_pair(tmp_path, inst, code)

@@ -1,6 +1,8 @@
 """Group-characterized codes: coset variables, removal plans, the dichotomy."""
 
 import itertools
+import json
+import pathlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -244,6 +246,32 @@ def test_group_order_cap_comes_before_any_subgroup(monkeypatch):
     }
     with pytest.raises(ResourceError, match="above the cap"):
         parse_characterization(data)
+
+
+def test_characterization_subgroups_are_proved_once(monkeypatch):
+    """Parsing proves each of the k subgroups once; realizing their coset
+    labels afterwards reads the handles' generators and runs no closure."""
+    proofs = []
+    prove = groups.is_subgroup
+
+    def counted(group, members):
+        proofs.append(1)
+        return prove(group, members)
+
+    monkeypatch.setattr(groups, "is_subgroup", counted)
+    path = pathlib.Path(__file__).parent / "golden" / "inputs" / "z4z4.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    gc = parse_characterization(data)
+    assert len(proofs) == len(data["subgroups"]) == len(gc.subgroups) > 1
+
+    def refuse(*_):
+        raise AssertionError("a verified subgroup was proved again")
+
+    monkeypatch.setattr(groups, "_extend_closure", refuse)
+    for key, h in gc.subgroups.items():
+        labels = gc.realize_map(key)
+        assert np.bincount(labels).tolist() == [h.order] * gc.variable_size(key)
+    assert len(proofs) == len(gc.subgroups)
 
 
 def test_dichotomy_and_plan_never_walk_the_elements(monkeypatch):

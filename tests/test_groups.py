@@ -26,7 +26,6 @@ from edgedrop.groups import (
     coset_labels,
     cosets,
     direct_product,
-    fibers,
     generated_subgroup,
     group_from_description,
     is_homomorphism,
@@ -150,12 +149,6 @@ def test_homomorphism_checks():
     assert not is_homomorphism(both_ones, v4, g2)
 
 
-def test_fibers_of_reduction():
-    g = make_cyclic(6)
-    fib = fibers([x % 3 for x in range(6)], g)
-    assert fib == {0: [0, 3], 1: [1, 4], 2: [2, 5]}
-
-
 def test_group_from_description_roundtrip():
     for g in (
         make_cyclic(7),
@@ -212,10 +205,11 @@ def test_kernel_fibers_equal_sized():
             continue  # not a homomorphism for this pair
         f = [(c * x) % m for x in range(n)]
         assert is_homomorphism(f, g, cod)
-        fib = fibers(f, g)
-        sizes = {len(v) for v in fib.values()}
-        assert len(sizes) == 1
-        assert len(fib) * sizes.pop() == n
+        # The cosets of the kernel are the fibers of f, all of one size.
+        fibers = cosets(g, kernel(f, g, cod))
+        assert [len({f[x] for x in b}) for b in fibers] == [1] * len(fibers)
+        assert len({f[b[0]] for b in fibers}) == len(fibers)
+        assert {len(b) for b in fibers} == {n // len(fibers)}
 
 
 def _oracle_groups():
@@ -261,7 +255,7 @@ def test_subgroups_and_cosets_match_oracles():
             for _ in range(4)
         ]
         for members in candidates:
-            verdict = is_subgroup(g, members)
+            verdict = is_subgroup(g, members) is not None
             assert verdict == oracle_is_subgroup(ref, members), (g, sorted(members))
             seen[verdict] += 1
             if verdict:
@@ -303,6 +297,34 @@ def test_coset_labels_make_one_op_call_per_subgroup_generator(monkeypatch):
     h = generated_subgroup(g, [g.encode((1, 0)), g.encode((3, 3))])
     assert not h.parent.is_abelian
     assert cosets(g, h) == oracle_cosets(ReferenceGroup(g), h.members)
+
+
+def test_cyclic_closures_take_logarithmic_rounds(monkeypatch):
+    """Work guard: <4> in Z_(2^18) has order 65,536.  Proving it from its
+    members and closing it from one generator each make at most 64
+    op_array calls, because every round also multiplies by the squared
+    powers of the new generator (one round per element made 65,536 and
+    131,072 calls), and labelling its cosets reads the handle's generator
+    without a closure."""
+    calls = []
+    op_array = CyclicGroup.op_array
+
+    def counted(self, a, b):
+        calls.append(1)
+        return op_array(self, a, b)
+
+    monkeypatch.setattr(CyclicGroup, "op_array", counted)
+    g = make_cyclic(2**18)
+    fours = np.arange(g.order) % 4 == 0
+    proved = subgroup(g, range(0, 2**18, 4))
+    assert len(calls) <= 64 and np.array_equal(proved.mask, fours)
+    del calls[:]
+    generated = generated_subgroup(g, [4])
+    assert len(calls) <= 64 and np.array_equal(generated.mask, fours)
+    assert proved.generators == generated.generators == (4,)
+    del calls[:]
+    assert np.array_equal(coset_labels(g, proved), np.arange(g.order) % 4)
+    assert len(calls) == 1
 
 
 def test_s3_left_cosets_of_a_non_normal_subgroup():
@@ -471,7 +493,7 @@ def test_is_subgroup_on_inverse_closed_sets():
             candidates.append(h | {a, g.inverse(a)})
         for members in candidates:
             assert all(g.inverse(a) in members for a in members)
-            verdict = is_subgroup(g, members)
+            verdict = is_subgroup(g, members) is not None
             assert verdict == oracle_is_subgroup(ref, members), (g, sorted(members))
             seen[verdict] += 1
     assert seen[True] >= 5 and seen[False] >= 20, seen
