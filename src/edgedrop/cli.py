@@ -170,6 +170,18 @@ def _parse_eps(text: str) -> Fraction:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """A flag value that must be an integer of at least 1; anything else is
+    a usage error that names the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _parse_rates(text: str, blocklength: int) -> list[int]:
     """Per-source cardinality targets: plain integers are bits per use."""
     out = []
@@ -236,7 +248,7 @@ def _witness_dict(w: CwlWitness) -> dict:
         "source_groups": [g.describe() for g in w.source_groups],
         "edge_group": w.edge_group.describe(),
         "edge_support": list(w.edge_support),
-        "hom": list(w.hom),
+        "hom": np.fromiter(w.hom, dtype=np.int64, count=len(w.hom)),
     }
 
 
@@ -461,10 +473,10 @@ def _cmd_case_study(args) -> tuple[int, dict]:
                     for s in range(1, 8):
                         if math.gcd(m, s) != 1:
                             continue
-                        reports.append(n3_injectivity(m, s, alpha).to_dict())
+                        reports.append(n3_injectivity(m, s, alpha, args.enum_cap).to_dict())
             ok = all(r["injective"] for r in reports)
             return (0 if ok else 1), {"n3": reports}
-        report = n3_injectivity(args.m, args.s, args.alpha)
+        report = n3_injectivity(args.m, args.s, args.alpha, args.enum_cap)
         return (0 if report.injective else 1), {"n3": [report.to_dict()]}
 
     if args.name == "dougherty":
@@ -485,7 +497,7 @@ def _cmd_case_study(args) -> tuple[int, dict]:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--enum-cap", type=int, default=None, help="tuple enumeration cap")
+    parser.add_argument("--enum-cap", type=_positive_int, default=None, help="tuple enumeration cap")
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("text", "csv"), default="text")
 
@@ -543,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("code")
     p.add_argument("--edge", required=True)
-    p.add_argument("--budget", type=int, default=64, help="group assignments to try")
+    p.add_argument("--budget", type=_positive_int, default=64, help="group assignments to try")
     p.add_argument("--rewrites", type=int, default=1, help="table rewrites to try")
     p.add_argument("--relabels", type=int, default=0, help="extra relabelings per order")
     _add_common(p)

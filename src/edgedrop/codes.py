@@ -524,12 +524,14 @@ def joint_entropy(
 
 
 def code_to_dict(code: NetworkCode) -> dict:
+    """The code's file form, with its tables as the code's own read-only
+    int64 arrays; ``indented_json`` writes them as their ``tolist()``."""
     return {
         "blocklength": code.blocklength,
         "source_alphabets": list(code.source_alphabets),
         "edge_alphabets": dict(sorted(code.edge_alphabets.items())),
-        "encoders": {e: t.tolist() for e, t in sorted(code.encoders.items())},
-        "decoders": {t: rows.tolist() for t, rows in sorted(code.decoders.items())},
+        "encoders": dict(sorted(code.encoders.items())),
+        "decoders": dict(sorted(code.decoders.items())),
     }
 
 

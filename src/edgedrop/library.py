@@ -295,12 +295,18 @@ def n2_code_check(
     return N2Report(modulus, assignment, checked, tuple(violations), tuple(linear))
 
 
-def n3_permutations(m: int, alpha: int) -> PermutationFamily:
-    """Identity and base-m digit rotation on Z_{m^(alpha+1)}."""
+def n3_permutations(m: int, alpha: int, cap: int | None = None) -> PermutationFamily:
+    """Identity and base-m digit rotation on Z_{m^(alpha+1)}, whose order
+    may not exceed ``cap``."""
     if m < 2:
         raise DomainError(f"digit base must be >= 2, got {m}")
     if alpha < 1:
         raise DomainError(f"at least two digits are required, got alpha={alpha}")
+    cap = DEFAULT_ENUM_CAP if cap is None else cap
+    # With m >= 2 the order is at least 2^(alpha+1), so a large alpha is
+    # refused before the power is taken.
+    if alpha + 1 > cap.bit_length() or m ** (alpha + 1) > cap:
+        raise ResourceError(f"ring of order {m}^{alpha + 1} is above the cap of {cap}")
     modulus = m ** (alpha + 1)
     rotation = []
     for a in range(modulus):
@@ -336,14 +342,15 @@ class N3Report:
         }
 
 
-def n3_injectivity(m: int, s: int, alpha: int) -> N3Report:
+def n3_injectivity(m: int, s: int, alpha: int, cap: int | None = None) -> N3Report:
     """Exhaustively check injectivity of a ↦ (m·a, s·m^alpha·rot(a)).
 
     Both coordinates are taken mod m^(alpha+1) with rot the base-m digit
     rotation; s must be coprime to m, which the underlying argument relies
-    on.  Returns the first colliding pair when injectivity fails.
+    on.  Returns the first colliding pair when injectivity fails.  The
+    m^(alpha+1) ring elements are enumerated only when ``cap`` allows them.
     """
-    family = n3_permutations(m, alpha)
+    family = n3_permutations(m, alpha, cap)
     if s < 1:
         raise DomainError(f"multiplier must be >= 1, got {s}")
     if math.gcd(m, s) != 1:

@@ -14,7 +14,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Mapping
 
@@ -235,16 +235,23 @@ def require_int(value, what: str) -> int:
 
 def indented_json(obj, newline: str = "\n") -> str:
     """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, without the
-    pure-Python encoder that ``json`` falls back to when it indents.
+    pure-Python encoder that ``json`` falls back to when it indents, and
+    with numpy arrays written as their ``tolist()``.
 
     ``newline`` is the line break plus the indent of the enclosing level.
-    A list of plain ints is one join, and a rectangular list of non-empty
-    int rows (a decoder table) one ``%`` over a repeated row template.
-    Other containers recurse; other scalars go through ``json.dumps``, and
+    An int64 array of at least ``_ARRAY_ENTRIES`` entries, of one dimension
+    or of two with rows of width at least one, is written by
+    ``_int_array_json`` from its bytes; any other array as its
+    ``tolist()``.  A list of plain ints is one join, and a rectangular list
+    of non-empty int rows one ``%`` over a repeated row template.  Other
+    containers recurse; other scalars go through ``json.dumps``, and
     non-str keys are converted or rejected as ``json`` does them.
     """
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
+    if isinstance(obj, np.ndarray):
+        text = _int_array_json(obj, newline)
+        return indented_json(obj.tolist(), newline) if text is None else text
     if not isinstance(obj, (list, tuple, dict)):
         return json.dumps(obj)
     if not obj:
@@ -267,6 +274,85 @@ def indented_json(obj, newline: str = "\n") -> str:
     return f"[{inner}{sep.join([indented_json(v, inner) for v in obj])}{newline}]"
 
 
+# Arrays are written this many rows (entries of a 1-D array) at a time, so
+# that no buffer but the report text is as large as a table.
+_WRITE_ROWS = 1 << 12
+# Smaller arrays take the list path: its cost grows by some 0.2 us an
+# entry, while the array path costs some 25 us in numpy calls whatever the
+# size, so the two meet near 100 entries.
+_ARRAY_ENTRIES = 128
+
+
+def _int_array_json(arr: np.ndarray, newline: str) -> str | None:
+    """``indented_json(arr.tolist(), newline)`` for an int64 array of at
+    least ``_ARRAY_ENTRIES`` entries, of one dimension or of two with rows of
+    width at least one; None for any other array, and for one holding
+    -2**63, whose magnitude int64 lacks.
+
+    Each chunk of rows is a uint8 block that repeats the text of one row,
+    with a NUL-padded slot as wide as the widest entry where each entry
+    goes.  The slots are filled with ASCII digits (and signs) by numpy
+    arithmetic, and one ``translate`` deletes the padding.
+    """
+    if arr.dtype != np.int64 or arr.ndim not in (1, 2) or arr.size < _ARRAY_ENTRIES:
+        return None
+    lo, hi = int(arr.min()), int(arr.max())
+    if lo == np.iinfo(np.int64).min:
+        return None
+    digits = len(str(max(hi, -lo)))
+    signed = lo < 0
+    rows = arr.reshape(len(arr), -1)
+    width = rows.shape[1]
+    # A row is head, then each entry's slot, separated by sep, then tail;
+    # the first row's head starts with "[" where the others have ",".
+    inner = newline + "  "
+    head, sep, tail = "," + inner, "", ""
+    if arr.ndim == 2:
+        entry = inner + "  "
+        head, sep, tail = head + "[" + entry, "," + entry, inner + "]"
+    slot = "\0" * (digits + signed)
+    template = np.frombuffer((head + slot + (sep + slot) * (width - 1) + tail).encode(), np.uint8)
+    starts = len(head) + np.arange(width) * (len(slot) + len(sep))
+    digit_cols = starts[:, None] + signed + np.arange(digits)
+    chunks = []
+    for i in range(0, len(rows), _WRITE_ROWS):
+        values = rows[i : i + _WRITE_ROWS]
+        block = np.empty((len(values), len(template)), np.uint8)
+        block[:] = template
+        mag = np.abs(values)
+        if digits <= 4:
+            small = _small_digits()[mag].view(np.uint8).reshape(mag.shape + (4,))
+            block[:, digit_cols] = small[..., 4 - digits :]
+        else:
+            block[:, digit_cols] = _decimal_digits(mag, digits)
+        if signed:
+            block[:, starts] = np.where(values < 0, ord("-"), 0)
+        if i == 0:
+            block[0, 0] = ord("[")
+        chunks.append(block.tobytes().translate(None, b"\0").decode("ascii"))
+    chunks.append(newline + "]")
+    return "".join(chunks)
+
+
+def _decimal_digits(mag: np.ndarray, digits: int) -> np.ndarray:
+    """The ASCII digits of non-negative integers below ``10**digits``, by
+    division: one more axis of ``digits`` bytes, right-aligned, NUL-padded."""
+    out = np.empty(mag.shape + (digits,), np.uint8)
+    out[..., -1] = mag % 10 + ord("0")
+    for k in range(1, digits):
+        q = mag // 10**k
+        out[..., -1 - k] = np.where(q > 0, q % 10 + ord("0"), 0)
+    return out
+
+
+@cache
+def _small_digits() -> np.ndarray:
+    """``_decimal_digits`` of 0 to 9999 at four digits, built on first use,
+    each entry's four bytes viewed as one uint32 so that a lookup is one
+    gather."""
+    return _decimal_digits(np.arange(10**4), 4).view(np.uint32).ravel()
+
+
 def _json_key(key) -> str:
     if key is not None and not isinstance(key, (str, int, float)):
         raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
@@ -279,14 +365,20 @@ def _json_key(key) -> str:
 # measurement is in CHANGES.md).
 FAST_READ_BYTES = 1 << 12
 
-# One class byte per input byte: a nonzero digit, zero, minus, comma and the
-# two brackets, and 0 for anything else.  JSON whitespace is deleted.
+# The table text keeps every byte but JSON whitespace, which it deletes.  The
+# brackets become \v and \f, which ``np.fromstring`` skips as it skips
+# spaces, so the text is its input as it stands; a raw \v or \f, which
+# JSON refuses, becomes NUL.
+_TEXT = bytes.maketrans(b"[]\v\f", b"\v\f\0\0")
+_WHITESPACE = b" \t\n\r"
+
+# One class byte per text byte: a nonzero digit, zero, minus, comma and the
+# two brackets, and 0 for anything else.
 _DIGIT, _ZERO, _MINUS, _COMMA, _OPEN, _CLOSE = range(1, 7)
 _CLASSES = bytearray(256)
-for _ch, _cls in zip(b"1234567890-,[]", [_DIGIT] * 9 + [_ZERO, _MINUS, _COMMA, _OPEN, _CLOSE]):
+for _ch, _cls in zip(b"1234567890-,\v\f", [_DIGIT] * 9 + [_ZERO, _MINUS, _COMMA, _OPEN, _CLOSE]):
     _CLASSES[_ch] = _cls
 _CLASSES = bytes(_CLASSES)
-_WHITESPACE = b" \t\n\r"
 
 # Pair codes, indexed by 8 * class + next class: 0 refused, 1 allowed
 # between tokens, 3 allowed inside a number, 4 a zero that starts a number.
@@ -306,27 +398,20 @@ for _a, _next in {
         _FOLLOW[_a * 8 + _b] = _code
 _FOLLOW = bytes(_FOLLOW)
 _REFUSED = (b"\0", b"\4\3", b"\3" * 18)
-_NUMBER = bytes(int(ch in b"0123456789-") for ch in range(256))
-_SPACED = bytes.maketrans(b"[]", b"  ")
 # Table text is translated this many bytes at a time, so that no buffer
 # but the file itself is as large as a table with its whitespace.
 _CHUNK = 1 << 22
 
 
-def _translated(raw: bytes, first: int, last: int, table: bytes) -> bytes:
-    """``raw[first:last].translate(table, whitespace)``, chunk by chunk."""
-    return b"".join(
-        raw[i : min(i + _CHUNK, last)].translate(table, _WHITESPACE)
-        for i in range(first, last, _CHUNK)
-    )
-
-
 def _number_starts(raw: bytes, first: int, last: int) -> int:
-    """How many numbers start in ``raw[first:last]``, chunk by chunk (each
-    chunk reaches one byte into the next, which counts its own starts)."""
+    """How many runs of the bytes ``-./0123456789`` start in
+    ``raw[first:last]``, chunk by chunk (each chunk reaches one byte into the
+    next, which counts its own starts).  Once the class checks have passed,
+    ``.`` and ``/`` cannot occur, and the runs are the numbers."""
     starts = 0
     for i in range(first, last, _CHUNK):
-        num = np.frombuffer(raw[i : min(i + _CHUNK + 1, last)].translate(_NUMBER), dtype=bool)
+        u = np.frombuffer(raw, dtype=np.uint8, count=min(_CHUNK + 1, last - i), offset=i)
+        num = u - ord("-") < 13
         starts += int(np.count_nonzero(num[1:] > num[:-1]))
     return starts
 
@@ -338,9 +423,15 @@ def _int_table_text(raw: bytes, first: int, last: int) -> np.ndarray | None:
     A 1-D list, or a 2-D list of equally long rows, of JSON integers of at
     most 18 characters is checked by whole-buffer byte operations and
     converted by one ``np.fromstring``; any other text gives None and is
-    left to ``json``.
+    left to ``json``.  Whitespace is deleted once, as the text is made;
+    where some was, one numpy scan of the raw bytes proves that none split
+    a number.
     """
-    classes = _translated(raw, first, last, _CLASSES)
+    text = b"".join(
+        raw[i : min(i + _CHUNK, last)].translate(_TEXT, _WHITESPACE)
+        for i in range(first, last, _CHUNK)
+    )
+    classes = text.translate(_CLASSES)
     c = np.frombuffer(classes, dtype=np.uint8)
     if len(c) < 2 or c[0] != _OPEN or c[-1] != _CLOSE:
         return None
@@ -368,12 +459,12 @@ def _int_table_text(raw: bytes, first: int, last: int) -> np.ndarray | None:
         shape = (rows, width)
     count = math.prod(shape)
     # Whitespace inside a number would split it: more numbers would start
-    # in the text than the table holds.
-    if len(classes) < last - first and _number_starts(raw, first, last) != count:
+    # in the raw text than the table holds.
+    if len(text) < last - first and _number_starts(raw, first, last) != count:
         return None
     values = np.empty(0, dtype=np.int64)
     if count:
-        values = np.fromstring(_translated(raw, first, last, _SPACED), dtype=np.int64, sep=",")
+        values = np.fromstring(text, dtype=np.int64, sep=",")
     if values.size != count:
         return None
     values = values.reshape(shape)

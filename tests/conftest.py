@@ -20,6 +20,8 @@ import random
 from collections import Counter
 from typing import Sequence
 
+import numpy as np
+
 from edgedrop.codes import NetworkCode, index_to_values, mixed_radix_index
 from edgedrop.cwl import check_cwl, derive_edge_group
 from edgedrop.groupcodes import GroupCharacterization
@@ -36,6 +38,18 @@ from edgedrop.network import Edge, NetworkInstance, Source, topological_order, v
 from edgedrop.removal import SourcePartition
 
 MAX_TUPLES = 512
+
+
+def as_lists(tree):
+    """A copy of a JSON-like tree with every numpy array as its ``tolist()``:
+    the tree ``json.dumps`` accepts, and tests may mutate."""
+    if isinstance(tree, np.ndarray):
+        return tree.tolist()
+    if isinstance(tree, dict):
+        return {k: as_lists(v) for k, v in tree.items()}
+    if isinstance(tree, list):
+        return [as_lists(v) for v in tree]
+    return tree
 
 
 def random_instance(rng: random.Random) -> NetworkInstance:

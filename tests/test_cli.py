@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from edgedrop import network
+from conftest import as_lists
+from edgedrop import cli, codes, network
 from edgedrop.cli import main, parse_report
 from edgedrop.codes import code_to_dict, load_code, relay_instance, save_code, tabulate
 from edgedrop.errors import InternalCheckError
@@ -354,7 +355,7 @@ def test_mutated_code_files_exit_as_json_alone_would(tmp_path, capsys, monkeypat
     sizes = [8, 8, 8]
     inst, code = relay_instance(sizes, 2, tabulate(sizes, lambda a, b, c: (a + b + c) % 2))
     inst_path, code_path = _write_pair(tmp_path, inst, code)
-    text = json.dumps(code_to_dict(code), separators=(",", ":"))
+    text = json.dumps(as_lists(code_to_dict(code)), separators=(",", ":"))
     assert len(text) >= network.FAST_READ_BYTES
     commands = [
         ["verify", inst_path, code_path, "--rates", "1,1,1"],
@@ -497,6 +498,14 @@ def test_cwl_search_honours_enum_cap(tmp_path, capsys):
     argv = ["cwl-search", inst_path, code_path, "--edge", "e", "--enum-cap", "10"]
     assert main(argv) == 2
     assert "above the cap of 10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--budget", "-3"), ("--enum-cap", "-1")])
+def test_counts_in_flags_must_be_positive(flag, value, tmp_path, capsys):
+    inst, code = relay_instance([4, 4], 4, tabulate([4, 4], lambda a, b: (a + b) % 4))
+    inst_path, code_path = _write_pair(tmp_path, inst, code)
+    assert main(["cwl-search", inst_path, code_path, "--edge", "e", flag, value]) == 2
+    assert f"argument {flag}: expected a positive integer, got '{value}'" in capsys.readouterr().err
 
 
 def test_pwl_remove_on_nonzero_error_code_is_not_found(tmp_path, capsys):
@@ -664,7 +673,9 @@ def test_uncaught_exception_exits_3(target, capsys, monkeypatch):
 
 def test_reports_and_emitted_files_skip_the_pure_python_encoder(tmp_path, capsys, monkeypatch):
     """A 2^16-tuple ``remove-edge builtin:cwl`` job writes its report and its
-    restricted files without ``json``'s indenting encoder."""
+    restricted files without ``json``'s indenting encoder, and without
+    sending a code table through the per-entry list path of
+    ``indented_json``: its tables reach the writer as arrays."""
     sizes = (256, 256)
     table = [sum(x) % 2 for x in itertools.product(*map(range, sizes))]
     inst_path, code_path = _write_pair(tmp_path, *relay_instance(sizes, 2, table))
@@ -675,6 +686,17 @@ def test_reports_and_emitted_files_skip_the_pure_python_encoder(tmp_path, capsys
     monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
     with pytest.raises(AssertionError):
         json.dumps([1], indent=2)
+    list_path = network.indented_json
+
+    def short_lists_only(obj, newline="\n"):
+        if isinstance(obj, (list, tuple)) and len(obj) > 4096:
+            raise AssertionError("a table went through the per-entry list path")
+        return list_path(obj, newline)
+
+    for module in (network, cli, codes):
+        monkeypatch.setattr(module, "indented_json", short_lists_only)
+    with pytest.raises(AssertionError):
+        network.indented_json({"table": list(range(4097))})
     out, emit = str(tmp_path / "report.json"), str(tmp_path / "restricted")
     argv = ["remove-edge", inst_path, code_path, "--edge", "e", "--partition", "builtin:cwl"]
     assert main(argv + ["--out", out, "--emit", emit]) == 0
@@ -721,6 +743,7 @@ def test_case_study_identity_checks(capsys):
         (["butterfly"], "source tuple space has 4 elements, above the cap of 1"),
         (["n2", "--m", "2", "--w", "2"], "identity check needs 128 cases, cap is 1"),
         (["dougherty", "--alphabet", "4", "--t", "0,3,2,1"], "identity check needs 1024 cases, cap is 1"),
+        (["n3-injectivity", "--m", "3", "--alpha", "2"], "ring of order 3^3 is above the cap of 1"),
     ],
 )
 def test_case_studies_honour_the_enum_cap(argv, message, capsys):

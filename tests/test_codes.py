@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    as_lists,
     counter_entropy,
     decode_outputs,
     evaluate_global,
@@ -274,7 +275,7 @@ def test_entropy_additive_for_independent_sources():
 @pytest.mark.parametrize("value", [1.7, True, "1"], ids=["float", "bool", "string"])
 def test_parse_code_rejects_non_integer_encoder_entries(value):
     _, code = butterfly()
-    data = code_to_dict(code)
+    data = as_lists(code_to_dict(code))
     data["encoders"]["bottleneck"][1] = value
     with pytest.raises(DomainError, match="entries must be integers"):
         parse_code(data)
@@ -283,7 +284,7 @@ def test_parse_code_rejects_non_integer_encoder_entries(value):
 @pytest.mark.parametrize("value", [0.0, False, "0"], ids=["float", "bool", "string"])
 def test_parse_code_rejects_non_integer_decoder_entries(value):
     _, code = butterfly()
-    data = code_to_dict(code)
+    data = as_lists(code_to_dict(code))
     data["decoders"]["t1"][2][0] = value
     with pytest.raises(DomainError, match="entries must be integers"):
         parse_code(data)
@@ -300,7 +301,7 @@ def test_parse_code_rejects_non_integer_alphabets(value):
 
 def test_parse_code_rejects_ragged_decoder_rows():
     _, code = butterfly()
-    data = code_to_dict(code)
+    data = as_lists(code_to_dict(code))
     data["decoders"]["t2"][3] = [1]
     with pytest.raises(DomainError, match="rows of different lengths"):
         parse_code(data)

@@ -5,9 +5,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import as_lists
+from edgedrop import network
 from edgedrop.errors import DomainError, PreconditionError
 from edgedrop.library import butterfly
 from edgedrop.network import (
@@ -202,6 +204,55 @@ _JSON_TREES = st.recursive(
 @given(_JSON_TREES)
 def test_indented_json_matches_json_dumps(tree):
     assert indented_json(tree) == _oracle_json(tree)
+
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+# Both sides of every power of ten, the extremes, and -2**63, whose
+# magnitude int64 lacks.
+_DIGIT_EDGES = st.sampled_from(
+    sorted({s * (10**k + d) for k in range(19) for d in (-1, 0) for s in (1, -1)})
+    + [2**63 - 1, -(2**63 - 1), -(2**63)]
+)
+
+
+@st.composite
+def _array_trees(draw):
+    """One array of each shape the writer tells apart, nested in dicts and
+    lists: the ones it writes (int64, 1-D or rows of width >= 1) and the ones
+    it hands to the list path, with row counts around its size threshold and
+    its chunk."""
+    least, chunk = network._ARRAY_ENTRIES, network._WRITE_ROWS
+    rows = st.integers(0, 3) | st.sampled_from([least - 1, least, chunk - 1, chunk, chunk + 1])
+
+    def array(shape_of):
+        shape = shape_of(draw(rows))
+        palette = draw(st.lists(_INT64 | _DIGIT_EDGES | st.integers(-12, 12), min_size=1, max_size=6))
+        picks = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        values = picks.choice(np.array(palette, dtype=np.int64), size=int(np.prod(shape)))
+        dtype = draw(st.sampled_from([np.int64, np.int64, np.int32, np.uint8, np.bool_]))
+        return values.astype(dtype).reshape(shape)
+
+    return {
+        "flat": array(lambda n: (n,)),
+        "rows": [array(lambda n: (n, 1)), {"wide": array(lambda n: (n, 3))}],
+        "empty rows": [[array(lambda n: (n, 0))]],
+        "cube": array(lambda n: (2, n, 2)),
+    }
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(_array_trees())
+@example(
+    {
+        "min": np.array([-(2**63)] + [5] * network._ARRAY_ENTRIES),
+        "edge": -np.arange(3 * network._WRITE_ROWS + 3).reshape(-1, 3),
+    }
+)
+def test_indented_json_writes_arrays_as_their_lists(tree):
+    got, want = indented_json(tree), _oracle_json(as_lists(tree))
+    # Lines first: pytest's diff of two texts this long takes minutes.
+    assert got.splitlines() == want.splitlines()
+    assert got == want
 
 
 class _Level(enum.IntEnum):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import as_lists
 from edgedrop import codes
 from edgedrop.codes import code_to_dict, load_code, parse_code, relay_instance, tabulate
 from edgedrop.errors import DomainError
@@ -149,16 +150,6 @@ def code_texts(draw):
     return draw(mutated(text))
 
 
-def _as_json(node):
-    if isinstance(node, np.ndarray):
-        return node.tolist()
-    if isinstance(node, dict):
-        return {k: _as_json(v) for k, v in node.items()}
-    if isinstance(node, list):
-        return [_as_json(v) for v in node]
-    return node
-
-
 def _parsed(data):
     try:
         return parse_code(data)
@@ -173,7 +164,7 @@ def test_file_reader_agrees_with_json_or_hands_off(text):
     if got is None:
         return
     expected = json.loads(text)
-    assert _as_json(got) == expected
+    assert as_lists(got) == expected
     assert _parsed(got) == _parsed(expected)
 
 
@@ -192,7 +183,7 @@ def test_large_codes_load_without_the_per_entry_check(tmp_path, monkeypatch, lay
     layout the benchmark writes and in the one ``save_code`` writes."""
     sizes = [256, 256]
     _, code = relay_instance(sizes, 2, tabulate(sizes, lambda a, b: (a + b) % 2))
-    data = code_to_dict(code)
+    data = as_lists(code_to_dict(code))
     text = indented_json(data) if layout == "indent=2" else _dump(data, None)
     assert len(text) >= FAST_READ_BYTES
     path = tmp_path / "relay.code.json"
