@@ -170,16 +170,31 @@ def _parse_eps(text: str) -> Fraction:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """A flag value that must be an integer of at least 1; anything else is
-    a usage error that names the flag."""
+def _int_at_least(low: int, what: str):
+    """An argparse type for flag values that must be integers of at least
+    ``low``; anything else is a usage error that names the flag."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """A comma-separated list of integers; empty text is the empty list."""
     try:
-        value = int(text)
+        return tuple(int(v) for v in text.split(",")) if text else ()
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"expected integers a,b,..., got {text!r}") from None
 
 
 def _parse_rates(text: str, blocklength: int) -> list[int]:
@@ -187,16 +202,18 @@ def _parse_rates(text: str, blocklength: int) -> list[int]:
     out = []
     for raw in text.split(","):
         entry = raw.strip()
+        try:
+            value = int(entry.removeprefix("#"))
+        except ValueError:
+            raise DomainError(f"--rates entries must be integers, got {entry!r}") from None
         if entry.startswith("#"):
-            value = int(entry[1:])
             if value < 1:
                 raise DomainError(f"cardinality target must be >= 1, got {entry!r}")
             out.append(value)
         else:
-            bits = int(entry)
-            if bits < 0:
+            if value < 0:
                 raise DomainError(f"bit target must be >= 0, got {entry!r}")
-            out.append(2 ** (bits * blocklength))
+            out.append(2 ** (value * blocklength))
     return out
 
 
@@ -214,8 +231,8 @@ def _load_json(path: str, tables=None) -> dict:
 
 def _load_groups_file(path: str):
     data = _load_json(path)
-    if "sources" not in data:
-        raise DomainError(f"{path}: missing source group descriptions")
+    if not isinstance(data.get("sources"), list):
+        raise DomainError(f"{path}: 'sources' must list the source group descriptions")
     sources = [group_from_description(d) for d in data["sources"]]
     edge_desc = data.get("edge")
     support = data.get("edge_support")
@@ -226,6 +243,8 @@ def _load_groups_file(path: str):
 
 
 def _edge_support(symbols) -> tuple[int, ...]:
+    if not isinstance(symbols, list):
+        raise DomainError("'edge_support' must be a list of integers")
     return tuple(require_int(v, "edge support symbol") for v in symbols)
 
 
@@ -248,7 +267,7 @@ def _witness_dict(w: CwlWitness) -> dict:
         "source_groups": [g.describe() for g in w.source_groups],
         "edge_group": w.edge_group.describe(),
         "edge_support": list(w.edge_support),
-        "hom": np.fromiter(w.hom, dtype=np.int64, count=len(w.hom)),
+        "hom": w.hom,
     }
 
 
@@ -369,7 +388,7 @@ def _cmd_pwl_remove(args) -> tuple[int, dict]:
         for p in data["pieces"]
     ]
     pw = check_piecewise(
-        table.edge_column(args.edge), sources, _edge_support(data["edge_support"]), pieces
+        table.edge_values(args.edge), sources, _edge_support(data["edge_support"]), pieces
     )
     if pw is None:
         return 1, {"found": False}
@@ -459,10 +478,7 @@ def _cmd_case_study(args) -> tuple[int, dict]:
         return (0 if ok else 1), {"runs": runs}
 
     if args.name == "n2":
-        assignment = None
-        if args.assignment:
-            assignment = tuple(int(v) for v in args.assignment.split(","))
-        report = n2_code_check(args.m, args.w, assignment=assignment, cap=args.enum_cap)
+        report = n2_code_check(args.m, args.w, args.assignment or None, cap=args.enum_cap)
         return (0 if report.ok else 1), {"n2": report.to_dict()}
 
     if args.name == "n3-injectivity":
@@ -480,9 +496,7 @@ def _cmd_case_study(args) -> tuple[int, dict]:
         return (0 if report.injective else 1), {"n3": [report.to_dict()]}
 
     if args.name == "dougherty":
-        t = None
-        if args.t:
-            t = tuple(int(v) for v in args.t.split(","))
+        t = args.t or None  # an empty --t is no map
         report = dougherty_identity_check(
             args.alphabet, t=t, with_t_search=args.search, enum_cap=args.enum_cap
         )
@@ -556,8 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("code")
     p.add_argument("--edge", required=True)
     p.add_argument("--budget", type=_positive_int, default=64, help="group assignments to try")
-    p.add_argument("--rewrites", type=int, default=1, help="table rewrites to try")
-    p.add_argument("--relabels", type=int, default=0, help="extra relabelings per order")
+    p.add_argument("--rewrites", type=_non_negative_int, default=1, help="table rewrites to try")
+    p.add_argument("--relabels", type=_non_negative_int, default=0, help="relabelings per order")
     _add_common(p)
     p.set_defaults(handler=_cmd_cwl_search, input_attrs=("instance", "code"))
 
@@ -589,8 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--alpha", type=int, default=1)
     p.add_argument("--alphabet", type=int, default=4)
-    p.add_argument("--assignment", default=None, help="n2 slot assignment, comma-separated")
-    p.add_argument("--t", default=None, help="explicit map t, comma-separated")
+    p.add_argument("--assignment", type=_int_list, default=None, help="n2 slot assignment, a,b,...")
+    p.add_argument("--t", type=_int_list, default=None, help="explicit map t, comma-separated")
     p.add_argument("--search", action="store_true", help="brute-force all maps t")
     p.add_argument("--grid", action="store_true", help="full parameter grid")
     p.add_argument("--emit", default=None)

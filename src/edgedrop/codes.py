@@ -124,6 +124,16 @@ def _int_table(data, ndim: int, what: str) -> np.ndarray:
     return _frozen(arr.astype(np.int64, copy=False))
 
 
+def total_map(values, size: int, what: str) -> np.ndarray:
+    """A map over the dense indices ``0..size-1``, given as any flat integer
+    sequence, as a read-only int64 array.  A mapping has no integer entries
+    and is refused."""
+    arr = _int_table(values, 1, what)
+    if arr.shape != (size,):
+        raise DomainError(f"{what} must be a flat sequence of {size} integers")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class NetworkCode:
     """Explicit local encoder and decoder tables for one instance.
@@ -193,9 +203,7 @@ def relay_instance(
     if not 1 <= k <= 9:
         raise DomainError("between one and nine sources are supported")
     total = math.prod(sizes)
-    if len(edge_table) != total:
-        raise DomainError(f"edge table has {len(edge_table)} entries, expected {total}")
-    relay = np.asarray(edge_table)
+    relay = total_map(edge_table, total, "edge table")
     if relay.size and (relay.min() < 0 or relay.max() >= edge_size):
         raise DomainError("edge table maps outside the edge alphabet")
     edges = []
@@ -308,7 +316,6 @@ class GlobalCodeTable:
             good &= mask
         self.good = _frozen(good)
         self._edge_pos = {e.id: i for i, e in enumerate(inst.edges)}
-        self._columns: dict[str, tuple[int, ...]] = {}
 
     @property
     def num_tuples(self) -> int:
@@ -320,12 +327,6 @@ class GlobalCodeTable:
             return self.rows[:, self._edge_pos[edge_id]]
         except KeyError:
             raise DomainError(f"unknown edge ids {[edge_id]}") from None
-
-    def edge_column(self, edge_id: str) -> tuple[int, ...]:
-        """One edge's message for every source tuple, as Python ints."""
-        if edge_id not in self._columns:
-            self._columns[edge_id] = tuple(self.edge_values(edge_id).tolist())
-        return self._columns[edge_id]
 
     @property
     def error(self) -> Fraction:

@@ -35,6 +35,7 @@ from .codes import (
     product_indices,
     relay_instance,
     select_input,
+    total_map,
 )
 from .errors import DomainError, InternalCheckError, PreconditionError
 from .groupcodes import GroupCharacterization
@@ -58,42 +59,31 @@ from .removal import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CwlWitness:
     """A verified homomorphism witnessing coordinate-wise linearity.
 
     ``edge_support[k]`` is the edge symbol carried by edge group element k,
-    and ``hom`` maps each dense source tuple index to an edge group element.
+    and ``hom`` maps each dense source tuple index to an edge group element;
+    given as any integer sequence, it is stored as a read-only int64 array.
     """
 
     source_groups: tuple[FiniteGroup, ...]
     edge_group: FiniteGroup
     edge_support: tuple[int, ...]
-    hom: tuple[int, ...]
+    hom: np.ndarray
+
+    def __post_init__(self):
+        hom = total_map(self.hom, math.prod(self.source_sizes), "witness homomorphism")
+        object.__setattr__(self, "hom", hom)
 
     @property
     def source_sizes(self) -> tuple[int, ...]:
         return tuple(g.order for g in self.source_groups)
 
-    def phi_table(self) -> tuple[int, ...]:
+    def phi_table(self) -> np.ndarray:
         """The encoding function as edge symbols over dense tuple indices."""
-        return tuple(self.edge_support[k] for k in self.hom)
-
-
-def _normalize_phi(phi, sizes: Sequence[int]):
-    """The values of phi over dense tuple indices, as a list or an array."""
-    total = math.prod(sizes)
-    if isinstance(phi, Mapping):
-        out = []
-        for combo in itertools.product(*[range(s) for s in sizes]):
-            if combo not in phi:
-                raise DomainError(f"encoding function is missing tuple {combo}")
-            out.append(phi[combo])
-        return out
-    out = phi if isinstance(phi, np.ndarray) else list(phi)
-    if len(out) != total:
-        raise DomainError(f"encoding function covers {len(out)} tuples, expected {total}")
-    return out
+        return np.asarray(self.edge_support, dtype=np.int64)[self.hom]
 
 
 @dataclass(frozen=True)
@@ -112,13 +102,13 @@ class EdgeFunction:
 
     @classmethod
     def of(cls, phi, sizes: Sequence[int]) -> EdgeFunction:
-        """``phi`` as a dense sequence, a tuple-keyed mapping or an EdgeFunction."""
+        """``phi`` as a dense integer sequence or an EdgeFunction."""
         sizes = tuple(sizes)
         if isinstance(phi, EdgeFunction):
             if phi.sizes != sizes:
                 raise DomainError(f"encoding function is over {phi.sizes}, expected {sizes}")
             return phi
-        values = np.asarray(_normalize_phi(phi, sizes))
+        values = total_map(phi, math.prod(sizes), "encoding function")
         support, reps, ids = np.unique(values, return_index=True, return_inverse=True)
         return cls(sizes, tuple(support.tolist()), ids, reps)
 
@@ -131,11 +121,11 @@ def check_cwl(
 ) -> CwlWitness | None:
     """Verify the homomorphism law from the product of the source groups.
 
-    ``phi`` maps source tuples to edge symbols, as a dense sequence, a
-    mapping keyed by tuples or an ``EdgeFunction``.  The support must list
-    one edge symbol per edge group element; a witness exists only if the
-    image of phi is exactly that symbol set and ``groups.is_homomorphism``
-    (the law on the product's generators) holds for the induced map.
+    ``phi`` maps source tuples to edge symbols, as a dense integer sequence
+    or an ``EdgeFunction``.  The support must list one edge symbol per edge
+    group element; a witness exists only if the image of phi is exactly
+    that symbol set and ``groups.is_homomorphism`` (the law on the product's
+    generators) holds for the induced map.
     """
     if not source_groups:
         raise DomainError("at least one source group is required")
@@ -157,7 +147,7 @@ def check_cwl(
         source_groups=tuple(source_groups),
         edge_group=edge_group,
         edge_support=support,
-        hom=tuple(phi_k.tolist()),
+        hom=phi_k,
     )
 
 
@@ -224,22 +214,31 @@ def certify_cwl(
     return witness
 
 
-def coordinate_classes(w: CwlWitness) -> list[list[tuple[int, ...]]]:
-    """Per source, the symbol classes sharing a single-coordinate image.
+def _coordinate_class_ids(w: CwlWitness) -> list[np.ndarray]:
+    """Per source, the class id of each symbol, ids in first-occurrence order.
 
-    The image of symbol v of source i is the witness value at the tuple that
-    is v at coordinate i and the group identity elsewhere.  Classes are
-    ordered by first occurrence, members ascending.
+    Symbol v of source i is classed by its single-coordinate image: the
+    witness value at the tuple that is v at coordinate i and the identity
+    elsewhere, one gather per source.
     """
     sizes = w.source_sizes
+    identity = mixed_radix_index([g.identity for g in w.source_groups], sizes)
     out = []
     for i, g in enumerate(w.source_groups):
-        base = [h.identity for h in w.source_groups]
-        classes: dict[int, list[int]] = {}  # insertion order is first occurrence
-        for v in range(g.order):
-            base[i] = v
-            classes.setdefault(w.hom[mixed_radix_index(base, sizes)], []).append(v)
-        out.append(list(classes.values()))
+        symbols = np.arange(g.order, dtype=np.int64)
+        images = w.hom[identity + (symbols - g.identity) * math.prod(sizes[i + 1:])]
+        _, first, ids = np.unique(images, return_index=True, return_inverse=True)
+        out.append(np.argsort(np.argsort(first))[ids])
+    return out
+
+
+def coordinate_classes(w: CwlWitness) -> list[list[list[int]]]:
+    """Per source, the symbol classes sharing a single-coordinate image,
+    ordered by first occurrence, members ascending."""
+    out = []
+    for ids in _coordinate_class_ids(w):
+        members = np.argsort(ids, kind="stable")
+        out.append([c.tolist() for c in np.split(members, np.cumsum(np.bincount(ids))[:-1])])
     return out
 
 
@@ -250,21 +249,7 @@ def classes_equal_sized(classes: Sequence[Sequence[Sequence[int]]]) -> bool:
 
 def witness_partition(w: CwlWitness) -> SourcePartition:
     """Product partition labeling each tuple by its per-source class ids."""
-    classes = coordinate_classes(w)
-    assignments = []
-    for size, per_source in zip(w.source_sizes, classes):
-        a = np.empty(size, dtype=np.int64)
-        for cid, members in enumerate(per_source):
-            a[members] = cid
-        assignments.append(a)
-    return SourcePartition.from_source_classes(w.source_sizes, assignments)
-
-
-def _witness_matches_column(w: CwlWitness, table: GlobalCodeTable, edge_id: str) -> bool:
-    return (
-        w.source_sizes == table.source_sizes
-        and w.phi_table() == table.edge_column(edge_id)
-    )
+    return SourcePartition.from_source_classes(w.source_sizes, _coordinate_class_ids(w))
 
 
 def cwl_remove(
@@ -283,7 +268,8 @@ def cwl_remove(
     guarantee ``|kept| * |edge support| >= |alphabet|`` per source.  Returns
     None when even that part fails the witness bounds for eps.
     """
-    if not _witness_matches_column(w, table, edge_id):
+    column = table.edge_values(edge_id)
+    if w.source_sizes != table.source_sizes or not np.array_equal(w.phi_table(), column):
         raise PreconditionError("witness does not match the edge's encoding function")
     part = witness_partition(w)
     if fiber_edge_values(table, edge_id, part) is None:
@@ -311,12 +297,13 @@ def cwl_remove(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CwlPiece:
-    """One declared piece: per-source symbol sets and the matching function."""
+    """One declared piece: per-source symbol sets and the matching function,
+    a read-only int64 array over dense tuple indices."""
 
     subsets: tuple[tuple[int, ...], ...]
-    phi: tuple[int, ...]
+    phi: np.ndarray
     witness: CwlWitness
 
 
@@ -350,8 +337,8 @@ def check_piecewise(
     not exact) return None.
     """
     sizes = [g.order for g in source_groups]
-    values = _normalize_phi(phi, sizes)
-    total = len(values)
+    total = math.prod(sizes)
+    values = total_map(phi, total, "encoding function")
     if not pieces:
         raise DomainError("at least one piece is required")
     member_sets = []
@@ -359,23 +346,22 @@ def check_piecewise(
     for subsets, piece_phi in pieces:
         subs = checked_subsets(subsets, sizes)
         member_sets.append(product_indices(subs, sizes))
-        cleaned.append((subs, _normalize_phi(piece_phi, sizes)))
+        cleaned.append((subs, total_map(piece_phi, total, "piece function")))
     counts = np.bincount(np.concatenate(member_sets), minlength=total)
-    offending = [index_to_values(i, sizes) for i in np.flatnonzero(counts != 1).tolist()]
-    if offending:
-        raise DomainError(
-            f"pieces must partition the tuple space; offending tuples: {offending[:5]}"
-        )
+    offending = np.flatnonzero(counts != 1)
+    if offending.size:
+        shown = [index_to_values(i, sizes) for i in offending[:5].tolist()]
+        raise DomainError(f"pieces must partition the tuple space; offending tuples: {shown}")
     support_set = set(edge_support)
     out_pieces = []
     for (subs, piece_values), members in zip(cleaned, member_sets):
         witness = certify_cwl(piece_values, source_groups)
         if witness is None or not set(witness.edge_support) <= support_set:
             return None
-        agrees = [v == p for v, p in zip(values, piece_values)]
-        if agrees != np.isin(np.arange(total), members).tolist():
+        # Members ascend: the subsets are sorted and deduplicated.
+        if not np.array_equal(np.flatnonzero(values == piece_values), members):
             return None
-        out_pieces.append(CwlPiece(subs, tuple(piece_values), witness))
+        out_pieces.append(CwlPiece(subs, piece_values, witness))
     return PiecewiseCwl(
         source_groups=tuple(source_groups),
         edge_support=tuple(edge_support),
@@ -409,7 +395,7 @@ def piecewise_remove(
     column = table.edge_values(edge_id)
     for piece in pw.pieces:
         members = product_indices(piece.subsets, sizes)
-        if not np.array_equal(column[members], np.asarray(piece.phi)[members]):
+        if not np.array_equal(column[members], piece.phi[members]):
             raise PreconditionError(
                 "piecewise structure does not match the edge's encoding function"
             )
@@ -422,16 +408,17 @@ def piecewise_remove(
 
     kept = []
     divisor = len(pw.edge_support) * k_count
-    for size, classes, subset in zip(sizes, coordinate_classes(piece.witness), piece.subsets):
-        good = set(subset)
-        best_class = max(
-            range(len(classes)),
-            key=lambda c: (len(set(classes[c]) & good), -c),
-        )
-        members = sorted(set(classes[best_class]) & good)
+    for size, ids, subset in zip(sizes, _coordinate_class_ids(piece.witness), piece.subsets):
+        # The class holding the most piece symbols; argmax ties to the
+        # smallest class id.
+        subset = np.asarray(subset, dtype=np.int64)
+        in_piece = ids[subset]
+        n_classes = int(ids.max()) + 1
+        best_class = int(np.argmax(np.bincount(in_piece, minlength=n_classes)))
+        members = subset[in_piece == best_class]
         # Averaging within the piece: the best class holds at least
         # |subset| / #classes piece symbols.
-        if len(members) * len(classes) < len(subset):
+        if len(members) * n_classes < len(subset):
             raise InternalCheckError("best class misses the per-source averaging bound")
         if len(members) * divisor < size:
             raise InternalCheckError("kept symbols fall below the piecewise bound")
@@ -440,7 +427,7 @@ def piecewise_remove(
     indices = product_indices(kept, sizes)
     if len(np.unique(column[indices])) != 1:
         raise InternalCheckError("edge message is not constant on the kept product")
-    label = (best_piece,) + tuple(min(m) for m in kept)
+    label = (best_piece,) + tuple(int(m[0]) for m in kept)
     return _restrict_to_part(
         inst, code, table, edge_id, indices, divisor, label, Fraction(0),
     )
@@ -498,9 +485,10 @@ def relabel_balanced(g: Mapping, codomain: Sequence | None = None) -> BalancedRe
     )
     if witness is None:
         raise InternalCheckError("projection failed its own CWL check")
+    projection = witness.phi_table().tolist()
     for a in domain:
         i, j = domain_labels[a]
-        if codomain_labels[g[a]] != witness.phi_table()[i * q + j]:
+        if codomain_labels[g[a]] != projection[i * q + j]:
             raise InternalCheckError("relabeled map disagrees with the projection")
     return BalancedRelabeling(
         domain_labels=domain_labels,
@@ -530,7 +518,7 @@ def characterize_witness(w: CwlWitness) -> GroupCharacterization:
         f"s{i + 1}": subgroup(product, d == g.identity)
         for i, (g, d) in enumerate(zip(w.source_groups, digits))
     }
-    subgroups["e"] = subgroup(product, np.asarray(w.hom) == w.edge_group.identity)
+    subgroups["e"] = subgroup(product, w.hom == w.edge_group.identity)
     gc = GroupCharacterization(product, subgroups)
 
     edge_size = max(w.edge_support) + 1

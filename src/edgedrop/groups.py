@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .codes import _json_table
+from .codes import _json_table, total_map
 from .errors import DomainError, PreconditionError
 from .network import require_int
 
@@ -259,17 +259,27 @@ def group_from_description(desc: Mapping) -> FiniteGroup:
     """Rebuild a group from the dict format produced by ``describe``.
 
     Orders and Cayley table entries must be JSON integers; floats, booleans
-    and strings are rejected, never coerced.
+    and strings are rejected, never coerced.  A missing or mistyped field is
+    a DomainError that names it.
     """
     if not isinstance(desc, Mapping) or "kind" not in desc:
         raise DomainError("group description must be a mapping with a 'kind' key")
     kind = desc["kind"]
+
+    def field(key: str):
+        if key not in desc:
+            raise DomainError(f"{kind} group description is missing {key!r}")
+        return desc[key]
+
     if kind == "cyclic":
-        return make_cyclic(require_int(desc["order"], "cyclic group order"))
+        return make_cyclic(require_int(field("order"), "cyclic group order"))
     if kind == "product":
-        return direct_product([group_from_description(d) for d in desc["factors"]])
+        factors = field("factors")
+        if not isinstance(factors, list):
+            raise DomainError("product group 'factors' must be a list")
+        return direct_product([group_from_description(d) for d in factors])
     if kind == "table":
-        g = TableGroup(_json_table(desc["table"], 2, "Cayley table"))
+        g = TableGroup(_json_table(field("table"), 2, "Cayley table"))
         if "order" in desc and require_int(desc["order"], "group order") != g.order:
             raise DomainError("declared order does not match table size")
         return g
@@ -462,21 +472,6 @@ def cosets(group: FiniteGroup, sub: SubgroupHandle) -> list[list[int]]:
     return [c.tolist() for c in np.split(by_label, np.cumsum(np.bincount(labels))[:-1])]
 
 
-def _as_total_map(f, size: int):
-    """Normalize a map given as a sequence or mapping into a dense list or array."""
-    if isinstance(f, Mapping):
-        vals = []
-        for a in range(size):
-            if a not in f:
-                raise DomainError(f"map is missing element {a}")
-            vals.append(f[a])
-        return vals
-    vals = f if isinstance(f, np.ndarray) else list(f)
-    if len(vals) != size:
-        raise DomainError(f"map covers {len(vals)} elements, expected {size}")
-    return vals
-
-
 def respects_generators(vals: np.ndarray, dom: FiniteGroup, op) -> bool:
     """Whether ``vals[x * g] == op(vals[x], vals[g])`` for every x and every
     generator g of ``dom``, in one ``op_array`` call on each side."""
@@ -493,7 +488,7 @@ def is_homomorphism(f, dom: FiniteGroup, cod: FiniteGroup) -> bool:
     products.  f(e) == e is checked explicitly, which covers a domain whose
     generating set is empty.
     """
-    vals = _id_array(cod, _as_total_map(f, dom.order))
+    vals = _id_array(cod, total_map(f, dom.order, "map"))
     return bool(vals[dom.identity] == cod.identity) and respects_generators(
         vals, dom, cod.op_array
     )
@@ -503,4 +498,4 @@ def kernel(f, dom: FiniteGroup, cod: FiniteGroup) -> SubgroupHandle:
     """Kernel of a verified homomorphism."""
     if not is_homomorphism(f, dom, cod):
         raise PreconditionError("map is not a homomorphism")
-    return subgroup(dom, np.asarray(_as_total_map(f, dom.order)) == cod.identity)
+    return subgroup(dom, total_map(f, dom.order, "map") == cod.identity)

@@ -230,6 +230,10 @@ def n2_code_check(
     substitutes raw permutation tables, letting deliberately broken ones
     surface as reported violations.
     """
+    cap = DEFAULT_ENUM_CAP if cap is None else cap
+    checked = w * (m * w) ** 3
+    if checked > cap:
+        raise ResourceError(f"identity check needs {checked} cases, cap is {cap}")
     family = n2_permutations(m, w)
     modulus = family.modulus
     tables = tuple(tuple(p) for p in perms) if perms is not None else family.perms
@@ -244,10 +248,6 @@ def n2_code_check(
         assignment = tuple(assignment)
         if len(assignment) != w or any(not 1 <= l <= w for l in assignment):
             raise DomainError("assignment must pick one permutation per slot")
-    cap = DEFAULT_ENUM_CAP if cap is None else cap
-    checked = w * modulus ** 3
-    if checked > cap:
-        raise ResourceError(f"identity check needs {checked} cases, cap is {cap}")
 
     violations = []
     for slot in range(1, w + 1):

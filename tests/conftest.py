@@ -300,6 +300,33 @@ def random_hom_witness(rng, max_order, size_pool, max_sources, product_cap):
     return sizes, tuple(table), witness
 
 
+def oracle_coordinate_classes(w) -> list[list[list[int]]]:
+    """Per source, the symbol classes sharing a single-coordinate image, one
+    witness lookup per symbol: classes by first occurrence, members
+    ascending."""
+    sizes = w.source_sizes
+    out = []
+    for i, g in enumerate(w.source_groups):
+        base = [h.identity for h in w.source_groups]
+        classes: dict[int, list[int]] = {}  # insertion order is first occurrence
+        for v in range(g.order):
+            base[i] = v
+            classes.setdefault(int(w.hom[mixed_radix_index(base, sizes)]), []).append(v)
+        out.append(list(classes.values()))
+    return out
+
+
+def oracle_class_pick(w, subsets) -> list[list[int]]:
+    """Per source, the members of the subset in the class holding most of
+    them (ties to the earliest class), as piecewise removal keeps them."""
+    kept = []
+    for classes, subset in zip(oracle_coordinate_classes(w), subsets):
+        good = set(subset)
+        best = max(range(len(classes)), key=lambda c: (len(set(classes[c]) & good), -c))
+        kept.append(sorted(set(classes[best]) & good))
+    return kept
+
+
 def random_coordinate_characterization(rng) -> GroupCharacterization:
     """A product of at most three cyclic groups (order <= 256) with one
     coordinate subgroup per factor and a cyclic edge subgroup ``e``."""

@@ -179,7 +179,7 @@ def test_criterion_03_butterfly_end_to_end(announce):
         failures.append("binary butterfly is not zero-error at one bit per source")
     table = build_global_table(inst, code)
     witness = check_cwl(
-        table.edge_column("bottleneck"),
+        table.edge_values("bottleneck"),
         [CyclicGroup(2), CyclicGroup(2)],
         CyclicGroup(2),
         (0, 1),
@@ -201,13 +201,13 @@ def test_criterion_03_butterfly_end_to_end(announce):
         failures.append("wide butterfly is not zero-error at two bits per source")
     table4 = build_global_table(inst4, code4)
     derived = derive_edge_group(
-        table4.edge_column("bottleneck"), [CyclicGroup(4), CyclicGroup(4)]
+        table4.edge_values("bottleneck"), [CyclicGroup(4), CyclicGroup(4)]
     )
     if derived is None:
         failures.append("wide bottleneck has no derivable structure")
     else:
         witness4 = check_cwl(
-            table4.edge_column("bottleneck"), [CyclicGroup(4), CyclicGroup(4)], *derived
+            table4.edge_values("bottleneck"), [CyclicGroup(4), CyclicGroup(4)], *derived
         )
         result4 = cwl_remove(inst4, code4, table4, "bottleneck", witness4, Fraction(0))
         cert4 = result4.certificate

@@ -508,6 +508,66 @@ def test_counts_in_flags_must_be_positive(flag, value, tmp_path, capsys):
     assert f"argument {flag}: expected a positive integer, got '{value}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--rewrites", "-1"), ("--relabels", "-5"), ("--rewrites", "x")])
+def test_search_counts_in_flags_must_be_non_negative(flag, value, tmp_path, capsys):
+    inst, code = relay_instance([4, 4], 4, tabulate([4, 4], lambda a, b: (a + b) % 4))
+    inst_path, code_path = _write_pair(tmp_path, inst, code)
+    assert main(["cwl-search", inst_path, code_path, "--edge", "e", flag, value]) == 2
+    message = f"argument {flag}: expected a non-negative integer, got '{value}'"
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--rates", "x"], "--rates"),
+        (["--rates", "#y,1"], "--rates"),
+        (["case-study", "n2", "--assignment", "a,b"], "--assignment"),
+        (["case-study", "dougherty", "--t", "a,b"], "--t"),
+    ],
+)
+def test_integer_list_flags_are_usage_errors_naming_the_flag(argv, flag, tmp_path, capsys):
+    if argv[0] == "--rates":
+        argv = ["verify", *_write_pair(tmp_path, *butterfly()), *argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "ValueError" not in err and "invalid literal" not in err
+
+
+def test_case_study_n2_checks_the_cap_before_building_permutations(monkeypatch, capsys):
+    def refuse(m, w):
+        raise AssertionError("permutations built before the cap check")
+
+    monkeypatch.setattr("edgedrop.library.n2_permutations", refuse)
+    assert main(["case-study", "n2", "--m", "100", "--w", "100", "--enum-cap", "1"]) == 2
+    assert "cap is 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"sources": [{"kind": "cyclic"}] * 2}, "cyclic group description is missing 'order'"),
+        ({"sources": [{"kind": "product"}] * 2}, "product group description is missing 'factors'"),
+        ({"sources": [{"kind": "table"}] * 2}, "table group description is missing 'table'"),
+        ({"sources": 5}, "'sources' must list the source group descriptions"),
+        ({"edge_support": 5}, "'edge_support' must be a list of integers"),
+    ],
+)
+def test_groups_files_name_the_bad_field(edit, message, tmp_path, capsys):
+    golden = Path(__file__).parent / "golden" / "inputs"
+    groups = json.loads((golden / "butterfly.groups.json").read_text())
+    groups_path = tmp_path / "groups.json"
+    groups_path.write_text(json.dumps({**groups, **edit}))
+    argv = ["cwl-check", str(golden / "butterfly.instance.json"),
+            str(golden / "butterfly.code.json"), "--edge", "bottleneck",
+            "--groups", str(groups_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Error(" not in err
+
+
 def test_pwl_remove_on_nonzero_error_code_is_not_found(tmp_path, capsys):
     golden = Path(__file__).parent / "golden" / "inputs"
     code = load_code(str(golden / "shift44.code.json"))

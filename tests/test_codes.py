@@ -99,7 +99,7 @@ def test_relay_instance_shape_and_distribution():
     assert validate_code(inst, code) == []
     table = build_global_table(inst, code)
     assert table.error == 0
-    assert table.edge_column("e") == xor
+    assert table.edge_values("e").tolist() == list(xor)
     with pytest.raises(DomainError):
         relay_instance([2, 2], 2, xor[:-1])
 
@@ -227,7 +227,7 @@ def test_random_codes_validate_and_tabulate():
         assert np.flatnonzero(~table.good).tolist() == bad
         assert table.error == Fraction(len(bad), len(rows))
         for e in inst.edges:
-            assert table.edge_column(e.id) == tuple(r[table._edge_pos[e.id]] for r in rows)
+            assert table.edge_values(e.id).tolist() == [r[table._edge_pos[e.id]] for r in rows]
 
 
 def test_joint_entropy_matches_counter_oracle():

@@ -1,5 +1,7 @@
 """Homomorphism witnesses, class partitions and the search plumbing."""
 
+import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -9,6 +11,9 @@ import pytest
 
 from conftest import (
     ReferenceGroup,
+    as_lists,
+    oracle_class_pick,
+    oracle_coordinate_classes,
     oracle_cosets,
     oracle_is_homomorphism,
     oracle_is_subgroup,
@@ -18,9 +23,12 @@ from conftest import (
     relabel_table,
     s3,
 )
+from edgedrop.cli import _witness_dict
 from edgedrop.codes import (
     NetworkCode,
     build_global_table,
+    index_digits,
+    index_to_values,
     relay_instance,
     tabulate,
 )
@@ -63,7 +71,8 @@ from edgedrop.groups import (
     make_cyclic,
 )
 from edgedrop.library import butterfly, butterfly4
-from edgedrop.removal import fiber_edge_values, fibers_are_products
+from edgedrop.network import indented_json
+from edgedrop.removal import SourcePartition, fiber_edge_values, fibers_are_products
 
 
 def _xor_witness():
@@ -75,9 +84,9 @@ def _xor_witness():
 def test_check_cwl_accepts_xor():
     w = _xor_witness()
     assert w is not None
-    assert w.hom == (0, 1, 1, 0)
+    assert w.hom.tolist() == [0, 1, 1, 0]
     assert w.edge_support == (0, 1)
-    assert w.phi_table() == (0, 1, 1, 0)
+    assert w.phi_table().tolist() == [0, 1, 1, 0]
 
 
 def test_check_cwl_rejects_and():
@@ -106,10 +115,10 @@ def test_check_cwl_argument_errors():
     assert check_cwl(phi, groups, make_cyclic(2), (0, 2)) is None
 
 
-def test_check_cwl_accepts_tuple_keyed_mapping():
+def test_check_cwl_refuses_tuple_keyed_mapping():
     phi = {(a, b): a ^ b for a in range(2) for b in range(2)}
-    w = check_cwl(phi, [make_cyclic(2), make_cyclic(2)], make_cyclic(2), (0, 1))
-    assert w is not None
+    with pytest.raises(DomainError, match="encoding function"):
+        check_cwl(phi, [make_cyclic(2), make_cyclic(2)], make_cyclic(2), (0, 1))
 
 
 def test_derive_edge_group_from_negated_xor():
@@ -146,7 +155,7 @@ def test_cwl_remove_butterfly_rates():
     for make, expected in ((butterfly, (1, 1)), (butterfly4, (2, 2))):
         inst, code = make()
         table = build_global_table(inst, code)
-        phi = table.edge_column("bottleneck")
+        phi = table.edge_values("bottleneck")
         groups = [make_cyclic(s) for s in table.source_sizes]
         g, support = derive_edge_group(phi, groups)
         w = check_cwl(phi, groups, g, support)
@@ -323,7 +332,7 @@ def test_cwl_search_finds_relabeled_bottleneck():
     )
     table = build_global_table(inst, twisted)
     assert table.error == 0
-    assert table.edge_column("bottleneck") == (1, 0, 0, 1)
+    assert table.edge_values("bottleneck").tolist() == [1, 0, 0, 1]
     found = cwl_search(inst, twisted, "bottleneck")
     assert found is not None
     assert not found.rewritten
@@ -338,7 +347,7 @@ def test_cwl_search_rewrite_path():
     # The rewritten edge carries the dense pair index, a bijection.
     new_table = build_global_table(inst, found.code)
     assert new_table.error == 0
-    assert sorted(new_table.edge_column("e")) == [0, 1, 2, 3]
+    assert sorted(new_table.edge_values("e").tolist()) == [0, 1, 2, 3]
     assert found.witness.edge_support == (0, 1, 2, 3)
     # With rewrites disabled the same search gives up.
     capped = SearchBudget(max_group_assignments=64, max_table_rewrites=0)
@@ -534,16 +543,16 @@ def test_certify_cwl_routes():
     groups = [make_cyclic(4), make_cyclic(4)]
     f = EdgeFunction.of(phi, [4, 4])
     def key(w):
-        return w.edge_group.describe(), w.edge_support, w.hom
+        return w.edge_group.describe(), w.edge_support, w.hom.tolist()
 
     derived = key(certify_cwl(phi, groups))
     assert derived == key(certify_cwl(f, groups))
     assert derived == key(check_cwl(phi, groups, *derive_edge_group(f, groups)))
-    assert certify_cwl(phi, groups, (make_cyclic(4), (0, 1, 2, 3))).hom == phi
+    assert certify_cwl(phi, groups, (make_cyclic(4), (0, 1, 2, 3))).hom.tolist() == list(phi)
     # The support order fixes the element ids.
-    assert certify_cwl(phi, groups, (make_cyclic(4), (0, 3, 2, 1))).hom == tuple(
+    assert certify_cwl(phi, groups, (make_cyclic(4), (0, 3, 2, 1))).hom.tolist() == [
         (-v) % 4 for v in phi
-    )
+    ]
     assert certify_cwl(phi, groups, (make_cyclic(4), (0, 2, 1, 3))) is None
     with pytest.raises(DomainError, match="encoding function is over"):
         certify_cwl(f, [make_cyclic(16)])
@@ -580,3 +589,114 @@ def test_group_proofs_make_linear_op_calls(monkeypatch):
         assert (derive_edge_group(phi, sources) is not None) == linear
         assert len(calls) <= image + len(gens) + 1
         assert set(calls) <= {4096}
+
+
+def _relabeled_hom_witness(rng):
+    """A criterion-2 homomorphism moved onto Cayley-table sources whose
+    element names are shuffled, so that no source's identity is 0."""
+    sizes, table, _ = random_hom_witness(
+        rng, max_order=64, size_pool=(2, 2, 3, 4, 4, 5, 6, 8), max_sources=3,
+        product_cap=512,
+    )
+    perms = []
+    for n in sizes:
+        perm = list(range(n))
+        while perm[0] == 0:
+            rng.shuffle(perm)
+        perms.append(perm)
+    groups = [
+        TableGroup(relabel_table([[(a + b) % n for b in range(n)] for a in range(n)], perm))
+        for n, perm in zip(sizes, perms)
+    ]
+    # Tuple t of the relabeled sources is the original tuple old[t].
+    old = np.zeros(math.prod(sizes), dtype=np.int64)
+    for n, perm, d in zip(sizes, perms, index_digits(np.arange(len(old)), sizes)):
+        old = old * n + np.argsort(perm)[d]
+    w = certify_cwl(np.asarray(table)[old], groups)
+    assert w is not None
+    return w
+
+
+def _oracle_witnesses():
+    """Criterion 2's 200 witnesses, then 60 on relabeled Cayley tables."""
+    rng = random.Random(926)
+    for _ in range(200):
+        yield random_hom_witness(
+            rng, max_order=64, size_pool=(2, 2, 3, 4, 4, 5, 6, 8), max_sources=3,
+            product_cap=512,
+        )[2]
+    rng = random.Random(3141)
+    for _ in range(60):
+        yield _relabeled_hom_witness(rng)
+
+
+def test_coordinate_classes_and_partition_match_the_scalar_oracle():
+    relabeled = 0
+    for w in _oracle_witnesses():
+        classes = oracle_coordinate_classes(w)
+        assert coordinate_classes(w) == classes
+        class_of = [{v: c for c, members in enumerate(per) for v in members} for per in classes]
+        labels = [
+            tuple(lookup[v] for lookup, v in zip(class_of, index_to_values(t, w.source_sizes)))
+            for t in range(math.prod(w.source_sizes))
+        ]
+        expected = SourcePartition(w.source_sizes, labels)
+        part = witness_partition(w)
+        assert part.keys == expected.keys
+        assert np.array_equal(part.ids, expected.ids)
+        relabeled += all(g.identity != 0 for g in w.source_groups)
+    assert relabeled == 60
+
+
+def test_piecewise_class_pick_matches_the_scalar_oracle():
+    """Two pieces split source 0; piece 1 carries the witness function with
+    its symbols rotated, so each piece function agrees exactly on its piece.
+    The kept symbols are the oracle's class pick inside the larger piece."""
+    rng = random.Random(2718)
+    checked = relabeled = 0
+    for w in itertools.islice(_oracle_witnesses(), 0, None, 2):
+        sizes, phi = w.source_sizes, w.phi_table()
+        support = np.unique(phi)
+        if len(support) < 2:
+            continue
+        rotate = np.zeros(int(support.max()) + 1, dtype=np.int64)
+        rotate[support] = np.roll(support, 1)
+        first = sorted(rng.sample(range(sizes[0]), rng.randint(-(-sizes[0] // 2), sizes[0] - 1)))
+        rest = sorted(set(range(sizes[0])) - set(first))
+        full = [list(range(n)) for n in sizes[1:]]
+        in_first = np.isin(index_digits(np.arange(len(phi)), sizes)[0], first)
+        glued = np.where(in_first, phi, rotate[phi])
+        pieces = [([first, *full], phi), ([rest, *full], rotate[phi])]
+        pw = check_piecewise(glued, w.source_groups, support.tolist(), pieces)
+        assert pw is not None
+        inst, code = relay_instance(sizes, len(rotate), glued)
+        table = build_global_table(inst, code)
+        cert = piecewise_remove(inst, code, table, "e", pw).certificate
+        kept = oracle_class_pick(pw.pieces[0].witness, pw.pieces[0].subsets)
+        assert cert.witness_label == (0, *(k[0] for k in kept))
+        assert cert.restricted_alphabets == tuple(tuple(k) for k in kept)
+        assert cert.feasibility.verdict
+        checked += 1
+        relabeled += all(g.identity != 0 for g in w.source_groups)
+    assert checked >= 50 and relabeled >= 10
+
+
+def test_witness_hom_is_a_read_only_int64_array_the_report_uses_as_is():
+    w = _xor_witness()
+    assert w.hom.dtype == np.int64 and not w.hom.flags.writeable
+    with pytest.raises(ValueError):
+        w.hom[0] = 1
+    entry = _witness_dict(w)
+    assert entry["hom"] is w.hom
+    assert indented_json(entry) == json.dumps(
+        as_lists(entry), indent=2, sort_keys=True
+    )
+    # Any integer sequence is normalized; a mapping or a short map is refused.
+    again = CwlWitness(w.source_groups, w.edge_group, w.edge_support, [0, 1, 1, 0])
+    assert again.hom.dtype == np.int64 and not again.hom.flags.writeable
+    for hom in ({0: 0, 1: 1, 2: 1, 3: 0}, [0, 1, 1]):
+        with pytest.raises(DomainError):
+            CwlWitness(w.source_groups, w.edge_group, w.edge_support, hom)
+    phi, groups, pieces = _two_piece_copy()
+    for piece in check_piecewise(phi, groups, (0, 1), pieces).pieces:
+        assert piece.phi.dtype == np.int64 and not piece.phi.flags.writeable

@@ -381,6 +381,29 @@ def test_group_descriptions_take_integers_only(desc):
         group_from_description(desc)
 
 
+@pytest.mark.parametrize(
+    "desc, message",
+    [
+        ({"kind": "cyclic"}, "cyclic group description is missing 'order'"),
+        ({"kind": "product"}, "product group description is missing 'factors'"),
+        ({"kind": "product", "factors": 5}, "product group 'factors' must be a list"),
+        ({"kind": "table"}, "table group description is missing 'table'"),
+    ],
+)
+def test_group_descriptions_name_the_missing_field(desc, message):
+    with pytest.raises(DomainError, match=message):
+        group_from_description(desc)
+
+
+def test_maps_are_integer_sequences_not_mappings():
+    g2 = make_cyclic(2)
+    assert is_homomorphism(np.array([0, 1]), g2, g2)
+    with pytest.raises(DomainError):
+        is_homomorphism({0: 0, 1: 1}, g2, g2)
+    with pytest.raises(DomainError):
+        kernel({0: 0, 1: 1}, g2, g2)
+
+
 @pytest.mark.parametrize("member", [2.0, True])
 def test_characterization_members_take_integers_only(member):
     data = {"group": {"kind": "cyclic", "order": 4}, "subgroups": {"e": [0, member]}}

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from edgedrop import library
 from edgedrop.codes import build_global_table, check_feasibility
 from edgedrop.errors import DomainError, PreconditionError, ResourceError
 from edgedrop.library import (
@@ -105,6 +106,16 @@ def test_n2_code_check_argument_errors():
         n2_code_check(2, 2, perms=((0, 1, 2, 9), (0, 1, 2, 3)))
     with pytest.raises(ResourceError):
         n2_code_check(2, 2, cap=10)
+
+
+def test_n2_code_check_honours_the_cap_before_building_permutations(monkeypatch):
+    def refuse(m, w):
+        raise AssertionError("permutations built before the cap check")
+
+    monkeypatch.setattr(library, "n2_permutations", refuse)
+    cases = 100 * (100 * 100) ** 3
+    with pytest.raises(ResourceError, match=f"identity check needs {cases} cases, cap is 1"):
+        n2_code_check(100, 100, cap=1)
 
 
 def test_n3_rotation_oracle():
