@@ -33,11 +33,8 @@ import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .codes import (
     NetworkCode,
-    _json_table,
     build_global_table,
     check_feasibility,
     code_to_dict,
@@ -65,11 +62,13 @@ from .library import (
 )
 from .network import (
     NetworkInstance,
+    _json_table,
+    field,
     indented_json,
     instance_to_dict,
     load_instance,
     load_json,
-    require_int,
+    require,
     save_instance,
     validate_instance,
 )
@@ -222,43 +221,31 @@ def _digest(path: str) -> str:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
 
 
-def _load_json(path: str, tables=None) -> dict:
-    data = load_json(path, tables)
-    if not isinstance(data, dict):
-        raise DomainError(f"{path}: expected a JSON object")
-    return data
+def _edge_support(data: dict, where: str) -> tuple[int, ...]:
+    symbols = field(data, "edge_support", list, where, "be a list of integers")
+    return tuple(require(v, int, "edge support symbol") for v in symbols)
 
 
 def _load_groups_file(path: str):
-    data = _load_json(path)
-    if not isinstance(data.get("sources"), list):
-        raise DomainError(f"{path}: 'sources' must list the source group descriptions")
-    sources = [group_from_description(d) for d in data["sources"]]
-    edge_desc = data.get("edge")
-    support = data.get("edge_support")
-    if (edge_desc is None) != (support is None):
+    """The source groups of a groups file, and its edge group and support or None."""
+    data = load_json(path)
+    descs = field(data, "sources", list, "groups file", "list the source group descriptions")
+    sources = [group_from_description(d) for d in descs]
+    if (data.get("edge") is None) != (data.get("edge_support") is None):
         raise DomainError(f"{path}: edge group and edge support go together")
-    edge = group_from_description(edge_desc) if edge_desc is not None else None
-    return sources, edge, _edge_support(support) if support is not None else None
-
-
-def _edge_support(symbols) -> tuple[int, ...]:
-    if not isinstance(symbols, list):
-        raise DomainError("'edge_support' must be a list of integers")
-    return tuple(require_int(v, "edge support symbol") for v in symbols)
+    if data.get("edge") is None:
+        return sources, None
+    return sources, (group_from_description(data["edge"]), _edge_support(data, "groups file"))
 
 
 def _resolve_witness(table, edge_id: str, groups_path: str | None) -> CwlWitness | None:
     """Witness for the edge's encoding function, deriving structure if needed."""
-    edge = None
-    if groups_path is not None:
-        sources, edge_group, support = _load_groups_file(groups_path)
+    if groups_path is None:
+        sources, edge = [CyclicGroup(n) for n in table.source_sizes], None
+    else:
+        sources, edge = _load_groups_file(groups_path)
         if tuple(g.order for g in sources) != table.source_sizes:
             raise DomainError("group file does not match the source alphabets")
-        if edge_group is not None:
-            edge = (edge_group, support)
-    else:
-        sources = [CyclicGroup(n) for n in table.source_sizes]
     return certify_cwl(table.edge_values(edge_id), sources, edge)
 
 
@@ -303,11 +290,6 @@ def _cmd_verify(args) -> tuple[int, dict]:
     return (0 if report.verdict else 1), {"feasibility": report.to_dict()}
 
 
-def _label_table(data):
-    """Where a label file keeps its one table: integer labels."""
-    return [(data.get("labels"), 1)] if isinstance(data, dict) else []
-
-
 def _cmd_remove_edge(args) -> tuple[int, dict]:
     inst, code, table = _load_table(args)
     route = {"builtin:cwl": "cwl", "builtin:edge-value": "edge-value"}.get(args.partition)
@@ -336,16 +318,16 @@ def _cmd_remove_edge(args) -> tuple[int, dict]:
             return 1, {"route": "edge-value", "found": False}
         return 0, {"route": "edge-value", "found": True, **_removal_dict(res, args.emit)}
 
-    data = _load_json(args.partition, _label_table)
-    if "labels" not in data:
-        raise DomainError(f"{args.partition}: missing partition labels")
-    labels = data["labels"]
-    kinds = set(map(type, labels)) if isinstance(labels, list) else {None}
+    data = load_json(args.partition, lambda data: [(data.get("labels"), 1)])  # integer labels
+    must = "be all integers or all strings"
+    labels = field(data, "labels", list, "labels file", must)
     # Integer labels become an int64 array, unless load_json read them as one.
-    if kinds <= {int}:
-        labels = _json_table(labels, 1, f"{args.partition}: labels")
-    if not (isinstance(labels, np.ndarray) or kinds <= {str}):
-        raise DomainError(f"{args.partition}: labels must be all integers or all strings")
+    if isinstance(labels, list):
+        kinds = set(map(type, labels))
+        if kinds <= {int}:
+            labels = _json_table(labels, 1, f"{args.partition}: labels")
+        elif not kinds <= {str}:
+            raise DomainError(f"labels file 'labels' must {must}")
     part = SourcePartition(table.source_sizes, labels)
     conditions = {
         "determines_edge": fiber_edge_values(table, args.edge, part) is not None,
@@ -373,22 +355,23 @@ def _cmd_pwl_remove(args) -> tuple[int, dict]:
     inst, code, table = _load_table(args)
     if table.error != 0:
         return 1, {"found": False, "reason": ERROR_ABOVE_EPS}
-    data = _load_json(args.pieces)
-    if "pieces" not in data or "edge_support" not in data:
-        raise DomainError(f"{args.pieces}: missing pieces or edge support")
-    if "sources" in data and data["sources"] is not None:
-        sources = [group_from_description(d) for d in data["sources"]]
-    else:
+    data = load_json(args.pieces)
+    if data.get("sources") is None:
         sources = [CyclicGroup(n) for n in table.source_sizes]
-    pieces = [
-        (
-            [[require_int(v, "piece subset symbol") for v in sub] for sub in p["subsets"]],
-            [require_int(v, "piece phi entry") for v in p["phi"]],
-        )
-        for p in data["pieces"]
-    ]
+    else:
+        descs = require(data["sources"], list, "pieces file 'sources'")
+        sources = [group_from_description(d) for d in descs]
+    pieces = []
+    for i, p in enumerate(field(data, "pieces", list, "pieces file")):
+        where = f"piece {i}"
+        subsets = field(require(p, dict, where), "subsets", list, where)
+        subsets = [require(sub, list, f"{where} subset {j}") for j, sub in enumerate(subsets)]
+        pieces.append((
+            [[require(v, int, "piece subset symbol") for v in sub] for sub in subsets],
+            [require(v, int, "piece phi entry") for v in field(p, "phi", list, where)],
+        ))
     pw = check_piecewise(
-        table.edge_values(args.edge), sources, _edge_support(data["edge_support"]), pieces
+        table.edge_values(args.edge), sources, _edge_support(data, "pieces file"), pieces
     )
     if pw is None:
         return 1, {"found": False}
@@ -546,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", default=None, help="group file for the cwl route")
     p.add_argument("--emit", default=None, help="prefix for restricted instance/code files")
     _add_common(p)
-    p.set_defaults(handler=_cmd_remove_edge, input_attrs=("instance", "code"))
+    p.set_defaults(handler=_cmd_remove_edge, input_attrs=("instance", "code", "partition", "groups"))
 
     p = sub.add_parser("cwl-check", help="certify one edge's encoding function")
     p.add_argument("instance")
@@ -554,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edge", required=True)
     p.add_argument("--groups", default=None)
     _add_common(p)
-    p.set_defaults(handler=_cmd_cwl_check, input_attrs=("instance", "code"))
+    p.set_defaults(handler=_cmd_cwl_check, input_attrs=("instance", "code", "groups"))
 
     p = sub.add_parser("pwl-remove", help="remove a piecewise-CWL edge (zero error)")
     p.add_argument("instance")
@@ -644,13 +627,6 @@ def dispatch(argv: list[str]) -> tuple[int, RunReport, str, str | None]:
         path = getattr(args, attr)
         if path is not None and not path.startswith("builtin:"):
             inputs[path] = _digest(path)
-    if (
-        getattr(args, "partition", None) is not None
-        and not args.partition.startswith("builtin:")
-    ):
-        inputs[args.partition] = _digest(args.partition)
-    if getattr(args, "groups", None) is not None:
-        inputs[args.groups] = _digest(args.groups)
     status, result = args.handler(args)
     report = RunReport(
         command=_semantic_argv(argv), inputs=inputs, result=result
@@ -665,30 +641,27 @@ def main(argv=None) -> int:
         status, report, fmt, out_path = dispatch(argv)
         payload = emit_report(report, fmt)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return code if code == 0 else 2
+        status = 0 if exc.code == 0 else 2
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
-        return 3
-    except WorkbenchError as exc:
+        status = 3
+    except (WorkbenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: {exc!r}", file=sys.stderr)
-        return 2
+        status = 2
     except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         traceback.print_exc()
-        return 3
-    if out_path is None:
-        sys.stdout.write(payload.decode())
+        status = 3
     else:
         try:
-            with open(out_path, "wb") as fh:
-                fh.write(payload)
+            if out_path is None:
+                sys.stdout.write(payload.decode())
+            else:
+                with open(out_path, "wb") as fh:
+                    fh.write(payload)
         except OSError as exc:
             print(f"error: cannot write the report: {exc}", file=sys.stderr)
-            return 2
+            status = 2
     print(f"elapsed {time.monotonic() - started:.3f}s", file=sys.stderr)
     return status
 

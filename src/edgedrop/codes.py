@@ -23,9 +23,12 @@ from .network import (
     Edge,
     NetworkInstance,
     Source,
+    _frozen,
+    _json_table,
+    field,
     indented_json,
     load_json,
-    require_int,
+    require,
     topological_order,
 )
 
@@ -99,11 +102,6 @@ def select_input(table: np.ndarray, sizes: Sequence[int], pos: int, index) -> np
 def tabulate(sizes: Sequence[int], fn: Callable[..., int]) -> tuple[int, ...]:
     """Freeze a function of one symbol per size into a flat table."""
     return tuple(fn(*combo) for combo in itertools.product(*[range(s) for s in sizes]))
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 def _int_table(data, ndim: int, what: str) -> np.ndarray:
@@ -536,34 +534,6 @@ def code_to_dict(code: NetworkCode) -> dict:
     }
 
 
-def _json_table(data, ndim: int, what: str) -> np.ndarray:
-    """A table read from JSON: lists of JSON integers, rejected, never coerced,
-    when an entry is a float, a boolean or a string, or when rows are ragged."""
-    if not isinstance(data, list):
-        raise DomainError(f"{what} must be a list")
-    width = 0
-    if ndim == 2:
-        if set(map(type, data)) - {list}:
-            raise DomainError(f"{what} rows must be lists")
-        widths = set(map(len, data))
-        if len(widths) > 1:
-            raise DomainError(f"{what} has rows of different lengths")
-        width = widths.pop() if widths else 0
-
-    def entries():
-        return itertools.chain.from_iterable(data) if ndim == 2 else iter(data)
-
-    if set(map(type, entries())) - {int}:
-        bad = next(v for v in entries() if type(v) is not int)
-        raise DomainError(f"{what} entries must be integers, got {bad!r}")
-    count = len(data) * width if ndim == 2 else len(data)
-    try:
-        arr = np.fromiter(entries(), dtype=np.int64, count=count)
-    except OverflowError:
-        raise DomainError(f"{what} entries must fit in 64 bits") from None
-    return _frozen(arr.reshape(len(data), width) if ndim == 2 else arr)
-
-
 def _code_table(data, ndim: int, what: str) -> np.ndarray:
     """An array that ``load_json`` already read, or a JSON list checked by
     ``_json_table``."""
@@ -571,35 +541,31 @@ def _code_table(data, ndim: int, what: str) -> np.ndarray:
 
 
 def parse_code(data: Mapping) -> NetworkCode:
-    try:
-        return NetworkCode(
-            blocklength=require_int(data["blocklength"], "blocklength"),
-            source_alphabets=tuple(
-                require_int(v, "source alphabet") for v in data["source_alphabets"]
-            ),
-            edge_alphabets={
-                str(k): require_int(v, "edge alphabet")
-                for k, v in data["edge_alphabets"].items()
-            },
-            encoders={
-                str(k): _code_table(t, 1, f"edge {k!r} encoder")
-                for k, t in data["encoders"].items()
-            },
-            decoders={
-                str(k): _code_table(rows, 2, f"terminal {k!r} decoder")
-                for k, rows in data["decoders"].items()
-            },
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise DomainError(f"malformed code data: {exc}") from None
+    return NetworkCode(
+        blocklength=field(data, "blocklength", int, "code"),
+        source_alphabets=tuple(
+            require(v, int, "source alphabet") for v in field(data, "source_alphabets", list, "code")
+        ),
+        edge_alphabets={
+            k: require(v, int, "edge alphabet")
+            for k, v in field(data, "edge_alphabets", dict, "code").items()
+        },
+        encoders={
+            k: _code_table(t, 1, f"edge {k!r} encoder")
+            for k, t in field(data, "encoders", dict, "code").items()
+        },
+        decoders={
+            k: _code_table(rows, 2, f"terminal {k!r} decoder")
+            for k, rows in field(data, "decoders", dict, "code").items()
+        },
+    )
 
 
 def _code_tables(data):
     """Where a code file keeps its tables: encoder lists and decoder rows."""
     for key, ndim in (("encoders", 1), ("decoders", 2)):
-        group = data.get(key) if isinstance(data, dict) else None
-        if isinstance(group, dict):
-            yield from ((table, ndim) for table in group.values())
+        if isinstance(data.get(key), dict):
+            yield from ((table, ndim) for table in data[key].values())
 
 
 def load_code(path: str) -> NetworkCode:

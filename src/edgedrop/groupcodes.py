@@ -9,7 +9,6 @@ network code.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +27,7 @@ from .groups import (
     subgroup,
     subgroup_product,
 )
-from .network import NetworkInstance, require_int
+from .network import NetworkInstance, field, load_json, require
 from .removal import RemovalResult, SourcePartition, fiber_edge_values, find_witness, restrict_code
 
 GROUP_ORDER_CAP = 1 << 20
@@ -361,18 +360,14 @@ def characterization_to_dict(gc: GroupCharacterization) -> dict:
 
 
 def parse_characterization(data: Mapping) -> GroupCharacterization:
-    try:
-        group = group_from_description(data["group"])
-        _check_order_cap(group)
-        subs = {
-            str(name): subgroup(group, [require_int(m, "subgroup member") for m in members])
-            for name, members in data["subgroups"].items()
-        }
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise DomainError(f"malformed characterization data: {exc}") from None
+    group = group_from_description(field(data, "group", dict, "characterization"))
+    _check_order_cap(group)
+    subs = {}
+    for name, members in field(data, "subgroups", dict, "characterization").items():
+        members = require(members, list, f"subgroup {name!r}")
+        subs[name] = subgroup(group, [require(m, int, "subgroup member") for m in members])
     return GroupCharacterization(group, subs)
 
 
 def load_characterization(path: str) -> GroupCharacterization:
-    with open(path, encoding="utf-8") as fh:
-        return parse_characterization(json.load(fh))
+    return parse_characterization(load_json(path))

@@ -26,9 +26,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .codes import _json_table, total_map
+from .codes import total_map
 from .errors import DomainError, PreconditionError
-from .network import require_int
+from .network import _json_table, field, require
 
 # Cayley tables are refused beyond this order so that every table held by the
 # workbench has had its group axioms verified.
@@ -262,25 +262,16 @@ def group_from_description(desc: Mapping) -> FiniteGroup:
     and strings are rejected, never coerced.  A missing or mistyped field is
     a DomainError that names it.
     """
-    if not isinstance(desc, Mapping) or "kind" not in desc:
-        raise DomainError("group description must be a mapping with a 'kind' key")
-    kind = desc["kind"]
-
-    def field(key: str):
-        if key not in desc:
-            raise DomainError(f"{kind} group description is missing {key!r}")
-        return desc[key]
-
+    kind = field(require(desc, dict, "group description"), "kind", str, "group")
+    where = f"{kind} group"
     if kind == "cyclic":
-        return make_cyclic(require_int(field("order"), "cyclic group order"))
+        return make_cyclic(field(desc, "order", int, where))
     if kind == "product":
-        factors = field("factors")
-        if not isinstance(factors, list):
-            raise DomainError("product group 'factors' must be a list")
+        factors = field(desc, "factors", list, where)
         return direct_product([group_from_description(d) for d in factors])
     if kind == "table":
-        g = TableGroup(_json_table(field("table"), 2, "Cayley table"))
-        if "order" in desc and require_int(desc["order"], "group order") != g.order:
+        g = TableGroup(_json_table(field(desc, "table", list, where), 2, "Cayley table"))
+        if "order" in desc and field(desc, "order", int, where) != g.order:
             raise DomainError("declared order does not match table size")
         return g
     raise DomainError(f"unknown group kind {kind!r}")
@@ -291,7 +282,10 @@ def _id_array(group: FiniteGroup, ids: Iterable[int]) -> np.ndarray:
     if isinstance(ids, np.ndarray) and np.issubdtype(ids.dtype, np.integer):
         out = ids.astype(np.int64, copy=False)
     else:
-        out = np.fromiter(ids, dtype=np.int64)
+        try:
+            out = np.fromiter(ids, dtype=np.int64)
+        except OverflowError:
+            raise DomainError(f"an element id is outside group of order {group.order}") from None
     if out.size:
         group._check_id(int(out.min()))
         group._check_id(int(out.max()))

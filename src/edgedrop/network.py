@@ -3,8 +3,9 @@
 An instance fixes the topology and the per-edge alphabet cardinalities.  Rates
 are carried as cardinalities throughout; ``log2(size) / blocklength`` is only
 ever derived for display.  The module also holds the JSON writer behind every
-report and file the workbench writes, ``indented_json``, and the reader of
-code and label files, ``load_json``.
+report and file the workbench writes, ``indented_json``, the reader of every
+input file, ``load_json``, and the checks every field read from one goes
+through, ``field`` and ``require``.
 """
 
 from __future__ import annotations
@@ -225,12 +226,60 @@ def instance_to_dict(inst: NetworkInstance) -> dict:
     }
 
 
-def require_int(value, what: str) -> int:
-    """The value itself if it is an integer; JSON floats, booleans and
-    strings are rejected, never coerced."""
-    if type(value) is not int:
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    return value
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def require(value, kind: type, what: str, must: str | None = None):
+    """The value itself if it has the JSON type ``kind``: ``dict``, ``list``
+    (or an array that ``load_json`` read), ``str`` or ``int``, which JSON
+    floats and booleans are not.  Anything else is rejected, never coerced:
+    "<what> must be a list, got 5", or "must <must>" where that says more."""
+    if type(value) is kind or kind is list and isinstance(value, np.ndarray):
+        return value
+    raise DomainError(f"{what} must {must or 'be ' + _JSON_TYPES[kind]}, got {value!r}")
+
+
+def field(data: dict, key: str, kind: type, where: str, must: str | None = None):
+    """``data[key]``, checked by ``require``.  ``where`` names the object
+    ``data`` describes; the messages read "<where> description is missing
+    'key'" and "<where> 'key' must be a list, got 5"."""
+    if key not in data:
+        raise DomainError(f"{where} description is missing {key!r}")
+    value = data[key]  # the message is made only for a value that fails
+    return value if type(value) is kind else require(value, kind, f"{where} {key!r}", must)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _json_table(data, ndim: int, what: str) -> np.ndarray:
+    """A table read from JSON: lists of JSON integers, rejected, never coerced,
+    when an entry is a float, a boolean or a string, or when rows are ragged."""
+    if not isinstance(data, list):
+        raise DomainError(f"{what} must be a list")
+    width = 0
+    if ndim == 2:
+        if set(map(type, data)) - {list}:
+            raise DomainError(f"{what} rows must be lists")
+        widths = set(map(len, data))
+        if len(widths) > 1:
+            raise DomainError(f"{what} has rows of different lengths")
+        width = widths.pop() if widths else 0
+
+    def entries():
+        return itertools.chain.from_iterable(data) if ndim == 2 else iter(data)
+
+    if set(map(type, entries())) - {int}:
+        bad = next(v for v in entries() if type(v) is not int)
+        raise DomainError(f"{what} entries must be integers, got {bad!r}")
+    count = len(data) * width if ndim == 2 else len(data)
+    try:
+        arr = np.fromiter(entries(), dtype=np.int64, count=count)
+    except OverflowError:
+        raise DomainError(f"{what} entries must fit in 64 bits") from None
+    return _frozen(arr.reshape(len(data), width) if ndim == 2 else arr)
 
 
 def indented_json(obj, newline: str = "\n") -> str:
@@ -448,6 +497,9 @@ def _int_table_text(raw: bytes, first: int, last: int) -> np.ndarray | None:
     else:
         row = delims[1 : delims.index(_CLOSE) + 1]
         rows = delims.count(_OPEN) - 1
+        # Measured first: built for a deep or ragged table, the spelling grows as rows * len(row).
+        if len(delims) != rows * (len(row) + 1) + 1:
+            return None
         if delims != bytes([_OPEN]) + (row + bytes([_COMMA])) * (rows - 1) + row + bytes([_CLOSE]):
             return None
         width = len(row) - 1
@@ -467,9 +519,7 @@ def _int_table_text(raw: bytes, first: int, last: int) -> np.ndarray | None:
         values = np.fromstring(text, dtype=np.int64, sep=",")
     if values.size != count:
         return None
-    values = values.reshape(shape)
-    values.flags.writeable = False
-    return values
+    return _frozen(values.reshape(shape))
 
 
 TableSlots = Callable[[object], Iterable[tuple[object, int]]]
@@ -477,7 +527,8 @@ TableSlots = Callable[[object], Iterable[tuple[object, int]]]
 
 def _read_tables(raw: bytes, tables: TableSlots):
     """``json.loads`` of UTF-8 bytes with their integer tables read as arrays,
-    or None when no table was read that way or ``json`` refuses the text.
+    or None when no table was read that way, ``json`` refuses the text or
+    the text is not an object.
 
     A table is looked for after each colon, up to the next quote or brace.
     Each one ``_int_table_text`` reads is replaced by the token ``NaN`` in a
@@ -515,7 +566,7 @@ def _read_tables(raw: bytes, tables: TableSlots):
         out = json.loads(b"".join(pieces).decode("utf-8"), parse_constant=lambda _: next(queue))
     except (ValueError, RecursionError):
         return None
-    if next(queue, None) is not None:
+    if next(queue, None) is not None or not isinstance(out, dict):
         return None
     placed = {id(t) for t, ndim in tables(out) if isinstance(t, np.ndarray) and t.ndim == ndim}
     stack = [out]
@@ -530,56 +581,75 @@ def _read_tables(raw: bytes, tables: TableSlots):
     return out
 
 
-def load_json(path: str, tables: TableSlots | None = None):
-    """``json.load`` of a UTF-8 file, reading integer tables as arrays.
+def load_json(path: str, tables: TableSlots | None = None) -> dict:
+    """The JSON object in a UTF-8 file, with its integer tables read as
+    arrays; every input file of the workbench is read here.
 
     ``tables(data)`` names the values that are tables, each with its
     dimension (1, or 2 for rows).  In a file of at least ``FAST_READ_BYTES``
     each of them that is a JSON list of integers, or of equally long rows
     of them, comes back as a read-only int64 array; everything else is what
     ``json`` gives, and a file that the byte checks cannot prove well formed
-    is decoded by ``json`` alone, with its errors.
+    is decoded by ``json`` alone.  A file that is not UTF-8, not JSON,
+    nested deeper than ``json`` can decode, or not an object is a
+    DomainError that names the path.
     """
+    data = None
     if tables is not None and os.path.getsize(path) >= FAST_READ_BYTES:
         with open(path, "rb") as fh:
             data = _read_tables(fh.read(), tables)
-        if data is not None:
-            return data
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    if data is None:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except UnicodeDecodeError:
+            raise DomainError(f"{path}: not UTF-8 text") from None
+        except ValueError as exc:  # json.JSONDecodeError, or an integer too long to convert
+            raise DomainError(f"{path}: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise DomainError(f"{path}: JSON nested too deeply to decode") from None
+    if not isinstance(data, dict):
+        raise DomainError(f"{path}: expected a JSON object")
+    return data
 
 
 def parse_instance(data: Mapping) -> NetworkInstance:
-    """Build an instance from the dict format of ``instance_to_dict``."""
-    try:
-        inst = NetworkInstance(
-            nodes=tuple(str(v) for v in data["nodes"]),
-            edges=tuple(
-                Edge(
-                    str(e["id"]),
-                    str(e["tail"]),
-                    str(e["head"]),
-                    require_int(e["alphabet_size"], "edge alphabet size"),
-                )
-                for e in data["edges"]
-            ),
-            sources=tuple(
-                Source(str(s["node"]), require_int(s["alphabet_size"], "source alphabet size"))
-                for s in data["sources"]
-            ),
-            terminals=tuple(str(t) for t in data["terminals"]),
-            demands=tuple(
-                tuple(require_int(v, "demand entry") for v in row) for row in data["demands"]
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed instance data: {exc}") from None
-    return inst
+    """Build an instance from the dict format of ``instance_to_dict``.
+
+    Names are JSON strings, and alphabet sizes and demands JSON integers;
+    anything else is a DomainError that names the field.
+    """
+
+    def entries(key: str, kind: type, name: str) -> list:
+        """The list ``data[key]``, each entry checked as ``kind``."""
+        values = field(data, key, list, "instance")
+        if not set(map(type, values)) <= {kind}:  # entries are named only when one fails
+            for i, v in enumerate(values):
+                require(v, kind, f"{name} {i}")
+        return values
+
+    edges = []
+    for i, e in enumerate(entries("edges", dict, "edge")):
+        where = f"edge {i}"
+        ends = field(e, "id", str, where), field(e, "tail", str, where), field(e, "head", str, where)
+        edges.append(Edge(*ends, field(e, "alphabet_size", int, where)))
+    sources = []
+    for i, s in enumerate(entries("sources", dict, "source")):
+        where = f"source {i}"
+        sources.append(Source(field(s, "node", str, where), field(s, "alphabet_size", int, where)))
+    rows = entries("demands", list, "demand row")
+    demands = tuple(tuple(require(v, int, "demand entry") for v in row) for row in rows)
+    return NetworkInstance(
+        nodes=tuple(entries("nodes", str, "node")),
+        edges=tuple(edges),
+        sources=tuple(sources),
+        terminals=tuple(entries("terminals", str, "terminal")),
+        demands=demands,
+    )
 
 
 def load_instance(path: str) -> NetworkInstance:
-    with open(path, encoding="utf-8") as fh:
-        return parse_instance(json.load(fh))
+    return parse_instance(load_json(path))
 
 
 def save_instance(inst: NetworkInstance, path: str) -> None:

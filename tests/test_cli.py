@@ -731,6 +731,30 @@ def test_uncaught_exception_exits_3(target, capsys, monkeypatch):
     assert captured.err.startswith("internal error: IndexError('index 7 is out of bounds')")
 
 
+@pytest.mark.parametrize(
+    "argv, status, first",
+    [
+        (["validate", "inputs/butterfly.instance.json"], 0, "elapsed "),
+        (["remove-edge", "inputs/butterfly.instance.json", "inputs/butterfly.code.json",
+          "--edge", "bottleneck", "--partition", "inputs/butterfly.byfirst.json"], 1, "elapsed "),
+        (["validate", "inputs/missing.json"], 2, "error: [Errno 2] No such file or directory"),
+        (["bogus"], 2, "usage: "),
+        (["verify", "inputs/sum44.instance.json", "inputs/sum44.code.json", "--rates", "2,2"], 3,
+         "internal error: IndexError('index 7 is out of bounds')"),
+    ],
+)
+def test_elapsed_goes_to_stderr_on_every_exit_path(argv, status, first, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise IndexError("index 7 is out of bounds")
+
+    monkeypatch.setattr("edgedrop.cli.check_feasibility", broken)
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    assert main(argv) == status
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(first)
+    assert err[-1].startswith("elapsed ")
+
+
 def test_reports_and_emitted_files_skip_the_pure_python_encoder(tmp_path, capsys, monkeypatch):
     """A 2^16-tuple ``remove-edge builtin:cwl`` job writes its report and its
     restricted files without ``json``'s indenting encoder, and without

@@ -3,6 +3,7 @@ followed by ``codes._json_table``: it must give the same arrays or hand the
 text back to ``json``."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,23 @@ def test_table_reader_reads_well_formed_tables(text, shape):
 )
 def test_table_reader_hands_off_what_it_cannot_prove(text):
     assert _read(text) is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 5000 + "]" * 5000, "[[" + "0," * 5000 + "0]" + ",[0]" * 5000 + "]"],
+    ids=["deep", "ragged"],
+)
+def test_table_reader_memory_stays_linear_in_the_text(text):
+    """Deep or ragged rows are refused before the reader spells out the
+    delimiters that rows as wide as the first would have."""
+    tracemalloc.start()
+    try:
+        assert _read(text) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * len(text)
 
 
 KEYS = st.one_of(
