@@ -150,15 +150,6 @@ def emit_report(report: RunReport, fmt: str = "text") -> bytes:
     raise DomainError(f"unknown report format {fmt!r}")
 
 
-def parse_report(payload: bytes) -> RunReport:
-    data = json.loads(payload.decode())
-    return RunReport(
-        command=tuple(data["command"]),
-        inputs=dict(data["inputs"]),
-        result=data["result"],
-    )
-
-
 def _parse_eps(text: str) -> Fraction:
     try:
         value = Fraction(text)

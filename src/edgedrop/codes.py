@@ -6,6 +6,10 @@ tuple, records all edge messages and classifies each tuple as good (decoded
 correctly by all terminals) or bad; it is built column by column, one
 vectorized gather per edge and per decoder.  Error fractions are exact
 rationals; floats appear only in entropy reports.
+
+Every table is indexed by dense tuple index: mixed radix over the input
+alphabets, the last input varying fastest.  ``pack`` and ``index_digits``
+are the one place that converts between such an index and its symbols.
 """
 
 from __future__ import annotations
@@ -35,26 +39,15 @@ from .network import (
 DEFAULT_ENUM_CAP = 1 << 24
 
 
-def mixed_radix_index(values: Sequence[int], sizes: Sequence[int]) -> int:
-    """Dense index of a tuple, last coordinate varying fastest."""
-    idx = 0
-    for v, s in zip(values, sizes):
-        idx = idx * s + v
-    return idx
+def index_digits(indices, sizes: Sequence[int]) -> list:
+    """Per-coordinate symbols of dense indices ``0..prod(sizes)-1``, the last
+    coordinate varying fastest; the inverse of ``pack``.
 
-
-def index_to_values(idx: int, sizes: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for s in reversed(sizes):
-        out.append(idx % s)
-        idx //= s
-    return tuple(reversed(out))
-
-
-def index_digits(indices, sizes: Sequence[int]) -> list[np.ndarray]:
-    """Per-coordinate symbols of many dense indices: ``index_to_values``
-    applied column-wise."""
-    rem = np.asarray(indices, dtype=np.int64)
+    Ints give ints and arrays give one int64 array per coordinate.
+    """
+    rem = indices
+    if not isinstance(rem, (int, np.integer)):
+        rem = np.asarray(rem, dtype=np.int64)
     out = []
     for s in reversed(sizes):
         out.append(rem % s)
@@ -62,12 +55,21 @@ def index_digits(indices, sizes: Sequence[int]) -> list[np.ndarray]:
     return out[::-1]
 
 
+def pack(digits, sizes: Sequence[int]):
+    """Dense index of per-coordinate symbols, the last coordinate varying
+    fastest; the inverse of ``index_digits``.
+
+    Digits are ints or int64 arrays that broadcast together; no digits give 0.
+    """
+    idx = 0
+    for d, s in zip(digits, sizes):
+        idx = idx * s + d
+    return idx
+
+
 def product_indices(subsets: Sequence[Sequence[int]], sizes: Sequence[int]) -> np.ndarray:
     """Dense indices of a product of symbol sets, in ``itertools.product`` order."""
-    idx = np.zeros((), dtype=np.int64)
-    for sub, s in zip(subsets, sizes):
-        idx = idx[..., None] * s + np.asarray(sub, dtype=np.int64)
-    return idx.ravel()
+    return np.ravel(pack(np.ix_(*subsets), sizes))
 
 
 def checked_subsets(
@@ -86,17 +88,6 @@ def checked_subsets(
             raise DomainError("subset symbol outside its source alphabet")
         out.append(ss)
     return tuple(out)
-
-
-def select_input(table: np.ndarray, sizes: Sequence[int], pos: int, index) -> np.ndarray:
-    """A table over mixed-radix inputs, re-indexed along input ``pos``.
-
-    An integer ``index`` fixes that input to one symbol and drops it; an
-    array maps each new symbol w of that input to old symbol ``index[w]``.
-    Decoder rows ride along as a trailing axis.
-    """
-    grid = table.reshape(tuple(sizes) + table.shape[1:])
-    return np.take(grid, index, axis=pos).reshape((-1,) + table.shape[1:])
 
 
 def tabulate(sizes: Sequence[int], fn: Callable[..., int]) -> tuple[int, ...]:
@@ -136,11 +127,12 @@ def total_map(values, size: int, what: str) -> np.ndarray:
 class NetworkCode:
     """Explicit local encoder and decoder tables for one instance.
 
-    Encoder tables are flat, indexed in mixed-radix order over the tail's
-    incoming edges sorted by edge id; for an edge leaving a source node the
-    input is the source symbol itself.  Decoder tables map the terminal's
-    incoming messages, same ordering, to the tuple of demanded source symbols
-    in source order: one row per input, one column per demanded source.
+    Encoder tables are flat, indexed by the dense tuple index (``pack``) of
+    the tail's incoming messages, edges sorted by id; for an edge leaving a
+    source node the input is the source symbol itself.  Decoder tables map
+    the terminal's incoming messages, same ordering, to the tuple of
+    demanded source symbols in source order: one row per input, one column
+    per demanded source.
     Tables may be given as any nested integer sequences; they are stored as
     read-only int64 arrays.
     """
@@ -173,16 +165,39 @@ class NetworkCode:
         )
 
 
-def encoder_input_sizes(inst: NetworkInstance, code: NetworkCode, edge_id: str) -> list[int]:
-    """Alphabet sizes of an encoder's inputs, in table order."""
-    e = inst.edge(edge_id)
-    if inst.is_source_node(e.tail):
-        return [code.source_alphabets[inst.source_index(e.tail)]]
-    return [code.edge_alphabets[f.id] for f in inst.in_edges(e.tail)]
+def input_sizes(inst: NetworkInstance, code: NetworkCode, node: str) -> list[int]:
+    """Alphabet sizes of the inputs of a node's tables, in table order: a
+    source node reads its source symbol, any other node its in-edges."""
+    if inst.is_source_node(node):
+        return [code.source_alphabets[inst.source_index(node)]]
+    return [code.edge_alphabets[f.id] for f in inst.in_edges(node)]
 
 
-def decoder_input_sizes(inst: NetworkInstance, code: NetworkCode, terminal: str) -> list[int]:
-    return [code.edge_alphabets[f.id] for f in inst.in_edges(terminal)]
+def reindex_consumer(
+    inst: NetworkInstance, code: NetworkCode, edge_id: str, index
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """The code's encoder and decoder tables, with every table the edge's
+    head reads it through re-indexed along that input.
+
+    An integer ``index`` fixes the edge's message to one symbol and drops the
+    input; an array maps each new message w to old message ``index[w]``.
+    Decoder rows ride along as a trailing axis.
+    """
+    head = inst.edge(edge_id).head
+    sizes = tuple(input_sizes(inst, code, head))
+    pos = [f.id for f in inst.in_edges(head)].index(edge_id)
+
+    def along(table: np.ndarray) -> np.ndarray:
+        grid = table.reshape(sizes + table.shape[1:])
+        return np.take(grid, index, axis=pos).reshape((-1,) + table.shape[1:])
+
+    encoders = dict(code.encoders)
+    for e in inst.out_edges(head):
+        encoders[e.id] = along(code.encoders[e.id])
+    decoders = dict(code.decoders)
+    if head in inst.terminals:
+        decoders[head] = along(code.decoders[head])
+    return encoders, decoders
 
 
 def relay_instance(
@@ -263,7 +278,7 @@ def validate_code(inst: NetworkInstance, code: NetworkCode) -> list[str]:
         if table is None:
             problems.append(f"edge {e.id!r} has no encoder table")
             continue
-        want = math.prod(encoder_input_sizes(inst, code, e.id))
+        want = math.prod(input_sizes(inst, code, e.tail))
         if table.ndim != 1 or len(table) != want:
             problems.append(f"edge {e.id!r} encoder has {len(table)} entries, expected {want}")
         elif _outside(table, code.edge_alphabets[e.id]):
@@ -273,7 +288,7 @@ def validate_code(inst: NetworkInstance, code: NetworkCode) -> list[str]:
         if table is None:
             problems.append(f"terminal {t!r} has no decoder table")
             continue
-        want = math.prod(decoder_input_sizes(inst, code, t))
+        want = math.prod(input_sizes(inst, code, t))
         demanded = inst.demanded_sources(t)
         if len(table) != want:
             problems.append(f"terminal {t!r} decoder has {len(table)} entries, expected {want}")
@@ -290,7 +305,7 @@ def validate_code(inst: NetworkInstance, code: NetworkCode) -> list[str]:
 class GlobalCodeTable:
     """Exhaustive evaluation of a code over every source tuple.
 
-    ``rows`` is an N x E matrix, source tuples in mixed-radix order and
+    ``rows`` is an N x E matrix, source tuples in dense index order and
     edges in instance order, of the narrowest unsigned dtype that holds
     every message; each edge's column is contiguous.  ``correct[t]`` marks
     the tuples terminal t decodes correctly and ``good`` is their
@@ -347,7 +362,7 @@ def build_global_table(
     """Enumerate all source tuples; raises ResourceError beyond the cap.
 
     Edges are evaluated in one topological order for all tuples at once:
-    each encoder is gathered at the mixed-radix index of its inputs, and
+    each encoder is gathered at the dense index of its inputs, and
     each decoder the same way.
     """
     problems = validate_code(inst, code)
@@ -363,11 +378,11 @@ def build_global_table(
     values: dict[str, np.ndarray] = {}
 
     def gathered_index(node: str) -> np.ndarray:
-        """Mixed-radix index of the node's incoming messages, per tuple."""
-        idx = np.zeros(total, dtype=np.int64)
-        for f in inst.in_edges(node):
-            idx = idx * code.edge_alphabets[f.id] + values[f.id]
-        return idx
+        """Dense index of the node's incoming messages, per tuple."""
+        digits = [values[f.id] for f in inst.in_edges(node)]
+        if not digits:  # a node without inputs reads entry 0 of its table
+            return np.zeros(total, dtype=np.int64)
+        return pack(digits, input_sizes(inst, code, node))
 
     for e in topological_order(inst):
         if inst.is_source_node(e.tail):

@@ -27,14 +27,13 @@ from .codes import (
     NetworkCode,
     build_global_table,
     checked_subsets,
-    encoder_input_sizes,
     index_digits,
-    index_to_values,
+    input_sizes,
     joint_counts,
-    mixed_radix_index,
+    pack,
     product_indices,
+    reindex_consumer,
     relay_instance,
-    select_input,
     total_map,
 )
 from .errors import DomainError, InternalCheckError, PreconditionError
@@ -221,12 +220,11 @@ def _coordinate_class_ids(w: CwlWitness) -> list[np.ndarray]:
     witness value at the tuple that is v at coordinate i and the identity
     elsewhere, one gather per source.
     """
-    sizes = w.source_sizes
-    identity = mixed_radix_index([g.identity for g in w.source_groups], sizes)
+    e = [g.identity for g in w.source_groups]
     out = []
     for i, g in enumerate(w.source_groups):
-        symbols = np.arange(g.order, dtype=np.int64)
-        images = w.hom[identity + (symbols - g.identity) * math.prod(sizes[i + 1:])]
+        swept = e[:i] + [np.arange(g.order, dtype=np.int64)] + e[i + 1:]
+        images = w.hom[pack(swept, w.source_sizes)]
         _, first, ids = np.unique(images, return_index=True, return_inverse=True)
         out.append(np.argsort(np.argsort(first))[ids])
     return out
@@ -350,7 +348,7 @@ def check_piecewise(
     counts = np.bincount(np.concatenate(member_sets), minlength=total)
     offending = np.flatnonzero(counts != 1)
     if offending.size:
-        shown = [index_to_values(i, sizes) for i in offending[:5].tolist()]
+        shown = list(zip(*(d.tolist() for d in index_digits(offending[:5], sizes))))
         raise DomainError(f"pieces must partition the tuple space; offending tuples: {shown}")
     support_set = set(edge_support)
     out_pieces = []
@@ -643,28 +641,17 @@ def _rewrite_full_information(
     table, so every other edge message and every decoding outcome is
     unchanged.
     """
-    in_sizes = encoder_input_sizes(inst, code, edge_id)
-    total = math.prod(in_sizes)
+    total = math.prod(input_sizes(inst, code, inst.edge(edge_id).tail))
     edge_size = code.edge_alphabets[edge_id]
     if total > edge_size:
         return None
-    head = inst.edge(edge_id).head
     # old_value[w] is the original message behind rewritten message w.
     old_value = np.full(edge_size, code.encoders[edge_id][0], dtype=np.int64)
     old_value[:total] = code.encoders[edge_id]
-    ins = inst.in_edges(head)
-    sizes = [code.edge_alphabets[f.id] for f in ins]
-    pos = [f.id for f in ins].index(edge_id)
-
-    encoders = dict(code.encoders)
+    encoders, decoders = reindex_consumer(inst, code, edge_id, old_value)
     encoders[edge_id] = np.concatenate(
         [np.arange(total, dtype=np.int64), np.zeros(edge_size - total, dtype=np.int64)]
     )
-    for e in inst.out_edges(head):
-        encoders[e.id] = select_input(code.encoders[e.id], sizes, pos, old_value)
-    decoders = dict(code.decoders)
-    if head in inst.terminals:
-        decoders[head] = select_input(code.decoders[head], sizes, pos, old_value)
     return NetworkCode(
         blocklength=code.blocklength,
         source_alphabets=code.source_alphabets,

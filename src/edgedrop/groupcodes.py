@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .codes import GlobalCodeTable, NetworkCode, build_global_table, relay_instance
+from .codes import GlobalCodeTable, NetworkCode, build_global_table, pack, relay_instance
 from .errors import DomainError, InternalCheckError, PreconditionError, ResourceError
 from .groups import (
     FiniteGroup,
@@ -130,21 +130,14 @@ def materialize(
         raise PreconditionError("source subgroups must intersect in the identity alone")
     if not independent_sources(gc, source_keys):
         raise PreconditionError("source variables must be jointly uniform")
-    index = _source_tuple_index(gc, source_keys)
+    # Each element's tuple of source coset labels, as a dense tuple index.
+    sizes = [gc.variable_size(k) for k in source_keys]
+    index = pack([gc.realize_map(k) for k in source_keys], sizes)
     if np.unique(index).size != gc.group.order:
         raise InternalCheckError("source labels fail to separate group elements")
     relay = np.empty(gc.group.order, dtype=np.int64)
     relay[index] = gc.realize_map(edge_key)
-    sizes = [gc.variable_size(k) for k in source_keys]
     return relay_instance(sizes, gc.variable_size(edge_key), relay)
-
-
-def _source_tuple_index(gc: GroupCharacterization, source_keys: Sequence[str]) -> np.ndarray:
-    """Dense index of every element's tuple of source coset labels."""
-    index = np.zeros(gc.group.order, dtype=np.int64)
-    for k in source_keys:
-        index = index * gc.variable_size(k) + gc.realize_map(k)
-    return index
 
 
 @dataclass(frozen=True)
@@ -218,7 +211,8 @@ def abelian_removal_plan(
     inst, code = materialize(gc, source_keys, edge_key)
     table = build_global_table(inst, code, enum_cap=enum_cap)
     labels = np.empty(group.order, dtype=np.int64)
-    labels[_source_tuple_index(gc, source_keys)] = coset_labels(group, g_prime)
+    index = pack([gc.realize_map(k) for k in source_keys], table.source_sizes)
+    labels[index] = coset_labels(group, g_prime)
     part = SourcePartition(table.source_sizes, labels)
 
     if fiber_edge_values(table, "e", part) is None:
@@ -348,15 +342,6 @@ def zero_error_upgrade(
             TerminalDecision(in_key, source_key, "high_error", None, q, min_error)
         )
     return out
-
-
-def characterization_to_dict(gc: GroupCharacterization) -> dict:
-    return {
-        "group": gc.group.describe(),
-        "subgroups": {
-            name: list(h.sorted_members) for name, h in sorted(gc.subgroups.items())
-        },
-    }
 
 
 def parse_characterization(data: Mapping) -> GroupCharacterization:

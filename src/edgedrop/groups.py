@@ -2,9 +2,11 @@
 
 Elements are dense integer ids ``0..order-1``.  Every group computes through
 one primitive, ``op_array``, over broadcast int64 id arrays: cyclic groups
-with modular arithmetic, product groups with mixed-radix digits (the last
-factor varies fastest, matching ``itertools.product``), and arbitrary groups
-through explicit Cayley tables that are verified eagerly on construction.
+with modular arithmetic, product groups on dense tuple indices
+(``codes.pack``: the last factor varies fastest, matching
+``itertools.product``), so a product of source groups numbers its elements
+as a code table numbers its source tuples, and arbitrary groups through
+explicit Cayley tables that are verified eagerly on construction.
 
 Every group also names a generating set, ``generators()``, and the proofs
 below run on it instead of on all of G.  In a finite group every element is
@@ -20,19 +22,25 @@ a queryable property.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .codes import total_map
+from .codes import index_digits, pack, total_map
 from .errors import DomainError, PreconditionError
 from .network import _json_table, field, require
 
 # Cayley tables are refused beyond this order so that every table held by the
 # workbench has had its group axioms verified.
 TABLE_VERIFY_BOUND = 512
+
+# Group descriptions may nest products at most this deep.  Realistic groups
+# need a few levels; a bound far below the interpreter's recursion limit
+# keeps every recursive walk of a group, and of a report echoing it, safe.
+MAX_GROUP_NESTING = 32
 
 
 class FiniteGroup:
@@ -110,54 +118,32 @@ class CyclicGroup(FiniteGroup):
 
 
 class ProductGroup(FiniteGroup):
-    """Direct product of finite groups with mixed-radix element ids."""
+    """Direct product of finite groups.  The id of an element is the dense
+    tuple index (``codes.pack``) of its factor ids over ``sizes``, the factor
+    orders."""
 
     def __init__(self, factors: Sequence[FiniteGroup]):
         if not factors:
             raise DomainError("direct product needs at least one factor")
         self.factors = tuple(factors)
-        self.order = 1
-        self._strides = []
-        for g in reversed(self.factors):
-            self._strides.insert(0, self.order)
-            self.order *= g.order
-        self.identity = self.encode(tuple(g.identity for g in self.factors))
-
-    def encode(self, values: Sequence[int]) -> int:
-        """Mixed-radix id of a factor-value tuple (last factor fastest)."""
-        if len(values) != len(self.factors):
-            raise DomainError(
-                f"expected {len(self.factors)} coordinates, got {len(values)}"
-            )
-        idx = 0
-        for v, g in zip(values, self.factors):
-            if not 0 <= v < g.order:
-                raise DomainError(f"coordinate {v} outside factor of order {g.order}")
-            idx = idx * g.order + v
-        return idx
-
-    def decode(self, a: int) -> tuple[int, ...]:
-        self._check_id(a)
-        return tuple(a // s % g.order for g, s in zip(self.factors, self._strides))
+        self.sizes = tuple(g.order for g in self.factors)
+        self.order = math.prod(self.sizes)
+        self.identity = pack([g.identity for g in self.factors], self.sizes)
 
     def op_array(self, a, b):
-        out = 0
-        for g, s in zip(self.factors, self._strides):
-            out = out * g.order + g.op_array(a // s % g.order, b // s % g.order)
-        return out
+        pairs = zip(self.factors, index_digits(a, self.sizes), index_digits(b, self.sizes))
+        return pack([g.op_array(x, y) for g, x, y in pairs], self.sizes)
 
     def inverse_array(self, a):
-        out = 0
-        for g, s in zip(self.factors, self._strides):
-            out = out * g.order + g.inverse_array(a // s % g.order)
-        return out
+        digits = index_digits(a, self.sizes)
+        return pack([g.inverse_array(x) for g, x in zip(self.factors, digits)], self.sizes)
 
     def generators(self) -> list[int]:
         """Each factor's generators, embedded with the identity elsewhere."""
-        e = self.identity
+        e = [g.identity for g in self.factors]
         return [
-            e + (x - g.identity) * s
-            for g, s in zip(self.factors, self._strides)
+            pack(e[:i] + [x] + e[i + 1:], self.sizes)
+            for i, g in enumerate(self.factors)
             for x in g.generators()
         ]
 
@@ -260,21 +246,30 @@ def group_from_description(desc: Mapping) -> FiniteGroup:
 
     Orders and Cayley table entries must be JSON integers; floats, booleans
     and strings are rejected, never coerced.  A missing or mistyped field is
-    a DomainError that names it.
+    a DomainError that names it, and so are products nested more than
+    ``MAX_GROUP_NESTING`` deep.
     """
-    kind = field(require(desc, dict, "group description"), "kind", str, "group")
-    where = f"{kind} group"
-    if kind == "cyclic":
-        return make_cyclic(field(desc, "order", int, where))
-    if kind == "product":
-        factors = field(desc, "factors", list, where)
-        return direct_product([group_from_description(d) for d in factors])
-    if kind == "table":
-        g = TableGroup(_json_table(field(desc, "table", list, where), 2, "Cayley table"))
-        if "order" in desc and field(desc, "order", int, where) != g.order:
-            raise DomainError("declared order does not match table size")
-        return g
-    raise DomainError(f"unknown group kind {kind!r}")
+
+    def build(desc, depth: int) -> FiniteGroup:
+        kind = field(require(desc, dict, "group description"), "kind", str, "group")
+        where = f"{kind} group"
+        if kind == "cyclic":
+            return make_cyclic(field(desc, "order", int, where))
+        if kind == "product":
+            if depth == MAX_GROUP_NESTING:
+                raise DomainError(
+                    f"group description nests products more than {MAX_GROUP_NESTING} deep"
+                )
+            factors = field(desc, "factors", list, where)
+            return direct_product([build(d, depth + 1) for d in factors])
+        if kind == "table":
+            g = TableGroup(_json_table(field(desc, "table", list, where), 2, "Cayley table"))
+            if "order" in desc and field(desc, "order", int, where) != g.order:
+                raise DomainError("declared order does not match table size")
+            return g
+        raise DomainError(f"unknown group kind {kind!r}")
+
+    return build(desc, 0)
 
 
 def _id_array(group: FiniteGroup, ids: Iterable[int]) -> np.ndarray:

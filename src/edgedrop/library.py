@@ -14,7 +14,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .codes import DEFAULT_ENUM_CAP, NetworkCode, tabulate
+import numpy as np
+
+from .codes import DEFAULT_ENUM_CAP, NetworkCode, index_digits, pack, tabulate
 from .cwl import check_cwl
 from .errors import DomainError, InternalCheckError, PreconditionError, ResourceError
 from .groups import CyclicGroup
@@ -308,18 +310,10 @@ def n3_permutations(m: int, alpha: int, cap: int | None = None) -> PermutationFa
     if alpha + 1 > cap.bit_length() or m ** (alpha + 1) > cap:
         raise ResourceError(f"ring of order {m}^{alpha + 1} is above the cap of {cap}")
     modulus = m ** (alpha + 1)
-    rotation = []
-    for a in range(modulus):
-        digits = []
-        rest = a
-        for _ in range(alpha + 1):
-            digits.append(rest % m)
-            rest //= m
-        rotated = digits[alpha]
-        for i in range(alpha):
-            rotated += m ** (i + 1) * digits[i]
-        rotation.append(rotated)
-    return PermutationFamily(modulus, (tuple(range(modulus)), tuple(rotation)))
+    # The rotation moves the top base-m digit to the bottom.
+    top, rest = index_digits(np.arange(modulus), (m, m**alpha))
+    rotation = pack((rest, top), (m**alpha, m))
+    return PermutationFamily(modulus, (tuple(range(modulus)), tuple(rotation.tolist())))
 
 
 @dataclass(frozen=True)

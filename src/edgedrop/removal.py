@@ -31,9 +31,9 @@ from .codes import (
     check_feasibility,
     checked_subsets,
     index_digits,
-    index_to_values,
+    pack,
     product_indices,
-    select_input,
+    reindex_consumer,
 )
 from .errors import DomainError, InternalCheckError, PreconditionError
 from .network import NetworkInstance, Source, remove_edge
@@ -104,10 +104,8 @@ class SourcePartition:
         total = math.prod(source_sizes)
         # Tuples of class ids sort like their packed ranks, so partitioning by
         # the packed key orders the parts exactly as their labels.
-        key = np.zeros(total, dtype=np.int64)
-        for (_, rank), d, radix in zip(dense, index_digits(np.arange(total), source_sizes), radices):
-            key = key * radix + rank[d]
-        part = cls(source_sizes, key)
+        digits = index_digits(np.arange(total), source_sizes)
+        part = cls(source_sizes, pack([rank[d] for (_, rank), d in zip(dense, digits)], radices))
         ranks = [r.tolist() for r in index_digits(part.keys, radices)]
         part.keys = [
             tuple(keys[r] for (keys, _), r in zip(dense, combo)) for combo in zip(*ranks)
@@ -138,7 +136,8 @@ class SourcePartition:
         return _projection_sizes(self.ids, len(self.keys), None, self.source_sizes)
 
     def part_tuples(self, label: Label) -> list[tuple[int, ...]]:
-        return [index_to_values(i, self.source_sizes) for i in self.parts[label].tolist()]
+        digits = index_digits(self.parts[label], self.source_sizes)
+        return list(zip(*(d.tolist() for d in digits)))
 
     def projections(self, label: Label) -> list[tuple[int, ...]]:
         """Per-source sorted symbol sets appearing in one part."""
@@ -348,26 +347,16 @@ def _restrict_to_part(
         terminals=stripped.terminals,
         demands=stripped.demands,
     )
-    consumer = inst.edge(edge_id).head
-    in_ids = [f.id for f in inst.in_edges(consumer)]
-    in_sizes = [code.edge_alphabets[f] for f in in_ids]
-    pos = in_ids.index(edge_id)
-
+    reencoded, redecoded = reindex_consumer(inst, code, edge_id, constant)
     encoders = {}
     for e in inst2.edges:
-        old_table = code.encoders[e.id]
         if inst.is_source_node(e.tail):
-            encoders[e.id] = old_table[keep[inst.source_index(e.tail)]]
-        elif e.tail == consumer:
-            encoders[e.id] = select_input(old_table, in_sizes, pos, constant)
+            encoders[e.id] = code.encoders[e.id][keep[inst.source_index(e.tail)]]
         else:
-            encoders[e.id] = old_table
-
+            encoders[e.id] = reencoded[e.id]
     decoders = {}
     for t in inst.terminals:
-        picked = code.decoders[t]
-        if t == consumer:
-            picked = select_input(picked, in_sizes, pos, constant)
+        picked = redecoded[t]
         # A decoded symbol that fell outside the kept set cannot be the true
         # symbol of a kept tuple; any in-range stand-in (here 0) is sound.
         rows = np.empty_like(picked)

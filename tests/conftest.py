@@ -6,8 +6,10 @@ drive the removal routes.  Everything is seeded explicitly by the caller.
 The oracles evaluate a code one source tuple at a time, through the scalar
 ``evaluate_global`` and ``decode_outputs`` defined here, and count joint
 distributions in a Counter; the columnar global table is checked against
-them.  The group oracles compute one product at a time with
-``ReferenceGroup`` and check the group laws over all pairs, quadratically
+them.  Tuples and dense indices convert through ``oracle_index`` and
+``oracle_digits``, so no oracle shares the index arithmetic of ``codes``.
+The group oracles compute one product at a time with ``ReferenceGroup``
+and check the group laws over all pairs, quadratically
 (associativity over all triples, cubically); ``groups.op_array`` and the
 generator proofs built on it are compared against them.
 """
@@ -22,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from edgedrop.codes import NetworkCode, index_to_values, mixed_radix_index
+from edgedrop.codes import NetworkCode
 from edgedrop.cwl import check_cwl, derive_edge_group
 from edgedrop.groupcodes import GroupCharacterization
 from edgedrop.groups import (
@@ -38,6 +40,23 @@ from edgedrop.network import Edge, NetworkInstance, Source, topological_order, v
 from edgedrop.removal import SourcePartition
 
 MAX_TUPLES = 512
+
+
+def oracle_index(values: Sequence[int], sizes: Sequence[int]) -> int:
+    """Dense index of one tuple, last coordinate fastest, in plain ints."""
+    idx = 0
+    for v, s in zip(values, sizes):
+        idx = idx * s + v
+    return idx
+
+
+def oracle_digits(idx: int, sizes: Sequence[int]) -> tuple[int, ...]:
+    """The tuple behind one dense index, in plain ints."""
+    out = []
+    for s in reversed(sizes):
+        out.append(idx % s)
+        idx //= s
+    return tuple(reversed(out))
 
 
 def as_lists(tree):
@@ -201,7 +220,7 @@ def evaluate_global(
         else:
             ins = inst.in_edges(e.tail)
             sizes = [code.edge_alphabets[f.id] for f in ins]
-            idx = mixed_radix_index([values[f.id] for f in ins], sizes)
+            idx = oracle_index([values[f.id] for f in ins], sizes)
         if idx >= len(table):
             raise MalformedCodeError(f"edge {e.id!r} encoder is missing entry {idx}")
         v = table[idx]
@@ -223,7 +242,7 @@ def decode_outputs(
             raise MalformedCodeError(f"terminal {t!r} has no decoder table")
         ins = inst.in_edges(t)
         sizes = [code.edge_alphabets[f.id] for f in ins]
-        idx = mixed_radix_index([by_id[f.id] for f in ins], sizes)
+        idx = oracle_index([by_id[f.id] for f in ins], sizes)
         if idx >= len(table):
             raise MalformedCodeError(f"terminal {t!r} decoder is missing entry {idx}")
         out[t] = tuple(table[idx])
@@ -235,7 +254,7 @@ def scalar_table(inst: NetworkInstance, code: NetworkCode):
     rows = []
     wrong = {t: [] for t in inst.terminals}
     for idx in range(math.prod(code.source_alphabets)):
-        x = index_to_values(idx, code.source_alphabets)
+        x = oracle_digits(idx, code.source_alphabets)
         row = evaluate_global(inst, code, x)
         outputs = decode_outputs(inst, code, row)
         rows.append([int(v) for v in row])
@@ -250,7 +269,7 @@ def counter_entropy(inst: NetworkInstance, sizes, rows, sources=(), edges=()) ->
     positions = [[e.id for e in inst.edges].index(e) for e in edges]
     counts = Counter()
     for idx, row in enumerate(rows):
-        x = index_to_values(idx, sizes)
+        x = oracle_digits(idx, sizes)
         counts[tuple(x[i] for i in sources) + tuple(row[p] for p in positions)] += 1
     n = len(rows)
     return sum(c / n * math.log2(n / c) for c in counts.values())
@@ -283,12 +302,7 @@ def random_hom_witness(rng, max_order, size_pool, max_sources, product_cap):
         coeffs.append(step * rng.randrange(max(1, m // step)))
     table = []
     for idx in range(math.prod(sizes)):
-        digits = []
-        rest = idx
-        for n in reversed(sizes):
-            digits.append(rest % n)
-            rest //= n
-        digits.reverse()
+        digits = oracle_digits(idx, sizes)
         table.append(sum(c * d for c, d in zip(coeffs, digits)) % m)
     groups = [make_cyclic(n) for n in sizes]
     derived = derive_edge_group(tuple(table), groups)
@@ -311,7 +325,7 @@ def oracle_coordinate_classes(w) -> list[list[list[int]]]:
         classes: dict[int, list[int]] = {}  # insertion order is first occurrence
         for v in range(g.order):
             base[i] = v
-            classes.setdefault(int(w.hom[mixed_radix_index(base, sizes)]), []).append(v)
+            classes.setdefault(int(w.hom[oracle_index(base, sizes)]), []).append(v)
         out.append(list(classes.values()))
     return out
 
@@ -337,7 +351,7 @@ def random_coordinate_characterization(rng) -> GroupCharacterization:
     group = ProductGroup([CyclicGroup(n) for n in factors])
     subgroups = {}
     for i in range(len(factors)):
-        members = [g for g in group.elements() if group.decode(g)[i] == 0]
+        members = [g for g in group.elements() if oracle_digits(g, factors)[i] == 0]
         subgroups[f"s{i + 1}"] = subgroup(group, members)
     seed = rng.randrange(group.order)
     subgroups["e"] = subgroup(group, sorted(generated_subgroup(group, [seed]).members))
@@ -404,13 +418,10 @@ class ReferenceGroup:
             self.identity = self._encode([f.identity for f in self.factors])
 
     def _encode(self, values) -> int:
-        out = 0
-        for f, v in zip(self.factors, values):
-            out = out * f.order + v
-        return out
+        return oracle_index(values, [f.order for f in self.factors])
 
     def _digits(self, a: int) -> tuple[int, ...]:
-        return index_to_values(a, [f.order for f in self.factors])
+        return oracle_digits(a, [f.order for f in self.factors])
 
     def op(self, a: int, b: int) -> int:
         if self.kind == "cyclic":

@@ -9,7 +9,9 @@ import hashlib
 import itertools
 import json
 import json.encoder
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,9 +19,10 @@ import pytest
 
 from conftest import as_lists
 from edgedrop import cli, codes, network
-from edgedrop.cli import main, parse_report
+from edgedrop.cli import main
 from edgedrop.codes import code_to_dict, load_code, relay_instance, save_code, tabulate
 from edgedrop.errors import InternalCheckError
+from edgedrop.groups import MAX_GROUP_NESTING
 from edgedrop.library import butterfly, butterfly4
 from edgedrop.network import load_instance, save_instance
 
@@ -113,14 +116,14 @@ def test_report_roundtrip_digests_and_echo(tmp_path, capsys):
     capsys.readouterr()
     assert status == 0
     payload = out_path.read_bytes()
-    report = parse_report(payload)
+    report = json.loads(payload)
     # Tuning flags are stripped from the echo.
-    assert "--out" not in report.command
-    assert "--enum-cap" not in report.command
-    assert report.command[:3] == ("verify", inst_path, code_path)
+    assert "--out" not in report["command"]
+    assert "--enum-cap" not in report["command"]
+    assert report["command"][:3] == ["verify", inst_path, code_path]
     for path in (inst_path, code_path):
         digest = "sha256:" + hashlib.sha256(open(path, "rb").read()).hexdigest()
-        assert report.inputs[path] == digest
+        assert report["inputs"][path] == digest
 
 
 def test_reports_byte_identical_across_enum_caps(tmp_path, capsys):
@@ -568,6 +571,33 @@ def test_groups_files_name_the_bad_field(edit, message, tmp_path, capsys):
     assert "Error(" not in err
 
 
+def _nested_product(depth: int) -> dict:
+    """Z2 wrapped in ``depth`` one-factor products."""
+    desc = {"kind": "cyclic", "order": 2}
+    for _ in range(depth):
+        desc = {"kind": "product", "factors": [desc]}
+    return desc
+
+
+@pytest.mark.parametrize(
+    "depth, status", [(MAX_GROUP_NESTING, 0), (MAX_GROUP_NESTING + 1, 2), (250, 2)]
+)
+def test_group_descriptions_nest_products_at_most_the_bound(depth, status, tmp_path, capsys):
+    """Products nested 250 deep used to exit 3 with a RecursionError while
+    the report echoed the source groups."""
+    golden = Path(__file__).parent / "golden" / "inputs"
+    groups = json.loads((golden / "butterfly.groups.json").read_text())
+    groups["sources"][0] = _nested_product(depth)
+    groups_path = tmp_path / "groups.json"
+    groups_path.write_text(json.dumps(groups))
+    argv = ["cwl-check", str(golden / "butterfly.instance.json"),
+            str(golden / "butterfly.code.json"), "--edge", "bottleneck",
+            "--groups", str(groups_path)]
+    assert main(argv) == status
+    err = capsys.readouterr().err
+    assert (f"nests products more than {MAX_GROUP_NESTING} deep" in err) == (status == 2)
+
+
 def test_pwl_remove_on_nonzero_error_code_is_not_found(tmp_path, capsys):
     golden = Path(__file__).parent / "golden" / "inputs"
     code = load_code(str(golden / "shift44.code.json"))
@@ -859,3 +889,22 @@ def test_csv_format(tmp_path, capsys):
     assert len(lines) == 2
     assert "bottleneck" in lines[1]
     assert "True" in lines[1]
+
+
+def test_benchmark_trace_hooks_find_their_names():
+    """The benchmark's ``--trace 1`` wraps names of ``src/`` that it looks up
+    with ``getattr`` and ``__dict__``; a deleted one makes its install raise."""
+    root = Path(__file__).parent.parent
+    script = (
+        "from layers import Tracer\n"
+        "from edgedrop.cli import main\n"
+        "Tracer().install()\n"
+        "raise SystemExit(main(['validate', 'tests/golden/inputs/butterfly.instance.json']))\n"
+    )
+    paths = [str(root / "perfbench"), str(root / "src")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    run = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr

@@ -8,12 +8,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     as_lists,
     counter_entropy,
     decode_outputs,
     evaluate_global,
+    oracle_digits,
+    oracle_index,
     random_code,
     random_instance,
     scalar_table,
@@ -23,12 +27,13 @@ from edgedrop.codes import (
     build_global_table,
     check_feasibility,
     code_to_dict,
-    index_to_values,
+    index_digits,
     joint_counts,
     joint_entropy,
     load_code,
-    mixed_radix_index,
+    pack,
     parse_code,
+    product_indices,
     relay_instance,
     save_code,
     tabulate,
@@ -40,12 +45,40 @@ from edgedrop.library import butterfly
 
 def test_mixed_radix_roundtrip():
     sizes = (3, 2, 4)
-    assert mixed_radix_index((0, 0, 0), sizes) == 0
-    assert mixed_radix_index((0, 0, 1), sizes) == 1  # last coordinate fastest
-    assert mixed_radix_index((1, 0, 0), sizes) == 8
-    assert mixed_radix_index((2, 1, 3), sizes) == 23
+    assert pack((0, 0, 0), sizes) == 0
+    assert pack((0, 0, 1), sizes) == 1  # last coordinate fastest
+    assert pack((1, 0, 0), sizes) == 8
+    assert pack((2, 1, 3), sizes) == 23
     for idx in range(24):
-        assert mixed_radix_index(index_to_values(idx, sizes), sizes) == idx
+        assert pack(index_digits(idx, sizes), sizes) == idx
+    assert index_digits(0, ()) == [] and pack((), ()) == 0
+
+
+@st.composite
+def _radix_cases(draw):
+    sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=5))
+    idx = draw(st.integers(0, math.prod(sizes) - 1))
+    subsets = [draw(st.lists(st.integers(0, s - 1), min_size=1, unique=True)) for s in sizes]
+    return sizes, idx, subsets
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_radix_cases())
+def test_pack_inverts_index_digits_and_matches_the_scalar_oracle(case):
+    sizes, idx, subsets = case
+    digits = index_digits(idx, sizes)
+    assert all(type(d) is int for d in digits)  # ints stay ints
+    assert tuple(digits) == oracle_digits(idx, sizes)
+    assert pack(digits, sizes) == idx == oracle_index(digits, sizes)
+    # Broadcast shapes: a column of every index, and digits on crossed axes.
+    total = math.prod(sizes)
+    column = np.arange(total, dtype=np.int64)[:, None]
+    columns = index_digits(column, sizes)
+    assert all(d.shape == (total, 1) for d in columns)
+    assert np.array_equal(pack(columns, sizes), column)
+    assert [tuple(d[idx, 0] for d in columns)] == [oracle_digits(idx, sizes)]
+    expected = [oracle_index(t, sizes) for t in itertools.product(*subsets)]
+    assert product_indices(subsets, sizes).tolist() == expected
 
 
 def test_tabulate_matches_function():

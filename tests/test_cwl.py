@@ -15,6 +15,7 @@ from conftest import (
     oracle_class_pick,
     oracle_coordinate_classes,
     oracle_cosets,
+    oracle_digits,
     oracle_is_homomorphism,
     oracle_is_subgroup,
     random_balanced_map,
@@ -28,7 +29,7 @@ from edgedrop.codes import (
     NetworkCode,
     build_global_table,
     index_digits,
-    index_to_values,
+    pack,
     relay_instance,
     tabulate,
 )
@@ -609,9 +610,8 @@ def _relabeled_hom_witness(rng):
         for n, perm in zip(sizes, perms)
     ]
     # Tuple t of the relabeled sources is the original tuple old[t].
-    old = np.zeros(math.prod(sizes), dtype=np.int64)
-    for n, perm, d in zip(sizes, perms, index_digits(np.arange(len(old)), sizes)):
-        old = old * n + np.argsort(perm)[d]
+    digits = index_digits(np.arange(math.prod(sizes)), sizes)
+    old = pack([np.argsort(perm)[d] for perm, d in zip(perms, digits)], sizes)
     w = certify_cwl(np.asarray(table)[old], groups)
     assert w is not None
     return w
@@ -637,7 +637,7 @@ def test_coordinate_classes_and_partition_match_the_scalar_oracle():
         assert coordinate_classes(w) == classes
         class_of = [{v: c for c, members in enumerate(per) for v in members} for per in classes]
         labels = [
-            tuple(lookup[v] for lookup, v in zip(class_of, index_to_values(t, w.source_sizes)))
+            tuple(lookup[v] for lookup, v in zip(class_of, oracle_digits(t, w.source_sizes)))
             for t in range(math.prod(w.source_sizes))
         ]
         expected = SourcePartition(w.source_sizes, labels)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import oracle_digits, oracle_index
 from edgedrop import library
 from edgedrop.codes import build_global_table, check_feasibility
 from edgedrop.errors import DomainError, PreconditionError, ResourceError
@@ -126,6 +127,14 @@ def test_n3_rotation_oracle():
     assert family.perms[1] == (0, 2, 1, 3)
     # Base-3 digit swap: 5 = (2, 1) -> (1, 2) = 7.
     assert n3_permutations(3, 1).perms[1][5] == 7
+    # Every base-m digit moves up one place and the top one wraps to the bottom.
+    for m, alpha in [(2, 4), (3, 2), (4, 3), (5, 2), (7, 1)]:
+        sizes = [m] * (alpha + 1)
+        expected = []
+        for a in range(m ** (alpha + 1)):
+            digits = oracle_digits(a, sizes)
+            expected.append(oracle_index(digits[1:] + digits[:1], sizes))
+        assert n3_permutations(m, alpha).perms[1] == tuple(expected)
 
 
 def test_n3_injectivity_images():

@@ -4,20 +4,34 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_code, random_instance, random_partition
+from conftest import (
+    decode_outputs,
+    evaluate_global,
+    oracle_digits,
+    random_code,
+    random_instance,
+    random_partition,
+    scalar_table,
+)
 from edgedrop.codes import (
     NetworkCode,
     build_global_table,
     check_feasibility,
+    product_indices,
     relay_instance,
     tabulate,
 )
+from edgedrop.cwl import _rewrite_full_information
 from edgedrop.errors import DomainError, PreconditionError
 from edgedrop.library import butterfly
 from edgedrop.removal import (
     SourcePartition,
+    _restrict_to_part,
     fiber_edge_values,
     fibers_are_products,
     find_witness,
@@ -237,3 +251,88 @@ def test_random_restrictions_reverify(tmp_path=None):
         assert fresh.verdict
         assert math.prod(cert.achieved_cardinalities) == fresh.num_tuples
     assert emitted >= 10
+
+
+def _constant_product(rng, table, edge_id) -> list[list[int]]:
+    """Per source, symbols grown at random from one tuple while the edge
+    message stays constant on their product."""
+    sizes = table.source_sizes
+    column = table.edge_values(edge_id)
+    subsets = [[v] for v in oracle_digits(rng.randrange(table.num_tuples), sizes)]
+    for i in rng.sample(range(len(sizes)), len(sizes)):
+        for v in rng.sample(range(sizes[i]), sizes[i]):
+            trial = subsets[:i] + [sorted(set(subsets[i]) | {v})] + subsets[i + 1:]
+            if rng.random() < 0.8 and len(set(column[product_indices(trial, sizes)])) == 1:
+                subsets = trial
+    return subsets
+
+
+def _check_restriction(inst, code, table, edge_id, subsets, eps) -> bool:
+    """Restrict to the product when ``find_witness`` passes it; the restricted
+    code must re-verify tuple by tuple under the scalar oracle."""
+    indices = product_indices(subsets, table.source_sizes)
+    labels = np.ones(table.num_tuples, dtype=np.int64)
+    labels[indices] = 0
+    part = SourcePartition(table.source_sizes, labels)
+    if find_witness(table, edge_id, part, eps) != 0:
+        return False
+    edge_size = inst.edge(edge_id).alphabet_size
+    result = _restrict_to_part(inst, code, table, edge_id, part.parts[0], edge_size, 0, eps)
+    cert = result.certificate
+    assert cert.restricted_alphabets == tuple(map(tuple, subsets))
+    assert all(a >= p for a, p in zip(cert.achieved_cardinalities, cert.promised_cardinalities))
+    rows, wrong = scalar_table(result.instance, result.code)
+    bad = set().union(*wrong.values())
+    assert cert.feasibility.error == Fraction(len(bad), len(rows))
+    assert not bad if eps == 0 else Fraction(len(bad), len(rows)) < eps
+    kept = [i for i, e in enumerate(inst.edges) if e.id != edge_id]
+    for idx, row in enumerate(rows):
+        digits = oracle_digits(idx, cert.achieved_cardinalities)
+        x = tuple(sub[v] for sub, v in zip(subsets, digits))
+        old = evaluate_global(inst, code, x)
+        assert [old[i] for i in kept] == row  # every surviving message is unchanged
+        outputs = decode_outputs(inst, code, old)
+        for t in inst.terminals:
+            if outputs[t] == tuple(x[i] for i in inst.demanded_sources(t)):
+                assert idx not in wrong[t]
+    return True
+
+
+def _check_rewrite(inst, code, edge_id) -> bool:
+    """When the edge can carry its encoder's full input, every other
+    message and every decoded output must stay as they were."""
+    rewritten = _rewrite_full_information(inst, code, edge_id)
+    if rewritten is None:
+        return False
+    others = [i for i, e in enumerate(inst.edges) if e.id != edge_id]
+    for idx in range(math.prod(code.source_alphabets)):
+        x = oracle_digits(idx, code.source_alphabets)
+        old, new = evaluate_global(inst, code, x), evaluate_global(inst, rewritten, x)
+        assert [old[i] for i in others] == [new[i] for i in others]
+        assert decode_outputs(inst, rewritten, new) == decode_outputs(inst, code, old)
+    return True
+
+
+def test_restriction_and_rewrite_agree_with_the_scalar_oracle():
+    """Both consumer re-indexings (a hardwired constant for restriction, the
+    old message behind each new one for the full-information rewrite) on
+    random codes and random constant product parts."""
+    seen = {"restricted": 0, "rewritten": 0}
+    eps_values = [Fraction(0), Fraction(1, 2), Fraction(9, 10)]
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(eps_values))
+    def check(seed, eps):
+        rng = random.Random(seed)
+        inst = random_instance(rng)
+        code = random_code(rng, inst)
+        table = build_global_table(inst, code)
+        for e in rng.sample(inst.edges, len(inst.edges)):
+            subsets = _constant_product(rng, table, e.id)
+            if _check_restriction(inst, code, table, e.id, subsets, eps):
+                seen["restricted"] += 1
+                break
+        seen["rewritten"] += _check_rewrite(inst, code, rng.choice(inst.edges).id)
+
+    check()
+    assert seen["restricted"] >= 50 and seen["rewritten"] >= 50, seen
