@@ -271,8 +271,13 @@ def validate_code(inst: NetworkInstance, code: NetworkCode) -> list[str]:
                 f"edge {e.id!r} alphabet {code.edge_alphabets[e.id]} does not match "
                 f"instance size {e.alphabet_size}"
             )
-    if set(code.edge_alphabets) - {e.id for e in inst.edges}:
+    edge_ids = {e.id for e in inst.edges}
+    if set(code.edge_alphabets) - edge_ids:
         problems.append("code has alphabets for unknown edges")
+    if set(code.encoders) - edge_ids:
+        problems.append("code has encoder tables for unknown edges")
+    if set(code.decoders) - set(inst.terminals):
+        problems.append("code has decoder tables for unknown terminals")
     for e in inst.edges:
         table = code.encoders.get(e.id)
         if table is None:

@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
@@ -465,6 +466,25 @@ def _number_starts(raw: bytes, first: int, last: int) -> int:
     return starts
 
 
+# Tables whose text is at least this long are converted on a second thread
+# while this one runs the checks; ``np.fromstring`` releases the GIL.  A
+# thread start and join cost some 100 us.  Median of 7 x 20 reads on 2 vCPUs,
+# serial against threaded: 7 KiB of text 156 against 265 us, 28 KiB 631
+# against 665 us, 42 KiB 981 against 813 us, 112 KiB 2.60 against 1.94 ms.
+# They meet between 28 and 42 KiB; 64 KiB keeps thread starts off tables
+# where the gain would be within the noise.
+PARALLEL_PARSE_BYTES = 1 << 16
+
+
+def _parse(text: bytes, out: list) -> None:
+    """Append the int64 values of comma-separated ``text``, or the exception
+    ``np.fromstring`` raised, for the caller to raise once its checks pass."""
+    try:
+        out.append(np.fromstring(text, dtype=np.int64, sep=","))
+    except Exception as exc:
+        out.append(exc)
+
+
 def _int_table_text(raw: bytes, first: int, last: int) -> np.ndarray | None:
     """The read-only int64 array that the JSON table ``raw[first:last]``
     spells, if it is a table of integers.
@@ -474,12 +494,44 @@ def _int_table_text(raw: bytes, first: int, last: int) -> np.ndarray | None:
     converted by one ``np.fromstring``; any other text gives None and is
     left to ``json``.  Whitespace is deleted once, as the text is made;
     where some was, one numpy scan of the raw bytes proves that none split
-    a number.
+    a number.  A text of at least ``PARALLEL_PARSE_BYTES`` is converted on
+    a second thread while the checks run, joined before this returns or
+    raises; its values are used only once every check has passed, and its
+    exception is raised only then.
     """
     text = b"".join(
         raw[i : min(i + _CHUNK, last)].translate(_TEXT, _WHITESPACE)
         for i in range(first, last, _CHUNK)
     )
+    parsed: list = []
+    worker = None
+    if len(text) >= PARALLEL_PARSE_BYTES:
+        worker = threading.Thread(target=_parse, args=(text, parsed))
+        worker.start()
+    try:
+        shape = _table_shape(text, raw, first, last)
+    finally:
+        if worker is not None:
+            worker.join()
+    if shape is None:
+        return None
+    count = math.prod(shape)
+    values = np.empty(0, dtype=np.int64)
+    if count:
+        if worker is None:
+            _parse(text, parsed)
+        values = parsed[0]
+        if isinstance(values, Exception):
+            raise values
+    if values.size != count:
+        return None
+    return _frozen(values.reshape(shape))
+
+
+def _table_shape(text: bytes, raw: bytes, first: int, last: int) -> tuple[int, ...] | None:
+    """The shape of the table that ``text``, the JSON table ``raw[first:last]``
+    with its whitespace deleted, spells as ``_int_table_text`` reads it, or
+    None if the byte checks cannot prove it a table of integers."""
     classes = text.translate(_CLASSES)
     c = np.frombuffer(classes, dtype=np.uint8)
     if len(c) < 2 or c[0] != _OPEN or c[-1] != _CLOSE:
@@ -509,17 +561,11 @@ def _int_table_text(raw: bytes, first: int, last: int) -> np.ndarray | None:
                 return None
             width -= empty // rows
         shape = (rows, width)
-    count = math.prod(shape)
     # Whitespace inside a number would split it: more numbers would start
     # in the raw text than the table holds.
-    if len(text) < last - first and _number_starts(raw, first, last) != count:
+    if len(text) < last - first and _number_starts(raw, first, last) != math.prod(shape):
         return None
-    values = np.empty(0, dtype=np.int64)
-    if count:
-        values = np.fromstring(text, dtype=np.int64, sep=",")
-    if values.size != count:
-        return None
-    return _frozen(values.reshape(shape))
+    return shape
 
 
 TableSlots = Callable[[object], Iterable[tuple[object, int]]]

@@ -106,6 +106,8 @@ PIECES, KLEIN, INSTANCE, CODE = (
         (CODE, _set(("encoders",), 5), "code 'encoders' must be an object, got 5"),
         (CODE, _delete(("blocklength",)), "code description is missing 'blocklength'"),
         ("sum44.parity.json", _delete(("labels",)), "labels file description is missing 'labels'"),
+        (CODE, _set(("encoders", "nope"), [5, 5]), "code has encoder tables for unknown edges"),
+        (CODE, _set(("decoders", "zz"), [[0]]), "code has decoder tables for unknown terminals"),
     ],
 )
 def test_malformed_files_name_the_field(tmp_path, name, edit, message):

@@ -3,6 +3,7 @@ followed by ``codes._json_table``: it must give the same arrays or hand the
 text back to ``json``."""
 
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,14 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import as_lists
-from edgedrop import codes
+from edgedrop import codes, network
 from edgedrop.codes import code_to_dict, load_code, parse_code, relay_instance, tabulate
 from edgedrop.errors import DomainError
 from edgedrop.network import (
     FAST_READ_BYTES,
+    PARALLEL_PARSE_BYTES,
     _int_table_text,
     _read_tables,
     indented_json,
+    load_json,
 )
 
 # Text that a table may be mutated with: everything the reader must refuse
@@ -213,3 +216,104 @@ def test_large_codes_load_without_the_per_entry_check(tmp_path, monkeypatch, lay
 
     monkeypatch.setattr(codes, "_json_table", refuse)
     assert load_code(str(path)) == expected
+
+
+# ----------------------------------------- tables converted on a worker
+# With PARALLEL_PARSE_BYTES patched to 0, every table, however short, is.
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(table_texts())
+def test_threaded_table_reader_agrees_with_json_or_hands_off(text):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "PARALLEL_PARSE_BYTES", 0)
+        _agrees_with_json(text)
+
+
+@pytest.mark.parametrize("token", TOKENS)
+def test_threaded_table_reader_on_each_token(monkeypatch, token):
+    monkeypatch.setattr(network, "PARALLEL_PARSE_BYTES", 0)
+    test_table_reader_on_each_token(token)
+
+
+def _large_table(indent) -> str:
+    """About 1 MB of table text, 1-D when compact and rows of three when
+    indented; its entries span the lengths the reader accepts."""
+    values = np.random.default_rng(5).integers(-(10**17), 10**17, 3 * 20000)
+    values[::3] %= 1000
+    if indent is None:
+        return _dump(values.tolist(), None)
+    return indented_json(values.reshape(-1, 3).tolist())
+
+
+@pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indent=2"])
+def test_large_table_with_each_token_at_its_start_middle_and_end(indent):
+    text = _large_table(indent)
+    assert 0.8e6 < len(text) < 1.6e6 and _agrees_with_json(text)
+    # Just inside the opening bracket, in the middle, and after the last entry.
+    read = 0
+    for pos in (1, len(text) // 2, len(text.rstrip("]\n "))):
+        for token in TOKENS:
+            read += _agrees_with_json(text[:pos] + token + text[pos:])
+    assert read
+
+
+def test_only_tables_from_the_threshold_up_start_a_thread(monkeypatch):
+    threads = []
+    parse = network._parse
+
+    def spy(text, out):
+        threads.append(threading.current_thread())
+        parse(text, out)
+
+    monkeypatch.setattr(network, "_parse", spy)
+    ones = "1," * (PARALLEL_PARSE_BYTES // 2 - 2)
+    assert len(_read(f"[{ones}1]")) == len(_read(f"[{ones}12]")) == PARALLEL_PARSE_BYTES // 2 - 1
+    assert threads[0] is threading.main_thread() and threads[1] is not threading.main_thread()
+
+
+def _code_file(tmp_path, last_entry: str) -> str:
+    """A code file whose one table is long enough to start the worker."""
+    assert len("7," * 50000) > PARALLEL_PARSE_BYTES
+    path = tmp_path / "large.code.json"
+    path.write_text('{"encoders": {"e": [' + "7," * 50000 + last_entry + "]}}")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "last_entry, expected",
+    [("8", 8), ("8.5", 8.5), ("8]", DomainError)],
+    ids=["accepted", "refused-by-its-last-byte", "not-json"],
+)
+def test_load_json_leaves_no_thread_and_no_uncaught_error(tmp_path, monkeypatch, last_entry, expected):
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    path = _code_file(tmp_path, last_entry)
+    before = threading.active_count()
+    if expected is DomainError:
+        with pytest.raises(DomainError, match="invalid JSON"):
+            load_json(path, codes._code_tables)
+    else:
+        table = load_json(path, codes._code_tables)["encoders"]["e"]
+        assert len(table) == 50001 and table[-1] == expected
+        assert isinstance(table, np.ndarray) == (type(expected) is int)
+    assert threading.active_count() == before and hooked == []
+
+
+class Unparsable(Exception):
+    pass
+
+
+@pytest.mark.parametrize("threshold", [0, 1 << 40], ids=["threaded", "serial"])
+def test_conversion_errors_surface_only_from_tables_that_pass_the_checks(monkeypatch, threshold):
+    error = Unparsable()
+
+    def fromstring(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(network, "PARALLEL_PARSE_BYTES", threshold)
+    monkeypatch.setattr(network.np, "fromstring", fromstring)
+    with pytest.raises(Unparsable) as raised:
+        _read("[[1, 2], [3, 4]]")
+    assert raised.value is error
+    assert _read("[[1, 2], [3, 4.5]]") is None
