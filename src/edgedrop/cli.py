@@ -13,7 +13,7 @@ tuple, all JSON integers (each fitting in 64 bits) or all strings.
 
 Reports are deterministic: the command echo keeps only semantic arguments
 (execution tuning such as ``--enum-cap`` and ``--out`` is excluded),
-structured results are written by ``network.indented_json`` as the bytes of
+structured results are written by ``network.json_bytes`` as the bytes of
 ``json.dumps(result, indent=2, sort_keys=True)``, and timing goes to stderr
 only, so the same inputs produce byte-identical reports.
 """
@@ -64,8 +64,8 @@ from .network import (
     NetworkInstance,
     _json_table,
     field,
-    indented_json,
     instance_to_dict,
+    json_bytes,
     load_instance,
     load_json,
     require,
@@ -119,7 +119,7 @@ def _collect_certificates(node) -> list[dict]:
 def emit_report(report: RunReport, fmt: str = "text") -> bytes:
     """Serialize a report; text is JSON, csv tabulates the certificates."""
     if fmt == "text":
-        return (indented_json(report.to_dict()) + "\n").encode()
+        return json_bytes(report.to_dict(), end=b"\n")
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

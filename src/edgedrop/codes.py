@@ -30,7 +30,7 @@ from .network import (
     _frozen,
     _json_table,
     field,
-    indented_json,
+    json_bytes,
     load_json,
     require,
     topological_order,
@@ -278,10 +278,17 @@ def validate_code(inst: NetworkInstance, code: NetworkCode) -> list[str]:
         problems.append("code has encoder tables for unknown edges")
     if set(code.decoders) - set(inst.terminals):
         problems.append("code has decoder tables for unknown terminals")
+    # The table sizes and ranges below are read off the alphabets; once one
+    # is missing, only the presence of each table is checked.
+    alphabets_known = len(code.source_alphabets) >= len(inst.sources) and all(
+        e.id in code.edge_alphabets for e in inst.edges
+    )
     for e in inst.edges:
         table = code.encoders.get(e.id)
         if table is None:
             problems.append(f"edge {e.id!r} has no encoder table")
+            continue
+        if not alphabets_known:
             continue
         want = math.prod(input_sizes(inst, code, e.tail))
         if table.ndim != 1 or len(table) != want:
@@ -292,6 +299,8 @@ def validate_code(inst: NetworkInstance, code: NetworkCode) -> list[str]:
         table = code.decoders.get(t)
         if table is None:
             problems.append(f"terminal {t!r} has no decoder table")
+            continue
+        if not alphabets_known:
             continue
         want = math.prod(input_sizes(inst, code, t))
         demanded = inst.demanded_sources(t)
@@ -544,7 +553,7 @@ def joint_entropy(
 
 def code_to_dict(code: NetworkCode) -> dict:
     """The code's file form, with its tables as the code's own read-only
-    int64 arrays; ``indented_json`` writes them as their ``tolist()``."""
+    int64 arrays; ``json_bytes`` writes them as their ``tolist()``."""
     return {
         "blocklength": code.blocklength,
         "source_alphabets": list(code.source_alphabets),
@@ -599,5 +608,5 @@ def load_code(path: str) -> NetworkCode:
 
 
 def save_code(code: NetworkCode, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(indented_json(code_to_dict(code)) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(json_bytes(code_to_dict(code), end=b"\n"))

@@ -288,11 +288,10 @@ def cwl_remove(
         if len(proj) * support_size < size:
             raise InternalCheckError("kept symbols fall below the support bound")
     edge_size = inst.edge(edge_id).alphabet_size
-    if not _witness_ok(table, part.parts[best], edge_size, eps):
+    members = part.members(best)
+    if not _witness_ok(table, members, edge_size, eps):
         return None
-    return _restrict_to_part(
-        inst, code, table, edge_id, part.parts[best], edge_size, best, eps
-    )
+    return _restrict_to_part(inst, code, table, edge_id, members, edge_size, best, eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -632,6 +631,19 @@ def _source_candidates(n: int, relabels: int) -> list[FiniteGroup]:
     return out
 
 
+def _candidate_count(n: int, relabels: int) -> int:
+    """``len(_source_candidates(n, relabels))``, without building them."""
+    structures = math.prod(len(_integer_partitions(e)) for _, e in _prime_factorization(n))
+    if relabels <= 0:
+        return structures
+    perms = 1  # n!, or the first partial product above relabels
+    for k in range(2, n + 1):
+        perms *= k
+        if perms > relabels:
+            break
+    return structures * (1 + min(relabels, perms - 1))
+
+
 def _rewrite_full_information(
     inst: NetworkInstance, code: NetworkCode, edge_id: str
 ) -> NetworkCode | None:
@@ -684,6 +696,18 @@ def cwl_search(
     def try_code(cand_code: NetworkCode, cand_table: GlobalCodeTable, rewritten: bool):
         nonlocal assignments_left
         phi = EdgeFunction.of(cand_table.edge_values(edge_id), cand_table.source_sizes)
+        fiber_sizes = np.bincount(phi.ids)
+        if 1 < len(phi.support) <= TABLE_VERIFY_BOUND and fiber_sizes.min() != fiber_sizes.max():
+            # Every assignment would fail derive_edge_group's coset test, so
+            # none is built; the budget is charged as if each had been tried.
+            # An image above the bound is left to the loop, which refuses it.
+            if assignments_left > 0:
+                tries = math.prod(
+                    _candidate_count(n, budget.max_relabels_per_order)
+                    for n in cand_table.source_sizes
+                )
+                assignments_left = max(0, assignments_left - tries)
+            return None
         candidates = [
             _source_candidates(n, budget.max_relabels_per_order)
             for n in cand_table.source_sizes

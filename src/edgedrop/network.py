@@ -3,7 +3,7 @@
 An instance fixes the topology and the per-edge alphabet cardinalities.  Rates
 are carried as cardinalities throughout; ``log2(size) / blocklength`` is only
 ever derived for display.  The module also holds the JSON writer behind every
-report and file the workbench writes, ``indented_json``, the reader of every
+report and file the workbench writes, ``json_bytes``, the reader of every
 input file, ``load_json``, and the checks every field read from one goes
 through, ``field`` and ``require``.
 """
@@ -283,25 +283,61 @@ def _json_table(data, ndim: int, what: str) -> np.ndarray:
     return _frozen(arr.reshape(len(data), width) if ndim == 2 else arr)
 
 
-def indented_json(obj, newline: str = "\n") -> str:
-    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, without the
-    pure-Python encoder that ``json`` falls back to when it indents, and
-    with numpy arrays written as their ``tolist()``.
+def json_bytes(obj, end: bytes = b"") -> bytes:
+    """The ASCII bytes of ``json.dumps(obj, indent=2, sort_keys=True)``,
+    followed by ``end``, with numpy arrays written as their ``tolist()``;
+    every report and file the workbench writes is made here.
+
+    ``_json_text`` writes the text of everything but the large int64 arrays
+    into one skeleton ``str``, with a NUL where each such array goes, and
+    hands the array's bytes over in chunks as ``_int_array_json`` formats
+    them.  The skeleton is encoded once, split at its NULs and interleaved
+    with the chunks in one join, so no text is copied again by the levels
+    that enclose it.  Nothing else writes a NUL: strings and keys escape it
+    as ``\\u0000``.
+    """
+    tables: list[list[bytes]] = []
+    skeleton = _json_text(obj, "\n", tables).encode("ascii")
+    if not tables:
+        return skeleton + end
+    pieces = skeleton.split(b"\0")
+    out = [pieces[0]]
+    for chunks, piece in zip(tables, pieces[1:]):
+        out += chunks
+        out.append(piece)
+    out.append(end)
+    return b"".join(out)
+
+
+def indented_json(obj) -> str:
+    """``json_bytes(obj)`` as text: exactly ``json.dumps(obj, indent=2,
+    sort_keys=True)``, with numpy arrays written as their ``tolist()``; the
+    skeleton with the array bytes spliced in, decoded once."""
+    return json_bytes(obj).decode("ascii")
+
+
+def _json_text(obj, newline: str, tables: list) -> str:
+    """The skeleton text of ``obj`` for ``json_bytes``, without the
+    pure-Python encoder that ``json`` falls back to when it indents.
 
     ``newline`` is the line break plus the indent of the enclosing level.
     An int64 array of at least ``_ARRAY_ENTRIES`` entries, of one dimension
     or of two with rows of width at least one, is written by
-    ``_int_array_json`` from its bytes; any other array as its
-    ``tolist()``.  A list of plain ints is one join, and a rectangular list
-    of non-empty int rows one ``%`` over a repeated row template.  Other
-    containers recurse; other scalars go through ``json.dumps``, and
-    non-str keys are converted or rejected as ``json`` does them.
+    ``_int_array_json``: a NUL here, its chunks appended to ``tables``; any
+    other array as its ``tolist()``.  A list of plain ints is one join, and
+    a rectangular list of non-empty int rows one ``%`` over a repeated row
+    template.  Other containers recurse; other scalars go through
+    ``json.dumps``, and non-str keys are converted or rejected as ``json``
+    does them.
     """
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, np.ndarray):
-        text = _int_array_json(obj, newline)
-        return indented_json(obj.tolist(), newline) if text is None else text
+        chunks = _int_array_json(obj, newline)
+        if chunks is None:
+            return _json_text(obj.tolist(), newline, tables)
+        tables.append(chunks)
+        return "\0"
     if not isinstance(obj, (list, tuple, dict)):
         return json.dumps(obj)
     if not obj:
@@ -310,7 +346,7 @@ def indented_json(obj, newline: str = "\n") -> str:
     inner = newline + "  "
     sep = "," + inner
     if isinstance(obj, dict):
-        items = [f"{_json_key(k)}: {indented_json(v, inner)}" for k, v in sorted(obj.items())]
+        items = [f"{_json_key(k)}: {_json_text(v, inner, tables)}" for k, v in sorted(obj.items())]
         return f"{{{inner}{sep.join(items)}{newline}}}"
     kinds = set(map(type, obj))
     if kinds == {int}:
@@ -321,7 +357,7 @@ def indented_json(obj, newline: str = "\n") -> str:
             row_inner = inner + "  "
             row = "[" + row_inner + ("," + row_inner).join(["%d"] * widths.pop()) + inner + "]"
             return f"[{inner}{sep.join([row] * len(obj))}{newline}]" % entries
-    return f"[{inner}{sep.join([indented_json(v, inner) for v in obj])}{newline}]"
+    return f"[{inner}{sep.join([_json_text(v, inner, tables) for v in obj])}{newline}]"
 
 
 # Arrays are written this many rows (entries of a 1-D array) at a time, so
@@ -333,11 +369,12 @@ _WRITE_ROWS = 1 << 12
 _ARRAY_ENTRIES = 128
 
 
-def _int_array_json(arr: np.ndarray, newline: str) -> str | None:
-    """``indented_json(arr.tolist(), newline)`` for an int64 array of at
-    least ``_ARRAY_ENTRIES`` entries, of one dimension or of two with rows of
-    width at least one; None for any other array, and for one holding
-    -2**63, whose magnitude int64 lacks.
+def _int_array_json(arr: np.ndarray, newline: str) -> list[bytes] | None:
+    """The bytes of ``_json_text(arr.tolist(), newline, [])``, in chunks of
+    ``_WRITE_ROWS`` rows, for an int64 array of at least ``_ARRAY_ENTRIES``
+    entries, of one dimension or of two with rows of width at least one;
+    None for any other array, and for one holding -2**63, whose magnitude
+    int64 lacks.
 
     Each chunk of rows is a uint8 block that repeats the text of one row,
     with a NUL-padded slot as wide as the widest entry where each entry
@@ -379,9 +416,9 @@ def _int_array_json(arr: np.ndarray, newline: str) -> str | None:
             block[:, starts] = np.where(values < 0, ord("-"), 0)
         if i == 0:
             block[0, 0] = ord("[")
-        chunks.append(block.tobytes().translate(None, b"\0").decode("ascii"))
-    chunks.append(newline + "]")
-    return "".join(chunks)
+        chunks.append(block.tobytes().translate(None, b"\0"))
+    chunks.append((newline + "]").encode("ascii"))
+    return chunks
 
 
 def _decimal_digits(mag: np.ndarray, digits: int) -> np.ndarray:
@@ -581,11 +618,11 @@ def _read_tables(raw: bytes, tables: TableSlots):
     skeleton text; ``json`` decodes it and ``parse_constant`` hands back the
     arrays in order.  The text may contain neither ``NaN`` nor
     ``Infinity``, so a ``NaN`` that ``json`` does not see as a constant lay
-    inside a string and the text is refused.  Arrays that ``tables(data)``
-    does not name, with their dimension, become the lists ``json`` gives.
+    inside a string and the text is refused.  Only the text between the
+    tables read is searched for them: a table's text holds no letter.
+    Arrays that ``tables(data)`` does not name, with their dimension,
+    become the lists ``json`` gives.
     """
-    if b"NaN" in raw or b"Infinity" in raw:
-        return None
     pieces: list[bytes] = []
     arrays: list[np.ndarray] = []
     done = 0
@@ -607,6 +644,8 @@ def _read_tables(raw: bytes, tables: TableSlots):
     if not arrays:
         return None
     pieces.append(raw[done:])
+    if any(b"NaN" in text or b"Infinity" in text for text in pieces[::2]):
+        return None
     queue = iter(arrays)
     try:
         out = json.loads(b"".join(pieces).decode("utf-8"), parse_constant=lambda _: next(queue))
@@ -699,5 +738,5 @@ def load_instance(path: str) -> NetworkInstance:
 
 
 def save_instance(inst: NetworkInstance, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(indented_json(instance_to_dict(inst)) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(json_bytes(instance_to_dict(inst), end=b"\n"))

@@ -64,10 +64,10 @@ class SourcePartition:
 
     Labels must be mutually sortable (ints, or tuples of ints); ``keys``
     lists them sorted and ``ids[idx]`` is the position in ``keys`` of tuple
-    idx's label.  Parts are exposed as sorted tuple index arrays.  Built-in
-    constructors cover the common shapes: per-tuple singletons, a single
-    part, products of per-source classes, and the level sets of one edge's
-    message.
+    idx's label.  ``members`` gives one part as a sorted tuple index array.
+    Built-in constructors cover the common shapes: per-tuple singletons, a
+    single part, products of per-source classes, and the level sets of one
+    edge's message.
     """
 
     def __init__(self, source_sizes: Sequence[int], labels: Sequence[Label]):
@@ -119,12 +119,13 @@ class SourcePartition:
     def sorted_labels(self) -> list[Label]:
         return list(self.keys)
 
-    @cached_property
-    def parts(self) -> dict[Label, np.ndarray]:
-        """Sorted tuple indices of every part, keyed by label in sorted order."""
-        order = np.argsort(self.ids, kind="stable")
-        bounds = np.cumsum(self.part_sizes)[:-1]
-        return dict(zip(self.keys, np.split(order, bounds)))
+    def members(self, label: Label) -> np.ndarray:
+        """Sorted tuple indices of the part labeled ``label``."""
+        try:
+            position = self.keys.index(label)
+        except ValueError:
+            raise DomainError(f"unknown partition label {label!r}") from None
+        return np.flatnonzero(self.ids == position)
 
     @cached_property
     def part_sizes(self) -> np.ndarray:
@@ -136,12 +137,12 @@ class SourcePartition:
         return _projection_sizes(self.ids, len(self.keys), None, self.source_sizes)
 
     def part_tuples(self, label: Label) -> list[tuple[int, ...]]:
-        digits = index_digits(self.parts[label], self.source_sizes)
+        digits = index_digits(self.members(label), self.source_sizes)
         return list(zip(*(d.tolist() for d in digits)))
 
     def projections(self, label: Label) -> list[tuple[int, ...]]:
         """Per-source sorted symbol sets appearing in one part."""
-        digits = index_digits(self.parts[label], self.source_sizes)
+        digits = index_digits(self.members(label), self.source_sizes)
         return [tuple(np.unique(d).tolist()) for d in digits]
 
 
@@ -416,10 +417,8 @@ def restrict_code(
         raise PreconditionError("partition does not determine the edge message")
     if not fibers_are_products(part):
         raise PreconditionError("partition has a non-product part")
-    if witness_label not in part.parts:
-        raise DomainError(f"unknown partition label {witness_label!r}")
     return _restrict_to_part(
-        inst, code, table, edge_id, part.parts[witness_label],
+        inst, code, table, edge_id, part.members(witness_label),
         inst.edge(edge_id).alphabet_size, witness_label, eps,
     )
 
@@ -485,10 +484,11 @@ def remove_by_edge_value(
     # Labels are sorted, so the first largest part has the smallest message.
     best = part.keys[int(np.argmax(part.part_sizes))]
     edge_size = inst.edge(edge_id).alphabet_size
-    if len(part.parts[best]) * edge_size < table.num_tuples:
+    members = part.members(best)
+    if len(members) * edge_size < table.num_tuples:
         raise InternalCheckError("largest level set beats averaging; enumeration bug")
-    if not _witness_ok(table, part.parts[best], edge_size, Fraction(0)):
+    if not _witness_ok(table, members, edge_size, Fraction(0)):
         raise InternalCheckError("averaging failed to produce a valid witness part")
     return _restrict_to_part(
-        inst, code, table, edge_id, part.parts[best], edge_size, best, Fraction(0),
+        inst, code, table, edge_id, members, edge_size, best, Fraction(0),
     )

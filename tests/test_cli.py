@@ -15,10 +15,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import as_lists
-from edgedrop import cli, codes, network
+from edgedrop import network
 from edgedrop.cli import main
 from edgedrop.codes import code_to_dict, load_code, relay_instance, save_code, tabulate
 from edgedrop.errors import InternalCheckError
@@ -788,8 +789,8 @@ def test_elapsed_goes_to_stderr_on_every_exit_path(argv, status, first, capsys, 
 def test_reports_and_emitted_files_skip_the_pure_python_encoder(tmp_path, capsys, monkeypatch):
     """A 2^16-tuple ``remove-edge builtin:cwl`` job writes its report and its
     restricted files without ``json``'s indenting encoder, and without
-    sending a code table through the per-entry list path of
-    ``indented_json``: its tables reach the writer as arrays."""
+    sending a code table through the per-entry list path of the recursive
+    writer ``_json_text``: its tables reach the writer as arrays."""
     sizes = (256, 256)
     table = [sum(x) % 2 for x in itertools.product(*map(range, sizes))]
     inst_path, code_path = _write_pair(tmp_path, *relay_instance(sizes, 2, table))
@@ -800,17 +801,18 @@ def test_reports_and_emitted_files_skip_the_pure_python_encoder(tmp_path, capsys
     monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
     with pytest.raises(AssertionError):
         json.dumps([1], indent=2)
-    list_path = network.indented_json
+    list_path = network._json_text
 
-    def short_lists_only(obj, newline="\n"):
+    def short_lists_only(obj, newline, tables):
         if isinstance(obj, (list, tuple)) and len(obj) > 4096:
             raise AssertionError("a table went through the per-entry list path")
-        return list_path(obj, newline)
+        return list_path(obj, newline, tables)
 
-    for module in (network, cli, codes):
-        monkeypatch.setattr(module, "indented_json", short_lists_only)
+    monkeypatch.setattr(network, "_json_text", short_lists_only)
     with pytest.raises(AssertionError):
-        network.indented_json({"table": list(range(4097))})
+        network.json_bytes({"table": list(range(4097))})
+    with pytest.raises(AssertionError):
+        network.json_bytes({"table": np.arange(4097, dtype=np.int32)})
     out, emit = str(tmp_path / "report.json"), str(tmp_path / "restricted")
     argv = ["remove-edge", inst_path, code_path, "--edge", "e", "--partition", "builtin:cwl"]
     assert main(argv + ["--out", out, "--emit", emit]) == 0

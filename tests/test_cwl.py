@@ -24,6 +24,7 @@ from conftest import (
     relabel_table,
     s3,
 )
+from edgedrop import cwl
 from edgedrop.cli import _witness_dict
 from edgedrop.codes import (
     NetworkCode,
@@ -37,6 +38,8 @@ from edgedrop.cwl import (
     CwlWitness,
     EdgeFunction,
     SearchBudget,
+    _candidate_count,
+    _source_candidates,
     abelian_structures,
     certify_cwl,
     characterize_witness,
@@ -149,7 +152,7 @@ def test_witness_partition_low_bit_sum():
     part = witness_partition(w)
     assert part.sorted_labels() == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert fibers_are_products(part)
-    assert all(len(ids) == 4 for ids in part.parts.values())
+    assert all(len(part.members(label)) == 4 for label in part.keys)
 
 
 def test_cwl_remove_butterfly_rates():
@@ -353,6 +356,37 @@ def test_cwl_search_rewrite_path():
     # With rewrites disabled the same search gives up.
     capped = SearchBudget(max_group_assignments=64, max_table_rewrites=0)
     assert cwl_search(inst, code, "e", capped) is None
+
+
+def test_candidate_count_matches_the_candidates():
+    for n in range(1, 9):
+        for relabels in range(-1, 4):
+            assert _candidate_count(n, relabels) == len(_source_candidates(n, relabels))
+
+
+@pytest.mark.parametrize(
+    "relabels, assignments, rewritten",
+    [(0, 1, None), (0, 2, True), (1, 4, None), (1, 5, True)],
+)
+def test_unbalanced_search_is_charged_its_candidates_and_builds_none(
+    monkeypatch, relabels, assignments, rewritten
+):
+    """x AND y has fibers of 3 and 1 tuples, so no assignment can certify it:
+    the search charges the budget for all of them (1 per source, or 2 with
+    one relabel), derives no edge group, and rewrites only if budget is left."""
+    derived = []
+    derive = cwl.derive_edge_group
+
+    def spy(phi, groups):
+        derived.append(EdgeFunction.of(phi, [g.order for g in groups]).support)
+        return derive(phi, groups)
+
+    monkeypatch.setattr(cwl, "derive_edge_group", spy)
+    inst, code = relay_instance([2, 2], 4, tabulate([2, 2], lambda a, b: a & b))
+    budget = SearchBudget(max_group_assignments=assignments, max_relabels_per_order=relabels)
+    found = cwl_search(inst, code, "e", budget)
+    assert (found and found.rewritten) == rewritten
+    assert derived == ([(0, 1, 2, 3)] if rewritten else [])
 
 
 def test_random_homomorphisms_have_witnesses():

@@ -120,6 +120,34 @@ def test_malformed_files_name_the_field(tmp_path, name, edit, message):
     assert err == f"error: {message}"
 
 
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("verify", ["--rates", "1,1"]),
+        ("remove-edge", ["--edge", "bottleneck", "--partition", "builtin:cwl"]),
+        ("cwl-check", ["--edge", "bottleneck"]),
+        ("cwl-search", ["--edge", "bottleneck"]),
+    ],
+)
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_delete(("edge_alphabets", "a1")), "edge 'a1' has no alphabet"),
+        (_set(("source_alphabets",), [2]), "one source alphabet per instance source is required"),
+    ],
+    ids=["edge", "source"],
+)
+def test_codes_missing_an_alphabet_exit_2(tmp_path, command, options, edit, message):
+    """The table checks read the alphabets, so they are skipped once one is
+    missing; the missing alphabet alone is reported."""
+    doc = _golden(CODE)
+    edit(doc)
+    path = tmp_path / CODE
+    path.write_text(json.dumps(doc))
+    argv = [command, str(GOLDEN / INSTANCE), str(path)] + options
+    assert _run(argv) == (2, f"error: {message}")
+
+
 @pytest.mark.parametrize("name", [KLEIN, INSTANCE, CODE])
 def test_files_that_are_not_objects_name_the_path(tmp_path, name):
     path = tmp_path / name

@@ -255,6 +255,48 @@ def test_indented_json_writes_arrays_as_their_lists(tree):
     assert got == want
 
 
+def _big_array(seed: int, rows: int, width: int, scale: int) -> np.ndarray:
+    values = np.random.default_rng(seed).integers(-scale, scale, rows * max(width, 1))
+    return values.reshape(rows, width) if width else values
+
+
+# int64 arrays that json_bytes splices in: 1-D, or rows of width 1 to 3.
+_SPLICED = st.builds(
+    _big_array,
+    st.integers(0, 2**32 - 1),
+    st.integers(network._ARRAY_ENTRIES, 400) | st.just(network._WRITE_ROWS + 1),
+    st.integers(0, 3),
+    st.sampled_from([10, 10**4, 10**18]),
+)
+_NUL_TEXT = st.text(st.sampled_from('\0a\u00e9"\n'), max_size=4) | st.just("\0")
+_SPLICED_TREES = st.recursive(
+    _SPLICED | _NUL_TEXT | st.integers(),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_NUL_TEXT, kids, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _nested_arrays(draw):
+    """Spliced arrays at depths one to four, in dicts and lists, beside
+    strings and keys that hold NULs, and a random tree of the same parts."""
+    big, text = (lambda: draw(_SPLICED)), (lambda: draw(_NUL_TEXT))
+    return {
+        "\0": big(),
+        "list\0": [big(), text(), {"a\0b": big(), "rows": [[big(), text()]]}],
+        text(): draw(_SPLICED_TREES),
+    }
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_nested_arrays())
+def test_json_bytes_splices_arrays_into_the_skeleton(tree):
+    want = _oracle_json(as_lists(tree)).encode()
+    got = network.json_bytes(tree, end=b"\n")
+    assert got.splitlines() == want.splitlines()
+    assert got == want + b"\n" and network.json_bytes(tree) == want
+
+
 class _Level(enum.IntEnum):
     LOW = 1
 

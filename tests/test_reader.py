@@ -218,6 +218,34 @@ def test_large_codes_load_without_the_per_entry_check(tmp_path, monkeypatch, lay
     assert load_code(str(path)) == expected
 
 
+# Where a token goes in an indented code file: a string, a key, a table.
+_NAN_PLACES = {
+    "string": ('"blocklength"', '"note": "{}",\n  "blocklength"'),
+    "key": ('"e": [', '"{}": [1],\n    "e": ['),
+    "table": ('"e": [\n      0,', '"e": [\n      {},'),
+}
+
+
+@pytest.mark.parametrize("place", _NAN_PLACES)
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_nan_and_infinity_anywhere_hand_the_file_to_json(tmp_path, token, place):
+    """In a large code file, beside tables the reader reads."""
+    sizes = [16, 16]
+    _, code = relay_instance(sizes, 4, tabulate(sizes, lambda a, b: (a + b) % 4))
+    text = indented_json(code_to_dict(code))
+    assert len(text) >= FAST_READ_BYTES and _read_tables(text.encode(), codes._code_tables)
+    old, new = _NAN_PLACES[place]
+    text = text.replace(old, new.format(token), 1)
+    assert _read_tables(text.encode(), codes._code_tables) is None
+    path = tmp_path / "nan.code.json"
+    path.write_text(text)
+    try:
+        got = load_code(str(path))
+    except DomainError as exc:
+        got = str(exc)
+    assert got == _parsed(json.loads(text))
+
+
 # ----------------------------------------- tables converted on a worker
 # With PARALLEL_PARSE_BYTES patched to 0, every table, however short, is.
 

@@ -59,9 +59,12 @@ def _corrupted_copy_relay():
 
 def test_partition_constructors():
     part = SourcePartition.from_source_classes((4, 3), [[0, 1, 0, 1], [0, 0, 0]])
-    assert sorted(part.parts) == [(0, 0), (1, 0)]
+    assert sorted(part.keys) == [(0, 0), (1, 0)]
     assert part.part_tuples((0, 0)) == [(0, 0), (0, 1), (0, 2), (2, 0), (2, 1), (2, 2)]
     assert part.projections((0, 0)) == [(0, 2), (0, 1, 2)]
+    assert part.members((1, 0)).tolist() == [3, 4, 5, 9, 10, 11]
+    with pytest.raises(DomainError, match=r"unknown partition label \(0, 1\)"):
+        part.members((0, 1))
     assert fibers_are_products(part)
     with pytest.raises(DomainError):
         SourcePartition((2, 2), [0, 1, 2])
@@ -277,7 +280,7 @@ def _check_restriction(inst, code, table, edge_id, subsets, eps) -> bool:
     if find_witness(table, edge_id, part, eps) != 0:
         return False
     edge_size = inst.edge(edge_id).alphabet_size
-    result = _restrict_to_part(inst, code, table, edge_id, part.parts[0], edge_size, 0, eps)
+    result = _restrict_to_part(inst, code, table, edge_id, part.members(0), edge_size, 0, eps)
     cert = result.certificate
     assert cert.restricted_alphabets == tuple(map(tuple, subsets))
     assert all(a >= p for a, p in zip(cert.achieved_cardinalities, cert.promised_cardinalities))
