@@ -62,9 +62,9 @@ from .library import (
 )
 from .network import (
     NetworkInstance,
-    _json_table,
     field,
     instance_to_dict,
+    int_table,
     json_bytes,
     load_instance,
     load_json,
@@ -312,11 +312,12 @@ def _cmd_remove_edge(args) -> tuple[int, dict]:
     data = load_json(args.partition, lambda data: [(data.get("labels"), 1)])  # integer labels
     must = "be all integers or all strings"
     labels = field(data, "labels", list, "labels file", must)
-    # Integer labels become an int64 array, unless load_json read them as one.
+    # Listed integer labels pass int_table here, so that a refusal names the
+    # file; an array that load_json read has passed the same checks.
     if isinstance(labels, list):
         kinds = set(map(type, labels))
         if kinds <= {int}:
-            labels = _json_table(labels, 1, f"{args.partition}: labels")
+            labels = int_table(labels, 1, f"{args.partition}: labels")
         elif not kinds <= {str}:
             raise DomainError(f"labels file 'labels' must {must}")
     part = SourcePartition(table.source_sizes, labels)

@@ -28,12 +28,13 @@ from .network import (
     NetworkInstance,
     Source,
     _frozen,
-    _json_table,
     field,
+    int_table,
     json_bytes,
     load_json,
     require,
     topological_order,
+    validate_instance,
 )
 
 DEFAULT_ENUM_CAP = 1 << 24
@@ -95,29 +96,10 @@ def tabulate(sizes: Sequence[int], fn: Callable[..., int]) -> tuple[int, ...]:
     return tuple(fn(*combo) for combo in itertools.product(*[range(s) for s in sizes]))
 
 
-def _int_table(data, ndim: int, what: str) -> np.ndarray:
-    """A read-only int64 array owned by the code, from any nested sequence.
-
-    Arrays that are already read-only int64 are shared, not copied.
-    """
-    if isinstance(data, np.ndarray) and data.dtype == np.int64 and not data.flags.writeable:
-        return data
-    try:
-        arr = np.array(data)
-    except ValueError:
-        raise DomainError(f"{what} has rows of different lengths") from None
-    if arr.size == 0:
-        arr = arr.reshape(arr.shape + (0,) * (ndim - arr.ndim)).astype(np.int64)
-    elif arr.dtype.kind not in "iu":
-        raise DomainError(f"{what} entries must be 64-bit integers")
-    return _frozen(arr.astype(np.int64, copy=False))
-
-
 def total_map(values, size: int, what: str) -> np.ndarray:
-    """A map over the dense indices ``0..size-1``, given as any flat integer
-    sequence, as a read-only int64 array.  A mapping has no integer entries
-    and is refused."""
-    arr = _int_table(values, 1, what)
+    """A map over the dense indices ``0..size-1``: ``int_table`` of a flat
+    integer table of ``size`` entries."""
+    arr = int_table(values, 1, what)
     if arr.shape != (size,):
         raise DomainError(f"{what} must be a flat sequence of {size} integers")
     return arr
@@ -133,7 +115,7 @@ class NetworkCode:
     the terminal's incoming messages, same ordering, to the tuple of
     demanded source symbols in source order: one row per input, one column
     per demanded source.
-    Tables may be given as any nested integer sequences; they are stored as
+    Tables are taken as ``network.int_table`` takes them and stored as its
     read-only int64 arrays.
     """
 
@@ -144,8 +126,8 @@ class NetworkCode:
     decoders: dict[str, np.ndarray]
 
     def __post_init__(self):
-        encoders = {k: _int_table(t, 1, f"edge {k!r} encoder") for k, t in self.encoders.items()}
-        decoders = {k: _int_table(t, 2, f"terminal {k!r} decoder") for k, t in self.decoders.items()}
+        encoders = {k: int_table(t, 1, f"edge {k!r} encoder") for k, t in self.encoders.items()}
+        decoders = {k: int_table(t, 2, f"terminal {k!r} decoder") for k, t in self.decoders.items()}
         object.__setattr__(self, "encoders", encoders)
         object.__setattr__(self, "decoders", decoders)
 
@@ -254,8 +236,14 @@ def _outside(table: np.ndarray, size: int) -> bool:
 
 
 def validate_code(inst: NetworkInstance, code: NetworkCode) -> list[str]:
-    """Structural report for a code against its instance; empty means valid."""
-    problems = []
+    """Structural report for a code against its instance; empty means valid.
+
+    The instance is checked first: the code checks assume a valid one, so
+    an invalid instance is reported by its own problems alone.
+    """
+    problems = validate_instance(inst)
+    if problems:
+        return problems
     if len(code.source_alphabets) != len(inst.sources):
         problems.append("one source alphabet per instance source is required")
     for i, (size, src) in enumerate(zip(code.source_alphabets, inst.sources)):
@@ -291,7 +279,7 @@ def validate_code(inst: NetworkInstance, code: NetworkCode) -> list[str]:
         if not alphabets_known:
             continue
         want = math.prod(input_sizes(inst, code, e.tail))
-        if table.ndim != 1 or len(table) != want:
+        if len(table) != want:
             problems.append(f"edge {e.id!r} encoder has {len(table)} entries, expected {want}")
         elif _outside(table, code.edge_alphabets[e.id]):
             problems.append(f"edge {e.id!r} encoder maps outside its alphabet")
@@ -307,7 +295,7 @@ def validate_code(inst: NetworkInstance, code: NetworkCode) -> list[str]:
         if len(table) != want:
             problems.append(f"terminal {t!r} decoder has {len(table)} entries, expected {want}")
             continue
-        if table.ndim != 2 or table.shape[1] != len(demanded):
+        if table.shape[1] != len(demanded):
             problems.append(f"terminal {t!r} decoder outputs wrong arity")
         elif any(
             _outside(table[:, col], code.source_alphabets[i]) for col, i in enumerate(demanded)
@@ -563,12 +551,6 @@ def code_to_dict(code: NetworkCode) -> dict:
     }
 
 
-def _code_table(data, ndim: int, what: str) -> np.ndarray:
-    """An array that ``load_json`` already read, or a JSON list checked by
-    ``_json_table``."""
-    return data if isinstance(data, np.ndarray) else _json_table(data, ndim, what)
-
-
 def parse_code(data: Mapping) -> NetworkCode:
     return NetworkCode(
         blocklength=field(data, "blocklength", int, "code"),
@@ -579,14 +561,8 @@ def parse_code(data: Mapping) -> NetworkCode:
             k: require(v, int, "edge alphabet")
             for k, v in field(data, "edge_alphabets", dict, "code").items()
         },
-        encoders={
-            k: _code_table(t, 1, f"edge {k!r} encoder")
-            for k, t in field(data, "encoders", dict, "code").items()
-        },
-        decoders={
-            k: _code_table(rows, 2, f"terminal {k!r} decoder")
-            for k, rows in field(data, "decoders", dict, "code").items()
-        },
+        encoders=field(data, "encoders", dict, "code"),
+        decoders=field(data, "decoders", dict, "code"),
     )
 
 

@@ -48,7 +48,7 @@ from .groups import (
     respects_generators,
     subgroup,
 )
-from .network import NetworkInstance
+from .network import NetworkInstance, _frozen, int_table
 from .removal import (
     RemovalResult,
     SourcePartition,
@@ -63,8 +63,9 @@ class CwlWitness:
     """A verified homomorphism witnessing coordinate-wise linearity.
 
     ``edge_support[k]`` is the edge symbol carried by edge group element k,
-    and ``hom`` maps each dense source tuple index to an edge group element;
-    given as any integer sequence, it is stored as a read-only int64 array.
+    and ``hom`` maps each dense source tuple index to an edge group element.
+    Both are taken as ``network.int_table`` takes a flat table; ``hom`` is
+    stored as its read-only int64 array and the support as a tuple of ints.
     """
 
     source_groups: tuple[FiniteGroup, ...]
@@ -73,7 +74,9 @@ class CwlWitness:
     hom: np.ndarray
 
     def __post_init__(self):
+        support = int_table(self.edge_support, 1, "witness edge support")
         hom = total_map(self.hom, math.prod(self.source_sizes), "witness homomorphism")
+        object.__setattr__(self, "edge_support", tuple(support.tolist()))
         object.__setattr__(self, "hom", hom)
 
     @property
@@ -186,7 +189,7 @@ def derive_edge_group(
             return None
     if not respects_generators(f.ids, product, lambda a, b: tbl[a, b]):
         return None
-    return TableGroup(tbl), f.support
+    return TableGroup(_frozen(tbl)), f.support
 
 
 def certify_cwl(
@@ -228,21 +231,6 @@ def _coordinate_class_ids(w: CwlWitness) -> list[np.ndarray]:
         _, first, ids = np.unique(images, return_index=True, return_inverse=True)
         out.append(np.argsort(np.argsort(first))[ids])
     return out
-
-
-def coordinate_classes(w: CwlWitness) -> list[list[list[int]]]:
-    """Per source, the symbol classes sharing a single-coordinate image,
-    ordered by first occurrence, members ascending."""
-    out = []
-    for ids in _coordinate_class_ids(w):
-        members = np.argsort(ids, kind="stable")
-        out.append([c.tolist() for c in np.split(members, np.cumsum(np.bincount(ids))[:-1])])
-    return out
-
-
-def classes_equal_sized(classes: Sequence[Sequence[Sequence[int]]]) -> bool:
-    """Whether, for each source, all coordinate classes have the same size."""
-    return all(len({len(c) for c in per_source}) == 1 for per_source in classes)
 
 
 def witness_partition(w: CwlWitness) -> SourcePartition:
@@ -611,7 +599,7 @@ def abelian_structures(n: int) -> list[FiniteGroup]:
 def _relabeled(group: FiniteGroup, perm: Sequence[int]) -> TableGroup:
     perm = np.asarray(perm, dtype=np.int64)
     inv = np.argsort(perm)
-    return TableGroup(perm[group.op_array(inv[:, None], inv)])
+    return TableGroup(_frozen(perm[group.op_array(inv[:, None], inv)]))
 
 
 def _source_candidates(n: int, relabels: int) -> list[FiniteGroup]:

@@ -25,3 +25,7 @@ class MalformedCodeError(WorkbenchError):
 
 class InternalCheckError(WorkbenchError):
     """An internal consistency re-check failed; this indicates a bug."""
+
+
+class Int64RangeError(DomainError):
+    """An integer table entry lies outside int64."""

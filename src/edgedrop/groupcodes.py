@@ -213,6 +213,7 @@ def abelian_removal_plan(
     labels = np.empty(group.order, dtype=np.int64)
     index = pack([gc.realize_map(k) for k in source_keys], table.source_sizes)
     labels[index] = coset_labels(group, g_prime)
+    labels.flags.writeable = False  # shared by the partition, not copied
     part = SourcePartition(table.source_sizes, labels)
 
     if fiber_edge_values(table, "e", part) is None:

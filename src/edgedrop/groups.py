@@ -23,6 +23,7 @@ a queryable property.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -30,8 +31,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .codes import index_digits, pack, total_map
-from .errors import DomainError, PreconditionError
-from .network import _json_table, field, require
+from .errors import DomainError, Int64RangeError, PreconditionError
+from .network import field, int_table, require
 
 # Cayley tables are refused beyond this order so that every table held by the
 # workbench has had its group axioms verified.
@@ -160,17 +161,20 @@ class ProductGroup(FiniteGroup):
 
 
 class TableGroup(FiniteGroup):
-    """Group given by an explicit Cayley table, verified on construction."""
+    """Group given by an explicit Cayley table, verified on construction.
+
+    The table is taken as ``network.int_table`` takes a 2-D table.
+    """
 
     def __init__(self, table: Sequence[Sequence[int]]):
-        n = len(table)
+        arr = int_table(table, 2, "Cayley table")
+        n = len(arr)
         if n < 1:
             raise DomainError("empty Cayley table")
         if n > TABLE_VERIFY_BOUND:
             raise DomainError(
                 f"Cayley tables above order {TABLE_VERIFY_BOUND} are not accepted"
             )
-        arr = np.asarray(table, dtype=np.int64)
         if arr.shape != (n, n):
             raise DomainError(f"Cayley table must be {n}x{n}")
         if arr.min() < 0 or arr.max() >= n:
@@ -263,7 +267,7 @@ def group_from_description(desc: Mapping) -> FiniteGroup:
             factors = field(desc, "factors", list, where)
             return direct_product([build(d, depth + 1) for d in factors])
         if kind == "table":
-            g = TableGroup(_json_table(field(desc, "table", list, where), 2, "Cayley table"))
+            g = TableGroup(field(desc, "table", list, where))
             if "order" in desc and field(desc, "order", int, where) != g.order:
                 raise DomainError("declared order does not match table size")
             return g
@@ -273,14 +277,14 @@ def group_from_description(desc: Mapping) -> FiniteGroup:
 
 
 def _id_array(group: FiniteGroup, ids: Iterable[int]) -> np.ndarray:
-    """Element ids as an int64 array, each checked against the group."""
-    if isinstance(ids, np.ndarray) and np.issubdtype(ids.dtype, np.integer):
-        out = ids.astype(np.int64, copy=False)
-    else:
-        try:
-            out = np.fromiter(ids, dtype=np.int64)
-        except OverflowError:
-            raise DomainError(f"an element id is outside group of order {group.order}") from None
+    """Element ids as ``int_table`` gives them, each checked against the
+    group; a set, a range or an iterator of ids is listed first."""
+    if isinstance(ids, (set, frozenset, range, Iterator)):
+        ids = list(ids)
+    try:
+        out = int_table(ids, 1, "element ids")
+    except Int64RangeError:
+        raise DomainError(f"an element id is outside group of order {group.order}") from None
     if out.size:
         group._check_id(int(out.min()))
         group._check_id(int(out.max()))

@@ -4,8 +4,9 @@ An instance fixes the topology and the per-edge alphabet cardinalities.  Rates
 are carried as cardinalities throughout; ``log2(size) / blocklength`` is only
 ever derived for display.  The module also holds the JSON writer behind every
 report and file the workbench writes, ``json_bytes``, the reader of every
-input file, ``load_json``, and the checks every field read from one goes
-through, ``field`` and ``require``.
+input file, ``load_json``, the checks every field read from one goes
+through, ``field`` and ``require``, and the one gate every integer table
+from a file or a library caller goes through, ``int_table``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, Int64RangeError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,33 @@ class NetworkInstance:
     @cached_property
     def _source_index(self) -> dict[str, int]:
         return {s.node: i for i, s in enumerate(self.sources)}
+
+    @cached_property
+    def _node_order(self) -> list[str] | None:
+        """Deterministic node topological order, or None if there is a cycle;
+        found once for both ``validate_instance`` and ``topological_order``."""
+        indeg = {v: 0 for v in self.nodes}
+        for e in self.edges:
+            if e.head in indeg and e.tail in indeg:
+                indeg[e.head] += 1
+        ready = sorted(v for v, d in indeg.items() if d == 0)
+        order = []
+        while ready:
+            v = ready.pop(0)
+            order.append(v)
+            changed = False
+            for e in self.out_edges(v):
+                if e.head not in indeg:
+                    continue
+                indeg[e.head] -= 1
+                if indeg[e.head] == 0:
+                    ready.append(e.head)
+                    changed = True
+            if changed:
+                ready.sort()
+        if len(order) != len(self.nodes):
+            return None
+        return order
 
     def edge(self, edge_id: str) -> Edge:
         try:
@@ -156,35 +184,9 @@ def validate_instance(inst: NetworkInstance) -> list[str]:
             for j, t in enumerate(inst.terminals):
                 if not any(row[j] for row in inst.demands):
                     problems.append(f"terminal {t!r} demands no source")
-    if _topological_nodes(inst) is None:
+    if inst._node_order is None:
         problems.append("graph has a directed cycle")
     return problems
-
-
-def _topological_nodes(inst: NetworkInstance) -> list[str] | None:
-    """Deterministic node topological order, or None if there is a cycle."""
-    indeg = {v: 0 for v in inst.nodes}
-    for e in inst.edges:
-        if e.head in indeg and e.tail in indeg:
-            indeg[e.head] += 1
-    ready = sorted(v for v, d in indeg.items() if d == 0)
-    order = []
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        changed = False
-        for e in inst.out_edges(v):
-            if e.head not in indeg:
-                continue
-            indeg[e.head] -= 1
-            if indeg[e.head] == 0:
-                ready.append(e.head)
-                changed = True
-        if changed:
-            ready.sort()
-    if len(order) != len(inst.nodes):
-        return None
-    return order
 
 
 def topological_order(inst: NetworkInstance) -> list[Edge]:
@@ -193,7 +195,7 @@ def topological_order(inst: NetworkInstance) -> list[Edge]:
     Deterministic: nodes are ordered by a smallest-id-first topological sort
     and edges by (tail position, edge id).
     """
-    nodes = _topological_nodes(inst)
+    nodes = inst._node_order
     if nodes is None:
         raise PreconditionError("instance graph has a directed cycle")
     pos = {v: i for i, v in enumerate(nodes)}
@@ -255,14 +257,42 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _json_table(data, ndim: int, what: str) -> np.ndarray:
-    """A table read from JSON: lists of JSON integers, rejected, never coerced,
-    when an entry is a float, a boolean or a string, or when rows are ragged."""
-    if not isinstance(data, list):
+def int_table(data, ndim: int, what: str) -> np.ndarray:
+    """Integer data from a file or a library caller in the workbench's table
+    form: a read-only int64 array of ``ndim`` dimensions.  Every table the
+    workbench takes in is made here.
+
+    A read-only int64 array is shared, and any other integer array copied
+    once.  A list or tuple is checked entry by entry by ``_int_entries``.
+    Anything else is refused with DomainError, never coerced: booleans,
+    floats, strings, None, mappings, ragged rows, values outside int64
+    (``Int64RangeError``) and the wrong number of dimensions.
+    """
+    if isinstance(data, (list, tuple)):
+        return _int_entries(data, ndim, what)
+    if not isinstance(data, np.ndarray):
         raise DomainError(f"{what} must be a list")
+    if data.dtype.kind not in "iu":
+        raise DomainError(f"{what} entries must be integers, got {data.dtype} values")
+    if data.ndim != ndim:
+        raise DomainError(f"{what} must have {ndim} dimensions, got {data.ndim}")
+    if data.dtype == np.int64 and not data.flags.writeable:
+        return data
+    if data.dtype == np.uint64 and data.size and data.max() > np.iinfo(np.int64).max:
+        raise Int64RangeError(f"{what} entries must fit in 64 bits")
+    return _frozen(data.astype(np.int64))
+
+
+def _int_entries(data: list | tuple, ndim: int, what: str) -> np.ndarray:
+    """``int_table`` of a list or tuple: Python ints or numpy integer
+    scalars, or for ``ndim`` 2 rows of them of one length, each row a list,
+    a tuple or a 1-D array."""
     width = 0
     if ndim == 2:
-        if set(map(type, data)) - {list}:
+        rows = set(map(type, data))
+        if not rows <= {list, tuple, np.ndarray} or np.ndarray in rows and any(
+            type(r) is np.ndarray and r.ndim != 1 for r in data
+        ):
             raise DomainError(f"{what} rows must be lists")
         widths = set(map(len, data))
         if len(widths) > 1:
@@ -272,14 +302,15 @@ def _json_table(data, ndim: int, what: str) -> np.ndarray:
     def entries():
         return itertools.chain.from_iterable(data) if ndim == 2 else iter(data)
 
-    if set(map(type, entries())) - {int}:
-        bad = next(v for v in entries() if type(v) is not int)
+    kinds = set(map(type, entries()))
+    if not kinds <= {int} and not all(k is int or issubclass(k, np.integer) for k in kinds):
+        bad = next(v for v in entries() if not (type(v) is int or isinstance(v, np.integer)))
         raise DomainError(f"{what} entries must be integers, got {bad!r}")
     count = len(data) * width if ndim == 2 else len(data)
     try:
         arr = np.fromiter(entries(), dtype=np.int64, count=count)
     except OverflowError:
-        raise DomainError(f"{what} entries must fit in 64 bits") from None
+        raise Int64RangeError(f"{what} entries must fit in 64 bits") from None
     return _frozen(arr.reshape(len(data), width) if ndim == 2 else arr)
 
 

@@ -36,7 +36,7 @@ from .codes import (
     reindex_consumer,
 )
 from .errors import DomainError, InternalCheckError, PreconditionError
-from .network import NetworkInstance, Source, remove_edge
+from .network import NetworkInstance, Source, _frozen, int_table, remove_edge
 
 Label = Hashable
 
@@ -44,11 +44,12 @@ Label = Hashable
 def _dense(values) -> tuple[list, np.ndarray]:
     """Sorted distinct values and, per entry, the rank of its value.
 
-    Integer arrays and lists of plain ints go through ``np.unique``; other
-    hashable, mutually sortable values (strings, tuples) through a dict.
+    A list or tuple of strings or of tuples (hashable and mutually sortable)
+    is ranked through a dict; anything else is an integer table, taken by
+    ``int_table``, and ranked by ``np.unique``.
     """
-    if isinstance(values, np.ndarray) or set(map(type, values)) <= {int}:
-        keys, ranks = np.unique(np.asarray(values, dtype=np.int64), return_inverse=True)
+    if not (isinstance(values, (list, tuple)) and set(map(type, values)) <= {str, tuple}):
+        keys, ranks = np.unique(int_table(values, 1, "labels"), return_inverse=True)
         return keys.tolist(), ranks
     first: dict = {}
     ids = [first.setdefault(v, len(first)) for v in values]
@@ -62,20 +63,21 @@ def _dense(values) -> tuple[list, np.ndarray]:
 class SourcePartition:
     """A partition of the source tuple space, one label per tuple.
 
-    Labels must be mutually sortable (ints, or tuples of ints); ``keys``
-    lists them sorted and ``ids[idx]`` is the position in ``keys`` of tuple
-    idx's label.  ``members`` gives one part as a sorted tuple index array.
+    Labels are integers, taken by ``network.int_table``, or mutually
+    sortable strings or tuples; ``keys`` lists them sorted and ``ids[idx]``
+    is the position in ``keys`` of tuple idx's label.  ``members`` gives one
+    part as a sorted tuple index array.
     Built-in constructors cover the common shapes: per-tuple singletons, a
     single part, products of per-source classes, and the level sets of one
     edge's message.
     """
 
     def __init__(self, source_sizes: Sequence[int], labels: Sequence[Label]):
-        total = math.prod(source_sizes)
-        if len(labels) != total:
-            raise DomainError(f"expected {total} labels, got {len(labels)}")
         self.source_sizes = tuple(source_sizes)
         self.keys, self.ids = _dense(labels)
+        total = math.prod(source_sizes)
+        if len(self.ids) != total:
+            raise DomainError(f"expected {total} labels, got {len(self.ids)}")
 
     @classmethod
     def singletons(cls, source_sizes: Sequence[int]) -> "SourcePartition":
@@ -105,7 +107,8 @@ class SourcePartition:
         # Tuples of class ids sort like their packed ranks, so partitioning by
         # the packed key orders the parts exactly as their labels.
         digits = index_digits(np.arange(total), source_sizes)
-        part = cls(source_sizes, pack([rank[d] for (_, rank), d in zip(dense, digits)], radices))
+        ids = pack([rank[d] for (_, rank), d in zip(dense, digits)], radices)
+        part = cls(source_sizes, _frozen(ids))
         ranks = [r.tolist() for r in index_digits(part.keys, radices)]
         part.keys = [
             tuple(keys[r] for (keys, _), r in zip(dense, combo)) for combo in zip(*ranks)
@@ -115,9 +118,6 @@ class SourcePartition:
     @classmethod
     def from_edge_values(cls, table: GlobalCodeTable, edge_id: str) -> "SourcePartition":
         return cls(table.source_sizes, table.edge_values(edge_id))
-
-    def sorted_labels(self) -> list[Label]:
-        return list(self.keys)
 
     def members(self, label: Label) -> np.ndarray:
         """Sorted tuple indices of the part labeled ``label``."""
@@ -135,10 +135,6 @@ class SourcePartition:
     def projection_sizes(self) -> np.ndarray:
         """Parts x sources matrix of per-source projection cardinalities."""
         return _projection_sizes(self.ids, len(self.keys), None, self.source_sizes)
-
-    def part_tuples(self, label: Label) -> list[tuple[int, ...]]:
-        digits = index_digits(self.members(label), self.source_sizes)
-        return list(zip(*(d.tolist() for d in digits)))
 
     def projections(self, label: Label) -> list[tuple[int, ...]]:
         """Per-source sorted symbol sets appearing in one part."""

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from edgedrop.codes import NetworkCode
-from edgedrop.cwl import check_cwl, derive_edge_group
+from edgedrop.cwl import _coordinate_class_ids, check_cwl, derive_edge_group
 from edgedrop.groupcodes import GroupCharacterization
 from edgedrop.groups import (
     CyclicGroup,
@@ -312,6 +312,26 @@ def random_hom_witness(rng, max_order, size_pool, max_sources, product_cap):
     if witness is None:
         return None
     return sizes, tuple(table), witness
+
+
+def coordinate_classes(w) -> list[list[list[int]]]:
+    """Per source, the symbol classes of ``cwl._coordinate_class_ids``, the
+    ids the class partition is built from: classes by first occurrence,
+    members ascending."""
+    return [
+        [np.flatnonzero(ids == c).tolist() for c in range(int(ids.max()) + 1)]
+        for ids in _coordinate_class_ids(w)
+    ]
+
+
+def classes_equal_sized(classes) -> bool:
+    """Whether, for each source, all coordinate classes have the same size."""
+    return all(len({len(c) for c in per_source}) == 1 for per_source in classes)
+
+
+def part_tuples(part: SourcePartition, label) -> list[tuple[int, ...]]:
+    """The source tuples of one part, in dense index order, in plain ints."""
+    return [oracle_digits(t, part.source_sizes) for t in part.members(label).tolist()]
 
 
 def oracle_coordinate_classes(w) -> list[list[list[int]]]:

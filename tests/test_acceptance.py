@@ -18,7 +18,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    classes_equal_sized,
+    coordinate_classes,
     marginals_sum_to_log,
+    part_tuples,
     random_balanced_map,
     random_code,
     random_coordinate_characterization,
@@ -36,8 +39,6 @@ from edgedrop.cwl import (
     characterize_witness,
     check_cwl,
     check_piecewise,
-    classes_equal_sized,
-    coordinate_classes,
     cwl_remove,
     derive_edge_group,
     piecewise_remove,
@@ -471,8 +472,8 @@ def test_criterion_10_product_entropy_cross_oracle(announce):
     for count, (_, _, _, part, _, _) in enumerate(_shared_samples(), start=1):
         claimed = fibers_are_products(part)
         additive = True
-        for label in part.sorted_labels():
-            tuples = part.part_tuples(label)
+        for label in part.keys:
+            tuples = part_tuples(part, label)
             marginals = [Counter(column).values() for column in zip(*tuples)]
             if not marginals_sum_to_log(len(tuples), marginals):
                 additive = False

@@ -335,7 +335,7 @@ def test_large_label_files_go_through_the_reader(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("per-entry table check")
 
-    monkeypatch.setattr("edgedrop.cli._json_table", refuse)
+    monkeypatch.setattr(network, "_int_entries", refuse)
     assert main(argv + [str(labels)]) == 0
     assert _stdout_report(capsys)["result"]["found"] is True
 

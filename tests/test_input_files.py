@@ -1,9 +1,10 @@
 """Malformed input files: every one is a usage error (exit 2) whose message
 names the path or the field, never a Python exception's repr.
 
-The cases edit copies of the files under ``tests/golden/inputs``; the fuzz
-at the end mutates the side files (group, pieces, label and
-characterization files) of the golden commands at random.
+The cases edit copies of the files under ``tests/golden/inputs``; the two
+fuzzes at the end mutate, at random, the side files (group, pieces, label
+and characterization files) of the golden commands, and the instance and
+code files of every command that reads a code.
 """
 
 import contextlib
@@ -148,6 +149,53 @@ def test_codes_missing_an_alphabet_exit_2(tmp_path, command, options, edit, mess
     assert _run(argv) == (2, f"error: {message}")
 
 
+# Every command that reads a code, on a golden instance and code pair.
+CODE_COMMANDS = {
+    "verify": ("butterfly", ["--rates", "1,1"]),
+    "remove-edge-cwl": ("butterfly", ["--edge", "bottleneck", "--partition", "builtin:cwl"]),
+    "remove-edge-value": (
+        "butterfly", ["--edge", "bottleneck", "--partition", "builtin:edge-value"]
+    ),
+    "remove-edge-labels": (
+        "sum44", ["--edge", "e", "--partition", str(GOLDEN / "sum44.parity.json")]
+    ),
+    "cwl-check": ("butterfly", ["--edge", "bottleneck"]),
+    "cwl-search": ("butterfly", ["--edge", "bottleneck"]),
+    "pwl-remove": ("shift44", ["--edge", "e", "--pieces", str(GOLDEN / "shift44.pieces.json")]),
+}
+
+
+def _code_command(command: str, instance: str, code: str) -> list[str]:
+    """The argv of a ``CODE_COMMANDS`` entry on the given files."""
+    name = "remove-edge" if command.startswith("remove-edge") else command
+    return [name, instance, code] + CODE_COMMANDS[command][1]
+
+
+@pytest.mark.parametrize("command", CODE_COMMANDS)
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["nodes"].remove("s2"), "source node 's2' is not a node"),
+        (
+            lambda doc: doc.update(demands=doc["demands"][:1]),
+            "demand matrix must have one row per source",
+        ),
+        (_set(("edges", 0, "tail"), "nowhere"), "tail 'nowhere' is not a node"),
+    ],
+    ids=["no-s2-node", "one-demand-row", "tail-nowhere"],
+)
+def test_invalid_instances_exit_2_before_the_code_is_checked(tmp_path, command, edit, message):
+    """The code checks assume a valid instance, so the instance's own
+    problems are reported alone."""
+    pair = CODE_COMMANDS[command][0]
+    doc = _golden(f"{pair}.instance.json")
+    edit(doc)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    status, err = _run(_code_command(command, str(path), str(GOLDEN / f"{pair}.code.json")))
+    assert status == 2 and err.startswith("error: ") and message in err, err
+
+
 @pytest.mark.parametrize("name", [KLEIN, INSTANCE, CODE])
 def test_files_that_are_not_objects_name_the_path(tmp_path, name):
     path = tmp_path / name
@@ -217,5 +265,28 @@ def test_mutated_side_files_exit_0_1_or_2_with_a_plain_message(tmp_path_factory,
     path = tmp_path_factory.mktemp("fuzz") / name
     path.write_text(text)
     status, err = _run(COMMANDS[name](str(path)))
+    assert status in (0, 1, 2), err
+    assert not EXCEPTION_REPR.search(err), err
+
+
+@st.composite
+def mutated_pair(draw):
+    """A code-reading command with its instance or its code file mutated."""
+    command = draw(st.sampled_from(list(CODE_COMMANDS)))
+    kind = draw(st.sampled_from(["instance", "code"]))
+    return command, kind, draw(mutated(f"{CODE_COMMANDS[command][0]}.{kind}.json"))[1]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(mutated_pair())
+def test_mutated_instance_and_code_files_exit_0_1_or_2_with_a_plain_message(
+    tmp_path_factory, case
+):
+    command, kind, text = case
+    pair = CODE_COMMANDS[command][0]
+    files = {k: str(GOLDEN / f"{pair}.{k}.json") for k in ("instance", "code")}
+    files[kind] = str(tmp_path_factory.mktemp("fuzz") / f"{kind}.json")
+    Path(files[kind]).write_text(text)
+    status, err = _run(_code_command(command, files["instance"], files["code"]))
     assert status in (0, 1, 2), err
     assert not EXCEPTION_REPR.search(err), err

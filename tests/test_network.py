@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import as_lists
 from edgedrop import network
+from edgedrop.codes import NetworkCode, relay_instance
+from edgedrop.cwl import CwlWitness, check_cwl
 from edgedrop.errors import DomainError, PreconditionError
+from edgedrop.groups import CyclicGroup, TableGroup, generated_subgroup, is_homomorphism, subgroup
 from edgedrop.library import butterfly
 from edgedrop.network import (
     Edge,
@@ -25,6 +28,7 @@ from edgedrop.network import (
     topological_order,
     validate_instance,
 )
+from edgedrop.removal import SourcePartition
 
 
 def _line_instance():
@@ -333,3 +337,102 @@ def test_indented_json_converts_or_rejects_like_json_dumps(obj):
             return str(exc)
 
     assert outcome(indented_json) == outcome(_oracle_json)
+
+
+# Library entry points that take an integer table, each with the caller's
+# table in the one slot it fills: flat over four tuples or elements, or the
+# rows of a 2-D table.
+def _entry_points():
+    z4 = CyclicGroup(4)
+    flat = {
+        "NetworkCode-encoder": lambda t: NetworkCode(1, (4,), {"e": 4}, {"e": t}, {}),
+        "relay_instance": lambda t: relay_instance([4], 4, t),
+        "check_cwl": lambda t: check_cwl(t, [z4], z4, (0, 1, 2, 3)),
+        "CwlWitness-hom": lambda t: CwlWitness((z4,), z4, (0, 1, 2, 3), t),
+        "CwlWitness-support": lambda t: CwlWitness((z4,), z4, t, np.arange(4)),
+        "subgroup": lambda t: subgroup(z4, t),
+        "generated_subgroup": lambda t: generated_subgroup(z4, t),
+        "SourcePartition": lambda t: SourcePartition([4], t),
+        "is_homomorphism": lambda t: is_homomorphism(t, z4, z4),
+    }
+    rows = {
+        "NetworkCode-decoder": lambda t: NetworkCode(1, (2,), {}, {}, {"t": t}),
+        "TableGroup": TableGroup,
+    }
+    return flat, rows
+
+
+BAD_FLAT = {
+    "bools": [True, False, True, False],
+    "bool-array": np.array([True, False, False, False]),
+    "floats": [0.0, 2.9, 0.0, 2.0],
+    "float-array": np.array([0.0, 1.0, 2.0, 3.0]),
+    "strings": ["0", "1", "2", "3"],
+    "string": "0123",
+    "none": None,
+    "none-entry": [0, None, 0, 0],
+    "mapping": {0: 0, 1: 1, 2: 2, 3: 3},
+    "beyond-int64": [0, 1, 2, 2**64],
+    "uint64-beyond-int64": np.array([2**63, 0, 0, 0], dtype=np.uint64),
+    "numpy-uint64-beyond-int64": [np.uint64(2**63), 0, 0, 0],
+    "nested": [[0], [1], [2], [3]],
+    "2-d-array": np.zeros((4, 1), dtype=np.int64),
+}
+BAD_ROWS = {
+    "bools": [[True, False], [False, True]],
+    "floats": [[0.7, 1.2], [1.0, 0.0]],
+    "float-array": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "strings": [["0", "1"], ["1", "0"]],
+    "string": "0110",
+    "none": None,
+    "mapping": {0: [0, 1], 1: [1, 0]},
+    "ragged": [[0, 1], [1]],
+    "flat": [0, 1, 1, 0],
+    "flat-array": np.arange(4),
+    "rows-of-2-d-arrays": [np.zeros((2, 1), dtype=np.int64)] * 2,
+    "beyond-int64": [[0, 1], [1, 2**64]],
+    "uint64-beyond-int64": np.array([[0, 2**63], [2**63, 0]], dtype=np.uint64),
+}
+# Inputs that an entry point takes by design: a boolean mask of members,
+# and string labels.
+ALLOWED = {("subgroup", "bool-array"), ("SourcePartition", "strings")}
+
+
+def _gate_cases():
+    flat, rows = _entry_points()
+    for points, bad in ((flat, BAD_FLAT), (rows, BAD_ROWS)):
+        for entry, call in points.items():
+            for name, value in bad.items():
+                if (entry, name) not in ALLOWED:
+                    yield pytest.param(call, value, id=f"{entry}-{name}")
+
+
+@pytest.mark.parametrize("call, value", _gate_cases())
+def test_library_entry_points_refuse_what_input_files_may_not_hold(call, value):
+    """Every table a caller hands in passes ``int_table``: refused, never
+    coerced, as the same value in an input file is."""
+    with pytest.raises(DomainError):
+        call(value)
+
+
+def test_int_table_shares_read_only_int64_and_copies_the_rest():
+    frozen = np.arange(4)
+    frozen.flags.writeable = False
+    assert network.int_table(frozen, 1, "t") is frozen
+    writable = np.arange(4)
+    got = network.int_table(writable, 1, "t")
+    assert not np.shares_memory(got, writable) and not got.flags.writeable
+    assert writable.flags.writeable
+    writable[0] = 7
+    assert got.tolist() == [0, 1, 2, 3]
+    narrow = network.int_table(np.array([[1, 2]], dtype=np.uint8), 2, "t")
+    assert narrow.dtype == np.int64 and narrow.tolist() == [[1, 2]]
+    rows = network.int_table([np.arange(2), (np.int32(1), np.uint64(2**63 - 1))], 2, "t")
+    assert rows.dtype == np.int64 and rows.tolist() == [[0, 1], [1, 2**63 - 1]]
+    assert network.int_table([], 2, "t").shape == (0, 0)
+
+
+def test_code_tables_share_read_only_arrays():
+    table = np.arange(4)
+    table.flags.writeable = False
+    assert NetworkCode(1, (4,), {"e": 4}, {"e": table}, {}).encoders["e"] is table

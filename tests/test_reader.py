@@ -1,5 +1,5 @@
 """The byte-level table reader against the stock oracle, ``json.loads``
-followed by ``codes._json_table``: it must give the same arrays or hand the
+followed by ``network.int_table``: it must give the same arrays or hand the
 text back to ``json``."""
 
 import json
@@ -86,7 +86,7 @@ def _agrees_with_json(text: str) -> bool:
     got = _read(text)
     if got is None:
         return False
-    expected = codes._json_table(json.loads(text), got.ndim, "table")
+    expected = network.int_table(json.loads(text), got.ndim, "table")
     assert got.dtype == np.int64 and not got.flags.writeable
     assert got.shape == expected.shape and np.array_equal(got, expected), text
     return True
@@ -200,8 +200,9 @@ def test_tables_elsewhere_come_back_as_lists():
 
 @pytest.mark.parametrize("layout", ["compact", "indent=2"])
 def test_large_codes_load_without_the_per_entry_check(tmp_path, monkeypatch, layout):
-    """Guard: a 2^16-tuple relay loads with ``_json_table`` unusable, in the
-    layout the benchmark writes and in the one ``save_code`` writes."""
+    """Guard: a 2^16-tuple relay loads with ``int_table``'s per-entry check,
+    ``_int_entries``, unusable, in the layout the benchmark writes and in the
+    one ``save_code`` writes."""
     sizes = [256, 256]
     _, code = relay_instance(sizes, 2, tabulate(sizes, lambda a, b: (a + b) % 2))
     data = as_lists(code_to_dict(code))
@@ -214,7 +215,7 @@ def test_large_codes_load_without_the_per_entry_check(tmp_path, monkeypatch, lay
     def refuse(*args):
         raise AssertionError("per-entry table check")
 
-    monkeypatch.setattr(codes, "_json_table", refuse)
+    monkeypatch.setattr(network, "_int_entries", refuse)
     assert load_code(str(path)) == expected
 
 

@@ -13,6 +13,7 @@ from conftest import (
     decode_outputs,
     evaluate_global,
     oracle_digits,
+    part_tuples,
     random_code,
     random_instance,
     random_partition,
@@ -60,7 +61,7 @@ def _corrupted_copy_relay():
 def test_partition_constructors():
     part = SourcePartition.from_source_classes((4, 3), [[0, 1, 0, 1], [0, 0, 0]])
     assert sorted(part.keys) == [(0, 0), (1, 0)]
-    assert part.part_tuples((0, 0)) == [(0, 0), (0, 1), (0, 2), (2, 0), (2, 1), (2, 2)]
+    assert part_tuples(part, (0, 0)) == [(0, 0), (0, 1), (0, 2), (2, 0), (2, 1), (2, 2)]
     assert part.projections((0, 0)) == [(0, 2), (0, 1, 2)]
     assert part.members((1, 0)).tolist() == [3, 4, 5, 9, 10, 11]
     with pytest.raises(DomainError, match=r"unknown partition label \(0, 1\)"):
