@@ -55,7 +55,6 @@ from .groupcodes import abelian_removal_plan, load_characterization, zero_error_
 from .groups import CyclicGroup, group_from_description
 from .library import (
     butterfly,
-    butterfly4,
     dougherty_identity_check,
     n2_code_check,
     n3_injectivity,
@@ -442,7 +441,7 @@ def _cmd_case_study(args) -> tuple[int, dict]:
     if args.name == "butterfly":
         runs = [
             _butterfly_run("binary", *butterfly(), args.emit, args.enum_cap),
-            _butterfly_run("wide", *butterfly4(), args.emit, args.enum_cap),
+            _butterfly_run("wide", *butterfly(4, 2), args.emit, args.enum_cap),
         ]
         ok = all(
             r["feasibility"]["verdict"]

@@ -5,7 +5,7 @@ held as read-only integer arrays.  The global table enumerates every source
 tuple, records all edge messages and classifies each tuple as good (decoded
 correctly by all terminals) or bad; it is built column by column, one
 vectorized gather per edge and per decoder.  Error fractions are exact
-rationals; floats appear only in entropy reports.
+rationals.
 
 Every table is indexed by dense tuple index: mixed radix over the input
 alphabets, the last input varying fastest.  ``pack`` and ``index_digits``
@@ -76,13 +76,13 @@ def product_indices(subsets: Sequence[Sequence[int]], sizes: Sequence[int]) -> n
 def checked_subsets(
     subsets: Sequence[Sequence[int]], sizes: Sequence[int]
 ) -> tuple[tuple[int, ...], ...]:
-    """One non-empty symbol subset per source, each sorted and deduplicated
-    and inside its source alphabet."""
+    """One non-empty symbol subset per source, each taken by ``int_table``,
+    sorted and deduplicated and inside its source alphabet."""
     if len(subsets) != len(sizes):
         raise DomainError("one subset per source is required")
     out = []
     for size, sub in zip(sizes, subsets):
-        ss = tuple(sorted(set(sub)))
+        ss = tuple(np.unique(int_table(sub, 1, "subset")).tolist())
         if not ss:
             raise DomainError("subsets must be non-empty")
         if any(not 0 <= v < size for v in ss):
@@ -513,30 +513,6 @@ def joint_counts(columns: Sequence[np.ndarray], n: int) -> np.ndarray:
         bound *= len(symbols)
     _, first, counts = np.unique(key, return_index=True, return_counts=True)
     return counts[np.argsort(first)]
-
-
-def joint_entropy(
-    table: GlobalCodeTable,
-    sources: Sequence[int] = (),
-    edges: Sequence[str] = (),
-) -> float:
-    """Entropy in bits of selected source and edge variables, as a float.
-
-    The distribution is induced by a uniform source tuple.  No verdict in
-    the package reads this float; entropy verdicts are decided on the
-    integer counts of ``joint_counts``.
-    """
-    for i in sources:
-        if not 0 <= i < len(table.source_sizes):
-            raise DomainError(f"unknown source index {i}")
-    missing = [e for e in edges if e not in table._edge_pos]
-    if missing:
-        raise DomainError(f"unknown edge ids {missing}")
-    n = table.num_tuples
-    digits = index_digits(np.arange(n), table.source_sizes)
-    columns = [digits[i] for i in sources] + [table.edge_values(e) for e in edges]
-    # Summed in order of first occurrence, as a running tally would see them.
-    return sum(c / n * math.log2(n / c) for c in joint_counts(columns, n).tolist())
 
 
 def code_to_dict(code: NetworkCode) -> dict:

@@ -42,8 +42,8 @@ from .groups import (
     TABLE_VERIFY_BOUND,
     CyclicGroup,
     FiniteGroup,
+    ProductGroup,
     TableGroup,
-    direct_product,
     is_homomorphism,
     respects_generators,
     subgroup,
@@ -53,7 +53,7 @@ from .removal import (
     RemovalResult,
     SourcePartition,
     _restrict_to_part,
-    _witness_ok,
+    _witness_holds,
     fiber_edge_values,
 )
 
@@ -143,7 +143,7 @@ def check_cwl(
         return None
     # Sorted position k of a symbol is its position order[k] in the support.
     phi_k = np.argsort(np.asarray(support), kind="stable")[f.ids]
-    if not is_homomorphism(phi_k, direct_product(source_groups), edge_group):
+    if not is_homomorphism(phi_k, ProductGroup(source_groups), edge_group):
         return None
     return CwlWitness(
         source_groups=tuple(source_groups),
@@ -171,7 +171,7 @@ def derive_edge_group(
     fails.  Images above ``TABLE_VERIFY_BOUND`` symbols raise DomainError
     before any table is allocated.
     """
-    product = direct_product(source_groups)
+    product = ProductGroup(source_groups)
     f = EdgeFunction.of(phi, [g.order for g in source_groups])
     if len(f.support) > TABLE_VERIFY_BOUND:
         raise DomainError(
@@ -272,14 +272,15 @@ def cwl_remove(
     if good * error.denominator < (error.denominator - error.numerator) * part_size:
         raise InternalCheckError("best part misses the averaging guarantee")
     support_size = len(w.edge_support)
-    for proj, size in zip(part.projections(best), table.source_sizes):
-        if len(proj) * support_size < size:
-            raise InternalCheckError("kept symbols fall below the support bound")
+    keep = part.projections(best)
+    kept_sizes = [len(ks) for ks in keep]
+    if any(k * support_size < size for k, size in zip(kept_sizes, table.source_sizes)):
+        raise InternalCheckError("kept symbols fall below the support bound")
     edge_size = inst.edge(edge_id).alphabet_size
-    members = part.members(best)
-    if not _witness_ok(table, members, edge_size, eps):
+    bad = part_size - good
+    if not _witness_holds(kept_sizes, table.source_sizes, bad, part_size, edge_size, eps):
         return None
-    return _restrict_to_part(inst, code, table, edge_id, members, edge_size, best, eps)
+    return _restrict_to_part(inst, code, table, edge_id, keep, edge_size, best, eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,9 +414,7 @@ def piecewise_remove(
     if len(np.unique(column[indices])) != 1:
         raise InternalCheckError("edge message is not constant on the kept product")
     label = (best_piece,) + tuple(int(m[0]) for m in kept)
-    return _restrict_to_part(
-        inst, code, table, edge_id, indices, divisor, label, Fraction(0),
-    )
+    return _restrict_to_part(inst, code, table, edge_id, kept, divisor, label, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -495,7 +494,7 @@ def characterize_witness(w: CwlWitness) -> GroupCharacterization:
     each on exactly ``|intersection|`` tuples.  That is the entropy
     ``log2(|G| / |intersection|)``, decided on integer counts.
     """
-    product = direct_product(w.source_groups)
+    product = ProductGroup(w.source_groups)
     sizes = w.source_sizes
     total = product.order
     digits = index_digits(np.arange(total), sizes)
@@ -592,7 +591,7 @@ def abelian_structures(n: int) -> list[FiniteGroup]:
         if len(factors) == 1:
             out.append(CyclicGroup(factors[0]))
         else:
-            out.append(direct_product([CyclicGroup(f) for f in factors]))
+            out.append(ProductGroup([CyclicGroup(f) for f in factors]))
     return out
 
 

@@ -86,14 +86,6 @@ class GroupCharacterization:
         return self.group.order // self.handle(key).order
 
 
-def induced_entropy(gc: GroupCharacterization, keys: Sequence[str]) -> float:
-    """Joint entropy in bits of the variables named by keys, as a float;
-    verdicts use the integer ``meet_order`` instead."""
-    if not keys:
-        return 0.0
-    return math.log2(gc.group.order / gc.meet_order(keys))
-
-
 def normalized_sources(gc: GroupCharacterization, source_keys: Sequence[str]) -> bool:
     """Whether the source subgroups intersect in the identity alone."""
     return gc.meet_order(source_keys) == 1
@@ -270,17 +262,6 @@ class TerminalDecision:
             "q": self.q,
             "min_error": str(self.min_error) if self.min_error is not None else None,
         }
-
-
-def best_decoder_error(
-    gc: GroupCharacterization, in_key: str, source_key: str
-) -> Fraction:
-    """Error of the best decoder from the incoming coset to the demanded one.
-
-    The best decoder picks, per incoming coset, the demanded coset with the
-    largest overlap.
-    """
-    return _best_error(*_coset_overlap(gc, in_key, source_key))
 
 
 def _coset_overlap(

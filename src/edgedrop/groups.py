@@ -235,16 +235,6 @@ class TableGroup(FiniteGroup):
         }
 
 
-def make_cyclic(n: int) -> CyclicGroup:
-    """Cyclic group of order n."""
-    return CyclicGroup(n)
-
-
-def direct_product(factors: Sequence[FiniteGroup]) -> ProductGroup:
-    """Direct product of the given factor groups."""
-    return ProductGroup(factors)
-
-
 def group_from_description(desc: Mapping) -> FiniteGroup:
     """Rebuild a group from the dict format produced by ``describe``.
 
@@ -258,14 +248,14 @@ def group_from_description(desc: Mapping) -> FiniteGroup:
         kind = field(require(desc, dict, "group description"), "kind", str, "group")
         where = f"{kind} group"
         if kind == "cyclic":
-            return make_cyclic(field(desc, "order", int, where))
+            return CyclicGroup(field(desc, "order", int, where))
         if kind == "product":
             if depth == MAX_GROUP_NESTING:
                 raise DomainError(
                     f"group description nests products more than {MAX_GROUP_NESTING} deep"
                 )
             factors = field(desc, "factors", list, where)
-            return direct_product([build(d, depth + 1) for d in factors])
+            return ProductGroup([build(d, depth + 1) for d in factors])
         if kind == "table":
             g = TableGroup(field(desc, "table", list, where))
             if "order" in desc and field(desc, "order", int, where) != g.order:

@@ -1,6 +1,6 @@
 """Bundled instances, permutation code families, and identity verifiers.
 
-The butterfly pair exercises edge removal end to end on a linear bottleneck.
+The butterfly family exercises edge removal end to end on a linear bottleneck.
 The permutation families machine-check the decoding identities of two known
 relay schemes over Z_{mw} and Z_{m^(alpha+1)}, including the reassignment
 that turns selected relay functions linear, and the Dougherty identity set
@@ -25,115 +25,67 @@ from .network import Edge, NetworkInstance, Source
 T_SEARCH_CAP = 1 << 20
 
 
-def butterfly() -> tuple[NetworkInstance, NetworkCode]:
-    """The nine-edge butterfly with binary alphabets and an XOR bottleneck.
+def butterfly(n: int = 2, q: int = 2) -> tuple[NetworkInstance, NetworkCode]:
+    """The butterfly with size-n sources and a sum-mod-q bottleneck.
 
-    Both terminals demand both sources; the code is zero-error and every
-    edge carries one bit.
+    Edge ``bi`` carries ``xi mod q`` and the bottleneck their sum mod q;
+    when q < n, cross edges ``hi`` carry ``xi div q`` to the far terminal,
+    so both terminals decode both sources with zero error.  ``butterfly()``
+    is the binary butterfly with an XOR bottleneck, ``butterfly(4, 2)`` the
+    wide one with a one-bit bottleneck.
     """
-    edges = (
-        Edge("a1", "s1", "u1", 2),
-        Edge("a2", "s2", "u2", 2),
-        Edge("b1", "u1", "m", 2),
-        Edge("b2", "u2", "m", 2),
-        Edge("bottleneck", "m", "r", 2),
-        Edge("c1", "r", "t1", 2),
-        Edge("c2", "r", "t2", 2),
-        Edge("d1", "u1", "t1", 2),
-        Edge("d2", "u2", "t2", 2),
-    )
+    if q < 2 or n % q:
+        raise DomainError(f"bottleneck alphabet {q} must be at least 2 and divide {n}")
+    edges = [
+        Edge("a1", "s1", "u1", n),
+        Edge("a2", "s2", "u2", n),
+        Edge("b1", "u1", "m", q),
+        Edge("b2", "u2", "m", q),
+        Edge("bottleneck", "m", "r", q),
+        Edge("c1", "r", "t1", q),
+        Edge("c2", "r", "t2", q),
+        Edge("d1", "u1", "t1", n),
+        Edge("d2", "u2", "t2", n),
+    ]
+    identity, low = tuple(range(n)), tabulate([n], lambda x: x % q)
+    encoders = {
+        "a1": identity,
+        "a2": identity,
+        "b1": low,
+        "b2": low,
+        "bottleneck": tabulate([q, q], lambda x, y: (x + y) % q),
+        "c1": tuple(range(q)),
+        "c2": tuple(range(q)),
+        "d1": identity,
+        "d2": identity,
+    }
+    high = []
+    if q < n:
+        high = [n // q]
+        edges += [Edge("h1", "u1", "t2", n // q), Edge("h2", "u2", "t1", n // q)]
+        encoders["h1"] = encoders["h2"] = tabulate([n], lambda x: x // q)
+
+    def far(c, d, h=0):
+        # The far source: its high part from the cross edge, its low part
+        # the bottleneck sum less the near source's low part.
+        return q * h + (c - d) % q
+
     inst = NetworkInstance(
         nodes=("s1", "s2", "u1", "u2", "m", "r", "t1", "t2"),
-        edges=edges,
-        sources=(Source("s1", 2), Source("s2", 2)),
+        edges=tuple(edges),
+        sources=(Source("s1", n), Source("s2", n)),
         terminals=("t1", "t2"),
         demands=((1, 1), (1, 1)),
     )
-    identity2 = (0, 1)
     code = NetworkCode(
         blocklength=1,
-        source_alphabets=(2, 2),
+        source_alphabets=(n, n),
         edge_alphabets={e.id: e.alphabet_size for e in edges},
-        encoders={
-            "a1": identity2,
-            "a2": identity2,
-            "b1": identity2,
-            "b2": identity2,
-            "bottleneck": tabulate([2, 2], lambda x, y: x ^ y),
-            "c1": identity2,
-            "c2": identity2,
-            "d1": identity2,
-            "d2": identity2,
-        },
+        encoders=encoders,
+        # Inputs sort as (c, d, h) at either terminal.
         decoders={
-            # Inputs sort as (c1, d1); x2 is recovered from the ring sum.
-            "t1": tuple(
-                (d, c ^ d) for c, d in itertools.product(range(2), range(2))
-            ),
-            "t2": tuple(
-                (c ^ d, d) for c, d in itertools.product(range(2), range(2))
-            ),
-        },
-    )
-    return inst, code
-
-
-def butterfly4() -> tuple[NetworkInstance, NetworkCode]:
-    """Butterfly variant with size-4 sources and a one-bit bottleneck.
-
-    The bottleneck carries the parity of the source sum; each terminal
-    additionally receives the other source's high bit over a cross edge, so
-    the code stays zero-error at two bits per source.
-    """
-    edges = (
-        Edge("a1", "s1", "u1", 4),
-        Edge("a2", "s2", "u2", 4),
-        Edge("b1", "u1", "m", 2),
-        Edge("b2", "u2", "m", 2),
-        Edge("bottleneck", "m", "r", 2),
-        Edge("c1", "r", "t1", 2),
-        Edge("c2", "r", "t2", 2),
-        Edge("d1", "u1", "t1", 4),
-        Edge("d2", "u2", "t2", 4),
-        Edge("h1", "u1", "t2", 2),
-        Edge("h2", "u2", "t1", 2),
-    )
-    inst = NetworkInstance(
-        nodes=("s1", "s2", "u1", "u2", "m", "r", "t1", "t2"),
-        edges=edges,
-        sources=(Source("s1", 4), Source("s2", 4)),
-        terminals=("t1", "t2"),
-        demands=((1, 1), (1, 1)),
-    )
-    identity4 = (0, 1, 2, 3)
-    code = NetworkCode(
-        blocklength=1,
-        source_alphabets=(4, 4),
-        edge_alphabets={e.id: e.alphabet_size for e in edges},
-        encoders={
-            "a1": identity4,
-            "a2": identity4,
-            "b1": tabulate([4], lambda x: x % 2),
-            "b2": tabulate([4], lambda x: x % 2),
-            "bottleneck": tabulate([2, 2], lambda x, y: x ^ y),
-            "c1": (0, 1),
-            "c2": (0, 1),
-            "d1": identity4,
-            "d2": identity4,
-            "h1": tabulate([4], lambda x: x // 2),
-            "h2": tabulate([4], lambda x: x // 2),
-        },
-        decoders={
-            # Inputs sort as (c1, d1, h2); the missing low bit is the
-            # bottleneck parity corrected by the known source's low bit.
-            "t1": tuple(
-                (d, 2 * h + (c ^ (d % 2)))
-                for c, d, h in itertools.product(range(2), range(4), range(2))
-            ),
-            "t2": tuple(
-                (2 * h + (c ^ (d % 2)), d)
-                for c, d, h in itertools.product(range(2), range(4), range(2))
-            ),
+            "t1": tabulate([q, n, *high], lambda c, d, *h: (d, far(c, d, *h))),
+            "t2": tabulate([q, n, *high], lambda c, d, *h: (far(c, d, *h), d)),
         },
     )
     return inst, code

@@ -340,13 +340,6 @@ def json_bytes(obj, end: bytes = b"") -> bytes:
     return b"".join(out)
 
 
-def indented_json(obj) -> str:
-    """``json_bytes(obj)`` as text: exactly ``json.dumps(obj, indent=2,
-    sort_keys=True)``, with numpy arrays written as their ``tolist()``; the
-    skeleton with the array bytes spliced in, decoded once."""
-    return json_bytes(obj).decode("ascii")
-
-
 def _json_text(obj, newline: str, tables: list) -> str:
     """The skeleton text of ``obj`` for ``json_bytes``, without the
     pure-Python encoder that ``json`` falls back to when it indents.

@@ -98,10 +98,10 @@ class SourcePartition:
         """
         if len(classes) != len(source_sizes):
             raise DomainError("one class assignment per source is required")
-        for size, cls_map in zip(source_sizes, classes):
-            if len(cls_map) != size:
-                raise DomainError("class assignment does not cover a source alphabet")
         dense = [_dense(cls_map) for cls_map in classes]
+        for size, (_, rank) in zip(source_sizes, dense):
+            if len(rank) != size:
+                raise DomainError("class assignment does not cover a source alphabet")
         radices = [len(keys) for keys, _ in dense]
         total = math.prod(source_sizes)
         # Tuples of class ids sort like their packed ranks, so partitioning by
@@ -134,29 +134,18 @@ class SourcePartition:
     @cached_property
     def projection_sizes(self) -> np.ndarray:
         """Parts x sources matrix of per-source projection cardinalities."""
-        return _projection_sizes(self.ids, len(self.keys), None, self.source_sizes)
+        n_parts = len(self.keys)
+        out = np.zeros((n_parts, len(self.source_sizes)), dtype=np.int64)
+        digits = index_digits(np.arange(len(self.ids)), self.source_sizes)
+        for i, (d, s) in enumerate(zip(digits, self.source_sizes)):
+            present = np.unique(self.ids * s + d)
+            out[:, i] = np.bincount(present // s, minlength=n_parts)
+        return out
 
     def projections(self, label: Label) -> list[tuple[int, ...]]:
         """Per-source sorted symbol sets appearing in one part."""
         digits = index_digits(self.members(label), self.source_sizes)
         return [tuple(np.unique(d).tolist()) for d in digits]
-
-
-def _projection_sizes(
-    ids: np.ndarray, n_parts: int, indices: np.ndarray | None, sizes: Sequence[int]
-) -> np.ndarray:
-    """Per part, the number of distinct symbols of each source.
-
-    ``ids[j]`` is the part of tuple ``indices[j]`` (of tuple j when indices
-    is None).
-    """
-    if indices is None:
-        indices = np.arange(len(ids))
-    out = np.zeros((n_parts, len(sizes)), dtype=np.int64)
-    for i, (d, s) in enumerate(zip(index_digits(indices, sizes), sizes)):
-        present = np.unique(ids * s + d)
-        out[:, i] = np.bincount(present // s, minlength=n_parts)
-    return out
 
 
 def fiber_edge_values(
@@ -209,20 +198,6 @@ def _witness_holds(
     # code must beat the target error, not merely meet it, or the feasibility
     # re-check on the certificate could not confirm it.
     return bad * eps.denominator < eps.numerator * size
-
-
-def _witness_ok(
-    table: GlobalCodeTable, indices: Sequence[int], divisor: int, eps: Fraction
-) -> bool:
-    """The witness condition on one set of tuple indices."""
-    indices = np.asarray(indices, dtype=np.int64)
-    projections = _projection_sizes(
-        np.zeros(len(indices), dtype=np.int64), 1, indices, table.source_sizes
-    )
-    bad = len(indices) - int(np.count_nonzero(table.good[indices]))
-    return _witness_holds(
-        projections[0].tolist(), table.source_sizes, bad, len(indices), divisor, eps
-    )
 
 
 def find_witness(
@@ -300,29 +275,31 @@ def _restrict_to_part(
     code: NetworkCode,
     table: GlobalCodeTable,
     edge_id: str,
-    part_indices: Sequence[int],
+    keep: Sequence[Sequence[int]],
     divisor: int,
     witness_label: Label,
     eps: Fraction,
 ) -> RemovalResult:
     """Shared restriction engine for every removal route.
 
-    The part must be a product set on which the edge message is constant,
-    and it must pass the witness bounds for ``divisor`` and eps; the promise,
-    per source, is a cardinality of ``ceil(|alphabet| / divisor)``.  The
-    restricted code keeps the original alphabets on surviving edges,
-    relabels each source's surviving symbols densely, and hardwires the
-    removed edge's constant into every encoder and decoder that consumed it.
+    The part is the product of ``keep``, one sorted, distinct symbol set per
+    source.  The edge message must be constant on it, and it must pass the
+    witness bounds for ``divisor`` and eps; the promise, per source, is a
+    cardinality of ``ceil(|alphabet| / divisor)``.  The restricted code
+    keeps the original alphabets on surviving edges, relabels each source's
+    surviving symbols densely, and hardwires the removed edge's constant
+    into every encoder and decoder that consumed it.
     """
-    indices = np.asarray(part_indices, dtype=np.int64)
-    keep = [np.unique(d) for d in index_digits(indices, table.source_sizes)]
-    if len(indices) != math.prod(len(k) for k in keep):
-        raise PreconditionError("part is not a product of per-source symbol sets")
+    keep = [np.asarray(ks, dtype=np.int64) for ks in keep]
+    indices = product_indices(keep, table.source_sizes)
     constants = np.unique(table.edge_values(edge_id)[indices])
     if len(constants) != 1:
         raise PreconditionError("edge message is not constant on the part")
     constant = int(constants[0])
-    if not _witness_ok(table, indices, divisor, eps):
+    bad = len(indices) - int(np.count_nonzero(table.good[indices]))
+    if not _witness_holds(
+        [len(ks) for ks in keep], table.source_sizes, bad, len(indices), divisor, eps
+    ):
         raise PreconditionError("part fails the witness bounds")
     promised = tuple(-(-size // divisor) for size in table.source_sizes)
 
@@ -414,33 +391,9 @@ def restrict_code(
     if not fibers_are_products(part):
         raise PreconditionError("partition has a non-product part")
     return _restrict_to_part(
-        inst, code, table, edge_id, part.members(witness_label),
+        inst, code, table, edge_id, part.projections(witness_label),
         inst.edge(edge_id).alphabet_size, witness_label, eps,
     )
-
-
-def _product_indices(
-    table: GlobalCodeTable, subsets: Sequence[Sequence[int]]
-) -> np.ndarray:
-    """Dense indices of the product of per-source symbol subsets."""
-    return product_indices(checked_subsets(subsets, table.source_sizes), table.source_sizes)
-
-
-def product_set_witness(
-    table: GlobalCodeTable,
-    edge_id: str,
-    subsets: Sequence[Sequence[int]],
-    eps: Fraction,
-) -> bool:
-    """Whether a declared product set certifies removal directly.
-
-    Checks that the edge message is constant on the product and that the
-    product passes the witness bounds for eps against the edge alphabet.
-    """
-    indices = _product_indices(table, subsets)
-    if len(np.unique(table.edge_values(edge_id)[indices])) != 1:
-        return False
-    return _witness_ok(table, indices, table.inst.edge(edge_id).alphabet_size, eps)
 
 
 def restrict_to_product(
@@ -453,7 +406,7 @@ def restrict_to_product(
 ) -> RemovalResult:
     """Apply the restriction engine to a declared product-set witness."""
     return _restrict_to_part(
-        inst, code, table, edge_id, _product_indices(table, subsets),
+        inst, code, table, edge_id, checked_subsets(subsets, table.source_sizes),
         inst.edge(edge_id).alphabet_size, "product", eps,
     )
 
@@ -478,13 +431,17 @@ def remove_by_edge_value(
     if not fibers_are_products(part):
         return None
     # Labels are sorted, so the first largest part has the smallest message.
-    best = part.keys[int(np.argmax(part.part_sizes))]
+    best_pos = int(np.argmax(part.part_sizes))
+    best = part.keys[best_pos]
+    size = int(part.part_sizes[best_pos])
     edge_size = inst.edge(edge_id).alphabet_size
-    members = part.members(best)
-    if len(members) * edge_size < table.num_tuples:
+    if size * edge_size < table.num_tuples:
         raise InternalCheckError("largest level set beats averaging; enumeration bug")
-    if not _witness_ok(table, members, edge_size, Fraction(0)):
+    if not _witness_holds(
+        part.projection_sizes[best_pos].tolist(), table.source_sizes, 0, size,
+        edge_size, Fraction(0),
+    ):
         raise InternalCheckError("averaging failed to produce a valid witness part")
     return _restrict_to_part(
-        inst, code, table, edge_id, members, edge_size, best, Fraction(0),
+        inst, code, table, edge_id, part.projections(best), edge_size, best, Fraction(0),
     )

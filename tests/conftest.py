@@ -4,9 +4,8 @@ Instances are small layered acyclic graphs; codes are random tables, usually
 paired with best-effort decoders so that low-error codes occur often enough to
 drive the removal routes.  Everything is seeded explicitly by the caller.
 The oracles evaluate a code one source tuple at a time, through the scalar
-``evaluate_global`` and ``decode_outputs`` defined here, and count joint
-distributions in a Counter; the columnar global table is checked against
-them.  Tuples and dense indices convert through ``oracle_index`` and
+``evaluate_global`` and ``decode_outputs`` defined here; the columnar
+global table is checked against them.  Tuples and dense indices convert through ``oracle_index`` and
 ``oracle_digits``, so no oracle shares the index arithmetic of ``codes``.
 The group oracles compute one product at a time with ``ReferenceGroup``
 and check the group laws over all pairs, quadratically
@@ -32,7 +31,6 @@ from edgedrop.groups import (
     ProductGroup,
     TableGroup,
     generated_subgroup,
-    make_cyclic,
     subgroup,
 )
 from edgedrop.errors import DomainError, MalformedCodeError
@@ -264,17 +262,6 @@ def scalar_table(inst: NetworkInstance, code: NetworkCode):
     return rows, wrong
 
 
-def counter_entropy(inst: NetworkInstance, sizes, rows, sources=(), edges=()) -> float:
-    """Joint entropy in bits of scalar-oracle rows, tallied in a Counter."""
-    positions = [[e.id for e in inst.edges].index(e) for e in edges]
-    counts = Counter()
-    for idx, row in enumerate(rows):
-        x = oracle_digits(idx, sizes)
-        counts[tuple(x[i] for i in sources) + tuple(row[p] for p in positions)] += 1
-    n = len(rows)
-    return sum(c / n * math.log2(n / c) for c in counts.values())
-
-
 def marginals_sum_to_log(n: int, marginal_counts: Sequence[Sequence[int]]) -> bool:
     """Whether the marginal entropies of k variables over n equally likely
     tuples sum to exactly log2 n, decided in integers.
@@ -304,7 +291,7 @@ def random_hom_witness(rng, max_order, size_pool, max_sources, product_cap):
     for idx in range(math.prod(sizes)):
         digits = oracle_digits(idx, sizes)
         table.append(sum(c * d for c, d in zip(coeffs, digits)) % m)
-    groups = [make_cyclic(n) for n in sizes]
+    groups = [CyclicGroup(n) for n in sizes]
     derived = derive_edge_group(tuple(table), groups)
     if derived is None:
         return None

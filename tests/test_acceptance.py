@@ -49,11 +49,10 @@ from edgedrop.groupcodes import GroupCharacterization, zero_error_upgrade
 from edgedrop.groups import (
     CyclicGroup,
     ProductGroup,
-    make_cyclic,
     subgroup,
 )
 from edgedrop.groupcodes import abelian_removal_plan
-from edgedrop.library import butterfly, butterfly4, n2_code_check, n3_injectivity
+from edgedrop.library import butterfly, n2_code_check, n3_injectivity
 from edgedrop.removal import (
     fiber_edge_values,
     fibers_are_products,
@@ -196,7 +195,7 @@ def test_criterion_03_butterfly_end_to_end(announce):
         if not (fresh.verdict and fresh.error == 0):
             failures.append("binary restricted code is not zero-error")
 
-    inst4, code4 = butterfly4()
+    inst4, code4 = butterfly(4, 2)
     base4 = check_feasibility(inst4, code4, Fraction(0), (4, 4))
     if not base4.verdict:
         failures.append("wide butterfly is not zero-error at two bits per source")
@@ -247,7 +246,7 @@ def test_criterion_04_piecewise_size_bounds(announce):
 
     for sizes, phi, support, pieces in examples:
         k_count = len(pieces)
-        groups = [make_cyclic(n) for n in sizes]
+        groups = [CyclicGroup(n) for n in sizes]
         pw = check_piecewise(phi, groups, support, pieces)
         if pw is None:
             failures.append(f"{k_count}-piece structure failed validation")
@@ -438,8 +437,8 @@ def test_criterion_09_entropy_identities(announce):
             witnesses.append(made[2])
     # Pin one maximal case so the size cap is actually exercised.
     full = tabulate([16, 16, 16], lambda a, b, c: (a + b + c) % 16)
-    derived = derive_edge_group(full, [make_cyclic(16)] * 3)
-    witnesses.append(check_cwl(full, [make_cyclic(16)] * 3, *derived))
+    derived = derive_edge_group(full, [CyclicGroup(16)] * 3)
+    witnesses.append(check_cwl(full, [CyclicGroup(16)] * 3, *derived))
 
     for count, witness in enumerate(witnesses, start=1):
         gc = characterize_witness(witness)

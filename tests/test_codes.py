@@ -1,4 +1,4 @@
-"""Code evaluation oracles: hand-traced butterflies, relays and entropies."""
+"""Code evaluation oracles: hand-traced butterflies, relays and joint counts."""
 
 import itertools
 import math
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from conftest import (
     as_lists,
-    counter_entropy,
     decode_outputs,
     evaluate_global,
     oracle_digits,
@@ -29,7 +28,6 @@ from edgedrop.codes import (
     code_to_dict,
     index_digits,
     joint_counts,
-    joint_entropy,
     load_code,
     pack,
     parse_code,
@@ -135,21 +133,6 @@ def test_relay_instance_shape_and_distribution():
     assert table.edge_values("e").tolist() == list(xor)
     with pytest.raises(DomainError):
         relay_instance([2, 2], 2, xor[:-1])
-
-
-def test_joint_entropy_oracles():
-    inst, code = butterfly()
-    table = build_global_table(inst, code)
-    assert joint_entropy(table, sources=(0, 1)) == pytest.approx(2.0, abs=1e-12)
-    assert joint_entropy(table, sources=(0,)) == pytest.approx(1.0, abs=1e-12)
-    # The xor message is independent of either single source.
-    assert joint_entropy(table, sources=(0,), edges=("bottleneck",)) == pytest.approx(
-        2.0, abs=1e-12
-    )
-    assert joint_entropy(table, edges=("bottleneck",)) == pytest.approx(1.0, abs=1e-12)
-    assert joint_entropy(table) == 0.0
-    with pytest.raises(DomainError):
-        joint_entropy(table, edges=("missing",))
 
 
 def test_feasibility_verdicts():
@@ -263,21 +246,6 @@ def test_random_codes_validate_and_tabulate():
             assert table.edge_values(e.id).tolist() == [r[table._edge_pos[e.id]] for r in rows]
 
 
-def test_joint_entropy_matches_counter_oracle():
-    rng = random.Random(7)
-    for inst, code in _oracle_corpus():
-        table = build_global_table(inst, code)
-        rows, _ = scalar_table(inst, code)
-        k = len(code.source_alphabets)
-        edge_ids = [e.id for e in inst.edges]
-        for _ in range(12):
-            sources = sorted(rng.sample(range(k), rng.randint(0, k)))
-            edges = rng.sample(edge_ids, rng.randint(0, min(4, len(edge_ids))))
-            want = counter_entropy(inst, code.source_alphabets, rows, sources, edges)
-            # Same counts summed in the same order: equal to the last bit.
-            assert joint_entropy(table, sources=sources, edges=edges) == want
-
-
 def test_joint_counts_in_first_occurrence_order():
     a = np.array([5, 5, 7, 5, 7, 9])
     b = np.array([1, 2, 1, 1, 1, 1])
@@ -290,19 +258,6 @@ def test_joint_counts_in_first_occurrence_order():
     wide = [rng.integers(0, 1 << 20, size=4000) for _ in range(6)]
     want = Counter(zip(*(c.tolist() for c in wide)))
     assert joint_counts(wide, 4000).tolist() == list(want.values())
-
-
-def test_entropy_additive_for_independent_sources():
-    rng = random.Random(120)
-    for _ in range(10):
-        inst = random_instance(rng)
-        code = random_code(rng, inst)
-        table = build_global_table(inst, code)
-        k = len(code.source_alphabets)
-        total = joint_entropy(table, sources=range(k))
-        parts = sum(joint_entropy(table, sources=(i,)) for i in range(k))
-        assert total == pytest.approx(parts, abs=1e-9)
-        assert total == pytest.approx(math.log2(table.num_tuples), abs=1e-9)
 
 
 @pytest.mark.parametrize("value", [1.7, True, "1"], ids=["float", "bool", "string"])

@@ -58,7 +58,6 @@ from edgedrop.errors import DomainError, InternalCheckError, PreconditionError
 from edgedrop.groupcodes import (
     abelian_removal_plan,
     independent_sources,
-    induced_entropy,
     normalized_sources,
 )
 from edgedrop.groups import (
@@ -67,22 +66,20 @@ from edgedrop.groups import (
     TableGroup,
     coset_labels,
     cosets,
-    direct_product,
     generated_subgroup,
     is_homomorphism,
     is_subgroup,
     kernel,
-    make_cyclic,
 )
-from edgedrop.library import butterfly, butterfly4
-from edgedrop.network import indented_json
+from edgedrop.library import butterfly
+from edgedrop.network import json_bytes
 from edgedrop.removal import SourcePartition, fiber_edge_values, fibers_are_products
 
 
 def _xor_witness():
     phi = tabulate([2, 2], lambda a, b: a ^ b)
-    groups = [make_cyclic(2), make_cyclic(2)]
-    return check_cwl(phi, groups, make_cyclic(2), (0, 1))
+    groups = [CyclicGroup(2), CyclicGroup(2)]
+    return check_cwl(phi, groups, CyclicGroup(2), (0, 1))
 
 
 def test_check_cwl_accepts_xor():
@@ -95,39 +92,39 @@ def test_check_cwl_accepts_xor():
 
 def test_check_cwl_rejects_and():
     phi = tabulate([2, 2], lambda a, b: a & b)
-    groups = [make_cyclic(2), make_cyclic(2)]
-    assert check_cwl(phi, groups, make_cyclic(2), (0, 1)) is None
+    groups = [CyclicGroup(2), CyclicGroup(2)]
+    assert check_cwl(phi, groups, CyclicGroup(2), (0, 1)) is None
 
 
 def test_check_cwl_mod3_sum():
     phi = tabulate([3, 3], lambda a, b: (a + b) % 3)
-    groups = [make_cyclic(3), make_cyclic(3)]
-    w = check_cwl(phi, groups, make_cyclic(3), (0, 1, 2))
+    groups = [CyclicGroup(3), CyclicGroup(3)]
+    w = check_cwl(phi, groups, CyclicGroup(3), (0, 1, 2))
     assert w is not None
 
 
 def test_check_cwl_argument_errors():
     phi = tabulate([2, 2], lambda a, b: a ^ b)
-    groups = [make_cyclic(2), make_cyclic(2)]
+    groups = [CyclicGroup(2), CyclicGroup(2)]
     with pytest.raises(DomainError):
-        check_cwl(phi, [], make_cyclic(2), (0, 1))
+        check_cwl(phi, [], CyclicGroup(2), (0, 1))
     with pytest.raises(DomainError):
-        check_cwl(phi, groups, make_cyclic(2), (0,))
+        check_cwl(phi, groups, CyclicGroup(2), (0,))
     with pytest.raises(DomainError):
-        check_cwl(phi, groups, make_cyclic(2), (0, 0))
+        check_cwl(phi, groups, CyclicGroup(2), (0, 0))
     # Support symbol 2 never occurs in the image.
-    assert check_cwl(phi, groups, make_cyclic(2), (0, 2)) is None
+    assert check_cwl(phi, groups, CyclicGroup(2), (0, 2)) is None
 
 
 def test_check_cwl_refuses_tuple_keyed_mapping():
     phi = {(a, b): a ^ b for a in range(2) for b in range(2)}
     with pytest.raises(DomainError, match="encoding function"):
-        check_cwl(phi, [make_cyclic(2), make_cyclic(2)], make_cyclic(2), (0, 1))
+        check_cwl(phi, [CyclicGroup(2), CyclicGroup(2)], CyclicGroup(2), (0, 1))
 
 
 def test_derive_edge_group_from_negated_xor():
     phi = (1, 0, 0, 1)
-    groups = [make_cyclic(2), make_cyclic(2)]
+    groups = [CyclicGroup(2), CyclicGroup(2)]
     derived = derive_edge_group(phi, groups)
     assert derived is not None
     g, support = derived
@@ -138,12 +135,12 @@ def test_derive_edge_group_from_negated_xor():
 
 
 def test_derive_edge_group_refuses_and():
-    assert derive_edge_group((0, 0, 0, 1), [make_cyclic(2), make_cyclic(2)]) is None
+    assert derive_edge_group((0, 0, 0, 1), [CyclicGroup(2), CyclicGroup(2)]) is None
 
 
 def test_witness_partition_low_bit_sum():
     phi = tabulate([4, 4], lambda a, b: (a + b) % 2)
-    groups = [make_cyclic(4), make_cyclic(4)]
+    groups = [CyclicGroup(4), CyclicGroup(4)]
     g, support = derive_edge_group(phi, groups)
     w = check_cwl(phi, groups, g, support)
     classes = coordinate_classes(w)
@@ -156,11 +153,11 @@ def test_witness_partition_low_bit_sum():
 
 
 def test_cwl_remove_butterfly_rates():
-    for make, expected in ((butterfly, (1, 1)), (butterfly4, (2, 2))):
-        inst, code = make()
+    for n, expected in ((2, (1, 1)), (4, (2, 2))):
+        inst, code = butterfly(n, 2)
         table = build_global_table(inst, code)
         phi = table.edge_values("bottleneck")
-        groups = [make_cyclic(s) for s in table.source_sizes]
+        groups = [CyclicGroup(s) for s in table.source_sizes]
         g, support = derive_edge_group(phi, groups)
         w = check_cwl(phi, groups, g, support)
         result = cwl_remove(inst, code, table, "bottleneck", w, Fraction(0))
@@ -177,10 +174,10 @@ def test_cwl_remove_rejects_foreign_witness():
     inst, code = butterfly()
     table = build_global_table(inst, code)
     # A witness for the negated function does not match the real column.
-    w = check_cwl((1, 0, 0, 1), [make_cyclic(2), make_cyclic(2)], CyclicGroup(2), (0, 1))
+    w = check_cwl((1, 0, 0, 1), [CyclicGroup(2), CyclicGroup(2)], CyclicGroup(2), (0, 1))
     assert w is None  # negated xor is not a homomorphism onto plain Z_2
-    derived = derive_edge_group((1, 0, 0, 1), [make_cyclic(2), make_cyclic(2)])
-    w = check_cwl((1, 0, 0, 1), [make_cyclic(2), make_cyclic(2)], *derived)
+    derived = derive_edge_group((1, 0, 0, 1), [CyclicGroup(2), CyclicGroup(2)])
+    w = check_cwl((1, 0, 0, 1), [CyclicGroup(2), CyclicGroup(2)], *derived)
     with pytest.raises(PreconditionError):
         cwl_remove(inst, code, table, "bottleneck", w, Fraction(0))
 
@@ -188,7 +185,7 @@ def test_cwl_remove_rejects_foreign_witness():
 def _two_piece_copy():
     """phi copies the second source; xor and xnor each match one half."""
     phi = (0, 1, 0, 1)
-    groups = [make_cyclic(2), make_cyclic(2)]
+    groups = [CyclicGroup(2), CyclicGroup(2)]
     pieces = [
         ([[0], [0, 1]], (0, 1, 1, 0)),
         ([[1], [0, 1]], (1, 0, 0, 1)),
@@ -277,9 +274,9 @@ def test_characterize_witness_rejects_one_tuple_off_the_coset_law():
     only 8.4e-11 bits, inside any 1e-9 float tolerance.  The witness is
     built directly because certifying it would reject it for another reason.
     """
-    source = direct_product([make_cyclic(2)] * 18)
+    source = ProductGroup([CyclicGroup(2)] * 18)
     hom = np.arange(source.order) % 4
-    edge = direct_product([make_cyclic(2)] * 2)
+    edge = ProductGroup([CyclicGroup(2)] * 2)
     good = CwlWitness((source,), edge, (0, 1, 2, 3), tuple(hom.tolist()))
     assert characterize_witness(good).variable_size("e") == 4
     hom[1] = 2
@@ -302,10 +299,9 @@ def test_characterize_witness_of_xor():
     assert gc.group.order == 4
     assert gc.variable_size("s1") == 2
     assert gc.variable_size("e") == 2
-    assert induced_entropy(gc, ["s1"]) == pytest.approx(1.0, abs=1e-9)
-    assert induced_entropy(gc, ["s1", "s2"]) == pytest.approx(2.0, abs=1e-9)
-    assert induced_entropy(gc, ["e"]) == pytest.approx(1.0, abs=1e-9)
-    assert induced_entropy(gc, ["s1", "e"]) == pytest.approx(2.0, abs=1e-9)
+    # Joint entropies in bits are log2 of |G| / |intersection|.
+    keys = (["s1"], ["s1", "s2"], ["e"], ["s1", "e"])
+    assert [gc.group.order // gc.meet_order(k) for k in keys] == [2, 4, 2, 4]
     assert normalized_sources(gc, ["s1", "s2"])
     assert independent_sources(gc, ["s1", "s2"])
 
@@ -407,7 +403,7 @@ def test_random_homomorphisms_have_witnesses():
                 rest //= n
             digits.reverse()
             table.append(sum(c * d for c, d in zip(coeffs, digits)) % m)
-        groups = [make_cyclic(n) for n in sizes]
+        groups = [CyclicGroup(n) for n in sizes]
         derived = derive_edge_group(tuple(table), groups)
         assert derived is not None
         w = check_cwl(tuple(table), groups, *derived)
@@ -420,7 +416,7 @@ def test_random_homomorphisms_have_witnesses():
 def _quotient_oracle(values, groups):
     """The induced table, or None: phi(a * b) must depend on phi(a) and
     phi(b) alone, checked over every pair of tuples."""
-    ref = ReferenceGroup(direct_product(groups))
+    ref = ReferenceGroup(ProductGroup(groups))
     support = sorted(set(values))
     pos = {v: k for k, v in enumerate(support)}
     table = {}
@@ -437,7 +433,7 @@ def _cwl_oracle(values, groups, edge_group, support) -> bool:
     if set(values) != set(support):
         return False
     pos = {v: k for k, v in enumerate(support)}
-    dom = ReferenceGroup(direct_product(groups))
+    dom = ReferenceGroup(ProductGroup(groups))
     return oracle_is_homomorphism(dom, ReferenceGroup(edge_group), [pos[v] for v in values])
 
 
@@ -445,9 +441,9 @@ def _random_phi(rng):
     """Relabeled left-coset maps of a random subgroup, sometimes with one
     entry changed, or a random table; the sources mix cyclic groups, Z2 x Z2
     and S3, so some coset maps are not homomorphisms."""
-    pool = [make_cyclic(2), make_cyclic(3), make_cyclic(4), direct_product([make_cyclic(2)] * 2), s3()]
+    pool = [CyclicGroup(2), CyclicGroup(3), CyclicGroup(4), ProductGroup([CyclicGroup(2)] * 2), s3()]
     groups = [rng.choice(pool) for _ in range(rng.randint(1, 2))]
-    product = direct_product(groups)
+    product = ProductGroup(groups)
     kind = rng.randrange(3)
     if kind == 2:
         return [rng.randrange(1, 4) for _ in product.elements()], groups
@@ -479,7 +475,7 @@ def test_derive_and_check_cwl_match_scalar_oracles():
             assert (g.describe()["table"], support) == expected
             assert check_cwl(values, groups, g, support) is not None
         support = tuple(sorted(set(values)))
-        edge_groups = [make_cyclic(len(support))] + ([s3()] if len(support) == 6 else [])
+        edge_groups = [CyclicGroup(len(support))] + ([s3()] if len(support) == 6 else [])
         for edge_group in edge_groups:
             verdict = check_cwl(values, groups, edge_group, support) is not None
             assert verdict == _cwl_oracle(values, groups, edge_group, support)
@@ -498,7 +494,7 @@ def test_group_checks_match_oracles_on_acceptance_witnesses():
             product_cap=512,
         )
         if math.prod(sizes) <= 64:
-            product = direct_product(w.source_groups)
+            product = ProductGroup(w.source_groups)
             dom, cod = ReferenceGroup(product), ReferenceGroup(w.edge_group)
             assert oracle_is_homomorphism(dom, cod, w.hom)
             ker = kernel(w.hom, product, w.edge_group).members
@@ -507,7 +503,7 @@ def test_group_checks_match_oracles_on_acceptance_witnesses():
     rng = random.Random(4057)
     for _ in range(100):
         w = relabel_balanced(random_balanced_map(rng)).witness
-        dom = ReferenceGroup(direct_product(w.source_groups))
+        dom = ReferenceGroup(ProductGroup(w.source_groups))
         assert oracle_is_homomorphism(dom, ReferenceGroup(w.edge_group), w.hom)
         checked += 1
     rng = random.Random(5151)
@@ -532,7 +528,7 @@ def test_generator_proof_rejects_consistent_representative_rows():
     """(0, 0, 1, 1) on Z4: the rows of representatives 0 and 2 are well
     defined and form Z2, yet phi(1 + 1) = 1 while phi(1) + phi(1) = 0.
     Only the generator law rejects it."""
-    phi, groups = (0, 0, 1, 1), [make_cyclic(4)]
+    phi, groups = (0, 0, 1, 1), [CyclicGroup(4)]
     rows = [[phi[(a + b) % 4] for b in (0, 2)] for a in (0, 2)]
     assert all(phi[(a + b) % 4] == rows[phi[a]][phi[b]] for a in (0, 2) for b in range(4))
     assert TableGroup(rows).order == 2
@@ -547,7 +543,7 @@ def test_row_check_rejects_a_right_coset_map():
     depends on phi(x) and y, so the generator law alone is satisfiable, but
     not on phi(y), so no induced operation exists.  Only the check that each
     representative's row is well defined in the right operand rejects it."""
-    product = direct_product([s3(), make_cyclic(2)])
+    product = ProductGroup([s3(), CyclicGroup(2)])
     ids = np.arange(product.order)
     table = product.op_array(ids[:, None], ids).tolist()
     g = TableGroup(relabel_table(table, [10, 3, 7, 4, 5, 2, 8, 0, 1, 11, 6, 9]))
@@ -570,12 +566,12 @@ def test_row_check_rejects_a_right_coset_map():
 def test_derive_edge_group_refuses_images_above_the_table_bound():
     # An injective map on Z32 x Z32 would need a 1024 x 1024 Cayley table.
     with pytest.raises(DomainError, match="edge images above 512 symbols"):
-        derive_edge_group(list(range(1024)), [make_cyclic(32), make_cyclic(32)])
+        derive_edge_group(list(range(1024)), [CyclicGroup(32), CyclicGroup(32)])
 
 
 def test_certify_cwl_routes():
     phi = tabulate([4, 4], lambda a, b: (a + 3 * b) % 4)
-    groups = [make_cyclic(4), make_cyclic(4)]
+    groups = [CyclicGroup(4), CyclicGroup(4)]
     f = EdgeFunction.of(phi, [4, 4])
     def key(w):
         return w.edge_group.describe(), w.edge_support, w.hom.tolist()
@@ -583,14 +579,14 @@ def test_certify_cwl_routes():
     derived = key(certify_cwl(phi, groups))
     assert derived == key(certify_cwl(f, groups))
     assert derived == key(check_cwl(phi, groups, *derive_edge_group(f, groups)))
-    assert certify_cwl(phi, groups, (make_cyclic(4), (0, 1, 2, 3))).hom.tolist() == list(phi)
+    assert certify_cwl(phi, groups, (CyclicGroup(4), (0, 1, 2, 3))).hom.tolist() == list(phi)
     # The support order fixes the element ids.
-    assert certify_cwl(phi, groups, (make_cyclic(4), (0, 3, 2, 1))).hom.tolist() == [
+    assert certify_cwl(phi, groups, (CyclicGroup(4), (0, 3, 2, 1))).hom.tolist() == [
         (-v) % 4 for v in phi
     ]
-    assert certify_cwl(phi, groups, (make_cyclic(4), (0, 2, 1, 3))) is None
+    assert certify_cwl(phi, groups, (CyclicGroup(4), (0, 2, 1, 3))) is None
     with pytest.raises(DomainError, match="encoding function is over"):
-        certify_cwl(f, [make_cyclic(16)])
+        certify_cwl(f, [CyclicGroup(16)])
 
 
 def test_group_proofs_make_linear_op_calls(monkeypatch):
@@ -606,8 +602,8 @@ def test_group_proofs_make_linear_op_calls(monkeypatch):
         return op_array(self, a, b)
 
     monkeypatch.setattr(ProductGroup, "op_array", counted)
-    sources = [make_cyclic(64), make_cyclic(64)]
-    dom = direct_product(sources)
+    sources = [CyclicGroup(64), CyclicGroup(64)]
+    dom = ProductGroup(sources)
     gens = dom.generators()
     assert len(gens) == 2
     cases = [
@@ -618,7 +614,7 @@ def test_group_proofs_make_linear_op_calls(monkeypatch):
     for phi, linear in cases:
         image = len(set(phi))
         calls.clear()
-        assert is_homomorphism([v % image for v in phi], dom, make_cyclic(image)) == linear
+        assert is_homomorphism([v % image for v in phi], dom, CyclicGroup(image)) == linear
         assert 0 < len(calls) <= len(gens) + 1
         calls.clear()
         assert (derive_edge_group(phi, sources) is not None) == linear
@@ -722,7 +718,7 @@ def test_witness_hom_is_a_read_only_int64_array_the_report_uses_as_is():
         w.hom[0] = 1
     entry = _witness_dict(w)
     assert entry["hom"] is w.hom
-    assert indented_json(entry) == json.dumps(
+    assert json_bytes(entry).decode() == json.dumps(
         as_lists(entry), indent=2, sort_keys=True
     )
     # Any integer sequence is normalized; a mapping or a short map is refused.

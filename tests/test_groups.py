@@ -27,13 +27,11 @@ from edgedrop.groups import (
     TableGroup,
     coset_labels,
     cosets,
-    direct_product,
     generated_subgroup,
     group_from_description,
     is_homomorphism,
     is_subgroup,
     kernel,
-    make_cyclic,
     subgroup,
     subgroup_product,
 )
@@ -51,7 +49,7 @@ LOOP5 = [
 
 
 def test_cyclic_arithmetic():
-    g = make_cyclic(12)
+    g = CyclicGroup(12)
     assert g.order == 12
     assert g.identity == 0
     assert g.op(7, 8) == 3
@@ -62,11 +60,11 @@ def test_cyclic_arithmetic():
 
 def test_cyclic_rejects_nonpositive_order():
     with pytest.raises(DomainError):
-        make_cyclic(0)
+        CyclicGroup(0)
 
 
 def test_product_group_encoding():
-    g = direct_product([make_cyclic(2), make_cyclic(3)])
+    g = ProductGroup([CyclicGroup(2), CyclicGroup(3)])
     assert g.order == 6
     assert g.sizes == (2, 3)
     assert oracle_index((1, 2), g.sizes) == 5
@@ -111,7 +109,7 @@ def test_table_group_order_cap():
 
 
 def test_subgroup_handles():
-    g = make_cyclic(6)
+    g = CyclicGroup(6)
     h = subgroup(g, [0, 3])
     assert sorted(h.members) == [0, 3]
     assert is_subgroup(g, [0, 3])
@@ -120,42 +118,42 @@ def test_subgroup_handles():
 
 
 def test_subgroup_rejects_nonclosed():
-    g = make_cyclic(6)
+    g = CyclicGroup(6)
     with pytest.raises(PreconditionError):
         subgroup(g, [0, 2])
 
 
 def test_generated_subgroup():
-    g = make_cyclic(12)
+    g = CyclicGroup(12)
     h = generated_subgroup(g, [8])
     assert sorted(h.members) == [0, 4, 8]
 
 
 def test_intersection_and_product():
-    g = make_cyclic(12)
+    g = CyclicGroup(12)
     evens = subgroup(g, [0, 2, 4, 6, 8, 10])
     threes = subgroup(g, [0, 3, 6, 9])
     assert np.flatnonzero(evens.mask & threes.mask).tolist() == [0, 6]
-    g6 = make_cyclic(6)
+    g6 = CyclicGroup(6)
     h1 = subgroup(g6, [0, 3])
     h2 = subgroup(g6, [0, 2, 4])
     assert sorted(subgroup_product(g6, [h1, h2]).members) == [0, 1, 2, 3, 4, 5]
 
 
 def test_homomorphism_checks():
-    g6, g2 = make_cyclic(6), make_cyclic(2)
+    g6, g2 = CyclicGroup(6), CyclicGroup(2)
     parity = [x % 2 for x in range(6)]
     assert is_homomorphism(parity, g6, g2)
     assert sorted(kernel(parity, g6, g2).members) == [0, 2, 4]
-    v4 = direct_product([make_cyclic(2), make_cyclic(2)])
+    v4 = ProductGroup([CyclicGroup(2), CyclicGroup(2)])
     both_ones = [1 if oracle_digits(a, v4.sizes) == (1, 1) else 0 for a in v4.elements()]
     assert not is_homomorphism(both_ones, v4, g2)
 
 
 def test_group_from_description_roundtrip():
     for g in (
-        make_cyclic(7),
-        direct_product([make_cyclic(2), make_cyclic(4)]),
+        CyclicGroup(7),
+        ProductGroup([CyclicGroup(2), CyclicGroup(4)]),
         TableGroup([[(a + b) % 3 for b in range(3)] for a in range(3)]),
     ):
         h = group_from_description(g.describe())
@@ -167,9 +165,9 @@ def test_group_from_description_roundtrip():
 
 def _random_small_group(rng):
     if rng.random() < 0.5:
-        return make_cyclic(rng.randint(1, 12))
-    return direct_product(
-        [make_cyclic(rng.randint(1, 4)) for _ in range(rng.randint(2, 3))]
+        return CyclicGroup(rng.randint(1, 12))
+    return ProductGroup(
+        [CyclicGroup(rng.randint(1, 4)) for _ in range(rng.randint(2, 3))]
     )
 
 
@@ -202,7 +200,7 @@ def test_kernel_fibers_equal_sized():
     for _ in range(30):
         n = rng.randint(2, 12)
         m = rng.randint(2, 6)
-        g, cod = make_cyclic(n), make_cyclic(m)
+        g, cod = CyclicGroup(n), CyclicGroup(m)
         c = rng.randrange(m)
         if (c * n) % m != 0:
             continue  # not a homomorphism for this pair
@@ -220,7 +218,7 @@ def _oracle_groups():
     rng = random.Random(47)
     out = [_random_small_group(rng) for _ in range(12)]
     z5 = [[(a + b + 3) % 5 for b in range(5)] for a in range(5)]  # identity at 2
-    return out + [s3(), direct_product([s3(), make_cyclic(2)]), TableGroup(z5)]
+    return out + [s3(), ProductGroup([s3(), CyclicGroup(2)]), TableGroup(z5)]
 
 
 def test_op_array_matches_reference_arithmetic():
@@ -236,7 +234,7 @@ def test_op_array_matches_reference_arithmetic():
         assert g.is_abelian == (grid == grid.T).all()
 
 
-@pytest.mark.parametrize("group", [make_cyclic(4), direct_product([make_cyclic(2)] * 2), s3()])
+@pytest.mark.parametrize("group", [CyclicGroup(4), ProductGroup([CyclicGroup(2)] * 2), s3()])
 def test_scalar_ops_check_element_ids(group):
     for bad in (-1, group.order):
         with pytest.raises(DomainError, match="outside group"):
@@ -277,7 +275,7 @@ def test_coset_labels_make_one_op_call_per_subgroup_generator(monkeypatch):
     cosets, but labelling them calls op_array on the product group once per
     generator of the subgroup, each call over all of G, so a loop over
     cosets fails here."""
-    g = direct_product([make_cyclic(16)] * 3)
+    g = ProductGroup([CyclicGroup(16)] * 3)
     ref = ReferenceGroup(g)
     gens = [oracle_index(t, g.sizes) for t in ((4, 0, 0), (0, 8, 8), (8, 0, 8))]
     h = generated_subgroup(g, gens)
@@ -297,7 +295,7 @@ def test_coset_labels_make_one_op_call_per_subgroup_generator(monkeypatch):
     assert len(expected) == 256
     assert [labels[c].tolist() for c in expected] == [[k] * len(c) for k, c in enumerate(expected)]
     # A non-abelian subgroup of S3 x S3 on two generators.
-    g = direct_product([s3(), s3()])
+    g = ProductGroup([s3(), s3()])
     h = generated_subgroup(g, [oracle_index((1, 0), g.sizes), oracle_index((3, 3), g.sizes)])
     assert not h.parent.is_abelian
     assert cosets(g, h) == oracle_cosets(ReferenceGroup(g), h.members)
@@ -318,7 +316,7 @@ def test_cyclic_closures_take_logarithmic_rounds(monkeypatch):
         return op_array(self, a, b)
 
     monkeypatch.setattr(CyclicGroup, "op_array", counted)
-    g = make_cyclic(2**18)
+    g = CyclicGroup(2**18)
     fours = np.arange(g.order) % 4 == 0
     proved = subgroup(g, range(0, 2**18, 4))
     assert len(calls) <= 64 and np.array_equal(proved.mask, fours)
@@ -349,13 +347,13 @@ def test_homomorphisms_match_oracle():
     sign = [0, 0, 0, 1, 1, 1]
     inverse_map = [s3().inverse(a) for a in range(6)]  # an anti-homomorphism
     cases = [
-        (s3(), make_cyclic(2), sign),
+        (s3(), CyclicGroup(2), sign),
         (s3(), s3(), inverse_map),
-        (direct_product([s3(), make_cyclic(2)]), make_cyclic(2), [sign[a // 2] for a in range(12)]),
+        (ProductGroup([s3(), CyclicGroup(2)]), CyclicGroup(2), [sign[a // 2] for a in range(12)]),
     ]
     for dom in _oracle_groups():
         for _ in range(3):
-            cod = make_cyclic(rng.randint(1, 6))
+            cod = CyclicGroup(rng.randint(1, 6))
             cases.append((dom, cod, [rng.randrange(cod.order) for _ in dom.elements()]))
         if isinstance(dom, ProductGroup):
             factor = dom.factors[-1]
@@ -364,7 +362,7 @@ def test_homomorphisms_match_oracle():
         verdict = is_homomorphism(vals, dom, cod)
         assert verdict == oracle_is_homomorphism(ReferenceGroup(dom), ReferenceGroup(cod), vals)
         seen[verdict] += 1
-    assert is_homomorphism(sign, s3(), make_cyclic(2))
+    assert is_homomorphism(sign, s3(), CyclicGroup(2))
     assert not is_homomorphism(inverse_map, s3(), s3())
     assert seen[True] and seen[False]
 
@@ -400,7 +398,7 @@ def test_group_descriptions_name_the_missing_field(desc, message):
 
 
 def test_maps_are_integer_sequences_not_mappings():
-    g2 = make_cyclic(2)
+    g2 = CyclicGroup(2)
     assert is_homomorphism(np.array([0, 1]), g2, g2)
     with pytest.raises(DomainError):
         is_homomorphism({0: 0, 1: 1}, g2, g2)
@@ -417,10 +415,10 @@ def test_characterization_members_take_integers_only(member):
 
 def _order_one_groups():
     return [
-        make_cyclic(1),
+        CyclicGroup(1),
         TableGroup([[0]]),
-        direct_product([make_cyclic(1), make_cyclic(1)]),
-        direct_product([TableGroup([[0]]), make_cyclic(1)]),
+        ProductGroup([CyclicGroup(1), CyclicGroup(1)]),
+        ProductGroup([TableGroup([[0]]), CyclicGroup(1)]),
     ]
 
 
@@ -471,9 +469,9 @@ def test_light_associativity_matches_brute_force_oracle():
     z5 = [[(a + b + 3) % 5 for b in range(5)] for a in range(5)]
     tables = [S3_TABLE, LOOP5, z5, [[1, 0], [0, 1]], [[0, 1], [1, 1]], [[0, 0], [0, 0]]]
     tables += [[[(a + b) % n for b in range(n)] for a in range(n)] for n in (3, 5)]
-    for g in (s3(), make_cyclic(6), direct_product([make_cyclic(2)] * 3),
-              direct_product([make_cyclic(2), make_cyclic(4)]),
-              direct_product([s3(), make_cyclic(2)])):
+    for g in (s3(), CyclicGroup(6), ProductGroup([CyclicGroup(2)] * 3),
+              ProductGroup([CyclicGroup(2), CyclicGroup(4)]),
+              ProductGroup([s3(), CyclicGroup(2)])):
         ids = np.arange(g.order)
         table = g.op_array(ids[:, None], ids).tolist()
         near = list(_intercalate_swaps(table, g.identity))
@@ -495,7 +493,7 @@ def test_light_associativity_matches_brute_force_oracle():
 
 def test_homomorphism_from_order_one_domain_must_fix_the_identity():
     for dom in _order_one_groups():
-        for cod in (make_cyclic(2), s3()):
+        for cod in (CyclicGroup(2), s3()):
             for target in cod.elements():
                 verdict = is_homomorphism([target], dom, cod)
                 oracle = oracle_is_homomorphism(ReferenceGroup(dom), ReferenceGroup(cod), [target])

@@ -6,20 +6,21 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_digits, oracle_index
+from conftest import evaluate_global, oracle_digits, oracle_index
 from edgedrop import library
 from edgedrop.codes import build_global_table, check_feasibility
+from edgedrop.cwl import check_cwl, cwl_remove, derive_edge_group
 from edgedrop.errors import DomainError, PreconditionError, ResourceError
 from edgedrop.library import (
     PermutationFamily,
     butterfly,
-    butterfly4,
     dougherty_identity_check,
     n2_code_check,
     n2_permutations,
     n3_injectivity,
     n3_permutations,
 )
+from edgedrop.groups import CyclicGroup
 from edgedrop.network import validate_instance
 
 
@@ -33,8 +34,8 @@ def test_butterfly_shape_and_feasibility():
     assert report.verdict
 
 
-def test_butterfly4_shape_and_feasibility():
-    inst, code = butterfly4()
+def test_wide_butterfly_shape_and_feasibility():
+    inst, code = butterfly(4, 2)
     assert validate_instance(inst) == []
     assert len(inst.edges) == 11
     table = build_global_table(inst, code)
@@ -43,6 +44,33 @@ def test_butterfly4_shape_and_feasibility():
     assert report.verdict
     # The bottleneck still carries a single bit.
     assert code.edge_alphabets["bottleneck"] == 2
+
+
+@pytest.mark.parametrize("n, q", [(8, 4), (6, 3), (6, 2), (3, 3)])
+def test_butterfly_family_against_the_scalar_oracle(n, q):
+    """Shapes no golden report covers: zero error, every table row as the
+    scalar oracle evaluates it, and a CWL removal of the bottleneck that
+    keeps n/q symbols per source."""
+    inst, code = butterfly(n, q)
+    assert validate_instance(inst) == []
+    assert len(inst.edges) == (9 if q == n else 11)
+    table = build_global_table(inst, code)
+    assert table.error == 0
+    assert check_feasibility(inst, code, Fraction(0), (n, n)).verdict
+    for idx, row in enumerate(table.rows.tolist()):
+        assert tuple(row) == evaluate_global(inst, code, oracle_digits(idx, (n, n)))
+    phi = table.edge_values("bottleneck")
+    groups = [CyclicGroup(n), CyclicGroup(n)]
+    w = check_cwl(phi, groups, *derive_edge_group(phi, groups))
+    cert = cwl_remove(inst, code, table, "bottleneck", w, Fraction(0)).certificate
+    assert cert.achieved_cardinalities == (n // q, n // q)
+    assert cert.feasibility.verdict
+
+
+@pytest.mark.parametrize("n, q", [(4, 3), (2, 4), (4, 1), (4, 0)])
+def test_butterfly_refuses_a_bottleneck_that_does_not_divide(n, q):
+    with pytest.raises(DomainError):
+        butterfly(n, q)
 
 
 def test_n2_permutations_small_oracle():

@@ -2,6 +2,7 @@
 
 import enum
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import as_lists
 from edgedrop import network
-from edgedrop.codes import NetworkCode, relay_instance
-from edgedrop.cwl import CwlWitness, check_cwl
+from edgedrop.codes import NetworkCode, build_global_table, relay_instance, tabulate
+from edgedrop.cwl import CwlWitness, check_cwl, check_piecewise
 from edgedrop.errors import DomainError, PreconditionError
 from edgedrop.groups import CyclicGroup, TableGroup, generated_subgroup, is_homomorphism, subgroup
 from edgedrop.library import butterfly
@@ -19,8 +20,8 @@ from edgedrop.network import (
     Edge,
     NetworkInstance,
     Source,
-    indented_json,
     instance_to_dict,
+    json_bytes,
     load_instance,
     parse_instance,
     remove_edge,
@@ -28,7 +29,7 @@ from edgedrop.network import (
     topological_order,
     validate_instance,
 )
-from edgedrop.removal import SourcePartition
+from edgedrop.removal import SourcePartition, restrict_to_product
 
 
 def _line_instance():
@@ -206,8 +207,8 @@ _JSON_TREES = st.recursive(
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(_JSON_TREES)
-def test_indented_json_matches_json_dumps(tree):
-    assert indented_json(tree) == _oracle_json(tree)
+def test_json_bytes_matches_json_dumps(tree):
+    assert json_bytes(tree).decode() == _oracle_json(tree)
 
 
 _INT64 = st.integers(-(2**63), 2**63 - 1)
@@ -252,8 +253,8 @@ def _array_trees(draw):
         "edge": -np.arange(3 * network._WRITE_ROWS + 3).reshape(-1, 3),
     }
 )
-def test_indented_json_writes_arrays_as_their_lists(tree):
-    got, want = indented_json(tree), _oracle_json(as_lists(tree))
+def test_json_bytes_writes_arrays_as_their_lists(tree):
+    got, want = json_bytes(tree).decode(), _oracle_json(as_lists(tree))
     # Lines first: pytest's diff of two texts this long takes minutes.
     assert got.splitlines() == want.splitlines()
     assert got == want
@@ -329,14 +330,14 @@ class _Level(enum.IntEnum):
         [[np.int64(3), 1]],
     ],
 )
-def test_indented_json_converts_or_rejects_like_json_dumps(obj):
+def test_json_bytes_converts_or_rejects_like_json_dumps(obj):
     def outcome(fn):
         try:
             return fn(obj)
         except TypeError as exc:
             return str(exc)
 
-    assert outcome(indented_json) == outcome(_oracle_json)
+    assert outcome(lambda o: json_bytes(o).decode()) == outcome(_oracle_json)
 
 
 # Library entry points that take an integer table, each with the caller's
@@ -398,6 +399,27 @@ BAD_ROWS = {
 ALLOWED = {("subgroup", "bool-array"), ("SourcePartition", "strings")}
 
 
+def _probes():
+    """Entry points that take one symbol set or class map per source, each
+    with one bad set among good ones."""
+    inst, code = relay_instance([4, 3], 2, tabulate([4, 3], lambda a, b: a % 2))
+    table = build_global_table(inst, code)
+    z2, phi = CyclicGroup(2), (0, 1, 1, 0)
+    product = lambda s: restrict_to_product(inst, code, table, "e", s, Fraction(0))
+    return {
+        "restrict_to_product-floats": (product, [[0.0, 2.0], [0, 1, 2]]),
+        "restrict_to_product-bools": (product, [[True, False], [0, 1, 2]]),
+        "check_piecewise-floats": (
+            lambda s: check_piecewise(phi, [z2, z2], (0, 1), [(s, phi)]),
+            [[0.0, 1.0], [0.0, 1.0]],
+        ),
+        "from_source_classes-none": (
+            lambda c: SourcePartition.from_source_classes((2, 2), c),
+            [[0, 1], None],
+        ),
+    }
+
+
 def _gate_cases():
     flat, rows = _entry_points()
     for points, bad in ((flat, BAD_FLAT), (rows, BAD_ROWS)):
@@ -405,6 +427,8 @@ def _gate_cases():
             for name, value in bad.items():
                 if (entry, name) not in ALLOWED:
                     yield pytest.param(call, value, id=f"{entry}-{name}")
+    for name, (call, value) in _probes().items():
+        yield pytest.param(call, value, id=name)
 
 
 @pytest.mark.parametrize("call, value", _gate_cases())

@@ -20,7 +20,7 @@ from edgedrop.network import (
     PARALLEL_PARSE_BYTES,
     _int_table_text,
     _read_tables,
-    indented_json,
+    json_bytes,
     load_json,
 )
 
@@ -206,7 +206,7 @@ def test_large_codes_load_without_the_per_entry_check(tmp_path, monkeypatch, lay
     sizes = [256, 256]
     _, code = relay_instance(sizes, 2, tabulate(sizes, lambda a, b: (a + b) % 2))
     data = as_lists(code_to_dict(code))
-    text = indented_json(data) if layout == "indent=2" else _dump(data, None)
+    text = json_bytes(data).decode() if layout == "indent=2" else _dump(data, None)
     assert len(text) >= FAST_READ_BYTES
     path = tmp_path / "relay.code.json"
     path.write_text(text)
@@ -233,7 +233,7 @@ def test_nan_and_infinity_anywhere_hand_the_file_to_json(tmp_path, token, place)
     """In a large code file, beside tables the reader reads."""
     sizes = [16, 16]
     _, code = relay_instance(sizes, 4, tabulate(sizes, lambda a, b: (a + b) % 4))
-    text = indented_json(code_to_dict(code))
+    text = json_bytes(code_to_dict(code)).decode()
     assert len(text) >= FAST_READ_BYTES and _read_tables(text.encode(), codes._code_tables)
     old, new = _NAN_PLACES[place]
     text = text.replace(old, new.format(token), 1)
@@ -272,7 +272,7 @@ def _large_table(indent) -> str:
     values[::3] %= 1000
     if indent is None:
         return _dump(values.tolist(), None)
-    return indented_json(values.reshape(-1, 3).tolist())
+    return json_bytes(values.reshape(-1, 3).tolist()).decode()
 
 
 @pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indent=2"])

@@ -36,7 +36,6 @@ from edgedrop.removal import (
     fiber_edge_values,
     fibers_are_products,
     find_witness,
-    product_set_witness,
     remove_by_edge_value,
     restrict_code,
     restrict_to_product,
@@ -184,21 +183,20 @@ def test_certificate_to_dict_shape():
     assert set(data["edge_support_sizes"]) == {"c1", "c2", "d1", "d2"}
 
 
-def test_product_set_witness_and_restriction():
+def test_restrict_to_product_checks_the_declared_set():
     inst, code = relay_instance([4, 3], 2, tabulate([4, 3], lambda a, b: a % 2))
     table = build_global_table(inst, code)
-    assert product_set_witness(table, "e", [(0, 2), (0, 1, 2)], Fraction(0))
-    # Mixing parities breaks constancy.
-    assert not product_set_witness(table, "e", [(0, 1), (0, 1, 2)], Fraction(0))
-    # A single kept symbol of the size-4 source is below the size bound.
-    assert not product_set_witness(table, "e", [(0,), (0, 1, 2)], Fraction(0))
-    result = restrict_to_product(table.inst, code, table, "e", [(0, 2), (0, 1, 2)], Fraction(0))
+    result = restrict_to_product(inst, code, table, "e", [(2, 0), (0, 1, 2, 1)], Fraction(0))
+    assert result.certificate.restricted_alphabets == ((0, 2), (0, 1, 2))
     assert result.certificate.achieved_cardinalities == (2, 3)
     assert result.certificate.witness_label == "product"
-    with pytest.raises(PreconditionError):
-        restrict_to_product(table.inst, code, table, "e", [(0, 1), (0, 1, 2)], Fraction(0))
+    # Mixing parities breaks constancy; a single kept symbol of the size-4
+    # source is below the size bound.
+    for subsets in ([(0, 1), (0, 1, 2)], [(0,), (0, 1, 2)]):
+        with pytest.raises(PreconditionError):
+            restrict_to_product(inst, code, table, "e", subsets, Fraction(0))
     with pytest.raises(DomainError):
-        product_set_witness(table, "e", [(0, 9), (0,)], Fraction(0))
+        restrict_to_product(inst, code, table, "e", [(0, 9), (0,)], Fraction(0))
 
 
 def test_remove_by_edge_value_on_parity_relay():
@@ -281,7 +279,7 @@ def _check_restriction(inst, code, table, edge_id, subsets, eps) -> bool:
     if find_witness(table, edge_id, part, eps) != 0:
         return False
     edge_size = inst.edge(edge_id).alphabet_size
-    result = _restrict_to_part(inst, code, table, edge_id, part.members(0), edge_size, 0, eps)
+    result = _restrict_to_part(inst, code, table, edge_id, part.projections(0), edge_size, 0, eps)
     cert = result.certificate
     assert cert.restricted_alphabets == tuple(map(tuple, subsets))
     assert all(a >= p for a, p in zip(cert.achieved_cardinalities, cert.promised_cardinalities))
