@@ -441,7 +441,7 @@ def _cmd_case_study(args) -> tuple[int, dict]:
     if args.name == "butterfly":
         runs = [
             _butterfly_run("binary", *butterfly(), args.emit, args.enum_cap),
-            _butterfly_run("wide", *butterfly(4, 2), args.emit, args.enum_cap),
+            _butterfly_run("wide", *butterfly(4), args.emit, args.enum_cap),
         ]
         ok = all(
             r["feasibility"]["verdict"]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -76,12 +77,15 @@ def product_indices(subsets: Sequence[Sequence[int]], sizes: Sequence[int]) -> n
 def checked_subsets(
     subsets: Sequence[Sequence[int]], sizes: Sequence[int]
 ) -> tuple[tuple[int, ...], ...]:
-    """One non-empty symbol subset per source, each taken by ``int_table``,
-    sorted and deduplicated and inside its source alphabet."""
+    """One non-empty symbol subset per source, each taken by ``int_table``
+    (a set, a range or an iterator listed first), sorted and deduplicated
+    and inside its source alphabet."""
     if len(subsets) != len(sizes):
         raise DomainError("one subset per source is required")
     out = []
     for size, sub in zip(sizes, subsets):
+        if isinstance(sub, (set, frozenset, range, Iterator)):
+            sub = list(sub)
         ss = tuple(np.unique(int_table(sub, 1, "subset")).tolist())
         if not ss:
             raise DomainError("subsets must be non-empty")

@@ -25,17 +25,17 @@ from .network import Edge, NetworkInstance, Source
 T_SEARCH_CAP = 1 << 20
 
 
-def butterfly(n: int = 2, q: int = 2) -> tuple[NetworkInstance, NetworkCode]:
-    """The butterfly with size-n sources and a sum-mod-q bottleneck.
+def butterfly(n: int = 2) -> tuple[NetworkInstance, NetworkCode]:
+    """The butterfly with size-n sources and a one-bit bottleneck.
 
-    Edge ``bi`` carries ``xi mod q`` and the bottleneck their sum mod q;
-    when q < n, cross edges ``hi`` carry ``xi div q`` to the far terminal,
-    so both terminals decode both sources with zero error.  ``butterfly()``
-    is the binary butterfly with an XOR bottleneck, ``butterfly(4, 2)`` the
-    wide one with a one-bit bottleneck.
+    Edge ``bi`` carries ``xi mod 2`` and the bottleneck their XOR; when
+    n > 2, cross edges ``hi`` carry ``xi div 2`` to the far terminal, so
+    both terminals decode both sources with zero error.  ``butterfly()``
+    is the binary case study, ``butterfly(4)`` the wide one.
     """
-    if q < 2 or n % q:
-        raise DomainError(f"bottleneck alphabet {q} must be at least 2 and divide {n}")
+    if n < 2 or n % 2:
+        raise DomainError(f"source alphabet {n} must be even and at least 2")
+    q = 2
     edges = [
         Edge("a1", "s1", "u1", n),
         Edge("a2", "s2", "u2", n),
@@ -60,7 +60,7 @@ def butterfly(n: int = 2, q: int = 2) -> tuple[NetworkInstance, NetworkCode]:
         "d2": identity,
     }
     high = []
-    if q < n:
+    if n > q:
         high = [n // q]
         edges += [Edge("h1", "u1", "t2", n // q), Edge("h2", "u2", "t1", n // q)]
         encoders["h1"] = encoders["h2"] = tabulate([n], lambda x: x // q)

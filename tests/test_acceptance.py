@@ -195,7 +195,7 @@ def test_criterion_03_butterfly_end_to_end(announce):
         if not (fresh.verdict and fresh.error == 0):
             failures.append("binary restricted code is not zero-error")
 
-    inst4, code4 = butterfly(4, 2)
+    inst4, code4 = butterfly(4)
     base4 = check_feasibility(inst4, code4, Fraction(0), (4, 4))
     if not base4.verdict:
         failures.append("wide butterfly is not zero-error at two bits per source")

@@ -78,7 +78,7 @@ def test_verify_exit_codes_and_rates_grammar(tmp_path, capsys):
     report = _stdout_report(capsys)
     assert report["result"]["feasibility"]["rate_ok"] == [False, False]
 
-    inst4, code4 = butterfly(4, 2)
+    inst4, code4 = butterfly(4)
     inst4_path, code4_path = _write_pair(tmp_path, inst4, code4, stem="wide")
     assert main(["verify", inst4_path, code4_path, "--rates", "2,2"]) == 0
     # The # prefix gives the cardinality directly.

@@ -154,7 +154,7 @@ def test_witness_partition_low_bit_sum():
 
 def test_cwl_remove_butterfly_rates():
     for n, expected in ((2, (1, 1)), (4, (2, 2))):
-        inst, code = butterfly(n, 2)
+        inst, code = butterfly(n)
         table = build_global_table(inst, code)
         phi = table.edge_values("bottleneck")
         groups = [CyclicGroup(s) for s in table.source_sizes]

@@ -35,7 +35,7 @@ def test_butterfly_shape_and_feasibility():
 
 
 def test_wide_butterfly_shape_and_feasibility():
-    inst, code = butterfly(4, 2)
+    inst, code = butterfly(4)
     assert validate_instance(inst) == []
     assert len(inst.edges) == 11
     table = build_global_table(inst, code)
@@ -46,14 +46,14 @@ def test_wide_butterfly_shape_and_feasibility():
     assert code.edge_alphabets["bottleneck"] == 2
 
 
-@pytest.mark.parametrize("n, q", [(8, 4), (6, 3), (6, 2), (3, 3)])
-def test_butterfly_family_against_the_scalar_oracle(n, q):
+@pytest.mark.parametrize("n", [6, 8])
+def test_butterfly_family_against_the_scalar_oracle(n):
     """Shapes no golden report covers: zero error, every table row as the
     scalar oracle evaluates it, and a CWL removal of the bottleneck that
-    keeps n/q symbols per source."""
-    inst, code = butterfly(n, q)
+    keeps n/2 symbols per source."""
+    inst, code = butterfly(n)
     assert validate_instance(inst) == []
-    assert len(inst.edges) == (9 if q == n else 11)
+    assert len(inst.edges) == 11
     table = build_global_table(inst, code)
     assert table.error == 0
     assert check_feasibility(inst, code, Fraction(0), (n, n)).verdict
@@ -63,14 +63,14 @@ def test_butterfly_family_against_the_scalar_oracle(n, q):
     groups = [CyclicGroup(n), CyclicGroup(n)]
     w = check_cwl(phi, groups, *derive_edge_group(phi, groups))
     cert = cwl_remove(inst, code, table, "bottleneck", w, Fraction(0)).certificate
-    assert cert.achieved_cardinalities == (n // q, n // q)
+    assert cert.achieved_cardinalities == (n // 2, n // 2)
     assert cert.feasibility.verdict
 
 
-@pytest.mark.parametrize("n, q", [(4, 3), (2, 4), (4, 1), (4, 0)])
-def test_butterfly_refuses_a_bottleneck_that_does_not_divide(n, q):
+@pytest.mark.parametrize("n", [3, 1, 0, -2])
+def test_butterfly_refuses_an_odd_or_empty_source_alphabet(n):
     with pytest.raises(DomainError):
-        butterfly(n, q)
+        butterfly(n)
 
 
 def test_n2_permutations_small_oracle():

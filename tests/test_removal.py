@@ -197,6 +197,10 @@ def test_restrict_to_product_checks_the_declared_set():
             restrict_to_product(inst, code, table, "e", subsets, Fraction(0))
     with pytest.raises(DomainError):
         restrict_to_product(inst, code, table, "e", [(0, 9), (0,)], Fraction(0))
+    # A set, a range or an iterator of symbols is a subset too.
+    for subsets in ([{2, 0}, range(3)], [iter((0, 2)), frozenset({0, 1, 2})]):
+        result = restrict_to_product(inst, code, table, "e", subsets, Fraction(0))
+        assert result.certificate.restricted_alphabets == ((0, 2), (0, 1, 2))
 
 
 def test_remove_by_edge_value_on_parity_relay():
