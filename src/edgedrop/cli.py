@@ -16,6 +16,10 @@ Reports are deterministic: the command echo keeps only semantic arguments
 structured results are written by ``network.json_bytes`` as the bytes of
 ``json.dumps(result, indent=2, sort_keys=True)``, and timing goes to stderr
 only, so the same inputs produce byte-identical reports.
+
+Only ``errors`` and ``network`` are imported with this module; each handler
+imports the modules it runs where it runs them, so that a process compiles
+no module its command does not use.
 """
 
 from __future__ import annotations
@@ -23,42 +27,16 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import io
 import json
 import math
 import sys
 import time
-import traceback
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .codes import (
-    NetworkCode,
-    build_global_table,
-    check_feasibility,
-    code_to_dict,
-    load_code,
-    save_code,
-)
-from .cwl import (
-    CwlWitness,
-    SearchBudget,
-    certify_cwl,
-    check_piecewise,
-    cwl_remove,
-    cwl_search,
-    piecewise_remove,
-)
 from .errors import DomainError, InternalCheckError, WorkbenchError
-from .groupcodes import abelian_removal_plan, load_characterization, zero_error_upgrade
-from .groups import CyclicGroup, group_from_description
-from .library import (
-    butterfly,
-    dougherty_identity_check,
-    n2_code_check,
-    n3_injectivity,
-)
 from .network import (
     NetworkInstance,
     field,
@@ -67,19 +45,16 @@ from .network import (
     json_bytes,
     load_instance,
     load_json,
+    read_once,
     require,
     save_instance,
     validate_instance,
 )
-from .removal import (
-    RemovalResult,
-    SourcePartition,
-    fiber_edge_values,
-    fibers_are_products,
-    find_witness,
-    remove_by_edge_value,
-    restrict_code,
-)
+
+if TYPE_CHECKING:
+    from .codes import NetworkCode
+    from .cwl import CwlWitness
+    from .removal import RemovalResult
 
 TUNING_FLAGS = {"--enum-cap", "--out", "--format", "--emit"}
 ERROR_ABOVE_EPS = "code error exceeds the requested eps"
@@ -206,11 +181,6 @@ def _parse_rates(text: str, blocklength: int) -> list[int]:
     return out
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
-
-
 def _edge_support(data: dict, where: str) -> tuple[int, ...]:
     symbols = field(data, "edge_support", list, where, "be a list of integers")
     return tuple(require(v, int, "edge support symbol") for v in symbols)
@@ -218,6 +188,8 @@ def _edge_support(data: dict, where: str) -> tuple[int, ...]:
 
 def _load_groups_file(path: str):
     """The source groups of a groups file, and its edge group and support or None."""
+    from .groups import group_from_description
+
     data = load_json(path)
     descs = field(data, "sources", list, "groups file", "list the source group descriptions")
     sources = [group_from_description(d) for d in descs]
@@ -230,6 +202,9 @@ def _load_groups_file(path: str):
 
 def _resolve_witness(table, edge_id: str, groups_path: str | None) -> CwlWitness | None:
     """Witness for the edge's encoding function, deriving structure if needed."""
+    from .cwl import certify_cwl
+    from .groups import CyclicGroup
+
     if groups_path is None:
         sources, edge = [CyclicGroup(n) for n in table.source_sizes], None
     else:
@@ -250,6 +225,8 @@ def _witness_dict(w: CwlWitness) -> dict:
 
 def _removal_dict(res: RemovalResult, prefix: str | None) -> dict:
     """Report fields of a removal; writes the restricted files under prefix."""
+    from .codes import code_to_dict, save_code
+
     if prefix is not None:
         save_instance(res.instance, prefix + ".instance.json")
         save_code(res.code, prefix + ".code.json")
@@ -262,6 +239,8 @@ def _removal_dict(res: RemovalResult, prefix: str | None) -> dict:
 
 def _load_table(args):
     """The instance, the code and their global table under ``--enum-cap``."""
+    from .codes import build_global_table, load_code
+
     inst = load_instance(args.instance)
     code = load_code(args.code)
     return inst, code, build_global_table(inst, code, enum_cap=args.enum_cap)
@@ -274,6 +253,8 @@ def _cmd_validate(args) -> tuple[int, dict]:
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
+    from .codes import check_feasibility
+
     inst, code, table = _load_table(args)
     rates = _parse_rates(args.rates, code.blocklength)
     report = check_feasibility(inst, code, args.eps, rates, table=table)
@@ -281,6 +262,15 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 
 def _cmd_remove_edge(args) -> tuple[int, dict]:
+    from .removal import (
+        SourcePartition,
+        fiber_edge_values,
+        fibers_are_products,
+        find_witness,
+        remove_by_edge_value,
+        restrict_code,
+    )
+
     inst, code, table = _load_table(args)
     route = {"builtin:cwl": "cwl", "builtin:edge-value": "edge-value"}.get(args.partition)
     if route == "edge-value" and args.eps != 0:
@@ -293,6 +283,8 @@ def _cmd_remove_edge(args) -> tuple[int, dict]:
         }
 
     if route == "cwl":
+        from .cwl import cwl_remove
+
         witness = _resolve_witness(table, args.edge, args.groups)
         res = None
         if witness is not None:
@@ -343,6 +335,9 @@ def _cmd_cwl_check(args) -> tuple[int, dict]:
 
 
 def _cmd_pwl_remove(args) -> tuple[int, dict]:
+    from .cwl import check_piecewise, piecewise_remove
+    from .groups import CyclicGroup, group_from_description
+
     inst, code, table = _load_table(args)
     if table.error != 0:
         return 1, {"found": False, "reason": ERROR_ABOVE_EPS}
@@ -371,6 +366,9 @@ def _cmd_pwl_remove(args) -> tuple[int, dict]:
 
 
 def _cmd_cwl_search(args) -> tuple[int, dict]:
+    from .codes import code_to_dict, load_code
+    from .cwl import SearchBudget, cwl_search
+
     inst = load_instance(args.instance)
     code = load_code(args.code)
     budget = SearchBudget(
@@ -392,6 +390,9 @@ def _cmd_cwl_search(args) -> tuple[int, dict]:
 
 
 def _cmd_group_remove(args) -> tuple[int, dict]:
+    from .codes import code_to_dict
+    from .groupcodes import abelian_removal_plan, load_characterization
+
     gc = load_characterization(args.characterization)
     source_keys = [k.strip() for k in args.sources.split(",") if k.strip()]
     plan = abelian_removal_plan(gc, args.edge, source_keys, enum_cap=args.enum_cap)
@@ -405,6 +406,8 @@ def _cmd_group_remove(args) -> tuple[int, dict]:
 
 
 def _cmd_group_zero_error(args) -> tuple[int, dict]:
+    from .groupcodes import load_characterization, zero_error_upgrade
+
     gc = load_characterization(args.characterization)
     demands = []
     for raw in args.demand:
@@ -419,6 +422,9 @@ def _cmd_group_zero_error(args) -> tuple[int, dict]:
 
 
 def _butterfly_run(name: str, inst: NetworkInstance, code: NetworkCode, emit, enum_cap) -> dict:
+    from .codes import build_global_table, check_feasibility, save_code
+    from .cwl import cwl_remove
+
     table = build_global_table(inst, code, enum_cap=enum_cap)
     feas = check_feasibility(inst, code, Fraction(0), list(code.source_alphabets), table=table)
     witness = _resolve_witness(table, "bottleneck", None)
@@ -438,6 +444,8 @@ def _butterfly_run(name: str, inst: NetworkInstance, code: NetworkCode, emit, en
 
 
 def _cmd_case_study(args) -> tuple[int, dict]:
+    from .library import butterfly, dougherty_identity_check, n2_code_check, n3_injectivity
+
     if args.name == "butterfly":
         runs = [
             _butterfly_run("binary", *butterfly(), args.emit, args.enum_cap),
@@ -613,12 +621,9 @@ def _semantic_argv(argv: list[str]) -> tuple[str, ...]:
 def dispatch(argv: list[str]) -> tuple[int, RunReport, str, str | None]:
     """Run one invocation; returns status, report, format, and output path."""
     args = _parser().parse_args(argv)
-    inputs = {}
-    for attr in args.input_attrs:
-        path = getattr(args, attr)
-        if path is not None and not path.startswith("builtin:"):
-            inputs[path] = _digest(path)
-    status, result = args.handler(args)
+    paths = [getattr(args, attr) for attr in args.input_attrs]
+    with read_once(p for p in paths if p is not None and not p.startswith("builtin:")) as inputs:
+        status, result = args.handler(args)
     report = RunReport(
         command=_semantic_argv(argv), inputs=inputs, result=result
     )
@@ -640,6 +645,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         status = 2
     except Exception as exc:
+        import traceback
+
         print(f"internal error: {exc!r}", file=sys.stderr)
         traceback.print_exc()
         status = 3

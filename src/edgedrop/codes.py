@@ -77,10 +77,10 @@ def product_indices(subsets: Sequence[Sequence[int]], sizes: Sequence[int]) -> n
 def checked_subsets(
     subsets: Sequence[Sequence[int]], sizes: Sequence[int]
 ) -> tuple[tuple[int, ...], ...]:
-    """One non-empty symbol subset per source, each taken by ``int_table``
-    (a set, a range or an iterator listed first), sorted and deduplicated
-    and inside its source alphabet."""
-    if len(subsets) != len(sizes):
+    """One non-empty symbol subset per source, in a list or tuple, each
+    taken by ``int_table`` (a set, a range or an iterator listed first),
+    sorted and deduplicated and inside its source alphabet."""
+    if not isinstance(subsets, (list, tuple)) or len(subsets) != len(sizes):
         raise DomainError("one subset per source is required")
     out = []
     for size, sub in zip(sizes, subsets):

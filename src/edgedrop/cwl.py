@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .codes import (
     total_map,
 )
 from .errors import DomainError, InternalCheckError, PreconditionError
-from .groupcodes import GroupCharacterization
 from .groups import (
     TABLE_VERIFY_BOUND,
     CyclicGroup,
@@ -56,6 +55,9 @@ from .removal import (
     _witness_holds,
     fiber_edge_values,
 )
+
+if TYPE_CHECKING:
+    from .groupcodes import GroupCharacterization
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,6 +496,8 @@ def characterize_witness(w: CwlWitness) -> GroupCharacterization:
     each on exactly ``|intersection|`` tuples.  That is the entropy
     ``log2(|G| / |intersection|)``, decided on integer counts.
     """
+    from .groupcodes import GroupCharacterization
+
     product = ProductGroup(w.source_groups)
     sizes = w.source_sizes
     total = product.order

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import DEFAULT_ENUM_CAP, NetworkCode, index_digits, pack, tabulate
-from .cwl import check_cwl
 from .errors import DomainError, InternalCheckError, PreconditionError, ResourceError
-from .groups import CyclicGroup
 from .network import Edge, NetworkInstance, Source
 
 T_SEARCH_CAP = 1 << 20
@@ -230,6 +228,9 @@ def n2_code_check(
                         )
             if len(violations) >= 8:
                 return N2Report(modulus, assignment, checked, tuple(violations), ())
+
+    from .cwl import check_cwl
+    from .groups import CyclicGroup
 
     ring = CyclicGroup(modulus)
     full = tuple(range(modulus))

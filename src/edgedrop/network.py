@@ -6,16 +6,20 @@ ever derived for display.  The module also holds the JSON writer behind every
 report and file the workbench writes, ``json_bytes``, the reader of every
 input file, ``load_json``, the checks every field read from one goes
 through, ``field`` and ``require``, and the one gate every integer table
-from a file or a library caller goes through, ``int_table``.
+from a file or a library caller goes through, ``int_table``.  ``read_once``
+reads a command's input files before their parse, so that each is opened
+once and its digest names the bytes that ``load_json`` parsed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
-import os
 import threading
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
@@ -690,6 +694,31 @@ def _read_tables(raw: bytes, tables: TableSlots):
     return out
 
 
+# Input files that ``read_once`` read ahead of their parse, by path.
+_READ_AHEAD: dict[str, bytes] = {}
+
+
+@contextmanager
+def read_once(paths: Iterable[str]) -> Iterator[dict[str, str]]:
+    """Read each file in ``paths`` once, in order, and yield its
+    ``sha256:<hex>`` digest by path.  Inside the block ``load_json`` takes
+    a file's bytes from here instead of opening it again, so a digest names
+    exactly the bytes that were parsed; a file never parsed is still read
+    and hashed.  The bytes are dropped when they are parsed or when the
+    block ends.
+    """
+    digests = {}
+    try:
+        for path in paths:
+            if path not in digests:
+                with open(path, "rb") as fh:
+                    _READ_AHEAD[path] = fh.read()
+                digests[path] = "sha256:" + hashlib.sha256(_READ_AHEAD[path]).hexdigest()
+        yield digests
+    finally:
+        _READ_AHEAD.clear()
+
+
 def load_json(path: str, tables: TableSlots | None = None) -> dict:
     """The JSON object in a UTF-8 file, with its integer tables read as
     arrays; every input file of the workbench is read here.
@@ -703,14 +732,19 @@ def load_json(path: str, tables: TableSlots | None = None) -> dict:
     nested deeper than ``json`` can decode, or not an object is a
     DomainError that names the path.
     """
-    data = None
-    if tables is not None and os.path.getsize(path) >= FAST_READ_BYTES:
+    raw = _READ_AHEAD.pop(path, None)
+    if raw is None:
         with open(path, "rb") as fh:
-            data = _read_tables(fh.read(), tables)
+            raw = fh.read()
+    data = None
+    if tables is not None and len(raw) >= FAST_READ_BYTES:
+        data = _read_tables(raw, tables)
     if data is None:
         try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
+            text = raw.decode("utf-8")
+            if "\r" in text:  # a text-mode read's newlines, which json's error positions count
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            data = json.loads(text)
         except UnicodeDecodeError:
             raise DomainError(f"{path}: not UTF-8 text") from None
         except ValueError as exc:  # json.JSONDecodeError, or an integer too long to convert

@@ -93,10 +93,11 @@ class SourcePartition:
     ) -> "SourcePartition":
         """Product partition: the label is the tuple of per-source class ids.
 
+        ``classes``, a list or tuple, holds one class map per source:
         ``classes[i][v]`` is the class id of symbol v of source i.  Every part
         of such a partition is automatically a product set.
         """
-        if len(classes) != len(source_sizes):
+        if not isinstance(classes, (list, tuple)) or len(classes) != len(source_sizes):
             raise DomainError("one class assignment per source is required")
         dense = [_dense(cls_map) for cls_map in classes]
         for size, (_, rank) in zip(source_sizes, dense):

@@ -4,6 +4,8 @@ Commands run in process through main(argv); reports are read back from
 stdout or the --out file.
 """
 
+import builtins
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -19,8 +21,9 @@ import numpy as np
 import pytest
 
 from conftest import as_lists
+from test_golden import CORPUS, GOLDEN_DIR
 from edgedrop import network
-from edgedrop.cli import main
+from edgedrop.cli import ERROR_ABOVE_EPS, main
 from edgedrop.codes import code_to_dict, load_code, relay_instance, save_code, tabulate
 from edgedrop.errors import InternalCheckError
 from edgedrop.groups import MAX_GROUP_NESTING
@@ -248,7 +251,7 @@ def test_eps_outside_unit_interval_is_a_usage_error(tmp_path, capsys, monkeypatc
     def no_restriction(*args, **kwargs):
         raise AssertionError("restriction ran on an out-of-range eps")
 
-    monkeypatch.setattr("edgedrop.cli.restrict_code", no_restriction)
+    monkeypatch.setattr("edgedrop.removal.restrict_code", no_restriction)
     labels = tmp_path / "parity.json"
     labels.write_text(
         json.dumps({"labels": [2 * (a % 2) + b % 2 for a in range(4) for b in range(4)]})
@@ -728,7 +731,7 @@ def test_internal_check_failure_exits_3(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise InternalCheckError("coset partition fails to determine the edge message")
 
-    monkeypatch.setattr("edgedrop.cli.abelian_removal_plan", broken)
+    monkeypatch.setattr("edgedrop.groupcodes.abelian_removal_plan", broken)
     monkeypatch.chdir(Path(__file__).parent / "golden")
     argv = ["group-remove", "inputs/klein.json", "--edge", "e", "--sources", "s1,s2"]
     assert main(argv) == 3
@@ -748,7 +751,7 @@ def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("target", ["edgedrop.cli.check_feasibility", "edgedrop.cli.emit_report"])
+@pytest.mark.parametrize("target", ["edgedrop.codes.check_feasibility", "edgedrop.cli.emit_report"])
 def test_uncaught_exception_exits_3(target, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise IndexError("index 7 is out of bounds")
@@ -778,7 +781,7 @@ def test_elapsed_goes_to_stderr_on_every_exit_path(argv, status, first, capsys, 
     def broken(*args, **kwargs):
         raise IndexError("index 7 is out of bounds")
 
-    monkeypatch.setattr("edgedrop.cli.check_feasibility", broken)
+    monkeypatch.setattr("edgedrop.codes.check_feasibility", broken)
     monkeypatch.chdir(Path(__file__).parent / "golden")
     assert main(argv) == status
     err = capsys.readouterr().err.splitlines()
@@ -910,3 +913,53 @@ def test_benchmark_trace_hooks_find_their_names():
         timeout=120,
     )
     assert run.returncode == 0, run.stderr
+
+
+real_open = builtins.open
+
+
+def _count_opens(monkeypatch) -> collections.Counter:
+    """Calls of ``open``, by the path they were given, from now on."""
+    opened = collections.Counter()
+
+    def counting_open(file, *args, **kwargs):
+        opened[file] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return opened
+
+
+@pytest.mark.parametrize("fast_bytes", [network.FAST_READ_BYTES, 0], ids=["json", "table-reader"])
+@pytest.mark.parametrize("name", ["verify", "remove-labels", "remove-cwl", "cwl-check-groups"])
+def test_each_input_file_is_opened_once(name, fast_bytes, tmp_path, capsys, monkeypatch):
+    """The digest of an input and its parse read the same bytes, from one
+    open, on the json path and on the table reader's (which hands a file it
+    cannot prove well formed back to json); reports stay the golden ones."""
+    _, argv, status = next(c for c in CORPUS if c[0] == name)
+    monkeypatch.chdir(GOLDEN_DIR)
+    monkeypatch.setattr(network, "FAST_READ_BYTES", fast_bytes)
+    out = str(tmp_path / "report.json")
+    opened = _count_opens(monkeypatch)
+    assert main(argv + ["--out", out]) == status
+    capsys.readouterr()
+    inputs = [a for a in argv if a.startswith("inputs/")]
+    assert {path: opened[path] for path in inputs} == dict.fromkeys(inputs, 1)
+    with real_open(out, "rb") as fh:
+        assert fh.read() == (GOLDEN_DIR / f"{name}.out").read_bytes()
+
+
+def test_an_input_the_command_never_parses_is_hashed_once(capsys, monkeypatch):
+    """``builtin:cwl`` returns before it reads ``--groups`` when the code's
+    error is above eps; the groups file is still named in the report."""
+    monkeypatch.chdir(GOLDEN_DIR)
+    groups = "inputs/butterfly.groups.json"
+    argv = ["remove-edge", "inputs/sum44bad.instance.json", "inputs/sum44bad.code.json",
+            "--edge", "e", "--partition", "builtin:cwl", "--groups", groups]
+    opened = _count_opens(monkeypatch)
+    assert main(argv) == 1
+    report = _stdout_report(capsys)
+    assert report["result"] == {"route": "cwl", "found": False, "reason": ERROR_ABOVE_EPS}
+    with real_open(groups, "rb") as fh:
+        assert report["inputs"][groups] == "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+    assert opened[groups] == 1

@@ -417,6 +417,13 @@ def _probes():
             lambda c: SourcePartition.from_source_classes((2, 2), c),
             [[0, 1], None],
         ),
+        # The outer container, one entry per source, is gated too.
+        "restrict_to_product-outer-none": (product, None),
+        "restrict_to_product-outer-int": (product, 5),
+        "from_source_classes-outer-none": (
+            lambda c: SourcePartition.from_source_classes((2, 2), c),
+            None,
+        ),
     }
 
 

@@ -346,3 +346,19 @@ def test_conversion_errors_surface_only_from_tables_that_pass_the_checks(monkeyp
         _read("[[1, 2], [3, 4]]")
     assert raised.value is error
     assert _read("[[1, 2], [3, 4.5]]") is None
+
+
+@pytest.mark.parametrize(
+    "raw", [b'{\r\n"a": 1,\r\n}', b'{\r"a": [1,\r\r 2\r}', b'{"a":\r\n "\r"}', b'\xef\xbb\xbf{}\r\n']
+)
+def test_refusals_name_the_position_a_text_mode_read_gives(tmp_path, raw):
+    """``load_json`` decodes the bytes it read itself; its refusals name
+    the line and column that ``json.load`` of a text-mode file names, with
+    ``\\r\\n`` and ``\\r`` read as newlines."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    with open(path, encoding="utf-8") as fh, pytest.raises(ValueError) as expected:
+        json.load(fh)
+    with pytest.raises(DomainError) as got:
+        load_json(str(path))
+    assert str(got.value) == f"{path}: invalid JSON: {expected.value}"
