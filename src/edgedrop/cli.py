@@ -30,11 +30,16 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
+
+# No command uses BLAS threads; without this numpy's OpenBLAS starts them at
+# import and they burn CPU time in every process.  A value the user set stays.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import DomainError, InternalCheckError, WorkbenchError
 from .network import (
@@ -52,7 +57,7 @@ from .network import (
 )
 
 if TYPE_CHECKING:
-    from .codes import NetworkCode
+    from .codes import GlobalCodeTable, NetworkCode
     from .cwl import CwlWitness
     from .removal import RemovalResult
 
@@ -237,13 +242,12 @@ def _removal_dict(res: RemovalResult, prefix: str | None) -> dict:
     }
 
 
-def _load_table(args):
-    """The instance, the code and their global table under ``--enum-cap``."""
+def _load_table(args) -> GlobalCodeTable:
+    """The global table of the instance and code files under ``--enum-cap``."""
     from .codes import build_global_table, load_code
 
     inst = load_instance(args.instance)
-    code = load_code(args.code)
-    return inst, code, build_global_table(inst, code, enum_cap=args.enum_cap)
+    return build_global_table(inst, load_code(args.code), enum_cap=args.enum_cap)
 
 
 def _cmd_validate(args) -> tuple[int, dict]:
@@ -255,9 +259,8 @@ def _cmd_validate(args) -> tuple[int, dict]:
 def _cmd_verify(args) -> tuple[int, dict]:
     from .codes import check_feasibility
 
-    inst, code, table = _load_table(args)
-    rates = _parse_rates(args.rates, code.blocklength)
-    report = check_feasibility(inst, code, args.eps, rates, table=table)
+    table = _load_table(args)
+    report = check_feasibility(table, args.eps, _parse_rates(args.rates, table.code.blocklength))
     return (0 if report.verdict else 1), {"feasibility": report.to_dict()}
 
 
@@ -271,7 +274,7 @@ def _cmd_remove_edge(args) -> tuple[int, dict]:
         restrict_code,
     )
 
-    inst, code, table = _load_table(args)
+    table = _load_table(args)
     route = {"builtin:cwl": "cwl", "builtin:edge-value": "edge-value"}.get(args.partition)
     if route == "edge-value" and args.eps != 0:
         raise DomainError("the edge-value route only applies at eps 0")
@@ -288,14 +291,14 @@ def _cmd_remove_edge(args) -> tuple[int, dict]:
         witness = _resolve_witness(table, args.edge, args.groups)
         res = None
         if witness is not None:
-            res = cwl_remove(inst, code, table, args.edge, witness, args.eps)
+            res = cwl_remove(table, args.edge, witness, args.eps)
         if res is None:
             return 1, {"route": "cwl", "found": False}
         result = {"route": "cwl", "found": True, "witness": _witness_dict(witness)}
         return 0, {**result, **_removal_dict(res, args.emit)}
 
     if route == "edge-value":
-        res = remove_by_edge_value(inst, code, table, args.edge)
+        res = remove_by_edge_value(table, args.edge)
         if res is None:
             return 1, {"route": "edge-value", "found": False}
         return 0, {"route": "edge-value", "found": True, **_removal_dict(res, args.emit)}
@@ -321,13 +324,13 @@ def _cmd_remove_edge(args) -> tuple[int, dict]:
     label = find_witness(table, args.edge, part, args.eps)
     if label is None:
         return 1, {"route": "partition", "found": False, "conditions": conditions}
-    res = restrict_code(inst, code, table, args.edge, part, label, args.eps)
+    res = restrict_code(table, args.edge, part, label, args.eps)
     result = {"route": "partition", "found": True, "conditions": conditions}
     return 0, {**result, **_removal_dict(res, args.emit)}
 
 
 def _cmd_cwl_check(args) -> tuple[int, dict]:
-    _, _, table = _load_table(args)
+    table = _load_table(args)
     witness = _resolve_witness(table, args.edge, args.groups)
     if witness is None:
         return 1, {"witness": None}
@@ -338,7 +341,7 @@ def _cmd_pwl_remove(args) -> tuple[int, dict]:
     from .cwl import check_piecewise, piecewise_remove
     from .groups import CyclicGroup, group_from_description
 
-    inst, code, table = _load_table(args)
+    table = _load_table(args)
     if table.error != 0:
         return 1, {"found": False, "reason": ERROR_ABOVE_EPS}
     data = load_json(args.pieces)
@@ -361,22 +364,20 @@ def _cmd_pwl_remove(args) -> tuple[int, dict]:
     )
     if pw is None:
         return 1, {"found": False}
-    res = piecewise_remove(inst, code, table, args.edge, pw)
+    res = piecewise_remove(table, args.edge, pw)
     return 0, {"found": True, "pieces": len(pw.pieces), **_removal_dict(res, args.emit)}
 
 
 def _cmd_cwl_search(args) -> tuple[int, dict]:
-    from .codes import code_to_dict, load_code
+    from .codes import code_to_dict
     from .cwl import SearchBudget, cwl_search
 
-    inst = load_instance(args.instance)
-    code = load_code(args.code)
     budget = SearchBudget(
         max_group_assignments=args.budget,
         max_table_rewrites=args.rewrites,
         max_relabels_per_order=args.relabels,
     )
-    found = cwl_search(inst, code, args.edge, budget, enum_cap=args.enum_cap)
+    found = cwl_search(_load_table(args), args.edge, budget)
     if found is None:
         return 1, {"found": False}
     result = {
@@ -399,8 +400,8 @@ def _cmd_group_remove(args) -> tuple[int, dict]:
     result = {
         "checks": plan.checks,
         "auxiliary_order": plan.g_prime.order,
-        "materialized_instance": instance_to_dict(plan.instance),
-        "materialized_code": code_to_dict(plan.code),
+        "materialized_instance": instance_to_dict(plan.table.inst),
+        "materialized_code": code_to_dict(plan.table.code),
     }
     return 0, {**result, **_removal_dict(plan.removal, args.emit)}
 
@@ -426,12 +427,12 @@ def _butterfly_run(name: str, inst: NetworkInstance, code: NetworkCode, emit, en
     from .cwl import cwl_remove
 
     table = build_global_table(inst, code, enum_cap=enum_cap)
-    feas = check_feasibility(inst, code, Fraction(0), list(code.source_alphabets), table=table)
+    feas = check_feasibility(table, Fraction(0), list(code.source_alphabets))
     witness = _resolve_witness(table, "bottleneck", None)
     entry: dict = {"name": name, "feasibility": feas.to_dict()}
     res = None
     if witness is not None:
-        res = cwl_remove(inst, code, table, "bottleneck", witness, Fraction(0))
+        res = cwl_remove(table, "bottleneck", witness, Fraction(0))
     if res is None:
         entry["found"] = False
         return entry

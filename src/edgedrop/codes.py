@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, MalformedCodeError, PreconditionError, ResourceError
+from .errors import DomainError, MalformedCodeError, ResourceError
 from .network import (
     Edge,
     NetworkInstance,
@@ -451,14 +451,9 @@ class FeasibilityReport:
 
 
 def check_feasibility(
-    inst: NetworkInstance,
-    code: NetworkCode,
-    target_eps: Fraction,
-    target_cardinalities: Sequence[int],
-    table: GlobalCodeTable | None = None,
-    enum_cap: int | None = None,
+    table: GlobalCodeTable, target_eps: Fraction, target_cardinalities: Sequence[int]
 ) -> FeasibilityReport:
-    """Check the code against targets; all comparisons are exact.
+    """Check the table's code against targets; all comparisons are exact.
 
     Decoding must succeed on a fraction strictly above ``1 - eps`` per
     terminal; a target of exactly zero demands a correct fraction of one.
@@ -467,10 +462,9 @@ def check_feasibility(
     """
     if target_eps < 0 or target_eps >= 1:
         raise DomainError("target eps must satisfy 0 <= eps < 1")
+    inst, code = table.inst, table.code
     if len(target_cardinalities) != len(inst.sources):
         raise DomainError("one rate target per source is required")
-    if table is None:
-        table = build_global_table(inst, code, enum_cap=enum_cap)
     per_terminal = {t: table.terminal_error(t) for t in inst.terminals}
     if target_eps == 0:
         decoding_ok = {t: err == 0 for t, err in per_terminal.items()}

@@ -90,31 +90,16 @@ class CwlWitness:
         return np.asarray(self.edge_support, dtype=np.int64)[self.hom]
 
 
-@dataclass(frozen=True)
-class EdgeFunction:
-    """An encoding function over dense tuple indices, keyed by its image.
-
-    ``support`` is the sorted image, ``ids[t]`` the position in it of tuple
-    t's symbol, and ``reps[k]`` the first tuple carrying symbol k.  Built
-    once per edge column, it serves every group assignment tried on it.
-    """
-
-    sizes: tuple[int, ...]
-    support: tuple[int, ...]
-    ids: np.ndarray
-    reps: np.ndarray
-
-    @classmethod
-    def of(cls, phi, sizes: Sequence[int]) -> EdgeFunction:
-        """``phi`` as a dense integer sequence or an EdgeFunction."""
-        sizes = tuple(sizes)
-        if isinstance(phi, EdgeFunction):
-            if phi.sizes != sizes:
-                raise DomainError(f"encoding function is over {phi.sizes}, expected {sizes}")
-            return phi
-        values = total_map(phi, math.prod(sizes), "encoding function")
-        support, reps, ids = np.unique(values, return_index=True, return_inverse=True)
-        return cls(sizes, tuple(support.tolist()), ids, reps)
+def _fibers(phi, sizes: Sequence[int]) -> SourcePartition:
+    """The level sets of an encoding function over ``sizes``: ``phi`` is a
+    dense integer table or already the ``SourcePartition`` of its level
+    sets, whose ``keys`` are the sorted image."""
+    sizes = tuple(sizes)
+    if isinstance(phi, SourcePartition):
+        if phi.source_sizes != sizes:
+            raise DomainError(f"encoding function is over {phi.source_sizes}, expected {sizes}")
+        return phi
+    return SourcePartition(sizes, total_map(phi, math.prod(sizes), "encoding function"))
 
 
 def check_cwl(
@@ -126,14 +111,14 @@ def check_cwl(
     """Verify the homomorphism law from the product of the source groups.
 
     ``phi`` maps source tuples to edge symbols, as a dense integer sequence
-    or an ``EdgeFunction``.  The support must list one edge symbol per edge
-    group element; a witness exists only if the image of phi is exactly
-    that symbol set and ``groups.is_homomorphism`` (the law on the product's
-    generators) holds for the induced map.
+    or the ``SourcePartition`` of its level sets.  The support must list one
+    edge symbol per edge group element; a witness exists only if the image
+    of phi is exactly that symbol set and ``groups.is_homomorphism`` (the
+    law on the product's generators) holds for the induced map.
     """
     if not source_groups:
         raise DomainError("at least one source group is required")
-    f = EdgeFunction.of(phi, [g.order for g in source_groups])
+    f = _fibers(phi, [g.order for g in source_groups])
     support = tuple(edge_support)
     if len(support) != edge_group.order:
         raise DomainError(
@@ -141,7 +126,7 @@ def check_cwl(
         )
     if len(set(support)) != len(support):
         raise DomainError("support symbols must be distinct")
-    if tuple(sorted(support)) != f.support:
+    if sorted(support) != f.keys:
         return None
     # Sorted position k of a symbol is its position order[k] in the support.
     phi_k = np.argsort(np.asarray(support), kind="stable")[f.ids]
@@ -170,28 +155,30 @@ def derive_edge_group(
     alone, so every element of a class gives the same row and the pairwise
     condition holds.  Returns the verified table group on the sorted image
     together with that image, or None exactly when the pairwise condition
-    fails.  Images above ``TABLE_VERIFY_BOUND`` symbols raise DomainError
+    fails.  ``phi`` is taken as ``check_cwl`` takes it.  Fibers of unequal
+    sizes give None at any image size; an image above
+    ``TABLE_VERIFY_BOUND`` symbols with equal fibers raises DomainError
     before any table is allocated.
     """
     product = ProductGroup(source_groups)
-    f = EdgeFunction.of(phi, [g.order for g in source_groups])
-    if len(f.support) > TABLE_VERIFY_BOUND:
+    f = _fibers(phi, [g.order for g in source_groups])
+    if f.part_sizes.min() != f.part_sizes.max():
+        return None  # a homomorphism's fibers are cosets of its kernel
+    if len(f.keys) > TABLE_VERIFY_BOUND:
         raise DomainError(
             f"edge images above {TABLE_VERIFY_BOUND} symbols are not accepted"
         )
-    fiber_sizes = np.bincount(f.ids)
-    if fiber_sizes.min() != fiber_sizes.max():
-        return None  # a homomorphism's fibers are cosets of its kernel
+    _, reps = np.unique(f.ids, return_index=True)  # one tuple per symbol
     ids = np.arange(product.order)
-    tbl = np.empty((len(f.support), len(f.support)), dtype=np.int64)
-    for row, a in zip(tbl, f.reps.tolist()):
+    tbl = np.empty((len(f.keys), len(f.keys)), dtype=np.int64)
+    for row, a in zip(tbl, reps.tolist()):
         want = f.ids[product.op_array(a, ids)]
         row[f.ids] = want
         if not np.array_equal(row[f.ids], want):
             return None
     if not respects_generators(f.ids, product, lambda a, b: tbl[a, b]):
         return None
-    return TableGroup(_frozen(tbl)), f.support
+    return TableGroup(_frozen(tbl)), tuple(f.keys)
 
 
 def certify_cwl(
@@ -206,7 +193,7 @@ def certify_cwl(
     ``check_cwl``; a derived structure that fails that check is a bug and
     raises ``InternalCheckError``.
     """
-    f = EdgeFunction.of(phi, [g.order for g in source_groups])
+    f = _fibers(phi, [g.order for g in source_groups])
     if edge is not None:
         return check_cwl(f, source_groups, *edge)
     derived = derive_edge_group(f, source_groups)
@@ -241,8 +228,6 @@ def witness_partition(w: CwlWitness) -> SourcePartition:
 
 
 def cwl_remove(
-    inst: NetworkInstance,
-    code: NetworkCode,
     table: GlobalCodeTable,
     edge_id: str,
     w: CwlWitness,
@@ -278,11 +263,11 @@ def cwl_remove(
     kept_sizes = [len(ks) for ks in keep]
     if any(k * support_size < size for k, size in zip(kept_sizes, table.source_sizes)):
         raise InternalCheckError("kept symbols fall below the support bound")
-    edge_size = inst.edge(edge_id).alphabet_size
+    edge_size = table.inst.edge(edge_id).alphabet_size
     bad = part_size - good
     if not _witness_holds(kept_sizes, table.source_sizes, bad, part_size, edge_size, eps):
         return None
-    return _restrict_to_part(inst, code, table, edge_id, keep, edge_size, best, eps)
+    return _restrict_to_part(table, edge_id, keep, edge_size, best, eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,8 +343,6 @@ def check_piecewise(
 
 
 def piecewise_remove(
-    inst: NetworkInstance,
-    code: NetworkCode,
     table: GlobalCodeTable,
     edge_id: str,
     pw: PiecewiseCwl,
@@ -416,7 +399,7 @@ def piecewise_remove(
     if len(np.unique(column[indices])) != 1:
         raise InternalCheckError("edge message is not constant on the kept product")
     label = (best_piece,) + tuple(int(m[0]) for m in kept)
-    return _restrict_to_part(inst, code, table, edge_id, kept, divisor, label, Fraction(0))
+    return _restrict_to_part(table, edge_id, kept, divisor, label, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -665,43 +648,34 @@ def _rewrite_full_information(
 
 
 def cwl_search(
-    inst: NetworkInstance,
-    code: NetworkCode,
-    edge_id: str,
-    budget: SearchBudget = SearchBudget(),
-    enum_cap: int | None = None,
+    table: GlobalCodeTable, edge_id: str, budget: SearchBudget = SearchBudget()
 ) -> CwlSearchResult | None:
-    """Bounded search for a CWL certificate on one edge.
+    """Bounded search for a CWL certificate on one edge of the table's code.
 
     First tries to certify the code's own encoding function under candidate
     source group assignments (abelian structures, optionally relabeled); the
     edge group is always induced, never enumerated.  If that fails, rewrites
     the edge to carry strictly more information with exact downstream
     compensation and retries.  Both phases share the assignment budget;
-    results are deterministic for a fixed budget.  Both tables honour
-    ``enum_cap``.
+    results are deterministic for a fixed budget.
     """
-    table = build_global_table(inst, code, enum_cap=enum_cap)
     assignments_left = budget.max_group_assignments
 
-    def try_code(cand_code: NetworkCode, cand_table: GlobalCodeTable, rewritten: bool):
+    def try_table(cand: GlobalCodeTable, rewritten: bool):
         nonlocal assignments_left
-        phi = EdgeFunction.of(cand_table.edge_values(edge_id), cand_table.source_sizes)
-        fiber_sizes = np.bincount(phi.ids)
-        if 1 < len(phi.support) <= TABLE_VERIFY_BOUND and fiber_sizes.min() != fiber_sizes.max():
+        phi = SourcePartition.from_edge_values(cand, edge_id)
+        if phi.part_sizes.min() != phi.part_sizes.max():
             # Every assignment would fail derive_edge_group's coset test, so
             # none is built; the budget is charged as if each had been tried.
-            # An image above the bound is left to the loop, which refuses it.
             if assignments_left > 0:
                 tries = math.prod(
                     _candidate_count(n, budget.max_relabels_per_order)
-                    for n in cand_table.source_sizes
+                    for n in cand.source_sizes
                 )
                 assignments_left = max(0, assignments_left - tries)
             return None
         candidates = [
-            _source_candidates(n, budget.max_relabels_per_order)
-            for n in cand_table.source_sizes
+            _source_candidates(n, budget.max_relabels_per_order) for n in cand.source_sizes
         ]
         for assignment in itertools.product(*candidates):
             if assignments_left <= 0:
@@ -709,20 +683,17 @@ def cwl_search(
             assignments_left -= 1
             witness = certify_cwl(phi, assignment)
             if witness is not None:
-                return CwlSearchResult(cand_code, witness, rewritten)
+                return CwlSearchResult(cand.code, witness, rewritten)
         return None
 
-    found = try_code(code, table, rewritten=False)
-    if found is not None:
+    found = try_table(table, rewritten=False)
+    if found is not None or budget.max_table_rewrites <= 0 or assignments_left <= 0:
         return found
-    rewrites_left = budget.max_table_rewrites
-    if rewrites_left > 0 and assignments_left > 0:
-        rewritten_code = _rewrite_full_information(inst, code, edge_id)
-        if rewritten_code is not None:
-            table2 = build_global_table(inst, rewritten_code, enum_cap=enum_cap)
-            if not np.array_equal(table2.good, table.good):
-                raise InternalCheckError("rewrite changed decoding outcomes")
-            found = try_code(rewritten_code, table2, rewritten=True)
-            if found is not None:
-                return found
-    return None
+    rewritten_code = _rewrite_full_information(table.inst, table.code, edge_id)
+    if rewritten_code is None:
+        return None
+    # The rewritten code has the same tuple space, which the table has enumerated.
+    table2 = build_global_table(table.inst, rewritten_code, enum_cap=table.num_tuples)
+    if not np.array_equal(table2.good, table.good):
+        raise InternalCheckError("rewrite changed decoding outcomes")
+    return try_table(table2, rewritten=True)

@@ -147,8 +147,6 @@ class AbelianRemovalPlan:
     source_keys: tuple[str, ...]
     g_prime: SubgroupHandle
     complements: tuple[SubgroupHandle, ...]
-    instance: NetworkInstance
-    code: NetworkCode
     table: GlobalCodeTable
     partition: SourcePartition
     checks: dict[str, bool]
@@ -200,8 +198,7 @@ def abelian_removal_plan(
     if not all(checks.values()):
         raise InternalCheckError(f"auxiliary subgroup failed verification: {checks}")
 
-    inst, code = materialize(gc, source_keys, edge_key)
-    table = build_global_table(inst, code, enum_cap=enum_cap)
+    table = build_global_table(*materialize(gc, source_keys, edge_key), enum_cap=enum_cap)
     labels = np.empty(group.order, dtype=np.int64)
     index = pack([gc.realize_map(k) for k in source_keys], table.source_sizes)
     labels[index] = coset_labels(group, g_prime)
@@ -213,14 +210,12 @@ def abelian_removal_plan(
     witness = find_witness(table, "e", part, Fraction(0))
     if witness is None:
         raise InternalCheckError("coset partition has no witness part at eps = 0")
-    removal = restrict_code(inst, code, table, "e", part, witness, Fraction(0))
+    removal = restrict_code(table, "e", part, witness, Fraction(0))
     return AbelianRemovalPlan(
         edge_key=edge_key,
         source_keys=tuple(source_keys),
         g_prime=g_prime,
         complements=tuple(complements),
-        instance=inst,
-        code=code,
         table=table,
         partition=part,
         checks=checks,

@@ -16,7 +16,7 @@ certificate is re-verified by running the restricted code through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Hashable, Sequence
@@ -36,7 +36,7 @@ from .codes import (
     reindex_consumer,
 )
 from .errors import DomainError, InternalCheckError, PreconditionError
-from .network import NetworkInstance, Source, _frozen, int_table, remove_edge
+from .network import NetworkInstance, _frozen, int_table, remove_edge
 
 Label = Hashable
 
@@ -272,8 +272,6 @@ class RemovalResult:
 
 
 def _restrict_to_part(
-    inst: NetworkInstance,
-    code: NetworkCode,
     table: GlobalCodeTable,
     edge_id: str,
     keep: Sequence[Sequence[int]],
@@ -281,7 +279,7 @@ def _restrict_to_part(
     witness_label: Label,
     eps: Fraction,
 ) -> RemovalResult:
-    """Shared restriction engine for every removal route.
+    """Shared restriction engine for every removal route, on the table's code.
 
     The part is the product of ``keep``, one sorted, distinct symbol set per
     source.  The edge message must be constant on it, and it must pass the
@@ -312,15 +310,12 @@ def _restrict_to_part(
         relabel.append(lut)
     source_alphabets = tuple(len(ks) for ks in keep)
     # The restricted instance also shrinks the source alphabet declarations.
-    stripped = remove_edge(inst, edge_id)
-    inst2 = NetworkInstance(
-        nodes=stripped.nodes,
-        edges=stripped.edges,
+    inst, code = table.inst, table.code
+    inst2 = replace(
+        remove_edge(inst, edge_id),
         sources=tuple(
-            Source(s.node, size) for s, size in zip(stripped.sources, source_alphabets)
+            replace(s, alphabet_size=size) for s, size in zip(inst.sources, source_alphabets)
         ),
-        terminals=stripped.terminals,
-        demands=stripped.demands,
     )
     reencoded, redecoded = reindex_consumer(inst, code, edge_id, constant)
     encoders = {}
@@ -347,7 +342,7 @@ def _restrict_to_part(
         decoders=decoders,
     )
     table2 = build_global_table(inst2, code2)
-    report = check_feasibility(inst2, code2, eps, promised, table=table2)
+    report = check_feasibility(table2, eps, promised)
     if not report.verdict:
         raise InternalCheckError(
             "restricted code failed its feasibility re-verification"
@@ -373,8 +368,6 @@ def _restrict_to_part(
 
 
 def restrict_code(
-    inst: NetworkInstance,
-    code: NetworkCode,
     table: GlobalCodeTable,
     edge_id: str,
     part: SourcePartition,
@@ -392,14 +385,12 @@ def restrict_code(
     if not fibers_are_products(part):
         raise PreconditionError("partition has a non-product part")
     return _restrict_to_part(
-        inst, code, table, edge_id, part.projections(witness_label),
-        inst.edge(edge_id).alphabet_size, witness_label, eps,
+        table, edge_id, part.projections(witness_label),
+        table.inst.edge(edge_id).alphabet_size, witness_label, eps,
     )
 
 
 def restrict_to_product(
-    inst: NetworkInstance,
-    code: NetworkCode,
     table: GlobalCodeTable,
     edge_id: str,
     subsets: Sequence[Sequence[int]],
@@ -407,17 +398,12 @@ def restrict_to_product(
 ) -> RemovalResult:
     """Apply the restriction engine to a declared product-set witness."""
     return _restrict_to_part(
-        inst, code, table, edge_id, checked_subsets(subsets, table.source_sizes),
-        inst.edge(edge_id).alphabet_size, "product", eps,
+        table, edge_id, checked_subsets(subsets, table.source_sizes),
+        table.inst.edge(edge_id).alphabet_size, "product", eps,
     )
 
 
-def remove_by_edge_value(
-    inst: NetworkInstance,
-    code: NetworkCode,
-    table: GlobalCodeTable,
-    edge_id: str,
-) -> RemovalResult | None:
+def remove_by_edge_value(table: GlobalCodeTable, edge_id: str) -> RemovalResult | None:
     """Zero-error removal using the edge's own message as the partition.
 
     Only defined for codes whose exhaustive error is exactly zero.  If the
@@ -435,7 +421,7 @@ def remove_by_edge_value(
     best_pos = int(np.argmax(part.part_sizes))
     best = part.keys[best_pos]
     size = int(part.part_sizes[best_pos])
-    edge_size = inst.edge(edge_id).alphabet_size
+    edge_size = table.inst.edge(edge_id).alphabet_size
     if size * edge_size < table.num_tuples:
         raise InternalCheckError("largest level set beats averaging; enumeration bug")
     if not _witness_holds(
@@ -444,5 +430,5 @@ def remove_by_edge_value(
     ):
         raise InternalCheckError("averaging failed to produce a valid witness part")
     return _restrict_to_part(
-        inst, code, table, edge_id, part.projections(best), edge_size, best, Fraction(0),
+        table, edge_id, part.projections(best), edge_size, best, Fraction(0)
     )

@@ -228,6 +228,16 @@ def evaluate_global(
     return tuple(values[e.id] for e in inst.edges)
 
 
+def check_claims_on_original(table, cert) -> None:
+    """A removal certificate's claim about the code it was computed from:
+    on every tuple of the product of ``restricted_alphabets``, the removed
+    edge carries ``edge_constant`` under ``table.inst`` and ``table.code``,
+    by the scalar ``evaluate_global``."""
+    pos = [e.id for e in table.inst.edges].index(cert.edge_id)
+    for x in itertools.product(*cert.restricted_alphabets):
+        assert evaluate_global(table.inst, table.code, x)[pos] == cert.edge_constant
+
+
 def decode_outputs(
     inst: NetworkInstance, code: NetworkCode, edge_values: Sequence[int]
 ) -> dict[str, tuple[int, ...]]:

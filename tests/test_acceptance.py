@@ -116,14 +116,16 @@ def test_criterion_01_restriction_soundness(announce):
         label = find_witness(table, edge, part, eps)
         if label is None:
             continue
-        result = restrict_code(inst, code, table, edge, part, label, eps)
+        result = restrict_code(table, edge, part, label, eps)
         emitted += 1
         edge_size = code.edge_alphabets[edge]
         promised = tuple(-(-n // edge_size) for n in code.source_alphabets)
         if result.certificate.promised_cardinalities != promised:
             failures.append(f"sample {count}: promise is not ceil(size/edge)")
             continue
-        fresh = check_feasibility(result.instance, result.code, eps, promised)
+        fresh = check_feasibility(
+            build_global_table(result.instance, result.code), eps, promised
+        )
         if not fresh.verdict:
             failures.append(f"sample {count}: restricted code failed re-verification")
         if result.code.blocklength != code.blocklength:
@@ -158,7 +160,7 @@ def test_criterion_02_class_partition_pipeline(announce):
             failures.append(f"trial {trials}: partition does not fix the edge value")
         if not fibers_are_products(part):
             failures.append(f"trial {trials}: classes are not product sets")
-        result = cwl_remove(inst, code, table, "e", witness, Fraction(0))
+        result = cwl_remove(table, "e", witness, Fraction(0))
         cert = result.certificate
         support = len(witness.edge_support)
         for i, n in enumerate(sizes):
@@ -174,7 +176,7 @@ def test_criterion_03_butterfly_end_to_end(announce):
     started = time.perf_counter()
     failures = []
     inst, code = butterfly()
-    base = check_feasibility(inst, code, Fraction(0), (2, 2))
+    base = check_feasibility(build_global_table(inst, code), Fraction(0), (2, 2))
     if not (base.verdict and base.blocklength == 1):
         failures.append("binary butterfly is not zero-error at one bit per source")
     table = build_global_table(inst, code)
@@ -187,16 +189,18 @@ def test_criterion_03_butterfly_end_to_end(announce):
     if witness is None:
         failures.append("bottleneck XOR is not certified")
     else:
-        result = cwl_remove(inst, code, table, "bottleneck", witness, Fraction(0))
+        result = cwl_remove(table, "bottleneck", witness, Fraction(0))
         cert = result.certificate
         if cert.achieved_cardinalities != (1, 1):
             failures.append("binary removal should leave zero bits per source")
-        fresh = check_feasibility(result.instance, result.code, Fraction(0), (1, 1))
+        fresh = check_feasibility(
+            build_global_table(result.instance, result.code), Fraction(0), (1, 1)
+        )
         if not (fresh.verdict and fresh.error == 0):
             failures.append("binary restricted code is not zero-error")
 
     inst4, code4 = butterfly(4)
-    base4 = check_feasibility(inst4, code4, Fraction(0), (4, 4))
+    base4 = check_feasibility(build_global_table(inst4, code4), Fraction(0), (4, 4))
     if not base4.verdict:
         failures.append("wide butterfly is not zero-error at two bits per source")
     table4 = build_global_table(inst4, code4)
@@ -209,11 +213,13 @@ def test_criterion_03_butterfly_end_to_end(announce):
         witness4 = check_cwl(
             table4.edge_values("bottleneck"), [CyclicGroup(4), CyclicGroup(4)], *derived
         )
-        result4 = cwl_remove(inst4, code4, table4, "bottleneck", witness4, Fraction(0))
+        result4 = cwl_remove(table4, "bottleneck", witness4, Fraction(0))
         cert4 = result4.certificate
         if cert4.achieved_cardinalities != (2, 2):
             failures.append("wide removal should leave one bit per source")
-        fresh4 = check_feasibility(result4.instance, result4.code, Fraction(0), (2, 2))
+        fresh4 = check_feasibility(
+            build_global_table(result4.instance, result4.code), Fraction(0), (2, 2)
+        )
         if not (fresh4.verdict and fresh4.error == 0):
             failures.append("wide restricted code is not zero-error")
     elapsed = time.perf_counter() - started
@@ -253,13 +259,15 @@ def test_criterion_04_piecewise_size_bounds(announce):
             continue
         inst, code = relay_instance(sizes, max(support) + 1, phi)
         table = build_global_table(inst, code)
-        result = piecewise_remove(inst, code, table, "e", pw)
+        result = piecewise_remove(table, "e", pw)
         cert = result.certificate
         for i, n in enumerate(sizes):
             if cert.achieved_cardinalities[i] * len(support) * k_count < n:
                 failures.append(f"{k_count} pieces: size bound fails for source {i}")
         fresh = check_feasibility(
-            result.instance, result.code, Fraction(0), cert.promised_cardinalities
+            build_global_table(result.instance, result.code),
+            Fraction(0),
+            cert.promised_cardinalities,
         )
         if not (fresh.verdict and fresh.error == 0):
             failures.append(f"{k_count} pieces: restricted code is not zero-error")

@@ -507,6 +507,34 @@ def test_cwl_search_honours_enum_cap(tmp_path, capsys):
     assert "above the cap of 10" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def mod_600_relay(tmp_path_factory):
+    """A 32 x 32 relay whose edge carries the tuple index mod 600, over an
+    edge alphabet of 600: fibers of two and of one tuple, 600 symbols."""
+    inst, code = relay_instance([32, 32], 600, [i % 600 for i in range(1024)])
+    return _write_pair(tmp_path_factory.mktemp("mod600"), inst, code)
+
+
+@pytest.mark.parametrize(
+    "command, flags, result",
+    [
+        ("cwl-check", [], {"witness": None}),
+        ("cwl-search", [], {"found": False}),
+        ("remove-edge", ["--partition", "builtin:cwl"], {"route": "cwl", "found": False}),
+    ],
+)
+def test_unequal_fibers_above_the_table_bound_are_not_cwl(
+    mod_600_relay, command, flags, result, capsys
+):
+    """Unequal fibers rule CWL out at any image size, so an image above the
+    512-symbol table bound is judged, not refused as input."""
+    inst_path, code_path = mod_600_relay
+    assert main([command, inst_path, code_path, "--edge", "e", *flags]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["result"] == result
+    assert "not accepted" not in captured.err
+
+
 @pytest.mark.parametrize("flag, value", [("--budget", "-3"), ("--enum-cap", "-1")])
 def test_counts_in_flags_must_be_positive(flag, value, tmp_path, capsys):
     inst, code = relay_instance([4, 4], 4, tabulate([4, 4], lambda a, b: (a + b) % 4))

@@ -137,16 +137,16 @@ def test_relay_instance_shape_and_distribution():
 
 def test_feasibility_verdicts():
     inst, code = butterfly()
-    ok = check_feasibility(inst, code, Fraction(0), (2, 2))
+    ok = check_feasibility(build_global_table(inst, code), Fraction(0), (2, 2))
     assert ok.verdict
     assert ok.error == 0
-    too_much = check_feasibility(inst, code, Fraction(0), (4, 2))
+    too_much = check_feasibility(build_global_table(inst, code), Fraction(0), (4, 2))
     assert not too_much.verdict
     assert too_much.rate_ok == (False, True)
     with pytest.raises(DomainError):
-        check_feasibility(inst, code, Fraction(1), (2, 2))
+        check_feasibility(build_global_table(inst, code), Fraction(1), (2, 2))
     with pytest.raises(DomainError):
-        check_feasibility(inst, code, Fraction(0), (2,))
+        check_feasibility(build_global_table(inst, code), Fraction(0), (2,))
 
 
 def test_zero_eps_requires_exactly_zero_error():
@@ -164,11 +164,11 @@ def test_zero_eps_requires_exactly_zero_error():
     )
     table = build_global_table(inst, dented)
     assert table.terminal_error("t1") == Fraction(1, 4)
-    assert not check_feasibility(inst, dented, Fraction(0), (2, 2), table=table).verdict
+    assert not check_feasibility(table, Fraction(0), (2, 2)).verdict
     # The strict inequality means eps = 1/4 is still not enough.
-    report = check_feasibility(inst, dented, Fraction(1, 4), (2, 2), table=table)
+    report = check_feasibility(table, Fraction(1, 4), (2, 2))
     assert not report.verdict
-    assert check_feasibility(inst, dented, Fraction(1, 3), (2, 2), table=table).verdict
+    assert check_feasibility(table, Fraction(1, 3), (2, 2)).verdict
 
 
 def test_enum_cap_refuses_large_spaces():

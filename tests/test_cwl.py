@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     ReferenceGroup,
     as_lists,
+    check_claims_on_original,
     classes_equal_sized,
     coordinate_classes,
     oracle_class_pick,
@@ -38,7 +39,6 @@ from edgedrop.codes import (
 )
 from edgedrop.cwl import (
     CwlWitness,
-    EdgeFunction,
     SearchBudget,
     _candidate_count,
     _source_candidates,
@@ -160,7 +160,7 @@ def test_cwl_remove_butterfly_rates():
         groups = [CyclicGroup(s) for s in table.source_sizes]
         g, support = derive_edge_group(phi, groups)
         w = check_cwl(phi, groups, g, support)
-        result = cwl_remove(inst, code, table, "bottleneck", w, Fraction(0))
+        result = cwl_remove(table, "bottleneck", w, Fraction(0))
         cert = result.certificate
         assert cert.promised_cardinalities == expected
         assert cert.achieved_cardinalities == expected
@@ -179,7 +179,7 @@ def test_cwl_remove_rejects_foreign_witness():
     derived = derive_edge_group((1, 0, 0, 1), [CyclicGroup(2), CyclicGroup(2)])
     w = check_cwl((1, 0, 0, 1), [CyclicGroup(2), CyclicGroup(2)], *derived)
     with pytest.raises(PreconditionError):
-        cwl_remove(inst, code, table, "bottleneck", w, Fraction(0))
+        cwl_remove(table, "bottleneck", w, Fraction(0))
 
 
 def _two_piece_copy():
@@ -224,7 +224,7 @@ def test_piecewise_remove_two_pieces():
     pw = check_piecewise(phi, groups, (0, 1), pieces)
     inst, code = relay_instance([2, 2], 2, phi)
     table = build_global_table(inst, code)
-    result = piecewise_remove(inst, code, table, "e", pw)
+    result = piecewise_remove(table, "e", pw)
     cert = result.certificate
     assert cert.promised_cardinalities == (1, 1)
     assert cert.achieved_cardinalities >= (1, 1)
@@ -250,7 +250,7 @@ def test_piecewise_remove_requires_zero_error():
     )
     table = build_global_table(inst, dented)
     with pytest.raises(PreconditionError):
-        piecewise_remove(inst, dented, table, "e", pw)
+        piecewise_remove(table, "e", pw)
 
 
 def test_relabel_balanced_roundtrip():
@@ -333,7 +333,7 @@ def test_cwl_search_finds_relabeled_bottleneck():
     table = build_global_table(inst, twisted)
     assert table.error == 0
     assert table.edge_values("bottleneck").tolist() == [1, 0, 0, 1]
-    found = cwl_search(inst, twisted, "bottleneck")
+    found = cwl_search(build_global_table(inst, twisted), "bottleneck")
     assert found is not None
     assert not found.rewritten
     assert found.witness.edge_support == (0, 1)
@@ -341,7 +341,7 @@ def test_cwl_search_finds_relabeled_bottleneck():
 
 def test_cwl_search_rewrite_path():
     inst, code = relay_instance([2, 2], 4, tabulate([2, 2], lambda a, b: a & b))
-    found = cwl_search(inst, code, "e")
+    found = cwl_search(build_global_table(inst, code), "e")
     assert found is not None
     assert found.rewritten
     # The rewritten edge carries the dense pair index, a bijection.
@@ -351,7 +351,7 @@ def test_cwl_search_rewrite_path():
     assert found.witness.edge_support == (0, 1, 2, 3)
     # With rewrites disabled the same search gives up.
     capped = SearchBudget(max_group_assignments=64, max_table_rewrites=0)
-    assert cwl_search(inst, code, "e", capped) is None
+    assert cwl_search(build_global_table(inst, code), "e", capped) is None
 
 
 def test_candidate_count_matches_the_candidates():
@@ -374,13 +374,13 @@ def test_unbalanced_search_is_charged_its_candidates_and_builds_none(
     derive = cwl.derive_edge_group
 
     def spy(phi, groups):
-        derived.append(EdgeFunction.of(phi, [g.order for g in groups]).support)
+        derived.append(tuple(phi.keys))
         return derive(phi, groups)
 
     monkeypatch.setattr(cwl, "derive_edge_group", spy)
     inst, code = relay_instance([2, 2], 4, tabulate([2, 2], lambda a, b: a & b))
     budget = SearchBudget(max_group_assignments=assignments, max_relabels_per_order=relabels)
-    found = cwl_search(inst, code, "e", budget)
+    found = cwl_search(build_global_table(inst, code), "e", budget)
     assert (found and found.rewritten) == rewritten
     assert derived == ([(0, 1, 2, 3)] if rewritten else [])
 
@@ -572,7 +572,7 @@ def test_derive_edge_group_refuses_images_above_the_table_bound():
 def test_certify_cwl_routes():
     phi = tabulate([4, 4], lambda a, b: (a + 3 * b) % 4)
     groups = [CyclicGroup(4), CyclicGroup(4)]
-    f = EdgeFunction.of(phi, [4, 4])
+    f = SourcePartition((4, 4), phi)
     def key(w):
         return w.edge_group.describe(), w.edge_support, w.hom.tolist()
 
@@ -701,7 +701,8 @@ def test_piecewise_class_pick_matches_the_scalar_oracle():
         assert pw is not None
         inst, code = relay_instance(sizes, len(rotate), glued)
         table = build_global_table(inst, code)
-        cert = piecewise_remove(inst, code, table, "e", pw).certificate
+        cert = piecewise_remove(table, "e", pw).certificate
+        check_claims_on_original(table, cert)
         kept = oracle_class_pick(pw.pieces[0].witness, pw.pieces[0].subsets)
         assert cert.witness_label == (0, *(k[0] for k in kept))
         assert cert.restricted_alphabets == tuple(tuple(k) for k in kept)

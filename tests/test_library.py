@@ -30,7 +30,7 @@ def test_butterfly_shape_and_feasibility():
     assert len(inst.edges) == 9
     table = build_global_table(inst, code)
     assert table.error == 0
-    report = check_feasibility(inst, code, Fraction(0), (2, 2))
+    report = check_feasibility(build_global_table(inst, code), Fraction(0), (2, 2))
     assert report.verdict
 
 
@@ -40,7 +40,7 @@ def test_wide_butterfly_shape_and_feasibility():
     assert len(inst.edges) == 11
     table = build_global_table(inst, code)
     assert table.error == 0
-    report = check_feasibility(inst, code, Fraction(0), (4, 4))
+    report = check_feasibility(build_global_table(inst, code), Fraction(0), (4, 4))
     assert report.verdict
     # The bottleneck still carries a single bit.
     assert code.edge_alphabets["bottleneck"] == 2
@@ -56,13 +56,13 @@ def test_butterfly_family_against_the_scalar_oracle(n):
     assert len(inst.edges) == 11
     table = build_global_table(inst, code)
     assert table.error == 0
-    assert check_feasibility(inst, code, Fraction(0), (n, n)).verdict
+    assert check_feasibility(build_global_table(inst, code), Fraction(0), (n, n)).verdict
     for idx, row in enumerate(table.rows.tolist()):
         assert tuple(row) == evaluate_global(inst, code, oracle_digits(idx, (n, n)))
     phi = table.edge_values("bottleneck")
     groups = [CyclicGroup(n), CyclicGroup(n)]
     w = check_cwl(phi, groups, *derive_edge_group(phi, groups))
-    cert = cwl_remove(inst, code, table, "bottleneck", w, Fraction(0)).certificate
+    cert = cwl_remove(table, "bottleneck", w, Fraction(0)).certificate
     assert cert.achieved_cardinalities == (n // 2, n // 2)
     assert cert.feasibility.verdict
 

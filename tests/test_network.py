@@ -405,7 +405,7 @@ def _probes():
     inst, code = relay_instance([4, 3], 2, tabulate([4, 3], lambda a, b: a % 2))
     table = build_global_table(inst, code)
     z2, phi = CyclicGroup(2), (0, 1, 1, 0)
-    product = lambda s: restrict_to_product(inst, code, table, "e", s, Fraction(0))
+    product = lambda s: restrict_to_product(table, "e", s, Fraction(0))
     return {
         "restrict_to_product-floats": (product, [[0.0, 2.0], [0, 1, 2]]),
         "restrict_to_product-bools": (product, [[True, False], [0, 1, 2]]),

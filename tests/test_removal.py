@@ -1,5 +1,6 @@
 """Partition routes and the restriction engine, against hand-counted oracles."""
 
+import collections
 import math
 import random
 from fractions import Fraction
@@ -12,9 +13,12 @@ from hypothesis import strategies as st
 from conftest import (
     decode_outputs,
     evaluate_global,
+    check_claims_on_original,
     oracle_digits,
+    oracle_index,
     part_tuples,
     random_code,
+    random_hom_witness,
     random_instance,
     random_partition,
     scalar_table,
@@ -27,8 +31,15 @@ from edgedrop.codes import (
     relay_instance,
     tabulate,
 )
-from edgedrop.cwl import _rewrite_full_information
+from edgedrop.cwl import (
+    _rewrite_full_information,
+    certify_cwl,
+    check_piecewise,
+    cwl_remove,
+    piecewise_remove,
+)
 from edgedrop.errors import DomainError, PreconditionError
+from edgedrop.groups import CyclicGroup
 from edgedrop.library import butterfly
 from edgedrop.removal import (
     SourcePartition,
@@ -126,7 +137,7 @@ def test_find_witness_size_bound():
 def test_restrict_code_on_corrupted_relay():
     inst, code, table = _corrupted_copy_relay()
     part = SourcePartition.from_edge_values(table, "e")
-    result = restrict_code(inst, code, table, "e", part, 1, Fraction(0))
+    result = restrict_code(table, "e", part, 1, Fraction(0))
     cert = result.certificate
     assert cert.edge_constant == 1
     assert cert.restricted_alphabets == ((1,), (0, 1))
@@ -135,14 +146,16 @@ def test_restrict_code_on_corrupted_relay():
     assert cert.feasibility.verdict
     assert [e.id for e in result.instance.edges] == ["c1", "d1", "c2", "d2"]
     fresh = check_feasibility(
-        result.instance, result.code, Fraction(0), cert.promised_cardinalities
+        build_global_table(result.instance, result.code),
+        Fraction(0),
+        cert.promised_cardinalities,
     )
     assert fresh.verdict
     # The part meeting eps exactly is refused rather than certified.
     with pytest.raises(PreconditionError):
-        restrict_code(inst, code, table, "e", part, 0, Fraction(1, 2))
+        restrict_code(table, "e", part, 0, Fraction(1, 2))
     with pytest.raises(DomainError):
-        restrict_code(inst, code, table, "e", part, 7, Fraction(0))
+        restrict_code(table, "e", part, 7, Fraction(0))
 
 
 def test_restrict_code_rejects_bad_partitions():
@@ -150,10 +163,10 @@ def test_restrict_code_rejects_bad_partitions():
     table = build_global_table(inst, code)
     xor_part = SourcePartition.from_edge_values(table, "bottleneck")
     with pytest.raises(PreconditionError):
-        restrict_code(inst, code, table, "bottleneck", xor_part, 0, Fraction(0))
+        restrict_code(table, "bottleneck", xor_part, 0, Fraction(0))
     whole = SourcePartition.whole((2, 2))
     with pytest.raises(PreconditionError):
-        restrict_code(inst, code, table, "bottleneck", whole, 0, Fraction(0))
+        restrict_code(table, "bottleneck", whole, 0, Fraction(0))
 
 
 def test_restriction_hardwires_downstream_tables():
@@ -163,7 +176,7 @@ def test_restriction_hardwires_downstream_tables():
     # Fixing source 1 pins a1 and the bottleneck; source 2 passes through.
     label = find_witness(table, "a1", part, Fraction(0))
     assert label == (0, 0)
-    result = restrict_code(inst, code, table, "a1", part, label, Fraction(0))
+    result = restrict_code(table, "a1", part, label, Fraction(0))
     assert result.certificate.achieved_cardinalities == (1, 2)
     check = build_global_table(result.instance, result.code)
     assert check.error == 0
@@ -174,7 +187,7 @@ def test_restriction_hardwires_downstream_tables():
 def test_certificate_to_dict_shape():
     inst, code, table = _corrupted_copy_relay()
     part = SourcePartition.from_edge_values(table, "e")
-    cert = restrict_code(inst, code, table, "e", part, 1, Fraction(0)).certificate
+    cert = restrict_code(table, "e", part, 1, Fraction(0)).certificate
     data = cert.to_dict()
     assert data["edge_id"] == "e"
     assert data["eps"] == "0"
@@ -186,7 +199,7 @@ def test_certificate_to_dict_shape():
 def test_restrict_to_product_checks_the_declared_set():
     inst, code = relay_instance([4, 3], 2, tabulate([4, 3], lambda a, b: a % 2))
     table = build_global_table(inst, code)
-    result = restrict_to_product(inst, code, table, "e", [(2, 0), (0, 1, 2, 1)], Fraction(0))
+    result = restrict_to_product(table, "e", [(2, 0), (0, 1, 2, 1)], Fraction(0))
     assert result.certificate.restricted_alphabets == ((0, 2), (0, 1, 2))
     assert result.certificate.achieved_cardinalities == (2, 3)
     assert result.certificate.witness_label == "product"
@@ -194,19 +207,19 @@ def test_restrict_to_product_checks_the_declared_set():
     # source is below the size bound.
     for subsets in ([(0, 1), (0, 1, 2)], [(0,), (0, 1, 2)]):
         with pytest.raises(PreconditionError):
-            restrict_to_product(inst, code, table, "e", subsets, Fraction(0))
+            restrict_to_product(table, "e", subsets, Fraction(0))
     with pytest.raises(DomainError):
-        restrict_to_product(inst, code, table, "e", [(0, 9), (0,)], Fraction(0))
+        restrict_to_product(table, "e", [(0, 9), (0,)], Fraction(0))
     # A set, a range or an iterator of symbols is a subset too.
     for subsets in ([{2, 0}, range(3)], [iter((0, 2)), frozenset({0, 1, 2})]):
-        result = restrict_to_product(inst, code, table, "e", subsets, Fraction(0))
+        result = restrict_to_product(table, "e", subsets, Fraction(0))
         assert result.certificate.restricted_alphabets == ((0, 2), (0, 1, 2))
 
 
 def test_remove_by_edge_value_on_parity_relay():
     inst, code = relay_instance([4, 3], 2, tabulate([4, 3], lambda a, b: a % 2))
     table = build_global_table(inst, code)
-    result = remove_by_edge_value(inst, code, table, "e")
+    result = remove_by_edge_value(table, "e")
     assert result is not None
     cert = result.certificate
     assert cert.witness_label == 0
@@ -220,13 +233,13 @@ def test_remove_by_edge_value_refuses_nonproduct_levels():
     inst, code = butterfly()
     table = build_global_table(inst, code)
     # XOR level sets are diagonal, not products.
-    assert remove_by_edge_value(inst, code, table, "bottleneck") is None
+    assert remove_by_edge_value(table, "bottleneck") is None
 
 
 def test_remove_by_edge_value_requires_zero_error():
     inst, code, table = _corrupted_copy_relay()
     with pytest.raises(PreconditionError):
-        remove_by_edge_value(inst, code, table, "e")
+        remove_by_edge_value(table, "e")
 
 
 def test_random_restrictions_reverify(tmp_path=None):
@@ -246,13 +259,15 @@ def test_random_restrictions_reverify(tmp_path=None):
         label = find_witness(table, edge, part, eps)
         if label is None:
             continue
-        result = restrict_code(inst, code, table, edge, part, label, eps)
+        result = restrict_code(table, edge, part, label, eps)
         emitted += 1
         cert = result.certificate
         assert len(result.instance.edges) == len(inst.edges) - 1
         assert all(a >= p for a, p in zip(cert.achieved_cardinalities, cert.promised_cardinalities))
         fresh = check_feasibility(
-            result.instance, result.code, eps, cert.promised_cardinalities
+            build_global_table(result.instance, result.code),
+            eps,
+            cert.promised_cardinalities,
         )
         assert fresh.verdict
         assert math.prod(cert.achieved_cardinalities) == fresh.num_tuples
@@ -283,7 +298,7 @@ def _check_restriction(inst, code, table, edge_id, subsets, eps) -> bool:
     if find_witness(table, edge_id, part, eps) != 0:
         return False
     edge_size = inst.edge(edge_id).alphabet_size
-    result = _restrict_to_part(inst, code, table, edge_id, part.projections(0), edge_size, 0, eps)
+    result = _restrict_to_part(table, edge_id, part.projections(0), edge_size, 0, eps)
     cert = result.certificate
     assert cert.restricted_alphabets == tuple(map(tuple, subsets))
     assert all(a >= p for a, p in zip(cert.achieved_cardinalities, cert.promised_cardinalities))
@@ -342,3 +357,74 @@ def test_restriction_and_rewrite_agree_with_the_scalar_oracle():
 
     check()
     assert seen["restricted"] >= 50 and seen["rewritten"] >= 50, seen
+
+
+
+def _random_relay_map(rng) -> tuple[list[int], list[int]]:
+    """Source sizes and an edge map: a homomorphism of cyclic groups, a
+    product of per-source classes (level sets that are products), or a
+    random map."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        found = random_hom_witness(rng, 6, (2, 3, 4, 6), 3, 216)
+        if found is not None:
+            return list(found[0]), list(found[1])
+    sizes = [rng.choice((2, 3, 4, 6)) for _ in range(rng.randint(1, 3))]
+    tuples = [oracle_digits(i, sizes) for i in range(math.prod(sizes))]
+    if kind == 1:
+        classes = [[rng.randrange(2) for _ in range(n)] for n in sizes]
+        labels = [[c[v] for c, v in zip(classes, x)] for x in tuples]
+        return sizes, [oracle_index(label, [2] * len(sizes)) for label in labels]
+    return sizes, [rng.randrange(4) for _ in tuples]
+
+
+def _removals(rng, table, edge_id):
+    """The certified removals of one edge of a zero-error code, by route."""
+    groups = [CyclicGroup(n) for n in table.source_sizes]
+    part = random_partition(rng, table)
+    if fiber_edge_values(table, edge_id, part) is not None and fibers_are_products(part):
+        label = find_witness(table, edge_id, part, Fraction(0))
+        if label is not None:
+            yield "label", restrict_code(table, edge_id, part, label, Fraction(0))
+    result = remove_by_edge_value(table, edge_id)
+    if result is not None:
+        yield "edge-value", result
+    subsets = _constant_product(rng, table, edge_id)
+    try:
+        result = restrict_to_product(table, edge_id, subsets, Fraction(0))
+    except PreconditionError:  # the product misses the witness bounds
+        result = None
+    if result is not None:
+        yield "product", result
+    column = table.edge_values(edge_id)
+    witness = certify_cwl(column, groups)
+    if witness is not None:
+        result = cwl_remove(table, edge_id, witness, Fraction(0))
+        if result is not None:
+            yield "cwl", result
+        whole = [list(range(n)) for n in table.source_sizes]
+        pw = check_piecewise(column, groups, witness.edge_support, [(whole, column)])
+        yield "piecewise", piecewise_remove(table, edge_id, pw)
+
+
+def test_certificates_hold_on_the_original_code():
+    """A certificate is a claim about the code whose edge it removes (see
+    ``conftest.check_claims_on_original``).  Every route, on random relays
+    and on every edge of both butterflies; the piecewise route with two
+    pieces is covered in ``test_cwl``."""
+    rng = random.Random(2020)
+    seen = collections.Counter()
+    cases = [
+        (table, e.id)
+        for table in (build_global_table(*butterfly()), build_global_table(*butterfly(4)))
+        for e in table.inst.edges
+    ]
+    for _ in range(150):
+        sizes, phi = _random_relay_map(rng)
+        cases.append((build_global_table(*relay_instance(sizes, max(phi) + 1, phi)), "e"))
+    for table, edge_id in cases:
+        for route, result in _removals(rng, table, edge_id):
+            check_claims_on_original(table, result.certificate)
+            seen[route] += 1
+    routes = ("label", "edge-value", "product", "cwl", "piecewise")
+    assert all(seen[route] >= 20 for route in routes), seen

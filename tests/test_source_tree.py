@@ -70,3 +70,18 @@ def test_allowed_names_are_defined_and_uncalled():
     calls, is stale."""
     callers = {q.split(".")[1]: n for q, n in _callers().items()}
     assert {name: callers.get(name) for name in ALLOWED} == dict.fromkeys(ALLOWED, 0)
+
+
+def test_no_function_takes_a_table_beside_its_instance_or_code():
+    """A global table carries the instance and code it enumerates; a
+    function that also takes an ``inst`` or a ``code`` can be handed a table
+    of another code and judge one code by the other's table."""
+    both = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                if "table" in params and params & {"inst", "code"}:
+                    both.append(f"{path.stem}.{node.name}")
+    assert not both, f"take a table beside an instance or code: {', '.join(both)}"

@@ -78,3 +78,33 @@ def test_a_command_loads_only_the_modules_it_runs(argv, status, expected):
     assert at_import == AT_IMPORT
     assert got_status == status
     assert loaded == expected
+
+
+# Records the OpenBLAS thread setting at the moment numpy starts to load.
+BLAS_PROBE = """
+import os, sys
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, Spy())
+import edgedrop.cli
+"""
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")], ids=["unset", "set"])
+def test_numpy_loads_with_one_blas_thread_unless_the_user_chose(preset, expected):
+    """No command uses BLAS threads, so ``edgedrop.cli`` sets
+    ``OPENBLAS_NUM_THREADS`` to 1 before numpy loads; a value already in
+    the environment stays."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    run = subprocess.run(
+        [sys.executable, "-c", BLAS_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [expected]
