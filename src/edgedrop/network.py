@@ -485,6 +485,7 @@ FAST_READ_BYTES = 1 << 12
 # spaces, so the text is its input as it stands; a raw \v or \f, which
 # JSON refuses, becomes NUL.
 _TEXT = bytes.maketrans(b"[]\v\f", b"\v\f\0\0")
+_TEXT_OPEN, _TEXT_CLOSE = b"\v\f"
 _WHITESPACE = b" \t\n\r"
 
 # One class byte per text byte: a nonzero digit, zero, minus, comma and the
@@ -496,14 +497,16 @@ for _ch, _cls in zip(b"1234567890-,\v\f", [_DIGIT] * 9 + [_ZERO, _MINUS, _COMMA,
 _CLASSES = bytes(_CLASSES)
 
 # Pair codes, indexed by 8 * class + next class: 0 refused, 1 allowed
-# between tokens, 3 allowed inside a number, 4 a zero that starts a number.
-# A 4 followed by a 3 is a leading zero, and 18 3s in a row make a number
-# of more than 18 characters, which may not fit in 64 bits and is left to
-# ``json``.
+# between tokens, 3 and 5 allowed inside a number, 5 where a zero is
+# followed by a digit, 4 a zero that starts a number.  A 4 followed by a 5
+# is a leading zero, and 18 inside-number codes in a row make a number of
+# more than 18 characters, which may not fit in 64 bits and is left to
+# ``json``.  Most tables hold no 5, so the leading-zero check is one search
+# for a single byte.
 _FOLLOW = bytearray(256)
 for _a, _next in {
     _DIGIT: ((_DIGIT, 3), (_ZERO, 3), (_COMMA, 1), (_CLOSE, 1)),
-    _ZERO: ((_DIGIT, 3), (_ZERO, 3), (_COMMA, 1), (_CLOSE, 1)),
+    _ZERO: ((_DIGIT, 5), (_ZERO, 5), (_COMMA, 1), (_CLOSE, 1)),
     _MINUS: ((_DIGIT, 3), (_ZERO, 4)),
     _COMMA: ((_DIGIT, 1), (_ZERO, 4), (_MINUS, 1), (_OPEN, 1)),
     _OPEN: ((_DIGIT, 1), (_ZERO, 4), (_MINUS, 1), (_OPEN, 1), (_CLOSE, 1)),
@@ -512,7 +515,7 @@ for _a, _next in {
     for _b, _code in _next:
         _FOLLOW[_a * 8 + _b] = _code
 _FOLLOW = bytes(_FOLLOW)
-_REFUSED = (b"\0", b"\4\3", b"\3" * 18)
+_INSIDE = bytes.maketrans(b"\5", b"\3")
 # Table text is translated this many bytes at a time, so that no buffer
 # but the file itself is as large as a table with its whitespace.
 _CHUNK = 1 << 22
@@ -593,35 +596,55 @@ def _int_table_text(raw: bytes, first: int, last: int) -> np.ndarray | None:
     return _frozen(values.reshape(shape))
 
 
+def _pair_codes(text: bytes) -> bytearray:
+    """8 * class + next class for each two neighbouring bytes of ``text``,
+    in one buffer; the class bytes are dropped on return."""
+    c = np.frombuffer(text.translate(_CLASSES), dtype=np.uint8)
+    pairs = bytearray(len(c) - 1)
+    codes = np.frombuffer(pairs, dtype=np.uint8)
+    np.multiply(c[:-1], 8, out=codes)
+    codes += c[1:]
+    return pairs
+
+
 def _table_shape(text: bytes, raw: bytes, first: int, last: int) -> tuple[int, ...] | None:
     """The shape of the table that ``text``, the JSON table ``raw[first:last]``
     with its whitespace deleted, spells as ``_int_table_text`` reads it, or
-    None if the byte checks cannot prove it a table of integers."""
-    classes = text.translate(_CLASSES)
-    c = np.frombuffer(classes, dtype=np.uint8)
-    if len(c) < 2 or c[0] != _OPEN or c[-1] != _CLOSE:
+    None if the byte checks cannot prove it a table of integers.  Besides
+    the text, at most two buffers as long as it are alive at once."""
+    if len(text) < 2 or text[0] != _TEXT_OPEN or text[-1] != _TEXT_CLOSE:
         return None
-    follow = (c[:-1] * 8 + c[1:]).tobytes().translate(_FOLLOW)
-    if any(pattern in follow for pattern in _REFUSED):
+    follow = _pair_codes(text).translate(_FOLLOW)
+    if b"\0" in follow:
         return None
+    if b"\5" in follow:
+        if b"\4\5" in follow:
+            return None
+        follow = follow.translate(_INSIDE)
+    if b"\3" * 18 in follow:
+        return None
+    del follow
     # Brackets and commas alone must spell "[" "," * (n - 1) "]", or
     # "[" rows "]" with rows "[" "," * (w - 1) "]" joined by ",".
-    delims = classes.translate(None, bytes([_DIGIT, _ZERO, _MINUS]))
-    if delims[1] != _OPEN:
-        shape: tuple[int, ...] = (len(delims) - 1 if len(c) > 2 else 0,)
-        if delims.count(_OPEN) != 1 or delims.count(_CLOSE) != 1:
+    delims = text.translate(None, b"0123456789-")
+    if delims[1] != _TEXT_OPEN:
+        shape: tuple[int, ...] = (len(delims) - 1 if len(text) > 2 else 0,)
+        if delims.count(_TEXT_OPEN) != 1 or delims.count(_TEXT_CLOSE) != 1:
             return None
     else:
-        row = delims[1 : delims.index(_CLOSE) + 1]
-        rows = delims.count(_OPEN) - 1
-        # Measured first: built for a deep or ragged table, the spelling grows as rows * len(row).
-        if len(delims) != rows * (len(row) + 1) + 1:
+        row = delims[1 : delims.index(_TEXT_CLOSE) + 1]
+        rows = delims.count(_TEXT_OPEN) - 1
+        period = len(row) + 1
+        if len(delims) != rows * period + 1:
             return None
-        if delims != bytes([_OPEN]) + (row + bytes([_COMMA])) * (rows - 1) + row + bytes([_CLOSE]):
+        # Past the first row, the text inside the outer brackets is itself
+        # shifted by one row and the byte after it, which the pair codes
+        # leave only a comma; compared in place, not spelled out.
+        if rows > 1 and not delims.startswith(memoryview(delims)[1 : -1 - period], 1 + period):
             return None
         width = len(row) - 1
         if width == 1:  # rows "[]" and "[5]" spell the same delimiters
-            empty = classes.count(bytes([_OPEN, _CLOSE]))
+            empty = text.count(b"\v\f")
             if empty not in (0, rows):
                 return None
             width -= empty // rows
@@ -697,26 +720,64 @@ def _read_tables(raw: bytes, tables: TableSlots):
 # Input files that ``read_once`` read ahead of their parse, by path.
 _READ_AHEAD: dict[str, bytes] = {}
 
+# Files at least this large are hashed on a second thread while the command
+# parses them; ``hashlib`` releases the GIL.  sha256 runs at about 2 GB/s on
+# 2 vCPUs, so a 2.6 MB code file takes 1.4 ms against some 100 us for a
+# thread start and join.  At 256 KiB a 514 KB code file was threaded too and
+# its command's peak RSS rose by 1 MB; from 1 MiB up it did not move.
+THREAD_HASH_BYTES = 1 << 20
+
+
+def _digest(raw: bytes, out: list) -> None:
+    """Append the sha256 hex digest of ``raw``, or the exception hashing
+    raised, for the thread that joins this one to raise."""
+    try:
+        out.append(hashlib.sha256(raw).hexdigest())
+    except Exception as exc:
+        out.append(exc)
+
 
 @contextmanager
 def read_once(paths: Iterable[str]) -> Iterator[dict[str, str]]:
-    """Read each file in ``paths`` once, in order, and yield its
-    ``sha256:<hex>`` digest by path.  Inside the block ``load_json`` takes
-    a file's bytes from here instead of opening it again, so a digest names
-    exactly the bytes that were parsed; a file never parsed is still read
-    and hashed.  The bytes are dropped when they are parsed or when the
-    block ends.
+    """Read each file in ``paths`` once, in order, and yield the dict that
+    holds its ``sha256:<hex>`` digest by path once the block ends.  Inside
+    the block ``load_json`` takes a file's bytes from here instead of
+    opening it again, so a digest names exactly the bytes that were parsed;
+    a file never parsed is still read and hashed.  The bytes are dropped
+    when they are parsed or when the block ends.
+
+    A file of at least ``THREAD_HASH_BYTES`` is hashed on a worker thread
+    that starts as soon as it is read, so the hash runs beside the parse.
+    Every worker is joined as the block ends, whether it ends by an
+    exception or not; the digests are filled in only after that join, and
+    an exception raised in a worker is raised from there.
     """
-    digests = {}
+    hashed: dict[str, list] = {}
+    workers = []
+    digests: dict[str, str] = {}
     try:
         for path in paths:
-            if path not in digests:
+            if path not in hashed:
                 with open(path, "rb") as fh:
-                    _READ_AHEAD[path] = fh.read()
-                digests[path] = "sha256:" + hashlib.sha256(_READ_AHEAD[path]).hexdigest()
+                    raw = _READ_AHEAD[path] = fh.read()
+                out: list = []
+                if len(raw) >= THREAD_HASH_BYTES:
+                    worker = threading.Thread(target=_digest, args=(raw, out))
+                    worker.start()
+                    workers.append(worker)
+                else:
+                    _digest(raw, out)
+                hashed[path] = out
+                del raw  # dropped once parsed, like the bytes in _READ_AHEAD
         yield digests
     finally:
         _READ_AHEAD.clear()
+        for worker in workers:
+            worker.join()
+        for path, (digest,) in hashed.items():
+            if isinstance(digest, Exception):
+                raise digest
+            digests[path] = "sha256:" + digest
 
 
 def load_json(path: str, tables: TableSlots | None = None) -> dict:

@@ -134,13 +134,19 @@ class SourcePartition:
 
     @cached_property
     def projection_sizes(self) -> np.ndarray:
-        """Parts x sources matrix of per-source projection cardinalities."""
+        """Parts x sources matrix of per-source projection cardinalities.
+
+        Each (part, symbol) pair that occurs is counted once, found by a
+        sort: a values-only ``np.unique`` hashes, several times slower.
+        """
         n_parts = len(self.keys)
         out = np.zeros((n_parts, len(self.source_sizes)), dtype=np.int64)
         digits = index_digits(np.arange(len(self.ids)), self.source_sizes)
         for i, (d, s) in enumerate(zip(digits, self.source_sizes)):
-            present = np.unique(self.ids * s + d)
-            out[:, i] = np.bincount(present // s, minlength=n_parts)
+            pairs = np.sort(self.ids * s + d)
+            first = np.ones(len(pairs), dtype=bool)
+            np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
+            out[:, i] = np.bincount(pairs[first] // s, minlength=n_parts)
         return out
 
     def projections(self, label: Label) -> list[tuple[int, ...]]:

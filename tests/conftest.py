@@ -331,6 +331,16 @@ def part_tuples(part: SourcePartition, label) -> list[tuple[int, ...]]:
     return [oracle_digits(t, part.source_sizes) for t in part.members(label).tolist()]
 
 
+def oracle_projection_sizes(part: SourcePartition) -> list[list[int]]:
+    """Per part, in ``keys`` order, the number of distinct symbols each
+    source takes on its tuples, from a set per source in plain ints."""
+    seen = [[set() for _ in part.source_sizes] for _ in part.keys]
+    for t, pos in enumerate(part.ids.tolist()):
+        for symbols, v in zip(seen[pos], oracle_digits(t, part.source_sizes)):
+            symbols.add(v)
+    return [[len(symbols) for symbols in per_part] for per_part in seen]
+
+
 def oracle_coordinate_classes(w) -> list[list[list[int]]]:
     """Per source, the symbol classes sharing a single-coordinate image, one
     witness lookup per symbol: classes by first occurrence, members

@@ -15,6 +15,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -991,3 +993,120 @@ def test_an_input_the_command_never_parses_is_hashed_once(capsys, monkeypatch):
     with real_open(groups, "rb") as fh:
         assert report["inputs"][groups] == "sha256:" + hashlib.sha256(fh.read()).hexdigest()
     assert opened[groups] == 1
+
+
+# ------------------------------------------------------------ digest worker
+# Inputs of at least network.THREAD_HASH_BYTES are hashed on a worker thread.
+
+
+@pytest.fixture(scope="module")
+def large_relay(tmp_path_factory):
+    """A zero-error 128 x 128 relay whose code file is above the threshold."""
+    tmp = tmp_path_factory.mktemp("large")
+    sizes = [128, 128]
+    inst, code = relay_instance(sizes, 2, tabulate(sizes, lambda a, b: (a + b) % 2))
+    inst_path, code_path = _write_pair(tmp, inst, code)
+    assert os.path.getsize(code_path) >= network.THREAD_HASH_BYTES
+    bad_path = tmp / "float.code.json"
+    text = Path(code_path).read_text()
+    bad_path.write_text(text.replace('"e": [\n      0,', '"e": [\n      0.5,', 1))
+    assert bad_path.read_text() != text
+    return inst_path, code_path, str(bad_path)
+
+
+def _hash_threads(monkeypatch) -> list[bool]:
+    """Whether each call of the digest worker ran off the main thread."""
+    off_main = []
+    digest = network._digest
+
+    def spy(raw, out):
+        off_main.append(threading.current_thread() is not threading.main_thread())
+        digest(raw, out)
+
+    monkeypatch.setattr(network, "_digest", spy)
+    return off_main
+
+
+def _sha256(path) -> str:
+    with real_open(path, "rb") as fh:
+        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("case", ["verified", "refuted", "float-entry", "missing-second"])
+def test_digest_worker_leaves_no_thread_and_no_uncaught_error(large_relay, case, tmp_path, capsys, monkeypatch):
+    inst_path, code_path, bad_path = large_relay
+    argv, status = {
+        "verified": (["verify", inst_path, code_path, "--rates", "7,7"], 0),
+        "refuted": (["verify", inst_path, code_path, "--rates", "8,8"], 1),
+        # The table reader hands the float to json, and the code is refused.
+        "float-entry": (["verify", inst_path, bad_path, "--rates", "7,7"], 2),
+        # The large file is read first; the missing one fails while it hashes.
+        "missing-second": (["verify", code_path, str(tmp_path / "missing.json"), "--rates", "7,7"], 2),
+    }[case]
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    off_main = _hash_threads(monkeypatch)
+    before = threading.active_count()
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == status
+    capsys.readouterr()
+    assert threading.active_count() == before and hooked == []
+    assert True in off_main
+    if status < 2:
+        report = json.loads(out.read_bytes())
+        assert report["inputs"] == {path: _sha256(path) for path in argv[1:3]}
+    else:
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("offset", [-1, 0], ids=["below", "at"])
+def test_digest_names_the_bytes_on_either_side_of_the_threshold(offset, tmp_path, monkeypatch):
+    path = tmp_path / "input.json"
+    path.write_bytes(random.Random(offset).randbytes(network.THREAD_HASH_BYTES + offset))
+    off_main = _hash_threads(monkeypatch)
+    before = threading.active_count()
+    with network.read_once([str(path)]) as digests:
+        assert digests == {}  # filled in as the block ends, after the join
+    assert digests == {str(path): _sha256(path)}
+    assert off_main == [offset == 0]
+    assert threading.active_count() == before
+
+
+def test_small_inputs_start_no_thread(monkeypatch):
+    """The golden inputs, all below the threshold, are hashed inline."""
+    monkeypatch.chdir(GOLDEN_DIR)
+    paths = sorted(str(p.relative_to(GOLDEN_DIR)) for p in (GOLDEN_DIR / "inputs").iterdir())
+    off_main = _hash_threads(monkeypatch)
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+    with network.read_once(paths) as digests:
+        pass
+    assert digests == {path: _sha256(path) for path in paths}
+    assert off_main == [False] * len(paths) and started == []
+
+
+class HashFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("second", ["instance", "missing"])
+def test_a_failing_digest_worker_exits_3_and_writes_no_report(large_relay, second, tmp_path, capsys, monkeypatch):
+    """The worker's exception is raised after the join, also when the
+    command itself failed meanwhile; no report carries a wrong digest."""
+    inst_path, code_path, _ = large_relay
+
+    def sha256(raw):
+        if threading.current_thread() is not threading.main_thread():
+            raise HashFailure("digest worker failed")
+        return hashlib.sha256(raw)
+
+    monkeypatch.setattr(network, "hashlib", types.SimpleNamespace(sha256=sha256))
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    before = threading.active_count()
+    paths = [inst_path, code_path] if second == "instance" else [code_path, str(tmp_path / "missing.json")]
+    out = tmp_path / "report.json"
+    assert main(["verify", *paths, "--rates", "7,7", "--out", str(out)]) == 3
+    assert "internal error: HashFailure('digest worker failed')" in capsys.readouterr().err
+    assert not out.exists()
+    assert threading.active_count() == before and hooked == []

@@ -125,6 +125,8 @@ def test_table_reader_reads_well_formed_tables(text, shape):
     [
         "[01]", "[-01]", "[1,]", "[,1]", "[1 2]", "[[1],[2,3]]", "[[1],2]", "[[[1]]]",
         "[1.0]", "[true]", "[1e3]", "[-]", "[1234567890123456789]", "[+1]", "[1]]",
+        # Ragged rows whose delimiters are as long as rectangular ones.
+        "[[1,2],[3,4],[5],[6,7,8]]", "[[1,2],[3,4],[5,6],[7],[8,9,1]]", "[[1],[],[2]]",
     ],
 )
 def test_table_reader_hands_off_what_it_cannot_prove(text):
@@ -362,3 +364,42 @@ def test_refusals_name_the_position_a_text_mode_read_gives(tmp_path, raw):
     with pytest.raises(DomainError) as got:
         load_json(str(path))
     assert str(got.value) == f"{path}: invalid JSON: {expected.value}"
+
+
+# -------------------------------------------- zeros inside and before numbers
+# Each case's entries go first or last in a table of filler entries, in a
+# file just above FAST_READ_BYTES and in one whose table starts the worker.
+
+ZERO_CASES = ["[0,100]", "[10,01]", "[-0,-01]", "[1000000000000000000]", "[[0,0],[00,1]]"]
+
+
+def _padded(case: str, where: str, entries: int) -> str:
+    """The case's entries (or rows) and ``entries`` filler ones, as one table."""
+    body = case[1:-1]
+    filler = ",".join(["[7,7]" if case.startswith("[[") else "7"] * entries)
+    return "[" + (f"{body},{filler}" if where == "first" else f"{filler},{body}") + "]"
+
+
+@pytest.mark.parametrize("entries", [2500, 40000], ids=["small-file", "threaded-table"])
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("case", ZERO_CASES)
+def test_zeros_in_numbers_read_as_json_does(case, where, entries, tmp_path):
+    table = _padded(case, where, entries)
+    key, tables = ("decoders", "t") if case.startswith("[[") else ("encoders", "e")
+    text = '{"%s": {"%s": %s}}' % (key, tables, table)
+    assert FAST_READ_BYTES <= len(text) and (len(table) >= PARALLEL_PARSE_BYTES) == (entries > 2500)
+    path = tmp_path / "zeros.code.json"
+    path.write_text(text)
+    try:
+        expected = json.loads(text)[key][tables]
+    except ValueError:
+        assert _read(table) is None
+        with pytest.raises(DomainError, match="invalid JSON"):
+            load_json(str(path), codes._code_tables)
+        return
+    # Within 18 characters the table reader reads the table; the 19-character
+    # number goes to json.
+    assert _agrees_with_json(table) == ("1000000000000000000" not in case)
+    got = load_json(str(path), codes._code_tables)[key][tables]
+    assert isinstance(got, np.ndarray) == ("1000000000000000000" not in case)
+    assert as_lists(got) == expected

@@ -16,6 +16,7 @@ from conftest import (
     check_claims_on_original,
     oracle_digits,
     oracle_index,
+    oracle_projection_sizes,
     part_tuples,
     random_code,
     random_hom_witness,
@@ -86,6 +87,25 @@ def test_partition_constructors():
 def test_singletons_and_whole_are_products():
     assert fibers_are_products(SourcePartition.singletons((3, 2)))
     assert fibers_are_products(SourcePartition.whole((3, 2)))
+
+
+def test_projection_sizes_match_the_set_oracle():
+    """The sort-based distinct count against per-source sets, on random
+    labels, product partitions, singletons and the whole space."""
+    rng = random.Random(29)
+    for _ in range(200):
+        sizes = tuple(rng.randint(1, 7) for _ in range(rng.randint(1, 4)))
+        n_labels = rng.randint(1, math.prod(sizes))
+        parts = [
+            SourcePartition(sizes, [rng.randrange(n_labels) for _ in range(math.prod(sizes))]),
+            SourcePartition.from_source_classes(
+                sizes, [[rng.randrange(rng.randint(1, s)) for _ in range(s)] for s in sizes]
+            ),
+            SourcePartition.singletons(sizes),
+            SourcePartition.whole(sizes),
+        ]
+        for part in parts:
+            assert part.projection_sizes.tolist() == oracle_projection_sizes(part)
 
 
 def test_xor_level_sets_are_not_products():
