@@ -101,13 +101,6 @@ class PermutationFamily:
             if sorted(perm) != list(range(self.modulus)):
                 raise DomainError(f"permutation {l} is not a bijection on the ring")
 
-    def inverse(self, l: int) -> tuple[int, ...]:
-        perm = self.perms[l - 1]
-        inv = [0] * self.modulus
-        for a, b in enumerate(perm):
-            inv[b] = a
-        return tuple(inv)
-
 
 def n2_permutations(m: int, w: int) -> PermutationFamily:
     """The w block-rotation permutations on Z_{mw}.

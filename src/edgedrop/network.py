@@ -483,18 +483,22 @@ FAST_READ_BYTES = 1 << 12
 # The table text keeps every byte but JSON whitespace, which it deletes.  The
 # brackets become \v and \f, which ``np.fromstring`` skips as it skips
 # spaces, so the text is its input as it stands; a raw \v or \f, which
-# JSON refuses, becomes NUL.
+# JSON refuses, becomes NUL.  A compact table's numbers alone, its bytes
+# with brackets and whitespace deleted, are converted faster still.
 _TEXT = bytes.maketrans(b"[]\v\f", b"\v\f\0\0")
-_TEXT_OPEN, _TEXT_CLOSE = b"\v\f"
 _WHITESPACE = b" \t\n\r"
+_NOT_NUMBERS = _WHITESPACE + b"[]"
 
 # One class byte per text byte: a nonzero digit, zero, minus, comma and the
-# two brackets, and 0 for anything else.
+# two brackets, and 0 for anything else; ``_RAW_CLASSES`` reads raw bytes.
 _DIGIT, _ZERO, _MINUS, _COMMA, _OPEN, _CLOSE = range(1, 7)
 _CLASSES = bytearray(256)
 for _ch, _cls in zip(b"1234567890-,\v\f", [_DIGIT] * 9 + [_ZERO, _MINUS, _COMMA, _OPEN, _CLOSE]):
     _CLASSES[_ch] = _cls
 _CLASSES = bytes(_CLASSES)
+_RAW_CLASSES = _TEXT.translate(_CLASSES)
+_NUMBER_CLASSES = bytes([_DIGIT, _ZERO, _MINUS])
+_EMPTY_ROW = bytes([_OPEN, _CLOSE])
 
 # Pair codes, indexed by 8 * class + next class: 0 refused, 1 allowed
 # between tokens, 3 and 5 allowed inside a number, 5 where a zero is
@@ -519,6 +523,16 @@ _INSIDE = bytes.maketrans(b"\5", b"\3")
 # Table text is translated this many bytes at a time, so that no buffer
 # but the file itself is as large as a table with its whitespace.
 _CHUNK = 1 << 22
+# The numpy scans read this many bytes at a time, which keeps their
+# temporaries in cache: twice as fast as whole 2.5 MB tables on 2 vCPUs.
+_SCAN_CHUNK = 1 << 18
+
+
+def _translated(raw: bytes, first: int, last: int, table: bytes | None, delete: bytes) -> bytes:
+    """``raw[first:last].translate(table, delete)``, ``_CHUNK`` bytes at a time."""
+    return b"".join(
+        raw[i : min(i + _CHUNK, last)].translate(table, delete) for i in range(first, last, _CHUNK)
+    )
 
 
 def _number_starts(raw: bytes, first: int, last: int) -> int:
@@ -527,28 +541,36 @@ def _number_starts(raw: bytes, first: int, last: int) -> int:
     next, which counts its own starts).  Once the class checks have passed,
     ``.`` and ``/`` cannot occur, and the runs are the numbers."""
     starts = 0
-    for i in range(first, last, _CHUNK):
-        u = np.frombuffer(raw, dtype=np.uint8, count=min(_CHUNK + 1, last - i), offset=i)
+    for i in range(first, last, _SCAN_CHUNK):
+        u = np.frombuffer(raw, dtype=np.uint8, count=min(_SCAN_CHUNK + 1, last - i), offset=i)
         num = u - ord("-") < 13
         starts += int(np.count_nonzero(num[1:] > num[:-1]))
     return starts
 
 
-# Tables whose text is at least this long are converted on a second thread
-# while this one runs the checks; ``np.fromstring`` releases the GIL.  A
-# thread start and join cost some 100 us.  Median of 7 x 20 reads on 2 vCPUs,
-# serial against threaded: 7 KiB of text 156 against 265 us, 28 KiB 631
-# against 665 us, 42 KiB 981 against 813 us, 112 KiB 2.60 against 1.94 ms.
-# They meet between 28 and 42 KiB; 64 KiB keeps thread starts off tables
-# where the gain would be within the noise.
-PARALLEL_PARSE_BYTES = 1 << 16
+# Tables whose bytes span at least this many are converted on a second
+# thread while this one runs the checks; ``np.fromstring`` releases the GIL.
+# A thread start and join cost some 40 us.  Median of 7 x 20 reads on 2
+# vCPUs of rows of three numbers below 16, serial against threaded: compact
+# 16.6 KiB 130 against 150-174 us, 20.2 KiB 162 against 163, 32.9 KiB 268
+# against 231-235, 65.3 KiB 546 against 406-409; indented (indent=2) 33.6
+# KiB 109 against 140 us, 49.8 KiB 171 against 170, 98.7 KiB 329 against
+# 278.  The compact layout breaks even near 20 KiB and the indented one,
+# whose checks scan all its bytes, near 50 KiB; 32 KiB lies between.
+PARALLEL_PARSE_BYTES = 1 << 15
 
 
-def _parse(text: bytes, out: list) -> None:
-    """Append the int64 values of comma-separated ``text``, or the exception
-    ``np.fromstring`` raised, for the caller to raise once its checks pass."""
+def _parse(numbers: bytes, out: list) -> None:
+    """Append the int64 values of comma-separated ``numbers``, or the
+    exception ``np.fromstring`` raised, for the caller to raise once its
+    checks pass.  Numbers without a minus sign are converted as unsigned,
+    which is faster; the checks allow at most 18 characters a number, so
+    each is below 2**63 and its int64 view is its value."""
     try:
-        out.append(np.fromstring(text, dtype=np.int64, sep=","))
+        if b"-" in numbers:
+            out.append(np.fromstring(numbers, dtype=np.int64, sep=","))
+        else:
+            out.append(np.fromstring(numbers, dtype=np.uint64, sep=",").view(np.int64))
     except Exception as exc:
         out.append(exc)
 
@@ -560,24 +582,36 @@ def _int_table_text(raw: bytes, first: int, last: int) -> np.ndarray | None:
     A 1-D list, or a 2-D list of equally long rows, of JSON integers of at
     most 18 characters is checked by whole-buffer byte operations and
     converted by one ``np.fromstring``; any other text gives None and is
-    left to ``json``.  Whitespace is deleted once, as the text is made;
-    where some was, one numpy scan of the raw bytes proves that none split
-    a number.  A text of at least ``PARALLEL_PARSE_BYTES`` is converted on
-    a second thread while the checks run, joined before this returns or
-    raises; its values are used only once every check has passed, and its
-    exception is raised only then.
+    left to ``json``.  Where whitespace was, one numpy scan of the raw bytes
+    proves that none split a number.  A table whose bytes span at least
+    ``PARALLEL_PARSE_BYTES`` is converted on a second thread while the
+    checks run, joined before this returns or raises; its values are used
+    only once every check has passed, and its exception is raised only
+    then.  Besides the text that is converted, at most two buffers as long
+    as it are alive at once.
     """
-    text = b"".join(
-        raw[i : min(i + _CHUNK, last)].translate(_TEXT, _WHITESPACE)
-        for i in range(first, last, _CHUNK)
-    )
+    # A compact table's numbers alone are converted, made in one pass over
+    # the raw bytes, and its class bytes take a second.  An indented table's
+    # bytes are mostly whitespace, and a second pass over them costs more
+    # than the numbers save, so its whitespace goes in one pass and the
+    # conversion and the class bytes read that text.
+    spaced = last - first > 1 and raw[first + 1] in _WHITESPACE
+    if spaced:
+        text = _translated(raw, first, last, _TEXT, _WHITESPACE)
+    else:
+        text = _translated(raw, first, last, None, _NOT_NUMBERS)
     parsed: list = []
     worker = None
-    if len(text) >= PARALLEL_PARSE_BYTES:
+    if last - first >= PARALLEL_PARSE_BYTES:
         worker = threading.Thread(target=_parse, args=(text, parsed))
         worker.start()
     try:
-        shape = _table_shape(text, raw, first, last)
+        if spaced:
+            classes = text.translate(_CLASSES)
+        else:
+            classes = _translated(raw, first, last, _RAW_CLASSES, _WHITESPACE)
+        shape = _table_shape(classes, raw, first, last)
+        del classes  # not alive beside the whole array while the join waits
     finally:
         if worker is not None:
             worker.join()
@@ -596,44 +630,50 @@ def _int_table_text(raw: bytes, first: int, last: int) -> np.ndarray | None:
     return _frozen(values.reshape(shape))
 
 
-def _pair_codes(text: bytes) -> bytearray:
-    """8 * class + next class for each two neighbouring bytes of ``text``,
-    in one buffer; the class bytes are dropped on return."""
-    c = np.frombuffer(text.translate(_CLASSES), dtype=np.uint8)
-    pairs = bytearray(len(c) - 1)
-    codes = np.frombuffer(pairs, dtype=np.uint8)
-    np.multiply(c[:-1], 8, out=codes)
-    codes += c[1:]
-    return pairs
+def _pairs_allowed(classes: bytes) -> bool:
+    """Whether each byte of ``classes`` may follow the one before, no number
+    has a leading zero and none is longer than 18 characters.  The pair
+    codes are made ``_SCAN_CHUNK`` at a time, each chunk reaching 17 codes
+    into the next, so a run of 18 lies whole in the chunk where it starts."""
+    c = np.frombuffer(classes, dtype=np.uint8)
+    n = len(c) - 1
+    for a in range(0, n, _SCAN_CHUNK):
+        b = min(a + _SCAN_CHUNK + 17, n)
+        pairs = bytearray(b - a)
+        codes = np.frombuffer(pairs, dtype=np.uint8)
+        np.multiply(c[a:b], 8, out=codes)
+        codes += c[a + 1 : b + 1]
+        follow = pairs.translate(_FOLLOW)
+        if b"\0" in follow:
+            return False
+        if b"\5" in follow:
+            if b"\4\5" in follow:
+                return False
+            follow = follow.translate(_INSIDE)
+        if b"\3" * 18 in follow:
+            return False
+    return True
 
 
-def _table_shape(text: bytes, raw: bytes, first: int, last: int) -> tuple[int, ...] | None:
-    """The shape of the table that ``text``, the JSON table ``raw[first:last]``
-    with its whitespace deleted, spells as ``_int_table_text`` reads it, or
-    None if the byte checks cannot prove it a table of integers.  Besides
-    the text, at most two buffers as long as it are alive at once."""
-    if len(text) < 2 or text[0] != _TEXT_OPEN or text[-1] != _TEXT_CLOSE:
+def _table_shape(classes: bytes, raw: bytes, first: int, last: int) -> tuple[int, ...] | None:
+    """The shape of the table whose text, the JSON table ``raw[first:last]``
+    with its whitespace deleted, has the class bytes ``classes``, as
+    ``_int_table_text`` reads it, or None if the byte checks cannot prove it
+    a table of integers."""
+    if len(classes) < 2 or classes[0] != _OPEN or classes[-1] != _CLOSE:
         return None
-    follow = _pair_codes(text).translate(_FOLLOW)
-    if b"\0" in follow:
+    if not _pairs_allowed(classes):
         return None
-    if b"\5" in follow:
-        if b"\4\5" in follow:
-            return None
-        follow = follow.translate(_INSIDE)
-    if b"\3" * 18 in follow:
-        return None
-    del follow
     # Brackets and commas alone must spell "[" "," * (n - 1) "]", or
     # "[" rows "]" with rows "[" "," * (w - 1) "]" joined by ",".
-    delims = text.translate(None, b"0123456789-")
-    if delims[1] != _TEXT_OPEN:
-        shape: tuple[int, ...] = (len(delims) - 1 if len(text) > 2 else 0,)
-        if delims.count(_TEXT_OPEN) != 1 or delims.count(_TEXT_CLOSE) != 1:
+    delims = classes.translate(None, _NUMBER_CLASSES)
+    if delims[1] != _OPEN:
+        shape: tuple[int, ...] = (len(delims) - 1 if len(classes) > 2 else 0,)
+        if delims.count(_OPEN) != 1 or delims.count(_CLOSE) != 1:
             return None
     else:
-        row = delims[1 : delims.index(_TEXT_CLOSE) + 1]
-        rows = delims.count(_TEXT_OPEN) - 1
+        row = delims[1 : delims.index(_CLOSE) + 1]
+        rows = delims.count(_OPEN) - 1
         period = len(row) + 1
         if len(delims) != rows * period + 1:
             return None
@@ -644,14 +684,14 @@ def _table_shape(text: bytes, raw: bytes, first: int, last: int) -> tuple[int, .
             return None
         width = len(row) - 1
         if width == 1:  # rows "[]" and "[5]" spell the same delimiters
-            empty = text.count(b"\v\f")
+            empty = classes.count(_EMPTY_ROW)
             if empty not in (0, rows):
                 return None
             width -= empty // rows
         shape = (rows, width)
     # Whitespace inside a number would split it: more numbers would start
     # in the raw text than the table holds.
-    if len(text) < last - first and _number_starts(raw, first, last) != math.prod(shape):
+    if len(classes) < last - first and _number_starts(raw, first, last) != math.prod(shape):
         return None
     return shape
 

@@ -403,3 +403,80 @@ def test_zeros_in_numbers_read_as_json_does(case, where, entries, tmp_path):
     got = load_json(str(path), codes._code_tables)[key][tables]
     assert isinstance(got, np.ndarray) == ("1000000000000000000" not in case)
     assert as_lists(got) == expected
+
+
+# ---------------------------------------- unsigned and signed conversion
+# A table with no minus sign is converted as uint64 and viewed as int64; one
+# minus sign anywhere sends the whole table through the int64 conversion.
+# A compact table is converted from its numbers alone, an indented one from
+# its text with the brackets read as spaces.
+
+SIGN_CASES = ["999999999999999999", str(10**17), "-99999999999999999", "-7", "-0"]
+MARKER = 123456789012345678  # 18 digits, so no entry drawn below spells it
+
+
+def _table_with(entry: str, where: str, entries: int, indent) -> str:
+    """Rows of three numbers, ``entries`` in all, of up to 17 digits, with
+    the first, middle or last entry spelled ``entry``, laid out as ``json``
+    lays them out with ``indent``."""
+    flat = np.random.default_rng(7).integers(0, 10**17, entries)
+    flat[::3] %= 16
+    flat[{"first": 0, "middle": entries // 2, "last": entries - 1}[where]] = MARKER
+    text = _dump(flat.reshape(-1, 3).tolist(), indent)
+    assert text.count(str(MARKER)) == 1
+    return text.replace(str(MARKER), entry)
+
+
+@pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indent=2"])
+@pytest.mark.parametrize("entries", [300, 12000], ids=["inline", "worker"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("entry", SIGN_CASES)
+def test_unsigned_and_signed_conversions_read_as_json_does(monkeypatch, entry, where, entries, indent):
+    dtypes = []
+    fromstring = np.fromstring
+
+    def spy(text, dtype, sep):
+        dtypes.append(np.dtype(dtype))
+        return fromstring(text, dtype=dtype, sep=sep)
+
+    monkeypatch.setattr(network.np, "fromstring", spy)
+    text = _table_with(entry, where, entries, indent)
+    assert (len(text) >= PARALLEL_PARSE_BYTES) == (entries > 300)
+    assert _agrees_with_json(text)
+    assert dtypes == [np.dtype(np.int64 if "-" in entry else np.uint64)]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 17, 18])
+def test_pair_checks_hold_across_scan_chunks(monkeypatch, chunk):
+    """The pair codes are checked ``_SCAN_CHUNK`` at a time; with small
+    chunks, each case is moved across every chunk border by a first entry
+    of one to 18 digits."""
+    monkeypatch.setattr(network, "_SCAN_CHUNK", chunk)
+    for digits in range(1, 19):
+        head = "[" + "9" * digits + ","
+        assert _read(head + "1" * 18 + ",0]").tolist() == [int("9" * digits), int("1" * 18), 0]
+        assert _read(head + "-" + "1" * 17 + "]")[1] == -int("1" * 17)
+        for refused in ("1" * 19, "-" + "1" * 18, "01", "-01", "1,,2", "1-2", "1]"):
+            assert _read(head + refused + "]") is None, (chunk, digits, refused)
+
+
+def test_a_large_compact_table_holds_little_beside_its_array(monkeypatch):
+    """Memory guard: the tracemalloc peak of reading a 2.4 MB compact table
+    of rows of three, less its int64 array, is 0.795 of the text's length.
+    The reader that converted the text with its brackets peaked at 1.014
+    (measured alike), the bound; one more buffer as long as the text alive
+    at the peak would pass it.  The conversion runs on this thread, so the
+    order of the buffers, and the peak, repeat exactly."""
+    monkeypatch.setattr(network, "PARALLEL_PARSE_BYTES", 1 << 40)
+    rows = np.random.default_rng(3).integers(0, 16, (262144, 3))
+    raw = _dump(rows.tolist(), None).encode()
+    assert len(raw) >= 2 * 10**6
+    _int_table_text(raw, 0, len(raw))
+    tracemalloc.start()
+    try:
+        got = _int_table_text(raw, 0, len(raw))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, rows)
+    assert peak - got.nbytes < 1.015 * len(raw)

@@ -1,7 +1,8 @@
-"""Every top-level definition in the package is used by the package.
+"""Every top-level definition and every method in the package is used by
+the package.
 
-A function or class that only tests call is a second spelling of something
-the package already does, or code no command needs; it belongs in
+A function, class or method that only tests call is a second spelling of
+something the package already does, or code no command needs; it belongs in
 ``tests/conftest.py`` or nowhere.  Library API that the package itself does
 not call is named below with the reason it stays.
 """
@@ -23,7 +24,16 @@ ALLOWED = {
     "cosets": "groups API documented in README",
 }
 
+METHODS_ALLOWED = {
+    "groups.FiniteGroup.op": "scalar group API: the tests' oracles, and perfbench/layers.py wraps it",
+    "groups.FiniteGroup.inverse": "scalar group API: the tests' oracles",
+    "groups.FiniteGroup.elements": "scalar group API: the tests' oracles",
+    "removal.SourcePartition.singletons": "built-in partition, wrapped by perfbench/layers.py",
+    "removal.SourcePartition.whole": "built-in partition, wrapped by perfbench/layers.py",
+}
+
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _names(node) -> set[str]:
@@ -56,6 +66,27 @@ def _callers() -> dict[str, int]:
     }
 
 
+@functools.cache
+def _method_callers() -> dict[str, int]:
+    """Per method of a class of the package, as ``module.Class.name``, the
+    number of attribute reads of its name in the package outside the
+    method's own body.  A method is reached as an attribute, so a parameter
+    or local that shares its name counts for nothing; the language calls
+    the dunder methods, which are skipped."""
+    reads = collections.Counter()
+    methods = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                reads[node.attr] += 1
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, FUNCTIONS) and not item.name.startswith("__"):
+                        own = sum(isinstance(n, ast.Attribute) and n.attr == item.name for n in ast.walk(item))
+                        methods.append((f"{path.stem}.{node.name}.{item.name}", item.name, own))
+    return {qualified: reads[name] - own for qualified, name, own in methods}
+
+
 def test_every_definition_has_a_caller_in_the_package():
     unused = [
         qualified
@@ -70,6 +101,16 @@ def test_allowed_names_are_defined_and_uncalled():
     calls, is stale."""
     callers = {q.split(".")[1]: n for q, n in _callers().items()}
     assert {name: callers.get(name) for name in ALLOWED} == dict.fromkeys(ALLOWED, 0)
+
+
+def test_every_method_has_a_caller_in_the_package():
+    unused = [q for q, n in _method_callers().items() if not n and q not in METHODS_ALLOWED]
+    assert not unused, f"no caller in the package: {', '.join(unused)}"
+
+
+def test_allowed_methods_are_defined_and_uncalled():
+    callers = _method_callers()
+    assert {q: callers.get(q) for q in METHODS_ALLOWED} == dict.fromkeys(METHODS_ALLOWED, 0)
 
 
 def test_no_function_takes_a_table_beside_its_instance_or_code():
