@@ -6,10 +6,16 @@ codes, and the bundled case studies.  Exit status 0 means a verified-true
 outcome, 1 a verified-false or not-found outcome, 2 a usage or input
 problem (an ``--out`` file that cannot be written among them), and 3 a
 failed internal consistency check or any other uncaught exception, which
-indicates a bug in the workbench.  Error targets ``--eps`` lie in [0, 1);
+indicates a bug in the workbench.  Error targets ``--eps`` lie in [0, 1),
+written as ASCII digits, a fraction or a decimal (``0``, ``1/4``, ``0.25``);
 the builtin removal routes and ``pwl-remove`` (always at eps 0) exit 1 when
 the code's own error is above eps.  Label files give one label per source
 tuple, all JSON integers (each fitting in 64 bits) or all strings.
+
+Each command accepts only the flags it reads, by their full names: each
+``case-study`` study takes its own after its name, ``remove-edge --groups``
+goes only with ``--partition builtin:cwl``, and ``cwl-search --rewrites`` is
+0 or 1.  Every integer flag value is ASCII digits after an optional minus.
 
 Reports are deterministic: the command echo keeps only semantic arguments
 (execution tuning such as ``--enum-cap`` and ``--out`` is excluded),
@@ -31,6 +37,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -96,94 +103,90 @@ def _collect_certificates(node) -> list[dict]:
 
 
 def emit_report(report: RunReport, fmt: str = "text") -> bytes:
-    """Serialize a report; text is JSON, csv tabulates the certificates."""
+    """Serialize a report; text is JSON, csv (the other ``--format``)
+    tabulates the certificates."""
     if fmt == "text":
         return json_bytes(report.to_dict(), end=b"\n")
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        [
+            "edge_id",
+            "eps",
+            "witness_label",
+            "edge_constant",
+            "promised",
+            "achieved",
+            "verdict",
+        ]
+    )
+    for cert in _collect_certificates(report.result):
         writer.writerow(
             [
-                "edge_id",
-                "eps",
-                "witness_label",
-                "edge_constant",
-                "promised",
-                "achieved",
-                "verdict",
+                cert["edge_id"],
+                cert["eps"],
+                json.dumps(cert["witness_label"]),
+                cert["edge_constant"],
+                ";".join(str(v) for v in cert["promised_cardinalities"]),
+                ";".join(str(v) for v in cert["achieved_cardinalities"]),
+                cert["feasibility"]["verdict"],
             ]
         )
-        for cert in _collect_certificates(report.result):
-            writer.writerow(
-                [
-                    cert["edge_id"],
-                    cert["eps"],
-                    json.dumps(cert["witness_label"]),
-                    cert["edge_constant"],
-                    ";".join(str(v) for v in cert["promised_cardinalities"]),
-                    ";".join(str(v) for v in cert["achieved_cardinalities"]),
-                    cert["feasibility"]["verdict"],
-                ]
-            )
-        return buf.getvalue().encode()
-    raise DomainError(f"unknown report format {fmt!r}")
+    return buf.getvalue().encode()
 
 
 def _parse_eps(text: str) -> Fraction:
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise DomainError(f"expected a rational like 1/4, got {text!r}") from None
-    if value < 0 or value >= 1:
+        value = Fraction(text) if re.fullmatch(r"[0-9]+(/[0-9]+|\.[0-9]+)?", text) else None
+    except ZeroDivisionError:
+        value = None
+    if value is None:
+        raise DomainError(f"expected eps as a rational like 1/4 or 0.25, got {text!r}")
+    if value >= 1:
         raise DomainError(f"eps must satisfy 0 <= eps < 1, got {text!r}")
     return value
 
 
-def _int_at_least(low: int, what: str):
-    """An argparse type for flag values that must be integers of at least
-    ``low``; anything else is a usage error that names the flag."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
-        return value
-    return parse
+def _integer(text: str, low: int | None = None, what: str = "an") -> int:
+    """The one reader of integers on the command line: ASCII digits with one
+    optional leading minus, at least ``low``.  ``int`` also takes ``1_0``,
+    ``+1``, `` 1`` and non-ASCII digits; those are usage errors here."""
+    if text.isascii() and text.removeprefix("-").isdigit():
+        value = int(text)
+        if low is None or value >= low:
+            return value
+    raise argparse.ArgumentTypeError(f"expected {what} integer, got {text!r}")
 
 
-_positive_int = _int_at_least(1, "positive")
-_non_negative_int = _int_at_least(0, "non-negative")
+_positive = functools.partial(_integer, low=1, what="a positive")
+_non_negative = functools.partial(_integer, low=0, what="a non-negative")
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    """A comma-separated list of integers; empty text is the empty list."""
-    try:
-        return tuple(int(v) for v in text.split(",")) if text else ()
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected integers a,b,..., got {text!r}") from None
+def _integers(text: str) -> tuple[int, ...]:
+    """A comma-separated list of integers, at least one."""
+    return tuple(map(_integer, text.split(",")))
 
 
-def _parse_rates(text: str, blocklength: int) -> list[int]:
-    """Per-source cardinality targets: plain integers are bits per use."""
-    out = []
-    for raw in text.split(","):
-        entry = raw.strip()
-        try:
-            value = int(entry.removeprefix("#"))
-        except ValueError:
-            raise DomainError(f"--rates entries must be integers, got {entry!r}") from None
-        if entry.startswith("#"):
-            if value < 1:
-                raise DomainError(f"cardinality target must be >= 1, got {entry!r}")
-            out.append(value)
-        else:
-            if value < 0:
-                raise DomainError(f"bit target must be >= 0, got {entry!r}")
-            out.append(2 ** (value * blocklength))
-    return out
+def _rates(text: str) -> list[tuple[bool, int]]:
+    """Per-source targets as (is a cardinality, n): ``#n`` is a cardinality
+    of at least 1, a plain ``n`` that many bits per use."""
+    return [
+        (True, _integer(e[1:], 1, "a positive")) if e[:1] == "#"
+        else (False, _integer(e, 0, "a non-negative"))
+        for e in text.split(",")
+    ]
+
+
+BUILTIN_ROUTES = {"builtin:cwl": "cwl", "builtin:edge-value": "edge-value"}
+
+
+def _partition(text: str) -> str:
+    """A label file, or one of the builtin routes."""
+    if text.startswith("builtin:") and text not in BUILTIN_ROUTES:
+        raise argparse.ArgumentTypeError(
+            f"expected a label file, builtin:cwl or builtin:edge-value, got {text!r}"
+        )
+    return text
 
 
 def _edge_support(data: dict, where: str) -> tuple[int, ...]:
@@ -191,32 +194,44 @@ def _edge_support(data: dict, where: str) -> tuple[int, ...]:
     return tuple(require(v, int, "edge support symbol") for v in symbols)
 
 
-def _load_groups_file(path: str):
-    """The source groups of a groups file, and its edge group and support or None."""
-    from .groups import group_from_description
+def _source_groups(table, descs, where: str) -> list:
+    """The source groups ``descs`` describes, the cyclic ones when it is
+    None: the one reader of a groups file's and a pieces file's 'sources',
+    refused unless their orders are the table's source alphabet sizes."""
+    from .groups import CyclicGroup, group_from_description
 
-    data = load_json(path)
-    descs = field(data, "sources", list, "groups file", "list the source group descriptions")
-    sources = [group_from_description(d) for d in descs]
-    if (data.get("edge") is None) != (data.get("edge_support") is None):
-        raise DomainError(f"{path}: edge group and edge support go together")
-    if data.get("edge") is None:
-        return sources, None
-    return sources, (group_from_description(data["edge"]), _edge_support(data, "groups file"))
+    if descs is None:
+        return [CyclicGroup(n) for n in table.source_sizes]
+    sources = [group_from_description(d) for d in require(descs, list, f"{where} 'sources'")]
+    if tuple(g.order for g in sources) != table.source_sizes:
+        raise DomainError(f"{where} does not match the source alphabets")
+    return sources
 
 
 def _resolve_witness(table, edge_id: str, groups_path: str | None) -> CwlWitness | None:
     """Witness for the edge's encoding function, deriving structure if needed."""
     from .cwl import certify_cwl
-    from .groups import CyclicGroup
+    from .groups import group_from_description
 
     if groups_path is None:
-        sources, edge = [CyclicGroup(n) for n in table.source_sizes], None
-    else:
-        sources, edge = _load_groups_file(groups_path)
-        if tuple(g.order for g in sources) != table.source_sizes:
-            raise DomainError("group file does not match the source alphabets")
+        return certify_cwl(table.edge_values(edge_id), _source_groups(table, None, ""))
+    data = load_json(groups_path)
+    descs = field(data, "sources", list, "groups file", "list the source group descriptions")
+    sources = _source_groups(table, descs, "groups file")
+    if (data.get("edge") is None) != (data.get("edge_support") is None):
+        raise DomainError(f"{groups_path}: edge group and edge support go together")
+    edge = None
+    if data.get("edge") is not None:
+        edge = (group_from_description(data["edge"]), _edge_support(data, "groups file"))
     return certify_cwl(table.edge_values(edge_id), sources, edge)
+
+
+def _cwl_removal(table, edge_id: str, groups_path: str | None, eps: Fraction):
+    """The edge's CWL witness and the removal it certifies, each or both None."""
+    from .cwl import cwl_remove
+
+    witness = _resolve_witness(table, edge_id, groups_path)
+    return witness, None if witness is None else cwl_remove(table, edge_id, witness, eps)
 
 
 def _witness_dict(w: CwlWitness) -> dict:
@@ -260,7 +275,8 @@ def _cmd_verify(args) -> tuple[int, dict]:
     from .codes import check_feasibility
 
     table = _load_table(args)
-    report = check_feasibility(table, args.eps, _parse_rates(args.rates, table.code.blocklength))
+    targets = [n if card else 2 ** (n * table.code.blocklength) for card, n in args.rates]
+    report = check_feasibility(table, args.eps, targets)
     return (0 if report.verdict else 1), {"feasibility": report.to_dict()}
 
 
@@ -274,24 +290,17 @@ def _cmd_remove_edge(args) -> tuple[int, dict]:
         restrict_code,
     )
 
-    table = _load_table(args)
-    route = {"builtin:cwl": "cwl", "builtin:edge-value": "edge-value"}.get(args.partition)
+    route = BUILTIN_ROUTES.get(args.partition)
     if route == "edge-value" and args.eps != 0:
         raise DomainError("the edge-value route only applies at eps 0")
+    if args.groups is not None and route != "cwl":
+        raise DomainError("--groups applies only to --partition builtin:cwl")
+    table = _load_table(args)
     if route is not None and table.error > args.eps:
-        return 1, {
-            "route": route,
-            "found": False,
-            "reason": ERROR_ABOVE_EPS,
-        }
+        return 1, {"route": route, "found": False, "reason": ERROR_ABOVE_EPS}
 
     if route == "cwl":
-        from .cwl import cwl_remove
-
-        witness = _resolve_witness(table, args.edge, args.groups)
-        res = None
-        if witness is not None:
-            res = cwl_remove(table, args.edge, witness, args.eps)
+        witness, res = _cwl_removal(table, args.edge, args.groups, args.eps)
         if res is None:
             return 1, {"route": "cwl", "found": False}
         result = {"route": "cwl", "found": True, "witness": _witness_dict(witness)}
@@ -339,17 +348,12 @@ def _cmd_cwl_check(args) -> tuple[int, dict]:
 
 def _cmd_pwl_remove(args) -> tuple[int, dict]:
     from .cwl import check_piecewise, piecewise_remove
-    from .groups import CyclicGroup, group_from_description
 
     table = _load_table(args)
     if table.error != 0:
         return 1, {"found": False, "reason": ERROR_ABOVE_EPS}
     data = load_json(args.pieces)
-    if data.get("sources") is None:
-        sources = [CyclicGroup(n) for n in table.source_sizes]
-    else:
-        descs = require(data["sources"], list, "pieces file 'sources'")
-        sources = [group_from_description(d) for d in descs]
+    sources = _source_groups(table, data.get("sources"), "pieces file")
     pieces = []
     for i, p in enumerate(field(data, "pieces", list, "pieces file")):
         where = f"piece {i}"
@@ -424,17 +428,12 @@ def _cmd_group_zero_error(args) -> tuple[int, dict]:
 
 def _butterfly_run(name: str, inst: NetworkInstance, code: NetworkCode, emit, enum_cap) -> dict:
     from .codes import build_global_table, check_feasibility, save_code
-    from .cwl import cwl_remove
 
     table = build_global_table(inst, code, enum_cap=enum_cap)
     feas = check_feasibility(table, Fraction(0), list(code.source_alphabets))
-    witness = _resolve_witness(table, "bottleneck", None)
-    entry: dict = {"name": name, "feasibility": feas.to_dict()}
-    res = None
-    if witness is not None:
-        res = cwl_remove(table, "bottleneck", witness, Fraction(0))
+    entry: dict = {"name": name, "feasibility": feas.to_dict(), "found": False}
+    res = _cwl_removal(table, "bottleneck", None, Fraction(0))[1]
     if res is None:
-        entry["found"] = False
         return entry
     if emit is not None:
         save_instance(inst, f"{emit}.{name}.instance.json")
@@ -444,155 +443,152 @@ def _butterfly_run(name: str, inst: NetworkInstance, code: NetworkCode, emit, en
     return entry
 
 
-def _cmd_case_study(args) -> tuple[int, dict]:
-    from .library import butterfly, dougherty_identity_check, n2_code_check, n3_injectivity
+def _cmd_butterfly(args) -> tuple[int, dict]:
+    from .library import butterfly
 
-    if args.name == "butterfly":
-        runs = [
-            _butterfly_run("binary", *butterfly(), args.emit, args.enum_cap),
-            _butterfly_run("wide", *butterfly(4), args.emit, args.enum_cap),
-        ]
-        ok = all(
-            r["feasibility"]["verdict"]
-            and r.get("found")
-            and r["certificate"]["feasibility"]["verdict"]
-            for r in runs
-        )
-        return (0 if ok else 1), {"runs": runs}
-
-    if args.name == "n2":
-        report = n2_code_check(args.m, args.w, args.assignment or None, cap=args.enum_cap)
-        return (0 if report.ok else 1), {"n2": report.to_dict()}
-
-    if args.name == "n3-injectivity":
-        if args.grid:
-            reports = []
-            for m in range(2, 5):
-                for alpha in range(1, 4):
-                    for s in range(1, 8):
-                        if math.gcd(m, s) != 1:
-                            continue
-                        reports.append(n3_injectivity(m, s, alpha, args.enum_cap).to_dict())
-            ok = all(r["injective"] for r in reports)
-            return (0 if ok else 1), {"n3": reports}
-        report = n3_injectivity(args.m, args.s, args.alpha, args.enum_cap)
-        return (0 if report.injective else 1), {"n3": [report.to_dict()]}
-
-    if args.name == "dougherty":
-        t = args.t or None  # an empty --t is no map
-        report = dougherty_identity_check(
-            args.alphabet, t=t, with_t_search=args.search, enum_cap=args.enum_cap
-        )
-        ok = True
-        if t is not None:
-            ok = ok and report.ok
-        if args.search:
-            ok = ok and bool(report.discovered)
-        return (0 if ok else 1), {"dougherty": report.to_dict()}
-
-    raise DomainError(f"unknown case study {args.name!r}")
+    runs = [
+        _butterfly_run("binary", *butterfly(), args.emit, args.enum_cap),
+        _butterfly_run("wide", *butterfly(4), args.emit, args.enum_cap),
+    ]
+    ok = all(
+        r["feasibility"]["verdict"] and r["found"] and r["certificate"]["feasibility"]["verdict"]
+        for r in runs
+    )
+    return (0 if ok else 1), {"runs": runs}
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--enum-cap", type=_positive_int, default=None, help="tuple enumeration cap")
-    parser.add_argument("--out", default=None, help="write the report here instead of stdout")
-    parser.add_argument("--format", choices=("text", "csv"), default="text")
+def _cmd_n2(args) -> tuple[int, dict]:
+    from .library import n2_code_check
+
+    report = n2_code_check(args.m, args.w, args.assignment, cap=args.enum_cap)
+    return (0 if report.ok else 1), {"n2": report.to_dict()}
+
+
+def _cmd_n3_injectivity(args) -> tuple[int, dict]:
+    from .library import n3_injectivity
+
+    # None marks a parameter not given, which --grid requires; 2, 1, 1 otherwise.
+    given = (args.m, args.s, args.alpha)
+    if not args.grid:
+        params = [tuple(d if v is None else v for v, d in zip(given, (2, 1, 1)))]
+    elif given != (None, None, None):
+        raise DomainError("--grid runs its own --m, --s and --alpha; give none of them")
+    else:
+        params = [(m, s, alpha) for m in range(2, 5) for alpha in range(1, 4)
+                  for s in range(1, 8) if math.gcd(m, s) == 1]
+    reports = [n3_injectivity(m, s, alpha, args.enum_cap).to_dict() for m, s, alpha in params]
+    return (0 if all(r["injective"] for r in reports) else 1), {"n3": reports}
+
+
+def _cmd_dougherty(args) -> tuple[int, dict]:
+    from .library import dougherty_identity_check
+
+    report = dougherty_identity_check(
+        args.alphabet, t=args.t, with_t_search=args.search, enum_cap=args.enum_cap
+    )
+    ok = (args.t is None or report.ok) and (not args.search or bool(report.discovered))
+    return (0 if ok else 1), {"dougherty": report.to_dict()}
+
+
+def _command(sub, name: str, help: str, handler, *positionals: str, inputs=()):
+    """A leaf command's parser: its positional arguments, the common flags,
+    and ``handler``, which ``dispatch`` runs once the files named by the
+    positionals and the ``inputs`` attributes are read."""
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    for positional in positionals:
+        p.add_argument(positional)
+    p.add_argument("--enum-cap", type=_positive, default=None, help="tuple enumeration cap")
+    p.add_argument("--out", default=None, help="write the report here instead of stdout")
+    p.add_argument("--format", choices=("text", "csv"), default="text")
+    p.set_defaults(handler=handler, input_attrs=(*positionals, *inputs))
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="edgedrop")
+    parser = argparse.ArgumentParser(prog="edgedrop", allow_abbrev=False)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    pair = ("instance", "code")
 
-    p = sub.add_parser("validate", help="structural instance checks")
-    p.add_argument("instance")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_validate, input_attrs=("instance",))
+    _command(sub, "validate", "structural instance checks", _cmd_validate, "instance")
 
-    p = sub.add_parser("verify", help="exhaustive feasibility verification")
-    p.add_argument("instance")
-    p.add_argument("code")
+    p = _command(sub, "verify", "exhaustive feasibility verification", _cmd_verify, *pair)
     p.add_argument("--eps", type=_parse_eps, default=Fraction(0))
-    p.add_argument("--rates", required=True, help="bits per use, or #cardinality")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_verify, input_attrs=("instance", "code"))
+    p.add_argument("--rates", type=_rates, required=True, help="bits per use, or #cardinality")
 
-    p = sub.add_parser("remove-edge", help="remove one edge through a partition")
-    p.add_argument("instance")
-    p.add_argument("code")
+    p = _command(
+        sub, "remove-edge", "remove one edge through a partition", _cmd_remove_edge, *pair,
+        inputs=("partition", "groups"),
+    )
     p.add_argument("--edge", required=True)
     p.add_argument(
         "--partition",
+        type=_partition,
         required=True,
         help="label file, builtin:cwl, or builtin:edge-value",
     )
     p.add_argument("--eps", type=_parse_eps, default=Fraction(0))
-    p.add_argument("--groups", default=None, help="group file for the cwl route")
+    p.add_argument("--groups", default=None, help="group file, for builtin:cwl only")
     p.add_argument("--emit", default=None, help="prefix for restricted instance/code files")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_remove_edge, input_attrs=("instance", "code", "partition", "groups"))
 
-    p = sub.add_parser("cwl-check", help="certify one edge's encoding function")
-    p.add_argument("instance")
-    p.add_argument("code")
+    p = _command(
+        sub, "cwl-check", "certify one edge's encoding function", _cmd_cwl_check, *pair,
+        inputs=("groups",),
+    )
     p.add_argument("--edge", required=True)
     p.add_argument("--groups", default=None)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_cwl_check, input_attrs=("instance", "code", "groups"))
 
-    p = sub.add_parser("pwl-remove", help="remove a piecewise-CWL edge (zero error)")
-    p.add_argument("instance")
-    p.add_argument("code")
+    p = _command(
+        sub, "pwl-remove", "remove a piecewise-CWL edge (zero error)", _cmd_pwl_remove, *pair,
+        inputs=("pieces",),
+    )
     p.add_argument("--edge", required=True)
     p.add_argument("--pieces", required=True)
     p.add_argument("--emit", default=None)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_pwl_remove, input_attrs=("instance", "code", "pieces"))
 
-    p = sub.add_parser("cwl-search", help="bounded search for a CWL certificate")
-    p.add_argument("instance")
-    p.add_argument("code")
+    p = _command(sub, "cwl-search", "bounded search for a CWL certificate", _cmd_cwl_search, *pair)
     p.add_argument("--edge", required=True)
-    p.add_argument("--budget", type=_positive_int, default=64, help="group assignments to try")
-    p.add_argument("--rewrites", type=_non_negative_int, default=1, help="table rewrites to try")
-    p.add_argument("--relabels", type=_non_negative_int, default=0, help="relabelings per order")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_cwl_search, input_attrs=("instance", "code"))
+    p.add_argument("--budget", type=_positive, default=64, help="group assignments to try")
+    p.add_argument("--rewrites", type=_non_negative, choices=(0, 1), default=1,
+                   help="whether to try the table rewrite")
+    p.add_argument("--relabels", type=_non_negative, default=0, help="relabelings per order")
 
-    p = sub.add_parser("group-remove", help="abelian characterized-code removal")
-    p.add_argument("characterization")
+    p = _command(
+        sub, "group-remove", "abelian characterized-code removal", _cmd_group_remove,
+        "characterization",
+    )
     p.add_argument("--edge", required=True, help="edge variable key")
     p.add_argument("--sources", required=True, help="comma-separated source keys")
     p.add_argument("--emit", default=None)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_group_remove, input_attrs=("characterization",))
 
-    p = sub.add_parser("group-zero-error", help="zero-error versus constant-error dichotomy")
-    p.add_argument("characterization")
+    p = _command(
+        sub, "group-zero-error", "zero-error versus constant-error dichotomy",
+        _cmd_group_zero_error, "characterization",
+    )
     p.add_argument(
         "--demand",
         action="append",
         required=True,
         help="IN_KEY:SOURCE_KEY, repeatable",
     )
-    _add_common(p)
-    p.set_defaults(handler=_cmd_group_zero_error, input_attrs=("characterization",))
 
-    p = sub.add_parser("case-study", help="bundled constructions and identity checks")
-    p.add_argument(
-        "name", choices=("butterfly", "n2", "n3-injectivity", "dougherty")
-    )
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--w", type=int, default=2)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--alpha", type=int, default=1)
-    p.add_argument("--alphabet", type=int, default=4)
-    p.add_argument("--assignment", type=_int_list, default=None, help="n2 slot assignment, a,b,...")
-    p.add_argument("--t", type=_int_list, default=None, help="explicit map t, comma-separated")
-    p.add_argument("--search", action="store_true", help="brute-force all maps t")
-    p.add_argument("--grid", action="store_true", help="full parameter grid")
+    studies = sub.add_parser(
+        "case-study", help="bundled constructions and identity checks", allow_abbrev=False
+    ).add_subparsers(dest="study", required=True)
+    p = _command(studies, "butterfly", "the binary and wide butterflies", _cmd_butterfly)
     p.add_argument("--emit", default=None)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_case_study, input_attrs=())
+    p = _command(studies, "n2", "the relay scheme's decoding identities", _cmd_n2)
+    p.add_argument("--m", type=_integer, default=2)
+    p.add_argument("--w", type=_integer, default=2)
+    p.add_argument("--assignment", type=_integers, default=None, help="slot assignment, a,b,...")
+    p = _command(studies, "n3-injectivity", "injectivity of the n3 map", _cmd_n3_injectivity)
+    p.add_argument("--m", type=_integer, default=None, help="base (default 2)")
+    p.add_argument("--s", type=_integer, default=None, help="multiplier (default 1)")
+    p.add_argument("--alpha", type=_integer, default=None, help="exponent (default 1)")
+    p.add_argument("--grid", action="store_true", help="the full parameter grid instead")
+    p = _command(studies, "dougherty", "the modified Dougherty identities", _cmd_dougherty)
+    p.add_argument("--alphabet", type=_integer, default=4)
+    p.add_argument("--t", type=_integers, default=None, help="explicit map t, comma-separated")
+    p.add_argument("--search", action="store_true", help="brute-force all maps t")
 
     return parser
 
@@ -604,7 +600,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _semantic_argv(argv: list[str]) -> tuple[str, ...]:
-    """The command echo, with execution-tuning flags stripped."""
+    """The command echo, with execution-tuning flags (by their full names,
+    the only ones the parsers take) stripped."""
     out = []
     skip = False
     for token in argv:

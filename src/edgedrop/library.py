@@ -376,7 +376,6 @@ def dougherty_identity_check(
     t=None,
     with_t_search: bool = False,
     enum_cap: int | None = None,
-    search_cap: int = T_SEARCH_CAP,
 ) -> DoughertyReport:
     """Check the seven decoding identities of the modified Dougherty code.
 
@@ -384,8 +383,8 @@ def dougherty_identity_check(
     (a, b, c, d, e); the identities then constrain only the auxiliary map
     t, which must satisfy t(t(c)) = c and 2t(c) + t(2c) = c.  ``t`` is
     never assumed: pass one to check it, or set ``with_t_search`` to
-    brute-force all q^q candidates (filtered by the two pointwise
-    constraints, survivors re-checked exhaustively).
+    brute-force all q^q candidates, at most ``T_SEARCH_CAP`` (filtered by
+    the two pointwise constraints, survivors re-checked exhaustively).
     """
     q = alphabet_size
     if q < 2:
@@ -410,8 +409,8 @@ def dougherty_identity_check(
 
     discovered = None
     if with_t_search:
-        if q ** q > search_cap:
-            raise ResourceError(f"t search needs {q ** q} candidates, cap is {search_cap}")
+        if q ** q > T_SEARCH_CAP:
+            raise ResourceError(f"t search needs {q ** q} candidates, cap is {T_SEARCH_CAP}")
         found = []
         for cand in itertools.product(range(q), repeat=q):
             if any(cand[cand[c]] != c for c in range(q)):

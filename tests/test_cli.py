@@ -4,6 +4,7 @@ Commands run in process through main(argv); reports are read back from
 stdout or the --out file.
 """
 
+import argparse
 import builtins
 import collections
 import dataclasses
@@ -25,7 +26,7 @@ import pytest
 from conftest import as_lists
 from test_golden import CORPUS, GOLDEN_DIR
 from edgedrop import network
-from edgedrop.cli import ERROR_ABOVE_EPS, main
+from edgedrop.cli import ERROR_ABOVE_EPS, build_parser, main
 from edgedrop.codes import code_to_dict, load_code, relay_instance, save_code, tabulate
 from edgedrop.errors import InternalCheckError
 from edgedrop.groups import MAX_GROUP_NESTING
@@ -561,6 +562,8 @@ def test_search_counts_in_flags_must_be_non_negative(flag, value, tmp_path, caps
         (["--rates", "#y,1"], "--rates"),
         (["case-study", "n2", "--assignment", "a,b"], "--assignment"),
         (["case-study", "dougherty", "--t", "a,b"], "--t"),
+        (["case-study", "n2", "--assignment", ""], "--assignment"),
+        (["case-study", "dougherty", "--t", ""], "--t"),
     ],
 )
 def test_integer_list_flags_are_usage_errors_naming_the_flag(argv, flag, tmp_path, capsys):
@@ -570,6 +573,155 @@ def test_integer_list_flags_are_usage_errors_naming_the_flag(argv, flag, tmp_pat
     err = capsys.readouterr().err
     assert flag in err
     assert "ValueError" not in err and "invalid literal" not in err
+
+
+COMMON_FLAGS = {"--enum-cap", "--out", "--format"}
+# Each leaf command by its words, with the flags it takes besides COMMON_FLAGS.
+LEAF_FLAGS = {
+    "validate": set(),
+    "verify": {"--eps", "--rates"},
+    "remove-edge": {"--edge", "--partition", "--eps", "--groups", "--emit"},
+    "cwl-check": {"--edge", "--groups"},
+    "pwl-remove": {"--edge", "--pieces", "--emit"},
+    "cwl-search": {"--edge", "--budget", "--rewrites", "--relabels"},
+    "group-remove": {"--edge", "--sources", "--emit"},
+    "group-zero-error": {"--demand"},
+    "case-study butterfly": {"--emit"},
+    "case-study n2": {"--m", "--w", "--assignment"},
+    "case-study n3-injectivity": {"--m", "--s", "--alpha", "--grid"},
+    "case-study dougherty": {"--alphabet", "--t", "--search"},
+}
+
+
+def _leaf_flags(parser, words=()):
+    """(words, flags) of each leaf command under ``parser``; every parser on
+    the way takes full flag names only."""
+    assert parser.allow_abbrev is False, words
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_flags(sub, (*words, name))
+            return
+    yield " ".join(words), {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+def test_each_command_takes_exactly_the_flags_it_reads():
+    """Adding a flag to a command means adding it here."""
+    flags = {name: COMMON_FLAGS | own for name, own in LEAF_FLAGS.items()}
+    assert dict(_leaf_flags(build_parser())) == flags
+
+
+@pytest.mark.parametrize("flag", [["--enum", "100000"], ["--ou", "report.json"]])
+def test_abbreviated_flags_are_usage_errors(flag, tmp_path, capsys, monkeypatch):
+    argv = ["verify", *_write_pair(tmp_path, *butterfly()), "--rates", "1,1", *flag]
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0661", "+1", " 1"])
+@pytest.mark.parametrize("flag", ["--rates", "--budget", "--assignment", "--m"])
+def test_integers_are_ascii_digits_after_an_optional_minus(flag, text, tmp_path, capsys):
+    """``int`` reads each of these texts as a number; the command line does not."""
+    pair = _write_pair(tmp_path, *butterfly())
+    argv = {
+        "--rates": ["verify", *pair, "--rates", f"{text},1"],
+        "--budget": ["cwl-search", *pair, "--edge", "bottleneck", "--budget", text],
+        "--assignment": ["case-study", "n2", "--assignment", f"{text},2"],
+        "--m": ["case-study", "n2", "--m", text],
+    }[flag]
+    assert main(argv) == 2
+    assert f"argument {flag}: expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["1_0/4_0", "+1/4", " 1/4", "\u0661/\u0664", "1e-1", "1/4 "])
+def test_eps_is_ascii_digits_a_fraction_or_a_decimal(text, tmp_path, capsys):
+    argv = ["verify", *_write_pair(tmp_path, *butterfly()), "--rates", "1,1", "--eps"]
+    assert main(argv + [text]) == 2
+    assert f"expected eps as a rational like 1/4 or 0.25, got {text!r}" in capsys.readouterr().err
+    for text in ["0", "1/4", "0.25"]:
+        assert main(argv + [text]) == 0
+
+
+STUDY_FLAGS = {
+    "butterfly": [["--emit", "case"]],
+    "n2": [["--m", "2"], ["--w", "2"], ["--assignment", "2,2"]],
+    "n3-injectivity": [["--m", "2"], ["--s", "1"], ["--alpha", "1"], ["--grid"]],
+    "dougherty": [["--alphabet", "4"], ["--t", "0,1,3,2"], ["--search"]],
+}
+
+
+@pytest.mark.parametrize(
+    "study, flag",
+    [
+        (study, flag)
+        for study, own in STUDY_FLAGS.items()
+        for other in STUDY_FLAGS.values()
+        for flag in other
+        if flag[0] not in {f[0] for f in own}
+    ],
+)
+def test_a_study_refuses_the_flags_of_other_studies(study, flag, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    base = ["--t", "0,1,3,2"] if study == "dougherty" else []
+    assert main(["case-study", study, *base]) == 0
+    capsys.readouterr()
+    assert main(["case-study", study, *base, *flag]) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--m", "3"], ["--m", "2"], ["--s", "1"], ["--alpha", "2"]])
+def test_the_n3_grid_takes_no_single_parameter(flag, capsys):
+    assert main(["case-study", "n3-injectivity", "--grid", *flag]) == 2
+    assert "--grid runs its own --m, --s and --alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("partition", ["inputs/butterfly.singles.json", "builtin:edge-value"])
+def test_groups_goes_only_with_the_cwl_route(partition, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN_DIR)
+    argv = ["remove-edge", "inputs/butterfly.instance.json", "inputs/butterfly.code.json",
+            "--edge", "bottleneck", "--partition", partition]
+    assert main(argv) in (0, 1)
+    capsys.readouterr()
+    assert main(argv + ["--groups", "inputs/butterfly.groups.json"]) == 2
+    assert "--groups applies only to --partition builtin:cwl" in capsys.readouterr().err
+
+
+def test_an_unknown_builtin_route_names_the_builtins(capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN_DIR)
+    argv = ["remove-edge", "inputs/butterfly.instance.json", "inputs/butterfly.code.json",
+            "--edge", "bottleneck", "--partition", "builtin:cwI"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "builtin:cwl or builtin:edge-value, got 'builtin:cwI'" in err
+
+
+def test_cwl_search_makes_at_most_one_rewrite(tmp_path, capsys):
+    argv = ["cwl-search", *_write_pair(tmp_path, *butterfly()), "--edge", "bottleneck"]
+    assert main(argv + ["--rewrites", "1"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--rewrites", "2"]) == 2
+    assert "argument --rewrites: invalid choice: 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("orders", [[2, 8], [4], [4, 4, 1]])
+def test_pieces_file_sources_must_match_the_source_alphabets(orders, tmp_path, capsys, monkeypatch):
+    """The 4 x 4 source alphabets are checked before any piece is read."""
+    golden = GOLDEN_DIR / "inputs"
+    pieces = json.loads((golden / "shift44.pieces.json").read_text())
+    pieces["sources"] = [{"kind": "cyclic", "order": n} for n in orders]
+    pieces_path = tmp_path / "pieces.json"
+    pieces_path.write_text(json.dumps(pieces))
+
+    def refuse(*args):
+        raise AssertionError("pieces certified against mismatched source groups")
+
+    monkeypatch.setattr("edgedrop.cwl.check_piecewise", refuse)
+    argv = ["pwl-remove", str(golden / "shift44.instance.json"),
+            str(golden / "shift44.code.json"), "--edge", "e", "--pieces", str(pieces_path)]
+    assert main(argv) == 2
+    assert "pieces file does not match the source alphabets" in capsys.readouterr().err
 
 
 def test_case_study_n2_checks_the_cap_before_building_permutations(monkeypatch, capsys):
