@@ -177,6 +177,26 @@ def _rates(text: str) -> list[tuple[bool, int]]:
     ]
 
 
+def _keys(keys: list[str], text: str) -> tuple[str, ...]:
+    """Characterization keys as written: each non-empty and unpadded, since
+    a key is never stripped or dropped."""
+    if not all(k and k == k.strip() for k in keys):
+        raise argparse.ArgumentTypeError(f"expected non-empty unpadded keys, got {text!r}")
+    return tuple(keys)
+
+
+def _sources(text: str) -> tuple[str, ...]:
+    """Comma-separated source keys."""
+    return _keys(text.split(","), text)
+
+
+def _demand(text: str) -> tuple[str, ...]:
+    """IN_KEY:SOURCE_KEY, split at the first colon."""
+    if ":" not in text:
+        raise argparse.ArgumentTypeError(f"expected IN_KEY:SOURCE_KEY, got {text!r}")
+    return _keys(text.split(":", 1), text)
+
+
 BUILTIN_ROUTES = {"builtin:cwl": "cwl", "builtin:edge-value": "edge-value"}
 
 
@@ -375,13 +395,20 @@ def _cmd_pwl_remove(args) -> tuple[int, dict]:
 def _cmd_cwl_search(args) -> tuple[int, dict]:
     from .codes import code_to_dict
     from .cwl import SearchBudget, cwl_search
+    from .groups import TABLE_VERIFY_BOUND
 
     budget = SearchBudget(
         max_group_assignments=args.budget,
         max_table_rewrites=args.rewrites,
         max_relabels_per_order=args.relabels,
     )
-    found = cwl_search(_load_table(args), args.edge, budget)
+    table = _load_table(args)
+    if args.relabels and any(n > TABLE_VERIFY_BOUND for n in table.source_sizes):
+        raise DomainError(
+            f"--relabels builds Cayley tables, so it takes source alphabets of at most "
+            f"{TABLE_VERIFY_BOUND} symbols"
+        )
+    found = cwl_search(table, args.edge, budget)
     if found is None:
         return 1, {"found": False}
     result = {
@@ -399,8 +426,7 @@ def _cmd_group_remove(args) -> tuple[int, dict]:
     from .groupcodes import abelian_removal_plan, load_characterization
 
     gc = load_characterization(args.characterization)
-    source_keys = [k.strip() for k in args.sources.split(",") if k.strip()]
-    plan = abelian_removal_plan(gc, args.edge, source_keys, enum_cap=args.enum_cap)
+    plan = abelian_removal_plan(gc, args.edge, args.sources, enum_cap=args.enum_cap)
     result = {
         "checks": plan.checks,
         "auxiliary_order": plan.g_prime.order,
@@ -414,13 +440,7 @@ def _cmd_group_zero_error(args) -> tuple[int, dict]:
     from .groupcodes import load_characterization, zero_error_upgrade
 
     gc = load_characterization(args.characterization)
-    demands = []
-    for raw in args.demand:
-        if ":" not in raw:
-            raise DomainError(f"demand {raw!r} must look like IN_KEY:SOURCE_KEY")
-        in_key, source_key = raw.split(":", 1)
-        demands.append((in_key.strip(), source_key.strip()))
-    decisions = zero_error_upgrade(gc, demands)
+    decisions = zero_error_upgrade(gc, args.demand)
     result = {"decisions": [d.to_dict() for d in decisions]}
     status = 0 if all(d.kind == "zero_error" for d in decisions) else 1
     return status, result
@@ -490,14 +510,16 @@ def _cmd_dougherty(args) -> tuple[int, dict]:
     return (0 if ok else 1), {"dougherty": report.to_dict()}
 
 
-def _command(sub, name: str, help: str, handler, *positionals: str, inputs=()):
-    """A leaf command's parser: its positional arguments, the common flags,
+def _command(sub, name: str, help: str, handler, *positionals: str, inputs=(), enum_cap=True):
+    """A leaf command's parser: its positional arguments, the common flags
+    (``--enum-cap`` only where ``enum_cap``, for a handler that reads it),
     and ``handler``, which ``dispatch`` runs once the files named by the
     positionals and the ``inputs`` attributes are read."""
     p = sub.add_parser(name, help=help, allow_abbrev=False)
     for positional in positionals:
         p.add_argument(positional)
-    p.add_argument("--enum-cap", type=_positive, default=None, help="tuple enumeration cap")
+    if enum_cap:
+        p.add_argument("--enum-cap", type=_positive, default=None, help="tuple enumeration cap")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(handler=handler, input_attrs=(*positionals, *inputs))
@@ -509,7 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     pair = ("instance", "code")
 
-    _command(sub, "validate", "structural instance checks", _cmd_validate, "instance")
+    _command(sub, "validate", "structural instance checks", _cmd_validate, "instance",
+             enum_cap=False)
 
     p = _command(sub, "verify", "exhaustive feasibility verification", _cmd_verify, *pair)
     p.add_argument("--eps", type=_parse_eps, default=Fraction(0))
@@ -557,15 +580,16 @@ def build_parser() -> argparse.ArgumentParser:
         "characterization",
     )
     p.add_argument("--edge", required=True, help="edge variable key")
-    p.add_argument("--sources", required=True, help="comma-separated source keys")
+    p.add_argument("--sources", type=_sources, required=True, help="comma-separated source keys")
     p.add_argument("--emit", default=None)
 
     p = _command(
         sub, "group-zero-error", "zero-error versus constant-error dichotomy",
-        _cmd_group_zero_error, "characterization",
+        _cmd_group_zero_error, "characterization", enum_cap=False,
     )
     p.add_argument(
         "--demand",
+        type=_demand,
         action="append",
         required=True,
         help="IN_KEY:SOURCE_KEY, repeatable",

@@ -44,7 +44,6 @@ from .groups import (
     ProductGroup,
     TableGroup,
     is_homomorphism,
-    respects_generators,
     subgroup,
 )
 from .network import NetworkInstance, _frozen, int_table
@@ -145,20 +144,18 @@ def derive_edge_group(
 ) -> tuple[TableGroup, tuple[int, ...]] | None:
     """Induce the image group structure from the source groups, if one exists.
 
-    The image carries a group operation compatible with phi exactly when
-    phi(a * b) depends on phi(a) and phi(b) alone; the induced operation is
-    then the quotient structure and is unique.  Row phi(a) of its table is
-    read off the products ``a * b`` of one representative a per symbol, and
-    must be well defined in the right operand.  The generator law
-    phi(x * g) == table[phi(x), phi(g)] for every x and generator g then
-    shows, by induction on word length, that phi(x * y) depends on phi(x)
-    alone, so every element of a class gives the same row and the pairwise
-    condition holds.  Returns the verified table group on the sorted image
-    together with that image, or None exactly when the pairwise condition
-    fails.  ``phi`` is taken as ``check_cwl`` takes it.  Fibers of unequal
-    sizes give None at any image size; an image above
-    ``TABLE_VERIFY_BOUND`` symbols with equal fibers raises DomainError
-    before any table is allocated.
+    phi is CWL exactly when it is a homomorphism onto some group on its
+    image, and that group is then the quotient of the product by ker phi:
+    its table holds phi(a * b) for one representative a, b of each pair of
+    symbols.  That candidate table is built in one ``op_array`` call,
+    ``TableGroup`` proves its group axioms (a DomainError there means the
+    products form no group, so phi is not CWL), and ``is_homomorphism``
+    proves phi a homomorphism onto it.  Returns the verified table group on
+    the sorted image together with that image, or None when phi is not CWL.
+    ``phi`` is taken as ``check_cwl`` takes it.  Fibers of unequal sizes
+    give None at any image size; an image above ``TABLE_VERIFY_BOUND``
+    symbols with equal fibers raises DomainError before any table is
+    allocated.
     """
     product = ProductGroup(source_groups)
     f = _fibers(phi, [g.order for g in source_groups])
@@ -169,16 +166,14 @@ def derive_edge_group(
             f"edge images above {TABLE_VERIFY_BOUND} symbols are not accepted"
         )
     _, reps = np.unique(f.ids, return_index=True)  # one tuple per symbol
-    ids = np.arange(product.order)
-    tbl = np.empty((len(f.keys), len(f.keys)), dtype=np.int64)
-    for row, a in zip(tbl, reps.tolist()):
-        want = f.ids[product.op_array(a, ids)]
-        row[f.ids] = want
-        if not np.array_equal(row[f.ids], want):
-            return None
-    if not respects_generators(f.ids, product, lambda a, b: tbl[a, b]):
+    table = _frozen(f.ids[product.op_array(reps[:, None], reps)])
+    try:
+        group = TableGroup(table)
+    except DomainError:  # the products form no group
         return None
-    return TableGroup(_frozen(tbl)), tuple(f.keys)
+    if not is_homomorphism(f.ids, product, group):
+        return None
+    return group, tuple(f.keys)
 
 
 def certify_cwl(
@@ -525,61 +520,41 @@ class CwlSearchResult:
     rewritten: bool
 
 
-def _integer_partitions(e: int) -> list[tuple[int, ...]]:
-    if e == 0:
-        return [()]
-    out = []
-    def rec(remaining, largest, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            rec(remaining - part, part, prefix + [part])
-    rec(e, e, [])
-    return out
+def _invariant_factors(n: int) -> list[tuple[int, ...]]:
+    """Every abelian type of order n as its invariant factors, largest first.
 
+    By the fundamental theorem, each type is one chain of factors above 1
+    with product n, each dividing the one before it.  The chains are grown
+    over the divisors of n and sorted shortest first, then ascending, so
+    ``(n,)`` leads; order 1 has the one empty chain.
+    """
+    if n < 1:
+        raise DomainError(f"group order must be >= 1, got {n}")
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    divisors = sorted({*small, *(n // d for d in small)} - {1})
 
-def _prime_factorization(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
+    def chains(rest: int, bound: int):
+        if rest == 1:
+            yield ()
+        for d in divisors:
+            if rest % d == 0 and bound % d == 0:
+                yield from ((d, *tail) for tail in chains(rest // d, d))
+
+    return sorted(chains(n, n), key=lambda fs: (len(fs), fs))
 
 
 def abelian_structures(n: int) -> list[FiniteGroup]:
     """Every abelian group of order n, one per isomorphism type.
 
-    The plain cyclic group comes first; other types are products of cyclic
-    prime-power factors in descending order.
+    Z_n comes first; every other type is the product of cyclic groups on
+    its invariant factors, largest first (``_invariant_factors``).  For a
+    prime power these are its prime-power factors, so Z8 is followed by
+    Z4 x Z2 and Z2 x Z2 x Z2; order 12 gives Z12 and Z6 x Z2.
     """
-    if n < 1:
-        raise DomainError(f"group order must be >= 1, got {n}")
-    if n == 1:
-        return [CyclicGroup(1)]
-    per_prime = []
-    for p, e in _prime_factorization(n):
-        per_prime.append([[p ** part for part in parts] for parts in _integer_partitions(e)])
-    combos = []
-    for pick in itertools.product(*per_prime):
-        factors = sorted((f for group in pick for f in group), reverse=True)
-        combos.append(tuple(factors))
-    combos.sort(key=lambda fs: (len(fs), fs))
-    out: list[FiniteGroup] = []
-    for factors in combos:
-        if len(factors) == 1:
-            out.append(CyclicGroup(factors[0]))
-        else:
-            out.append(ProductGroup([CyclicGroup(f) for f in factors]))
-    return out
+    return [
+        CyclicGroup(n) if len(fs) <= 1 else ProductGroup([CyclicGroup(f) for f in fs])
+        for fs in _invariant_factors(n)
+    ]
 
 
 def _relabeled(group: FiniteGroup, perm: Sequence[int]) -> TableGroup:
@@ -588,34 +563,30 @@ def _relabeled(group: FiniteGroup, perm: Sequence[int]) -> TableGroup:
     return TableGroup(_frozen(perm[group.op_array(inv[:, None], inv)]))
 
 
-def _source_candidates(n: int, relabels: int) -> list[FiniteGroup]:
+def _source_candidates(n: int, relabels: int, limit: int) -> list[FiniteGroup]:
+    """The first ``limit`` candidate groups for a source of n symbols: the
+    abelian structures, then each structure relabeled by the first
+    ``relabels`` permutations after the identity in lexicographic order.
+    Only the candidates returned are built."""
     base = abelian_structures(n)
-    if relabels <= 0:
-        return base
-    out = list(base)
-    for g in base:
-        taken = 0
-        for perm in itertools.permutations(range(n)):
-            if perm == tuple(range(n)):
-                continue
-            out.append(_relabeled(g, perm))
-            taken += 1
-            if taken >= relabels:
-                break
-    return out
+    relabeled = (
+        _relabeled(g, perm)
+        for g in base
+        for perm in itertools.islice(itertools.permutations(range(n)), 1, max(relabels, 0) + 1)
+    )
+    return list(itertools.islice(itertools.chain(base, relabeled), limit))
 
 
 def _candidate_count(n: int, relabels: int) -> int:
-    """``len(_source_candidates(n, relabels))``, without building them."""
-    structures = math.prod(len(_integer_partitions(e)) for _, e in _prime_factorization(n))
-    if relabels <= 0:
-        return structures
+    """The number of candidates for a source of n symbols with no limit: one
+    per abelian type of ``_invariant_factors(n)``, times one plus its
+    relabelings, counted without building any group."""
     perms = 1  # n!, or the first partial product above relabels
     for k in range(2, n + 1):
         perms *= k
         if perms > relabels:
             break
-    return structures * (1 + min(relabels, perms - 1))
+    return len(_invariant_factors(n)) * (1 + max(0, min(relabels, perms - 1)))
 
 
 def _rewrite_full_information(
@@ -657,29 +628,30 @@ def cwl_search(
     edge group is always induced, never enumerated.  If that fails, rewrites
     the edge to carry strictly more information with exact downstream
     compensation and retries.  Both phases share the assignment budget;
-    results are deterministic for a fixed budget.
+    results are deterministic for a fixed budget.  The assignments are
+    tried in product order, the last source varying fastest, and only the
+    candidates within the budget left are built.
     """
-    assignments_left = budget.max_group_assignments
+    assignments_left = max(0, budget.max_group_assignments)
+    relabels = budget.max_relabels_per_order
 
     def try_table(cand: GlobalCodeTable, rewritten: bool):
         nonlocal assignments_left
         phi = SourcePartition.from_edge_values(cand, edge_id)
+        counts = [_candidate_count(n, relabels) for n in cand.source_sizes]
         if phi.part_sizes.min() != phi.part_sizes.max():
             # Every assignment would fail derive_edge_group's coset test, so
             # none is built; the budget is charged as if each had been tried.
-            if assignments_left > 0:
-                tries = math.prod(
-                    _candidate_count(n, budget.max_relabels_per_order)
-                    for n in cand.source_sizes
-                )
-                assignments_left = max(0, assignments_left - tries)
+            assignments_left = max(0, assignments_left - math.prod(counts))
             return None
-        candidates = [
-            _source_candidates(n, budget.max_relabels_per_order) for n in cand.source_sizes
-        ]
-        for assignment in itertools.product(*candidates):
-            if assignments_left <= 0:
-                return None
+        # The first k assignments use the first ceil(k / later) candidates of
+        # a source, where later counts the assignments of the sources after it.
+        later = math.prod(counts)
+        candidates = []
+        for n, count in zip(cand.source_sizes, counts):
+            later //= count
+            candidates.append(_source_candidates(n, relabels, -(-assignments_left // later)))
+        for assignment in itertools.islice(itertools.product(*candidates), assignments_left):
             assignments_left -= 1
             witness = certify_cwl(phi, assignment)
             if witness is not None:

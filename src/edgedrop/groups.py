@@ -455,25 +455,19 @@ def cosets(group: FiniteGroup, sub: SubgroupHandle) -> list[list[int]]:
     return [c.tolist() for c in np.split(by_label, np.cumsum(np.bincount(labels))[:-1])]
 
 
-def respects_generators(vals: np.ndarray, dom: FiniteGroup, op) -> bool:
-    """Whether ``vals[x * g] == op(vals[x], vals[g])`` for every x and every
-    generator g of ``dom``, in one ``op_array`` call on each side."""
-    gens = np.asarray(dom.generators(), dtype=np.int64)
-    x = np.arange(dom.order)[:, None]
-    return np.array_equal(vals[dom.op_array(x, gens)], op(vals[x], vals[gens]))
-
-
 def is_homomorphism(f, dom: FiniteGroup, cod: FiniteGroup) -> bool:
     """Check f(x op g) == f(x) op f(g) for every x and every generator g.
 
     Every element is a product of generators, so induction on word length
     gives f(x op y) == f(x) op f(y) for all pairs from ``|G| * |gens|``
-    products.  f(e) == e is checked explicitly, which covers a domain whose
-    generating set is empty.
+    products, in one ``op_array`` call on each side.  f(e) == e is checked
+    explicitly, which covers a domain whose generating set is empty.
     """
     vals = _id_array(cod, total_map(f, dom.order, "map"))
-    return bool(vals[dom.identity] == cod.identity) and respects_generators(
-        vals, dom, cod.op_array
+    gens = np.asarray(dom.generators(), dtype=np.int64)
+    x = np.arange(dom.order)[:, None]
+    return bool(vals[dom.identity] == cod.identity) and np.array_equal(
+        vals[dom.op_array(x, gens)], cod.op_array(vals[x], vals[gens])
     )
 
 

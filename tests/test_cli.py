@@ -510,6 +510,32 @@ def test_cwl_search_honours_enum_cap(tmp_path, capsys):
     assert "above the cap of 10" in capsys.readouterr().err
 
 
+def test_cwl_search_finds_the_cyclic_sum_of_composite_order(tmp_path, capsys):
+    """Z6 leads the catalog for 6 symbols, so one assignment certifies the
+    sum mod 6 without a rewrite."""
+    inst, code = relay_instance([6, 6], 6, tabulate([6, 6], lambda a, b: (a + b) % 6))
+    inst_path, code_path = _write_pair(tmp_path, inst, code)
+    argv = ["cwl-search", inst_path, code_path, "--edge", "e", "--budget", "1", "--rewrites", "0"]
+    assert main(argv) == 0
+    result = _stdout_report(capsys)["result"]
+    assert result["rewritten"] is False
+    assert result["witness"]["source_groups"] == [{"kind": "cyclic", "order": 6}] * 2
+
+
+def test_relabels_on_a_source_above_the_table_bound_exit_2(tmp_path, capsys):
+    """Relabeled sources are Cayley tables, refused above 512 symbols, so
+    the refusal names the flag that asked for them."""
+    inst, code = relay_instance([520, 2], 2, tabulate([520, 2], lambda a, b: b))
+    inst_path, code_path = _write_pair(tmp_path, inst, code)
+    argv = ["cwl-search", inst_path, code_path, "--edge", "e", "--budget", "1"]
+    assert main(argv + ["--relabels", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --relabels" in captured.err and "at most 512 symbols" in captured.err
+    assert main(argv + ["--relabels", "0"]) == 0
+    capsys.readouterr()
+
+
 @pytest.fixture(scope="module")
 def mod_600_relay(tmp_path_factory):
     """A 32 x 32 relay whose edge carries the tuple index mod 600, over an
@@ -575,21 +601,23 @@ def test_integer_list_flags_are_usage_errors_naming_the_flag(argv, flag, tmp_pat
     assert "ValueError" not in err and "invalid literal" not in err
 
 
-COMMON_FLAGS = {"--enum-cap", "--out", "--format"}
-# Each leaf command by its words, with the flags it takes besides COMMON_FLAGS.
+COMMON_FLAGS = {"--out", "--format"}
+ENUM_CAP = {"--enum-cap"}
+# Each leaf command by its words, with the flags it takes besides COMMON_FLAGS;
+# validate and group-zero-error enumerate no tuples, so they take no --enum-cap.
 LEAF_FLAGS = {
     "validate": set(),
-    "verify": {"--eps", "--rates"},
-    "remove-edge": {"--edge", "--partition", "--eps", "--groups", "--emit"},
-    "cwl-check": {"--edge", "--groups"},
-    "pwl-remove": {"--edge", "--pieces", "--emit"},
-    "cwl-search": {"--edge", "--budget", "--rewrites", "--relabels"},
-    "group-remove": {"--edge", "--sources", "--emit"},
+    "verify": ENUM_CAP | {"--eps", "--rates"},
+    "remove-edge": ENUM_CAP | {"--edge", "--partition", "--eps", "--groups", "--emit"},
+    "cwl-check": ENUM_CAP | {"--edge", "--groups"},
+    "pwl-remove": ENUM_CAP | {"--edge", "--pieces", "--emit"},
+    "cwl-search": ENUM_CAP | {"--edge", "--budget", "--rewrites", "--relabels"},
+    "group-remove": ENUM_CAP | {"--edge", "--sources", "--emit"},
     "group-zero-error": {"--demand"},
-    "case-study butterfly": {"--emit"},
-    "case-study n2": {"--m", "--w", "--assignment"},
-    "case-study n3-injectivity": {"--m", "--s", "--alpha", "--grid"},
-    "case-study dougherty": {"--alphabet", "--t", "--search"},
+    "case-study butterfly": ENUM_CAP | {"--emit"},
+    "case-study n2": ENUM_CAP | {"--m", "--w", "--assignment"},
+    "case-study n3-injectivity": ENUM_CAP | {"--m", "--s", "--alpha", "--grid"},
+    "case-study dougherty": ENUM_CAP | {"--alphabet", "--t", "--search"},
 }
 
 
@@ -907,6 +935,27 @@ def test_group_remove_honours_enum_cap(capsys, monkeypatch):
     assert "above the cap of 1" in capsys.readouterr().err
     assert main(argv + ["--enum-cap", "4"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("sources", [" s1 ,, s2 ,", "s1,,s2", "s1,s2,", " s1,s2", "s1,s2 ", ""])
+def test_group_remove_refuses_empty_or_padded_source_keys(sources, capsys, monkeypatch):
+    """A key is taken as written: none is stripped, and none dropped."""
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    argv = ["group-remove", "inputs/klein.json", "--edge", "e", "--sources", sources]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --sources: expected non-empty unpadded keys, got {sources!r}" in captured.err
+
+
+@pytest.mark.parametrize("demand", [" e : s1 ", "e :s1", "e: s1", "e:", ":s1", ":"])
+def test_group_zero_error_refuses_empty_or_padded_demand_keys(demand, capsys, monkeypatch):
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    argv = ["group-zero-error", "inputs/klein.json", "--demand", "s1:s1", "--demand", demand]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --demand: expected non-empty unpadded keys, got {demand!r}" in captured.err
 
 
 def test_internal_check_failure_exits_3(capsys, monkeypatch):

@@ -315,6 +315,118 @@ def test_abelian_structures_catalog():
         assert g.is_abelian
 
 
+def _factors(g) -> tuple[int, ...]:
+    """The cyclic factor orders of a catalog entry, from its description."""
+    desc = g.describe()
+    if desc["kind"] == "cyclic":
+        return (desc["order"],)
+    assert all(f["kind"] == "cyclic" for f in desc["factors"])
+    return tuple(f["order"] for f in desc["factors"])
+
+
+def _partitions(e: int, largest: int):
+    """Partitions of e into parts of at most ``largest``, parts descending."""
+    if e == 0:
+        yield ()
+    for part in range(min(e, largest), 0, -1):
+        for rest in _partitions(e - part, part):
+            yield (part, *rest)
+
+
+def _prime_powers(limit: int):
+    """(n, p, e) for every prime power n = p**e, 1 < n <= limit."""
+    for p in range(2, limit + 1):
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):
+            e = 1
+            while p ** e <= limit:
+                yield p ** e, p, e
+                e += 1
+
+
+def test_abelian_structures_pins_literal_catalogs():
+    assert [_factors(g) for g in abelian_structures(1)] == [(1,)]
+    assert [_factors(g) for g in abelian_structures(8)] == [(8,), (4, 2), (2, 2, 2)]
+    assert [_factors(g) for g in abelian_structures(16)] == [
+        (16,), (4, 4), (8, 2), (4, 2, 2), (2, 2, 2, 2)
+    ]
+    assert [_factors(g) for g in abelian_structures(27)] == [(27,), (9, 3), (3, 3, 3)]
+    assert [_factors(g) for g in abelian_structures(12)] == [(12,), (6, 2)]
+    assert [_factors(g) for g in abelian_structures(72)] == [
+        (72,), (12, 6), (24, 3), (36, 2), (6, 6, 2), (18, 2, 2)
+    ]
+    assert abelian_structures(4)[1].describe() == {
+        "kind": "product",
+        "order": 4,
+        "factors": [{"kind": "cyclic", "order": 2}, {"kind": "cyclic", "order": 2}],
+    }
+    with pytest.raises(DomainError, match="group order must be >= 1"):
+        abelian_structures(0)
+
+
+def test_prime_power_catalogs_are_the_descending_partitions():
+    """A prime power p**e has one type per partition of e, the factors
+    p**part largest first, listed shortest first and then ascending."""
+    for n, p, e in _prime_powers(1024):
+        expected = sorted(
+            (tuple(p ** part for part in parts) for parts in _partitions(e, e)),
+            key=lambda fs: (len(fs), fs),
+        )
+        assert [_factors(g) for g in abelian_structures(n)] == expected, n
+
+
+def test_every_catalog_leads_with_z_n_and_lists_each_type_once():
+    """The number of abelian types of order n is the product of the
+    partition counts of its prime exponents; each entry is an invariant
+    factor chain, each factor dividing the one before it."""
+    for n in range(1, 1025):
+        catalog = abelian_structures(n)
+        assert type(catalog[0]) is CyclicGroup and catalog[0].order == n
+        types, rest, p = 1, n, 2
+        while rest > 1:
+            e = 0
+            while rest % p == 0:
+                rest, e = rest // p, e + 1
+            types *= sum(1 for _ in _partitions(e, e))
+            p += 1
+        assert len(catalog) == types, n
+        chains = [_factors(g) for g in catalog]
+        assert len(set(chains)) == len(chains)
+        for fs in chains:
+            assert math.prod(fs) == n and all(a % b == 0 for a, b in zip(fs, fs[1:]))
+            assert fs == (1,) or min(fs) > 1
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_cwl_search_certifies_sums_of_composite_order_at_budget_one(n):
+    """Z_n leads every catalog, so the sum mod n is certified by the first
+    assignment, without a rewrite."""
+    inst, code = relay_instance([n, n], n, tabulate([n, n], lambda a, b: (a + b) % n))
+    budget = SearchBudget(max_group_assignments=1, max_table_rewrites=0)
+    found = cwl_search(build_global_table(inst, code), "e", budget)
+    assert found is not None and not found.rewritten
+    assert [g.describe() for g in found.witness.source_groups] == [
+        {"kind": "cyclic", "order": n}
+    ] * 2
+
+
+def test_search_builds_only_the_candidates_its_budget_reaches(monkeypatch):
+    """Z8 x Z8 under the sum: one assignment at 400 relabels per order builds
+    the one derived edge group and no relabeled source."""
+    built = []
+    init = TableGroup.__init__
+
+    def counted(self, table):
+        built.append(len(table))
+        init(self, table)
+
+    monkeypatch.setattr(TableGroup, "__init__", counted)
+    inst, code = relay_instance([8, 8], 8, tabulate([8, 8], lambda a, b: (a + b) % 8))
+    table = build_global_table(inst, code)
+    budget = SearchBudget(max_group_assignments=1, max_relabels_per_order=400)
+    assert cwl_search(table, "e", budget) is not None
+    assert built == [8]
+
+
 def test_cwl_search_finds_relabeled_bottleneck():
     inst, code = butterfly()
     # Negate the bottleneck and compensate in both consumers, keeping the
@@ -355,9 +467,35 @@ def test_cwl_search_rewrite_path():
 
 
 def test_candidate_count_matches_the_candidates():
-    for n in range(1, 9):
+    for n in range(1, 13):
         for relabels in range(-1, 4):
-            assert _candidate_count(n, relabels) == len(_source_candidates(n, relabels))
+            every = [g.describe() for g in _source_candidates(n, relabels, 10**6)]
+            assert _candidate_count(n, relabels) == len(every)
+            for limit in range(len(every) + 1):
+                built = _source_candidates(n, relabels, limit)
+                assert [g.describe() for g in built] == every[:limit]
+
+
+def test_limited_candidates_give_the_assignments_of_the_full_search(monkeypatch):
+    """Each budget tries the leading assignments of the full candidate
+    product, the last source fastest, wherever that cut falls."""
+    sizes = (4, 2, 4)
+    inst, code = relay_instance(
+        list(sizes), 2, tabulate(list(sizes), lambda a, b, c: (a * b + c) % 2)
+    )
+    table = build_global_table(inst, code)
+    full = list(itertools.product(
+        *[[g.describe() for g in _source_candidates(n, 1, 10**6)] for n in sizes]
+    ))
+    tried = []
+    monkeypatch.setattr(
+        cwl, "certify_cwl", lambda phi, groups: tried.append([g.describe() for g in groups])
+    )
+    for assignments in [1, 3, 7, 8, 13, len(full), len(full) + 5]:
+        tried.clear()
+        budget = SearchBudget(assignments, max_table_rewrites=0, max_relabels_per_order=1)
+        assert cwl_search(table, "e", budget) is None
+        assert tried == [list(a) for a in full[:assignments]]
 
 
 @pytest.mark.parametrize(
@@ -525,9 +663,9 @@ def test_group_checks_match_oracles_on_acceptance_witnesses():
 
 
 def test_generator_proof_rejects_consistent_representative_rows():
-    """(0, 0, 1, 1) on Z4: the rows of representatives 0 and 2 are well
-    defined and form Z2, yet phi(1 + 1) = 1 while phi(1) + phi(1) = 0.
-    Only the generator law rejects it."""
+    """(0, 0, 1, 1) on Z4: the products of representatives 0 and 2 are
+    well defined and form Z2, yet phi(1 + 1) = 1 while phi(1) + phi(1) = 0.
+    Only the homomorphism law onto that group rejects it."""
     phi, groups = (0, 0, 1, 1), [CyclicGroup(4)]
     rows = [[phi[(a + b) % 4] for b in (0, 2)] for a in (0, 2)]
     assert all(phi[(a + b) % 4] == rows[phi[a]][phi[b]] for a in (0, 2) for b in range(4))
@@ -541,8 +679,9 @@ def test_generator_proof_rejects_consistent_representative_rows():
 def test_row_check_rejects_a_right_coset_map():
     """Right cosets Hy of a non-normal H in a relabeled S3 x Z2: phi(x * y)
     depends on phi(x) and y, so the generator law alone is satisfiable, but
-    not on phi(y), so no induced operation exists.  Only the check that each
-    representative's row is well defined in the right operand rejects it."""
+    not on phi(y), so no induced operation exists.  The products of one
+    representative per symbol then form no group, and TableGroup refuses
+    them."""
     product = ProductGroup([s3(), CyclicGroup(2)])
     ids = np.arange(product.order)
     table = product.op_array(ids[:, None], ids).tolist()
@@ -558,6 +697,9 @@ def test_row_check_rejects_a_right_coset_map():
         for gen in g.generators():
             law.setdefault((phi[x], phi[gen]), set()).add(phi[g.op(x, gen)])
     assert all(len(v) == 1 for v in law.values())
+    _, reps = np.unique(phi, return_index=True)
+    with pytest.raises(DomainError, match="not associative"):
+        TableGroup(np.asarray(phi)[g.op_array(reps[:, None], reps)])
     assert _quotient_oracle(phi, [g]) is None
     assert derive_edge_group(phi, [g]) is None
     assert certify_cwl(phi, [g]) is None
@@ -592,8 +734,9 @@ def test_certify_cwl_routes():
 def test_group_proofs_make_linear_op_calls(monkeypatch):
     """Work guard: on Z64 x Z64 (4096 elements) the proofs call op_array on
     the product domain, each call costing O(|G|), at most |gens| + 1 times
-    for is_homomorphism and |image| + |gens| + 1 times for
-    derive_edge_group, so a loop over every element of G fails here."""
+    for is_homomorphism and twice for derive_edge_group whatever the image
+    size (its table of representatives, then the homomorphism law), so a
+    loop over every element of G or over the image fails here."""
     calls = []
     op_array = ProductGroup.op_array
 
@@ -618,8 +761,12 @@ def test_group_proofs_make_linear_op_calls(monkeypatch):
         assert 0 < len(calls) <= len(gens) + 1
         calls.clear()
         assert (derive_edge_group(phi, sources) is not None) == linear
-        assert len(calls) <= image + len(gens) + 1
+        assert len(calls) <= 2
         assert set(calls) <= {4096}
+    for m in (2, 8, 16):  # images Z2 x Z2, Z8 x Z8 and Z16 x Z16
+        calls.clear()
+        assert derive_edge_group([a % m * m + b % m for a in range(64) for b in range(64)], sources)
+        assert calls == [4096, 4096]
 
 
 def _relabeled_hom_witness(rng):
