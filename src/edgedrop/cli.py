@@ -52,7 +52,6 @@ from .errors import DomainError, InternalCheckError, WorkbenchError
 from .network import (
     NetworkInstance,
     field,
-    instance_to_dict,
     int_table,
     json_bytes,
     load_instance,
@@ -66,7 +65,7 @@ from .network import (
 if TYPE_CHECKING:
     from .codes import GlobalCodeTable, NetworkCode
     from .cwl import CwlWitness
-    from .removal import RemovalResult
+    from .removal import RemovalCertificate, RemovalResult
 
 TUNING_FLAGS = {"--enum-cap", "--out", "--format", "--emit"}
 ERROR_ABOVE_EPS = "code error exceeds the requested eps"
@@ -80,19 +79,12 @@ class RunReport:
     inputs: dict[str, str]
     result: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "command": list(self.command),
-            "inputs": dict(sorted(self.inputs.items())),
-            "result": self.result,
-        }
 
-
-def _collect_certificates(node) -> list[dict]:
+def _collect_certificates(node) -> list[RemovalCertificate]:
     out = []
     if isinstance(node, dict):
         for key, value in node.items():
-            if key == "certificate" and isinstance(value, dict):
+            if key == "certificate":
                 out.append(value)
             else:
                 out.extend(_collect_certificates(value))
@@ -106,7 +98,7 @@ def emit_report(report: RunReport, fmt: str = "text") -> bytes:
     """Serialize a report; text is JSON, csv (the other ``--format``)
     tabulates the certificates."""
     if fmt == "text":
-        return json_bytes(report.to_dict(), end=b"\n")
+        return json_bytes(report, end=b"\n")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -123,13 +115,13 @@ def emit_report(report: RunReport, fmt: str = "text") -> bytes:
     for cert in _collect_certificates(report.result):
         writer.writerow(
             [
-                cert["edge_id"],
-                cert["eps"],
-                json.dumps(cert["witness_label"]),
-                cert["edge_constant"],
-                ";".join(str(v) for v in cert["promised_cardinalities"]),
-                ";".join(str(v) for v in cert["achieved_cardinalities"]),
-                cert["feasibility"]["verdict"],
+                cert.edge_id,
+                cert.eps,
+                json.dumps(cert.witness_label),
+                cert.edge_constant,
+                ";".join(str(v) for v in cert.promised_cardinalities),
+                ";".join(str(v) for v in cert.achieved_cardinalities),
+                cert.feasibility.verdict,
             ]
         )
     return buf.getvalue().encode()
@@ -265,15 +257,15 @@ def _witness_dict(w: CwlWitness) -> dict:
 
 def _removal_dict(res: RemovalResult, prefix: str | None) -> dict:
     """Report fields of a removal; writes the restricted files under prefix."""
-    from .codes import code_to_dict, save_code
+    from .codes import save_code
 
     if prefix is not None:
         save_instance(res.instance, prefix + ".instance.json")
         save_code(res.code, prefix + ".code.json")
     return {
-        "certificate": res.certificate.to_dict(),
-        "restricted_instance": instance_to_dict(res.instance),
-        "restricted_code": code_to_dict(res.code),
+        "certificate": res.certificate,
+        "restricted_instance": res.instance,
+        "restricted_code": res.code,
     }
 
 
@@ -295,9 +287,15 @@ def _cmd_verify(args) -> tuple[int, dict]:
     from .codes import check_feasibility
 
     table = _load_table(args)
+    # 2**b may have at most the digits int writes, as a #n target may; past
+    # b = 4 * limit, 2**b > 16**limit shows it too long without taking it.
+    limit = sys.get_int_max_str_digits()
+    bits = [n * table.code.blocklength for card, n in args.rates if not card]
+    if limit and any(b > 4 * limit or 2**b >= 10**limit for b in bits):
+        raise DomainError(f"--rates targets must have at most {limit} digits")
     targets = [n if card else 2 ** (n * table.code.blocklength) for card, n in args.rates]
     report = check_feasibility(table, args.eps, targets)
-    return (0 if report.verdict else 1), {"feasibility": report.to_dict()}
+    return (0 if report.verdict else 1), {"feasibility": report}
 
 
 def _cmd_remove_edge(args) -> tuple[int, dict]:
@@ -393,7 +391,6 @@ def _cmd_pwl_remove(args) -> tuple[int, dict]:
 
 
 def _cmd_cwl_search(args) -> tuple[int, dict]:
-    from .codes import code_to_dict
     from .cwl import SearchBudget, cwl_search
     from .groups import TABLE_VERIFY_BOUND
 
@@ -417,12 +414,11 @@ def _cmd_cwl_search(args) -> tuple[int, dict]:
         "rewritten": found.rewritten,
     }
     if found.rewritten:
-        result["rewritten_code"] = code_to_dict(found.code)
+        result["rewritten_code"] = found.code
     return 0, result
 
 
 def _cmd_group_remove(args) -> tuple[int, dict]:
-    from .codes import code_to_dict
     from .groupcodes import abelian_removal_plan, load_characterization
 
     gc = load_characterization(args.characterization)
@@ -430,8 +426,8 @@ def _cmd_group_remove(args) -> tuple[int, dict]:
     result = {
         "checks": plan.checks,
         "auxiliary_order": plan.g_prime.order,
-        "materialized_instance": instance_to_dict(plan.table.inst),
-        "materialized_code": code_to_dict(plan.table.code),
+        "materialized_instance": plan.table.inst,
+        "materialized_code": plan.table.code,
     }
     return 0, {**result, **_removal_dict(plan.removal, args.emit)}
 
@@ -451,7 +447,7 @@ def _butterfly_run(name: str, inst: NetworkInstance, code: NetworkCode, emit, en
 
     table = build_global_table(inst, code, enum_cap=enum_cap)
     feas = check_feasibility(table, Fraction(0), list(code.source_alphabets))
-    entry: dict = {"name": name, "feasibility": feas.to_dict(), "found": False}
+    entry: dict = {"name": name, "feasibility": feas, "found": False}
     res = _cwl_removal(table, "bottleneck", None, Fraction(0))[1]
     if res is None:
         return entry
@@ -471,7 +467,7 @@ def _cmd_butterfly(args) -> tuple[int, dict]:
         _butterfly_run("wide", *butterfly(4), args.emit, args.enum_cap),
     ]
     ok = all(
-        r["feasibility"]["verdict"] and r["found"] and r["certificate"]["feasibility"]["verdict"]
+        r["feasibility"].verdict and r["found"] and r["certificate"].feasibility.verdict
         for r in runs
     )
     return (0 if ok else 1), {"runs": runs}
@@ -481,7 +477,7 @@ def _cmd_n2(args) -> tuple[int, dict]:
     from .library import n2_code_check
 
     report = n2_code_check(args.m, args.w, args.assignment, cap=args.enum_cap)
-    return (0 if report.ok else 1), {"n2": report.to_dict()}
+    return (0 if report.ok else 1), {"n2": report}
 
 
 def _cmd_n3_injectivity(args) -> tuple[int, dict]:
@@ -496,8 +492,8 @@ def _cmd_n3_injectivity(args) -> tuple[int, dict]:
     else:
         params = [(m, s, alpha) for m in range(2, 5) for alpha in range(1, 4)
                   for s in range(1, 8) if math.gcd(m, s) == 1]
-    reports = [n3_injectivity(m, s, alpha, args.enum_cap).to_dict() for m, s, alpha in params]
-    return (0 if all(r["injective"] for r in reports) else 1), {"n3": reports}
+    reports = [n3_injectivity(m, s, alpha, args.enum_cap) for m, s, alpha in params]
+    return (0 if all(r.injective for r in reports) else 1), {"n3": reports}
 
 
 def _cmd_dougherty(args) -> tuple[int, dict]:
@@ -507,7 +503,7 @@ def _cmd_dougherty(args) -> tuple[int, dict]:
         args.alphabet, t=args.t, with_t_search=args.search, enum_cap=args.enum_cap
     )
     ok = (args.t is None or report.ok) and (not args.search or bool(report.discovered))
-    return (0 if ok else 1), {"dougherty": report.to_dict()}
+    return (0 if ok else 1), {"dougherty": report}
 
 
 def _command(sub, name: str, help: str, handler, *positionals: str, inputs=(), enum_cap=True):

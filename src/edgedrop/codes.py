@@ -432,23 +432,6 @@ class FeasibilityReport:
     uniform_sources: str = "by construction"
     deterministic_encoding: str = "by construction"
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "target_eps": str(self.target_eps),
-            "target_cardinalities": list(self.target_cardinalities),
-            "blocklength": self.blocklength,
-            "num_tuples": self.num_tuples,
-            "error": str(self.error),
-            "per_terminal_error": {t: str(v) for t, v in sorted(self.per_terminal_error.items())},
-            "decoding_ok": dict(sorted(self.decoding_ok.items())),
-            "rate_ok": list(self.rate_ok),
-            "capacity_ok": dict(sorted(self.capacity_ok.items())),
-            "source_cardinalities": list(self.source_cardinalities),
-            "uniform_sources": self.uniform_sources,
-            "deterministic_encoding": self.deterministic_encoding,
-        }
-
 
 def check_feasibility(
     table: GlobalCodeTable, target_eps: Fraction, target_cardinalities: Sequence[int]
@@ -513,18 +496,6 @@ def joint_counts(columns: Sequence[np.ndarray], n: int) -> np.ndarray:
     return counts[np.argsort(first)]
 
 
-def code_to_dict(code: NetworkCode) -> dict:
-    """The code's file form, with its tables as the code's own read-only
-    int64 arrays; ``json_bytes`` writes them as their ``tolist()``."""
-    return {
-        "blocklength": code.blocklength,
-        "source_alphabets": list(code.source_alphabets),
-        "edge_alphabets": dict(sorted(code.edge_alphabets.items())),
-        "encoders": dict(sorted(code.encoders.items())),
-        "decoders": dict(sorted(code.decoders.items())),
-    }
-
-
 def parse_code(data: Mapping) -> NetworkCode:
     return NetworkCode(
         blocklength=field(data, "blocklength", int, "code"),
@@ -559,4 +530,4 @@ def load_code(path: str) -> NetworkCode:
 
 def save_code(code: NetworkCode, path: str) -> None:
     with open(path, "wb") as fh:
-        fh.write(json_bytes(code_to_dict(code), end=b"\n"))
+        fh.write(json_bytes(code, end=b"\n"))

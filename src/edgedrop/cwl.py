@@ -569,12 +569,15 @@ def _source_candidates(n: int, relabels: int, limit: int) -> list[FiniteGroup]:
     ``relabels`` permutations after the identity in lexicographic order.
     Only the candidates returned are built."""
     base = abelian_structures(n)
+    # Each structure and its relabelings, at most n!; islice takes no stop
+    # above sys.maxsize, which a budget or relabel count may pass.
+    per = _candidate_count(n, relabels) // len(base)
     relabeled = (
         _relabeled(g, perm)
         for g in base
-        for perm in itertools.islice(itertools.permutations(range(n)), 1, max(relabels, 0) + 1)
+        for perm in itertools.islice(itertools.permutations(range(n)), 1, per)
     )
-    return list(itertools.islice(itertools.chain(base, relabeled), limit))
+    return list(itertools.islice(itertools.chain(base, relabeled), min(limit, len(base) * per)))
 
 
 def _candidate_count(n: int, relabels: int) -> int:
@@ -651,7 +654,8 @@ def cwl_search(
         for n, count in zip(cand.source_sizes, counts):
             later //= count
             candidates.append(_source_candidates(n, relabels, -(-assignments_left // later)))
-        for assignment in itertools.islice(itertools.product(*candidates), assignments_left):
+        tried = min(assignments_left, math.prod(map(len, candidates)))
+        for assignment in itertools.islice(itertools.product(*candidates), tried):
             assignments_left -= 1
             witness = certify_cwl(phi, assignment)
             if witness is not None:

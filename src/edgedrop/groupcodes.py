@@ -247,16 +247,10 @@ class TerminalDecision:
     min_error: Fraction | None
 
     def to_dict(self) -> dict:
-        return {
-            "in_key": self.in_key,
-            "source_key": self.source_key,
-            "kind": self.kind,
-            "decoder": {str(k): v for k, v in sorted(self.decoder.items())}
-            if self.decoder is not None
-            else None,
-            "q": self.q,
-            "min_error": str(self.min_error) if self.min_error is not None else None,
-        }
+        """The fields, but the decoder keyed by strings: callers index it by
+        integer, and the report sorts its keys as strings ("10" before "2")."""
+        decoder = None if self.decoder is None else {str(k): v for k, v in self.decoder.items()}
+        return {**vars(self), "decoder": decoder}
 
 
 def _coset_overlap(

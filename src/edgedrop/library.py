@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -136,20 +136,10 @@ class N2Report:
     checked: int
     violations: tuple[str, ...]
     linear_slots: tuple[int, ...]
+    ok: bool = field(init=False)  # no violations; a field, so the report carries it
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "assignment": list(self.assignment),
-            "checked": self.checked,
-            "violations": list(self.violations),
-            "linear_slots": list(self.linear_slots),
-            "ok": self.ok,
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "ok", not self.violations)
 
 
 def n2_code_check(
@@ -272,15 +262,6 @@ class N3Report:
     injective: bool
     collision: tuple[int, int, tuple[int, int]] | None
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "s": self.s,
-            "alpha": self.alpha,
-            "injective": self.injective,
-            "collision": list(self.collision) if self.collision else None,
-        }
-
 
 def n3_injectivity(m: int, s: int, alpha: int, cap: int | None = None) -> N3Report:
     """Exhaustively check injectivity of a ↦ (m·a, s·m^alpha·rot(a)).
@@ -310,35 +291,32 @@ DOUGHERTY_IDENTITIES = ("n40", "n41", "n42", "n43", "n44", "n45", "n46")
 
 
 @dataclass(frozen=True)
+class IdentityOutcome:
+    """Whether one named identity held, and its first counterexample tuple
+    (a, b, c, d, e) when it did not."""
+
+    name: str
+    holds: bool
+    counterexample: tuple[int, ...] | None
+
+
+@dataclass(frozen=True)
 class DoughertyReport:
     """Outcome of the Dougherty decoding-identity check over Z_q.
 
-    ``identities`` pairs each identity name with whether it held and the
-    first counterexample tuple (a, b, c, d, e) otherwise; ``discovered``
-    lists every map t passing all identities when a search ran.
+    ``identities`` holds one outcome per identity when a map t was given;
+    ``discovered`` lists every map t passing all identities when a search
+    ran.
     """
 
     alphabet_size: int
     t: tuple[int, ...] | None
-    identities: tuple[tuple[str, bool, tuple[int, ...] | None], ...]
+    identities: tuple[IdentityOutcome, ...]
     discovered: tuple[tuple[int, ...], ...] | None
 
     @property
     def ok(self) -> bool:
-        return bool(self.identities) and all(h for _, h, _ in self.identities)
-
-    def to_dict(self) -> dict:
-        return {
-            "alphabet_size": self.alphabet_size,
-            "t": list(self.t) if self.t is not None else None,
-            "identities": [
-                {"name": n, "holds": h, "counterexample": list(c) if c else None}
-                for n, h, c in self.identities
-            ],
-            "discovered": [list(t) for t in self.discovered]
-            if self.discovered is not None
-            else None,
-        }
+        return bool(self.identities) and all(i.holds for i in self.identities)
 
 
 def _dougherty_failures(q: int, t: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
@@ -403,7 +381,7 @@ def dougherty_identity_check(
             raise DomainError("t must be total on the alphabet")
         failures = _dougherty_failures(q, fixed)
         identities = tuple(
-            (name, name not in failures, failures.get(name))
+            IdentityOutcome(name, name not in failures, failures.get(name))
             for name in DOUGHERTY_IDENTITIES
         )
 

@@ -3,12 +3,13 @@
 An instance fixes the topology and the per-edge alphabet cardinalities.  Rates
 are carried as cardinalities throughout; ``log2(size) / blocklength`` is only
 ever derived for display.  The module also holds the JSON writer behind every
-report and file the workbench writes, ``json_bytes``, the reader of every
-input file, ``load_json``, the checks every field read from one goes
-through, ``field`` and ``require``, and the one gate every integer table
-from a file or a library caller goes through, ``int_table``.  ``read_once``
-reads a command's input files before their parse, so that each is opened
-once and its digest names the bytes that ``load_json`` parsed.
+report and file the workbench writes, ``json_bytes``, which writes a
+``Fraction`` as its ``str`` and a dataclass record as its fields, the reader
+of every input file, ``load_json``, the checks every field read from one
+goes through, ``field`` and ``require``, and the one gate every integer
+table from a file or a library caller goes through, ``int_table``.
+``read_once`` reads a command's input files before their parse, so that each
+is opened once and its digest names the bytes that ``load_json`` parsed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import math
 import threading
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from fractions import Fraction
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Mapping
@@ -218,21 +220,6 @@ def remove_edge(inst: NetworkInstance, edge_id: str) -> NetworkInstance:
     )
 
 
-def instance_to_dict(inst: NetworkInstance) -> dict:
-    return {
-        "nodes": list(inst.nodes),
-        "edges": [
-            {"id": e.id, "tail": e.tail, "head": e.head, "alphabet_size": e.alphabet_size}
-            for e in inst.edges
-        ],
-        "sources": [
-            {"node": s.node, "alphabet_size": s.alphabet_size} for s in inst.sources
-        ],
-        "terminals": list(inst.terminals),
-        "demands": [list(row) for row in inst.demands],
-    }
-
-
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 
 
@@ -321,7 +308,11 @@ def _int_entries(data: list | tuple, ndim: int, what: str) -> np.ndarray:
 def json_bytes(obj, end: bytes = b"") -> bytes:
     """The ASCII bytes of ``json.dumps(obj, indent=2, sort_keys=True)``,
     followed by ``end``, with numpy arrays written as their ``tolist()``;
-    every report and file the workbench writes is made here.
+    every report and file the workbench writes is made here.  Two rules
+    extend ``json``: a ``Fraction`` is written as the string ``str(f)``, as
+    every exact rational is reported, and a dataclass instance as the
+    object of its declared fields (``dataclasses.fields``), which leaves
+    out cached properties and copies no table.
 
     ``_json_text`` writes the text of everything but the large int64 arrays
     into one skeleton ``str``, with a NUL where each such array goes, and
@@ -354,7 +345,8 @@ def _json_text(obj, newline: str, tables: list) -> str:
     ``_int_array_json``: a NUL here, its chunks appended to ``tables``; any
     other array as its ``tolist()``.  A list of plain ints is one join, and
     a rectangular list of non-empty int rows one ``%`` over a repeated row
-    template.  Other containers recurse; other scalars go through
+    template.  Other containers recurse, a dataclass record as the dict of
+    its fields; a ``Fraction`` is its ``str``, other scalars go through
     ``json.dumps``, and non-str keys are converted or rejected as ``json``
     does them.
     """
@@ -367,7 +359,11 @@ def _json_text(obj, newline: str, tables: list) -> str:
         tables.append(chunks)
         return "\0"
     if not isinstance(obj, (list, tuple, dict)):
-        return json.dumps(obj)
+        # int and float first: Fraction's isinstance check goes through ABCMeta.
+        names = None if isinstance(obj, (int, float)) or obj is None else _field_names(type(obj))
+        if names is None:
+            return f'"{obj}"' if isinstance(obj, Fraction) else json.dumps(obj)
+        obj = {name: getattr(obj, name) for name in names}
     if not obj:
         return "{}" if isinstance(obj, dict) else "[]"
     # f-strings copy a large body once, where a chain of + copies it per term.
@@ -386,6 +382,13 @@ def _json_text(obj, newline: str, tables: list) -> str:
             row = "[" + row_inner + ("," + row_inner).join(["%d"] * widths.pop()) + inner + "]"
             return f"[{inner}{sep.join([row] * len(obj))}{newline}]" % entries
     return f"[{inner}{sep.join([_json_text(v, inner, tables) for v in obj])}{newline}]"
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """The declared fields of a dataclass, which ``_json_text`` writes; None
+    for any other class."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
 
 
 # Arrays are written this many rows (entries of a 1-D array) at a time, so
@@ -858,7 +861,8 @@ def load_json(path: str, tables: TableSlots | None = None) -> dict:
 
 
 def parse_instance(data: Mapping) -> NetworkInstance:
-    """Build an instance from the dict format of ``instance_to_dict``.
+    """Build an instance from its file form, the fields of ``NetworkInstance``,
+    ``Edge`` and ``Source`` as ``json_bytes`` writes them.
 
     Names are JSON strings, and alphabet sizes and demands JSON integers;
     anything else is a DomainError that names the field.
@@ -898,4 +902,4 @@ def load_instance(path: str) -> NetworkInstance:
 
 def save_instance(inst: NetworkInstance, path: str) -> None:
     with open(path, "wb") as fh:
-        fh.write(json_bytes(instance_to_dict(inst), end=b"\n"))
+        fh.write(json_bytes(inst, end=b"\n"))

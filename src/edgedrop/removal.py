@@ -236,7 +236,9 @@ class RemovalCertificate:
     ``restricted_alphabets`` lists, per source, the surviving symbols in their
     original labels; the restricted code relabels them densely in this order.
     ``promised_cardinalities`` is what the sufficient condition guarantees;
-    ``achieved_cardinalities`` is what the restriction actually kept.  The
+    ``achieved_cardinalities`` is what the restriction actually kept.
+    ``edge_support_sizes`` gives each kept edge's symbols in use as
+    ``{"restricted": r, "original": o}``, the shape its report spells.  The
     embedded feasibility report is the re-verification of the restricted code
     on the instance without the edge.
     """
@@ -248,26 +250,8 @@ class RemovalCertificate:
     restricted_alphabets: tuple[tuple[int, ...], ...]
     promised_cardinalities: tuple[int, ...]
     achieved_cardinalities: tuple[int, ...]
-    edge_support_sizes: dict[str, tuple[int, int]]
+    edge_support_sizes: dict[str, dict[str, int]]
     feasibility: FeasibilityReport
-
-    def to_dict(self) -> dict:
-        return {
-            "edge_id": self.edge_id,
-            "witness_label": list(self.witness_label)
-            if isinstance(self.witness_label, tuple)
-            else self.witness_label,
-            "edge_constant": self.edge_constant,
-            "eps": str(self.eps),
-            "restricted_alphabets": [list(a) for a in self.restricted_alphabets],
-            "promised_cardinalities": list(self.promised_cardinalities),
-            "achieved_cardinalities": list(self.achieved_cardinalities),
-            "edge_support_sizes": {
-                e: {"restricted": r, "original": o}
-                for e, (r, o) in sorted(self.edge_support_sizes.items())
-            },
-            "feasibility": self.feasibility.to_dict(),
-        }
 
 
 @dataclass(frozen=True)
@@ -354,10 +338,13 @@ def _restrict_to_part(
             "restricted code failed its feasibility re-verification"
         )
     support_sizes = {
-        e.id: (len(np.unique(table2.edge_values(e.id))), code.edge_alphabets[e.id])
+        e.id: {
+            "restricted": len(np.unique(table2.edge_values(e.id))),
+            "original": code.edge_alphabets[e.id],
+        }
         for e in inst2.edges
     }
-    if any(r > o for r, o in support_sizes.values()):
+    if any(s["restricted"] > s["original"] for s in support_sizes.values()):
         raise InternalCheckError("restricted edge support exceeds original alphabet")
     certificate = RemovalCertificate(
         edge_id=edge_id,

@@ -23,15 +23,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import as_lists
 from test_golden import CORPUS, GOLDEN_DIR
 from edgedrop import network
 from edgedrop.cli import ERROR_ABOVE_EPS, build_parser, main
-from edgedrop.codes import code_to_dict, load_code, relay_instance, save_code, tabulate
+from edgedrop.codes import load_code, relay_instance, save_code, tabulate
 from edgedrop.errors import InternalCheckError
 from edgedrop.groups import MAX_GROUP_NESTING
 from edgedrop.library import butterfly
-from edgedrop.network import load_instance, save_instance
+from edgedrop.network import json_bytes, load_instance, save_instance
 
 
 def _write_pair(tmp_path, inst, code, stem="net"):
@@ -365,7 +364,7 @@ def test_mutated_code_files_exit_as_json_alone_would(tmp_path, capsys, monkeypat
     sizes = [8, 8, 8]
     inst, code = relay_instance(sizes, 2, tabulate(sizes, lambda a, b, c: (a + b + c) % 2))
     inst_path, code_path = _write_pair(tmp_path, inst, code)
-    text = json.dumps(as_lists(code_to_dict(code)), separators=(",", ":"))
+    text = json.dumps(json.loads(json_bytes(code)), separators=(",", ":"))
     assert len(text) >= network.FAST_READ_BYTES
     commands = [
         ["verify", inst_path, code_path, "--rates", "1,1,1"],
@@ -534,6 +533,41 @@ def test_relabels_on_a_source_above_the_table_bound_exit_2(tmp_path, capsys):
     assert "error: --relabels" in captured.err and "at most 512 symbols" in captured.err
     assert main(argv + ["--relabels", "0"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--budget", "--relabels"])
+@pytest.mark.parametrize(
+    "column, status",
+    [([(a + b) % 3 for a in range(3) for b in range(3)], 0), ([0, 0, 0, 1, 1, 2, 1, 2, 2], 1)],
+    ids=["sum", "not-cwl"],
+)
+def test_search_counts_above_sys_maxsize_search_as_at_maxsize(flag, column, status, tmp_path, capsys):
+    """The search never tries more assignments than its candidates make, so
+    2**64 reports what 2**63 - 1 reports, found or not."""
+    inst_path, code_path = _write_pair(tmp_path, *relay_instance([3, 3], 3, column))
+    results = []
+    for value in (2**63 - 1, 2**64):
+        assert main(["cwl-search", inst_path, code_path, "--edge", "e", flag, str(value)]) == status
+        results.append(_stdout_report(capsys)["result"])
+    assert results[0] == results[1]
+
+
+def test_bit_rate_targets_must_fit_the_report(tmp_path, capsys):
+    """2**14284 has 4,300 digits, as many as int writes by default, so its
+    report is written; 2**14285 has one more and is refused as usage."""
+    paths = _write_pair(tmp_path, *butterfly())
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert main(["verify", *paths, "--rates", "14284,1"]) == 1
+        feasibility = _stdout_report(capsys)["result"]["feasibility"]
+        assert feasibility["target_cardinalities"] == [2**14284, 2]
+        for bits in ("14285", "1" + "0" * 100):  # the second is refused without taking 2**bits
+            assert main(["verify", *paths, "--rates", f"{bits},1"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "error: --rates" in captured.err
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.fixture(scope="module")
@@ -926,6 +960,22 @@ def test_group_remove_and_zero_error(tmp_path, capsys):
     argv = ["group-zero-error", str(spec_path), "--demand", "no-colon"]
     assert main(argv) == 2
     capsys.readouterr()
+
+
+def test_zero_error_decoder_keys_are_listed_in_string_order(tmp_path, capsys):
+    """Read against {0, 8}, the trivial subgroup of Z16 has 16 cosets, so
+    its decoder has keys 0 to 15: the report lists them as strings, in
+    string order, where an integer sort would put 2 before 10."""
+    spec_path = tmp_path / "z16.json"
+    spec = {"group": {"kind": "cyclic", "order": 16}, "subgroups": {"triv": [0], "s": [0, 8]}}
+    spec_path.write_text(json.dumps(spec))
+    assert main(["group-zero-error", str(spec_path), "--demand", "triv:s"]) == 0
+    text = capsys.readouterr().out
+    decoder = json.loads(text)["result"]["decisions"][0]["decoder"]
+    assert list(decoder) == sorted(str(k) for k in range(16))
+    assert list(decoder)[:4] == ["0", "1", "10", "11"]
+    assert decoder == {str(k): k % 8 for k in range(16)}
+    assert text.index('"10": 2') < text.index('"2": 2')
 
 
 def test_group_remove_honours_enum_cap(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Code evaluation oracles: hand-traced butterflies, relays and joint counts."""
 
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -12,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    as_lists,
     decode_outputs,
     evaluate_global,
     oracle_digits,
@@ -25,7 +25,6 @@ from edgedrop.codes import (
     NetworkCode,
     build_global_table,
     check_feasibility,
-    code_to_dict,
     index_digits,
     joint_counts,
     load_code,
@@ -39,6 +38,7 @@ from edgedrop.codes import (
 )
 from edgedrop.errors import DomainError, ResourceError
 from edgedrop.library import butterfly
+from edgedrop.network import json_bytes
 
 
 def test_mixed_radix_roundtrip():
@@ -263,7 +263,7 @@ def test_joint_counts_in_first_occurrence_order():
 @pytest.mark.parametrize("value", [1.7, True, "1"], ids=["float", "bool", "string"])
 def test_parse_code_rejects_non_integer_encoder_entries(value):
     _, code = butterfly()
-    data = as_lists(code_to_dict(code))
+    data = json.loads(json_bytes(code))
     data["encoders"]["bottleneck"][1] = value
     with pytest.raises(DomainError, match="entries must be integers"):
         parse_code(data)
@@ -272,7 +272,7 @@ def test_parse_code_rejects_non_integer_encoder_entries(value):
 @pytest.mark.parametrize("value", [0.0, False, "0"], ids=["float", "bool", "string"])
 def test_parse_code_rejects_non_integer_decoder_entries(value):
     _, code = butterfly()
-    data = as_lists(code_to_dict(code))
+    data = json.loads(json_bytes(code))
     data["decoders"]["t1"][2][0] = value
     with pytest.raises(DomainError, match="entries must be integers"):
         parse_code(data)
@@ -281,7 +281,7 @@ def test_parse_code_rejects_non_integer_decoder_entries(value):
 @pytest.mark.parametrize("value", [2.0, True, "2"], ids=["float", "bool", "string"])
 def test_parse_code_rejects_non_integer_alphabets(value):
     _, code = butterfly()
-    data = code_to_dict(code)
+    data = json.loads(json_bytes(code))
     data["edge_alphabets"]["bottleneck"] = value
     with pytest.raises(DomainError, match="must be an integer"):
         parse_code(data)
@@ -289,7 +289,7 @@ def test_parse_code_rejects_non_integer_alphabets(value):
 
 def test_parse_code_rejects_ragged_decoder_rows():
     _, code = butterfly()
-    data = as_lists(code_to_dict(code))
+    data = json.loads(json_bytes(code))
     data["decoders"]["t2"][3] = [1]
     with pytest.raises(DomainError, match="rows of different lengths"):
         parse_code(data)

@@ -1,6 +1,7 @@
 """Tests for the bundled instances, permutation families, and identity checks."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from edgedrop.library import (
     n3_permutations,
 )
 from edgedrop.groups import CyclicGroup
-from edgedrop.network import validate_instance
+from edgedrop.network import json_bytes, validate_instance
 
 
 def test_butterfly_shape_and_feasibility():
@@ -111,7 +112,7 @@ def test_n2_code_check_identity_reassignment():
     report = n2_code_check(2, 2, assignment=(2, 2))
     assert report.ok
     assert report.linear_slots == (1, 2)
-    d = report.to_dict()
+    d = json.loads(json_bytes(report))
     assert d["ok"] is True
     assert d["linear_slots"] == [1, 2]
 
@@ -172,7 +173,7 @@ def test_n3_injectivity_images():
     rotation = n3_permutations(2, 1).perms[1]
     images = [((2 * a) % 4, (2 * rotation[a]) % 4) for a in range(4)]
     assert images == [(0, 0), (2, 0), (0, 2), (2, 2)]
-    assert report.to_dict()["injective"] is True
+    assert json.loads(json_bytes(report))["injective"] is True
 
 
 def test_n3_injectivity_sweep():
@@ -210,7 +211,7 @@ def test_dougherty_valid_t():
     assert report.ok
     assert report.t == (0, 1, 3, 2)
     assert report.discovered is None
-    assert all(c is None for _, _, c in report.identities)
+    assert all(i.counterexample is None for i in report.identities)
 
 
 def test_dougherty_search_q4():
@@ -234,7 +235,7 @@ def test_dougherty_difference_identities_hold_for_any_t():
     # Five of the seven identities cancel t algebraically, so an arbitrary
     # total map only breaks the two that constrain it.
     report = dougherty_identity_check(5, t=(3, 3, 0, 2, 1))
-    held = {name: holds for name, holds, _ in report.identities}
+    held = {i.name: i.holds for i in report.identities}
     assert held == {
         "n40": False,
         "n41": True,
@@ -249,10 +250,10 @@ def test_dougherty_difference_identities_hold_for_any_t():
 
 def test_dougherty_counterexample_pinpoints_constraint():
     report = dougherty_identity_check(2, t=(0, 1))
-    failures = {name: (holds, c) for name, holds, c in report.identities}
+    failures = {i.name: (i.holds, i.counterexample) for i in report.identities}
     assert failures["n43"] == (False, (0, 0, 1, 0, 0))
     assert all(holds for name, (holds, _) in failures.items() if name != "n43")
-    d = report.to_dict()
+    d = json.loads(json_bytes(report))
     assert d["identities"][3]["counterexample"] == [0, 0, 1, 0, 0]
 
 

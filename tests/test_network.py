@@ -1,5 +1,6 @@
 """Instance well-formedness, ordering and serialization checks."""
 
+import dataclasses
 import enum
 import json
 from fractions import Fraction
@@ -20,7 +21,6 @@ from edgedrop.network import (
     Edge,
     NetworkInstance,
     Source,
-    instance_to_dict,
     json_bytes,
     load_instance,
     parse_instance,
@@ -168,7 +168,7 @@ def test_parse_instance_rejects_missing_fields():
 @pytest.mark.parametrize("value", [2.9, True, "3"], ids=["float", "bool", "string"])
 def test_parse_instance_rejects_non_integer_alphabets(field, value):
     inst, _ = butterfly()
-    data = instance_to_dict(inst)
+    data = json.loads(json_bytes(inst))
     data["edges" if field == "edge" else "sources"][0]["alphabet_size"] = value
     with pytest.raises(DomainError, match="must be an integer"):
         parse_instance(data)
@@ -177,7 +177,7 @@ def test_parse_instance_rejects_non_integer_alphabets(field, value):
 @pytest.mark.parametrize("value", [1.0, True, "1"], ids=["float", "bool", "string"])
 def test_parse_instance_rejects_non_integer_demands(value):
     inst, _ = butterfly()
-    data = instance_to_dict(inst)
+    data = json.loads(json_bytes(inst))
     data["demands"][0][0] = value
     with pytest.raises(DomainError, match="demand entry"):
         parse_instance(data)
@@ -338,6 +338,38 @@ def test_json_bytes_converts_or_rejects_like_json_dumps(obj):
             return str(exc)
 
     assert outcome(lambda o: json_bytes(o).decode()) == outcome(_oracle_json)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Record:
+    ratio: Fraction
+    rows: tuple
+    inner: object = None
+
+
+def test_json_bytes_writes_fractions_and_records_as_their_fields():
+    """A Fraction is its str, and a dataclass record the object of its
+    declared fields, nested records too; a cached property is not a field."""
+    inst, code = butterfly()
+    inst.edge("bottleneck")  # fills the cached property _edge_by_id
+    record = _Record(Fraction(-3, 4), ((1, 2), (3, 4)), [inst, Fraction(0)])
+    fields = ("nodes", "edges", "sources", "terminals", "demands")
+    inst_tree = {name: getattr(inst, name) for name in fields}
+    inst_tree["edges"] = [dataclasses.asdict(e) for e in inst.edges]
+    inst_tree["sources"] = [dataclasses.asdict(s) for s in inst.sources]
+    tree = {"ratio": "-3/4", "rows": [[1, 2], [3, 4]], "inner": [inst_tree, "0"]}
+    assert json_bytes(record).decode() == _oracle_json(tree)
+    code_fields = ("blocklength", "source_alphabets", "edge_alphabets", "encoders", "decoders")
+    assert json_bytes(code) == json_bytes({name: getattr(code, name) for name in code_fields})
+
+
+def test_json_bytes_looks_up_no_fields_for_scalars():
+    network._field_names.cache_clear()
+    json_bytes([1, "a", None, 1.5, True, _Level.LOW, {"k": [2, -3]}, [[1, 2], [3, 4]]])
+    assert network._field_names.cache_info().misses == 0
+    json_bytes([_Record(1, ()), _Record(2, ())])  # one lookup a class, cached
+    info = network._field_names.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 # Library entry points that take an integer table, each with the caller's

@@ -1,8 +1,10 @@
-"""``verify`` against the benchmark's independent oracle, ``perfbench/oracle.py``.
+"""``verify`` and the golden reports against the benchmark's independent
+oracle, ``perfbench/oracle.py``.
 
 The oracle evaluates a code's JSON form one source tuple at a time and
 imports nothing of ``edgedrop``, so it checks the program the way the
-benchmark does, on small seeded codes, every time the tests run.  The file is
+benchmark does, on small seeded codes and on every removal certificate and
+CWL witness in the golden reports, every time the tests run.  The file is
 read, never written: it is compiled from its text, so no bytecode cache is
 left beside it.
 """
@@ -15,10 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import as_lists, random_code, random_instance
+from conftest import random_code, random_instance
+from test_golden import CORPUS, EMIT_DIR, GOLDEN_DIR
 from edgedrop.cli import main
-from edgedrop.codes import code_to_dict
-from edgedrop.network import instance_to_dict
+from edgedrop.network import json_bytes
 
 ORACLE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
 
@@ -37,7 +39,7 @@ def test_verify_reports_the_oracles_exact_errors(oracle, tmp_path, capsys):
     for i in range(30):
         inst = random_instance(rng)
         code = random_code(rng, inst)
-        inst_data, code_data = instance_to_dict(inst), as_lists(code_to_dict(code))
+        inst_data, code_data = json.loads(json_bytes(inst)), json.loads(json_bytes(code))
         paths = [str(tmp_path / f"{i}.instance.json"), str(tmp_path / f"{i}.code.json")]
         for path, data in zip(paths, (inst_data, code_data)):
             Path(path).write_text(json.dumps(data))
@@ -55,3 +57,65 @@ def test_verify_reports_the_oracles_exact_errors(oracle, tmp_path, capsys):
         }, i
     capsys.readouterr()
     assert verdicts == {True, False}
+
+
+def _golden(path) -> dict:
+    return json.loads((GOLDEN_DIR / path).read_text())
+
+
+def _flag(argv: list[str], flag: str, default: str | None = None) -> str | None:
+    return argv[argv.index(flag) + 1] if flag in argv else default
+
+
+JSON_CORPUS = [(name, argv, _golden(f"{name}.out")["result"]) for name, argv, _ in CORPUS
+               if not name.endswith("-csv")]
+
+
+def _removals():
+    """Each golden removal: the original instance and code, the edge, the
+    eps and the report fields that carry the certificate."""
+    for name, argv, result in JSON_CORPUS:
+        if argv[0] == "group-remove":  # the materialized relay's edge is "e"
+            originals = result["materialized_instance"], result["materialized_code"]
+            yield name, (*originals, "e", Fraction(0), result)
+        elif argv[0] == "case-study":  # the originals are the emitted files
+            for run in result["runs"]:
+                stem = f"{name}.{run['name']}"
+                originals = [_golden(EMIT_DIR / f"{stem}.{kind}.json") for kind in ("instance", "code")]
+                yield stem, (*originals, "bottleneck", Fraction(0), run)
+        elif "certificate" in result:
+            eps = Fraction(_flag(argv, "--eps", "0"))
+            yield name, (_golden(argv[1]), _golden(argv[2]), _flag(argv, "--edge"), eps, result)
+
+
+def _witnesses():
+    """Each golden CWL witness with the instance and code it certifies: the
+    rewritten code where the search rewrote the edge."""
+    for name, argv, result in JSON_CORPUS:
+        if result.get("witness") is not None:
+            code = result["rewritten_code"] if result.get("rewritten") else _golden(argv[2])
+            yield name, (result["witness"], _golden(argv[1]), code, _flag(argv, "--edge"))
+
+
+REMOVALS = dict(_removals())
+WITNESSES = dict(_witnesses())
+
+
+def test_the_audit_covers_every_golden_certificate_and_witness():
+    assert len(REMOVALS) == 12  # 7 removal commands, 3 group-remove, 2 butterfly runs
+    assert {n for n in WITNESSES if n.startswith("cwl-")} == {
+        "cwl-check", "cwl-check-groups", "cwl-search", "cwl-search-rewrite"
+    }
+
+
+@pytest.mark.parametrize("name", REMOVALS)
+def test_golden_certificates_pass_the_oracle(oracle, name):
+    inst, code, edge_id, eps, result = REMOVALS[name]
+    assert oracle.check_certificate(inst, code, edge_id, eps, result) == []
+
+
+@pytest.mark.parametrize("name", WITNESSES)
+def test_golden_witnesses_pass_the_oracle(oracle, name):
+    witness, inst, code, edge_id = WITNESSES[name]
+    table = oracle.Table(inst, code)
+    assert oracle.check_witness(witness, table.columns[edge_id], table.sizes) == []

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import as_lists
 from edgedrop import codes, network
-from edgedrop.codes import code_to_dict, load_code, parse_code, relay_instance, tabulate
+from edgedrop.codes import load_code, parse_code, relay_instance, tabulate
 from edgedrop.errors import DomainError
 from edgedrop.network import (
     FAST_READ_BYTES,
@@ -207,7 +207,7 @@ def test_large_codes_load_without_the_per_entry_check(tmp_path, monkeypatch, lay
     one ``save_code`` writes."""
     sizes = [256, 256]
     _, code = relay_instance(sizes, 2, tabulate(sizes, lambda a, b: (a + b) % 2))
-    data = as_lists(code_to_dict(code))
+    data = json.loads(json_bytes(code))
     text = json_bytes(data).decode() if layout == "indent=2" else _dump(data, None)
     assert len(text) >= FAST_READ_BYTES
     path = tmp_path / "relay.code.json"
@@ -235,7 +235,7 @@ def test_nan_and_infinity_anywhere_hand_the_file_to_json(tmp_path, token, place)
     """In a large code file, beside tables the reader reads."""
     sizes = [16, 16]
     _, code = relay_instance(sizes, 4, tabulate(sizes, lambda a, b: (a + b) % 4))
-    text = json_bytes(code_to_dict(code)).decode()
+    text = json_bytes(code).decode()
     assert len(text) >= FAST_READ_BYTES and _read_tables(text.encode(), codes._code_tables)
     old, new = _NAN_PLACES[place]
     text = text.replace(old, new.format(token), 1)

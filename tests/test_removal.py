@@ -1,6 +1,7 @@
 """Partition routes and the restriction engine, against hand-counted oracles."""
 
 import collections
+import json
 import math
 import random
 from fractions import Fraction
@@ -42,6 +43,7 @@ from edgedrop.cwl import (
 from edgedrop.errors import DomainError, PreconditionError
 from edgedrop.groups import CyclicGroup
 from edgedrop.library import butterfly
+from edgedrop.network import json_bytes
 from edgedrop.removal import (
     SourcePartition,
     _restrict_to_part,
@@ -204,11 +206,11 @@ def test_restriction_hardwires_downstream_tables():
     assert check.num_tuples == 2
 
 
-def test_certificate_to_dict_shape():
+def test_certificate_report_shape():
     inst, code, table = _corrupted_copy_relay()
     part = SourcePartition.from_edge_values(table, "e")
     cert = restrict_code(table, "e", part, 1, Fraction(0)).certificate
-    data = cert.to_dict()
+    data = json.loads(json_bytes(cert))
     assert data["edge_id"] == "e"
     assert data["eps"] == "0"
     assert data["restricted_alphabets"] == [[1], [0, 1]]
