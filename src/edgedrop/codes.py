@@ -475,27 +475,6 @@ def check_feasibility(
     )
 
 
-def joint_counts(columns: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """How many of the n tuples take each joint value of the columns.
-
-    Each column holds one symbol per tuple; the counts come in order of
-    first occurrence.  No columns give the single count n.
-    """
-    # Pack the columns into one dense key per tuple, re-densifying the key
-    # before it could outgrow 63 bits.
-    key = np.zeros(n, dtype=np.int64)
-    bound = 1
-    for col in columns:
-        symbols, col = np.unique(col, return_inverse=True)
-        if bound * len(symbols) >= 1 << 62:
-            _, key = np.unique(key, return_inverse=True)
-            bound = int(key.max()) + 1
-        key = key * len(symbols) + col
-        bound *= len(symbols)
-    _, first, counts = np.unique(key, return_index=True, return_counts=True)
-    return counts[np.argsort(first)]
-
-
 def parse_code(data: Mapping) -> NetworkCode:
     return NetworkCode(
         blocklength=field(data, "blocklength", int, "code"),

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,11 +29,9 @@ from .codes import (
     checked_subsets,
     index_digits,
     input_sizes,
-    joint_counts,
     pack,
     product_indices,
     reindex_consumer,
-    relay_instance,
     total_map,
 )
 from .errors import DomainError, InternalCheckError, PreconditionError
@@ -44,7 +42,6 @@ from .groups import (
     ProductGroup,
     TableGroup,
     is_homomorphism,
-    subgroup,
 )
 from .network import NetworkInstance, _frozen, int_table
 from .removal import (
@@ -54,9 +51,6 @@ from .removal import (
     _witness_holds,
     fiber_edge_values,
 )
-
-if TYPE_CHECKING:
-    from .groupcodes import GroupCharacterization
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,47 +455,6 @@ def relabel_balanced(g: Mapping, codomain: Sequence | None = None) -> BalancedRe
         codomain_size=q,
         witness=witness,
     )
-
-
-def characterize_witness(w: CwlWitness) -> GroupCharacterization:
-    """Group characterization induced by a CWL witness, verified exactly.
-
-    The carrier is the product of the source groups; source i's subgroup
-    pins coordinate i to its identity, and the edge subgroup is the kernel
-    of the witness homomorphism.  The realized variables are materialized
-    through an explicit relay network, and every subset of them must obey
-    the uniform coset law: exactly ``|G| / |intersection|`` joint values,
-    each on exactly ``|intersection|`` tuples.  That is the entropy
-    ``log2(|G| / |intersection|)``, decided on integer counts.
-    """
-    from .groupcodes import GroupCharacterization
-
-    product = ProductGroup(w.source_groups)
-    sizes = w.source_sizes
-    total = product.order
-    digits = index_digits(np.arange(total), sizes)
-    subgroups = {
-        f"s{i + 1}": subgroup(product, d == g.identity)
-        for i, (g, d) in enumerate(zip(w.source_groups, digits))
-    }
-    subgroups["e"] = subgroup(product, w.hom == w.edge_group.identity)
-    gc = GroupCharacterization(product, subgroups)
-
-    edge_size = max(w.edge_support) + 1
-    inst, code = relay_instance(sizes, edge_size, w.phi_table())
-    table = build_global_table(inst, code)
-    columns = dict(zip(subgroups, digits + [table.edge_values("e")]))
-    for r in range(len(columns) + 1):
-        for alpha in itertools.combinations(columns, r):
-            meet = gc.meet_order(alpha)
-            counts = joint_counts([columns[k] for k in alpha], total)
-            if (counts != meet).any():
-                raise InternalCheckError(
-                    f"variables {alpha} take {counts.size} joint values with counts "
-                    f"{counts.min()}..{counts.max()}, the coset law needs "
-                    f"{total // meet} values on {meet} tuples each"
-                )
-    return gc
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ network code.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -34,8 +35,16 @@ GROUP_ORDER_CAP = 1 << 20
 
 
 def _check_order_cap(group: FiniteGroup) -> None:
-    if group.order > GROUP_ORDER_CAP:
-        raise ResourceError(f"group order {group.order} is above the cap of {GROUP_ORDER_CAP}")
+    if group.order <= GROUP_ORDER_CAP:
+        return
+    try:
+        message = f"group order {group.order} is above the cap of {GROUP_ORDER_CAP}"
+    except ValueError:  # more digits than int writes
+        message = (
+            f"group order has more than {sys.get_int_max_str_digits()} digits, "
+            f"above GROUP_ORDER_CAP = {GROUP_ORDER_CAP}"
+        )
+    raise ResourceError(message)
 
 
 @dataclass(frozen=True)
@@ -50,10 +59,6 @@ class GroupCharacterization:
         for name, h in self.subgroups.items():
             if h.parent is not self.group:
                 raise PreconditionError(f"subgroup {name!r} has a different parent group")
-
-    @property
-    def is_abelian(self) -> bool:
-        return self.group.is_abelian
 
     def handle(self, key: str) -> SubgroupHandle:
         try:
@@ -167,7 +172,7 @@ def abelian_removal_plan(
     pass the witness bounds with eps = 0.  The materialized code's table
     honours ``enum_cap``.
     """
-    if not gc.is_abelian:
+    if not gc.group.is_abelian:
         raise PreconditionError("this removal route requires an abelian group")
     if not normalized_sources(gc, source_keys):
         raise PreconditionError("source subgroups must intersect in the identity alone")

@@ -9,8 +9,9 @@ as a code table numbers its source tuples, and arbitrary groups through
 explicit Cayley tables that are verified eagerly on construction.
 
 Every group also names a generating set, ``generators()``, and the proofs
-below run on it instead of on all of G.  In a finite group every element is
-a product of generators (no inverses needed), so a law that holds for every
+below run on it instead of on all of G; a group offers nothing else, and no
+inverse is ever taken.  In a finite group every element is a product of
+generators (inverses are products too), so a law that holds for every
 x and every generator g holds for all pairs by induction on word length:
 ``is_homomorphism`` checks f(x * g) = f(x) * f(g), ``is_subgroup`` and
 ``generated_subgroup`` close sets by right multiplication with generators,
@@ -47,9 +48,9 @@ MAX_GROUP_NESTING = 32
 class FiniteGroup:
     """Base class: a finite group on element ids 0..order-1.
 
-    Subclasses implement ``op_array`` and ``inverse_array``; both take int64
-    id arrays or Python ints, broadcast like numpy arithmetic, and leave id
-    checks to their callers.
+    Subclasses implement ``op_array``, which takes int64 id arrays or Python
+    ints, broadcasts like numpy arithmetic and leaves id checks to its
+    callers, plus ``generators`` and ``describe``.
     """
 
     order: int
@@ -58,10 +59,6 @@ class FiniteGroup:
 
     def op_array(self, a, b):
         """The products ``a * b``, elementwise over broadcast ids."""
-        raise NotImplementedError
-
-    def inverse_array(self, a):
-        """The inverses of the given ids, elementwise."""
         raise NotImplementedError
 
     def generators(self) -> list[int]:
@@ -77,19 +74,9 @@ class FiniteGroup:
         self._check_id(b)
         return int(self.op_array(a, b))
 
-    def inverse(self, a: int) -> int:
-        self._check_id(a)
-        return int(self.inverse_array(a))
-
-    def elements(self) -> range:
-        return range(self.order)
-
     def describe(self) -> dict:
         """Serializable structural description of this group."""
         raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(order={self.order})"
 
 
 class CyclicGroup(FiniteGroup):
@@ -103,9 +90,6 @@ class CyclicGroup(FiniteGroup):
 
     def op_array(self, a, b):
         return (a + b) % self.order
-
-    def inverse_array(self, a):
-        return (-a) % self.order
 
     def generators(self) -> list[int]:
         return [1 % self.order]
@@ -134,10 +118,6 @@ class ProductGroup(FiniteGroup):
     def op_array(self, a, b):
         pairs = zip(self.factors, index_digits(a, self.sizes), index_digits(b, self.sizes))
         return pack([g.op_array(x, y) for g, x, y in pairs], self.sizes)
-
-    def inverse_array(self, a):
-        digits = index_digits(a, self.sizes)
-        return pack([g.inverse_array(x) for g, x in zip(self.factors, digits)], self.sizes)
 
     def generators(self) -> list[int]:
         """Each factor's generators, embedded with the identity elsewhere."""
@@ -182,7 +162,7 @@ class TableGroup(FiniteGroup):
         self.order = n
         self._table = arr
         self.identity = self._find_identity()
-        self._inverses = self._find_inverses()
+        self._check_inverses()
         self._generators = _greedy_generators(self)
         self._check_associativity()
 
@@ -194,13 +174,12 @@ class TableGroup(FiniteGroup):
             raise DomainError("Cayley table has no two-sided identity")
         return int(np.argmax(both))
 
-    def _find_inverses(self) -> np.ndarray:
+    def _check_inverses(self) -> None:
         hits = self._table == self.identity
         inv = np.argmax(hits, axis=1)
         ok = (hits.sum(axis=1) == 1) & (self._table[inv, np.arange(self.order)] == self.identity)
         if not ok.all():
             raise DomainError(f"element {int(np.argmin(ok))} has no two-sided inverse")
-        return inv
 
     def _check_associativity(self) -> None:
         """Light's test: (x * a) * y == x * (a * y) for every generator a.
@@ -216,9 +195,6 @@ class TableGroup(FiniteGroup):
 
     def op_array(self, a, b):
         return self._table[a, b]
-
-    def inverse_array(self, a):
-        return self._inverses[a]
 
     def generators(self) -> list[int]:
         return list(self._generators)
@@ -353,14 +329,6 @@ class SubgroupHandle:
     def order(self) -> int:
         return int(np.count_nonzero(self.mask))
 
-    @property
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.mask).tolist())
-
-    @property
-    def members(self) -> frozenset[int]:
-        return frozenset(self.sorted_members)
-
 
 def is_subgroup(group: FiniteGroup, members) -> SubgroupHandle | None:
     """The member set as a verified handle, or None when it is not a subgroup.
@@ -448,13 +416,6 @@ def coset_labels(group: FiniteGroup, sub: SubgroupHandle) -> np.ndarray:
             return np.unique(smallest, return_inverse=True)[1]
 
 
-def cosets(group: FiniteGroup, sub: SubgroupHandle) -> list[list[int]]:
-    """Left cosets of the subgroup, ordered by smallest representative."""
-    labels = coset_labels(group, sub)
-    by_label = np.argsort(labels, kind="stable")
-    return [c.tolist() for c in np.split(by_label, np.cumsum(np.bincount(labels))[:-1])]
-
-
 def is_homomorphism(f, dom: FiniteGroup, cod: FiniteGroup) -> bool:
     """Check f(x op g) == f(x) op f(g) for every x and every generator g.
 
@@ -470,9 +431,3 @@ def is_homomorphism(f, dom: FiniteGroup, cod: FiniteGroup) -> bool:
         vals[dom.op_array(x, gens)], cod.op_array(vals[x], vals[gens])
     )
 
-
-def kernel(f, dom: FiniteGroup, cod: FiniteGroup) -> SubgroupHandle:
-    """Kernel of a verified homomorphism."""
-    if not is_homomorphism(f, dom, cod):
-        raise PreconditionError("map is not a homomorphism")
-    return subgroup(dom, total_map(f, dom.order, "map") == cod.identity)

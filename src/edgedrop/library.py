@@ -23,6 +23,13 @@ from .network import Edge, NetworkInstance, Source
 T_SEARCH_CAP = 1 << 20
 
 
+def _power_above(base: int, exp: int, cap: int) -> bool:
+    """Whether ``base ** exp > cap`` for base >= 2, taking the power only
+    when it has less than twice the bits of ``cap``."""
+    # base ** exp lies in [2 ** (exp * (b - 1)), 2 ** (exp * b)) for b bits.
+    return exp * (base.bit_length() - 1) >= cap.bit_length() or base**exp > cap
+
+
 def butterfly(n: int = 2) -> tuple[NetworkInstance, NetworkCode]:
     """The butterfly with size-n sources and a one-bit bottleneck.
 
@@ -166,11 +173,12 @@ def n2_code_check(
     surface as reported violations.
     """
     cap = DEFAULT_ENUM_CAP if cap is None else cap
-    checked = w * (m * w) ** 3
-    if checked > cap:
-        raise ResourceError(f"identity check needs {checked} cases, cap is {cap}")
+    # w * x > cap exactly when x > cap // w; n2_permutations refuses m < 2, w < 1.
+    if m >= 2 and w >= 1 and _power_above(m * w, 3, cap // w):
+        raise ResourceError(f"identity check needs w * (m * w)^3 cases, above the cap of {cap}")
     family = n2_permutations(m, w)
     modulus = family.modulus
+    checked = w * modulus**3
     tables = tuple(tuple(p) for p in perms) if perms is not None else family.perms
     if len(tables) != w:
         raise DomainError(f"expected {w} permutation tables, got {len(tables)}")
@@ -241,9 +249,7 @@ def n3_permutations(m: int, alpha: int, cap: int | None = None) -> PermutationFa
     if alpha < 1:
         raise DomainError(f"at least two digits are required, got alpha={alpha}")
     cap = DEFAULT_ENUM_CAP if cap is None else cap
-    # With m >= 2 the order is at least 2^(alpha+1), so a large alpha is
-    # refused before the power is taken.
-    if alpha + 1 > cap.bit_length() or m ** (alpha + 1) > cap:
+    if _power_above(m, alpha + 1, cap):
         raise ResourceError(f"ring of order {m}^{alpha + 1} is above the cap of {cap}")
     modulus = m ** (alpha + 1)
     # The rotation moves the top base-m digit to the bottom.
@@ -370,8 +376,8 @@ def dougherty_identity_check(
     if t is None and not with_t_search:
         raise DomainError("a map t is required unless a search is requested")
     cap = DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
-    if q ** 5 > cap:
-        raise ResourceError(f"identity check needs {q ** 5} cases, cap is {cap}")
+    if _power_above(q, 5, cap):
+        raise ResourceError(f"identity check needs alphabet^5 cases, above the cap of {cap}")
 
     identities: tuple = ()
     fixed = None
@@ -387,8 +393,10 @@ def dougherty_identity_check(
 
     discovered = None
     if with_t_search:
-        if q ** q > T_SEARCH_CAP:
-            raise ResourceError(f"t search needs {q ** q} candidates, cap is {T_SEARCH_CAP}")
+        if _power_above(q, q, T_SEARCH_CAP):
+            raise ResourceError(
+                f"t search needs alphabet^alphabet candidates, above the cap of {T_SEARCH_CAP}"
+            )
         found = []
         for cand in itertools.product(range(q), repeat=q):
             if any(cand[cand[c]] != c for c in range(q)):

@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from edgedrop.codes import NetworkCode
-from edgedrop.cwl import _coordinate_class_ids, check_cwl, derive_edge_group
+from edgedrop.codes import NetworkCode, build_global_table, index_digits, relay_instance
+from edgedrop.cwl import CwlWitness, _coordinate_class_ids, check_cwl, derive_edge_group
 from edgedrop.groupcodes import GroupCharacterization
 from edgedrop.groups import (
     CyclicGroup,
@@ -33,7 +33,7 @@ from edgedrop.groups import (
     generated_subgroup,
     subgroup,
 )
-from edgedrop.errors import DomainError, MalformedCodeError
+from edgedrop.errors import DomainError, InternalCheckError, MalformedCodeError
 from edgedrop.network import Edge, NetworkInstance, Source, topological_order, validate_instance
 from edgedrop.removal import SourcePartition
 
@@ -378,11 +378,72 @@ def random_coordinate_characterization(rng) -> GroupCharacterization:
     group = ProductGroup([CyclicGroup(n) for n in factors])
     subgroups = {}
     for i in range(len(factors)):
-        members = [g for g in group.elements() if oracle_digits(g, factors)[i] == 0]
+        members = [g for g in range(group.order) if oracle_digits(g, factors)[i] == 0]
         subgroups[f"s{i + 1}"] = subgroup(group, members)
     seed = rng.randrange(group.order)
-    subgroups["e"] = subgroup(group, sorted(generated_subgroup(group, [seed]).members))
+    cyclic = generated_subgroup(group, [seed])
+    subgroups["e"] = subgroup(group, np.flatnonzero(cyclic.mask).tolist())
     return GroupCharacterization(group, subgroups)
+
+
+def joint_counts(columns: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """How many of the n tuples take each joint value of the columns.
+
+    Each column holds one symbol per tuple; the counts come in order of
+    first occurrence.  No columns give the single count n.
+    """
+    # Pack the columns into one dense key per tuple, re-densifying the key
+    # before it could outgrow 63 bits.
+    key = np.zeros(n, dtype=np.int64)
+    bound = 1
+    for col in columns:
+        symbols, col = np.unique(col, return_inverse=True)
+        if bound * len(symbols) >= 1 << 62:
+            _, key = np.unique(key, return_inverse=True)
+            bound = int(key.max()) + 1
+        key = key * len(symbols) + col
+        bound *= len(symbols)
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    return counts[np.argsort(first)]
+
+
+def characterize_witness(w: CwlWitness) -> GroupCharacterization:
+    """Group characterization induced by a CWL witness, verified exactly.
+
+    The carrier is the product of the source groups; source i's subgroup
+    pins coordinate i to its identity, and the edge subgroup is the kernel
+    of the witness homomorphism.  The realized variables are materialized
+    through an explicit relay network, and every subset of them must obey
+    the uniform coset law: exactly ``|G| / |intersection|`` joint values,
+    each on exactly ``|intersection|`` tuples.  That is the entropy
+    ``log2(|G| / |intersection|)``, decided on integer counts.
+    """
+    product = ProductGroup(w.source_groups)
+    sizes = w.source_sizes
+    total = product.order
+    digits = index_digits(np.arange(total), sizes)
+    subgroups = {
+        f"s{i + 1}": subgroup(product, d == g.identity)
+        for i, (g, d) in enumerate(zip(w.source_groups, digits))
+    }
+    subgroups["e"] = subgroup(product, w.hom == w.edge_group.identity)
+    gc = GroupCharacterization(product, subgroups)
+
+    edge_size = max(w.edge_support) + 1
+    inst, code = relay_instance(sizes, edge_size, w.phi_table())
+    table = build_global_table(inst, code)
+    columns = dict(zip(subgroups, digits + [table.edge_values("e")]))
+    for r in range(len(columns) + 1):
+        for alpha in itertools.combinations(columns, r):
+            meet = gc.meet_order(alpha)
+            counts = joint_counts([columns[k] for k in alpha], total)
+            if (counts != meet).any():
+                raise InternalCheckError(
+                    f"variables {alpha} take {counts.size} joint values with counts "
+                    f"{counts.min()}..{counts.max()}, the coset law needs "
+                    f"{total // meet} values on {meet} tuples each"
+                )
+    return gc
 
 
 def random_balanced_map(rng) -> dict[int, int]:

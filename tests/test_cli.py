@@ -17,6 +17,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 import types
 from pathlib import Path
 
@@ -792,7 +793,28 @@ def test_case_study_n2_checks_the_cap_before_building_permutations(monkeypatch, 
 
     monkeypatch.setattr("edgedrop.library.n2_permutations", refuse)
     assert main(["case-study", "n2", "--m", "100", "--w", "100", "--enum-cap", "1"]) == 2
-    assert "cap is 1" in capsys.readouterr().err
+    assert "above the cap of 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["n2", "--m", "1" + "0" * 1500], "w * (m * w)^3 cases, above the cap of 16777216"),
+        (["dougherty", "--alphabet", "1" + "0" * 900, "--t", "0"], "alphabet^5 cases, above the cap"),
+        (
+            ["dougherty", "--alphabet", "1000000", "--search", "--enum-cap", "1" + "0" * 33],
+            "alphabet^alphabet candidates, above the cap of 1048576",
+        ),
+    ],
+)
+def test_case_study_caps_refuse_large_parameters_without_the_power(argv, message, capsys):
+    """Each run once exited 3: writing q^5, or w * (m * w)^3, past the
+    digits int writes raised ValueError, and the search first took
+    1000000^1000000 for 5 s.  The caps are now compared without the power."""
+    started = time.perf_counter()
+    assert main(["case-study", *argv]) == 2
+    assert time.perf_counter() - started < 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -960,6 +982,27 @@ def test_group_remove_and_zero_error(tmp_path, capsys):
     argv = ["group-zero-error", str(spec_path), "--demand", "no-colon"]
     assert main(argv) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "factors, message",
+    [
+        ([2] * 21, "group order 2097152 is above the cap of 1048576"),
+        ([10**9] * 600, "digits, above GROUP_ORDER_CAP = 1048576"),
+    ],
+)
+def test_group_commands_refuse_orders_above_the_cap(factors, message, tmp_path, capsys):
+    """An order of 5,401 digits once exited 3: the cap's message wrote it
+    past the digits int writes."""
+    spec_path = tmp_path / "big.json"
+    group = {"kind": "product", "factors": [{"kind": "cyclic", "order": n} for n in factors]}
+    spec_path.write_text(json.dumps({"group": group, "subgroups": {"s1": [0], "e": [0]}}))
+    for command, *flags in (
+        ["group-remove", "--edge", "e", "--sources", "s1"],
+        ["group-zero-error", "--demand", "e:s1"],
+    ):
+        assert main([command, str(spec_path), *flags]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_zero_error_decoder_keys_are_listed_in_string_order(tmp_path, capsys):
@@ -1141,8 +1184,8 @@ def test_case_study_identity_checks(capsys):
     "argv, message",
     [
         (["butterfly"], "source tuple space has 4 elements, above the cap of 1"),
-        (["n2", "--m", "2", "--w", "2"], "identity check needs 128 cases, cap is 1"),
-        (["dougherty", "--alphabet", "4", "--t", "0,3,2,1"], "identity check needs 1024 cases, cap is 1"),
+        (["n2", "--m", "2", "--w", "2"], "needs w * (m * w)^3 cases, above the cap of 1"),
+        (["dougherty", "--alphabet", "4", "--t", "0,3,2,1"], "alphabet^5 cases, above the cap of 1"),
         (["n3-injectivity", "--m", "3", "--alpha", "2"], "ring of order 3^3 is above the cap of 1"),
     ],
 )

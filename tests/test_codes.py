@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import (
     decode_outputs,
     evaluate_global,
+    joint_counts,
     oracle_digits,
     oracle_index,
     random_code,
@@ -26,7 +27,6 @@ from edgedrop.codes import (
     build_global_table,
     check_feasibility,
     index_digits,
-    joint_counts,
     load_code,
     pack,
     parse_code,

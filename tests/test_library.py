@@ -143,9 +143,23 @@ def test_n2_code_check_honours_the_cap_before_building_permutations(monkeypatch)
         raise AssertionError("permutations built before the cap check")
 
     monkeypatch.setattr(library, "n2_permutations", refuse)
-    cases = 100 * (100 * 100) ** 3
-    with pytest.raises(ResourceError, match=f"identity check needs {cases} cases, cap is 1"):
+    with pytest.raises(ResourceError, match=r"w \* \(m \* w\)\^3 cases, above the cap of 1$"):
         n2_code_check(100, 100, cap=1)
+
+
+def test_case_study_caps_are_exact():
+    """Each cap admits a count equal to it and refuses one above it."""
+    assert n2_code_check(2, 2, cap=2 * 4**3).ok
+    with pytest.raises(ResourceError):
+        n2_code_check(2, 2, cap=2 * 4**3 - 1)
+    assert dougherty_identity_check(4, t=(0, 1, 3, 2), enum_cap=4**5).ok
+    with pytest.raises(ResourceError):
+        dougherty_identity_check(4, t=(0, 1, 3, 2), enum_cap=4**5 - 1)
+    assert n3_permutations(3, 2, cap=27).modulus == 27
+    with pytest.raises(ResourceError):
+        n3_permutations(3, 2, cap=26)
+    with pytest.raises(ResourceError, match=r"alphabet\^alphabet .* the cap of 1048576"):
+        dougherty_identity_check(8, with_t_search=True)
 
 
 def test_n3_rotation_oracle():

@@ -15,19 +15,15 @@ import pathlib
 import edgedrop
 
 SRC = pathlib.Path(edgedrop.__file__).parent
+LAYERS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 ALLOWED = {
-    "relabel_balanced": "the balanced-map relabeling, library API of criterion 8",
-    "characterize_witness": "the group characterization of a witness, criterion 9",
+    "relabel_balanced": "the balanced-map relabeling, library API of criterion 8 (ROADMAP item 3)",
     "restrict_to_product": "the product-set route, wrapped by perfbench/layers.py",
-    "kernel": "groups API documented in README",
-    "cosets": "groups API documented in README",
 }
 
 METHODS_ALLOWED = {
-    "groups.FiniteGroup.op": "scalar group API: the tests' oracles, and perfbench/layers.py wraps it",
-    "groups.FiniteGroup.inverse": "scalar group API: the tests' oracles",
-    "groups.FiniteGroup.elements": "scalar group API: the tests' oracles",
+    "groups.FiniteGroup.op": "scalar group product, wrapped by perfbench/layers.py",
     "removal.SourcePartition.singletons": "built-in partition, wrapped by perfbench/layers.py",
     "removal.SourcePartition.whole": "built-in partition, wrapped by perfbench/layers.py",
 }
@@ -111,6 +107,17 @@ def test_every_method_has_a_caller_in_the_package():
 def test_allowed_methods_are_defined_and_uncalled():
     callers = _method_callers()
     assert {q: callers.get(q) for q in METHODS_ALLOWED} == dict.fromkeys(METHODS_ALLOWED, 0)
+
+
+def test_entries_kept_for_perfbench_are_wrapped_there():
+    """An allowlist entry kept because ``perfbench/layers.py`` wraps it must
+    be named there, as a string or an attribute, or it keeps nothing alive."""
+    tree = ast.parse(LAYERS.read_text())
+    named = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+    named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    cited = [q for q, why in {**ALLOWED, **METHODS_ALLOWED}.items() if "perfbench/layers.py" in why]
+    assert len(cited) == 4
+    assert [q for q in cited if q.split(".")[-1] not in named] == []
 
 
 def test_no_function_takes_a_table_beside_its_instance_or_code():
