@@ -377,9 +377,7 @@ def build_global_table(
     cap = DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
     total = math.prod(code.source_alphabets)
     if total > cap:
-        raise ResourceError(
-            f"source tuple space has {total} elements, above the cap of {cap}"
-        )
+        raise ResourceError(f"source tuple space is above the cap of {cap}")
     sources = index_digits(np.arange(total), code.source_alphabets)
     values: dict[str, np.ndarray] = {}
 

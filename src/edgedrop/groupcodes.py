@@ -10,7 +10,6 @@ network code.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -35,16 +34,8 @@ GROUP_ORDER_CAP = 1 << 20
 
 
 def _check_order_cap(group: FiniteGroup) -> None:
-    if group.order <= GROUP_ORDER_CAP:
-        return
-    try:
-        message = f"group order {group.order} is above the cap of {GROUP_ORDER_CAP}"
-    except ValueError:  # more digits than int writes
-        message = (
-            f"group order has more than {sys.get_int_max_str_digits()} digits, "
-            f"above GROUP_ORDER_CAP = {GROUP_ORDER_CAP}"
-        )
-    raise ResourceError(message)
+    if group.order > GROUP_ORDER_CAP:
+        raise ResourceError(f"group order is above the cap of {GROUP_ORDER_CAP}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ import random
 import subprocess
 import sys
 import threading
-import time
 import types
 from pathlib import Path
 
@@ -807,13 +806,12 @@ def test_case_study_n2_checks_the_cap_before_building_permutations(monkeypatch, 
         ),
     ],
 )
-def test_case_study_caps_refuse_large_parameters_without_the_power(argv, message, capsys):
+def test_case_study_caps_refuse_large_parameters(argv, message, capsys):
     """Each run once exited 3: writing q^5, or w * (m * w)^3, past the
     digits int writes raised ValueError, and the search first took
-    1000000^1000000 for 5 s.  The caps are now compared without the power."""
-    started = time.perf_counter()
+    1000000^1000000 for 5 s.  ``test_library.py`` checks that no such power
+    is taken."""
     assert main(["case-study", *argv]) == 2
-    assert time.perf_counter() - started < 1
     assert message in capsys.readouterr().err
 
 
@@ -984,16 +982,10 @@ def test_group_remove_and_zero_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize(
-    "factors, message",
-    [
-        ([2] * 21, "group order 2097152 is above the cap of 1048576"),
-        ([10**9] * 600, "digits, above GROUP_ORDER_CAP = 1048576"),
-    ],
-)
-def test_group_commands_refuse_orders_above_the_cap(factors, message, tmp_path, capsys):
+@pytest.mark.parametrize("factors", [[2] * 21, [10**9] * 600])
+def test_group_commands_refuse_orders_above_the_cap(factors, tmp_path, capsys):
     """An order of 5,401 digits once exited 3: the cap's message wrote it
-    past the digits int writes."""
+    past the digits int writes.  The message names the cap alone."""
     spec_path = tmp_path / "big.json"
     group = {"kind": "product", "factors": [{"kind": "cyclic", "order": n} for n in factors]}
     spec_path.write_text(json.dumps({"group": group, "subgroups": {"s1": [0], "e": [0]}}))
@@ -1002,7 +994,33 @@ def test_group_commands_refuse_orders_above_the_cap(factors, message, tmp_path, 
         ["group-zero-error", "--demand", "e:s1"],
     ):
         assert main([command, str(spec_path), *flags]) == 2
-        assert message in capsys.readouterr().err
+        assert "group order is above the cap of 1048576" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_tuple_space_too_long_to_print(tmp_path, capsys):
+    """239 undemanded sources of alphabet 2^62 make a tuple count of 4,461
+    digits; the cap's message once wrote it and exited 3."""
+    sizes = [2] + [2**62] * 239
+    names = [f"s{i}" for i in range(len(sizes))]
+    inst = {
+        "nodes": [*names, "t"],
+        "sources": [{"node": n, "alphabet_size": a} for n, a in zip(names, sizes)],
+        "edges": [],
+        "terminals": ["t"],
+        "demands": [[1]] + [[0]] * 239,
+    }
+    code = {
+        "blocklength": 1,
+        "source_alphabets": sizes,
+        "edge_alphabets": {},
+        "encoders": {},
+        "decoders": {"t": [[0]]},
+    }
+    (tmp_path / "i.json").write_text(json.dumps(inst))
+    (tmp_path / "c.json").write_text(json.dumps(code))
+    rates = ",".join(["1"] + ["62"] * 239)
+    assert main(["verify", str(tmp_path / "i.json"), str(tmp_path / "c.json"), "--rates", rates]) == 2
+    assert "source tuple space is above the cap of 16777216" in capsys.readouterr().err
 
 
 def test_zero_error_decoder_keys_are_listed_in_string_order(tmp_path, capsys):
@@ -1183,7 +1201,7 @@ def test_case_study_identity_checks(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["butterfly"], "source tuple space has 4 elements, above the cap of 1"),
+        (["butterfly"], "source tuple space is above the cap of 1"),
         (["n2", "--m", "2", "--w", "2"], "needs w * (m * w)^3 cases, above the cap of 1"),
         (["dougherty", "--alphabet", "4", "--t", "0,3,2,1"], "alphabet^5 cases, above the cap of 1"),
         (["n3-injectivity", "--m", "3", "--alpha", "2"], "ring of order 3^3 is above the cap of 1"),

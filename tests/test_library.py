@@ -162,6 +162,38 @@ def test_case_study_caps_are_exact():
         dougherty_identity_check(8, with_t_search=True)
 
 
+class _NoLargePower(int):
+    """An int that refuses to be raised to a power of more than 4,096 bits;
+    a product with it is one too."""
+
+    def __pow__(self, exp, mod=None):
+        if exp * self.bit_length() > 4096:
+            raise AssertionError(f"took a power of {exp} bits-times-{self.bit_length()}")
+        return int(self) ** exp
+
+    def __mul__(self, other):
+        return _NoLargePower(int(self) * other)
+
+    __rmul__ = __mul__
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: n2_code_check(_NoLargePower(10**1500), _NoLargePower(1)),
+        lambda: dougherty_identity_check(_NoLargePower(10**900), t=(0,)),
+        lambda: dougherty_identity_check(_NoLargePower(10**6), with_t_search=True, enum_cap=10**33),
+        lambda: n3_permutations(_NoLargePower(10**900), 2),
+    ],
+    ids=["n2", "dougherty", "dougherty-search", "n3"],
+)
+def test_case_study_caps_take_no_power_of_the_parameters(call):
+    """A parameter of any size is refused without its power: the three
+    case-study runs that exited 3 took, or wrote, one of thousands of digits."""
+    with pytest.raises(ResourceError, match="above the cap of"):
+        call()
+
+
 def test_n3_rotation_oracle():
     family = n3_permutations(2, 1)
     assert family.modulus == 4

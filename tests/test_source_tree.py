@@ -116,7 +116,7 @@ def test_entries_kept_for_perfbench_are_wrapped_there():
     named = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
     named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     cited = [q for q, why in {**ALLOWED, **METHODS_ALLOWED}.items() if "perfbench/layers.py" in why]
-    assert len(cited) == 4
+    assert cited
     assert [q for q in cited if q.split(".")[-1] not in named] == []
 
 
