@@ -343,7 +343,7 @@ def _cmd_remove_edge(args) -> tuple[int, dict]:
             raise DomainError(f"labels file 'labels' must {must}")
     part = SourcePartition(table.source_sizes, labels)
     conditions = {
-        "determines_edge": fiber_edge_values(table, args.edge, part) is not None,
+        "determines_edge": fiber_edge_values(table, args.edge, part),
         "parts_are_products": fibers_are_products(part),
     }
     if not all(conditions.values()):

@@ -120,7 +120,8 @@ class NetworkCode:
     demanded source symbols in source order: one row per input, one column
     per demanded source.
     Tables are taken as ``network.int_table`` takes them and stored as its
-    read-only int64 arrays.
+    read-only int64 arrays.  Codes compare by identity; two codes hold the
+    same tables when their ``json_bytes`` are equal.
     """
 
     blocklength: int
@@ -134,21 +135,6 @@ class NetworkCode:
         decoders = {k: int_table(t, 2, f"terminal {k!r} decoder") for k, t in self.decoders.items()}
         object.__setattr__(self, "encoders", encoders)
         object.__setattr__(self, "decoders", decoders)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NetworkCode):
-            return NotImplemented
-
-        def same_tables(a: dict, b: dict) -> bool:
-            return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
-
-        return (
-            self.blocklength == other.blocklength
-            and tuple(self.source_alphabets) == tuple(other.source_alphabets)
-            and self.edge_alphabets == other.edge_alphabets
-            and same_tables(self.encoders, other.encoders)
-            and same_tables(self.decoders, other.decoders)
-        )
 
 
 def input_sizes(inst: NetworkInstance, code: NetworkCode, node: str) -> list[int]:
@@ -248,6 +234,8 @@ def validate_code(inst: NetworkInstance, code: NetworkCode) -> list[str]:
     problems = validate_instance(inst)
     if problems:
         return problems
+    if code.blocklength < 1:
+        problems.append(f"blocklength must be >= 1, got {code.blocklength}")
     if len(code.source_alphabets) != len(inst.sources):
         problems.append("one source alphabet per instance source is required")
     for i, (size, src) in enumerate(zip(code.source_alphabets, inst.sources)):

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -133,9 +133,7 @@ def check_cwl(
     )
 
 
-def derive_edge_group(
-    phi, source_groups: Sequence[FiniteGroup]
-) -> tuple[TableGroup, tuple[int, ...]] | None:
+def derive_edge_group(phi, source_groups: Sequence[FiniteGroup]) -> CwlWitness | None:
     """Induce the image group structure from the source groups, if one exists.
 
     phi is CWL exactly when it is a homomorphism onto some group on its
@@ -144,8 +142,9 @@ def derive_edge_group(
     symbols.  That candidate table is built in one ``op_array`` call,
     ``TableGroup`` proves its group axioms (a DomainError there means the
     products form no group, so phi is not CWL), and ``is_homomorphism``
-    proves phi a homomorphism onto it.  Returns the verified table group on
-    the sorted image together with that image, or None when phi is not CWL.
+    proves phi a homomorphism onto it.  Returns the witness of that proof,
+    whose edge group is the verified table group on the sorted image and
+    whose support is that image, or None when phi is not CWL.
     ``phi`` is taken as ``check_cwl`` takes it.  Fibers of unequal sizes
     give None at any image size; an image above ``TABLE_VERIFY_BOUND``
     symbols with equal fibers raises DomainError before any table is
@@ -167,7 +166,7 @@ def derive_edge_group(
         return None
     if not is_homomorphism(f.ids, product, group):
         return None
-    return group, tuple(f.keys)
+    return CwlWitness(tuple(source_groups), group, tuple(f.keys), f.ids)
 
 
 def certify_cwl(
@@ -178,20 +177,12 @@ def certify_cwl(
     """Certify phi as CWL over the source groups; None when it is not.
 
     With ``edge = (edge_group, edge_support)`` the given structure is
-    checked.  Without it the structure is derived and then re-verified by
-    ``check_cwl``; a derived structure that fails that check is a bug and
-    raises ``InternalCheckError``.
+    checked by ``check_cwl``; without it the structure is derived, and
+    proved once, by ``derive_edge_group``.
     """
-    f = _fibers(phi, [g.order for g in source_groups])
     if edge is not None:
-        return check_cwl(f, source_groups, *edge)
-    derived = derive_edge_group(f, source_groups)
-    if derived is None:
-        return None
-    witness = check_cwl(f, source_groups, *derived)
-    if witness is None:
-        raise InternalCheckError("derived edge structure failed re-verification")
-    return witness
+        return check_cwl(phi, source_groups, *edge)
+    return derive_edge_group(phi, source_groups)
 
 
 def _coordinate_class_ids(w: CwlWitness) -> list[np.ndarray]:
@@ -234,7 +225,7 @@ def cwl_remove(
     if w.source_sizes != table.source_sizes or not np.array_equal(w.phi_table(), column):
         raise PreconditionError("witness does not match the edge's encoding function")
     part = witness_partition(w)
-    if fiber_edge_values(table, edge_id, part) is None:
+    if not fiber_edge_values(table, edge_id, part):
         raise InternalCheckError("class partition fails to determine the edge message")
     if len(np.unique(part.part_sizes)) != 1:
         raise InternalCheckError("class partition parts are not equal-sized")
@@ -315,6 +306,8 @@ def check_piecewise(
         shown = list(zip(*(d.tolist() for d in index_digits(offending[:5], sizes))))
         raise DomainError(f"pieces must partition the tuple space; offending tuples: {shown}")
     support_set = set(edge_support)
+    if len(support_set) != len(edge_support):
+        raise DomainError("support symbols must be distinct")
     out_pieces = []
     for (subs, piece_values), members in zip(cleaned, member_sets):
         witness = certify_cwl(piece_values, source_groups)
@@ -389,72 +382,6 @@ def piecewise_remove(
         raise InternalCheckError("edge message is not constant on the kept product")
     label = (best_piece,) + tuple(int(m[0]) for m in kept)
     return _restrict_to_part(table, edge_id, kept, divisor, label, Fraction(0))
-
-
-@dataclass(frozen=True)
-class BalancedRelabeling:
-    """Relabeling that turns a balanced map into a projection homomorphism.
-
-    Domain element a gets the pair label (position within its fiber, fiber
-    index); the map then reads off the second coordinate.
-    """
-
-    domain_labels: dict
-    codomain_labels: dict
-    fiber_size: int
-    codomain_size: int
-    witness: CwlWitness
-
-
-def relabel_balanced(g: Mapping, codomain: Sequence | None = None) -> BalancedRelabeling:
-    """Exhibit a balanced map as CWL after relabeling both sides.
-
-    ``g`` must hit every declared codomain value equally often; otherwise a
-    PreconditionError names an offending fiber.  The witness is the second
-    projection from the product of two cyclic groups.
-    """
-    if not g:
-        raise DomainError("the map must have a non-empty domain")
-    domain = sorted(g)
-    cod = sorted(set(codomain)) if codomain is not None else sorted(set(g.values()))
-    extra = set(g.values()) - set(cod)
-    if extra:
-        raise DomainError(f"map values outside the declared codomain: {sorted(extra)}")
-    q = len(cod)
-    if len(domain) % q != 0:
-        raise PreconditionError(
-            f"codomain size {q} does not divide domain size {len(domain)}"
-        )
-    k = len(domain) // q
-    fibers = {b: [a for a in domain if g[a] == b] for b in cod}
-    for b, fiber in fibers.items():
-        if len(fiber) != k:
-            raise PreconditionError(
-                f"fiber of {b!r} has {len(fiber)} elements, expected {k}"
-            )
-    domain_labels = {}
-    for j, b in enumerate(cod):
-        for i, a in enumerate(fibers[b]):
-            domain_labels[a] = (i, j)
-    codomain_labels = {b: j for j, b in enumerate(cod)}
-    phi = [j for _ in range(k) for j in range(q)]
-    witness = check_cwl(
-        phi, [CyclicGroup(k), CyclicGroup(q)], CyclicGroup(q), tuple(range(q))
-    )
-    if witness is None:
-        raise InternalCheckError("projection failed its own CWL check")
-    projection = witness.phi_table().tolist()
-    for a in domain:
-        i, j = domain_labels[a]
-        if codomain_labels[g[a]] != projection[i * q + j]:
-            raise InternalCheckError("relabeled map disagrees with the projection")
-    return BalancedRelabeling(
-        domain_labels=domain_labels,
-        codomain_labels=codomain_labels,
-        fiber_size=k,
-        codomain_size=q,
-        witness=witness,
-    )
 
 
 @dataclass(frozen=True)

@@ -201,7 +201,7 @@ def abelian_removal_plan(
     labels.flags.writeable = False  # shared by the partition, not copied
     part = SourcePartition(table.source_sizes, labels)
 
-    if fiber_edge_values(table, "e", part) is None:
+    if not fiber_edge_values(table, "e", part):
         raise InternalCheckError("coset partition fails to determine the edge message")
     witness = find_witness(table, "e", part, Fraction(0))
     if witness is None:

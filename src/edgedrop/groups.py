@@ -217,7 +217,8 @@ def group_from_description(desc: Mapping) -> FiniteGroup:
     Orders and Cayley table entries must be JSON integers; floats, booleans
     and strings are rejected, never coerced.  A missing or mistyped field is
     a DomainError that names it, and so are products nested more than
-    ``MAX_GROUP_NESTING`` deep.
+    ``MAX_GROUP_NESTING`` deep and a product's or a table's declared
+    ``order`` that is not the order of the group built.
     """
 
     def build(desc, depth: int) -> FiniteGroup:
@@ -231,13 +232,14 @@ def group_from_description(desc: Mapping) -> FiniteGroup:
                     f"group description nests products more than {MAX_GROUP_NESTING} deep"
                 )
             factors = field(desc, "factors", list, where)
-            return ProductGroup([build(d, depth + 1) for d in factors])
-        if kind == "table":
+            g = ProductGroup([build(d, depth + 1) for d in factors])
+        elif kind == "table":
             g = TableGroup(field(desc, "table", list, where))
-            if "order" in desc and field(desc, "order", int, where) != g.order:
-                raise DomainError("declared order does not match table size")
-            return g
-        raise DomainError(f"unknown group kind {kind!r}")
+        else:
+            raise DomainError(f"unknown group kind {kind!r}")
+        if "order" in desc and field(desc, "order", int, where) != g.order:
+            raise DomainError(f"declared order does not match the {kind} group's order")
+        return g
 
     return build(desc, 0)
 

@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import threading
+from collections import Counter
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
@@ -87,30 +88,21 @@ class NetworkInstance:
 
     @cached_property
     def _node_order(self) -> list[str] | None:
-        """Deterministic node topological order, or None if there is a cycle;
-        found once for both ``validate_instance`` and ``topological_order``."""
+        """A node topological order (Kahn's, from the sources in node order),
+        or None if there is a cycle; found once for both
+        ``validate_instance`` and ``topological_order``."""
         indeg = {v: 0 for v in self.nodes}
         for e in self.edges:
             if e.head in indeg and e.tail in indeg:
                 indeg[e.head] += 1
-        ready = sorted(v for v, d in indeg.items() if d == 0)
-        order = []
-        while ready:
-            v = ready.pop(0)
-            order.append(v)
-            changed = False
+        order = [v for v, d in indeg.items() if d == 0]
+        for v in order:  # grows as the loop runs
             for e in self.out_edges(v):
-                if e.head not in indeg:
-                    continue
-                indeg[e.head] -= 1
-                if indeg[e.head] == 0:
-                    ready.append(e.head)
-                    changed = True
-            if changed:
-                ready.sort()
-        if len(order) != len(self.nodes):
-            return None
-        return order
+                if e.head in indeg:
+                    indeg[e.head] -= 1
+                    if indeg[e.head] == 0:
+                        order.append(e.head)
+        return order if len(order) == len(indeg) else None  # a repeated node is not a cycle
 
     def edge(self, edge_id: str) -> Edge:
         try:
@@ -146,23 +138,22 @@ class NetworkInstance:
 def validate_instance(inst: NetworkInstance) -> list[str]:
     """Well-formedness report; an empty list means the instance is valid."""
     problems = []
+    source_nodes = [s.node for s in inst.sources]
+    for what, names in (
+        ("node", inst.nodes),
+        ("edge", [e.id for e in inst.edges]),
+        ("source", source_nodes),
+        ("terminal", inst.terminals),
+    ):
+        problems += [f"duplicate {what} {n!r}" for n, k in Counter(names).items() if k > 1]
     nodes = set(inst.nodes)
-    if len(nodes) != len(inst.nodes):
-        problems.append("duplicate node ids")
-    seen_edges = set()
     for e in inst.edges:
-        if e.id in seen_edges:
-            problems.append(f"duplicate edge id {e.id!r}")
-        seen_edges.add(e.id)
         if e.tail not in nodes:
             problems.append(f"edge {e.id!r} tail {e.tail!r} is not a node")
         if e.head not in nodes:
             problems.append(f"edge {e.id!r} head {e.head!r} is not a node")
         if e.alphabet_size < 1:
             problems.append(f"edge {e.id!r} alphabet size must be >= 1")
-    source_nodes = [s.node for s in inst.sources]
-    if len(set(source_nodes)) != len(source_nodes):
-        problems.append("duplicate source nodes")
     for s in inst.sources:
         if s.node not in nodes:
             problems.append(f"source node {s.node!r} is not a node")
@@ -198,8 +189,8 @@ def validate_instance(inst: NetworkInstance) -> list[str]:
 def topological_order(inst: NetworkInstance) -> list[Edge]:
     """Edges ordered so each appears after every edge into its tail node.
 
-    Deterministic: nodes are ordered by a smallest-id-first topological sort
-    and edges by (tail position, edge id).
+    Deterministic: nodes are ordered by ``NetworkInstance._node_order`` and
+    edges by (tail position, edge id).
     """
     nodes = inst._node_order
     if nodes is None:
@@ -340,10 +331,10 @@ def _json_text(obj, newline: str, tables: list) -> str:
     pure-Python encoder that ``json`` falls back to when it indents.
 
     ``newline`` is the line break plus the indent of the enclosing level.
-    An int64 array of at least ``_ARRAY_ENTRIES`` entries, of one dimension
-    or of two with rows of width at least one, is written by
-    ``_int_array_json``: a NUL here, its chunks appended to ``tables``; any
-    other array as its ``tolist()``.  A list of plain ints is one join, and
+    An int64 array of at least ``_ARRAY_ENTRIES`` entries, none negative,
+    of one dimension or of two with rows of width at least one, is written
+    by ``_int_array_json``: a NUL here, its chunks appended to ``tables``;
+    any other array as its ``tolist()``.  A list of plain ints is one join, and
     a rectangular list of non-empty int rows one ``%`` over a repeated row
     template.  Other containers recurse, a dataclass record as the dict of
     its fields; a ``Fraction`` is its ``str``, other scalars go through
@@ -403,22 +394,20 @@ _ARRAY_ENTRIES = 128
 def _int_array_json(arr: np.ndarray, newline: str) -> list[bytes] | None:
     """The bytes of ``_json_text(arr.tolist(), newline, [])``, in chunks of
     ``_WRITE_ROWS`` rows, for an int64 array of at least ``_ARRAY_ENTRIES``
-    entries, of one dimension or of two with rows of width at least one;
-    None for any other array, and for one holding -2**63, whose magnitude
-    int64 lacks.
+    entries and none negative, of one dimension or of two with rows of
+    width at least one; None for any other array.  The tables the
+    workbench writes hold no negative entry.
 
     Each chunk of rows is a uint8 block that repeats the text of one row,
     with a NUL-padded slot as wide as the widest entry where each entry
-    goes.  The slots are filled with ASCII digits (and signs) by numpy
-    arithmetic, and one ``translate`` deletes the padding.
+    goes.  The slots are filled with ASCII digits by numpy arithmetic, and
+    one ``translate`` deletes the padding.
     """
     if arr.dtype != np.int64 or arr.ndim not in (1, 2) or arr.size < _ARRAY_ENTRIES:
         return None
-    lo, hi = int(arr.min()), int(arr.max())
-    if lo == np.iinfo(np.int64).min:
+    if int(arr.min()) < 0:
         return None
-    digits = len(str(max(hi, -lo)))
-    signed = lo < 0
+    digits = len(str(int(arr.max())))
     rows = arr.reshape(len(arr), -1)
     width = rows.shape[1]
     # A row is head, then each entry's slot, separated by sep, then tail;
@@ -428,23 +417,20 @@ def _int_array_json(arr: np.ndarray, newline: str) -> list[bytes] | None:
     if arr.ndim == 2:
         entry = inner + "  "
         head, sep, tail = head + "[" + entry, "," + entry, inner + "]"
-    slot = "\0" * (digits + signed)
+    slot = "\0" * digits
     template = np.frombuffer((head + slot + (sep + slot) * (width - 1) + tail).encode(), np.uint8)
     starts = len(head) + np.arange(width) * (len(slot) + len(sep))
-    digit_cols = starts[:, None] + signed + np.arange(digits)
+    digit_cols = starts[:, None] + np.arange(digits)
     chunks = []
     for i in range(0, len(rows), _WRITE_ROWS):
         values = rows[i : i + _WRITE_ROWS]
         block = np.empty((len(values), len(template)), np.uint8)
         block[:] = template
-        mag = np.abs(values)
         if digits <= 4:
-            small = _small_digits()[mag].view(np.uint8).reshape(mag.shape + (4,))
+            small = _small_digits()[values].view(np.uint8).reshape(values.shape + (4,))
             block[:, digit_cols] = small[..., 4 - digits :]
         else:
-            block[:, digit_cols] = _decimal_digits(mag, digits)
-        if signed:
-            block[:, starts] = np.where(values < 0, ord("-"), 0)
+            block[:, digit_cols] = _decimal_digits(values, digits)
         if i == 0:
             block[0, 0] = ord("[")
         chunks.append(block.tobytes().translate(None, b"\0"))
@@ -452,13 +438,13 @@ def _int_array_json(arr: np.ndarray, newline: str) -> list[bytes] | None:
     return chunks
 
 
-def _decimal_digits(mag: np.ndarray, digits: int) -> np.ndarray:
+def _decimal_digits(values: np.ndarray, digits: int) -> np.ndarray:
     """The ASCII digits of non-negative integers below ``10**digits``, by
     division: one more axis of ``digits`` bytes, right-aligned, NUL-padded."""
-    out = np.empty(mag.shape + (digits,), np.uint8)
-    out[..., -1] = mag % 10 + ord("0")
+    out = np.empty(values.shape + (digits,), np.uint8)
+    out[..., -1] = values % 10 + ord("0")
     for k in range(1, digits):
-        q = mag // 10**k
+        q = values // 10**k
         out[..., -1 - k] = np.where(q > 0, q % 10 + ord("0"), 0)
     return out
 
@@ -492,31 +478,31 @@ _TEXT = bytes.maketrans(b"[]\v\f", b"\v\f\0\0")
 _WHITESPACE = b" \t\n\r"
 _NOT_NUMBERS = _WHITESPACE + b"[]"
 
-# One class byte per text byte: a nonzero digit, zero, minus, comma and the
-# two brackets, and 0 for anything else; ``_RAW_CLASSES`` reads raw bytes.
-_DIGIT, _ZERO, _MINUS, _COMMA, _OPEN, _CLOSE = range(1, 7)
+# One class byte per text byte: a nonzero digit, zero, comma and the two
+# brackets, and 0 for anything else, a minus sign too, so that a table with
+# a negative entry is left to ``json``; ``_RAW_CLASSES`` reads raw bytes.
+_DIGIT, _ZERO, _COMMA, _OPEN, _CLOSE = range(1, 6)
 _CLASSES = bytearray(256)
-for _ch, _cls in zip(b"1234567890-,\v\f", [_DIGIT] * 9 + [_ZERO, _MINUS, _COMMA, _OPEN, _CLOSE]):
+for _ch, _cls in zip(b"1234567890,\v\f", [_DIGIT] * 9 + [_ZERO, _COMMA, _OPEN, _CLOSE]):
     _CLASSES[_ch] = _cls
 _CLASSES = bytes(_CLASSES)
 _RAW_CLASSES = _TEXT.translate(_CLASSES)
-_NUMBER_CLASSES = bytes([_DIGIT, _ZERO, _MINUS])
+_NUMBER_CLASSES = bytes([_DIGIT, _ZERO])
 _EMPTY_ROW = bytes([_OPEN, _CLOSE])
 
 # Pair codes, indexed by 8 * class + next class: 0 refused, 1 allowed
 # between tokens, 3 and 5 allowed inside a number, 5 where a zero is
 # followed by a digit, 4 a zero that starts a number.  A 4 followed by a 5
 # is a leading zero, and 18 inside-number codes in a row make a number of
-# more than 18 characters, which may not fit in 64 bits and is left to
+# more than 18 digits, which may not fit in int64 and is left to
 # ``json``.  Most tables hold no 5, so the leading-zero check is one search
 # for a single byte.
 _FOLLOW = bytearray(256)
 for _a, _next in {
     _DIGIT: ((_DIGIT, 3), (_ZERO, 3), (_COMMA, 1), (_CLOSE, 1)),
     _ZERO: ((_DIGIT, 5), (_ZERO, 5), (_COMMA, 1), (_CLOSE, 1)),
-    _MINUS: ((_DIGIT, 3), (_ZERO, 4)),
-    _COMMA: ((_DIGIT, 1), (_ZERO, 4), (_MINUS, 1), (_OPEN, 1)),
-    _OPEN: ((_DIGIT, 1), (_ZERO, 4), (_MINUS, 1), (_OPEN, 1), (_CLOSE, 1)),
+    _COMMA: ((_DIGIT, 1), (_ZERO, 4), (_OPEN, 1)),
+    _OPEN: ((_DIGIT, 1), (_ZERO, 4), (_OPEN, 1), (_CLOSE, 1)),
     _CLOSE: ((_COMMA, 1), (_CLOSE, 1)),
 }.items():
     for _b, _code in _next:
@@ -539,14 +525,14 @@ def _translated(raw: bytes, first: int, last: int, table: bytes | None, delete: 
 
 
 def _number_starts(raw: bytes, first: int, last: int) -> int:
-    """How many runs of the bytes ``-./0123456789`` start in
-    ``raw[first:last]``, chunk by chunk (each chunk reaches one byte into the
-    next, which counts its own starts).  Once the class checks have passed,
-    ``.`` and ``/`` cannot occur, and the runs are the numbers."""
+    """How many runs of digits start in ``raw[first:last]``, chunk by chunk
+    (each chunk reaches one byte into the next, which counts its own
+    starts).  Once the class checks have passed, the runs are the
+    numbers."""
     starts = 0
     for i in range(first, last, _SCAN_CHUNK):
         u = np.frombuffer(raw, dtype=np.uint8, count=min(_SCAN_CHUNK + 1, last - i), offset=i)
-        num = u - ord("-") < 13
+        num = u - ord("0") < 10
         starts += int(np.count_nonzero(num[1:] > num[:-1]))
     return starts
 
@@ -566,14 +552,11 @@ PARALLEL_PARSE_BYTES = 1 << 15
 def _parse(numbers: bytes, out: list) -> None:
     """Append the int64 values of comma-separated ``numbers``, or the
     exception ``np.fromstring`` raised, for the caller to raise once its
-    checks pass.  Numbers without a minus sign are converted as unsigned,
-    which is faster; the checks allow at most 18 characters a number, so
-    each is below 2**63 and its int64 view is its value."""
+    checks pass.  They are converted as unsigned, which is faster; the
+    checks allow only numbers of at most 18 digits, so each is below 2**63
+    and its int64 view is its value."""
     try:
-        if b"-" in numbers:
-            out.append(np.fromstring(numbers, dtype=np.int64, sep=","))
-        else:
-            out.append(np.fromstring(numbers, dtype=np.uint64, sep=",").view(np.int64))
+        out.append(np.fromstring(numbers, dtype=np.uint64, sep=",").view(np.int64))
     except Exception as exc:
         out.append(exc)
 
@@ -583,7 +566,7 @@ def _int_table_text(raw: bytes, first: int, last: int) -> np.ndarray | None:
     spells, if it is a table of integers.
 
     A 1-D list, or a 2-D list of equally long rows, of JSON integers of at
-    most 18 characters is checked by whole-buffer byte operations and
+    most 18 digits, none negative, is checked by whole-buffer byte operations and
     converted by one ``np.fromstring``; any other text gives None and is
     left to ``json``.  Where whitespace was, one numpy scan of the raw bytes
     proves that none split a number.  A table whose bytes span at least
@@ -635,7 +618,7 @@ def _int_table_text(raw: bytes, first: int, last: int) -> np.ndarray | None:
 
 def _pairs_allowed(classes: bytes) -> bool:
     """Whether each byte of ``classes`` may follow the one before, no number
-    has a leading zero and none is longer than 18 characters.  The pair
+    has a leading zero and none is longer than 18 digits.  The pair
     codes are made ``_SCAN_CHUNK`` at a time, each chunk reaching 17 codes
     into the next, so a run of 18 lies whole in the chunk where it starts."""
     c = np.frombuffer(classes, dtype=np.uint8)
@@ -829,9 +812,9 @@ def load_json(path: str, tables: TableSlots | None = None) -> dict:
 
     ``tables(data)`` names the values that are tables, each with its
     dimension (1, or 2 for rows).  In a file of at least ``FAST_READ_BYTES``
-    each of them that is a JSON list of integers, or of equally long rows
-    of them, comes back as a read-only int64 array; everything else is what
-    ``json`` gives, and a file that the byte checks cannot prove well formed
+    each of them that is a JSON list of non-negative integers, or of equally
+    long rows of them, comes back as a read-only int64 array; everything
+    else is what ``json`` gives, and a file that the byte checks cannot prove well formed
     is decoded by ``json`` alone.  A file that is not UTF-8, not JSON,
     nested deeper than ``json`` can decode, or not an object is a
     DomainError that names the path.

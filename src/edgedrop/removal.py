@@ -155,22 +155,15 @@ class SourcePartition:
         return [tuple(np.unique(d).tolist()) for d in digits]
 
 
-def fiber_edge_values(
-    table: GlobalCodeTable, edge_id: str, part: SourcePartition
-) -> dict[Label, int] | None:
-    """The induced label-to-message map, or None if any part sees two values.
-
-    Existence of this map is exactly the requirement that the partition
-    determines the edge message.
-    """
+def fiber_edge_values(table: GlobalCodeTable, edge_id: str, part: SourcePartition) -> bool:
+    """Whether the partition determines the edge message: every part sees
+    one value of it."""
     if part.source_sizes != table.source_sizes:
         raise DomainError("partition and table cover different source spaces")
     column = table.edge_values(edge_id)
     induced = np.zeros(len(part.keys), dtype=column.dtype)
     induced[part.ids] = column
-    if not np.array_equal(induced[part.ids], column):
-        return None
-    return dict(zip(part.keys, induced.tolist()))
+    return bool(np.array_equal(induced[part.ids], column))
 
 
 def fibers_are_products(part: SourcePartition) -> bool:
@@ -373,7 +366,7 @@ def restrict_code(
     the chosen part must pass the witness bounds for eps against the edge
     alphabet.
     """
-    if fiber_edge_values(table, edge_id, part) is None:
+    if not fiber_edge_values(table, edge_id, part):
         raise PreconditionError("partition does not determine the edge message")
     if not fibers_are_products(part):
         raise PreconditionError("partition has a non-product part")

@@ -302,12 +302,10 @@ def random_hom_witness(rng, max_order, size_pool, max_sources, product_cap):
         digits = oracle_digits(idx, sizes)
         table.append(sum(c * d for c, d in zip(coeffs, digits)) % m)
     groups = [CyclicGroup(n) for n in sizes]
-    derived = derive_edge_group(tuple(table), groups)
-    if derived is None:
-        return None
-    witness = check_cwl(tuple(table), groups, *derived)
+    witness = derive_edge_group(tuple(table), groups)
     if witness is None:
         return None
+    assert check_cwl(tuple(table), groups, witness.edge_group, witness.edge_support) is not None
     return sizes, tuple(table), witness
 
 
@@ -455,6 +453,21 @@ def random_balanced_map(rng) -> dict[int, int]:
     values = [codomain[i // f] for i in range(q * f)]
     rng.shuffle(values)
     return dict(zip(domain, values))
+
+
+def relabel_balanced(g: dict) -> tuple[dict, dict, CwlWitness | None]:
+    """A balanced map as the second projection of Z_f x Z_q after relabeling
+    both sides: domain element a is labeled (its position in its fiber, the
+    fiber's index) and value b its index in the sorted codomain.  Returns
+    the two labelings and ``check_cwl``'s witness for the projection."""
+    codomain = sorted(set(g.values()))
+    fibers = [[a for a in sorted(g) if g[a] == b] for b in codomain]
+    f, q = len(fibers[0]), len(codomain)
+    assert all(len(fiber) == f for fiber in fibers), "the map is not balanced"
+    domain_labels = {a: (i, j) for j, fiber in enumerate(fibers) for i, a in enumerate(fiber)}
+    projection = [j for _ in range(f) for j in range(q)]
+    witness = check_cwl(projection, [CyclicGroup(f), CyclicGroup(q)], CyclicGroup(q), range(q))
+    return domain_labels, {b: j for j, b in enumerate(codomain)}, witness
 
 
 # The symmetric group S3 as a Cayley table: 0 is the identity, 1 and 2 the

@@ -26,11 +26,11 @@ import pytest
 from test_golden import CORPUS, GOLDEN_DIR
 from edgedrop import network
 from edgedrop.cli import ERROR_ABOVE_EPS, build_parser, main
-from edgedrop.codes import load_code, relay_instance, save_code, tabulate
+from edgedrop.codes import NetworkCode, load_code, relay_instance, save_code, tabulate
 from edgedrop.errors import InternalCheckError
 from edgedrop.groups import MAX_GROUP_NESTING
 from edgedrop.library import butterfly
-from edgedrop.network import json_bytes, load_instance, save_instance
+from edgedrop.network import Edge, NetworkInstance, Source, json_bytes, load_instance, save_instance
 
 
 def _write_pair(tmp_path, inst, code, stem="net"):
@@ -43,6 +43,40 @@ def _write_pair(tmp_path, inst, code, stem="net"):
 
 def _stdout_report(capsys):
     return json.loads(capsys.readouterr().out)
+
+
+def test_a_repeated_terminal_is_refused(tmp_path, capsys):
+    """Terminal t listed twice, demanding s1 and then s2.  Its decoder was
+    read for the first entry alone, so the demand for s2 went unchecked and
+    a code that sends s2 as a constant verified."""
+    inst = NetworkInstance(
+        nodes=("s1", "s2", "t"),
+        edges=(Edge("a", "s1", "t", 2), Edge("b", "s2", "t", 2)),
+        sources=(Source("s1", 2), Source("s2", 2)),
+        terminals=("t", "t"),
+        demands=((1, 0), (0, 1)),
+    )
+    decoder = [[0], [0], [1], [1]]  # inputs (a, b): the first is s1
+    code = NetworkCode(1, (2, 2), {"a": 2, "b": 2}, {"a": [0, 1], "b": [0, 0]}, {"t": decoder})
+    inst_path, code_path = _write_pair(tmp_path, inst, code)
+    assert main(["validate", inst_path]) == 1
+    assert _stdout_report(capsys)["result"]["problems"] == ["duplicate terminal 't'"]
+    assert main(["verify", inst_path, code_path, "--rates", "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: duplicate terminal 't'" in captured.err
+
+
+@pytest.mark.parametrize("blocklength", [0, -1])
+def test_blocklength_below_one_is_refused(tmp_path, capsys, blocklength):
+    """Blocklength 0 made every bit-rate target 2**0 = 1, so any rate
+    verified, and blocklength -1 wrote the target 0.5 into the report."""
+    inst, code = butterfly()
+    inst_path, code_path = _write_pair(tmp_path, inst, dataclasses.replace(code, blocklength=blocklength))
+    assert main(["verify", inst_path, code_path, "--rates", "5,5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: blocklength must be >= 1, got {blocklength}" in captured.err
 
 
 def test_validate_exit_codes(tmp_path, capsys):
@@ -823,6 +857,14 @@ def test_case_study_caps_refuse_large_parameters(argv, message, capsys):
         ({"sources": [{"kind": "table"}] * 2}, "table group description is missing 'table'"),
         ({"sources": 5}, "'sources' must list the source group descriptions"),
         ({"edge_support": 5}, "'edge_support' must be a list of integers"),
+        (
+            {"sources": [{"kind": "product", "order": 99, "factors": [{"kind": "cyclic", "order": 2}]}] * 2},
+            "declared order does not match the product group's order",
+        ),
+        (
+            {"sources": [{"kind": "table", "order": 99, "table": [[0, 1], [1, 0]]}] * 2},
+            "declared order does not match the table group's order",
+        ),
     ],
 )
 def test_groups_files_name_the_bad_field(edit, message, tmp_path, capsys):
@@ -881,6 +923,22 @@ def test_pwl_remove_on_nonzero_error_code_is_not_found(tmp_path, capsys):
     assert result == {"found": False, "reason": "code error exceeds the requested eps"}
 
 
+def test_pwl_remove_refuses_a_repeated_support_symbol(tmp_path, capsys):
+    """A repeated symbol was once accepted and counted in the divisor
+    ``len(edge_support) * K`` of the kept-symbol bound."""
+    golden = Path(__file__).parent / "golden" / "inputs"
+    pieces = json.loads((golden / "shift44.pieces.json").read_text())
+    pieces["edge_support"] = [*pieces["edge_support"], pieces["edge_support"][-1]]
+    pieces_path = tmp_path / "pieces.json"
+    pieces_path.write_text(json.dumps(pieces))
+    argv = ["pwl-remove", str(golden / "shift44.instance.json"),
+            str(golden / "shift44.code.json"), "--edge", "e", "--pieces", str(pieces_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: support symbols must be distinct" in captured.err
+
+
 @pytest.mark.parametrize(
     "mutation",
     ["boolean subsets", "float phi", "both"],
@@ -901,17 +959,6 @@ def test_pwl_remove_piece_files_take_integers_only(tmp_path, capsys, mutation):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be an integer" in captured.err
-
-
-@pytest.mark.parametrize("command", ["cwl-check", "cwl-search"])
-def test_failed_self_check_of_a_derived_structure_exits_3(tmp_path, capsys, monkeypatch, command):
-    inst, code = relay_instance([4, 4], 4, tabulate([4, 4], lambda a, b: (a + b) % 4))
-    inst_path, code_path = _write_pair(tmp_path, inst, code)
-    monkeypatch.setattr("edgedrop.cwl.check_cwl", lambda *args: None)
-    assert main([command, inst_path, code_path, "--edge", "e"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "internal error: derived edge structure failed re-verification" in captured.err
 
 
 def test_consecutive_main_calls_share_one_parser(tmp_path, capsys):

@@ -183,7 +183,7 @@ def test_code_json_roundtrip(tmp_path):
     path = tmp_path / "code.json"
     save_code(code, path)
     again = load_code(path)
-    assert again == code
+    assert json_bytes(again) == json_bytes(code)
     assert validate_code(inst, again) == []
 
 

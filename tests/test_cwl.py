@@ -25,6 +25,7 @@ from conftest import (
     random_balanced_map,
     random_coordinate_characterization,
     random_hom_witness,
+    relabel_balanced,
     relabel_table,
     s3,
 )
@@ -51,7 +52,6 @@ from edgedrop.cwl import (
     cwl_search,
     derive_edge_group,
     piecewise_remove,
-    relabel_balanced,
     witness_partition,
 )
 from edgedrop.errors import DomainError, InternalCheckError, PreconditionError
@@ -125,11 +125,10 @@ def test_derive_edge_group_from_negated_xor():
     groups = [CyclicGroup(2), CyclicGroup(2)]
     derived = derive_edge_group(phi, groups)
     assert derived is not None
-    g, support = derived
-    assert support == (0, 1)
+    assert derived.edge_support == (0, 1)
     # Symbol 1 is the image of the identity tuple, so it is the unit.
-    assert g.identity == 1
-    assert check_cwl(phi, groups, g, support) is not None
+    assert derived.edge_group.identity == 1
+    assert check_cwl(phi, groups, derived.edge_group, derived.edge_support) is not None
 
 
 def test_derive_edge_group_refuses_and():
@@ -139,8 +138,7 @@ def test_derive_edge_group_refuses_and():
 def test_witness_partition_low_bit_sum():
     phi = tabulate([4, 4], lambda a, b: (a + b) % 2)
     groups = [CyclicGroup(4), CyclicGroup(4)]
-    g, support = derive_edge_group(phi, groups)
-    w = check_cwl(phi, groups, g, support)
+    w = derive_edge_group(phi, groups)
     classes = coordinate_classes(w)
     assert classes == [[[0, 2], [1, 3]], [[0, 2], [1, 3]]]
     assert classes_equal_sized(classes)
@@ -156,8 +154,7 @@ def test_cwl_remove_butterfly_rates():
         table = build_global_table(inst, code)
         phi = table.edge_values("bottleneck")
         groups = [CyclicGroup(s) for s in table.source_sizes]
-        g, support = derive_edge_group(phi, groups)
-        w = check_cwl(phi, groups, g, support)
+        w = derive_edge_group(phi, groups)
         result = cwl_remove(table, "bottleneck", w, Fraction(0))
         cert = result.certificate
         assert cert.promised_cardinalities == expected
@@ -174,8 +171,7 @@ def test_cwl_remove_rejects_foreign_witness():
     # A witness for the negated function does not match the real column.
     w = check_cwl((1, 0, 0, 1), [CyclicGroup(2), CyclicGroup(2)], CyclicGroup(2), (0, 1))
     assert w is None  # negated xor is not a homomorphism onto plain Z_2
-    derived = derive_edge_group((1, 0, 0, 1), [CyclicGroup(2), CyclicGroup(2)])
-    w = check_cwl((1, 0, 0, 1), [CyclicGroup(2), CyclicGroup(2)], *derived)
+    w = derive_edge_group((1, 0, 0, 1), [CyclicGroup(2), CyclicGroup(2)])
     with pytest.raises(PreconditionError):
         cwl_remove(table, "bottleneck", w, Fraction(0))
 
@@ -253,16 +249,15 @@ def test_piecewise_remove_requires_zero_error():
 
 def test_relabel_balanced_roundtrip():
     g = {0: 5, 1: 7, 2: 9, 3: 5, 4: 7, 5: 9}
-    r = relabel_balanced(g)
-    assert r.fiber_size == 2
-    assert r.codomain_size == 3
-    assert r.codomain_labels == {5: 0, 7: 1, 9: 2}
+    domain_labels, codomain_labels, w = relabel_balanced(g)
+    assert codomain_labels == {5: 0, 7: 1, 9: 2}
     # Composing the relabelings reproduces the original map.
     for a, value in g.items():
-        pos, fiber = r.domain_labels[a]
-        assert fiber == r.codomain_labels[value]
-    assert r.witness is not None
-    assert r.witness.edge_support == (0, 1, 2)
+        pos, fiber = domain_labels[a]
+        assert fiber == codomain_labels[value]
+        assert w.phi_table()[pos * 3 + fiber] == fiber
+    assert w.source_sizes == (2, 3)
+    assert w.edge_support == (0, 1, 2)
 
 
 def test_characterize_witness_rejects_one_tuple_off_the_coset_law():
@@ -281,14 +276,6 @@ def test_characterize_witness_rejects_one_tuple_off_the_coset_law():
     bad = CwlWitness((source,), edge, (0, 1, 2, 3), tuple(hom.tolist()))
     with pytest.raises(InternalCheckError, match="coset law"):
         characterize_witness(bad)
-
-
-def test_relabel_balanced_rejects_skew():
-    with pytest.raises(PreconditionError):
-        relabel_balanced({0: 5, 1: 5, 2: 7})  # sizes cannot divide evenly
-    with pytest.raises(PreconditionError) as err:
-        relabel_balanced({0: 5, 1: 5, 2: 5, 3: 7})
-    assert "5" in str(err.value) or "7" in str(err.value)
 
 
 def test_characterize_witness_of_xor():
@@ -540,10 +527,9 @@ def test_random_homomorphisms_have_witnesses():
             digits.reverse()
             table.append(sum(c * d for c, d in zip(coeffs, digits)) % m)
         groups = [CyclicGroup(n) for n in sizes]
-        derived = derive_edge_group(tuple(table), groups)
-        assert derived is not None
-        w = check_cwl(tuple(table), groups, *derived)
+        w = derive_edge_group(tuple(table), groups)
         assert w is not None
+        assert check_cwl(tuple(table), groups, w.edge_group, w.edge_support) is not None
         part = witness_partition(w)
         assert fibers_are_products(part)
         assert classes_equal_sized(coordinate_classes(w))
@@ -607,7 +593,7 @@ def test_derive_and_check_cwl_match_scalar_oracles():
         if expected is None:
             assert derived is None
         else:
-            g, support = derived
+            g, support = derived.edge_group, derived.edge_support
             assert (g.describe()["table"], support) == expected
             assert check_cwl(values, groups, g, support) is not None
         support = tuple(sorted(set(values)))
@@ -638,7 +624,7 @@ def test_group_checks_match_oracles_on_acceptance_witnesses():
             checked += 1
     rng = random.Random(4057)
     for _ in range(100):
-        w = relabel_balanced(random_balanced_map(rng)).witness
+        w = relabel_balanced(random_balanced_map(rng))[2]
         dom = ReferenceGroup(ProductGroup(w.source_groups))
         assert oracle_is_homomorphism(dom, ReferenceGroup(w.edge_group), w.hom)
         checked += 1
@@ -719,7 +705,8 @@ def test_certify_cwl_routes():
 
     derived = key(certify_cwl(phi, groups))
     assert derived == key(certify_cwl(f, groups))
-    assert derived == key(check_cwl(phi, groups, *derive_edge_group(f, groups)))
+    w = derive_edge_group(f, groups)
+    assert derived == key(check_cwl(phi, groups, w.edge_group, w.edge_support))
     assert certify_cwl(phi, groups, (CyclicGroup(4), (0, 1, 2, 3))).hom.tolist() == list(phi)
     # The support order fixes the element ids.
     assert certify_cwl(phi, groups, (CyclicGroup(4), (0, 3, 2, 1))).hom.tolist() == [
@@ -728,6 +715,25 @@ def test_certify_cwl_routes():
     assert certify_cwl(phi, groups, (CyclicGroup(4), (0, 2, 1, 3))) is None
     with pytest.raises(DomainError, match="encoding function is over"):
         certify_cwl(f, [CyclicGroup(16)])
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["derived", "given"])
+def test_a_witness_costs_one_homomorphism_proof(monkeypatch, given):
+    """``certify_cwl`` proves the homomorphism law once, whether it derives
+    the edge structure or checks the one it is given."""
+    calls = []
+    prove = cwl.is_homomorphism
+
+    def counted(*args):
+        calls.append(args)
+        return prove(*args)
+
+    monkeypatch.setattr(cwl, "is_homomorphism", counted)
+    phi = tabulate([4, 4], lambda a, b: (a + 3 * b) % 4)
+    groups = [CyclicGroup(4), CyclicGroup(4)]
+    edge = (CyclicGroup(4), (0, 1, 2, 3)) if given else None
+    assert certify_cwl(phi, groups, edge) is not None
+    assert len(calls) == 1
 
 
 def test_group_proofs_make_linear_op_calls(monkeypatch):

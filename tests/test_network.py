@@ -96,6 +96,27 @@ def test_validate_flags_structural_defects():
     assert any("ghost" in p for p in validate_instance(stray))
 
 
+@pytest.mark.parametrize("names", ["nodes", "edges", "sources", "terminals"])
+def test_validate_names_each_repeated_name(names):
+    """Every list of names refuses a repeat, the terminals too: a repeated
+    terminal once left its second demand column unchecked.  Repeated nodes
+    are reported as such, and once were reported as a cycle too."""
+    base = _line_instance()
+    repeated = {names: getattr(base, names) * 2}
+    if names == "sources":
+        repeated["demands"] = base.demands * 2
+    if names == "terminals":
+        repeated["demands"] = tuple(row * 2 for row in base.demands)
+    expected = {
+        "nodes": ["node 's1'", "node 'u'", "node 't'"],
+        "edges": ["edge 'a'", "edge 'b'"],
+        "sources": ["source 's1'"],
+        "terminals": ["terminal 't'"],
+    }[names]
+    problems = validate_instance(dataclasses.replace(base, **repeated))
+    assert problems == [f"duplicate {name}" for name in expected]
+
+
 def test_demanded_sources_order():
     inst = NetworkInstance(
         nodes=("s1", "s2", "t1", "t2"),
@@ -232,6 +253,8 @@ def _array_trees(draw):
     def array(shape_of):
         shape = shape_of(draw(rows))
         palette = draw(st.lists(_INT64 | _DIGIT_EDGES | st.integers(-12, 12), min_size=1, max_size=6))
+        if draw(st.booleans()):  # the writer writes only arrays with no negative entry
+            palette = [abs(v) for v in palette if v > -(2**63)] or [0]
         picks = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         values = picks.choice(np.array(palette, dtype=np.int64), size=int(np.prod(shape)))
         dtype = draw(st.sampled_from([np.int64, np.int64, np.int32, np.uint8, np.bool_]))
@@ -261,11 +284,12 @@ def test_json_bytes_writes_arrays_as_their_lists(tree):
 
 
 def _big_array(seed: int, rows: int, width: int, scale: int) -> np.ndarray:
-    values = np.random.default_rng(seed).integers(-scale, scale, rows * max(width, 1))
+    values = np.random.default_rng(seed).integers(0, scale, rows * max(width, 1))
     return values.reshape(rows, width) if width else values
 
 
-# int64 arrays that json_bytes splices in: 1-D, or rows of width 1 to 3.
+# int64 arrays that json_bytes splices in: 1-D, or rows of width 1 to 3,
+# with no negative entry.
 _SPLICED = st.builds(
     _big_array,
     st.integers(0, 2**32 - 1),
@@ -300,6 +324,16 @@ def test_json_bytes_splices_arrays_into_the_skeleton(tree):
     got = network.json_bytes(tree, end=b"\n")
     assert got.splitlines() == want.splitlines()
     assert got == want + b"\n" and network.json_bytes(tree) == want
+
+
+@pytest.mark.parametrize("lowest", [-1, -(2**63)], ids=["negative", "int64-min"])
+@pytest.mark.parametrize("shape", [(300,), (100, 3), (2 * network._WRITE_ROWS, 1)])
+def test_arrays_with_a_negative_entry_take_the_list_path(lowest, shape):
+    arr = np.arange(np.prod(shape), dtype=np.int64).reshape(shape)
+    arr.flat[arr.size // 2] = lowest
+    assert network._int_array_json(arr, "\n") is None
+    want = json_bytes({"t": arr.tolist()})
+    assert json_bytes({"t": arr}) == want and want.decode() == _oracle_json({"t": arr.tolist()})
 
 
 class _Level(enum.IntEnum):

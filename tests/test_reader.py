@@ -108,11 +108,11 @@ def test_table_reader_on_each_token(token):
     "text, shape",
     [
         ("[]", (0,)),
-        ("[-0]", (1,)),
+        ("[0]", (1,)),
         ("[[],[]]", (2, 0)),
         ("[[5],[6]]", (2, 1)),
-        ("[ [1 ,2] ,\r\n\t[3, -4] ]", (2, 2)),
-        ("[999999999999999999,-99999999999999999]", (2,)),
+        ("[ [1 ,2] ,\r\n\t[3, 4] ]", (2, 2)),
+        ("[999999999999999999,99999999999999999]", (2,)),
     ],
 )
 def test_table_reader_reads_well_formed_tables(text, shape):
@@ -125,6 +125,8 @@ def test_table_reader_reads_well_formed_tables(text, shape):
     [
         "[01]", "[-01]", "[1,]", "[,1]", "[1 2]", "[[1],[2,3]]", "[[1],2]", "[[[1]]]",
         "[1.0]", "[true]", "[1e3]", "[-]", "[1234567890123456789]", "[+1]", "[1]]",
+        # Negative entries are left to json.
+        "[-0]", "[-4]", "[[1,2],[3,-4]]", "[999999999999999999,-99999999999999999]",
         # Ragged rows whose delimiters are as long as rectangular ones.
         "[[1,2],[3,4],[5],[6,7,8]]", "[[1,2],[3,4],[5,6],[7],[8,9,1]]", "[[1],[],[2]]",
     ],
@@ -174,8 +176,9 @@ def code_texts(draw):
 
 
 def _parsed(data):
+    """The code's ``json_bytes``, or the message that refuses it."""
     try:
-        return parse_code(data)
+        return json_bytes(parse_code(data))
     except DomainError as exc:
         return str(exc)
 
@@ -218,7 +221,7 @@ def test_large_codes_load_without_the_per_entry_check(tmp_path, monkeypatch, lay
         raise AssertionError("per-entry table check")
 
     monkeypatch.setattr(network, "_int_entries", refuse)
-    assert load_code(str(path)) == expected
+    assert json_bytes(load_code(str(path))) == json_bytes(expected)
 
 
 # Where a token goes in an indented code file: a string, a key, a table.
@@ -243,7 +246,7 @@ def test_nan_and_infinity_anywhere_hand_the_file_to_json(tmp_path, token, place)
     path = tmp_path / "nan.code.json"
     path.write_text(text)
     try:
-        got = load_code(str(path))
+        got = json_bytes(load_code(str(path)))
     except DomainError as exc:
         got = str(exc)
     assert got == _parsed(json.loads(text))
@@ -270,7 +273,7 @@ def test_threaded_table_reader_on_each_token(monkeypatch, token):
 def _large_table(indent) -> str:
     """About 1 MB of table text, 1-D when compact and rows of three when
     indented; its entries span the lengths the reader accepts."""
-    values = np.random.default_rng(5).integers(-(10**17), 10**17, 3 * 20000)
+    values = np.random.default_rng(5).integers(0, 10**18, 3 * 20000)
     values[::3] %= 1000
     if indent is None:
         return _dump(values.tolist(), None)
@@ -405,13 +408,14 @@ def test_zeros_in_numbers_read_as_json_does(case, where, entries, tmp_path):
     assert as_lists(got) == expected
 
 
-# ---------------------------------------- unsigned and signed conversion
-# A table with no minus sign is converted as uint64 and viewed as int64; one
-# minus sign anywhere sends the whole table through the int64 conversion.
-# A compact table is converted from its numbers alone, an indented one from
-# its text with the brackets read as spaces.
+# ---------------------------------------- unsigned conversion
+# A table is converted as uint64 and viewed as int64; one minus sign
+# anywhere hands the whole table to json.  A compact table is converted from
+# its numbers alone, an indented one from its text with the brackets read as
+# spaces.
 
-SIGN_CASES = ["999999999999999999", str(10**17), "-99999999999999999", "-7", "-0"]
+UNSIGNED_CASES = ["999999999999999999", str(10**17), "0", "7"]
+SIGNED_CASES = ["-99999999999999999", "-7", "-0"]
 MARKER = 123456789012345678  # 18 digits, so no entry drawn below spells it
 
 
@@ -427,11 +431,9 @@ def _table_with(entry: str, where: str, entries: int, indent) -> str:
     return text.replace(str(MARKER), entry)
 
 
-@pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indent=2"])
-@pytest.mark.parametrize("entries", [300, 12000], ids=["inline", "worker"])
-@pytest.mark.parametrize("where", ["first", "middle", "last"])
-@pytest.mark.parametrize("entry", SIGN_CASES)
-def test_unsigned_and_signed_conversions_read_as_json_does(monkeypatch, entry, where, entries, indent):
+@pytest.fixture
+def conversions(monkeypatch) -> list:
+    """The dtypes ``np.fromstring`` is called with, in order."""
     dtypes = []
     fromstring = np.fromstring
 
@@ -440,10 +442,36 @@ def test_unsigned_and_signed_conversions_read_as_json_does(monkeypatch, entry, w
         return fromstring(text, dtype=dtype, sep=sep)
 
     monkeypatch.setattr(network.np, "fromstring", spy)
+    return dtypes
+
+
+@pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indent=2"])
+@pytest.mark.parametrize("entries", [300, 12000], ids=["inline", "worker"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("entry", UNSIGNED_CASES)
+def test_tables_convert_as_uint64_and_read_as_json_does(conversions, entry, where, entries, indent):
     text = _table_with(entry, where, entries, indent)
     assert (len(text) >= PARALLEL_PARSE_BYTES) == (entries > 300)
     assert _agrees_with_json(text)
-    assert dtypes == [np.dtype(np.int64 if "-" in entry else np.uint64)]
+    assert conversions == [np.dtype(np.uint64)]
+
+
+@pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indent=2"])
+@pytest.mark.parametrize("entries", [600, 12000], ids=["inline", "worker"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("entry", SIGNED_CASES)
+def test_signed_tables_are_handed_to_json(tmp_path, entry, where, entries, indent):
+    """The table reader refuses a table with a minus sign, and ``load_json``
+    gives the list that ``json`` reads."""
+    table = _table_with(entry, where, entries, indent)
+    assert (len(table) >= PARALLEL_PARSE_BYTES) == (entries > 600)
+    assert _read(table) is None
+    text = '{"decoders": {"t": %s}}' % table
+    assert len(text) >= FAST_READ_BYTES
+    path = tmp_path / "signed.code.json"
+    path.write_text(text)
+    got = load_json(str(path), codes._code_tables)["decoders"]["t"]
+    assert type(got) is list and got == json.loads(text)["decoders"]["t"]
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 17, 18])
@@ -455,8 +483,8 @@ def test_pair_checks_hold_across_scan_chunks(monkeypatch, chunk):
     for digits in range(1, 19):
         head = "[" + "9" * digits + ","
         assert _read(head + "1" * 18 + ",0]").tolist() == [int("9" * digits), int("1" * 18), 0]
-        assert _read(head + "-" + "1" * 17 + "]")[1] == -int("1" * 17)
-        for refused in ("1" * 19, "-" + "1" * 18, "01", "-01", "1,,2", "1-2", "1]"):
+        assert _read(head + "0," + "1" * 17 + "]").tolist()[1:] == [0, int("1" * 17)]
+        for refused in ("1" * 19, "-1", "-" + "1" * 17, "01", "-01", "1,,2", "1-2", "1]"):
             assert _read(head + refused + "]") is None, (chunk, digits, refused)
 
 

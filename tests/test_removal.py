@@ -120,9 +120,9 @@ def test_fiber_edge_values():
     inst, code = butterfly()
     table = build_global_table(inst, code)
     by_edge = SourcePartition.from_edge_values(table, "bottleneck")
-    assert fiber_edge_values(table, "bottleneck", by_edge) == {0: 0, 1: 1}
+    assert fiber_edge_values(table, "bottleneck", by_edge) is True
     # A single part cannot determine a non-constant message.
-    assert fiber_edge_values(table, "bottleneck", SourcePartition.whole((2, 2))) is None
+    assert fiber_edge_values(table, "bottleneck", SourcePartition.whole((2, 2))) is False
     with pytest.raises(DomainError):
         fiber_edge_values(table, "bottleneck", SourcePartition.whole((2, 3)))
 
@@ -274,7 +274,7 @@ def test_random_restrictions_reverify(tmp_path=None):
         part = random_partition(rng, table)
         edge = rng.choice(inst.edges).id
         eps = rng.choice([Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)])
-        if fiber_edge_values(table, edge, part) is None:
+        if not fiber_edge_values(table, edge, part):
             continue
         if not fibers_are_products(part):
             continue
@@ -404,7 +404,7 @@ def _removals(rng, table, edge_id):
     """The certified removals of one edge of a zero-error code, by route."""
     groups = [CyclicGroup(n) for n in table.source_sizes]
     part = random_partition(rng, table)
-    if fiber_edge_values(table, edge_id, part) is not None and fibers_are_products(part):
+    if fiber_edge_values(table, edge_id, part) and fibers_are_products(part):
         label = find_witness(table, edge_id, part, Fraction(0))
         if label is not None:
             yield "label", restrict_code(table, edge_id, part, label, Fraction(0))

@@ -18,7 +18,6 @@ SRC = pathlib.Path(edgedrop.__file__).parent
 LAYERS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 ALLOWED = {
-    "relabel_balanced": "the balanced-map relabeling, library API of criterion 8 (ROADMAP item 3)",
     "restrict_to_product": "the product-set route, wrapped by perfbench/layers.py",
 }
 
