@@ -330,10 +330,8 @@ class GlobalCodeTable:
 
     def edge_values(self, edge_id: str) -> np.ndarray:
         """One edge's message for every source tuple, as an array."""
-        try:
-            return self.rows[:, self._edge_pos[edge_id]]
-        except KeyError:
-            raise DomainError(f"unknown edge ids {[edge_id]}") from None
+        self.inst.edge(edge_id)  # an unknown id is its DomainError
+        return self.rows[:, self._edge_pos[edge_id]]
 
     @property
     def error(self) -> Fraction:

@@ -469,50 +469,15 @@ def _json_key(key) -> str:
 # measurement is in CHANGES.md).
 FAST_READ_BYTES = 1 << 12
 
-# The table text keeps every byte but JSON whitespace, which it deletes.  The
-# brackets become \v and \f, which ``np.fromstring`` skips as it skips
-# spaces, so the text is its input as it stands; a raw \v or \f, which
-# JSON refuses, becomes NUL.  A compact table's numbers alone, its bytes
-# with brackets and whitespace deleted, are converted faster still.
-_TEXT = bytes.maketrans(b"[]\v\f", b"\v\f\0\0")
+# A table's whitespace is deleted; its numbers are its text without
+# brackets, and its delimiters its text without digits.
 _WHITESPACE = b" \t\n\r"
 _NOT_NUMBERS = _WHITESPACE + b"[]"
-
-# One class byte per text byte: a nonzero digit, zero, comma and the two
-# brackets, and 0 for anything else, a minus sign too, so that a table with
-# a negative entry is left to ``json``; ``_RAW_CLASSES`` reads raw bytes.
-_DIGIT, _ZERO, _COMMA, _OPEN, _CLOSE = range(1, 6)
-_CLASSES = bytearray(256)
-for _ch, _cls in zip(b"1234567890,\v\f", [_DIGIT] * 9 + [_ZERO, _COMMA, _OPEN, _CLOSE]):
-    _CLASSES[_ch] = _cls
-_CLASSES = bytes(_CLASSES)
-_RAW_CLASSES = _TEXT.translate(_CLASSES)
-_NUMBER_CLASSES = bytes([_DIGIT, _ZERO])
-_EMPTY_ROW = bytes([_OPEN, _CLOSE])
-
-# Pair codes, indexed by 8 * class + next class: 0 refused, 1 allowed
-# between tokens, 3 and 5 allowed inside a number, 5 where a zero is
-# followed by a digit, 4 a zero that starts a number.  A 4 followed by a 5
-# is a leading zero, and 18 inside-number codes in a row make a number of
-# more than 18 digits, which may not fit in int64 and is left to
-# ``json``.  Most tables hold no 5, so the leading-zero check is one search
-# for a single byte.
-_FOLLOW = bytearray(256)
-for _a, _next in {
-    _DIGIT: ((_DIGIT, 3), (_ZERO, 3), (_COMMA, 1), (_CLOSE, 1)),
-    _ZERO: ((_DIGIT, 5), (_ZERO, 5), (_COMMA, 1), (_CLOSE, 1)),
-    _COMMA: ((_DIGIT, 1), (_ZERO, 4), (_OPEN, 1)),
-    _OPEN: ((_DIGIT, 1), (_ZERO, 4), (_OPEN, 1), (_CLOSE, 1)),
-    _CLOSE: ((_COMMA, 1), (_CLOSE, 1)),
-}.items():
-    for _b, _code in _next:
-        _FOLLOW[_a * 8 + _b] = _code
-_FOLLOW = bytes(_FOLLOW)
-_INSIDE = bytes.maketrans(b"\5", b"\3")
+_NOT_DELIMS = _WHITESPACE + b"0123456789"
 # Table text is translated this many bytes at a time, so that no buffer
 # but the file itself is as large as a table with its whitespace.
 _CHUNK = 1 << 22
-# The numpy scans read this many bytes at a time, which keeps their
+# ``_number_starts`` reads this many bytes at a time, which keeps its
 # temporaries in cache: twice as fast as whole 2.5 MB tables on 2 vCPUs.
 _SCAN_CHUNK = 1 << 18
 
@@ -525,11 +490,10 @@ def _translated(raw: bytes, first: int, last: int, table: bytes | None, delete: 
 
 
 def _number_starts(raw: bytes, first: int, last: int) -> int:
-    """How many runs of digits start in ``raw[first:last]``, chunk by chunk
-    (each chunk reaches one byte into the next, which counts its own
-    starts).  Once the class checks have passed, the runs are the
-    numbers."""
-    starts = 0
+    """How many runs of digits start in ``raw[first:last]``, one at
+    ``first`` included, chunk by chunk (each chunk reaches one byte into the
+    next, which counts its own starts)."""
+    starts = int(raw[first : first + 1].isdigit())
     for i in range(first, last, _SCAN_CHUNK):
         u = np.frombuffer(raw, dtype=np.uint8, count=min(_SCAN_CHUNK + 1, last - i), offset=i)
         num = u - ord("0") < 10
@@ -540,146 +504,134 @@ def _number_starts(raw: bytes, first: int, last: int) -> int:
 # Tables whose bytes span at least this many are converted on a second
 # thread while this one runs the checks; ``np.fromstring`` releases the GIL.
 # A thread start and join cost some 40 us.  Median of 7 x 20 reads on 2
-# vCPUs of rows of three numbers below 16, serial against threaded: compact
-# 16.6 KiB 130 against 150-174 us, 20.2 KiB 162 against 163, 32.9 KiB 268
-# against 231-235, 65.3 KiB 546 against 406-409; indented (indent=2) 33.6
-# KiB 109 against 140 us, 49.8 KiB 171 against 170, 98.7 KiB 329 against
-# 278.  The compact layout breaks even near 20 KiB and the indented one,
-# whose checks scan all its bytes, near 50 KiB; 32 KiB lies between.
+# vCPUs of rows of three numbers below 16, serial against threaded, two
+# runs: compact 17.8 KiB 198-205 against 269-274 us, 21.5 KiB 244-289
+# against 276-324, 35.6 KiB 497-593 against 434-440, 71.1 KiB 1180 against
+# 802-841; indented (indent=2) 52.9 KiB 386 against 419-464, 105.9 KiB
+# 754-765 against 681-700.  The compact layout breaks even near 25 KiB and
+# the indented one, whose checks scan all its bytes, near 90 KiB.
 PARALLEL_PARSE_BYTES = 1 << 15
 
 
 def _parse(numbers: bytes, out: list) -> None:
     """Append the int64 values of comma-separated ``numbers``, or the
     exception ``np.fromstring`` raised, for the caller to raise once its
-    checks pass.  They are converted as unsigned, which is faster; the
-    checks allow only numbers of at most 18 digits, so each is below 2**63
-    and its int64 view is its value."""
+    checks pass.  They are converted as unsigned, which is faster, and
+    viewed as int64.  A number of 2**63 or more then reads as negative, or
+    past 2**64 as whatever the conversion makes of it; either value needs
+    fewer digits than its text holds, which the caller's digit count refuses."""
     try:
         out.append(np.fromstring(numbers, dtype=np.uint64, sep=",").view(np.int64))
     except Exception as exc:
         out.append(exc)
 
 
+def _shape(delims: bytes, numbers: bytes) -> tuple[int, ...] | None:
+    """The shape that a table's brackets and commas ``delims`` spell, or
+    None: ``[`` ``,`` * (n - 1) ``]`` is a list of n, and ``[`` rows ``]``,
+    each row ``[`` ``,`` * (w - 1) ``]`` and rows joined by ``,``, is rows
+    of w.  Lengths are compared before the rows are spelled, so a deep or
+    ragged text costs memory in proportion to its length.  A row ``[]``
+    spells what ``[5]`` does; it is empty where ``numbers`` is all commas."""
+    nested = delims.startswith(b"[[")
+    row = delims[1 : delims.index(b"]") + 1] if nested else delims
+    if row != b"[" + b"," * (len(row) - 2) + b"]":
+        return None
+    width = len(row) - 1
+    if width == 1 and numbers.count(b",") == len(numbers):
+        width = 0
+    if not nested:
+        return (width,)
+    rows, rest = divmod(len(delims) - 1, len(row) + 1)
+    if rest or not delims.startswith(memoryview((row + b",") * rows)[:-1], 1):
+        return None
+    return (rows, width)
+
+
+def _decimal_length(values: np.ndarray) -> int:
+    """How many digits the int64 ``values`` take in decimal, a negative
+    value counted as one."""
+    total = values.size
+    top = int(values.max())
+    power = 10
+    while power <= top:
+        total += int(np.count_nonzero(values >= power))
+        power *= 10
+    return total
+
+
 def _int_table_text(raw: bytes, first: int, last: int) -> np.ndarray | None:
     """The read-only int64 array that the JSON table ``raw[first:last]``
     spells, if it is a table of integers.
 
-    A 1-D list, or a 2-D list of equally long rows, of JSON integers of at
-    most 18 digits, none negative, is checked by whole-buffer byte operations and
+    A 1-D list, or a 2-D list of equally long rows, of non-negative JSON
+    integers below 2**63 is proven by whole-buffer byte operations and
     converted by one ``np.fromstring``; any other text gives None and is
-    left to ``json``.  Where whitespace was, one numpy scan of the raw bytes
-    proves that none split a number.  A table whose bytes span at least
+    left to ``json``.  With its whitespace deleted, the text's delimiters
+    spell the shape, rows meet bracket to bracket and no number is empty;
+    where whitespace was, none split a number.  The values then need as
+    many digits as the text holds, which a number with a leading zero, or
+    of 2**63 or more, does not.  A table whose bytes span at least
     ``PARALLEL_PARSE_BYTES`` is converted on a second thread while the
-    checks run, joined before this returns or raises; its values are used
-    only once every check has passed, and its exception is raised only
-    then.  Besides the text that is converted, at most two buffers as long
-    as it are alive at once.
+    checks run, joined before this returns or raises; its conversion error
+    is raised only once the checks before the digit count have passed.
     """
-    # A compact table's numbers alone are converted, made in one pass over
-    # the raw bytes, and its class bytes take a second.  An indented table's
-    # bytes are mostly whitespace, and a second pass over them costs more
-    # than the numbers save, so its whitespace goes in one pass and the
-    # conversion and the class bytes read that text.
-    spaced = last - first > 1 and raw[first + 1] in _WHITESPACE
-    if spaced:
-        text = _translated(raw, first, last, _TEXT, _WHITESPACE)
-    else:
-        text = _translated(raw, first, last, None, _NOT_NUMBERS)
+    if last - first < 2 or not raw.startswith(b"[", first) or not raw.endswith(b"]", first, last):
+        return None
+    # An indented table is mostly whitespace, deleted in one pass that the
+    # others read; the passes over a compact table read its bytes.
+    text, lo, hi = raw, first, last
+    if raw[first + 1] in _WHITESPACE:
+        text = _translated(raw, first, last, None, _WHITESPACE)
+        lo, hi = 0, len(text)
+    numbers = _translated(text, lo, hi, None, _NOT_NUMBERS)
     parsed: list = []
     worker = None
     if last - first >= PARALLEL_PARSE_BYTES:
-        worker = threading.Thread(target=_parse, args=(text, parsed))
+        worker = threading.Thread(target=_parse, args=(numbers, parsed))
         worker.start()
     try:
-        if spaced:
-            classes = text.translate(_CLASSES)
-        else:
-            classes = _translated(raw, first, last, _RAW_CLASSES, _WHITESPACE)
-        shape = _table_shape(classes, raw, first, last)
-        del classes  # not alive beside the whole array while the join waits
+        shape = _shape(_translated(text, lo, hi, None, _NOT_DELIMS), numbers)
+        if shape is None:
+            return None
+        count = math.prod(shape)
+        # Without whitespace, the text is its numbers and two brackets around
+        # them and around each row.
+        brackets = 2 + 2 * shape[0] if len(shape) == 2 else 2
+        spaced = len(numbers) + brackets < last - first
+        if len(shape) == 2:
+            if text is raw and spaced:
+                text = _translated(raw, first, last, None, _WHITESPACE)
+                lo, hi = 0, len(text)
+            # Rows meet bracket to bracket, so no digit lies outside a row.
+            if not (
+                text.startswith(b"[[", lo)
+                and text.endswith(b"]]", lo, hi)
+                and text.count(b"],[", lo, hi) == shape[0] - 1
+            ):
+                return None
+        del text
+        if not count:
+            return _frozen(np.empty(shape, dtype=np.int64))
+        # A run of digits starts each number, so none is empty; where
+        # whitespace was deleted, as many start in the bytes, so none split.
+        if _number_starts(numbers, 0, len(numbers)) != count:
+            return None
+        if spaced and _number_starts(raw, first, last) != count:
+            return None
     finally:
         if worker is not None:
             worker.join()
-    if shape is None:
-        return None
-    count = math.prod(shape)
-    values = np.empty(0, dtype=np.int64)
-    if count:
-        if worker is None:
-            _parse(text, parsed)
-        values = parsed[0]
-        if isinstance(values, Exception):
-            raise values
-    if values.size != count:
+    if worker is None:
+        _parse(numbers, parsed)
+    values = parsed[0]
+    if isinstance(values, Exception):
+        raise values
+    digits = len(numbers) - (count - 1)
+    del numbers  # not alive beside the digit count's temporaries
+    if values.size != count or _decimal_length(values) != digits:
         return None
     return _frozen(values.reshape(shape))
-
-
-def _pairs_allowed(classes: bytes) -> bool:
-    """Whether each byte of ``classes`` may follow the one before, no number
-    has a leading zero and none is longer than 18 digits.  The pair
-    codes are made ``_SCAN_CHUNK`` at a time, each chunk reaching 17 codes
-    into the next, so a run of 18 lies whole in the chunk where it starts."""
-    c = np.frombuffer(classes, dtype=np.uint8)
-    n = len(c) - 1
-    for a in range(0, n, _SCAN_CHUNK):
-        b = min(a + _SCAN_CHUNK + 17, n)
-        pairs = bytearray(b - a)
-        codes = np.frombuffer(pairs, dtype=np.uint8)
-        np.multiply(c[a:b], 8, out=codes)
-        codes += c[a + 1 : b + 1]
-        follow = pairs.translate(_FOLLOW)
-        if b"\0" in follow:
-            return False
-        if b"\5" in follow:
-            if b"\4\5" in follow:
-                return False
-            follow = follow.translate(_INSIDE)
-        if b"\3" * 18 in follow:
-            return False
-    return True
-
-
-def _table_shape(classes: bytes, raw: bytes, first: int, last: int) -> tuple[int, ...] | None:
-    """The shape of the table whose text, the JSON table ``raw[first:last]``
-    with its whitespace deleted, has the class bytes ``classes``, as
-    ``_int_table_text`` reads it, or None if the byte checks cannot prove it
-    a table of integers."""
-    if len(classes) < 2 or classes[0] != _OPEN or classes[-1] != _CLOSE:
-        return None
-    if not _pairs_allowed(classes):
-        return None
-    # Brackets and commas alone must spell "[" "," * (n - 1) "]", or
-    # "[" rows "]" with rows "[" "," * (w - 1) "]" joined by ",".
-    delims = classes.translate(None, _NUMBER_CLASSES)
-    if delims[1] != _OPEN:
-        shape: tuple[int, ...] = (len(delims) - 1 if len(classes) > 2 else 0,)
-        if delims.count(_OPEN) != 1 or delims.count(_CLOSE) != 1:
-            return None
-    else:
-        row = delims[1 : delims.index(_CLOSE) + 1]
-        rows = delims.count(_OPEN) - 1
-        period = len(row) + 1
-        if len(delims) != rows * period + 1:
-            return None
-        # Past the first row, the text inside the outer brackets is itself
-        # shifted by one row and the byte after it, which the pair codes
-        # leave only a comma; compared in place, not spelled out.
-        if rows > 1 and not delims.startswith(memoryview(delims)[1 : -1 - period], 1 + period):
-            return None
-        width = len(row) - 1
-        if width == 1:  # rows "[]" and "[5]" spell the same delimiters
-            empty = classes.count(_EMPTY_ROW)
-            if empty not in (0, rows):
-                return None
-            width -= empty // rows
-        shape = (rows, width)
-    # Whitespace inside a number would split it: more numbers would start
-    # in the raw text than the table holds.
-    if len(classes) < last - first and _number_starts(raw, first, last) != math.prod(shape):
-        return None
-    return shape
 
 
 TableSlots = Callable[[object], Iterable[tuple[object, int]]]

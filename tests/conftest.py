@@ -18,10 +18,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import types
 from collections import Counter
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import pytest
 
 from edgedrop.codes import NetworkCode, build_global_table, index_digits, relay_instance
 from edgedrop.cwl import CwlWitness, _coordinate_class_ids, check_cwl, derive_edge_group
@@ -38,6 +41,19 @@ from edgedrop.network import Edge, NetworkInstance, Source, topological_order, v
 from edgedrop.removal import SourcePartition
 
 MAX_TUPLES = 512
+
+ORACLE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    """The benchmark's oracle, ``perfbench/oracle.py``, which imports nothing
+    of ``edgedrop``; compiled from its text, so no bytecode cache is left
+    beside it."""
+    module = types.ModuleType("perfbench_oracle")
+    module.__file__ = str(ORACLE_PATH)
+    exec(compile(ORACLE_PATH.read_text(), str(ORACLE_PATH), "exec"), module.__dict__)
+    return module
 
 
 def oracle_index(values: Sequence[int], sizes: Sequence[int]) -> int:

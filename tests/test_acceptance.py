@@ -9,6 +9,7 @@ are decided on integer counts.
 """
 
 import itertools
+import json
 import math
 import random
 import time
@@ -55,6 +56,7 @@ from edgedrop.groups import (
 )
 from edgedrop.groupcodes import abelian_removal_plan
 from edgedrop.library import butterfly, n2_code_check, n3_injectivity
+from edgedrop.network import json_bytes
 from edgedrop.removal import (
     fiber_edge_values,
     fibers_are_products,
@@ -105,7 +107,7 @@ def _shared_samples():
     return _SAMPLES
 
 
-def test_criterion_01_restriction_soundness(announce):
+def test_criterion_01_restriction_soundness(announce, oracle):
     started = time.perf_counter()
     samples = _shared_samples()
     failures = []
@@ -120,6 +122,13 @@ def test_criterion_01_restriction_soundness(announce):
             continue
         result = restrict_code(table, edge, part, label, eps)
         emitted += 1
+        # The report's fields, audited by the oracle that shares no code.
+        fields = {"certificate": result.certificate, "restricted_instance": result.instance,
+                  "restricted_code": result.code}
+        inst_data, code_data, report = (json.loads(json_bytes(x)) for x in (inst, code, fields))
+        problems = oracle.check_certificate(inst_data, code_data, edge, eps, report)
+        if problems:
+            failures.append(f"sample {count}: oracle: {problems[:3]}")
         edge_size = code.edge_alphabets[edge]
         promised = tuple(-(-n // edge_size) for n in code.source_alphabets)
         if result.certificate.promised_cardinalities != promised:

@@ -793,6 +793,23 @@ def test_an_unknown_builtin_route_names_the_builtins(capsys, monkeypatch):
     assert "builtin:cwl or builtin:edge-value, got 'builtin:cwI'" in err
 
 
+@pytest.mark.parametrize(
+    "command, stem, route",
+    [
+        ("remove-edge", "butterfly", ["--partition", "builtin:cwl"]),
+        ("remove-edge", "butterfly", ["--partition", "builtin:edge-value"]),
+        ("remove-edge", "butterfly", ["--partition", "inputs/butterfly.singles.json"]),
+        ("cwl-check", "butterfly", []),
+        ("cwl-search", "sum33", []),
+    ],
+)
+def test_an_unknown_edge_has_one_message(command, stem, route, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN_DIR)
+    argv = [command, f"inputs/{stem}.instance.json", f"inputs/{stem}.code.json", "--edge", "nope"]
+    assert main(argv + route) == 2
+    assert "error: unknown edge id 'nope'\n" in capsys.readouterr().err
+
+
 def test_cwl_search_makes_at_most_one_rewrite(tmp_path, capsys):
     argv = ["cwl-search", *_write_pair(tmp_path, *butterfly()), "--edge", "bottleneck"]
     assert main(argv + ["--rewrites", "1"]) == 0

@@ -6,12 +6,11 @@ imports nothing of ``edgedrop``, so it checks the program the way the
 benchmark does, on small seeded codes and on every removal certificate and
 CWL witness in the golden reports, every time the tests run.  The file is
 read, never written: it is compiled from its text, so no bytecode cache is
-left beside it.
+left beside it (the ``oracle`` fixture in ``conftest.py``).
 """
 
 import json
 import random
-import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,16 +20,6 @@ from conftest import random_code, random_instance
 from test_golden import CORPUS, EMIT_DIR, GOLDEN_DIR
 from edgedrop.cli import main
 from edgedrop.network import json_bytes
-
-ORACLE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
-
-
-@pytest.fixture(scope="module")
-def oracle():
-    module = types.ModuleType("perfbench_oracle")
-    module.__file__ = str(ORACLE_PATH)
-    exec(compile(ORACLE_PATH.read_text(), str(ORACLE_PATH), "exec"), module.__dict__)
-    return module
 
 
 def test_verify_reports_the_oracles_exact_errors(oracle, tmp_path, capsys):

@@ -113,6 +113,8 @@ def test_table_reader_on_each_token(token):
         ("[[5],[6]]", (2, 1)),
         ("[ [1 ,2] ,\r\n\t[3, 4] ]", (2, 2)),
         ("[999999999999999999,99999999999999999]", (2,)),
+        ("[1234567890123456789]", (1,)),
+        ("[9223372036854775807,1000000000000000000]", (2,)),
     ],
 )
 def test_table_reader_reads_well_formed_tables(text, shape):
@@ -124,7 +126,11 @@ def test_table_reader_reads_well_formed_tables(text, shape):
     "text",
     [
         "[01]", "[-01]", "[1,]", "[,1]", "[1 2]", "[[1],[2,3]]", "[[1],2]", "[[[1]]]",
-        "[1.0]", "[true]", "[1e3]", "[-]", "[1234567890123456789]", "[+1]", "[1]]",
+        "[1.0]", "[true]", "[1e3]", "[-]", "[+1]", "[1]]",
+        # Numbers of 2**63 or more are left to json.
+        "[9223372036854775808]", "[18446744073709551615]", "[12345678901234567890]",
+        # Digits outside a row, or a row with an empty number.
+        "[0[]]", "[0[],0[]]", "[\n6[,]40 ]", "[[1]5,[2]]", "[5[1]]", "[[1,],[2,]]", "[[,1],[,2]]",
         # Negative entries are left to json.
         "[-0]", "[-4]", "[[1,2],[3,-4]]", "[999999999999999999,-99999999999999999]",
         # Ragged rows whose delimiters are as long as rectangular ones.
@@ -273,7 +279,7 @@ def test_threaded_table_reader_on_each_token(monkeypatch, token):
 def _large_table(indent) -> str:
     """About 1 MB of table text, 1-D when compact and rows of three when
     indented; its entries span the lengths the reader accepts."""
-    values = np.random.default_rng(5).integers(0, 10**18, 3 * 20000)
+    values = np.random.default_rng(5).integers(0, 2**63 - 1, 3 * 20000)
     values[::3] %= 1000
     if indent is None:
         return _dump(values.tolist(), None)
@@ -400,19 +406,15 @@ def test_zeros_in_numbers_read_as_json_does(case, where, entries, tmp_path):
         with pytest.raises(DomainError, match="invalid JSON"):
             load_json(str(path), codes._code_tables)
         return
-    # Within 18 characters the table reader reads the table; the 19-character
-    # number goes to json.
-    assert _agrees_with_json(table) == ("1000000000000000000" not in case)
+    assert _agrees_with_json(table)
     got = load_json(str(path), codes._code_tables)[key][tables]
-    assert isinstance(got, np.ndarray) == ("1000000000000000000" not in case)
-    assert as_lists(got) == expected
+    assert isinstance(got, np.ndarray) and as_lists(got) == expected
 
 
 # ---------------------------------------- unsigned conversion
 # A table is converted as uint64 and viewed as int64; one minus sign
-# anywhere hands the whole table to json.  A compact table is converted from
-# its numbers alone, an indented one from its text with the brackets read as
-# spaces.
+# anywhere hands the whole table to json.  Every table is converted from its
+# numbers alone, its text without brackets and whitespace.
 
 UNSIGNED_CASES = ["999999999999999999", str(10**17), "0", "7"]
 SIGNED_CASES = ["-99999999999999999", "-7", "-0"]
@@ -474,18 +476,22 @@ def test_signed_tables_are_handed_to_json(tmp_path, entry, where, entries, inden
     assert type(got) is list and got == json.loads(text)["decoders"]["t"]
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 17, 18])
-def test_pair_checks_hold_across_scan_chunks(monkeypatch, chunk):
-    """The pair codes are checked ``_SCAN_CHUNK`` at a time; with small
-    chunks, each case is moved across every chunk border by a first entry
-    of one to 18 digits."""
+@pytest.mark.parametrize("chunk", [1, 2, 3, 17])
+@pytest.mark.parametrize("head", ["[", "[ "], ids=["compact", "indented"])
+def test_number_runs_are_counted_across_scan_chunks(monkeypatch, head, chunk):
+    """``_number_starts`` scans ``_SCAN_CHUNK`` bytes at a time; with small
+    chunks, a first entry of one to ``chunk + 1`` digits moves a number
+    split by whitespace, and an empty number, across every chunk border."""
     monkeypatch.setattr(network, "_SCAN_CHUNK", chunk)
-    for digits in range(1, 19):
-        head = "[" + "9" * digits + ","
-        assert _read(head + "1" * 18 + ",0]").tolist() == [int("9" * digits), int("1" * 18), 0]
-        assert _read(head + "0," + "1" * 17 + "]").tolist()[1:] == [0, int("1" * 17)]
-        for refused in ("1" * 19, "-1", "-" + "1" * 17, "01", "-01", "1,,2", "1-2", "1]"):
-            assert _read(head + refused + "]") is None, (chunk, digits, refused)
+    for digits in range(1, chunk + 2):
+        first = "9" * digits
+        assert _read(f"{head}{first}, 123 ]").tolist() == [int(first), 123]
+        for split in ("1 23", "12 3", "1\n23", "12\r\n3"):
+            text = f"{head}{first}, {split} ]"
+            assert network._number_starts(text.encode(), 0, len(text)) == 3, (chunk, digits, split)
+            assert _read(text) is None, (chunk, digits, split)
+        for empty in (",,123", ", ,123", ",123,"):
+            assert _read(f"{head}{first}{empty}]") is None, (chunk, digits, empty)
 
 
 def test_a_large_compact_table_holds_little_beside_its_array(monkeypatch):
