@@ -19,9 +19,11 @@ goes only with ``--partition builtin:cwl``, and ``cwl-search --rewrites`` is
 
 Reports are deterministic: the command echo keeps only semantic arguments
 (execution tuning such as ``--enum-cap`` and ``--out`` is excluded),
-structured results are written by ``network.json_bytes`` as the bytes of
+structured results are written by ``network.json_text`` as the bytes of
 ``json.dumps(result, indent=2, sort_keys=True)``, and timing goes to stderr
-only, so the same inputs produce byte-identical reports.
+only, so the same inputs produce byte-identical reports.  A report is
+written block by block as its tables are formatted, never held whole; a
+write that fails part way leaves a truncated report and a non-zero exit.
 
 Only ``errors`` and ``network`` are imported with this module; each handler
 imports the modules it runs where it runs them, so that a process compiles
@@ -50,10 +52,11 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import DomainError, InternalCheckError, WorkbenchError
 from .network import (
+    BlockText,
     NetworkInstance,
     field,
     int_table,
-    json_bytes,
+    json_text,
     load_instance,
     load_json,
     read_once,
@@ -94,11 +97,23 @@ def _collect_certificates(node) -> list[RemovalCertificate]:
     return out
 
 
-def emit_report(report: RunReport, fmt: str = "text") -> bytes:
-    """Serialize a report; text is JSON, csv (the other ``--format``)
-    tabulates the certificates."""
-    if fmt == "text":
-        return json_bytes(report, end=b"\n")
+def emit_report(report: RunReport, fmt: str, out: str | None) -> BlockText:
+    """Write a report to the file ``out``, or stdout if None, and return the
+    text written: JSON, or for ``--format csv`` a table of the certificates.
+    The JSON skeleton is made before ``out`` is opened, so a report that
+    cannot be formatted leaves no file; each table's text is made as written."""
+    text = json_text(report, b"\n") if fmt == "text" else BlockText([_csv_bytes(report)], [])
+    if out is None:
+        for block in text:
+            sys.stdout.write(block.decode())
+    else:
+        with open(out, "wb") as fh:
+            fh.writelines(text)
+    return text
+
+
+def _csv_bytes(report: RunReport) -> bytes:
+    """The certificates of a report as csv, one row each."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -653,7 +668,11 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         status, report, fmt, out_path = dispatch(argv)
-        payload = emit_report(report, fmt)
+        try:
+            emit_report(report, fmt, out_path)
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            status = 2
     except SystemExit as exc:
         status = 0 if exc.code == 0 else 2
     except InternalCheckError as exc:
@@ -668,16 +687,6 @@ def main(argv=None) -> int:
         print(f"internal error: {exc!r}", file=sys.stderr)
         traceback.print_exc()
         status = 3
-    else:
-        try:
-            if out_path is None:
-                sys.stdout.write(payload.decode())
-            else:
-                with open(out_path, "wb") as fh:
-                    fh.write(payload)
-        except OSError as exc:
-            print(f"error: cannot write the report: {exc}", file=sys.stderr)
-            status = 2
     print(f"elapsed {time.monotonic() - started:.3f}s", file=sys.stderr)
     return status
 

@@ -31,7 +31,7 @@ from .network import (
     _frozen,
     field,
     int_table,
-    json_bytes,
+    json_text,
     load_json,
     require,
     topological_order,
@@ -121,7 +121,7 @@ class NetworkCode:
     per demanded source.
     Tables are taken as ``network.int_table`` takes them and stored as its
     read-only int64 arrays.  Codes compare by identity; two codes hold the
-    same tables when their ``json_bytes`` are equal.
+    same tables when their ``json_text`` bytes are equal.
     """
 
     blocklength: int
@@ -493,4 +493,4 @@ def load_code(path: str) -> NetworkCode:
 
 def save_code(code: NetworkCode, path: str) -> None:
     with open(path, "wb") as fh:
-        fh.write(json_bytes(code, end=b"\n"))
+        fh.writelines(json_text(code, b"\n"))

@@ -3,8 +3,9 @@
 An instance fixes the topology and the per-edge alphabet cardinalities.  Rates
 are carried as cardinalities throughout; ``log2(size) / blocklength`` is only
 ever derived for display.  The module also holds the JSON writer behind every
-report and file the workbench writes, ``json_bytes``, which writes a
-``Fraction`` as its ``str`` and a dataclass record as its fields, the reader
+report and file the workbench writes, ``json_text``, which writes a
+``Fraction`` as its ``str`` and a dataclass record as its fields and makes
+the text of a large table only block by block as it is written, the reader
 of every input file, ``load_json``, the checks every field read from one
 goes through, ``field`` and ``require``, and the one gate every integer
 table from a file or a library caller goes through, ``int_table``.
@@ -296,7 +297,27 @@ def _int_entries(data: list | tuple, ndim: int, what: str) -> np.ndarray:
     return _frozen(arr.reshape(len(data), width) if ndim == 2 else arr)
 
 
-def json_bytes(obj, end: bytes = b"") -> bytes:
+@dataclass(frozen=True)
+class BlockText:
+    """Bytes made block by block as they are iterated, whose length is known
+    without making them: the ``pieces`` of a text and, between each two of
+    them, the text of one of the ``tables``, an ``(array, newline)`` that
+    ``_int_array_json`` writes."""
+
+    pieces: list[bytes]
+    tables: list[tuple[np.ndarray, str]]
+
+    def __iter__(self) -> Iterator[bytes]:
+        yield self.pieces[0]
+        for table, piece in zip(self.tables, self.pieces[1:]):
+            yield from _int_array_json(*table)
+            yield piece
+
+    def __len__(self) -> int:
+        return sum(map(len, self.pieces)) + sum(_int_array_length(*t) for t in self.tables)
+
+
+def json_text(obj, end: bytes = b"") -> BlockText:
     """The ASCII bytes of ``json.dumps(obj, indent=2, sort_keys=True)``,
     followed by ``end``, with numpy arrays written as their ``tolist()``;
     every report and file the workbench writes is made here.  Two rules
@@ -306,35 +327,28 @@ def json_bytes(obj, end: bytes = b"") -> bytes:
     out cached properties and copies no table.
 
     ``_json_text`` writes the text of everything but the large int64 arrays
-    into one skeleton ``str``, with a NUL where each such array goes, and
-    hands the array's bytes over in chunks as ``_int_array_json`` formats
-    them.  The skeleton is encoded once, split at its NULs and interleaved
-    with the chunks in one join, so no text is copied again by the levels
-    that enclose it.  Nothing else writes a NUL: strings and keys escape it
-    as ``\\u0000``.
+    into one skeleton ``str`` up front, with a NUL where each such array goes;
+    it is encoded once and split at its NULs.  The text of each array is
+    made ``_WRITE_ROWS`` rows at a time only as the text is read, so no
+    block outlives its write, and a text with no such array is one block.
+    Nothing else writes a NUL: strings and keys escape it as ``\\u0000``.
     """
-    tables: list[list[bytes]] = []
-    skeleton = _json_text(obj, "\n", tables).encode("ascii")
-    if not tables:
-        return skeleton + end
-    pieces = skeleton.split(b"\0")
-    out = [pieces[0]]
-    for chunks, piece in zip(tables, pieces[1:]):
-        out += chunks
-        out.append(piece)
-    out.append(end)
-    return b"".join(out)
+    tables: list[tuple[np.ndarray, str]] = []
+    pieces = _json_text(obj, "\n", tables).encode("ascii").split(b"\0")
+    pieces[-1] += end
+    return BlockText(pieces, tables)
 
 
 def _json_text(obj, newline: str, tables: list) -> str:
-    """The skeleton text of ``obj`` for ``json_bytes``, without the
+    """The skeleton text of ``obj`` for ``json_text``, without the
     pure-Python encoder that ``json`` falls back to when it indents.
 
     ``newline`` is the line break plus the indent of the enclosing level.
-    An int64 array of at least ``_ARRAY_ENTRIES`` entries, none negative,
-    of one dimension or of two with rows of width at least one, is written
-    by ``_int_array_json``: a NUL here, its chunks appended to ``tables``;
-    any other array as its ``tolist()``.  A list of plain ints is one join, and
+    An int64 array of one or two dimensions and at least ``_ARRAY_ENTRIES``
+    entries, none negative, is left to ``_int_array_json``: a NUL here, the
+    array and ``newline`` appended to ``tables``; any other array is written
+    as its ``tolist()``.  The tables the workbench writes hold no negative
+    entry.  A list of plain ints is one join, and
     a rectangular list of non-empty int rows one ``%`` over a repeated row
     template.  Other containers recurse, a dataclass record as the dict of
     its fields; a ``Fraction`` is its ``str``, other scalars go through
@@ -344,10 +358,10 @@ def _json_text(obj, newline: str, tables: list) -> str:
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, np.ndarray):
-        chunks = _int_array_json(obj, newline)
-        if chunks is None:
+        big = obj.dtype == np.int64 and obj.ndim in (1, 2) and obj.size >= _ARRAY_ENTRIES
+        if not big or obj.min() < 0:
             return _json_text(obj.tolist(), newline, tables)
-        tables.append(chunks)
+        tables.append((obj, newline))
         return "\0"
     if not isinstance(obj, (list, tuple, dict)):
         # int and float first: Fraction's isinstance check goes through ABCMeta.
@@ -383,7 +397,7 @@ def _field_names(cls: type) -> tuple[str, ...] | None:
 
 
 # Arrays are written this many rows (entries of a 1-D array) at a time, so
-# that no buffer but the report text is as large as a table.
+# that no buffer is as large as a table.
 _WRITE_ROWS = 1 << 12
 # Smaller arrays take the list path: its cost grows by some 0.2 us an
 # entry, while the array path costs some 25 us in numpy calls whatever the
@@ -391,25 +405,12 @@ _WRITE_ROWS = 1 << 12
 _ARRAY_ENTRIES = 128
 
 
-def _int_array_json(arr: np.ndarray, newline: str) -> list[bytes] | None:
-    """The bytes of ``_json_text(arr.tolist(), newline, [])``, in chunks of
-    ``_WRITE_ROWS`` rows, for an int64 array of at least ``_ARRAY_ENTRIES``
-    entries and none negative, of one dimension or of two with rows of
-    width at least one; None for any other array.  The tables the
-    workbench writes hold no negative entry.
-
-    Each chunk of rows is a uint8 block that repeats the text of one row,
-    with a NUL-padded slot as wide as the widest entry where each entry
-    goes.  The slots are filled with ASCII digits by numpy arithmetic, and
-    one ``translate`` deletes the padding.
-    """
-    if arr.dtype != np.int64 or arr.ndim not in (1, 2) or arr.size < _ARRAY_ENTRIES:
-        return None
-    if int(arr.min()) < 0:
-        return None
+def _row_template(arr: np.ndarray, newline: str) -> tuple[np.ndarray, np.ndarray]:
+    """The uint8 text of one row of ``_int_array_json``'s blocks, with a
+    NUL-padded slot as wide as the array's widest entry where each entry
+    goes, and the columns of the slots' digits, one row of them a slot."""
     digits = len(str(int(arr.max())))
-    rows = arr.reshape(len(arr), -1)
-    width = rows.shape[1]
+    width = arr.shape[1] if arr.ndim == 2 else 1
     # A row is head, then each entry's slot, separated by sep, then tail;
     # the first row's head starts with "[" where the others have ",".
     inner = newline + "  "
@@ -420,8 +421,24 @@ def _int_array_json(arr: np.ndarray, newline: str) -> list[bytes] | None:
     slot = "\0" * digits
     template = np.frombuffer((head + slot + (sep + slot) * (width - 1) + tail).encode(), np.uint8)
     starts = len(head) + np.arange(width) * (len(slot) + len(sep))
-    digit_cols = starts[:, None] + np.arange(digits)
-    chunks = []
+    return template, starts[:, None] + np.arange(digits)
+
+
+def _int_array_length(arr: np.ndarray, newline: str) -> int:
+    """The length of ``_int_array_json``'s bytes: templates less slots, plus digits."""
+    template, digit_cols = _row_template(arr, newline)
+    return len(arr) * (template.size - digit_cols.size) + _decimal_length(arr) + len(newline) + 1
+
+
+def _int_array_json(arr: np.ndarray, newline: str) -> Iterator[bytes]:
+    """The bytes of ``_json_text(arr.tolist(), newline, [])`` for an array
+    that it leaves here, in blocks of ``_WRITE_ROWS`` rows, each made when
+    it is asked for: a uint8 array that repeats ``_row_template``, whose
+    slots numpy arithmetic fills with ASCII digits and one ``translate``
+    rids of their padding."""
+    template, digit_cols = _row_template(arr, newline)
+    digits = digit_cols.shape[1]
+    rows = arr.reshape(len(arr), -1)
     for i in range(0, len(rows), _WRITE_ROWS):
         values = rows[i : i + _WRITE_ROWS]
         block = np.empty((len(values), len(template)), np.uint8)
@@ -433,9 +450,8 @@ def _int_array_json(arr: np.ndarray, newline: str) -> list[bytes] | None:
             block[:, digit_cols] = _decimal_digits(values, digits)
         if i == 0:
             block[0, 0] = ord("[")
-        chunks.append(block.tobytes().translate(None, b"\0"))
-    chunks.append((newline + "]").encode("ascii"))
-    return chunks
+        yield block.tobytes().translate(None, b"\0")
+    yield (newline + "]").encode("ascii")
 
 
 def _decimal_digits(values: np.ndarray, digits: int) -> np.ndarray:
@@ -797,7 +813,7 @@ def load_json(path: str, tables: TableSlots | None = None) -> dict:
 
 def parse_instance(data: Mapping) -> NetworkInstance:
     """Build an instance from its file form, the fields of ``NetworkInstance``,
-    ``Edge`` and ``Source`` as ``json_bytes`` writes them.
+    ``Edge`` and ``Source`` as ``json_text`` writes them.
 
     Names are JSON strings, and alphabet sizes and demands JSON integers;
     anything else is a DomainError that names the field.
@@ -837,4 +853,4 @@ def load_instance(path: str) -> NetworkInstance:
 
 def save_instance(inst: NetworkInstance, path: str) -> None:
     with open(path, "wb") as fh:
-        fh.write(json_bytes(inst, end=b"\n"))
+        fh.writelines(json_text(inst, b"\n"))

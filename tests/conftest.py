@@ -37,7 +37,14 @@ from edgedrop.groups import (
     subgroup,
 )
 from edgedrop.errors import DomainError, InternalCheckError, MalformedCodeError
-from edgedrop.network import Edge, NetworkInstance, Source, topological_order, validate_instance
+from edgedrop.network import (
+    Edge,
+    NetworkInstance,
+    Source,
+    json_text,
+    topological_order,
+    validate_instance,
+)
 from edgedrop.removal import SourcePartition
 
 MAX_TUPLES = 512
@@ -71,6 +78,12 @@ def oracle_digits(idx: int, sizes: Sequence[int]) -> tuple[int, ...]:
         out.append(idx % s)
         idx //= s
     return tuple(reversed(out))
+
+
+def json_bytes(obj, end: bytes = b"") -> bytes:
+    """The whole text ``network.json_text`` writes, joined: the bytes of
+    ``json.dumps(obj, indent=2, sort_keys=True)`` followed by ``end``."""
+    return b"".join(json_text(obj, end))
 
 
 def as_lists(tree):

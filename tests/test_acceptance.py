@@ -24,6 +24,7 @@ from conftest import (
     characterize_witness,
     classes_equal_sized,
     coordinate_classes,
+    json_bytes,
     marginals_sum_to_log,
     part_tuples,
     random_balanced_map,
@@ -56,7 +57,6 @@ from edgedrop.groups import (
 )
 from edgedrop.groupcodes import abelian_removal_plan
 from edgedrop.library import butterfly, n2_code_check, n3_injectivity
-from edgedrop.network import json_bytes
 from edgedrop.removal import (
     fiber_edge_values,
     fibers_are_products,

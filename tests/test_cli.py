@@ -17,20 +17,22 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import json_bytes
 from test_golden import CORPUS, GOLDEN_DIR
 from edgedrop import network
-from edgedrop.cli import ERROR_ABOVE_EPS, build_parser, main
+from edgedrop.cli import ERROR_ABOVE_EPS, RunReport, build_parser, dispatch, emit_report, main
 from edgedrop.codes import NetworkCode, load_code, relay_instance, save_code, tabulate
 from edgedrop.errors import InternalCheckError
 from edgedrop.groups import MAX_GROUP_NESTING
 from edgedrop.library import butterfly
-from edgedrop.network import Edge, NetworkInstance, Source, json_bytes, load_instance, save_instance
+from edgedrop.network import Edge, NetworkInstance, Source, load_instance, save_instance
 
 
 def _write_pair(tmp_path, inst, code, stem="net"):
@@ -1171,6 +1173,74 @@ def test_uncaught_exception_exits_3(target, capsys, monkeypatch):
     assert captured.err.startswith("internal error: IndexError('index 7 is out of bounds')")
 
 
+_SPLICING = ["group-remove", "inputs/z4z4.json", "--edge", "e", "--sources", "s1,s2"]
+
+
+def test_a_table_block_that_raises_exits_3_with_a_truncated_report(tmp_path, capsys, monkeypatch):
+    """A table's text is made as the report is written, so a block that
+    fails leaves the blocks before it in the file, and exits 3."""
+    def broken(arr, newline):
+        yield b"["
+        raise IndexError("index 7 is out of bounds")
+
+    monkeypatch.setattr(network, "_int_array_json", broken)
+    monkeypatch.chdir(GOLDEN_DIR)
+    out = tmp_path / "report.json"
+    assert main(_SPLICING + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: IndexError('index 7 is out of bounds')")
+    golden = (GOLDEN_DIR / "group-remove-z4z4.out").read_bytes()
+    written = out.read_bytes()
+    assert written.endswith(b": [") and golden.startswith(written[:-1])
+
+
+def test_a_report_that_cannot_be_formatted_leaves_no_file(tmp_path, capsys, monkeypatch):
+    """The skeleton is made before ``--out`` is opened."""
+    def broken(obj, newline, tables):
+        raise TypeError("Object of type Thing is not JSON serializable")
+
+    monkeypatch.setattr(network, "_json_text", broken)
+    monkeypatch.chdir(GOLDEN_DIR)
+    out = tmp_path / "report.json"
+    assert main(_SPLICING + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("internal error: TypeError('Object of type Thing")
+    assert not out.exists()
+
+
+def test_a_report_without_a_large_table_is_one_write(capsys, monkeypatch):
+    """``small-codes`` reports, of some 1.5 KB, are written in one call."""
+    writes = []
+    monkeypatch.chdir(GOLDEN_DIR)
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
+    argv = next(argv for name, argv, _ in CORPUS if name == "verify")
+    assert main(argv) == 0
+    assert len(writes) == 1 and writes[0] == (GOLDEN_DIR / "verify.out").read_text()
+
+
+def test_a_report_with_a_large_table_is_written_holding_little(tmp_path):
+    """Memory guard: the tracemalloc peak of writing a report that holds a
+    (65536, 3) int64 table, 3.3 MB of text, is 0.21 of the report's length:
+    one block of ``network._WRITE_ROWS`` rows and its copies.  The writer
+    that joined the whole report before writing it peaked at 2.0 (measured
+    alike); the bound is a quarter, which a buffer of the whole report, or
+    a list of all its blocks, breaks."""
+    rows = np.random.default_rng(3).integers(0, 16, (65536, 3))
+    report = RunReport(command=("table",), inputs={}, result={"table": rows})
+    out = tmp_path / "report.json"
+    emit_report(report, "text", str(out))  # builds the digit lookup on first use
+    tracemalloc.start()
+    try:
+        text = emit_report(report, "text", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = out.read_bytes()
+    as_lists = {"command": ["table"], "inputs": {}, "result": {"table": rows.tolist()}}
+    assert written == json_bytes(as_lists, b"\n")
+    assert len(text) == len(written) > 3 * 10**6
+    assert peak < len(written) / 4
+
+
 @pytest.mark.parametrize(
     "argv, status, first",
     [
@@ -1219,9 +1289,9 @@ def test_reports_and_emitted_files_skip_the_pure_python_encoder(tmp_path, capsys
 
     monkeypatch.setattr(network, "_json_text", short_lists_only)
     with pytest.raises(AssertionError):
-        network.json_bytes({"table": list(range(4097))})
+        json_bytes({"table": list(range(4097))})
     with pytest.raises(AssertionError):
-        network.json_bytes({"table": np.arange(4097, dtype=np.int32)})
+        json_bytes({"table": np.arange(4097, dtype=np.int32)})
     out, emit = str(tmp_path / "report.json"), str(tmp_path / "restricted")
     argv = ["remove-edge", inst_path, code_path, "--edge", "e", "--partition", "builtin:cwl"]
     assert main(argv + ["--out", out, "--emit", emit]) == 0
@@ -1302,23 +1372,45 @@ def test_csv_format(tmp_path, capsys):
     assert "True" in lines[1]
 
 
-def test_benchmark_trace_hooks_find_their_names():
+def test_benchmark_trace_hooks_find_their_names(tmp_path, monkeypatch):
     """The benchmark's ``--trace 1`` wraps names of ``src/`` that it looks up
-    with ``getattr`` and ``__dict__``; a deleted one makes its install raise."""
+    with ``getattr`` and ``__dict__``; a deleted one makes its install raise.
+    It books ``len`` of what ``emit_report`` returns as ``cli.report_bytes``,
+    which must be the bytes written, to stdout or to ``--out``, also for a
+    report that splices a table (the Z4xZ4 ``group-remove``, whose text
+    comes in more than one block) and is written as it is formatted."""
     root = Path(__file__).parent.parent
     script = (
+        "import json, sys\n"
         "from layers import Tracer\n"
         "from edgedrop.cli import main\n"
-        "Tracer().install()\n"
-        "raise SystemExit(main(['validate', 'tests/golden/inputs/butterfly.instance.json']))\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "status = main(sys.argv[1:])\n"
+        "print(json.dumps(tracer.per_round(1)))\n"
+        "raise SystemExit(status)\n"
     )
     paths = [str(root / "perfbench"), str(root / "src")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    run = subprocess.run(
-        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True,
-        timeout=120,
-    )
-    assert run.returncode == 0, run.stderr
+
+    def traced(argv):
+        run = subprocess.run(
+            [sys.executable, "-c", script, *argv], cwd=GOLDEN_DIR, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        report, _, metrics = run.stdout[:-1].rpartition("\n")
+        metrics = {name: m["value"] for name, m in json.loads(metrics).items()}
+        assert metrics["cli.emit_report_s"] > 0
+        return report, metrics["cli.report_bytes"]
+
+    report, counted = traced(["validate", "inputs/butterfly.instance.json"])
+    assert counted == len(report) + 1
+    out = tmp_path / "report.json"
+    assert traced([*_SPLICING, "--out", str(out)]) == ("", out.stat().st_size)
+    assert out.read_bytes() == (GOLDEN_DIR / "group-remove-z4z4.out").read_bytes()
+    monkeypatch.chdir(GOLDEN_DIR)
+    assert len(list(network.json_text(dispatch(_SPLICING)[1], b"\n"))) > 1
 
 
 real_open = builtins.open

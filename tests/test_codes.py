@@ -16,6 +16,7 @@ from conftest import (
     decode_outputs,
     evaluate_global,
     joint_counts,
+    json_bytes,
     oracle_digits,
     oracle_index,
     random_code,
@@ -38,7 +39,6 @@ from edgedrop.codes import (
 )
 from edgedrop.errors import DomainError, ResourceError
 from edgedrop.library import butterfly
-from edgedrop.network import json_bytes
 
 
 def test_mixed_radix_roundtrip():

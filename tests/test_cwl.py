@@ -16,6 +16,7 @@ from conftest import (
     check_claims_on_original,
     classes_equal_sized,
     coordinate_classes,
+    json_bytes,
     oracle_class_pick,
     oracle_coordinate_classes,
     oracle_cosets,
@@ -70,7 +71,6 @@ from edgedrop.groups import (
     is_subgroup,
 )
 from edgedrop.library import butterfly
-from edgedrop.network import json_bytes
 from edgedrop.removal import SourcePartition, fiber_edge_values, fibers_are_products
 
 

@@ -20,7 +20,7 @@ import tempfile
 import pytest
 
 from edgedrop.cli import main
-from edgedrop.network import json_bytes
+from conftest import json_bytes
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 EMIT_DIR = GOLDEN_DIR / "emit"

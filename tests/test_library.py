@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import evaluate_global, oracle_digits, oracle_index
+from conftest import evaluate_global, json_bytes, oracle_digits, oracle_index
 from edgedrop import library
 from edgedrop.codes import build_global_table, check_feasibility
 from edgedrop.cwl import cwl_remove, derive_edge_group
@@ -22,7 +22,7 @@ from edgedrop.library import (
     n3_permutations,
 )
 from edgedrop.groups import CyclicGroup
-from edgedrop.network import json_bytes, validate_instance
+from edgedrop.network import validate_instance
 
 
 def test_butterfly_shape_and_feasibility():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import as_lists
+from conftest import as_lists, json_bytes
 from edgedrop import network
 from edgedrop.codes import NetworkCode, build_global_table, relay_instance, tabulate
 from edgedrop.cwl import CwlWitness, check_cwl, check_piecewise
@@ -21,7 +21,6 @@ from edgedrop.network import (
     Edge,
     NetworkInstance,
     Source,
-    json_bytes,
     load_instance,
     parse_instance,
     remove_edge,
@@ -208,6 +207,15 @@ def _oracle_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+def _joined(tree, end: bytes = b"") -> bytes:
+    """The bytes of ``json_text(tree, end)``, once its ``len``, which formats
+    nothing, is seen to be their length."""
+    text = network.json_text(tree, end)
+    got = b"".join(text)
+    assert len(text) == len(got)
+    return got
+
+
 _WIDE = st.integers(min_value=2**63, max_value=2**100) | st.integers(
     min_value=-(2**100), max_value=-(2**63)
 )
@@ -229,7 +237,7 @@ _JSON_TREES = st.recursive(
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(_JSON_TREES)
 def test_json_bytes_matches_json_dumps(tree):
-    assert json_bytes(tree).decode() == _oracle_json(tree)
+    assert _joined(tree).decode() == _oracle_json(tree)
 
 
 _INT64 = st.integers(-(2**63), 2**63 - 1)
@@ -277,7 +285,7 @@ def _array_trees(draw):
     }
 )
 def test_json_bytes_writes_arrays_as_their_lists(tree):
-    got, want = json_bytes(tree).decode(), _oracle_json(as_lists(tree))
+    got, want = _joined(tree).decode(), _oracle_json(as_lists(tree))
     # Lines first: pytest's diff of two texts this long takes minutes.
     assert got.splitlines() == want.splitlines()
     assert got == want
@@ -321,19 +329,20 @@ def _nested_arrays(draw):
 @given(_nested_arrays())
 def test_json_bytes_splices_arrays_into_the_skeleton(tree):
     want = _oracle_json(as_lists(tree)).encode()
-    got = network.json_bytes(tree, end=b"\n")
+    got = _joined(tree, b"\n")
     assert got.splitlines() == want.splitlines()
-    assert got == want + b"\n" and network.json_bytes(tree) == want
+    assert got == want + b"\n" and _joined(tree) == want
 
 
 @pytest.mark.parametrize("lowest", [-1, -(2**63)], ids=["negative", "int64-min"])
 @pytest.mark.parametrize("shape", [(300,), (100, 3), (2 * network._WRITE_ROWS, 1)])
 def test_arrays_with_a_negative_entry_take_the_list_path(lowest, shape):
+    """Such an array is written into the skeleton, which is one block."""
     arr = np.arange(np.prod(shape), dtype=np.int64).reshape(shape)
     arr.flat[arr.size // 2] = lowest
-    assert network._int_array_json(arr, "\n") is None
-    want = json_bytes({"t": arr.tolist()})
-    assert json_bytes({"t": arr}) == want and want.decode() == _oracle_json({"t": arr.tolist()})
+    text = network.json_text({"t": arr})
+    want = _oracle_json({"t": arr.tolist()}).encode()
+    assert list(text) == [want] and len(text) == len(want)
 
 
 class _Level(enum.IntEnum):

@@ -3,8 +3,9 @@ oracle, ``perfbench/oracle.py``.
 
 The oracle evaluates a code's JSON form one source tuple at a time and
 imports nothing of ``edgedrop``, so it checks the program the way the
-benchmark does, on small seeded codes and on every removal certificate and
-CWL witness in the golden reports, every time the tests run.  The file is
+benchmark does, on small seeded codes, on every removal certificate and
+CWL witness in the golden reports, and on the report that each removal
+route writes with ``--out``, every time the tests run.  The file is
 read, never written: it is compiled from its text, so no bytecode cache is
 left beside it (the ``oracle`` fixture in ``conftest.py``).
 """
@@ -16,10 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_code, random_instance
+from conftest import json_bytes, random_code, random_instance
 from test_golden import CORPUS, EMIT_DIR, GOLDEN_DIR
-from edgedrop.cli import main
-from edgedrop.network import json_bytes
+from edgedrop.cli import BUILTIN_ROUTES, build_parser, main
 
 
 def test_verify_reports_the_oracles_exact_errors(oracle, tmp_path, capsys):
@@ -108,3 +108,55 @@ def test_golden_witnesses_pass_the_oracle(oracle, name):
     witness, inst, code, edge_id = WITNESSES[name]
     table = oracle.Table(inst, code)
     assert oracle.check_witness(witness, table.columns[edge_id], table.sizes) == []
+
+
+# One golden command for each removal route: a label file and each builtin
+# partition of ``remove-edge``, and each other command that removes an edge.
+ROUTE_CASES = {
+    "labels": "remove-labels-eps",
+    "builtin:edge-value": "remove-edge-value",
+    "builtin:cwl": "remove-cwl-sum33",
+    "pwl-remove": "pwl-remove",
+    "group-remove": "group-remove-z4z4",
+}
+
+
+def _route(argv: list[str]) -> str:
+    if argv[0] != "remove-edge":
+        return argv[0]
+    partition = _flag(argv, "--partition")
+    return partition if partition in BUILTIN_ROUTES else "labels"
+
+
+def test_every_removal_route_has_a_case():
+    """The routes are read from the parser: ``remove-edge``'s label files
+    and builtin partitions, and every other command that takes ``--emit``
+    (``case-study`` runs its butterflies through the cwl route)."""
+    commands = build_parser()._subparsers._group_actions[0].choices
+    emitting = {name for name, sub in commands.items() if "--emit" in sub._option_string_actions}
+    assert set(ROUTE_CASES) == {"labels", *BUILTIN_ROUTES} | emitting - {"remove-edge"}
+    argvs = {name: argv for name, argv, _ in CORPUS}
+    assert {route: _route(argvs[name]) for route, name in ROUTE_CASES.items()} == {
+        route: route for route in ROUTE_CASES
+    }
+
+
+@pytest.mark.parametrize("route", ROUTE_CASES)
+def test_every_removal_routes_written_report_passes_the_oracle(
+    oracle, route, tmp_path, monkeypatch, capsys
+):
+    """Each route runs on its golden inputs and writes its report with
+    ``--out``; the oracle re-checks the certificate in the file against the
+    original code, which for ``group-remove`` is the materialized one."""
+    argv = next(argv for name, argv, _ in CORPUS if name == ROUTE_CASES[route])
+    out = tmp_path / "report.json"
+    monkeypatch.chdir(GOLDEN_DIR)
+    assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    result = json.loads(out.read_text())["result"]
+    if route == "group-remove":
+        inst, code, edge_id = result["materialized_instance"], result["materialized_code"], "e"
+    else:
+        inst, code, edge_id = _golden(argv[1]), _golden(argv[2]), _flag(argv, "--edge")
+    eps = Fraction(_flag(argv, "--eps", "0"))
+    assert oracle.check_certificate(inst, code, edge_id, eps, result) == []

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_lists
+from conftest import as_lists, json_bytes
 from edgedrop import codes, network
 from edgedrop.codes import load_code, parse_code, relay_instance, tabulate
 from edgedrop.errors import DomainError
@@ -20,7 +20,6 @@ from edgedrop.network import (
     PARALLEL_PARSE_BYTES,
     _int_table_text,
     _read_tables,
-    json_bytes,
     load_json,
 )
 

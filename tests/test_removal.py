@@ -15,6 +15,7 @@ from conftest import (
     decode_outputs,
     evaluate_global,
     check_claims_on_original,
+    json_bytes,
     oracle_digits,
     oracle_index,
     oracle_projection_sizes,
@@ -43,7 +44,6 @@ from edgedrop.cwl import (
 from edgedrop.errors import DomainError, PreconditionError
 from edgedrop.groups import CyclicGroup
 from edgedrop.library import butterfly
-from edgedrop.network import json_bytes
 from edgedrop.removal import (
     SourcePartition,
     _restrict_to_part,
