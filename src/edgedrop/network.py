@@ -493,8 +493,9 @@ _NOT_DELIMS = _WHITESPACE + b"0123456789"
 # Table text is translated this many bytes at a time, so that no buffer
 # but the file itself is as large as a table with its whitespace.
 _CHUNK = 1 << 22
-# ``_number_starts`` reads this many bytes at a time, which keeps its
-# temporaries in cache: twice as fast as whole 2.5 MB tables on 2 vCPUs.
+# ``_number_starts`` and ``_row_joins`` read this many bytes at a time,
+# which keeps their temporaries in cache: twice as fast as whole 2.5 MB
+# tables on 2 vCPUs.
 _SCAN_CHUNK = 1 << 18
 
 
@@ -517,27 +518,60 @@ def _number_starts(raw: bytes, first: int, last: int) -> int:
     return starts
 
 
-# Tables whose bytes span at least this many are converted on a second
-# thread while this one runs the checks; ``np.fromstring`` releases the GIL.
-# A thread start and join cost some 40 us.  Median of 7 x 20 reads on 2
-# vCPUs of rows of three numbers below 16, serial against threaded, two
-# runs: compact 17.8 KiB 198-205 against 269-274 us, 21.5 KiB 244-289
-# against 276-324, 35.6 KiB 497-593 against 434-440, 71.1 KiB 1180 against
-# 802-841; indented (indent=2) 52.9 KiB 386 against 419-464, 105.9 KiB
-# 754-765 against 681-700.  The compact layout breaks even near 25 KiB and
-# the indented one, whose checks scan all its bytes, near 90 KiB.
+def _row_joins(text: bytes, first: int, last: int) -> int:
+    """How many times ``],[`` occurs in ``text[first:last]``, chunk by chunk
+    (each chunk reaches two bytes into the next, which counts its own).
+    ``bytes.count`` holds the GIL; this scan releases it and is faster: on
+    the 2.5 to 3.0 MB decoders of the benchmark's 2^14- and 2^16-tuple
+    codes, 0.7-1.2 ms against 3.3-3.7 ms (median of 15 calls, 2 vCPUs)."""
+    joins = 0
+    for i in range(first, last, _SCAN_CHUNK):
+        u = np.frombuffer(text, dtype=np.uint8, count=min(_SCAN_CHUNK + 2, last - i), offset=i)
+        join = u[:-2] == ord("]")
+        join &= u[1:-1] == ord(",")
+        join &= u[2:] == ord("[")
+        joins += int(np.count_nonzero(join))
+    return joins
+
+
+# Tables whose bytes span at least this many are converted by two threads.
+# A worker converts the front share of the numbers and counts its digits
+# while this thread runs the checks; this thread then converts and counts
+# the rest, and the front array grows in place to hold both.
+# ``np.fromstring`` and the numpy scans release the GIL.  A thread start
+# and join cost some 40 us.  Median of 7 x 20 reads on 2 vCPUs of rows of
+# three numbers below 16, serial against a whole-table worker, two runs:
+# compact 17.8 KiB 198-205 against 269-274 us, 21.5 KiB 244-289 against
+# 276-324, 35.6 KiB 497-593 against 434-440, 71.1 KiB 1180 against 802-841;
+# indented (indent=2) 52.9 KiB 386 against 419-464, 105.9 KiB 754-765
+# against 681-700.  The compact layout broke even near 25 KiB and the
+# indented one, whose checks scan all its bytes, near 90 KiB.
 PARALLEL_PARSE_BYTES = 1 << 15
+# The share of a threaded table's numbers that the worker converts: they are
+# cut at the first comma from this fraction of their bytes on.  The checks
+# before this thread's conversion take about a third of the time that
+# converting every number takes.  On the 2.5 MB decoders of the benchmark's
+# 2^14- and 2^16-tuple codes, shares of 0.6, 2/3, 0.7 and 0.75 read within
+# 1.8 ms of each other in two runs (medians of 90 interleaved reads, 10.4
+# to 20.1 ms), and 0.5 was 0.4 to 3.5 ms slower than 2/3.  Two designs
+# lost: both threads claiming many small chunks from the two ends, since
+# between chunks the worker needs the GIL, which this thread holds for
+# milliseconds inside ``bytes.translate``; and a conversion in numpy alone,
+# 2.5 times slower than ``np.fromstring``.
+_WORKER_SHARE = 2 / 3
 
 
-def _parse(numbers: bytes, out: list) -> None:
-    """Append the int64 values of comma-separated ``numbers``, or the
-    exception ``np.fromstring`` raised, for the caller to raise once its
-    checks pass.  They are converted as unsigned, which is faster, and
-    viewed as int64.  A number of 2**63 or more then reads as negative, or
-    past 2**64 as whatever the conversion makes of it; either value needs
-    fewer digits than its text holds, which the caller's digit count refuses."""
+def _parse(numbers, out: list) -> None:
+    """The worker's conversion: append the uint64 values of comma-separated
+    ``numbers`` and how many digits they take viewed as int64, or the
+    exception raised, for the caller to raise once its checks pass.
+    Unsigned conversion is faster; a number of 2**63 or more then reads as
+    negative, or past 2**64 as whatever the conversion makes of it, and
+    either needs fewer digits than its text holds, which the caller's digit
+    count refuses."""
     try:
-        out.append(np.fromstring(numbers, dtype=np.uint64, sep=",").view(np.int64))
+        values = np.fromstring(numbers, dtype=np.uint64, sep=",")
+        out += (values, _decimal_length(values.view(np.int64)))
     except Exception as exc:
         out.append(exc)
 
@@ -582,14 +616,17 @@ def _int_table_text(raw: bytes, first: int, last: int) -> np.ndarray | None:
 
     A 1-D list, or a 2-D list of equally long rows, of non-negative JSON
     integers below 2**63 is proven by whole-buffer byte operations and
-    converted by one ``np.fromstring``; any other text gives None and is
+    converted by ``np.fromstring``; any other text gives None and is
     left to ``json``.  With its whitespace deleted, the text's delimiters
     spell the shape, rows meet bracket to bracket and no number is empty;
     where whitespace was, none split a number.  The values then need as
     many digits as the text holds, which a number with a leading zero, or
     of 2**63 or more, does not.  A table whose bytes span at least
-    ``PARALLEL_PARSE_BYTES`` is converted on a second thread while the
-    checks run, joined before this returns or raises; its conversion error
+    ``PARALLEL_PARSE_BYTES`` is converted by two threads, each counting the
+    digits of its share: a worker converts the numbers up to a comma
+    ``_WORKER_SHARE`` of the way in while this thread runs the checks, and
+    this thread converts the rest once they pass.  The worker is joined
+    before this returns or raises, and a conversion error of either share
     is raised only once the checks before the digit count have passed.
     """
     if last - first < 2 or not raw.startswith(b"[", first) or not raw.endswith(b"]", first, last):
@@ -601,11 +638,21 @@ def _int_table_text(raw: bytes, first: int, last: int) -> np.ndarray | None:
         text = _translated(raw, first, last, None, _WHITESPACE)
         lo, hi = 0, len(text)
     numbers = _translated(text, lo, hi, None, _NOT_NUMBERS)
-    parsed: list = []
+    # Each thread reads its share through a uint8 view, which
+    # ``np.fromstring`` takes as it takes bytes, so neither share is copied.
+    # A conversion reads a number up to the byte that ends it, which lies
+    # inside ``numbers``: the worker's view ends before a comma, and bytes
+    # end with a NUL.
+    front: list = []
     worker = None
+    cut = 0
     if last - first >= PARALLEL_PARSE_BYTES:
-        worker = threading.Thread(target=_parse, args=(numbers, parsed))
+        cut = numbers.find(b",", int(len(numbers) * _WORKER_SHARE)) + 1
+    if cut:
+        share = np.frombuffer(numbers, dtype=np.uint8, count=cut - 1)
+        worker = threading.Thread(target=_parse, args=(share, front))
         worker.start()
+        del share
     try:
         shape = _shape(_translated(text, lo, hi, None, _NOT_DELIMS), numbers)
         if shape is None:
@@ -623,7 +670,7 @@ def _int_table_text(raw: bytes, first: int, last: int) -> np.ndarray | None:
             if not (
                 text.startswith(b"[[", lo)
                 and text.endswith(b"]]", lo, hi)
-                and text.count(b"],[", lo, hi) == shape[0] - 1
+                and _row_joins(text, lo, hi) == shape[0] - 1
             ):
                 return None
         del text
@@ -635,19 +682,27 @@ def _int_table_text(raw: bytes, first: int, last: int) -> np.ndarray | None:
             return None
         if spaced and _number_starts(raw, first, last) != count:
             return None
+        digits = len(numbers) - (count - 1)
+        # This thread converts the numbers past the cut, or all of them.
+        share = np.frombuffer(numbers, dtype=np.uint8, offset=cut) if cut else numbers
+        del numbers  # not alive beside the digit count's temporaries
+        values = np.fromstring(share, dtype=np.uint64, sep=",")
+        del share
+        seen = _decimal_length(values.view(np.int64))
     finally:
         if worker is not None:
             worker.join()
-    if worker is None:
-        _parse(numbers, parsed)
-    values = parsed[0]
-    if isinstance(values, Exception):
-        raise values
-    digits = len(numbers) - (count - 1)
-    del numbers  # not alive beside the digit count's temporaries
-    if values.size != count or _decimal_length(values) != digits:
+    if worker is not None:
+        if isinstance(front[0], Exception):
+            raise front[0]
+        head, head_digits = front
+        # The front grows in place to hold the back; only the back is copied.
+        head.resize(head.size + values.size, refcheck=False)
+        head[head.size - values.size :] = values
+        values, seen = head, seen + head_digits
+    if values.size != count or seen != digits:
         return None
-    return _frozen(values.reshape(shape))
+    return _frozen(values.view(np.int64).reshape(shape))
 
 
 TableSlots = Callable[[object], Iterable[tuple[object, int]]]

@@ -1148,6 +1148,57 @@ def test_internal_check_failure_exits_3(capsys, monkeypatch):
     assert "internal error: coset partition fails" in captured.err
 
 
+def test_a_restricted_code_that_fails_re_verification_exits_3(tmp_path, capsys, monkeypatch):
+    """Fault injection for the restriction engine's re-verification: the
+    feasibility check it calls finds the restricted code infeasible."""
+    from edgedrop import codes, removal
+
+    def infeasible(table, eps, promised):
+        return dataclasses.replace(codes.check_feasibility(table, eps, promised), verdict=False)
+
+    monkeypatch.setattr(removal, "check_feasibility", infeasible)
+    monkeypatch.chdir(GOLDEN_DIR)
+    out = tmp_path / "report.json"
+    argv = ["remove-edge", "inputs/butterfly.instance.json", "inputs/butterfly.code.json",
+            "--edge", "bottleneck", "--partition", "inputs/butterfly.singles.json"]
+    assert main(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("internal error:")
+    assert "restricted code failed its feasibility re-verification" in captured.err
+
+
+def test_kept_symbols_below_the_piecewise_bound_exit_3(tmp_path, capsys, monkeypatch):
+    """Fault injection for ``piecewise_remove``'s kept-symbols bound: one
+    piece, the parity of two sources of 4, over a support of 2, so the bound
+    asks for 4 / (2 * 1) = 2 kept symbols a source.  The coordinate classes
+    are replaced by one class a symbol, which keeps one."""
+    from edgedrop import cwl
+
+    sizes = [4, 4]
+    parity = tabulate(sizes, lambda a, b: (a + b) % 2)
+    inst_path, code_path = _write_pair(tmp_path, *relay_instance(sizes, 4, parity))
+    pieces_path = tmp_path / "pieces.json"
+    pieces_path.write_text(json.dumps({
+        "edge_support": [0, 1],
+        "pieces": [{"subsets": [[0, 1, 2, 3], [0, 1, 2, 3]], "phi": [int(v) for v in parity]}],
+    }))
+    argv = ["pwl-remove", inst_path, code_path, "--edge", "e", "--pieces", str(pieces_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+
+    def singletons(witness):
+        return [np.arange(g.order) for g in witness.source_groups]
+
+    monkeypatch.setattr(cwl, "_coordinate_class_ids", singletons)
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("internal error:")
+    assert "kept symbols fall below the piecewise bound" in captured.err
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(Path(__file__).parent / "golden")
     out = str(tmp_path / "missing" / "report.json")
@@ -1551,6 +1602,39 @@ def test_small_inputs_start_no_thread(monkeypatch):
         pass
     assert digests == {path: _sha256(path) for path in paths}
     assert off_main == [False] * len(paths) and started == []
+
+
+@pytest.mark.parametrize("size, workers", [(32, 0), (64, 1)], ids=["below", "at"])
+def test_a_command_starts_one_conversion_worker_per_table_from_the_threshold_up(
+    size, workers, tmp_path, capsys, monkeypatch
+):
+    """A compact relay code file of 4 KiB to 1 MiB: its tables are read
+    from the bytes and it is hashed inline.  At 32 x 32 every table spans
+    less than ``PARALLEL_PARSE_BYTES`` and the command starts no thread; at
+    64 x 64 the decoder's alone is above it and starts one conversion
+    worker, which is no longer alive once the command returns."""
+    sizes = [size, size]
+    inst, code = relay_instance(sizes, 2, tabulate(sizes, lambda a, b: (a + b) % 2))
+    inst_path, code_path = str(tmp_path / "relay.instance.json"), tmp_path / "relay.code.json"
+    save_instance(inst, inst_path)
+    data = json.loads(json_bytes(code))
+    code_path.write_text(json.dumps(data, separators=(",", ":")))
+    spans = [len(json.dumps(t, separators=(",", ":"))) for key in ("encoders", "decoders") for t in data[key].values()]
+    assert network.FAST_READ_BYTES <= code_path.stat().st_size < network.THREAD_HASH_BYTES
+    assert sum(span >= network.PARALLEL_PARSE_BYTES for span in spans) == workers
+    started = []
+    start = threading.Thread.start
+
+    def spy(self):
+        started.append((self, self._target))
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    bits = size.bit_length() - 1
+    assert main(["verify", inst_path, str(code_path), "--rates", f"{bits},{bits}"]) == 0
+    capsys.readouterr()
+    assert [target for _, target in started] == [network._parse] * workers
+    assert not any(thread.is_alive() for thread, _ in started)
 
 
 class HashFailure(Exception):

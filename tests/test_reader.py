@@ -3,6 +3,7 @@ followed by ``network.int_table``: it must give the same arrays or hand the
 text back to ``json``."""
 
 import json
+import re
 import threading
 import tracemalloc
 
@@ -275,6 +276,21 @@ def test_threaded_table_reader_on_each_token(monkeypatch, token):
     test_table_reader_on_each_token(token)
 
 
+@pytest.fixture
+def conversions(monkeypatch) -> list:
+    """Each ``np.fromstring`` call, in order: its dtype, whether it ran on
+    the main thread, and the bytes it converted."""
+    calls = []
+    fromstring = np.fromstring
+
+    def spy(text, dtype, sep):
+        calls.append((np.dtype(dtype), threading.current_thread() is threading.main_thread(), bytes(text)))
+        return fromstring(text, dtype=dtype, sep=sep)
+
+    monkeypatch.setattr(network.np, "fromstring", spy)
+    return calls
+
+
 def _large_table(indent) -> str:
     """About 1 MB of table text, 1-D when compact and rows of three when
     indented; its entries span the lengths the reader accepts."""
@@ -297,18 +313,13 @@ def test_large_table_with_each_token_at_its_start_middle_and_end(indent):
     assert read
 
 
-def test_only_tables_from_the_threshold_up_start_a_thread(monkeypatch):
-    threads = []
-    parse = network._parse
-
-    def spy(text, out):
-        threads.append(threading.current_thread())
-        parse(text, out)
-
-    monkeypatch.setattr(network, "_parse", spy)
+def test_only_tables_from_the_threshold_up_start_a_thread(conversions):
+    """Below the threshold this thread converts the whole table; from it
+    up a worker converts one share and this thread the other."""
     ones = "1," * (PARALLEL_PARSE_BYTES // 2 - 2)
     assert len(_read(f"[{ones}1]")) == len(_read(f"[{ones}12]")) == PARALLEL_PARSE_BYTES // 2 - 1
-    assert threads[0] is threading.main_thread() and threads[1] is not threading.main_thread()
+    on_main = [main for _, main, _ in conversions]
+    assert on_main[0] is True and sorted(on_main[1:]) == [False, True]
 
 
 def _code_file(tmp_path, last_entry: str) -> str:
@@ -343,19 +354,32 @@ class Unparsable(Exception):
     pass
 
 
-@pytest.mark.parametrize("threshold", [0, 1 << 40], ids=["threaded", "serial"])
-def test_conversion_errors_surface_only_from_tables_that_pass_the_checks(monkeypatch, threshold):
+@pytest.mark.parametrize(
+    "threshold, failing",
+    [(0, "worker"), (0, "calling"), (1 << 40, "calling")],
+    ids=["threaded", "threaded-calling-share", "serial"],
+)
+def test_conversion_errors_surface_only_from_tables_that_pass_the_checks(monkeypatch, threshold, failing):
+    """The conversion of either thread's share fails; its error is raised,
+    after the join, only for a table that passes the checks."""
     error = Unparsable()
+    convert = np.fromstring
 
-    def fromstring(*args, **kwargs):
-        raise error
+    def fromstring(text, dtype, sep):
+        if (threading.current_thread() is threading.main_thread()) == (failing == "calling"):
+            raise error
+        return convert(text, dtype=dtype, sep=sep)
 
     monkeypatch.setattr(network, "PARALLEL_PARSE_BYTES", threshold)
     monkeypatch.setattr(network.np, "fromstring", fromstring)
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    before = threading.active_count()
     with pytest.raises(Unparsable) as raised:
         _read("[[1, 2], [3, 4]]")
     assert raised.value is error
     assert _read("[[1, 2], [3, 4.5]]") is None
+    assert threading.active_count() == before and hooked == []
 
 
 @pytest.mark.parametrize(
@@ -432,29 +456,28 @@ def _table_with(entry: str, where: str, entries: int, indent) -> str:
     return text.replace(str(MARKER), entry)
 
 
-@pytest.fixture
-def conversions(monkeypatch) -> list:
-    """The dtypes ``np.fromstring`` is called with, in order."""
-    dtypes = []
-    fromstring = np.fromstring
-
-    def spy(text, dtype, sep):
-        dtypes.append(np.dtype(dtype))
-        return fromstring(text, dtype=dtype, sep=sep)
-
-    monkeypatch.setattr(network.np, "fromstring", spy)
-    return dtypes
-
-
 @pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indent=2"])
 @pytest.mark.parametrize("entries", [300, 12000], ids=["inline", "worker"])
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 @pytest.mark.parametrize("entry", UNSIGNED_CASES)
 def test_tables_convert_as_uint64_and_read_as_json_does(conversions, entry, where, entries, indent):
+    """A table below the threshold is converted on this thread; from it up
+    a worker converts its numbers up to the first comma from
+    ``_WORKER_SHARE`` of their bytes on, and this thread the rest."""
     text = _table_with(entry, where, entries, indent)
     assert (len(text) >= PARALLEL_PARSE_BYTES) == (entries > 300)
     assert _agrees_with_json(text)
-    assert conversions == [np.dtype(np.uint64)]
+    numbers = text.encode().translate(None, b" \n[]")
+    uint64 = np.dtype(np.uint64)
+    if entries <= 300:
+        assert conversions == [(uint64, True, numbers)]
+        return
+    worker, calling = sorted(conversions, key=lambda c: c[1])
+    assert worker[:2] == (uint64, False) and calling[:2] == (uint64, True)
+    front, back = worker[2], calling[2]
+    assert front + b"," + back == numbers
+    share = int(len(numbers) * network._WORKER_SHARE)
+    assert len(front) >= share and b"," not in numbers[share : len(front)]
 
 
 @pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indent=2"])
@@ -493,17 +516,74 @@ def test_number_runs_are_counted_across_scan_chunks(monkeypatch, head, chunk):
             assert _read(f"{head}{first}{empty}]") is None, (chunk, digits, empty)
 
 
-def test_a_large_compact_table_holds_little_beside_its_array(monkeypatch):
-    """Memory guard: the tracemalloc peak of reading a 2.4 MB compact table
-    of rows of three, less its int64 array, is 0.795 of the text's length.
-    The reader that converted the text with its brackets peaked at 1.014
-    (measured alike), the bound; one more buffer as long as the text alive
-    at the peak would pass it.  The conversion runs on this thread, so the
-    order of the buffers, and the peak, repeat exactly."""
-    monkeypatch.setattr(network, "PARALLEL_PARSE_BYTES", 1 << 40)
-    rows = np.random.default_rng(3).integers(0, 16, (262144, 3))
-    raw = _dump(rows.tolist(), None).encode()
-    assert len(raw) >= 2 * 10**6
+@pytest.mark.parametrize("chunk", [1, 2, 3, 17])
+@pytest.mark.parametrize("head", ["[[", "[ ["], ids=["compact", "indented"])
+def test_row_joins_are_counted_across_scan_chunks(monkeypatch, head, chunk):
+    """``_row_joins`` scans ``_SCAN_CHUNK`` bytes at a time; with small
+    chunks, a first entry of one to ``chunk + 2`` digits moves each ``],[``
+    and a digit outside a row, which only the row-join check refuses,
+    across every chunk border."""
+    monkeypatch.setattr(network, "_SCAN_CHUNK", chunk)
+    for digits in range(1, chunk + 3):
+        first = "1" * digits
+        text = f"{head}{first},2],[3,4],[5,6]]"
+        raw = text.replace(" ", "").encode()
+        for lo in range(len(raw)):
+            assert network._row_joins(raw, lo, len(raw)) == raw.count(b"],[", lo), (chunk, digits, lo)
+        assert _agrees_with_json(text)
+        for stray in (f"{head}{first},]3,[4,5]]", f"{head}{first},2]7,[3,4]]", f"{head}{first},2],[3,4]8,[5,6]]"):
+            assert _read(stray) is None, (chunk, digits, stray)
+
+
+_NO_BRACKETS = str.maketrans("", "", "[]")
+
+
+# Tokens that refuse a table, each put in place of one entry, and a digit
+# outside a row, put after a row's closing bracket or before its opening one.
+SPLIT_TOKENS = ["0123456", str(2**64), ".5", "-1234567", "", "]5", "5["]
+
+
+@pytest.mark.parametrize("token", SPLIT_TOKENS, ids=SPLIT_TOKENS[:4] + ["empty", "after-a-row", "before-a-row"])
+def test_refused_tokens_on_either_side_of_the_split(conversions, token):
+    """Each token that refuses a table goes in the worker's share, at the
+    comma where the shares split, and in this thread's share, in tables of
+    rows of three 7-digit numbers above the threshold; the number of rows
+    moves the split across a row.  The reader hands every such table to
+    ``json``, whichever share holds the token."""
+    places = set()
+    for count in range(1998, 2004):
+        rows = np.random.default_rng(count).integers(10**6, 10**7, (count, 3)).tolist()
+        text = _dump(rows, None)
+        assert len(text) >= PARALLEL_PARSE_BYTES and _agrees_with_json(text)
+        starts = [m.start() for m in re.finditer(r"\d+", text)]
+        numbers = text.translate(_NO_BRACKETS)
+        split = numbers.find(",", int(len(numbers) * network._WORKER_SHARE)) // 8
+        for i in [0, len(starts) - 1, *range(split - 6, split + 7)]:
+            start, end = starts[i], starts[i] + 7
+            if token == "]5":
+                if text[end : end + 2] != "],":
+                    continue
+                pos, mutated = end + 1, text[: end + 1] + "5" + text[end + 1 :]
+            elif token == "5[":
+                if text[start - 2 : start] != ",[":
+                    continue
+                pos, mutated = start - 1, text[: start - 1] + "5" + text[start - 1 :]
+            else:
+                pos, mutated = start, text[:start] + token + text[end:]
+            del conversions[:]
+            assert _read(mutated) is None, (token, count, i)
+            (worker,) = [c for c in conversions if not c[1]]
+            front = len(worker[2])
+            # Where the token lies in the numbers, the text without brackets.
+            lo = len(mutated[:pos].translate(_NO_BRACKETS))
+            hi = lo + len(token.translate(_NO_BRACKETS))
+            places.add("worker" if hi < front else "calling" if lo > front + 1 else "split")
+    assert places == {"worker", "split", "calling"}
+
+
+def _peak_beside_array(raw: bytes, rows: np.ndarray) -> float:
+    """The tracemalloc peak of reading ``raw``, less its int64 array, as a
+    share of the text's length."""
     _int_table_text(raw, 0, len(raw))
     tracemalloc.start()
     try:
@@ -512,4 +592,37 @@ def test_a_large_compact_table_holds_little_beside_its_array(monkeypatch):
     finally:
         tracemalloc.stop()
     assert np.array_equal(got, rows)
-    assert peak - got.nbytes < 1.015 * len(raw)
+    return (peak - got.nbytes) / len(raw)
+
+
+@pytest.fixture(scope="module")
+def rows_of_three():
+    """262144 rows of three numbers below 16, and their 2.4 MB compact text."""
+    rows = np.random.default_rng(3).integers(0, 16, (262144, 3))
+    raw = _dump(rows.tolist(), None).encode()
+    assert len(raw) >= 2 * 10**6
+    return rows, raw
+
+
+def test_a_large_compact_table_holds_little_beside_its_array(monkeypatch, rows_of_three):
+    """Memory guard: the tracemalloc peak of reading a 2.4 MB compact table
+    of rows of three, less its int64 array, is 0.795 of the text's length.
+    The reader that converted the text with its brackets peaked at 1.014
+    (measured alike), the bound; one more buffer as long as the text alive
+    at the peak would pass it.  The conversion runs on this thread, so the
+    order of the buffers, and the peak, repeat exactly."""
+    monkeypatch.setattr(network, "PARALLEL_PARSE_BYTES", 1 << 40)
+    rows, raw = rows_of_three
+    assert _peak_beside_array(raw, rows) < 1.015
+
+
+def test_a_large_table_read_by_two_threads_holds_little_beside_its_array(rows_of_three):
+    """Memory guard for the threaded read of the same table: the peak less
+    the array measured 1.001 to 1.111 of the text's length in 120 reads
+    (the threads' timing moves it).  The numbers stay alive until the
+    worker ends, beside both shares' values and digit-count temporaries.
+    The bound, 1.5, fails one more copy of the values (6.3 MB, 2.63 of the
+    text), such as joining the shares into a third array."""
+    rows, raw = rows_of_three
+    assert len(raw) >= PARALLEL_PARSE_BYTES
+    assert _peak_beside_array(raw, rows) < 1.5
