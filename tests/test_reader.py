@@ -557,6 +557,8 @@ def test_refused_tokens_on_either_side_of_the_split(conversions, token):
         assert len(text) >= PARALLEL_PARSE_BYTES and _agrees_with_json(text)
         starts = [m.start() for m in re.finditer(r"\d+", text)]
         numbers = text.translate(_NO_BRACKETS)
+        # The entry that ends at the split comma: each entry and its comma
+        # take 8 bytes of the numbers.
         split = numbers.find(",", int(len(numbers) * network._WORKER_SHARE)) // 8
         for i in [0, len(starts) - 1, *range(split - 6, split + 7)]:
             start, end = starts[i], starts[i] + 7
