@@ -222,7 +222,10 @@ def relay_instance(
 
 
 def _outside(table: np.ndarray, size: int) -> bool:
-    return bool(table.size) and (table.min() < 0 or table.max() >= size)
+    """Whether an int64 table holds an entry outside ``range(size)``, in one
+    pass: viewed as uint64, a negative entry reads as 2**63 or more, so it
+    is caught by the bound, which is capped at 2**63 for that reason."""
+    return bool(table.size) and table.view(np.uint64).max() >= min(size, 2**63)
 
 
 def validate_code(inst: NetworkInstance, code: NetworkCode) -> list[str]:

@@ -207,6 +207,20 @@ def random_code(rng: random.Random, inst: NetworkInstance) -> NetworkCode:
     )
 
 
+def relay_with_entry(code: NetworkCode, table, value: int) -> NetworkCode:
+    """A ``relay_instance`` code with one entry set to ``value``: ``table``
+    is ``"e"`` for the last entry of the relay's encoder, or a column of the
+    decoder's row a third of the way down."""
+    encoders, decoders = dict(code.encoders), dict(code.decoders)
+    if table == "e":
+        encoders["e"] = code.encoders["e"].tolist()[:-1] + [value]
+    else:
+        rows = code.decoders["t"].tolist()
+        rows[len(rows) // 3][table] = value
+        decoders["t"] = rows
+    return NetworkCode(1, code.source_alphabets, code.edge_alphabets, encoders, decoders)
+
+
 def random_partition(rng: random.Random, table) -> SourcePartition:
     sizes = table.source_sizes
     kind = rng.randrange(5)

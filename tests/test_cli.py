@@ -19,12 +19,13 @@ import sys
 import threading
 import tracemalloc
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import json_bytes
+from conftest import json_bytes, relay_with_entry
 from test_golden import CORPUS, GOLDEN_DIR
 from edgedrop import network
 from edgedrop.cli import ERROR_ABOVE_EPS, RunReport, build_parser, dispatch, emit_report, main
@@ -388,6 +389,36 @@ def test_labels_beyond_64_bits_are_a_usage_error(tmp_path, capsys):
     argv = ["remove-edge", *_write_pair(tmp_path, inst, code), "--edge", "e"]
     assert main(argv + ["--partition", str(labels)]) == 2
     assert "labels entries must fit in 64 bits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "table, problem",
+    [
+        ("e", "edge 'e' encoder maps outside its alphabet"),
+        (0, "terminal 't' decoder maps outside source alphabets"),
+        (1, "terminal 't' decoder maps outside source alphabets"),
+    ],
+    ids=["encoder", "decoder-col0", "decoder-col1"],
+)
+def test_a_read_table_entry_equal_to_its_alphabet_size_is_a_usage_error(
+    table, problem, tmp_path, capsys, monkeypatch
+):
+    """A code file the byte-level reader takes, with one entry as large as
+    its alphabet: 16 for the relay's edge, or 16 and 8 for the sources."""
+    sizes = [16, 8]
+    inst, code = relay_instance(sizes, 16, tabulate(sizes, lambda a, b: (a + b) % 16))
+    bad = relay_with_entry(code, table, 16 if table == "e" else sizes[table])
+    inst_path, code_path = _write_pair(tmp_path, inst, bad)
+    assert Path(code_path).stat().st_size >= network.FAST_READ_BYTES
+
+    def refuse(*args):
+        raise AssertionError("per-entry table check")
+
+    monkeypatch.setattr(network, "_int_entries", refuse)
+    assert main(["verify", inst_path, code_path, "--rates", "4,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and problem in captured.err
 
 
 MUTATIONS = ["-0", "01", "1.5", "1e3", "true", "null", '"7"', "[", "]", ",", " ", "1 2",
@@ -1197,6 +1228,42 @@ def test_kept_symbols_below_the_piecewise_bound_exit_3(tmp_path, capsys, monkeyp
     assert captured.out == "" and not out.exists()
     assert captured.err.startswith("internal error:")
     assert "kept symbols fall below the piecewise bound" in captured.err
+
+
+def _group_zero_error_exits_3(tmp_path, capsys, message):
+    """Run the Klein demand ``e:s1``, whose subgroup {0, 3} does not lie in
+    s1's {0, 1}, and assert that it exits 3 with the guard's ``message`` and
+    writes no ``--out`` file."""
+    out = tmp_path / "report.json"
+    argv = ["group-zero-error", str(GOLDEN_DIR / "inputs/klein.json"), "--demand", "e:s1"]
+    assert main(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("internal error:")
+    assert message in captured.err
+
+
+def test_a_zero_error_decoder_that_fails_verification_exits_3(tmp_path, capsys, monkeypatch):
+    """Fault injection for ``zero_error_upgrade``'s decoder check: the meet
+    order it reads claims e's subgroup lies inside s1's, so the decoder it
+    builds from the coset labels cannot reproduce s1."""
+    from edgedrop.groupcodes import GroupCharacterization
+
+    def contained(gc, keys):
+        return gc.handle(keys[0]).order
+
+    monkeypatch.setattr(GroupCharacterization, "meet_order", contained)
+    _group_zero_error_exits_3(tmp_path, capsys, "zero-error decoder failed verification")
+
+
+def test_a_best_decoder_error_off_1_minus_1_over_q_exits_3(tmp_path, capsys, monkeypatch):
+    """Fault injection for ``zero_error_upgrade``'s error check: the best
+    decoder's error, counted from the coset overlaps, comes back as 0
+    where q = 2 gives 1/2."""
+    from edgedrop import groupcodes
+
+    monkeypatch.setattr(groupcodes, "_best_error", lambda rows, counts: Fraction(0))
+    _group_zero_error_exits_3(tmp_path, capsys, "best decoder error disagrees with 1 - 1/q")
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):

@@ -21,6 +21,7 @@ from conftest import (
     oracle_index,
     random_code,
     random_instance,
+    relay_with_entry,
     scalar_table,
 )
 from edgedrop.codes import (
@@ -39,6 +40,7 @@ from edgedrop.codes import (
 )
 from edgedrop.errors import DomainError, ResourceError
 from edgedrop.library import butterfly
+from edgedrop.network import Edge, NetworkInstance, Source
 
 
 def test_mixed_radix_roundtrip():
@@ -210,6 +212,52 @@ def test_validate_code_reports_mismatches():
         code.decoders,
     )
     assert any("no encoder" in p for p in validate_code(inst, missing))
+
+
+_RANGE_PROBLEMS = {
+    "e": "edge 'e' encoder maps outside its alphabet",
+    0: "terminal 't' decoder maps outside source alphabets",
+    1: "terminal 't' decoder maps outside source alphabets",
+}
+
+
+@pytest.mark.parametrize("table", ["e", 0, 1], ids=["encoder", "decoder-col0", "decoder-col1"])
+@pytest.mark.parametrize("value", [-1, "size", -(2**63)], ids=["minus-one", "size", "int64-min"])
+def test_validate_code_names_entries_outside_their_alphabet(table, value):
+    """Codes built from lists, each with one entry out of range; the size of
+    a column is its edge's alphabet (3) or its source's (3, then 5)."""
+    inst, code = relay_instance([3, 5], 3, tabulate([3, 5], lambda a, b: (a + b) % 3))
+    size = code.edge_alphabets["e"] if table == "e" else code.source_alphabets[table]
+    bad = relay_with_entry(code, table, size if value == "size" else value)
+    assert validate_code(inst, bad) == [_RANGE_PROBLEMS[table]]
+    assert validate_code(inst, relay_with_entry(code, table, size - 1)) == []
+
+
+@pytest.mark.parametrize(
+    "alphabet, entry, outside",
+    [
+        (2**63 - 1, 2**63 - 1, True),
+        (2**63, 2**63 - 1, False),
+        (2**70, 2**63 - 1, False),
+        (2**63, -1, True),
+        (2**64, -1, True),
+        (2**70, -(2**63), True),
+    ],
+)
+def test_alphabets_of_2_to_the_63_and_above_still_refuse_negative_entries(alphabet, entry, outside):
+    """A source of two symbols sends them on one edge of a wide alphabet;
+    the encoder's range is checked whatever the alphabet's size."""
+    inst = NetworkInstance(
+        nodes=("s", "t"),
+        edges=(Edge("e", "s", "t", alphabet),),
+        sources=(Source("s", 2),),
+        terminals=("t",),
+        demands=((1,),),
+    )
+    code = NetworkCode(1, (2,), {"e": alphabet}, {"e": [0, entry]}, {"t": [[0], [1]]})
+    # The decoder's length is checked against the alphabet too, and fails.
+    problems = validate_code(inst, code)
+    assert ("edge 'e' encoder maps outside its alphabet" in problems) == outside
 
 
 def _oracle_corpus():

@@ -236,6 +236,9 @@ _JSON_TREES = st.recursive(
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(_JSON_TREES)
+# Exact ints take their own path; bools, None and floats go through json.
+@example([True, False, None, 0, -1, 2**100, 1.5])
+@example({"t": True, "f": False, "n": None, "0": 0, "-1": -1, "big": 2**100, "x": 1.5})
 def test_json_bytes_matches_json_dumps(tree):
     assert _joined(tree).decode() == _oracle_json(tree)
 
@@ -282,6 +285,21 @@ def _array_trees(draw):
     {
         "min": np.array([-(2**63)] + [5] * network._ARRAY_ENTRIES),
         "edge": -np.arange(3 * network._WRITE_ROWS + 3).reshape(-1, 3),
+    }
+)
+# Entries that all have the widest digit count leave no padding to strip,
+# on the four-digit lookup path and on the division path.
+@example(
+    {
+        "four": np.random.default_rng(1).integers(1000, 10**4, network._WRITE_ROWS + 1),
+        "six": np.random.default_rng(2).integers(10**5, 10**6, (network._WRITE_ROWS + 1, 3)),
+    }
+)
+# One 19-digit entry, in the last block, pads every other entry by 18 NULs.
+@example(
+    {
+        "flat": np.append(np.arange(network._WRITE_ROWS) % 10, 10**18 + 7),
+        "rows": np.vstack([np.arange(2 * network._WRITE_ROWS).reshape(-1, 2) % 10, [[3, 2**63 - 1]]]),
     }
 )
 def test_json_bytes_writes_arrays_as_their_lists(tree):
